@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 MAX_DIM_TOTAL = 400_000
+MAX_STEP_BYTES = 2**31
 
 
 @dataclass(frozen=True)
@@ -147,50 +148,64 @@ def compose_poly_power(P: dict[int, np.ndarray], m: int, basis: CarlemanBasis) -
     """
     if m < 0:
         raise ValueError("need m >= 0")
-    d, N = basis.d, basis.N
     for q, B in P.items():
-        if np.shape(B) != (d, d**q):
-            raise ValueError(f"degree-{q} coefficient must have shape ({d}, {d**q})")
+        if np.shape(B) != (basis.d, basis.d**q):
+            raise ValueError(f"degree-{q} coefficient must have shape ({basis.d}, {basis.d**q})")
     out: dict[int, np.ndarray] = {0: np.ones((1, 1))}
     for _ in range(m):
-        new: dict[int, np.ndarray] = {}
-        for q1, R in out.items():
-            for q2, B in P.items():
-                qt = q1 + q2
-                if qt > N:
-                    continue
-                term = np.kron(R, B)
-                if qt in new:
-                    new[qt] += term
-                else:
-                    new[qt] = term
-        out = new
+        out = _times_poly(out, P, basis.N)
     return out
 
 
-def _poly_to_update(P: dict[int, np.ndarray], basis: CarlemanBasis):
+def _times_poly(R: dict[int, np.ndarray], P: dict[int, np.ndarray], N: int) -> dict[int, np.ndarray]:
+    """Coefficients of R(x) (x) P(x), dropping degrees above N."""
+    new: dict[int, np.ndarray] = {}
+    for q1, Rq in R.items():
+        for q2, B in P.items():
+            qt = q1 + q2
+            if qt <= N:
+                term = np.kron(Rq, B)
+                new[qt] = new[qt] + term if qt in new else term
+    return new
+
+
+def _block_row(R: dict[int, np.ndarray], basis: CarlemanBasis, rows: int) -> sp.csr_matrix:
+    """(rows, dim_total) CSR matrix holding R[q] in column block q >= 1.
+
+    Filled as a dense buffer and converted through a boolean mask, which
+    gives what sp.csr_matrix(buf) gives without its coordinate detour.
+    """
+    buf = np.zeros((rows, basis.dim_total))
+    for q, mat in R.items():
+        if q >= 1:
+            buf[:, basis.block_slice(q)] = mat
+    mask = buf != 0
+    indptr = np.zeros(rows + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
+    cols = np.broadcast_to(np.arange(basis.dim_total, dtype=np.int32), buf.shape)
+    return sp.csr_matrix((buf[mask], cols[mask], indptr), shape=buf.shape)
+
+
+def _poly_to_update(P: dict[int, np.ndarray], basis: CarlemanBasis, delta: bool = False):
     """Lift a step polynomial into the update matrix U and offset b.
 
     Block row j of U holds the degree-truncated coefficients of
-    P(x)^{(j)}; degree-0 parts land in b.  Returns (U csr, b).
+    P(x)^{(j)}, built from block row j-1 in one pass; degree-0 parts
+    land in b.  With ``delta`` the identity is subtracted, giving the
+    delta-form matrix U - I.  Returns (csr, b).
     """
-    N = basis.N
-    grid: list[list] = [[None] * N for _ in range(N)]
     b = np.zeros(basis.dim_total)
-    Ptrunc = {q: B for q, B in P.items() if q <= N and np.any(B)}
-    for j in range(1, N + 1):
-        rows = compose_poly_power(Ptrunc, j, basis)
-        for q, mat in rows.items():
-            if q == 0:
-                b[basis.block_slice(j)] = mat[:, 0]
-            elif np.any(mat):
-                grid[j - 1][q - 1] = sp.csr_matrix(mat)
-    for j in range(N):
-        if all(g is None for g in grid[j]):
-            grid[j][j] = sp.csr_matrix((basis.d ** (j + 1), basis.d ** (j + 1)))
-    U = sp.bmat(grid, format="csr", dtype=float)
-    U.eliminate_zeros()
-    return U, b
+    Ptrunc = {q: B for q, B in P.items() if q <= basis.N and np.any(B)}
+    R: dict[int, np.ndarray] = {0: np.ones((1, 1))}
+    rows = []
+    for j in range(1, basis.N + 1):
+        R = _times_poly(R, Ptrunc, basis.N)
+        n_j = basis.d**j
+        if 0 in R:
+            b[basis.block_slice(j)] = R[0][:, 0]
+        row = {**R, j: R.get(j, 0.0) - np.eye(n_j)} if delta else R
+        rows.append(_block_row(row, basis, n_j))
+    return sp.vstack(rows, format="csr"), b
 
 
 @dataclass
@@ -241,14 +256,16 @@ def assemble_dpm_qcm(
     exact image of the sequential step.
     """
     _check_model_basis(m, basis)
-    P = step_polynomial_dpm(s, m, i, grid, k)
-    U, b = _poly_to_update(P, basis)
-    A = (U - sp.identity(basis.dim_total, format="csr")).tocsr()
-    A.eliminate_zeros()
+    A, b = _poly_to_update(step_polynomial_dpm(s, m, i, grid, k), basis, delta=True)
     return Qcm(A=A, b=b, i=i, scheme="dpm", order=k)
 
 
 def _check_model_basis(m: PolyNoiseModel, basis: CarlemanBasis) -> None:
+    """Refuse a mismatched model, or a step lift whose dense top block row
+    (d^N x dim_total doubles) would exceed MAX_STEP_BYTES."""
+    step_bytes = 8 * basis.d**basis.N * basis.dim_total
+    if step_bytes > MAX_STEP_BYTES:
+        raise CapacityError(f"step lift needs {step_bytes} bytes, above {MAX_STEP_BYTES}")
     if m.d != basis.d:
         raise ValueError(f"model dimension {m.d} != basis dimension {basis.d}")
     if m.mode == "separable" and m.d > 1:
@@ -298,19 +315,8 @@ class UnipcQcmSet:
 
 def _node_block1(E: dict[int, np.ndarray], w: float, basis: CarlemanBasis) -> sp.csr_matrix:
     """Block-row-1 matrix -w * E_q placed against column blocks q >= 1."""
-    grid: list[list] = [[None] * basis.N for _ in range(basis.N)]
-    any_block = False
-    for q, mat in E.items():
-        if 1 <= q <= basis.N and np.any(mat):
-            grid[0][q - 1] = sp.csr_matrix(-w * mat)
-            any_block = True
-    if not any_block:
-        return sp.csr_matrix((basis.dim_total, basis.dim_total))
-    for j in range(basis.N):
-        if all(g is None for g in grid[j]):
-            grid[j][j] = sp.csr_matrix((basis.d ** (j + 1), basis.d ** (j + 1)))
-    out = sp.bmat(grid, format="csr", dtype=float)
-    out.eliminate_zeros()
+    out = _block_row({q: -w * mat for q, mat in E.items() if q <= basis.N}, basis, basis.d)
+    out.resize((basis.dim_total, basis.dim_total))
     return out
 
 

@@ -30,7 +30,7 @@ import jsonschema
 from . import __version__
 from .carleman import CarlemanBasis, UnipcQcmSet, run_lifted
 from .diagnostics import dissipativity_P, spectrum_trace
-from .errors import ConvergenceError, StructureError
+from .errors import CapacityError, ConvergenceError, StructureError
 from .model import PolyNoiseModel, kron_model, scalar_model, separable_model
 from .presets import BENCHMARKS, MODEL_PRESETS, benchmark, model_preset
 from .readout import recover_sparse
@@ -638,9 +638,6 @@ def _set_path(cfg: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
-_POINT_COMMANDS = {}
-
-
 def _execute_point(payload):
     index, command, cfg_json, point_dir = payload
     cfg = json.loads(cfg_json)
@@ -721,15 +718,14 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
     return worst
 
 
-_POINT_COMMANDS.update(
-    {
-        "simulate": cmd_simulate,
-        "carleman": cmd_carleman,
-        "lchs": cmd_lchs,
-        "diagnose": cmd_diagnose,
-        "readout": cmd_readout,
-    }
-)
+# commands a sweep point can run; main adds "sweep" itself
+_POINT_COMMANDS = {
+    "simulate": cmd_simulate,
+    "carleman": cmd_carleman,
+    "lchs": cmd_lchs,
+    "diagnose": cmd_diagnose,
+    "readout": cmd_readout,
+}
 
 
 # --- entry point ----------------------------------------------------------------
@@ -769,14 +765,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    handler = {
-        "simulate": cmd_simulate,
-        "carleman": cmd_carleman,
-        "lchs": cmd_lchs,
-        "diagnose": cmd_diagnose,
-        "readout": cmd_readout,
-        "sweep": cmd_sweep,
-    }[args.command]
+    handler = {**_POINT_COMMANDS, "sweep": cmd_sweep}[args.command]
     try:
         return handler(cfg, out_dir)
     except ConfigError as exc:
@@ -785,7 +774,8 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"did not converge: {exc}", file=sys.stderr)
         return 4
-    except (StructureError, np.linalg.LinAlgError, FloatingPointError, OverflowError, ValueError) as exc:
+    except (CapacityError, StructureError, np.linalg.LinAlgError, FloatingPointError, OverflowError,
+            ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CapacityError
 from .schedule import NoiseSchedule
@@ -451,7 +450,8 @@ def _deriv_once_kron(blocks: list[np.ndarray], v: dict[int, np.ndarray], d: int)
         if cj.shape[0] > 1:
             acc(j, cj[1:] * np.arange(1, cj.shape[0])[:, None, None])
 
-    # (d eps/dx) . v, one slot insertion at a time
+    # (d eps/dx) . v: cj @ (I_{d^a} (x) V (x) I_{d^b}) contracts V's row
+    # index against slot a of x^{(j)}, batched over both lam axes
     for j in range(1, J + 1):
         cj = blocks[j]
         if not np.any(cj):
@@ -462,17 +462,14 @@ def _deriv_once_kron(blocks: list[np.ndarray], v: dict[int, np.ndarray], d: int)
             deg_new = j - 1 + q
             if d**deg_new > MAX_KRON_COLUMNS:
                 raise CapacityError("kron derivative exceeds supported block size")
+            Lc, Lv = cj.shape[0], vq.shape[0]
+            prod = np.zeros((Lc + Lv - 1, d, d**deg_new))
             for a in range(j):
-                left = sp.identity(d**a, format="csr")
-                right = sp.identity(d ** (j - 1 - a), format="csr")
-                Lc, Lv = cj.shape[0], vq.shape[0]
-                prod = np.zeros((Lc + Lv - 1, d, d**deg_new))
-                for l2 in range(Lv):
-                    slab = sp.kron(left, sp.kron(sp.csr_matrix(vq[l2]), right), format="csr")
-                    for l1 in range(Lc):
-                        if np.any(cj[l1]):
-                            prod[l1 + l2] += cj[l1] @ slab
-                acc(deg_new, prod)
+                slots = cj.reshape(Lc, d, d**a, d, d ** (j - 1 - a))
+                terms = np.einsum("xiasb,yst->xyiatb", slots, vq).reshape(Lc, Lv, d, d**deg_new)
+                for l1 in range(Lc):
+                    prod[l1 : l1 + Lv] += terms[l1]
+            acc(deg_new, prod)
 
     filled = [
         b if b is not None else np.zeros((1, d, d**j)) for j, b in enumerate(out)

@@ -20,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.linalg import gmres as scipy_gmres
+from scipy.sparse.linalg import spsolve_triangular
 
 from .errors import ConvergenceError, StructureError
 
@@ -43,64 +44,41 @@ class SolveResult:
     wall_time: float
 
 
-def _solve_lower_csr(mat: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
-    """Forward sweep for a lower triangular CSR matrix (diag assumed set)."""
-    n = mat.shape[0]
-    x = np.zeros(n, dtype=np.result_type(mat.dtype, b.dtype))
-    indptr, indices, data = mat.indptr, mat.indices, mat.data
-    for r in range(n):
-        lo, hi = indptr[r], indptr[r + 1]
-        cols = indices[lo:hi]
-        vals = data[lo:hi]
-        diag = vals[cols == r]
-        if diag.size == 0:
-            raise StructureError(f"missing diagonal entry in row {r}")
-        below = cols < r
-        acc = b[r] - vals[below] @ x[cols[below]]
-        x[r] = acc / diag[0]
-    return x
+def _lower_diagonal(mat: sp.csr_matrix) -> np.ndarray:
+    """Diagonal of a square CSR matrix checked to be lower triangular.
 
-
-def _solve_upper_csc(mat_csc: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
-    """Solve M^T w = b for lower triangular M given in CSC form."""
-    n = mat_csc.shape[0]
-    w = np.zeros(n, dtype=np.result_type(mat_csc.dtype, b.dtype))
-    indptr, indices, data = mat_csc.indptr, mat_csc.indices, mat_csc.data
-    for r in range(n - 1, -1, -1):
-        lo, hi = indptr[r], indptr[r + 1]
-        rows = indices[lo:hi]
-        vals = data[lo:hi]
-        diag = vals[rows == r]
-        if diag.size == 0:
-            raise StructureError(f"missing diagonal entry in column {r}")
-        above = rows > r
-        acc = b[r] - vals[above] @ w[rows[above]]
-        w[r] = acc / diag[0]
-    return w
+    Raises StructureError if a row stores an entry above the diagonal or
+    stores nothing at all (so it cannot hold a diagonal entry).
+    """
+    counts = np.diff(mat.indptr)
+    if np.any(counts == 0):
+        raise StructureError(f"missing diagonal entry in row {int(np.argmin(counts))}")
+    if np.any(np.maximum.reduceat(mat.indices, mat.indptr[:-1]) > np.arange(mat.shape[0])):
+        raise StructureError("matrix has entries above the diagonal")
+    return mat.diagonal()
 
 
 def forward_substitute(system) -> SolveResult:
     """Direct forward substitution on a unit lower triangular system.
 
     The structure is checked first: any entry above the diagonal or a
-    diagonal entry away from 1 raises StructureError.  The reported
-    residual is ||M x - b|| / max(||b||, 1) recomputed from the sparse
-    matrix after the sweep.
+    diagonal entry away from 1 raises StructureError.  The sweep is
+    SciPy's compiled triangular solve.  The reported residual is
+    ||M x - b|| / max(||b||, 1) recomputed from the sparse matrix after
+    the sweep.
     """
     t0 = time.perf_counter()
-    mat, rhs = system.mat, system.rhs
+    mat, rhs = sp.csr_matrix(system.mat), system.rhs
     n = mat.shape[0]
     if mat.shape[0] != mat.shape[1] or len(rhs) != n:
         raise ValueError("system must be square with a matching right-hand side")
-    if sp.triu(mat, k=1).nnz != 0:
-        raise StructureError("matrix has entries above the diagonal")
-    diag = mat.diagonal()
+    diag = _lower_diagonal(mat)
     bad = np.abs(diag - 1.0) > 1e-12
     if np.any(bad):
         raise StructureError(
             f"diagonal must be 1 (first offender at row {int(np.argmax(bad))})"
         )
-    x = _solve_lower_csr(mat, rhs)
+    x = spsolve_triangular(mat, rhs, lower=True, unit_diagonal=bool(np.all(diag == 1.0)))
     res = float(np.linalg.norm(mat @ x - rhs) / max(np.linalg.norm(rhs), 1.0))
     return SolveResult(
         solution=x, residual=res, iterations=0,
@@ -108,14 +86,21 @@ def forward_substitute(system) -> SolveResult:
     )
 
 
-def gmres_solve(system, tol: float = 1e-10, restart: int = 50, max_iter: int = 20000) -> SolveResult:
+def gmres_solve(system, tol: float = 1e-10, restart: int | None = None, max_iter: int = 20000) -> SolveResult:
     """GMRES with explicit residual verification.
 
-    Raises ConvergenceError carrying the best residual and iteration
-    count if the recomputed relative residual stays above tol.
+    A trajectory system is I minus a block strictly lower triangular
+    part, nilpotent of index at most n_blocks, so the default restart
+    min(n_blocks + 1, dim) lets one Krylov cycle reach the exact
+    solution; systems without n_blocks default to 50.  Raises
+    ConvergenceError carrying the best residual and iteration count if
+    the recomputed relative residual stays above tol.
     """
     t0 = time.perf_counter()
     mat, rhs = system.mat, system.rhs
+    if restart is None:
+        n_blocks = getattr(system, "n_blocks", None)
+        restart = 50 if n_blocks is None else min(n_blocks + 1, mat.shape[0])
     counter = {"n": 0}
 
     def cb(_):

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve_triangular
 
 from .carleman import Qcm, UnipcQcmSet
 from .errors import StructureError
+from .solve import _lower_diagonal
 
 __all__ = [
     "BlockLinearSystem",
@@ -49,6 +51,47 @@ class BlockLinearSystem:
         return self.mat.shape[0]
 
 
+def _stack_block_rows(block_rows: list[list[tuple[int, sp.csr_matrix]]], D: int) -> sp.csr_matrix:
+    """Square CSR matrix of D x D CSR blocks, given per block row as
+    (column block, block) pairs in ascending column order.
+
+    indptr/indices/data are written straight into preallocated arrays;
+    each row lists its blocks' entries in column-block order, which is
+    the entry order sp.bmat produces.  Blocks are brought to canonical
+    form in place, a no-op on what sparse arithmetic usually returns.
+    """
+    n = len(block_rows) * D
+    for row in block_rows:
+        for _, blk in row:
+            blk.sum_duplicates()
+    # per-row entry counts, one column per block of the block row
+    lens = [np.stack([np.diff(blk.indptr) for _, blk in row], axis=1) for row in block_rows]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([ln.sum(axis=1) for ln in lens]), out=indptr[1:])
+    nnz = int(indptr[-1])
+    idx_dtype = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
+    indices = np.empty(nnz, dtype=idx_dtype)
+    data = np.empty(nnz)
+    for i, (row, ln) in enumerate(zip(block_rows, lens)):
+        lo, hi = indptr[i * D], indptr[(i + 1) * D]
+        # which block of the row each entry of the segment comes from
+        owner = np.repeat(np.tile(np.arange(len(row), dtype=np.int16), D), ln.ravel())
+        for k, (c, blk) in enumerate(row):
+            sel = owner == k
+            indices[lo:hi][sel] = blk.indices + c * D
+            data[lo:hi][sel] = blk.data
+    mat = sp.csr_matrix((data, indices, indptr.astype(idx_dtype)), shape=(n, n))
+    mat.eliminate_zeros()
+    return mat
+
+
+def _derivative_rows(qcms: list[Qcm], eye: sp.csr_matrix) -> list:
+    """Block rows Y_i - (I + A_i) Y_{i-1} of derivative-scheme steps i = 1, 2, ..."""
+    if any(q.A.shape != eye.shape for q in qcms):
+        raise ValueError("step matrix dimension does not match the initial state")
+    return [[(i - 1, -(eye + q.A)), (i, eye)] for i, q in enumerate(qcms, start=1)]
+
+
 def assemble_global_dpm(qcms: list[Qcm], y0: np.ndarray) -> BlockLinearSystem:
     """Block bidiagonal system for a derivative-scheme trajectory.
 
@@ -56,22 +99,11 @@ def assemble_global_dpm(qcms: list[Qcm], y0: np.ndarray) -> BlockLinearSystem:
     through -(I + A_i).
     """
     y0 = np.asarray(y0, dtype=float)
-    D = len(y0)
-    M = len(qcms)
-    grid: list[list] = [[None] * (M + 1) for _ in range(M + 1)]
-    eye = sp.identity(D, format="csr")
-    grid[0][0] = eye
-    rhs = [y0]
-    for row, q in enumerate(qcms, start=1):
-        if q.A.shape != (D, D):
-            raise ValueError("step matrix dimension does not match the initial state")
-        grid[row][row] = eye
-        grid[row][row - 1] = -(eye + q.A)
-        rhs.append(q.b)
-    mat = sp.bmat(grid, format="csr", dtype=float)
-    mat.eliminate_zeros()
+    eye = sp.identity(len(y0), format="csr")
     return BlockLinearSystem(
-        mat=mat, rhs=np.concatenate(rhs), n_blocks=M + 1, block_dim=D, scheme="dpm",
+        mat=_stack_block_rows([[(0, eye)]] + _derivative_rows(qcms, eye), len(y0)),
+        rhs=np.concatenate([y0] + [q.b for q in qcms]),
+        n_blocks=len(qcms) + 1, block_dim=len(y0), scheme="dpm",
     )
 
 
@@ -95,32 +127,21 @@ def assemble_global_unipc(
         raise ValueError("which must be 'predictor' or 'corrector'")
     y0 = np.asarray(y0, dtype=float)
     D = len(y0)
-    M = len(warmup) + len(steps)
-    grid: list[list] = [[None] * (M + 1) for _ in range(M + 1)]
     eye = sp.identity(D, format="csr")
-    grid[0][0] = eye
-    rhs = [y0]
-    for row, q in enumerate(warmup, start=1):
-        grid[row][row] = eye
-        grid[row][row - 1] = -(eye + q.A)
-        rhs.append(q.b)
+    block_rows = [[(0, eye)]] + _derivative_rows(warmup, eye)
+    rhs = [y0] + [q.b for q in warmup]
     for qset in steps:
-        row = qset.i
-        grid[row][row] = eye
         if which == "predictor":
-            for mm, mat in enumerate(qset.pred_mats):
-                grid[row][qset.anchor + mm] = -mat
+            blocks = [-mat for mat in qset.pred_mats]
             rhs.append(qset.pred_b)
         else:
-            for mm in range(qset.p):
-                folded = qset.corr_mats[mm] + qset.corr_target @ qset.pred_mats[mm]
-                grid[row][qset.anchor + mm] = -folded
+            blocks = [-(qset.corr_mats[mm] + qset.corr_target @ qset.pred_mats[mm])
+                      for mm in range(qset.p)]
             rhs.append(qset.corr_b + qset.corr_target @ qset.pred_b)
-    mat = sp.bmat(grid, format="csr", dtype=float)
-    mat.eliminate_zeros()
+        block_rows.append([(qset.anchor + mm, blk) for mm, blk in enumerate(blocks)] + [(qset.i, eye)])
     return BlockLinearSystem(
-        mat=mat, rhs=np.concatenate(rhs), n_blocks=M + 1, block_dim=D,
-        scheme=f"unipc_{which}",
+        mat=_stack_block_rows(block_rows, D), rhs=np.concatenate(rhs), n_blocks=len(block_rows),
+        block_dim=D, scheme=f"unipc_{which}",
     )
 
 
@@ -173,17 +194,15 @@ def _power_sigma(mat: sp.csr_matrix, rtol: float, max_iter: int, rng, inverse: b
     certifies |theta - lambda| <= rtol * theta for the symmetric
     operator B, so singular values inherit half that relative error.
     """
-    from .solve import _solve_lower_csr, _solve_upper_csc
-
     n = mat.shape[0]
     matT = mat.T.tocsr()
     if inverse:
-        mat_csc = mat.tocsc()
+        unit = bool(np.all(mat.diagonal() == 1.0))
 
         def apply(v):
             # (M^T M)^{-1} v = M^{-1} M^{-T} v
-            w = _solve_upper_csc(mat_csc, v)  # M^{-T} v via M^T w = v
-            return _solve_lower_csr(mat, w)
+            w = spsolve_triangular(matT, v, lower=False, unit_diagonal=unit)  # M^T w = v
+            return spsolve_triangular(mat, w, lower=True, unit_diagonal=unit)
     else:
 
         def apply(v):
@@ -248,8 +267,8 @@ def condition_number(
         )
     if method != "power":
         raise ValueError(f"unknown method {method!r}")
-    if sp.triu(mat, k=1).nnz != 0:
-        raise StructureError("power-iteration path requires a lower triangular matrix")
+    if np.any(_lower_diagonal(mat) == 0.0):
+        raise StructureError("power-iteration path needs a nonzero diagonal")
     rng = np.random.default_rng(seed)
     smax, it1, res1, ok1 = _power_sigma(mat, rtol, max_iter, rng, inverse=False)
     smin, it2, res2, ok2 = _power_sigma(mat, rtol, max_iter, rng, inverse=True)

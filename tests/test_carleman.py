@@ -1,3 +1,8 @@
+import contextlib
+import os
+import resource
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -58,6 +63,38 @@ def test_basis_validation():
         CarlemanBasis(N=2, d=1, mode="matrix")
     with pytest.raises(CapacityError):
         CarlemanBasis(N=30, d=4, mode="kron")
+
+
+@contextlib.contextmanager
+def address_space_cap(extra_bytes):
+    """Cap this process's address space at its current size plus
+    extra_bytes, so that an unguarded huge allocation raises MemoryError
+    instead of exhausting the machine."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        current = int(fh.read().split()[0]) * resource.getpagesize()
+    resource.setrlimit(resource.RLIMIT_AS, (current + extra_bytes, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc to cap memory")
+def test_step_lift_refuses_oversized_dense_rows_before_allocating():
+    # d=4, N=8 passes the dimension check (87 380) but one step's dense
+    # top block row would take 8 * 4^8 * 87 380 bytes, about 46 GB
+    basis = CarlemanBasis(N=8, d=4, mode="kron")
+    m = kron_model(4, {1: 0.5 * np.eye(4), 2: np.full((4, 16), 0.01)})
+    grid = make_lambda_grid(S, 0.5, 0.1, 4)
+    tracemalloc.start()
+    try:
+        with address_space_cap(2**30), pytest.raises(CapacityError):
+            run_lifted(S, m, np.ones(4), grid, basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_lift_matches_kron_powers():

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from carlift.carleman import CarlemanBasis, lift, run_lifted
 from carlift.errors import ConvergenceError, StructureError
-from carlift.model import scalar_model
+from carlift.model import kron_model, scalar_model
 from carlift.schedule import make_lambda_grid, make_vp_schedule
 from carlift.solve import (
     LchsConfig,
@@ -62,6 +62,21 @@ def test_gmres_agrees_with_forward_substitution():
     assert iterative.residual <= 1e-12
     assert iterative.iterations > 0
     assert np.allclose(iterative.solution, direct.solution, atol=1e-8)
+
+
+def test_gmres_default_restart_spans_the_trajectory():
+    # M - I is nilpotent of index <= n_blocks, so one Krylov cycle of
+    # n_blocks + 1 vectors solves the M=64 system; restart 50 stalls on it
+    m = kron_model(2, {1: np.diag([0.3, 0.7]), 2: np.full((2, 4), 0.01)})
+    grid = make_lambda_grid(S, 1.0, 0.05, 64)
+    states, qcms = run_lifted(S, m, [0.5, -0.4], grid, CarlemanBasis(N=1, d=2, mode="kron"))
+    system = assemble_global_dpm(qcms, states[0].y)
+    result = gmres_solve(system)
+    assert result.residual <= 1e-10
+    assert result.iterations <= system.n_blocks
+    assert np.allclose(result.solution, np.concatenate([st.y for st in states]), atol=1e-9)
+    with pytest.raises(ConvergenceError):
+        gmres_solve(system, restart=50, max_iter=2000)
 
 
 def test_gmres_unreachable_tolerance_raises():
