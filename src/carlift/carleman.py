@@ -14,6 +14,11 @@ update form
 and a whole trajectory becomes one block lower-triangular linear
 system.  Terms of degree above N are dropped (hard truncation); block 1
 of a single step is exact whenever the step polynomial fits within N.
+
+The step maps are not derived here: their coefficients come from
+:func:`carlift.reference.dpm_weights` and
+:func:`carlift.reference.uni_weights`, which the classical samplers
+evaluate too, so the lifted step and the sampler step are one map.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ import scipy.sparse as sp
 
 from .errors import CapacityError
 from .model import PolyNoiseModel, coeff_matrices, total_derivative_poly
-from .reference import uni_coeffs
-from .schedule import NoiseSchedule, TimeGrid, taylor_integral
+from .reference import dpm_weights, uni_weights
+from .schedule import NoiseSchedule, TimeGrid
 
 __all__ = [
     "CarlemanBasis",
@@ -217,7 +222,6 @@ class Qcm:
     i: int
     scheme: str
     order: int
-    node: int | None = None
 
 
 def step_polynomial_dpm(
@@ -227,17 +231,15 @@ def step_polynomial_dpm(
     grid: TimeGrid,
     k: int,
 ) -> dict[int, np.ndarray]:
-    """Coefficient matrices of the order-k step map from node i-1 to i."""
+    """Coefficient matrices of the order-k step map from node i-1 to i,
+    the :func:`carlift.reference.dpm_weights` step written out in powers of x."""
     lam_s, lam_t = float(grid.lam[i - 1]), float(grid.lam[i])
+    ratio, c = dpm_weights(s, lam_s, lam_t, k)
     d = m.d
-    ratio = float(s.alpha_from_lam(lam_t) / s.alpha_from_lam(lam_s))
-    alpha_t = float(s.alpha_from_lam(lam_t))
     P: dict[int, np.ndarray] = {1: ratio * np.eye(d)}
-    for n in range(k):
-        mn = total_derivative_poly(s, m, n, lam_center=lam_s)
-        w = alpha_t * taylor_integral(n, lam_s, lam_t)
-        for q, mat in coeff_matrices(mn, lam_s).items():
-            P[q] = P.get(q, np.zeros((d, d**q))) - w * mat
+    for n, cn in enumerate(c):
+        for q, mat in coeff_matrices(total_derivative_poly(s, m, n, lam_center=lam_s), lam_s).items():
+            P[q] = P.get(q, np.zeros((d, d**q))) + cn * mat
     return P
 
 
@@ -285,8 +287,7 @@ class UnipcQcmSet:
     Block row 1 of every matrix is exact; higher block rows are carried
     by the anchor matrices (index 0) as truncated Kronecker powers of
     the anchor step polynomial, with the interior-node state dependence
-    of those rows dropped.  ``A(m)`` exposes the delta form, where the
-    identity is referenced at the previous node m = p-1.
+    of those rows dropped.
     """
 
     i: int
@@ -301,21 +302,10 @@ class UnipcQcmSet:
     corr_b: np.ndarray
     scheme: str = "unipc"
 
-    def A(self, m: int, corrector: bool = False) -> sp.csr_matrix:
-        mats = self.corr_mats if corrector else self.pred_mats
-        out = mats[m].copy()
-        if m == self.p - 1 and not corrector:
-            out = (out - sp.identity(self.basis.dim_total, format="csr")).tocsr()
-        return out
 
-    @property
-    def b(self) -> np.ndarray:
-        return self.pred_b
-
-
-def _node_block1(E: dict[int, np.ndarray], w: float, basis: CarlemanBasis) -> sp.csr_matrix:
-    """Block-row-1 matrix -w * E_q placed against column blocks q >= 1."""
-    out = _block_row({q: -w * mat for q, mat in E.items() if q <= basis.N}, basis, basis.d)
+def _node_block1(E: dict[int, np.ndarray], c: float, basis: CarlemanBasis) -> sp.csr_matrix:
+    """Block-row-1 matrix c * E_q placed against column blocks q >= 1."""
+    out = _block_row({q: c * mat for q, mat in E.items() if q <= basis.N}, basis, basis.d)
     out.resize((basis.dim_total, basis.dim_total))
     return out
 
@@ -340,44 +330,25 @@ def assemble_unipc_qcms(
     anchor = i - p
     if anchor < 0:
         raise ValueError(f"step to node {i} at order {p} lacks node history")
-    lam_nodes = np.asarray(grid.lam[anchor : i + 1], dtype=float)
-    H = float(lam_nodes[-1] - lam_nodes[0])
-    r = (lam_nodes[1:] - lam_nodes[0]) / H
-    lam_a, lam_i = float(lam_nodes[0]), float(lam_nodes[-1])
-    d = m.d
-    ratio = float(s.alpha_from_lam(lam_i) / s.alpha_from_lam(lam_a))
-    sig_i = float(s.sigma_from_lam(lam_i))
-    # eps_0 coefficient written through the shared moment so the p = 1
-    # predictor matches the order-1 lifted step bit for bit
-    c1 = float(s.alpha_from_lam(lam_i)) * taylor_integral(0, lam_a, lam_i)
+    lam_nodes = grid.lam[anchor : i + 1]
+    E_nodes = [coeff_matrices(m, float(lam)) for lam in lam_nodes]
 
-    E_nodes = [coeff_matrices(m, float(lam_nodes[mm])) for mm in range(p + 1)]
-
-    def anchor_poly(weights: np.ndarray) -> dict[int, np.ndarray]:
-        coef0 = -c1 + float(weights.sum()) if len(weights) else -c1
-        P: dict[int, np.ndarray] = {1: ratio * np.eye(d)}
+    def lift_step(corrector: bool):
+        """Lift the uni_weights step: the anchor row carries c[0] E_0 and
+        every node's constant term, each other node a block-row-1 matrix."""
+        ratio, c = uni_weights(s, lam_nodes, variant=variant, corrector=corrector)
+        P: dict[int, np.ndarray] = {1: ratio * np.eye(m.d)}
         for q, mat in E_nodes[0].items():
-            P[q] = P.get(q, np.zeros((d, d**q))) + coef0 * mat
-        for mm, w in enumerate(weights, start=1):
-            const = E_nodes[mm].get(0)
-            if const is not None:
-                P[0] = P.get(0, np.zeros((d, 1))) - w * const
-        return P
+            P[q] = P.get(q, np.zeros((m.d, m.d**q))) + c[0] * mat
+        for mm in range(1, len(c)):
+            if 0 in E_nodes[mm]:
+                P[0] = P.get(0, np.zeros((m.d, 1))) + c[mm] * E_nodes[mm][0]
+        U0, b = _poly_to_update(P, basis)
+        return [U0] + [_node_block1(E_nodes[mm], c[mm], basis) for mm in range(1, len(c))], b
 
-    a_pred, Bh = uni_coeffs(p, r, H, variant=variant, corrector=False)
-    w_pred = sig_i * Bh * (a_pred / r[: len(a_pred)]) if len(a_pred) else np.zeros(0)
-    U0, pred_b = _poly_to_update(anchor_poly(w_pred), basis)
-    pred_mats = [U0]
-    for mm in range(1, p):
-        pred_mats.append(_node_block1(E_nodes[mm], float(w_pred[mm - 1]), basis))
-
-    a_corr, Bh_c = uni_coeffs(p, r, H, variant=variant, corrector=True)
-    w_corr = sig_i * Bh_c * (a_corr / r)
-    C0, corr_b = _poly_to_update(anchor_poly(w_corr), basis)
-    corr_mats = [C0]
-    for mm in range(1, p):
-        corr_mats.append(_node_block1(E_nodes[mm], float(w_corr[mm - 1]), basis))
-    corr_target = _node_block1(E_nodes[p], float(w_corr[p - 1]), basis)
+    pred_mats, pred_b = lift_step(corrector=False)
+    corr_mats, corr_b = lift_step(corrector=True)
+    corr_target = corr_mats.pop()
 
     return UnipcQcmSet(
         i=i, p=p, anchor=anchor, variant=variant, basis=basis,

@@ -7,9 +7,11 @@ solution
 
 by replacing eps along the step either with its Taylor expansion in lam
 (single-step, derivative-based) or with a polynomial interpolant through
-finite differences of stored eps evaluations (predictor / corrector).
-All weights reduce to the moments I_n computed by
-:func:`carlift.schedule.taylor_integral`.
+stored eps evaluations (predictor / corrector).  Either way a step is
+x_t = ratio x_s + sum_n c[n] eps_n, and its coefficients are computed
+only by :func:`dpm_weights` and :func:`uni_weights`, which the Carleman
+lift in :mod:`carlift.carleman` reads as well.  All weights reduce to
+the moments I_n computed by :func:`carlift.schedule.taylor_integral`.
 """
 
 from __future__ import annotations
@@ -24,13 +26,11 @@ from .schedule import NoiseSchedule, TimeGrid, phi_moment, taylor_integral
 __all__ = [
     "TrajectoryPoint",
     "SolverRun",
-    "UniStepContext",
     "rk4_oracle",
+    "dpm_weights",
     "dpm_step",
     "uni_coeffs",
-    "make_uni_context",
-    "unip_step",
-    "unic_step",
+    "uni_weights",
     "run_dpm",
     "run_unipc",
 ]
@@ -117,6 +117,21 @@ def rk4_oracle(
     return SolverRun(grid=grid, states=pts, nfe=nfe, scheme="rk4", order=4)
 
 
+def dpm_weights(s: NoiseSchedule, lam_s: float, lam_t: float, k: int) -> tuple[float, np.ndarray]:
+    """Coefficients of the order-k Taylor step from lam_s to lam_t.
+
+    The step is x_t = ratio x_s + sum_{n<k} c[n] eps^{(n)}(x_s, lam_s)
+    with ratio = alpha_t / alpha_s and c[n] = -alpha_t I_n, eps^{(n)} the
+    total lambda-derivatives expanded around lam_s and I_n the
+    exponential moments over the step.
+    """
+    if k not in (1, 2, 3):
+        raise ValueError("supported orders are k in {1, 2, 3}")
+    ratio = float(s.alpha_from_lam(lam_t) / s.alpha_from_lam(lam_s))
+    alpha_t = float(s.alpha_from_lam(lam_t))
+    return ratio, np.array([-alpha_t * taylor_integral(n, lam_s, lam_t) for n in range(k)])
+
+
 def dpm_step(
     s: NoiseSchedule,
     m: PolyNoiseModel,
@@ -125,28 +140,15 @@ def dpm_step(
     grid: TimeGrid,
     k: int,
 ) -> np.ndarray:
-    """Order-k single step from grid node i-1 to node i.
-
-    Implements the truncated Taylor update
-
-        x_i = (alpha_i/alpha_{i-1}) x
-              - alpha_i sum_{n<k} eps^{(n)}(x, lam_{i-1}) I_n,
-
-    with eps^{(n)} the symbolic total lambda-derivatives expanded around
-    lam_{i-1} and I_n the exponential moments over the step.
-    """
-    if k not in (1, 2, 3):
-        raise ValueError("supported orders are k in {1, 2, 3}")
+    """Order-k single step from grid node i-1 to node i (see :func:`dpm_weights`)."""
     if not (1 <= i <= grid.M):
         raise ValueError(f"step index {i} outside 1..{grid.M}")
     lam_s, lam_t = float(grid.lam[i - 1]), float(grid.lam[i])
+    ratio, c = dpm_weights(s, lam_s, lam_t, k)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    ratio = float(s.alpha_from_lam(lam_t) / s.alpha_from_lam(lam_s))
-    alpha_t = float(s.alpha_from_lam(lam_t))
     out = ratio * x
-    for n in range(k):
-        mn = total_derivative_poly(s, m, n, lam_center=lam_s)
-        out = out - alpha_t * taylor_integral(n, lam_s, lam_t) * eval_eps(mn, x, lam_s)
+    for n, cn in enumerate(c):
+        out = out + cn * eval_eps(total_derivative_poly(s, m, n, lam_center=lam_s), x, lam_s)
     return out
 
 
@@ -195,126 +197,47 @@ def uni_coeffs(
     return a, Bh
 
 
-@dataclass(frozen=True)
-class UniStepContext:
-    """Geometry and weights for one unified predictor/corrector step.
-
-    The step runs from anchor log-SNR s_lam[0] to target s_lam[-1] with
-    interior nodes at fractions r of the span h.  D[m-1] holds the
-    finite difference eps(x_{s_m}, s_m) - eps(x_{s_0}, s_0); for a
-    corrector context the last difference is taken at the predictor
-    output.
-    """
-
-    p: int
-    r: np.ndarray
-    s_lam: np.ndarray
-    h: float
-    a: np.ndarray
-    Bh: float
-    D: np.ndarray
-    eps0: np.ndarray
-    variant: str
-    corrector: bool
-    anchor: int = -1
-
-
-def make_uni_context(
+def uni_weights(
     s: NoiseSchedule,
-    m: PolyNoiseModel,
-    i: int,
-    grid: TimeGrid,
-    p: int,
-    states: np.ndarray,
+    lam_nodes: np.ndarray,
     variant: str = "bh2",
     corrector: bool = False,
-    lam_nodes: np.ndarray | None = None,
-) -> UniStepContext:
-    """Build the step context for the step targeting grid node i.
+) -> tuple[float, np.ndarray]:
+    """Coefficients of the unified step through the nodes lam_nodes[0..p].
 
-    In the default multistep layout the anchor is grid node i-p and the
-    interior nodes are the grid nodes between anchor and target, so all
-    differences D_m reuse previously computed states.  ``states`` holds
-    the states at nodes s_0..s_{p-1} (predictor) or s_0..s_p with the
-    predictor output last (corrector).  ``lam_nodes`` overrides the node
-    log-SNRs for single-step layouts.
+    The step from anchor lam_0 to target lam_p is
+    x_p = ratio x_0 + sum_m c[m] eps(x_m, lam_m), with ratio =
+    alpha_p / alpha_0, over the nodes m < p for the predictor and
+    m <= p for the corrector (x_p then being the predictor output).
+    With w_m = sigma_p B(h) a_m / r_m from :func:`uni_coeffs`,
+    c[0] = -alpha_p I_0 + sum_m w_m and c[m] = -w_m for m >= 1.
     """
-    if lam_nodes is None:
-        anchor = i - p
-        if anchor < 0:
-            raise ValueError(f"step to node {i} at order {p} lacks node history")
-        lam_nodes = np.asarray(grid.lam[anchor : i + 1], dtype=float)
-    else:
-        anchor = -1
-        lam_nodes = np.asarray(lam_nodes, dtype=float)
-    if len(lam_nodes) != p + 1:
-        raise ValueError("need p+1 node log-SNRs")
-    h = float(lam_nodes[-1] - lam_nodes[0])
+    lam_nodes = np.asarray(lam_nodes, dtype=float)
+    p = len(lam_nodes) - 1
+    lam_0, lam_p = float(lam_nodes[0]), float(lam_nodes[-1])
+    h = lam_p - lam_0
     r = (lam_nodes[1:] - lam_nodes[0]) / h
     a, Bh = uni_coeffs(p, r, h, variant=variant, corrector=corrector)
-
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    n_nodes = p + 1 if corrector else p
-    if states.shape[0] != n_nodes:
-        raise ValueError(f"expected {n_nodes} states, got {states.shape[0]}")
-    eps0 = eval_eps(m, states[0], float(lam_nodes[0]))
-    n_d = p if corrector else p - 1
-    D = np.zeros((n_d, states.shape[1]))
-    for mm in range(1, n_d + 1):
-        D[mm - 1] = eval_eps(m, states[mm], float(lam_nodes[mm])) - eps0
-    return UniStepContext(
-        p=p, r=r, s_lam=lam_nodes, h=h, a=a, Bh=Bh, D=D, eps0=eps0,
-        variant=variant, corrector=corrector, anchor=anchor,
-    )
+    ratio = float(s.alpha_from_lam(lam_p) / s.alpha_from_lam(lam_0))
+    w = float(s.sigma_from_lam(lam_p)) * Bh * (a / r[: len(a)])
+    c0 = -float(s.alpha_from_lam(lam_p)) * taylor_integral(0, lam_0, lam_p) + float(w.sum())
+    return ratio, np.concatenate([[c0], -w])
 
 
-def _uni_update(s: NoiseSchedule, ctx: UniStepContext, x0: np.ndarray) -> np.ndarray:
-    lam0, lamp = float(ctx.s_lam[0]), float(ctx.s_lam[-1])
-    ratio = float(s.alpha_from_lam(lamp) / s.alpha_from_lam(lam0))
-    sig_p = float(s.sigma_from_lam(lamp))
-    out = ratio * x0 - sig_p * float(np.expm1(ctx.h)) * ctx.eps0
-    if len(ctx.a):
-        weights = ctx.a / ctx.r[: len(ctx.a)]
-        out = out - sig_p * ctx.Bh * (weights[:, None] * ctx.D).sum(axis=0)
+def _uni_step(
+    s: NoiseSchedule,
+    m: PolyNoiseModel,
+    states: list[np.ndarray],
+    lam_nodes: np.ndarray,
+    variant: str,
+    corrector: bool,
+) -> np.ndarray:
+    """Apply the :func:`uni_weights` step to the node states x_0, x_1, ..."""
+    ratio, c = uni_weights(s, lam_nodes, variant=variant, corrector=corrector)
+    out = ratio * states[0]
+    for cm, x, lam in zip(c, states, lam_nodes):
+        out = out + cm * eval_eps(m, x, float(lam))
     return out
-
-
-def unip_step(
-    s: NoiseSchedule,
-    m: PolyNoiseModel,
-    ctx: UniStepContext,
-    states: np.ndarray,
-    i: int,
-    grid: TimeGrid,
-) -> np.ndarray:
-    """Predictor step to node i using the p states recorded in ctx."""
-    if ctx.corrector:
-        raise ValueError("context was built for a corrector step")
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    return _uni_update(s, ctx, states[0])
-
-
-def unic_step(
-    s: NoiseSchedule,
-    m: PolyNoiseModel,
-    ctx: UniStepContext,
-    xc_s0,
-    states: np.ndarray,
-    i: int,
-    grid: TimeGrid,
-) -> np.ndarray:
-    """Corrector step to node i.
-
-    ``states`` carries the evaluation chain (anchor..interior nodes plus
-    the predictor output at the target); ``xc_s0`` is the corrected state
-    the update is anchored on.  In a canonical corrected run the two
-    coincide at the anchor node; they are kept separate so diverged
-    chains can be corrected too.
-    """
-    if not ctx.corrector:
-        raise ValueError("context was built for a predictor step")
-    xc_s0 = np.atleast_1d(np.asarray(xc_s0, dtype=float))
-    return _uni_update(s, ctx, xc_s0)
 
 
 def run_dpm(
@@ -364,19 +287,11 @@ def run_unipc(
             nodes = [pts[-1].x]
             lams = lam0 + (lam1 - lam0) * np.arange(p + 1) / p
             for mm in range(1, p + 1):
-                ctx = make_uni_context(
-                    s, m, i, grid, mm, np.stack(nodes), variant=variant,
-                    corrector=False, lam_nodes=lams[: mm + 1],
-                )
-                nodes.append(unip_step(s, m, ctx, np.stack(nodes[:mm]), i, grid))
+                nodes.append(_uni_step(s, m, nodes, lams[: mm + 1], variant, corrector=False))
             nfe += p
             xi = nodes[-1]
             if corrector and p > 1:
-                ctxc = make_uni_context(
-                    s, m, i, grid, p, np.stack(nodes), variant=variant,
-                    corrector=True, lam_nodes=lams,
-                )
-                xi = unic_step(s, m, ctxc, nodes[0], np.stack(nodes), i, grid)
+                xi = _uni_step(s, m, nodes, lams, variant, corrector=True)
                 nfe += 1
             pts.append(TrajectoryPoint(float(grid.t[i]), lam1, xi))
         return SolverRun(grid=grid, states=pts, nfe=nfe, scheme=scheme + "s", order=p)
@@ -386,15 +301,13 @@ def run_unipc(
         nfe += p
         pts.append(TrajectoryPoint(float(grid.t[i]), float(grid.lam[i]), x))
     for i in range(p, grid.M + 1):
-        hist = np.stack([pt.x for pt in pts[i - p : i]])
-        ctx = make_uni_context(s, m, i, grid, p, hist, variant=variant, corrector=False)
-        x_pred = unip_step(s, m, ctx, hist, i, grid)
+        hist = [pt.x for pt in pts[i - p : i]]
+        lams = grid.lam[i - p : i + 1]
+        x_pred = _uni_step(s, m, hist, lams, variant, corrector=False)
         nfe += 1  # the anchor/history evaluations are cached from earlier steps
         xi = x_pred
         if corrector:
-            chain = np.vstack([hist, x_pred[None, :]])
-            ctxc = make_uni_context(s, m, i, grid, p, chain, variant=variant, corrector=True)
-            xi = unic_step(s, m, ctxc, hist[0], chain, i, grid)
+            xi = _uni_step(s, m, hist + [x_pred], lams, variant, corrector=True)
             nfe += 1
         pts.append(TrajectoryPoint(float(grid.t[i]), float(grid.lam[i]), xi))
     return SolverRun(grid=grid, states=pts, nfe=nfe, scheme=scheme, order=p)

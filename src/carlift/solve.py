@@ -13,7 +13,6 @@ estimate of the quantum linear-system route.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +40,6 @@ class SolveResult:
     residual: float
     iterations: int
     method: str
-    wall_time: float
 
 
 def _lower_diagonal(mat: sp.csr_matrix) -> np.ndarray:
@@ -67,7 +65,6 @@ def forward_substitute(system) -> SolveResult:
     ||M x - b|| / max(||b||, 1) recomputed from the sparse matrix after
     the sweep.
     """
-    t0 = time.perf_counter()
     mat, rhs = sp.csr_matrix(system.mat), system.rhs
     n = mat.shape[0]
     if mat.shape[0] != mat.shape[1] or len(rhs) != n:
@@ -80,10 +77,7 @@ def forward_substitute(system) -> SolveResult:
         )
     x = spsolve_triangular(mat, rhs, lower=True, unit_diagonal=bool(np.all(diag == 1.0)))
     res = float(np.linalg.norm(mat @ x - rhs) / max(np.linalg.norm(rhs), 1.0))
-    return SolveResult(
-        solution=x, residual=res, iterations=0,
-        method="forward_substitution", wall_time=time.perf_counter() - t0,
-    )
+    return SolveResult(solution=x, residual=res, iterations=0, method="forward_substitution")
 
 
 def gmres_solve(system, tol: float = 1e-10, restart: int | None = None, max_iter: int = 20000) -> SolveResult:
@@ -96,7 +90,6 @@ def gmres_solve(system, tol: float = 1e-10, restart: int | None = None, max_iter
     ConvergenceError carrying the best residual and iteration count if
     the recomputed relative residual stays above tol.
     """
-    t0 = time.perf_counter()
     mat, rhs = system.mat, system.rhs
     if restart is None:
         n_blocks = getattr(system, "n_blocks", None)
@@ -117,10 +110,7 @@ def gmres_solve(system, tol: float = 1e-10, restart: int | None = None, max_iter
             f"gmres stalled at relative residual {res:.3e} (target {tol:.1e})",
             residual=res, iterations=counter["n"],
         )
-    return SolveResult(
-        solution=x, residual=res, iterations=counter["n"],
-        method="gmres", wall_time=time.perf_counter() - t0,
-    )
+    return SolveResult(solution=x, residual=res, iterations=counter["n"], method="gmres")
 
 
 @dataclass(frozen=True)

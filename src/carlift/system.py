@@ -153,11 +153,23 @@ class SparsityStats:
     fill: float
 
 
+def _zero_free(mat) -> sp.csr_matrix:
+    """CSR form of a matrix or system without stored zeros, leaving it untouched.
+
+    sp.csr_matrix shares the arrays of a CSR input, so eliminating zeros
+    in place would compact the caller's matrix; copy only when there are
+    stored zeros to drop.
+    """
+    csr = sp.csr_matrix(mat.mat if isinstance(mat, BlockLinearSystem) else mat)
+    if np.any(csr.data == 0.0):
+        csr = csr.copy()
+        csr.eliminate_zeros()
+    return csr
+
+
 def sparsity_stats(mat) -> SparsityStats:
     """Max nonzeros per row/column and overall fill of a sparse matrix."""
-    m = mat.mat if isinstance(mat, BlockLinearSystem) else mat
-    csr = sp.csr_matrix(m)
-    csr.eliminate_zeros()
+    csr = _zero_free(mat)
     row_counts = np.diff(csr.indptr)
     col_counts = np.bincount(csr.indices, minlength=csr.shape[1]) if csr.nnz else np.zeros(csr.shape[1], int)
     return SparsityStats(
@@ -248,7 +260,7 @@ def condition_number(
     dense below the size cutoff.  Non-convergence of the power method
     is reported through ``converged`` rather than raised.
     """
-    mat = system.mat if isinstance(system, BlockLinearSystem) else sp.csr_matrix(system)
+    mat = _zero_free(system)
     stats = sparsity_stats(mat)
     n = mat.shape[0]
     if method == "auto":
@@ -287,9 +299,7 @@ def export_matrix(mat, path) -> None:
     Values are printed with 17 significant digits, which round-trips
     IEEE doubles exactly.
     """
-    csr = sp.csr_matrix(mat.mat if isinstance(mat, BlockLinearSystem) else mat)
-    csr.eliminate_zeros()
-    coo = csr.tocoo()
+    coo = _zero_free(mat).tocoo()
     with open(path, "w") as fh:
         fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
         for r, c, v in zip(coo.row, coo.col, coo.data):

@@ -211,6 +211,28 @@ def test_lifted_unipc_matches_sequential_on_linear_model():
             assert np.allclose(st.block(1), pt.x, atol=1e-12)
 
 
+def test_lifted_unipc_step_matches_sampler_on_quadratic_model():
+    # from exactly lifted sampler states, one lifted step of a quadratic
+    # model at N = 2 reproduces the sampler's next state in block 1; the
+    # corrector is applied to the exact lift of the predictor output,
+    # since the predictor's block 2 is a truncated square
+    grid = make_lambda_grid(S, 0.5, 0.1, 8)
+    basis = CarlemanBasis(N=2, d=1)
+    one = basis.block_slice(1)
+    for p in (2, 3):
+        for corrector in (False, True):
+            ref = run_unipc(S, QUAD, [1.3], grid, p=p, corrector=corrector)
+            for i in range(p, grid.M + 1):
+                qset = assemble_unipc_qcms(S, QUAD, i, grid, p, basis)
+                ys = [lift(pt.x, basis).y for pt in ref.states[i - p : i]]
+                y = step_lifted(qset, ys)
+                if corrector:
+                    y = qset.corr_b + qset.corr_target @ lift(y[one], basis).y
+                    for mat, yh in zip(qset.corr_mats, ys):
+                        y += mat @ yh
+                np.testing.assert_allclose(y[one], ref.states[i].x, rtol=0.0, atol=1e-14)
+
+
 def test_unipc_qcm_set_shape_and_history_check():
     basis = CarlemanBasis(N=2, d=1)
     grid = make_lambda_grid(S, 1.0, 0.1, 5)

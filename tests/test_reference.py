@@ -8,8 +8,8 @@ from scipy.integrate import solve_ivp
 
 from carlift.model import dx_dlambda, scalar_model
 from carlift.presets import benchmark
-from carlift.reference import rk4_oracle, run_dpm, run_unipc, uni_coeffs
-from carlift.schedule import make_lambda_grid, make_vp_schedule, phi_moment
+from carlift.reference import dpm_weights, rk4_oracle, run_dpm, run_unipc, uni_coeffs, uni_weights
+from carlift.schedule import make_lambda_grid, make_vp_schedule, phi_moment, taylor_integral
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 WEAK = scalar_model({(0, 0): 0.2, (1, 0): -0.6, (2, 0): 0.25})
@@ -114,12 +114,46 @@ def test_uni_coeffs_validation():
         uni_coeffs(2, np.array([0.5, 0.5]), 0.3)
 
 
+def test_step_weights_match_finite_difference_forms():
+    # the weights written out independently: the derivative step through
+    # the exponential moments, the unified step in the finite-difference
+    # form ratio x0 - sigma_t expm1(h) eps0 - sigma_t B(h) sum (a/r)(eps_m - eps0)
+    rng = np.random.default_rng(31)
+    lam_s, lam_t = float(S.lam(0.6)), float(S.lam(0.2))
+    alpha_s, alpha_t = float(S.alpha_from_lam(lam_s)), float(S.alpha_from_lam(lam_t))
+    for k in (1, 2, 3):
+        ratio, c = dpm_weights(S, lam_s, lam_t, k)
+        assert ratio == pytest.approx(alpha_t / alpha_s, rel=1e-13)
+        expected = [-alpha_t * taylor_integral(n, lam_s, lam_t) for n in range(k)]
+        np.testing.assert_allclose(c, expected, rtol=1e-13, atol=0.0)
+    for p in (1, 2, 3):
+        for corrector in (False, True):
+            for variant in ("bh1", "bh2"):
+                r = np.concatenate([np.sort(rng.uniform(0.1, 0.9, size=p - 1)), [1.0]])
+                h = float(rng.uniform(0.05, 1.5))
+                lam_nodes = lam_s + h * np.concatenate([[0.0], r])
+                lam_p = float(lam_nodes[-1])
+                x0 = rng.normal(size=3)
+                eps = rng.normal(size=(p + 1 if corrector else p, 3))
+                a, Bh = uni_coeffs(p, r, h, variant=variant, corrector=corrector)
+                ratio_ref = float(S.alpha_from_lam(lam_p) / S.alpha_from_lam(lam_s))
+                sig_p = float(S.sigma_from_lam(lam_p))
+                D = eps[1 : len(a) + 1] - eps[0]
+                old = (ratio_ref * x0 - sig_p * math.expm1(h) * eps[0]
+                       - sig_p * Bh * ((a / r[: len(a)])[:, None] * D).sum(axis=0))
+                ratio, c = uni_weights(S, lam_nodes, variant=variant, corrector=corrector)
+                assert c.shape == (len(eps),)
+                np.testing.assert_allclose(ratio * x0 + c @ eps, old, rtol=1e-13, atol=0.0)
+
+
 def test_unified_order_one_equals_derivative_scheme():
     grid = make_lambda_grid(S, 1.0, 0.05, 12)
     a = run_dpm(S, WEAK, [1.5], grid, k=1)
     b = run_unipc(S, WEAK, [1.5], grid, p=1)
     for pa, pb in zip(a.states, b.states):
         assert np.allclose(pa.x, pb.x, atol=1e-14)
+    # both read the same order-1 coefficients, so they agree bit for bit
+    np.testing.assert_array_equal(a.state_matrix(), b.state_matrix())
 
 
 def test_corrector_improves_endpoint():

@@ -79,6 +79,20 @@ def test_sparsity_stats_small_matrix():
     assert stats.s_col == 2
 
 
+def test_stored_zeros_leave_the_callers_matrix_untouched():
+    # a stored zero above the diagonal: counted out of the report, kept in
+    # the caller's matrix, and not mistaken for upper-triangular structure
+    stored = sp.csr_matrix((np.array([2.0, 0.0, 0.5, 1.0]), np.array([0, 1, 0, 1]),
+                            np.array([0, 2, 4])), shape=(2, 2))
+    clean = sp.csr_matrix(np.array([[2.0, 0.0], [0.5, 1.0]]))
+    assert stored.nnz == 4 and clean.nnz == 3
+    assert sparsity_stats(stored) == sparsity_stats(clean)
+    for method in ("dense_svd", "power"):
+        assert condition_number(stored, method=method) == condition_number(clean, method=method)
+    assert stored.nnz == 4
+    np.testing.assert_array_equal(stored.data, [2.0, 0.0, 0.5, 1.0])
+
+
 def test_export_import_round_trip(tmp_path):
     _, _, _, qcms = lifted_setup(M=3)
     basis = CarlemanBasis(N=3, d=1)
