@@ -287,7 +287,11 @@ class UnipcQcmSet:
     Block row 1 of every matrix is exact; higher block rows are carried
     by the anchor matrices (index 0) as truncated Kronecker powers of
     the anchor step polynomial, with the interior-node state dependence
-    of those rows dropped.
+    of those rows dropped.  Block row 1 of Y_i^pred is therefore exact
+    from exactly lifted history, but its higher blocks are not, and
+    corr_target reads them on a nonlinear model: the corrector's block
+    row 1 is exact only when it is applied to the exact lift of the
+    predictor output, not to Y_i^pred itself.
     """
 
     i: int
@@ -364,7 +368,10 @@ def step_lifted(q, states, corrector: bool = False) -> np.ndarray:
     previous node.  For a :class:`UnipcQcmSet`, ``states`` is the list
     of p lifted vectors at nodes anchor..anchor+p-1; with
     ``corrector=True`` the predictor output is formed internally and
-    the corrected state returned.
+    the corrected state returned.  That corrected state is not block-1
+    exact on a nonlinear model even from exactly lifted history: the
+    corrector then reads the predictor output's truncated higher blocks
+    (see :class:`UnipcQcmSet`).
     """
     if isinstance(q, Qcm):
         y = states.y if isinstance(states, LiftedState) else np.asarray(states)

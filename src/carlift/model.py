@@ -271,10 +271,55 @@ def _kron_power(x: np.ndarray, j: int) -> np.ndarray:
     return reduce(np.kron, [x] * j)
 
 
-def _lam_collapse(block: np.ndarray, lam: float) -> np.ndarray:
-    """Evaluate the leading lam-polynomial axis of a kron block."""
-    powers = lam ** np.arange(block.shape[0])
-    return np.tensordot(powers, block, axes=(0, 0))
+def _lam_collapse(block: np.ndarray, lam) -> np.ndarray:
+    """Evaluate the leading lam-polynomial axis of a kron block.
+
+    ``lam`` may be a scalar or an array; its shape leads the result's.
+    """
+    powers = np.asarray(lam, dtype=float)[..., None] ** np.arange(block.shape[0])
+    return np.tensordot(powers, block, axes=(-1, 0))
+
+
+def _eps_tables(m: PolyNoiseModel, lams: np.ndarray):
+    """The x-polynomial coefficients of eps at each log-SNR in ``lams`` (1-d).
+
+    Kron models give a list over the x-degree j of arrays (len(lams), d,
+    d^j); a block without lam dependence is broadcast, not copied.
+    Scalar and separable models give one array (len(lams), J+1, d) whose
+    row j holds the x^j coefficients.  :func:`_eval_tabulated` evaluates
+    them at a state.
+    """
+    if m.mode == "kron":
+        return [
+            np.broadcast_to(cj[0], (len(lams),) + cj.shape[1:]) if cj.shape[0] == 1
+            else _lam_collapse(cj, lams)
+            for cj in m.coeffs
+        ]
+    clam = np.polynomial.polynomial.polyval(lams, _as_batch(m).transpose(2, 0, 1))  # (B, J+1, n)
+    return clam.transpose(2, 1, 0)
+
+
+def _eval_tabulated(m: PolyNoiseModel, tables, i: int, x):
+    """eps(x, lams[i]) from ``tables = _eps_tables(m, lams)``.
+
+    Horner in x for scalar and separable models; sum_j C_j x^{(j)} for
+    kron models, with x^{(j)} built one outer product at a time (equal
+    to the left-folded np.kron bit for bit).  The Horner form also runs
+    on a Python float x with the rows of a one-coordinate table as
+    lists of floats.
+    """
+    if m.mode == "kron":
+        out = np.zeros(m.d)
+        xj = np.ones(1)
+        for j, cj in enumerate(tables):
+            if j:
+                xj = (xj[:, None] * x).ravel()
+            out += cj[i].dot(xj)
+        return out
+    out = 0.0
+    for cj in reversed(tables[i]):
+        out = out * x + cj
+    return out
 
 
 def eval_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
@@ -282,17 +327,7 @@ def eval_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (m.d,):
         raise ValueError(f"state must have shape ({m.d},)")
-    if m.mode == "kron":
-        out = np.zeros(m.d)
-        for j, cj in enumerate(m.coeffs):
-            out += _lam_collapse(cj, lam) @ _kron_power(x, j)
-        return out
-    arr = _as_batch(m)
-    clam = np.polynomial.polynomial.polyval(lam, arr.transpose(2, 0, 1))  # (B, J+1)
-    out = np.zeros(arr.shape[0])
-    for j in range(arr.shape[1] - 1, -1, -1):
-        out = out * x + clam[:, j]
-    return out
+    return _eval_tabulated(m, _eps_tables(m, np.asarray(lam, dtype=float).reshape(1)), 0, x)
 
 
 def jacobian_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PolyNoiseModel, eval_eps, total_derivative_poly
+from .model import PolyNoiseModel, _eps_tables, _eval_tabulated, eval_eps, total_derivative_poly
 from .schedule import NoiseSchedule, TimeGrid, phi_moment, taylor_integral
 
 __all__ = [
@@ -66,9 +66,20 @@ class SolverRun:
         return self.states[-1].x
 
 
-def _rhs(s: NoiseSchedule, m: PolyNoiseModel, t: float, x: np.ndarray) -> np.ndarray:
-    sig = float(s.sigma(t))
-    return float(s.f(t)) * x + float(s.g2(t)) / (2.0 * sig) * eval_eps(m, x, float(s.lam(t)))
+# Bytes (as float64 arrays) of the schedule and coefficient tables that
+# rk4_oracle holds at once; the substeps of an interval are tabulated in
+# chunks that fit, so memory does not grow with the substep count.
+ORACLE_TABLE_BYTES = 1 << 14
+
+
+def _oracle_chunk(m: PolyNoiseModel) -> int:
+    """Substeps per table chunk: two tabulated times per substep, each
+    holding f, g^2/(2 sigma) and the lam-dependent eps coefficients."""
+    if m.mode == "kron":
+        per_time = sum(cj[0].size for cj in m.coeffs if cj.shape[0] > 1)
+    else:
+        per_time = m.d * (m.x_degree + 1)
+    return max(1, ORACLE_TABLE_BYTES // (2 * 8 * (2 + per_time)))
 
 
 def rk4_oracle(
@@ -86,6 +97,12 @@ def rk4_oracle(
     ``substeps`` applies per interval; otherwise the span
     [t_start, t_end] (defaults [T, t_floor]) is integrated with
     ``substeps`` total steps and only the endpoints are recorded.
+
+    The right-hand side is f(t) x + g^2(t) / (2 sigma_t) eps(x, lam(t)).
+    Everything in it that depends on t alone is tabulated once per chunk
+    of substeps, at the substep starts t (accumulated by t += ht) and
+    midpoints t + ht/2; a substep's end is the next one's start.  The
+    loop then evaluates only the x-dependent part of eps.
     """
     if substeps < 1:
         raise ValueError("need substeps >= 1")
@@ -101,17 +118,38 @@ def rk4_oracle(
     x = np.atleast_1d(np.asarray(x_T, dtype=float)).copy()
     pts = [TrajectoryPoint(float(times[0]), float(s.lam(times[0])), x.copy())]
     nfe = 0
+    chunk = _oracle_chunk(m)
+    # A one-coordinate polynomial model steps on Python floats: the same
+    # IEEE double operations as on 1-element arrays, without numpy's
+    # per-operation overhead.
+    on_floats = m.mode != "kron" and m.d == 1
     for (ta, tb), n in zip(zip(times[:-1], times[1:]), per):
-        ht = (tb - ta) / n
+        ht = float((tb - ta) / n)
+        half, sixth = 0.5 * ht, ht / 6.0
         t = ta
-        for _ in range(n):
-            k1 = _rhs(s, m, t, x)
-            k2 = _rhs(s, m, t + 0.5 * ht, x + 0.5 * ht * k1)
-            k3 = _rhs(s, m, t + 0.5 * ht, x + 0.5 * ht * k2)
-            k4 = _rhs(s, m, t + ht, x + ht * k3)
-            x = x + (ht / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += ht
-            nfe += 4
+        y = float(x[0]) if on_floats else x
+        for done in range(0, n, chunk):
+            cnt = min(chunk, n - done)
+            tt = np.empty(2 * cnt + 1)
+            tt[0::2] = np.add.accumulate(np.concatenate(([t], np.full(cnt, ht))))
+            tt[1::2] = tt[0:-1:2] + half
+            f = s.f(tt).tolist()
+            c = (s.g2(tt) / (2.0 * s.sigma(tt))).tolist()
+            tables = _eps_tables(m, s.lam(tt))
+            if on_floats:
+                tables = tables[:, :, 0].tolist()
+            for i in range(0, 2 * cnt, 2):
+                k1 = f[i] * y + c[i] * _eval_tabulated(m, tables, i, y)
+                z = y + half * k1
+                k2 = f[i + 1] * z + c[i + 1] * _eval_tabulated(m, tables, i + 1, z)
+                z = y + half * k2
+                k3 = f[i + 1] * z + c[i + 1] * _eval_tabulated(m, tables, i + 1, z)
+                z = y + ht * k3
+                k4 = f[i + 2] * z + c[i + 2] * _eval_tabulated(m, tables, i + 2, z)
+                y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t = tt[-1]
+            nfe += 4 * cnt
+        x = np.atleast_1d(np.asarray(y, dtype=float))
         pts.append(TrajectoryPoint(float(tb), float(s.lam(tb)), x.copy()))
     grid = TimeGrid(t=times, lam=np.asarray(s.lam(times), dtype=float))
     return SolverRun(grid=grid, states=pts, nfe=nfe, scheme="rk4", order=4)
@@ -226,17 +264,17 @@ def uni_weights(
 
 def _uni_step(
     s: NoiseSchedule,
-    m: PolyNoiseModel,
-    states: list[np.ndarray],
+    x0: np.ndarray,
+    eps: list[np.ndarray],
     lam_nodes: np.ndarray,
     variant: str,
     corrector: bool,
 ) -> np.ndarray:
-    """Apply the :func:`uni_weights` step to the node states x_0, x_1, ..."""
+    """Apply the :func:`uni_weights` step from anchor x0, given eps at the nodes."""
     ratio, c = uni_weights(s, lam_nodes, variant=variant, corrector=corrector)
-    out = ratio * states[0]
-    for cm, x, lam in zip(c, states, lam_nodes):
-        out = out + cm * eval_eps(m, x, float(lam))
+    out = ratio * x0
+    for cm, e in zip(c, eps):
+        out = out + cm * e
     return out
 
 
@@ -284,14 +322,16 @@ def run_unipc(
     if singlestep:
         for i in range(1, grid.M + 1):
             lam0, lam1 = float(grid.lam[i - 1]), float(grid.lam[i])
-            nodes = [pts[-1].x]
+            x0 = xi = pts[-1].x
             lams = lam0 + (lam1 - lam0) * np.arange(p + 1) / p
+            eps = []
             for mm in range(1, p + 1):
-                nodes.append(_uni_step(s, m, nodes, lams[: mm + 1], variant, corrector=False))
+                eps.append(eval_eps(m, xi, float(lams[mm - 1])))
+                xi = _uni_step(s, x0, eps, lams[: mm + 1], variant, corrector=False)
             nfe += p
-            xi = nodes[-1]
             if corrector and p > 1:
-                xi = _uni_step(s, m, nodes, lams, variant, corrector=True)
+                eps.append(eval_eps(m, xi, float(lams[-1])))
+                xi = _uni_step(s, x0, eps, lams, variant, corrector=True)
                 nfe += 1
             pts.append(TrajectoryPoint(float(grid.t[i]), lam1, xi))
         return SolverRun(grid=grid, states=pts, nfe=nfe, scheme=scheme + "s", order=p)
@@ -300,14 +340,15 @@ def run_unipc(
         x = dpm_step(s, m, pts[-1].x, i, grid, k=p)
         nfe += p
         pts.append(TrajectoryPoint(float(grid.t[i]), float(grid.lam[i]), x))
+    eps: list[np.ndarray] = []  # eps at pts[0], pts[1], ...: each state is evaluated once
     for i in range(p, grid.M + 1):
-        hist = [pt.x for pt in pts[i - p : i]]
-        lams = grid.lam[i - p : i + 1]
-        x_pred = _uni_step(s, m, hist, lams, variant, corrector=False)
-        nfe += 1  # the anchor/history evaluations are cached from earlier steps
-        xi = x_pred
+        eps += [eval_eps(m, pt.x, pt.lam) for pt in pts[len(eps) : i]]
+        x0, hist, lams = pts[i - p].x, eps[i - p : i], grid.lam[i - p : i + 1]
+        xi = _uni_step(s, x0, hist, lams, variant, corrector=False)
+        nfe += 1  # eps at the newest state; the older history is cached in eps
         if corrector:
-            xi = _uni_step(s, m, hist + [x_pred], lams, variant, corrector=True)
+            x_pred_eps = eval_eps(m, xi, float(lams[-1]))
+            xi = _uni_step(s, x0, hist + [x_pred_eps], lams, variant, corrector=True)
             nfe += 1
         pts.append(TrajectoryPoint(float(grid.t[i]), float(grid.lam[i]), xi))
     return SolverRun(grid=grid, states=pts, nfe=nfe, scheme=scheme, order=p)

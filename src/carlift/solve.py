@@ -33,6 +33,11 @@ __all__ = [
     "qlss_cost_model",
 ]
 
+# Byte cap on one stacked (nodes, n, n) complex array in lchs_solve; the
+# kernel nodes are processed in chunks that fit, so the working set (a
+# few such arrays) does not grow with the node count.
+LCHS_CHUNK_BYTES = 1 << 20
+
 
 @dataclass
 class SolveResult:
@@ -195,26 +200,31 @@ def lchs_solve(A_fun, b_fun, u0, T: float, cfg: LchsConfig | None = None) -> Lch
         ws[0] *= 0.5
         ws[-1] *= 0.5
 
+    # Per chunk of nodes, one backward walk over the substeps carries the
+    # stacked suffix products P = W_{S-1} ... W_j (the propagators from
+    # boundary j to T, S = substeps) and the Duhamel sum; W comes from one
+    # batched expm per substep, or once per chunk when A is constant.
+    chunk = max(1, LCHS_CHUNK_BYTES // (16 * n * n))
     acc = np.zeros(n, dtype=complex)
     n_exp = 0
-    for k, w, g in zip(ks, wk, gk):
-        if time_dep:
-            Wj = [expm(-1j * dt * (k * Lj + Hj)) for Lj, Hj in zip(Ls, Hs)]
-            n_exp += cfg.substeps
-        else:
-            W = expm(-1j * dt * (k * Ls[0] + Hs[0]))
-            Wj = [W] * cfg.substeps
-            n_exp += 1
-        # suffix[j] = W_{n-1} ... W_j propagates from boundary j to T
-        suffix = [np.eye(n, dtype=complex)]
-        for Wstep in reversed(Wj):
-            suffix.append(suffix[-1] @ Wstep)
-        suffix.reverse()
-        contrib = suffix[0] @ u0
+    for lo in range(0, cfg.nodes, chunk):
+        kc = ks[lo : lo + chunk, None, None]
+        if not time_dep:
+            W = expm(-1j * dt * (kc * Ls[0] + Hs[0]))
+            n_exp += len(kc)
+        P = None  # the empty product at boundary S
+        contrib = np.zeros((len(kc), n), dtype=complex)
         if b_fun is not None:
-            for j in range(cfg.substeps + 1):
-                contrib = contrib + ws[j] * (suffix[j] @ b_shift[j])
-        acc += (w * g) * contrib
+            contrib += ws[-1] * b_shift[-1]
+        for j in range(cfg.substeps - 1, -1, -1):
+            if time_dep:
+                W = expm(-1j * dt * (kc * Ls[j] + Hs[j]))
+                n_exp += len(kc)
+            P = W if P is None else P @ W
+            if b_fun is not None:
+                contrib += ws[j] * (P @ b_shift[j])
+        contrib += P @ u0
+        acc += (wk[lo : lo + chunk] * gk[lo : lo + chunk]) @ contrib
 
     u = np.exp(mu * T) * acc
     real_inputs = not np.iscomplexobj(u0) and all(np.all(Aj.imag == 0.0) for Aj in A_mid)

@@ -1,18 +1,25 @@
 """Sampler tests: RK4 oracle, derivative scheme, unified predictor/corrector."""
 
 import math
+import tracemalloc
+from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from carlift.model import dx_dlambda, scalar_model
+from carlift import reference
+from carlift.model import dx_dlambda, eval_eps, kron_model, scalar_model, separable_model
 from carlift.presets import benchmark
 from carlift.reference import dpm_weights, rk4_oracle, run_dpm, run_unipc, uni_coeffs, uni_weights
 from carlift.schedule import make_lambda_grid, make_vp_schedule, phi_moment, taylor_integral
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 WEAK = scalar_model({(0, 0): 0.2, (1, 0): -0.6, (2, 0): 0.25})
+PROPERTY = settings(max_examples=25, deadline=None)
 
 
 def test_rk4_fourth_order_self_convergence():
@@ -201,3 +208,167 @@ def test_singlestep_layout_converges_at_order():
         errs.append(float(np.linalg.norm(run.endpoint - oracle)))
         assert run.nfe == 2 * M
     assert errs[1] < 0.5 * errs[0]
+
+
+def test_multistep_unipc_evaluates_each_state_once(monkeypatch):
+    calls = []
+
+    def counted(m, x, lam):
+        calls.append((id(m), np.asarray(x).tobytes(), float(lam)))
+        return eval_eps(m, x, lam)
+
+    bench = benchmark("weak_quadratic")
+    grid = bench.grid(16)
+    expected = {}
+    for p, corrector in ((2, True), (3, False), (3, True)):
+        expected[p, corrector] = run_unipc(S, bench.model(), [bench.x_T], grid, p=p,
+                                           corrector=corrector)
+    monkeypatch.setattr(reference, "eval_eps", counted)
+    for (p, corrector), before in expected.items():
+        calls.clear()
+        run = run_unipc(S, bench.model(), [bench.x_T], grid, p=p, corrector=corrector)
+        # warm-up: p-1 Taylor steps of p evaluations each; then eps once at
+        # every state that enters as history, plus at each predictor
+        # output when the corrector reads it
+        warm = (p - 1) * p
+        assert len(calls) == warm + 16 + (16 - p + 1) * corrector
+        assert len(set(calls[warm:])) == len(calls) - warm
+        assert run.nfe == before.nfe
+        assert np.array_equal(run.state_matrix(), before.state_matrix())
+    calls.clear()
+    run_unipc(S, bench.model(), [bench.x_T], grid, p=3, corrector=True, singlestep=True)
+    assert len(calls) == 16 * 4
+
+
+# --- the RK4 oracle against its per-substep form ------------------------------
+
+
+def eval_eps_direct(m, x, lam):
+    """eps(x, lam) for one lam: lam powers contracted per kron block against
+    np.kron powers of x, or Horner over polyval'd coefficients."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if m.mode == "kron":
+        out = np.zeros(m.d)
+        for j, cj in enumerate(m.coeffs):
+            mat = np.tensordot(lam ** np.arange(cj.shape[0]), cj, axes=(0, 0))
+            out += mat @ reduce(np.kron, [x] * j, np.ones(1))
+        return out
+    arr = m.coeffs[None] if m.mode == "scalar" else m.coeffs
+    clam = np.polynomial.polynomial.polyval(lam, arr.transpose(2, 0, 1))
+    out = np.zeros(arr.shape[0])
+    for j in range(arr.shape[1] - 1, -1, -1):
+        out = out * x + clam[:, j]
+    return out
+
+
+def rk4_per_substep(s, m, x_T, substeps, times):
+    """Fixed-step RK4 with the schedule and eps evaluated afresh at every stage."""
+
+    def rhs(t, x):
+        sig = float(s.sigma(t))
+        return float(s.f(t)) * x + float(s.g2(t)) / (2.0 * sig) * eval_eps(m, x, float(s.lam(t)))
+
+    x = np.atleast_1d(np.asarray(x_T, dtype=float)).copy()
+    states, nfe = [x.copy()], 0
+    for ta, tb in zip(times[:-1], times[1:]):
+        ht = (tb - ta) / substeps
+        t = ta
+        for _ in range(substeps):
+            k1 = rhs(t, x)
+            k2 = rhs(t + 0.5 * ht, x + 0.5 * ht * k1)
+            k3 = rhs(t + 0.5 * ht, x + 0.5 * ht * k2)
+            k4 = rhs(t + ht, x + ht * k3)
+            x = x + (ht / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += ht
+            nfe += 4
+        states.append(x.copy())
+    return np.stack(states), nfe
+
+
+@st.composite
+def oracle_models(draw):
+    """(model, lam-dependent kron blocks?) over scalar, separable and kron d <= 3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["scalar", "separable", "kron", "kron_lam"]))
+    J = draw(st.integers(0, 3))
+    if kind == "scalar":
+        return scalar_model(0.2 * rng.normal(size=(J + 1, draw(st.integers(1, 3))))), False
+    d = draw(st.integers(1, 3))
+    if kind == "separable":
+        return separable_model(0.2 * rng.normal(size=(d, J + 1, draw(st.integers(1, 3))))), False
+    L = draw(st.integers(2, 5)) if kind == "kron_lam" else 1
+    J = min(J, 2) if d == 3 else J
+    blocks = {j: 0.2 / d**j / L * rng.normal(size=(L, d, d**j)) for j in range(J + 1)}
+    return kron_model(d, blocks), L > 1
+
+
+@PROPERTY
+@given(
+    case=oracle_models(),
+    table_bytes=st.integers(1, 1024),
+    data=st.data(),
+    t_start=st.floats(0.2, 0.6),
+    span=st.floats(0.05, 0.15),
+    intervals=st.integers(0, 3),
+)
+def test_rk4_oracle_equals_per_substep_loop(case, table_bytes, data, t_start, span, intervals):
+    m, lam_dependent_kron = case
+    x_T = np.linspace(0.3, 0.6, m.d)
+    with mock.patch.object(reference, "ORACLE_TABLE_BYTES", table_bytes):
+        chunk = reference._oracle_chunk(m)
+        # substep counts above the chunk and, where possible, not a multiple of it
+        substeps = chunk * data.draw(st.integers(1, 3)) + (
+            data.draw(st.integers(1, chunk - 1)) if chunk > 1 else 0
+        )
+        if intervals == 0:
+            times = np.array([t_start, t_start - span])
+            run = rk4_oracle(S, m, x_T, substeps=substeps, t_start=t_start, t_end=t_start - span)
+        else:
+            times = make_lambda_grid(S, t_start, t_start - span, intervals).t
+            run = rk4_oracle(S, m, x_T, substeps=substeps, times=times)
+    expected, nfe = rk4_per_substep(S, m, x_T, substeps, times)
+    assert run.nfe == nfe
+    assert np.array_equal(run.grid.t, times)
+    got = run.state_matrix()
+    if lam_dependent_kron:
+        # the tables contract lam powers for many lams in one product,
+        # which may sum in another order than a single-lam contraction
+        assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected).max())
+    else:
+        assert np.array_equal(got, expected)
+
+
+@PROPERTY
+@given(case=oracle_models(), lam=st.floats(-3.0, 3.0), scale=st.floats(0.1, 3.0))
+def test_eval_eps_equals_direct_evaluation(case, lam, scale):
+    m, _ = case
+    x = scale * np.linspace(-1.0, 1.0, m.d)
+    assert np.array_equal(eval_eps(m, x, lam), eval_eps_direct(m, x, lam))
+
+
+def test_rk4_oracle_chunks_at_the_real_table_size():
+    bench = benchmark("cubic")
+    m = bench.model()
+    chunk = reference._oracle_chunk(m)
+    assert chunk > 1
+    substeps = 2 * chunk + 77
+    run = rk4_oracle(S, m, [bench.x_T], substeps=substeps, t_start=bench.t_start, t_end=bench.t_end)
+    expected, nfe = rk4_per_substep(S, m, [bench.x_T], substeps,
+                                    np.array([bench.t_start, bench.t_end]))
+    assert run.nfe == nfe
+    assert np.array_equal(run.state_matrix(), expected)
+
+
+def test_rk4_oracle_memory_does_not_grow_with_substeps():
+    bench = benchmark("cubic")
+    m = bench.model()
+    chunk = reference._oracle_chunk(m)
+    peaks = []
+    for substeps in (2 * chunk, 8 * chunk):
+        tracemalloc.start()
+        try:
+            rk4_oracle(S, m, [bench.x_T], substeps=substeps, t_start=bench.t_start, t_end=bench.t_end)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 64 * 1024

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,6 +8,7 @@ from scipy.linalg import expm
 
 from carlift.carleman import CarlemanBasis, lift, run_lifted
 from carlift.errors import ConvergenceError, StructureError
+from carlift import solve
 from carlift.model import kron_model, scalar_model
 from carlift.schedule import make_lambda_grid, make_vp_schedule
 from carlift.solve import (
@@ -151,6 +154,76 @@ def test_lchs_stability_shift_for_indefinite_part():
     res = lchs_solve(lambda t: A, None, U0, 1.0)
     assert res.shift == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.norm(res.u - ref) / np.linalg.norm(ref) < 0.05
+
+
+def lchs_per_node(A_fun, b_fun, u0, T, cfg):
+    """The LCHS quadrature one kernel node at a time, each node keeping the
+    list of its suffix products W_{S-1} ... W_j."""
+    u0 = np.asarray(u0)
+    n = len(u0)
+    dt = T / cfg.substeps
+    A_mid = [np.asarray(A_fun((j + 0.5) * dt), dtype=complex) for j in range(cfg.substeps)]
+    time_dep = any(not np.array_equal(A_mid[0], Aj) for Aj in A_mid[1:])
+    Ls = [(Aj + Aj.conj().T) / 2.0 for Aj in A_mid]
+    Hs = [(Aj - Aj.conj().T) / 2.0j for Aj in A_mid]
+    mu = max(0.0, -min(float(np.linalg.eigvalsh(Lj)[0]) for Lj in Ls)) + cfg.shift_eps
+    Ls = [Lj + mu * np.eye(n) for Lj in Ls]
+    ks = np.linspace(-cfg.K, cfg.K, cfg.nodes)
+    wk = np.full(cfg.nodes, ks[1] - ks[0])
+    wk[0] *= 0.5
+    wk[-1] *= 0.5
+    gk = 1.0 / (np.pi * (1.0 + ks**2))
+    bounds = np.arange(cfg.substeps + 1) * dt
+    if b_fun is not None:
+        b_shift = [np.exp(-mu * t) * np.asarray(b_fun(t), dtype=complex) for t in bounds]
+        ws = np.full(cfg.substeps + 1, dt)
+        ws[0] *= 0.5
+        ws[-1] *= 0.5
+    acc = np.zeros(n, dtype=complex)
+    n_exp = 0
+    for k, w, g in zip(ks, wk, gk):
+        if time_dep:
+            Wj = [expm(-1j * dt * (k * Lj + Hj)) for Lj, Hj in zip(Ls, Hs)]
+            n_exp += cfg.substeps
+        else:
+            Wj = [expm(-1j * dt * (k * Ls[0] + Hs[0]))] * cfg.substeps
+            n_exp += 1
+        suffix = [np.eye(n, dtype=complex)]
+        for Wstep in reversed(Wj):
+            suffix.append(suffix[-1] @ Wstep)
+        suffix.reverse()
+        contrib = suffix[0] @ u0
+        if b_fun is not None:
+            for j in range(cfg.substeps + 1):
+                contrib = contrib + ws[j] * (suffix[j] @ b_shift[j])
+        acc += (w * g) * contrib
+    return np.exp(mu * T) * acc, n_exp
+
+
+def time_dependent_A(t):
+    return np.array([[2.0 + t, 1.0 - 0.5 * t], [0.5, 3.0 - 0.5 * t]])
+
+
+@pytest.mark.parametrize(
+    "A_fun, b_fun, cfg, chunk_bytes",
+    [
+        (lambda t: CONST_A, lambda t: CONST_B, LchsConfig(), None),
+        (time_dependent_A, lambda t: np.array([np.sin(t), 1.0]), LchsConfig(nodes=33, substeps=16), None),
+        (lambda t: np.array([[2.0, 1.5], [0.5, 3.0]]), None, LchsConfig(nodes=65, substeps=8), None),
+        # 33 nodes in chunks of 4 (16 bytes per complex entry of a 2 x 2 matrix)
+        (lambda t: CONST_A, lambda t: CONST_B, LchsConfig(nodes=33, substeps=8), 4 * 16 * 4),
+        (time_dependent_A, None, LchsConfig(nodes=33, substeps=8), 4 * 16 * 4),
+    ],
+    ids=["constant", "time_dependent", "homogeneous", "constant_chunked", "time_dependent_chunked"],
+)
+def test_lchs_matches_per_node_suffix_products(A_fun, b_fun, cfg, chunk_bytes):
+    cap = solve.LCHS_CHUNK_BYTES if chunk_bytes is None else chunk_bytes
+    with mock.patch.object(solve, "LCHS_CHUNK_BYTES", cap):
+        res = lchs_solve(A_fun, b_fun, U0, 1.0, cfg)
+    expected, n_exp = lchs_per_node(A_fun, b_fun, U0, 1.0, cfg)
+    assert np.linalg.norm(res.u - expected) <= 1e-13 * np.linalg.norm(expected)
+    assert res.n_exponentials == n_exp
+    assert not np.iscomplexobj(res.u)
 
 
 def test_lchs_validation():
