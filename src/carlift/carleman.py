@@ -58,21 +58,20 @@ class CarlemanBasis:
     Blocks j = 1..N hold the plain (unsymmetrised) Kronecker powers
     x^{(j)}; within block j the flat offset of the monomial
     (i_1, ..., i_j) is its base-d value, which orders monomials by
-    degree first and lexicographically inside a degree.
+    degree first and lexicographically inside a degree.  ``mode`` names
+    the basis; "kron" is the only one.
     """
 
     N: int
     d: int
-    mode: str = "scalar"
+    mode: str = "kron"
     offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ValueError("need truncation order N >= 1")
-        if self.mode not in ("scalar", "kron"):
-            raise ValueError("basis mode must be 'scalar' or 'kron'")
-        if self.mode == "scalar" and self.d != 1:
-            raise ValueError("scalar basis requires d = 1")
+        if self.mode != "kron":
+            raise ValueError(f"unknown basis mode {self.mode!r}; only 'kron' is supported")
         sizes = [self.d**j for j in range(1, self.N + 1)]
         if sum(sizes) > MAX_DIM_TOTAL:
             raise CapacityError(f"lifted dimension {sum(sizes)} exceeds {MAX_DIM_TOTAL}")
@@ -219,9 +218,6 @@ class Qcm:
 
     A: sp.csr_matrix
     b: np.ndarray
-    i: int
-    scheme: str
-    order: int
 
 
 def step_polynomial_dpm(
@@ -259,7 +255,7 @@ def assemble_dpm_qcm(
     """
     _check_model_basis(m, basis)
     A, b = _poly_to_update(step_polynomial_dpm(s, m, i, grid, k), basis, delta=True)
-    return Qcm(A=A, b=b, i=i, scheme="dpm", order=k)
+    return Qcm(A=A, b=b)
 
 
 def _check_model_basis(m: PolyNoiseModel, basis: CarlemanBasis) -> None:
@@ -297,14 +293,11 @@ class UnipcQcmSet:
     i: int
     p: int
     anchor: int
-    variant: str
-    basis: CarlemanBasis
     pred_mats: list
     pred_b: np.ndarray
     corr_mats: list
     corr_target: sp.csr_matrix
     corr_b: np.ndarray
-    scheme: str = "unipc"
 
 
 def _node_block1(E: dict[int, np.ndarray], c: float, basis: CarlemanBasis) -> sp.csr_matrix:
@@ -355,7 +348,7 @@ def assemble_unipc_qcms(
     corr_target = corr_mats.pop()
 
     return UnipcQcmSet(
-        i=i, p=p, anchor=anchor, variant=variant, basis=basis,
+        i=i, p=p, anchor=anchor,
         pred_mats=pred_mats, pred_b=pred_b,
         corr_mats=corr_mats, corr_target=corr_target, corr_b=corr_b,
     )

@@ -453,8 +453,7 @@ def cmd_carleman(cfg: dict, out_dir: str) -> int:
     m = build_model(cfg)
     s, grid, x_T = build_window(cfg, m)
     car = cfg["carleman"]
-    mode = "scalar" if m.mode == "scalar" and m.d == 1 else "kron"
-    basis = CarlemanBasis(N=car["N"], d=m.d, mode=mode)
+    basis = CarlemanBasis(N=car["N"], d=m.d)
     states, qcms = run_lifted(
         s, m, x_T, grid, basis,
         scheme=car["scheme"], order=car["order"],
@@ -708,12 +707,8 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
         slope_value = float(np.polyfit(hs, errs, 1)[0])
         merged_rows.append(parameter + ",slope," + ",".join([_fmt(slope_value)] + [""] * (len(cols) - 1)))
 
-    lines = [f"# version: {__version__}", f"# config_sha256: {sha}"]
-    lines.append(f"# command: {base_command}")
-    lines.append(",".join(["parameter", "value", header]))
-    lines.extend(merged_rows)
-    with open(os.path.join(out_dir, "sweep.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(os.path.join(out_dir, "sweep.csv"), sha, ["parameter", "value", header],
+              [[row] for row in merged_rows], [("command", base_command)])
     shutil.rmtree(points_root)
     return worst
 

@@ -105,7 +105,7 @@ def truncation_sweep(
     ).endpoint
     rows = []
     for N in N_list:
-        basis = CarlemanBasis(N=N, d=m.d, mode="scalar" if m.d == 1 else "kron")
+        basis = CarlemanBasis(N=N, d=m.d)
         states, qcms = run_lifted(s, m, x_T, grid, basis, scheme="dpm", order=k)
         err = float(np.linalg.norm(states[-1].block(1) - oracle))
         defect = states[-1].consistency_defect() if N >= 2 else float("nan")

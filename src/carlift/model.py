@@ -1,11 +1,11 @@
 """Polynomial noise-prediction models and their lambda-derivatives.
 
 A model is a polynomial map eps(x, lam) in the state x and the log-SNR
-lam.  Three coupling modes are supported:
+lam.  Two coupling modes are supported:
 
-* ``scalar``: d = 1, coefficients c[j, l] of x^j lam^l.
 * ``separable``: each coordinate i evolves under its own scalar
-  polynomial, coefficients c[i, j, l].
+  polynomial, coefficients c[i, j, l] of x_i^j lam^l; a one-coordinate
+  (scalar) model is the d = 1 case.
 * ``kron``: full tensor coupling; the degree-j term is a matrix
   C_j(lam) of shape (d, d^j) acting on the Kronecker power x^{(j)},
   with a polynomial lam dependence on the leading axis.
@@ -61,20 +61,16 @@ class PolyNoiseModel:
     coeffs: object  # mode-dependent, see module docstring
 
     def __post_init__(self) -> None:
-        if self.mode not in ("scalar", "separable", "kron"):
+        if self.mode not in ("separable", "kron"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.d < 1:
             raise ValueError("need d >= 1")
-        if self.mode == "scalar":
-            if self.d != 1:
-                raise ValueError("scalar mode requires d = 1")
-            c = np.array(self.coeffs, dtype=float)
-            if c.ndim != 2:
-                raise ValueError("scalar coefficients must be 2-d (x-degree, lam-degree)")
-        elif self.mode == "separable":
+        if self.mode == "separable":
             c = np.array(self.coeffs, dtype=float)
             if c.ndim != 3 or c.shape[0] != self.d:
                 raise ValueError("separable coefficients must have shape (d, J+1, L+1)")
+            c.flags.writeable = False
+            object.__setattr__(self, "coeffs", c)
         else:
             if self.d > KRON_D_MAX:
                 raise CapacityError(f"kron mode supports d <= {KRON_D_MAX}")
@@ -88,10 +84,6 @@ class PolyNoiseModel:
                 cj.flags.writeable = False
                 blocks.append(cj)
             object.__setattr__(self, "coeffs", tuple(blocks))
-            self._check_capacity()
-            return
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
         self._check_capacity()
 
     def _check_capacity(self) -> None:
@@ -116,7 +108,8 @@ class PolyNoiseModel:
 
 
 def scalar_model(terms) -> PolyNoiseModel:
-    """Build a scalar model from {(j, l): coeff} or a 2-d coefficient array."""
+    """Build a one-coordinate model from {(j, l): coeff} or a 2-d coefficient
+    array; it is the d = 1 separable model."""
     if isinstance(terms, dict):
         jmax = max((j for j, _ in terms), default=0)
         lmax = max((l for _, l in terms), default=0)
@@ -125,7 +118,7 @@ def scalar_model(terms) -> PolyNoiseModel:
             c[j, l] = v
     else:
         c = np.atleast_2d(np.asarray(terms, dtype=float))
-    return PolyNoiseModel(mode="scalar", d=1, coeffs=c)
+    return PolyNoiseModel(mode="separable", d=1, coeffs=c[None])
 
 
 def separable_model(coeffs) -> PolyNoiseModel:
@@ -153,30 +146,18 @@ def kron_model(d: int, terms) -> PolyNoiseModel:
     return PolyNoiseModel(mode="kron", d=d, coeffs=blocks)
 
 
-def zero_model(d: int = 1, mode: str = "scalar") -> PolyNoiseModel:
-    if mode == "scalar":
-        return scalar_model(np.zeros((1, 1)))
+def zero_model(d: int = 1, mode: str = "separable") -> PolyNoiseModel:
     if mode == "separable":
         return separable_model(np.zeros((d, 1, 1)))
-    return kron_model(d, {0: np.zeros((1, d, 1))})
+    if mode == "kron":
+        return kron_model(d, {0: np.zeros((1, d, 1))})
+    raise ValueError(f"unknown mode {mode!r}")
 
 
-# --- batch (scalar / separable) polynomial helpers -----------------------
+# --- batch (separable) polynomial helpers --------------------------------
 # A batch polynomial is an array (B, J+1, L+1) of coefficients of
-# x^j lam^l, one independent polynomial per batch entry.
-
-
-def _as_batch(m: PolyNoiseModel) -> np.ndarray:
-    if m.mode == "scalar":
-        return m.coeffs[None, :, :]
-    return m.coeffs
-
-
-def _from_batch(m: PolyNoiseModel, arr: np.ndarray) -> PolyNoiseModel:
-    arr = _trim_batch(arr)
-    if m.mode == "scalar":
-        return PolyNoiseModel(mode="scalar", d=1, coeffs=arr[0])
-    return PolyNoiseModel(mode="separable", d=m.d, coeffs=arr)
+# x^j lam^l, one independent polynomial per batch entry; a separable
+# model's coefficients are one.
 
 
 def _trim_batch(arr: np.ndarray) -> np.ndarray:
@@ -215,8 +196,8 @@ def _batch_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # --- sigma Taylor expansions ---------------------------------------------
 
 
-def _sigma_lambda_polys(s: NoiseSchedule, lam_center: float, degree: int = SIGMA_TAYLOR_DEGREE):
-    """Degree-``degree`` polynomials of sigma_lam and sigma_lam^2 in lam.
+def _sigma_lambda_polys(s: NoiseSchedule, lam_center: float):
+    """Degree-SIGMA_TAYLOR_DEGREE polynomials of sigma_lam and sigma_lam^2 in lam.
 
     Derivatives follow from closed recurrences in q = sigma_lam^2, which
     obeys dq/dlam = -2 q (1 - q):
@@ -237,6 +218,7 @@ def _sigma_lambda_polys(s: NoiseSchedule, lam_center: float, degree: int = SIGMA
     from numpy.polynomial import polynomial as npoly
 
     shrink = np.array([0.0, -2.0, 2.0])
+    degree = SIGMA_TAYLOR_DEGREE
 
     R = np.array([0.0, 1.0])  # R_0(q) = q
     S = np.array([1.0])  # S_0(q) = 1
@@ -285,7 +267,7 @@ def _eps_tables(m: PolyNoiseModel, lams: np.ndarray):
 
     Kron models give a list over the x-degree j of arrays (len(lams), d,
     d^j); a block without lam dependence is broadcast, not copied.
-    Scalar and separable models give one array (len(lams), J+1, d) whose
+    Separable models give one array (len(lams), J+1, d) whose
     row j holds the x^j coefficients.  :func:`_eval_tabulated` evaluates
     them at a state.
     """
@@ -295,14 +277,14 @@ def _eps_tables(m: PolyNoiseModel, lams: np.ndarray):
             else _lam_collapse(cj, lams)
             for cj in m.coeffs
         ]
-    clam = np.polynomial.polynomial.polyval(lams, _as_batch(m).transpose(2, 0, 1))  # (B, J+1, n)
+    clam = np.polynomial.polynomial.polyval(lams, m.coeffs.transpose(2, 0, 1))  # (d, J+1, n)
     return clam.transpose(2, 1, 0)
 
 
 def _eval_tabulated(m: PolyNoiseModel, tables, i: int, x):
     """eps(x, lams[i]) from ``tables = _eps_tables(m, lams)``.
 
-    Horner in x for scalar and separable models; sum_j C_j x^{(j)} for
+    Horner in x for separable models; sum_j C_j x^{(j)} for
     kron models, with x^{(j)} built one outer product at a time (equal
     to the left-folded np.kron bit for bit).  The Horner form also runs
     on a Python float x with the rows of a one-coordinate table as
@@ -347,12 +329,16 @@ def jacobian_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
                 slab = np.kron(left, np.kron(np.eye(m.d), right))
                 out += mat @ slab
         return out
-    arr = _as_batch(m)
-    clam = np.polynomial.polynomial.polyval(lam, arr.transpose(2, 0, 1))
-    dout = np.zeros(arr.shape[0])
-    for j in range(arr.shape[1] - 1, 0, -1):
-        dout = dout * x + j * clam[:, j]
-    return np.diag(dout)
+    return np.diag(_separable_deps(m, x, lam))
+
+
+def _separable_deps(m: PolyNoiseModel, x: np.ndarray, lam: float) -> np.ndarray:
+    """Diagonal d eps_i / d x_i of a separable model, by Horner in x."""
+    clam = np.polynomial.polynomial.polyval(lam, m.coeffs.transpose(2, 0, 1))
+    deps = np.zeros(m.d)
+    for j in range(m.coeffs.shape[1] - 1, 0, -1):
+        deps = deps * x + j * clam[:, j]
+    return deps
 
 
 def dx_dlambda(s: NoiseSchedule, m: PolyNoiseModel, x, lam: float) -> np.ndarray:
@@ -374,20 +360,14 @@ def drift_jacobian(s: NoiseSchedule, m: PolyNoiseModel, x, t: float) -> np.ndarr
 def drift_eigenvalues(s: NoiseSchedule, m: PolyNoiseModel, x, t: float) -> np.ndarray:
     """Ascending eigenvalues of the symmetrised drift Jacobian J + J^T.
 
-    For scalar and separable models the Jacobian is diagonal and the
-    eigenvalues are read off directly, which keeps large-d separable
-    sweeps cheap and exact.
+    For separable models the Jacobian is diagonal and the eigenvalues
+    are read off directly, which keeps large-d separable sweeps cheap and
+    exact.
     """
     if t < s.t_floor:
         raise ValueError(f"t={t} below t_floor={s.t_floor}; sigma_t is numerically singular")
-    if m.mode in ("scalar", "separable"):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        lam = float(s.lam(t))
-        arr = _as_batch(m)
-        clam = np.polynomial.polynomial.polyval(lam, arr.transpose(2, 0, 1))
-        deps = np.zeros(arr.shape[0])
-        for j in range(arr.shape[1] - 1, 0, -1):
-            deps = deps * x + j * clam[:, j]
+    if m.mode == "separable":
+        deps = _separable_deps(m, np.atleast_1d(np.asarray(x, dtype=float)), float(s.lam(t)))
         diag = float(s.f(t)) + float(s.g2(t)) / (2.0 * float(s.sigma(t))) * deps
         return np.sort(2.0 * diag)
     J = drift_jacobian(s, m, x, t)
@@ -520,41 +500,41 @@ def total_derivative_poly(
     m: PolyNoiseModel,
     n: int,
     lam_center: float,
-    sigma_degree: int = SIGMA_TAYLOR_DEGREE,
 ) -> PolyNoiseModel:
     """n-th total derivative of eps along the flow, as a polynomial model.
 
     The chain rule D eps = d_lam eps + (d_x eps) . (sigma^2 x - sigma eps)
     is applied n times symbolically; sigma_lam and sigma_lam^2 enter as
-    degree-``sigma_degree`` Taylor polynomials around lam_center, so the
-    result is exact up to the O((lam - lam_center)^{sigma_degree+1})
+    degree-SIGMA_TAYLOR_DEGREE Taylor polynomials around lam_center, so
+    the result is exact up to the O((lam - lam_center)^{SIGMA_TAYLOR_DEGREE+1})
     truncation of those two factors.  n = 0 returns the model unchanged.
     """
     if n < 0:
         raise ValueError("need n >= 0")
     if n == 0:
         return m
-    s1, s2 = _sigma_lambda_polys(s, lam_center, degree=sigma_degree)
+    s1, s2 = _sigma_lambda_polys(s, lam_center)
     if m.mode == "kron":
         blocks = _kron_blocks(m)
         v_blocks = _velocity_kron(blocks, s1, s2, m.d)
         for _ in range(n):
             blocks = _deriv_once_kron(blocks, v_blocks, m.d)
         return PolyNoiseModel(mode="kron", d=m.d, coeffs=blocks)
-    arr = _as_batch(m)
+    arr = m.coeffs
     v = _velocity_batch(arr, s1, s2)
     for _ in range(n):
         arr = _deriv_once_batch(arr, v)
         if arr.shape[1] - 1 > MAX_X_DEGREE:
             raise CapacityError(f"x-degree {arr.shape[1] - 1} exceeds {MAX_X_DEGREE}")
-    return _from_batch(m, arr)
+    return PolyNoiseModel(mode="separable", d=m.d, coeffs=_trim_batch(arr))
 
 
 def coeff_matrices(m: PolyNoiseModel, lam: float) -> dict[int, np.ndarray]:
     """Coefficient matrices {j: (d, d^j)} of eps at a fixed lam.
 
-    Only scalar and kron models admit this form; separable models with
-    d > 1 do not have a flat Kronecker coefficient representation.
+    Only kron and one-coordinate separable models admit this form;
+    separable models with d > 1 do not have a flat Kronecker coefficient
+    representation.
     """
     if m.mode == "separable" and m.d > 1:
         raise ValueError("separable models have no kron coefficient form")
@@ -565,8 +545,7 @@ def coeff_matrices(m: PolyNoiseModel, lam: float) -> dict[int, np.ndarray]:
             if np.any(mat):
                 out[j] = mat
         return out
-    arr = m.coeffs if m.mode == "scalar" else m.coeffs[0]
-    clam = np.polynomial.polynomial.polyval(lam, arr.T)
+    clam = np.polynomial.polynomial.polyval(lam, m.coeffs[0].T)
     for j, c in enumerate(np.atleast_1d(clam)):
         if c != 0.0:
             out[j] = np.array([[c]])

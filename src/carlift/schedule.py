@@ -34,6 +34,11 @@ __all__ = [
 # the schedule for the ODE coefficients to be trustworthy.
 T_FLOOR_FRACTION = 1e-3
 
+# Stopping rule of exp_taylor_tail: a term below this share of the running
+# sum ends the series, which must happen within this many terms.
+TAIL_REL_TOL = 1e-17
+TAIL_MAX_TERMS = 500
+
 
 @dataclass(frozen=True)
 class NoiseSchedule:
@@ -47,12 +52,9 @@ class NoiseSchedule:
     beta_min: float
     beta_max: float
     T: float
-    kind: str = "vp"
     t_floor: float = field(default=0.0)
 
     def __post_init__(self) -> None:
-        if self.kind != "vp":
-            raise ValueError(f"unsupported schedule kind {self.kind!r}")
         if not (0.0 < self.beta_min < self.beta_max):
             raise ValueError("need 0 < beta_min < beta_max")
         if self.T <= 0.0:
@@ -193,22 +195,22 @@ def make_lambda_grid(s: NoiseSchedule, t_start: float, t_end: float, M: int) -> 
     return TimeGrid(t=t, lam=lam)
 
 
-def exp_taylor_tail(n: int, h: float, rel_tol: float = 1e-17, max_terms: int = 500) -> float:
+def exp_taylor_tail(n: int, h: float) -> float:
     """Tail of the exponential series: sum_{k >= n+1} h^k / k!.
 
     All terms share the sign pattern of h^k, and for the h > 0 steps used
     here the sum is of positive terms, so accumulation is stable without
-    cancellation.  Terms are added until they fall below rel_tol of the
-    running sum.
+    cancellation.  Terms are added until they fall below TAIL_REL_TOL of
+    the running sum, at most TAIL_MAX_TERMS of them.
     """
     if n < 0:
         raise ValueError("need n >= 0")
     term = h ** (n + 1) / math.factorial(n + 1)
     total = term
-    for k in range(n + 2, n + 2 + max_terms):
+    for k in range(n + 2, n + 2 + TAIL_MAX_TERMS):
         term *= h / k
         total += term
-        if abs(term) <= rel_tol * abs(total):
+        if abs(term) <= TAIL_REL_TOL * abs(total):
             return total
     raise RuntimeError(f"exponential tail did not converge for n={n}, h={h}")
 

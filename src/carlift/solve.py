@@ -130,7 +130,6 @@ class LchsConfig:
     K: float = 32.0
     nodes: int = 257
     substeps: int = 64
-    kernel: str = "cauchy"
     shift_eps: float = 1e-12
 
     def __post_init__(self) -> None:
@@ -140,8 +139,6 @@ class LchsConfig:
             raise ValueError("need at least 3 quadrature nodes")
         if self.substeps < 1:
             raise ValueError("need at least one substep")
-        if self.kernel != "cauchy":
-            raise ValueError(f"unsupported kernel {self.kernel!r}")
 
 
 @dataclass

@@ -57,6 +57,9 @@ def test_basis_indexing_round_trip():
 def test_basis_validation():
     with pytest.raises(ValueError):
         CarlemanBasis(N=0, d=1)
+    assert CarlemanBasis(N=2, d=1).mode == "kron"
+    with pytest.raises(ValueError):
+        CarlemanBasis(N=2, d=1, mode="scalar")
     with pytest.raises(ValueError):
         CarlemanBasis(N=2, d=2, mode="scalar")
     with pytest.raises(ValueError):

@@ -45,15 +45,19 @@ def kron_power(x, j):
 
 
 def test_eval_eps_scalar_direct():
+    c = np.array([[0.5, -0.2], [1.5, 0.0], [0.25, 0.1]])
+    m = scalar_model(c)
+    assert (m.mode, m.d) == ("separable", 1)
+    assert np.array_equal(m.coeffs, c[None])
     rng = np.random.default_rng(0)
     for _ in range(20):
         m = random_scalar(rng)
         x = float(rng.normal())
         lam = float(rng.uniform(-1.0, 2.0))
         direct = sum(
-            m.coeffs[j, l] * x**j * lam**l
-            for j in range(m.coeffs.shape[0])
-            for l in range(m.coeffs.shape[1])
+            m.coeffs[0, j, l] * x**j * lam**l
+            for j in range(m.coeffs.shape[1])
+            for l in range(m.coeffs.shape[2])
         )
         assert eval_eps(m, [x], lam)[0] == pytest.approx(direct, rel=1e-13, abs=1e-13)
 
@@ -286,7 +290,10 @@ def test_coeff_matrices_round_trip():
 
 
 def test_zero_model_modes():
-    for mode, d in (("scalar", 1), ("separable", 3), ("kron", 2)):
+    for mode, d in (("separable", 1), ("separable", 3), ("kron", 2)):
         m = zero_model(d=d, mode=mode)
         assert m.d == d
         assert np.allclose(eval_eps(m, np.ones(d), 0.4), 0.0)
+    for mode in ("scalar", "mystery"):
+        with pytest.raises(ValueError):
+            zero_model(d=2, mode=mode)

@@ -253,7 +253,7 @@ def eval_eps_direct(m, x, lam):
             mat = np.tensordot(lam ** np.arange(cj.shape[0]), cj, axes=(0, 0))
             out += mat @ reduce(np.kron, [x] * j, np.ones(1))
         return out
-    arr = m.coeffs[None] if m.mode == "scalar" else m.coeffs
+    arr = m.coeffs
     clam = np.polynomial.polynomial.polyval(lam, arr.transpose(2, 0, 1))
     out = np.zeros(arr.shape[0])
     for j in range(arr.shape[1] - 1, -1, -1):

@@ -235,8 +235,6 @@ def test_lchs_validation():
         LchsConfig(nodes=2)
     with pytest.raises(ValueError):
         LchsConfig(substeps=0)
-    with pytest.raises(ValueError):
-        LchsConfig(kernel="gaussian")
 
 
 def test_qlss_cost_model_value_and_ratios():
