@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CapacityError
-from .model import PolyNoiseModel, coeff_matrices, total_derivative_poly
+from .model import PolyNoiseModel, _derivative_tower, coeff_matrices
 from .reference import dpm_weights, uni_weights
 from .schedule import NoiseSchedule, TimeGrid
 
@@ -87,28 +87,6 @@ class CarlemanBasis:
         if not (1 <= j <= self.N):
             raise ValueError(f"block {j} outside 1..{self.N}")
         return slice(int(self.offsets[j - 1]), int(self.offsets[j]))
-
-    def index_of(self, indices: tuple[int, ...]) -> int:
-        j = len(indices)
-        if not (1 <= j <= self.N):
-            raise ValueError(f"monomial degree {j} outside 1..{self.N}")
-        flat = 0
-        for i in indices:
-            if not (0 <= i < self.d):
-                raise ValueError(f"coordinate index {i} outside 0..{self.d - 1}")
-            flat = flat * self.d + i
-        return int(self.offsets[j - 1]) + flat
-
-    def monomial_of(self, flat: int) -> tuple[int, ...]:
-        if not (0 <= flat < self.dim_total):
-            raise ValueError(f"flat index {flat} outside basis")
-        j = int(np.searchsorted(self.offsets, flat, side="right"))
-        rem = flat - int(self.offsets[j - 1])
-        digits = []
-        for _ in range(j):
-            digits.append(rem % self.d)
-            rem //= self.d
-        return tuple(reversed(digits))
 
 
 @dataclass
@@ -233,8 +211,8 @@ def step_polynomial_dpm(
     ratio, c = dpm_weights(s, lam_s, lam_t, k)
     d = m.d
     P: dict[int, np.ndarray] = {1: ratio * np.eye(d)}
-    for n, cn in enumerate(c):
-        for q, mat in coeff_matrices(total_derivative_poly(s, m, n, lam_center=lam_s), lam_s).items():
+    for cn, dn in zip(c, _derivative_tower(s, m, k, lam_s)):
+        for q, mat in coeff_matrices(dn, lam_s).items():
             P[q] = P.get(q, np.zeros((d, d**q))) + cn * mat
     return P
 

@@ -34,7 +34,7 @@ from .errors import CapacityError, ConvergenceError, StructureError
 from .model import PolyNoiseModel, kron_model, scalar_model, separable_model
 from .presets import BENCHMARKS, MODEL_PRESETS, benchmark, model_preset
 from .readout import recover_sparse
-from .reference import rk4_oracle, run_dpm, run_unipc
+from .reference import rk4_oracle, run_scheme
 from .schedule import make_lambda_grid, make_vp_schedule
 from .solve import LchsConfig, forward_substitute, gmres_solve, lchs_solve
 from .system import assemble_global_dpm, assemble_global_unipc, condition_number, export_matrix
@@ -402,18 +402,12 @@ def emit_resolved_config(cfg: dict, out_dir: str) -> str:
 # --- commands -----------------------------------------------------------------
 
 
-def _run_reference(s, m, x_T, grid, scheme: str, order: int, variant: str):
-    if scheme == "dpm":
-        return run_dpm(s, m, x_T, grid, k=order)
-    return run_unipc(s, m, x_T, grid, p=order, variant=variant, corrector=scheme == "unic")
-
-
 def cmd_simulate(cfg: dict, out_dir: str) -> int:
     sha = emit_resolved_config(cfg, out_dir)
     m = build_model(cfg)
     s, grid, x_T = build_window(cfg, m)
     sim = cfg["simulate"]
-    run = _run_reference(s, m, x_T, grid, sim["scheme"], sim["order"], sim["variant"])
+    run = run_scheme(s, m, x_T, grid, sim["scheme"], sim["order"], sim["variant"])
     states = run.state_matrix()
     errors = np.full(len(grid.t), np.nan)
     endpoint_error = math.nan
@@ -557,7 +551,7 @@ def cmd_diagnose(cfg: dict, out_dir: str) -> int:
     m = build_model(cfg)
     s, grid, x_T = build_window(cfg, m)
     diag = cfg["diagnose"]
-    run = _run_reference(s, m, x_T, grid, diag["scheme"], diag["order"], diag["variant"])
+    run = run_scheme(s, m, x_T, grid, diag["scheme"], diag["order"], diag["variant"])
     trace = spectrum_trace(s, m, run)
     ptrace = dissipativity_P(trace)
     spec_cols = ["step", "t"] + [f"eig_{i}" for i in range(m.d)]

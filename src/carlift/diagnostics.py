@@ -22,7 +22,7 @@ import numpy as np
 
 from .carleman import CarlemanBasis, assemble_dpm_qcm, lift, run_lifted
 from .model import PolyNoiseModel, drift_eigenvalues
-from .reference import SolverRun, rk4_oracle, run_dpm, run_unipc
+from .reference import SolverRun, rk4_oracle, run_scheme
 from .schedule import NoiseSchedule, TimeGrid, make_lambda_grid
 from .system import ConditionReport, assemble_global_dpm, condition_number
 
@@ -153,12 +153,7 @@ def order_sweep(
     for idx, M in enumerate(M_arr):
         grid = make_lambda_grid(s, t_start, t_end, int(M))
         hs[idx] = grid.h.mean()
-        if scheme == "dpm":
-            run = run_dpm(s, m, x_T, grid, k=order)
-        elif scheme in ("unip", "unic"):
-            run = run_unipc(s, m, x_T, grid, p=order, variant=variant, corrector=scheme == "unic")
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
+        run = run_scheme(s, m, x_T, grid, scheme, order, variant)
         errors[idx] = float(np.linalg.norm(run.endpoint - oracle))
     floor = 100.0 * np.finfo(float).eps * max(1.0, float(np.linalg.norm(oracle)))
     used = errors > floor

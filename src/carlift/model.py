@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
+from scipy.special import expit
 
 from .errors import CapacityError
 from .schedule import NoiseSchedule
@@ -183,54 +185,56 @@ def _batch_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _batch_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    B = a.shape[0]
-    J = max(a.shape[1], b.shape[1])
-    L = max(a.shape[2], b.shape[2])
-    out = np.zeros((B, J, L))
-    out[:, : a.shape[1], : a.shape[2]] += a
-    out[:, : b.shape[1], : b.shape[2]] += b
+def _padded_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b, each zero-padded at the end of every axis to the larger shape."""
+    out = np.zeros(np.maximum(a.shape, b.shape))
+    out[tuple(map(slice, a.shape))] += a
+    out[tuple(map(slice, b.shape))] += b
     return out
 
 
 # --- sigma Taylor expansions ---------------------------------------------
 
 
-def _sigma_lambda_polys(s: NoiseSchedule, lam_center: float):
-    """Degree-SIGMA_TAYLOR_DEGREE polynomials of sigma_lam and sigma_lam^2 in lam.
+def _sigma_recurrences() -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """R_n(q) and S_n(q), n = 0..SIGMA_TAYLOR_DEGREE, as ascending coefficients in q.
 
-    Derivatives follow from closed recurrences in q = sigma_lam^2, which
-    obeys dq/dlam = -2 q (1 - q):
+    q = sigma_lam^2 obeys dq/dlam = -2 q (1 - q), so
 
         q^(n)     = R_n(q),  R_0 = q,      R_{n+1} = -2 q (1-q) R_n'
         sigma^(n) = sigma S_n(q), S_0 = 1, S_{n+1} = -(1-q) S_n - 2 q (1-q) S_n'
 
-    Taylor coefficients at lam_center are then re-expressed in the
-    absolute lam basis.  Returns (s1, s2): coefficient arrays for
+    Neither depends on the expansion point, so they are built once.
+    """
+    shrink = np.array([0.0, -2.0, 2.0])  # -2 q (1-q)
+    one_minus = np.array([1.0, -1.0])
+    R = [np.array([0.0, 1.0])]
+    S = [np.array([1.0])]
+    for _ in range(SIGMA_TAYLOR_DEGREE):
+        R.append(npoly.polymul(npoly.polyder(R[-1]), shrink))
+        S.append(npoly.polyadd(npoly.polymul(-one_minus, S[-1]), npoly.polymul(shrink, npoly.polyder(S[-1]))))
+    return tuple(R), tuple(S)
+
+
+_SIGMA_R, _SIGMA_S = _sigma_recurrences()
+
+
+def _sigma_lambda_polys(s: NoiseSchedule, lam_center: float):
+    """Degree-SIGMA_TAYLOR_DEGREE polynomials of sigma_lam and sigma_lam^2 in lam.
+
+    The Taylor coefficients at lam_center are R_n(q0) / n! and
+    sigma0 S_n(q0) / n! (see :func:`_sigma_recurrences`), re-expressed
+    in the absolute lam basis.  Returns (s1, s2): coefficient arrays for
     sigma_lam and sigma_lam^2.
     """
-    from scipy.special import expit
-
     q0 = float(expit(-2.0 * lam_center))
     sig0 = math.sqrt(q0)
-
-    # -2 q (1-q) as a polynomial in q (ascending coefficients)
-    from numpy.polynomial import polynomial as npoly
-
-    shrink = np.array([0.0, -2.0, 2.0])
     degree = SIGMA_TAYLOR_DEGREE
-
-    R = np.array([0.0, 1.0])  # R_0(q) = q
-    S = np.array([1.0])  # S_0(q) = 1
-    one_minus = np.array([1.0, -1.0])
-
     tay_q = np.empty(degree + 1)
     tay_s = np.empty(degree + 1)
-    for n in range(degree + 1):
+    for n, (R, S) in enumerate(zip(_SIGMA_R, _SIGMA_S)):
         tay_q[n] = npoly.polyval(q0, R) / math.factorial(n)
         tay_s[n] = sig0 * npoly.polyval(q0, S) / math.factorial(n)
-        R = npoly.polymul(npoly.polyder(R), shrink)
-        S = npoly.polyadd(npoly.polymul(-one_minus, S), npoly.polymul(shrink, npoly.polyder(S)))
 
     def shift(taylor: np.ndarray) -> np.ndarray:
         out = np.zeros(degree + 1)
@@ -402,11 +406,7 @@ def _deriv_once_batch(arr: np.ndarray, v: np.ndarray) -> np.ndarray:
         return _trim_batch(dlam)
     # d/dx, contracted against the fixed flow velocity
     dx = arr[:, 1:, :] * np.arange(1, J1)[None, :, None]
-    return _trim_batch(_batch_add(dlam, _batch_mul(dx, v)))
-
-
-def _kron_blocks(m: PolyNoiseModel) -> list[np.ndarray]:
-    return [np.array(cj) for cj in m.coeffs]
+    return _trim_batch(_padded_sum(dlam, _batch_mul(dx, v)))
 
 
 def _lamconv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -423,21 +423,12 @@ def _lamconv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _velocity_kron(blocks0: list[np.ndarray], s1, s2, d: int) -> dict[int, np.ndarray]:
     """dx/dlam = sigma^2 x - sigma eps as lam-polynomial kron blocks keyed
     by x-degree, built once from the undifferentiated model."""
-    v: dict[int, np.ndarray] = {}
-    v[1] = np.zeros((len(s2), d, d))
-    v[1][:, :, :] = s2[:, None, None] * np.eye(d)[None, :, :]
+    v: dict[int, np.ndarray] = {1: s2[:, None, None] * np.eye(d)[None, :, :]}
     for q, cq in enumerate(blocks0):
         if not np.any(cq):
             continue
         contrib = -_lamconv(cq, s1)
-        if q in v:
-            L = max(v[q].shape[0], contrib.shape[0])
-            grown = np.zeros((L, d, d**q))
-            grown[: v[q].shape[0]] += v[q]
-            grown[: contrib.shape[0]] += contrib
-            v[q] = grown
-        else:
-            v[q] = contrib
+        v[q] = _padded_sum(v[q], contrib) if q in v else contrib
     return v
 
 
@@ -445,20 +436,11 @@ def _deriv_once_kron(blocks: list[np.ndarray], v: dict[int, np.ndarray], d: int)
     J = len(blocks) - 1
     max_q = max(v.keys())
     out_deg = max(J, J - 1 + max_q) if J >= 1 else J
-    out: list[np.ndarray | None] = [None] * (out_deg + 1)
+    out: dict[int, np.ndarray] = {}
 
     def acc(j: int, block: np.ndarray) -> None:
-        if j > out_deg:
-            return
-        if out[j] is None:
-            out[j] = np.array(block)
-        else:
-            a, b = out[j], block
-            L = max(a.shape[0], b.shape[0])
-            grown = np.zeros((L,) + a.shape[1:])
-            grown[: a.shape[0]] += a
-            grown[: b.shape[0]] += b
-            out[j] = grown
+        if j <= out_deg:
+            out[j] = _padded_sum(out[j], block) if j in out else block
 
     # d/dlam term
     for j, cj in enumerate(blocks):
@@ -486,13 +468,38 @@ def _deriv_once_kron(blocks: list[np.ndarray], v: dict[int, np.ndarray], d: int)
                     prod[l1 : l1 + Lv] += terms[l1]
             acc(deg_new, prod)
 
-    filled = [
-        b if b is not None else np.zeros((1, d, d**j)) for j, b in enumerate(out)
-    ]
+    filled = [out[j] if j in out else np.zeros((1, d, d**j)) for j in range(out_deg + 1)]
     # drop trailing all-zero degrees
     while len(filled) > 1 and not np.any(filled[-1]):
         filled.pop()
     return filled
+
+
+def _derivative_tower(
+    s: NoiseSchedule,
+    m: PolyNoiseModel,
+    k: int,
+    lam_center: float,
+) -> list[PolyNoiseModel]:
+    """The total derivatives D^0 eps, ..., D^{k-1} eps as polynomial models.
+
+    sigma_lam and sigma_lam^2 are expanded once around lam_center (not
+    at all for k = 1), the velocity is built once from the model, and
+    each derivative is taken from the one before it.  Element 0 is the
+    model itself.
+    """
+    tower = [m]
+    if k < 2:
+        return tower
+    s1, s2 = _sigma_lambda_polys(s, lam_center)
+    kron = m.mode == "kron"
+    coeffs = list(m.coeffs) if kron else m.coeffs
+    v = _velocity_kron(coeffs, s1, s2, m.d) if kron else _velocity_batch(coeffs, s1, s2)
+    for _ in range(k - 1):
+        coeffs = _deriv_once_kron(coeffs, v, m.d) if kron else _deriv_once_batch(coeffs, v)
+        # the constructor's capacity check stops a runaway degree before the next pass
+        tower.append(PolyNoiseModel(mode=m.mode, d=m.d, coeffs=coeffs))
+    return tower
 
 
 def total_derivative_poly(
@@ -508,25 +515,12 @@ def total_derivative_poly(
     degree-SIGMA_TAYLOR_DEGREE Taylor polynomials around lam_center, so
     the result is exact up to the O((lam - lam_center)^{SIGMA_TAYLOR_DEGREE+1})
     truncation of those two factors.  n = 0 returns the model unchanged.
+    This is element n of :func:`_derivative_tower`, which the sampler
+    and the lift read directly.
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    if n == 0:
-        return m
-    s1, s2 = _sigma_lambda_polys(s, lam_center)
-    if m.mode == "kron":
-        blocks = _kron_blocks(m)
-        v_blocks = _velocity_kron(blocks, s1, s2, m.d)
-        for _ in range(n):
-            blocks = _deriv_once_kron(blocks, v_blocks, m.d)
-        return PolyNoiseModel(mode="kron", d=m.d, coeffs=blocks)
-    arr = m.coeffs
-    v = _velocity_batch(arr, s1, s2)
-    for _ in range(n):
-        arr = _deriv_once_batch(arr, v)
-        if arr.shape[1] - 1 > MAX_X_DEGREE:
-            raise CapacityError(f"x-degree {arr.shape[1] - 1} exceeds {MAX_X_DEGREE}")
-    return PolyNoiseModel(mode="separable", d=m.d, coeffs=_trim_batch(arr))
+    return _derivative_tower(s, m, n + 1, lam_center)[n]
 
 
 def coeff_matrices(m: PolyNoiseModel, lam: float) -> dict[int, np.ndarray]:

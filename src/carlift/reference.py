@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PolyNoiseModel, _eps_tables, _eval_tabulated, eval_eps, total_derivative_poly
+from .model import PolyNoiseModel, _derivative_tower, _eps_tables, _eval_tabulated, eval_eps
 from .schedule import NoiseSchedule, TimeGrid, phi_moment, taylor_integral
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "uni_weights",
     "run_dpm",
     "run_unipc",
+    "run_scheme",
 ]
 
 
@@ -170,6 +171,26 @@ def dpm_weights(s: NoiseSchedule, lam_s: float, lam_t: float, k: int) -> tuple[f
     return ratio, np.array([-alpha_t * taylor_integral(n, lam_s, lam_t) for n in range(k)])
 
 
+def _apply_weights(ratio: float, c: np.ndarray, x0: np.ndarray, eps: list[np.ndarray]) -> np.ndarray:
+    """ratio x0 + sum_m c[m] eps[m], summed in node order."""
+    out = ratio * x0
+    for cm, e in zip(c, eps):
+        out = out + cm * e
+    return out
+
+
+def _taylor_step(s: NoiseSchedule, m: PolyNoiseModel, x: np.ndarray, i: int, grid: TimeGrid,
+                 k: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`dpm_step` from the state array x, also returning the
+    eps(x, lam_s) it evaluated as the n = 0 term."""
+    if not (1 <= i <= grid.M):
+        raise ValueError(f"step index {i} outside 1..{grid.M}")
+    lam_s, lam_t = float(grid.lam[i - 1]), float(grid.lam[i])
+    ratio, c = dpm_weights(s, lam_s, lam_t, k)
+    ders = [eval_eps(dn, x, lam_s) for dn in _derivative_tower(s, m, k, lam_s)]
+    return _apply_weights(ratio, c, x, ders), ders[0]
+
+
 def dpm_step(
     s: NoiseSchedule,
     m: PolyNoiseModel,
@@ -179,15 +200,7 @@ def dpm_step(
     k: int,
 ) -> np.ndarray:
     """Order-k single step from grid node i-1 to node i (see :func:`dpm_weights`)."""
-    if not (1 <= i <= grid.M):
-        raise ValueError(f"step index {i} outside 1..{grid.M}")
-    lam_s, lam_t = float(grid.lam[i - 1]), float(grid.lam[i])
-    ratio, c = dpm_weights(s, lam_s, lam_t, k)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = ratio * x
-    for n, cn in enumerate(c):
-        out = out + cn * eval_eps(total_derivative_poly(s, m, n, lam_center=lam_s), x, lam_s)
-    return out
+    return _taylor_step(s, m, np.atleast_1d(np.asarray(x, dtype=float)), i, grid, k)[0]
 
 
 def uni_coeffs(
@@ -262,22 +275,6 @@ def uni_weights(
     return ratio, np.concatenate([[c0], -w])
 
 
-def _uni_step(
-    s: NoiseSchedule,
-    x0: np.ndarray,
-    eps: list[np.ndarray],
-    lam_nodes: np.ndarray,
-    variant: str,
-    corrector: bool,
-) -> np.ndarray:
-    """Apply the :func:`uni_weights` step from anchor x0, given eps at the nodes."""
-    ratio, c = uni_weights(s, lam_nodes, variant=variant, corrector=corrector)
-    out = ratio * x0
-    for cm, e in zip(c, eps):
-        out = out + cm * e
-    return out
-
-
 def run_dpm(
     s: NoiseSchedule,
     m: PolyNoiseModel,
@@ -327,28 +324,48 @@ def run_unipc(
             eps = []
             for mm in range(1, p + 1):
                 eps.append(eval_eps(m, xi, float(lams[mm - 1])))
-                xi = _uni_step(s, x0, eps, lams[: mm + 1], variant, corrector=False)
+                xi = _apply_weights(*uni_weights(s, lams[: mm + 1], variant), x0, eps)
             nfe += p
             if corrector and p > 1:
                 eps.append(eval_eps(m, xi, float(lams[-1])))
-                xi = _uni_step(s, x0, eps, lams, variant, corrector=True)
+                xi = _apply_weights(*uni_weights(s, lams, variant, corrector=True), x0, eps)
                 nfe += 1
             pts.append(TrajectoryPoint(float(grid.t[i]), lam1, xi))
         return SolverRun(grid=grid, states=pts, nfe=nfe, scheme=scheme + "s", order=p)
 
+    eps: list[np.ndarray] = []  # eps at pts[0], pts[1], ...: each state is evaluated once
     for i in range(1, min(p - 1, grid.M) + 1):
-        x = dpm_step(s, m, pts[-1].x, i, grid, k=p)
+        x, eps_s = _taylor_step(s, m, pts[-1].x, i, grid, k=p)
+        eps.append(eps_s)  # the warm-up step's n = 0 term
         nfe += p
         pts.append(TrajectoryPoint(float(grid.t[i]), float(grid.lam[i]), x))
-    eps: list[np.ndarray] = []  # eps at pts[0], pts[1], ...: each state is evaluated once
     for i in range(p, grid.M + 1):
         eps += [eval_eps(m, pt.x, pt.lam) for pt in pts[len(eps) : i]]
         x0, hist, lams = pts[i - p].x, eps[i - p : i], grid.lam[i - p : i + 1]
-        xi = _uni_step(s, x0, hist, lams, variant, corrector=False)
+        xi = _apply_weights(*uni_weights(s, lams, variant), x0, hist)
         nfe += 1  # eps at the newest state; the older history is cached in eps
         if corrector:
             x_pred_eps = eval_eps(m, xi, float(lams[-1]))
-            xi = _uni_step(s, x0, hist + [x_pred_eps], lams, variant, corrector=True)
+            xi = _apply_weights(*uni_weights(s, lams, variant, corrector=True), x0, hist + [x_pred_eps])
             nfe += 1
         pts.append(TrajectoryPoint(float(grid.t[i]), float(grid.lam[i]), xi))
     return SolverRun(grid=grid, states=pts, nfe=nfe, scheme=scheme, order=p)
+
+
+def run_scheme(
+    s: NoiseSchedule,
+    m: PolyNoiseModel,
+    x_T,
+    grid: TimeGrid,
+    scheme: str,
+    order: int,
+    variant: str = "bh2",
+) -> SolverRun:
+    """Run the sampler named by ``scheme`` at ``order``: "dpm" is
+    :func:`run_dpm`, "unip" and "unic" are :func:`run_unipc` without and
+    with the corrector."""
+    if scheme == "dpm":
+        return run_dpm(s, m, x_T, grid, k=order)
+    if scheme in ("unip", "unic"):
+        return run_unipc(s, m, x_T, grid, p=order, variant=variant, corrector=scheme == "unic")
+    raise ValueError(f"unknown scheme {scheme!r}")

@@ -89,7 +89,12 @@ def _derivative_rows(qcms: list[Qcm], eye: sp.csr_matrix) -> list:
     """Block rows Y_i - (I + A_i) Y_{i-1} of derivative-scheme steps i = 1, 2, ..."""
     if any(q.A.shape != eye.shape for q in qcms):
         raise ValueError("step matrix dimension does not match the initial state")
-    return [[(i - 1, -(eye + q.A)), (i, eye)] for i, q in enumerate(qcms, start=1)]
+    rows = []
+    for i, q in enumerate(qcms, start=1):
+        blk = eye + q.A
+        np.negative(blk.data, out=blk.data)  # -(I + A_i) without a second copy
+        rows.append([(i - 1, blk), (i, eye)])
+    return rows
 
 
 def assemble_global_dpm(qcms: list[Qcm], y0: np.ndarray) -> BlockLinearSystem:

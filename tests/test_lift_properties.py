@@ -1,7 +1,9 @@
 """Property tests of the vectorised lift -> assemble -> solve path against
 the straightforward formulations kept here as oracles: the explicit
-sparse-Kronecker total derivative, sp.bmat global assembly, and the
-sequential lifted walk."""
+sparse-Kronecker total derivative, the per-n rebuild of the total
+derivative, sp.bmat global assembly, and the sequential lifted walk."""
+
+import math
 
 from types import SimpleNamespace
 
@@ -10,10 +12,25 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
+from scipy.special import expit
 
 from carlift.carleman import CarlemanBasis, UnipcQcmSet, run_lifted
 from carlift.errors import StructureError
-from carlift.model import _deriv_once_kron, _velocity_kron, kron_model
+from carlift import model
+from carlift.model import (
+    SIGMA_TAYLOR_DEGREE,
+    _batch_mul,
+    _deriv_once_kron,
+    _derivative_tower,
+    _lamconv,
+    _trim_batch,
+    _velocity_batch,
+    _velocity_kron,
+    kron_model,
+    separable_model,
+)
+from carlift.reference import run_dpm
 from carlift.schedule import make_lambda_grid, make_vp_schedule
 from carlift.solve import forward_substitute
 from carlift.system import assemble_global_dpm, assemble_global_unipc, condition_number
@@ -58,6 +75,120 @@ def deriv_once_kron_oracle(blocks, v, d):
     while len(out) > 1 and not np.any(out[-1]):
         out.pop()
     return out
+
+
+def sigma_lambda_polys_per_call(lam_center):
+    """Taylor polynomials of sigma_lam and sigma_lam^2 around lam_center,
+    running the R_n / S_n recurrence afresh on every call."""
+    q0 = float(expit(-2.0 * lam_center))
+    sig0 = math.sqrt(q0)
+    shrink = np.array([0.0, -2.0, 2.0])
+    degree = SIGMA_TAYLOR_DEGREE
+    R = np.array([0.0, 1.0])
+    S_ = np.array([1.0])
+    one_minus = np.array([1.0, -1.0])
+    tay_q = np.empty(degree + 1)
+    tay_s = np.empty(degree + 1)
+    for n in range(degree + 1):
+        tay_q[n] = npoly.polyval(q0, R) / math.factorial(n)
+        tay_s[n] = sig0 * npoly.polyval(q0, S_) / math.factorial(n)
+        R = npoly.polymul(npoly.polyder(R), shrink)
+        S_ = npoly.polyadd(npoly.polymul(-one_minus, S_), npoly.polymul(shrink, npoly.polyder(S_)))
+
+    def shift(taylor):
+        out = np.zeros(degree + 1)
+        pw = np.array([1.0])
+        base = np.array([-lam_center, 1.0])
+        for a in taylor:
+            out[: len(pw)] += a * pw
+            pw = npoly.polymul(pw, base)
+        return out
+
+    return shift(tay_s), shift(tay_q)
+
+
+def deriv_once_batch_by_hand(arr, v):
+    B, J1, L1 = arr.shape
+    dlam = arr[:, :, 1:] * np.arange(1, L1)[None, None, :] if L1 > 1 else np.zeros((B, J1, 1))
+    if J1 == 1:
+        return _trim_batch(dlam)
+    prod = _batch_mul(arr[:, 1:, :] * np.arange(1, J1)[None, :, None], v)
+    out = np.zeros((B, max(dlam.shape[1], prod.shape[1]), max(dlam.shape[2], prod.shape[2])))
+    out[:, : dlam.shape[1], : dlam.shape[2]] += dlam
+    out[:, : prod.shape[1], : prod.shape[2]] += prod
+    return _trim_batch(out)
+
+
+def grow_add(a, b):
+    """Pad two kron blocks along the lam axis to the longer one and add."""
+    grown = np.zeros((max(a.shape[0], b.shape[0]),) + a.shape[1:])
+    grown[: a.shape[0]] += a
+    grown[: b.shape[0]] += b
+    return grown
+
+
+def velocity_kron_by_hand(blocks0, s1, s2, d):
+    v = {1: np.zeros((len(s2), d, d))}
+    v[1][:, :, :] = s2[:, None, None] * np.eye(d)[None, :, :]
+    for q, cq in enumerate(blocks0):
+        if np.any(cq):
+            contrib = -_lamconv(cq, s1)
+            v[q] = grow_add(v[q], contrib) if q in v else contrib
+    return v
+
+
+def deriv_once_kron_by_hand(blocks, v, d):
+    """The einsum slot insertion with its accumulator written out."""
+    J = len(blocks) - 1
+    out_deg = max(J, J - 1 + max(v)) if J >= 1 else J
+    out = [None] * (out_deg + 1)
+
+    def acc(j, block):
+        if j <= out_deg:
+            out[j] = np.array(block) if out[j] is None else grow_add(out[j], block)
+
+    for j, cj in enumerate(blocks):
+        if cj.shape[0] > 1:
+            acc(j, cj[1:] * np.arange(1, cj.shape[0])[:, None, None])
+    for j in range(1, J + 1):
+        cj = blocks[j]
+        if not np.any(cj):
+            continue
+        for q, vq in v.items():
+            if not np.any(vq):
+                continue
+            deg_new = j - 1 + q
+            Lc, Lv = cj.shape[0], vq.shape[0]
+            prod = np.zeros((Lc + Lv - 1, d, d**deg_new))
+            for a in range(j):
+                slots = cj.reshape(Lc, d, d**a, d, d ** (j - 1 - a))
+                terms = np.einsum("xiasb,yst->xyiatb", slots, vq).reshape(Lc, Lv, d, d**deg_new)
+                for l1 in range(Lc):
+                    prod[l1 : l1 + Lv] += terms[l1]
+            acc(deg_new, prod)
+    filled = [b if b is not None else np.zeros((1, d, d**j)) for j, b in enumerate(out)]
+    while len(filled) > 1 and not np.any(filled[-1]):
+        filled.pop()
+    return filled
+
+
+def total_derivative_per_n(m, n, lam_center):
+    """D^n eps built from scratch: expand sigma, build the velocity, and
+    differentiate n times, as each call did before the tower existed."""
+    if n == 0:
+        return m.coeffs
+    s1, s2 = sigma_lambda_polys_per_call(lam_center)
+    if m.mode == "kron":
+        blocks = [np.array(cj) for cj in m.coeffs]
+        v = velocity_kron_by_hand(blocks, s1, s2, m.d)
+        for _ in range(n):
+            blocks = deriv_once_kron_by_hand(blocks, v, m.d)
+        return blocks
+    arr = m.coeffs
+    v = _velocity_batch(arr, s1, s2)
+    for _ in range(n):
+        arr = deriv_once_batch_by_hand(arr, v)
+    return _trim_batch(arr)
 
 
 def bmat_system(block_rows, n_blocks):
@@ -116,7 +247,56 @@ def assert_same_csr(a, b):
     assert np.array_equal(a.data, b.data)
 
 
+def random_poly_model(rng, kron, d, J):
+    """A lam-dependent separable or kron model; each kron block draws its
+    own lam degree."""
+    if kron:
+        return kron_model(d, {j: rng.standard_normal((int(rng.integers(1, 4)), d, d**j)) / d**j
+                              for j in range(J + 1)})
+    return separable_model(rng.standard_normal((d, J + 1, int(rng.integers(1, 4)))))
+
+
 # --- properties ---------------------------------------------------------------
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kron=st.booleans(),
+    d=st.integers(1, 3),
+    J=st.integers(0, 2),
+    lam_center=st.floats(-4.0, 5.0),
+)
+def test_derivative_tower_matches_per_n_rebuild(seed, kron, d, J, lam_center):
+    m = random_poly_model(np.random.default_rng(seed), kron, d, J)
+    tower = _derivative_tower(S, m, 4, lam_center)
+    assert len(tower) == 4 and tower[0] is m
+    for n, dn in enumerate(tower):
+        want = total_derivative_per_n(m, n, lam_center)
+        got = dn.coeffs
+        if kron:
+            assert len(got) == len(want)
+            assert all(g.shape == w.shape and np.array_equal(g, w) for g, w in zip(got, want))
+        else:
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_run_dpm_expands_sigma_once_per_step(monkeypatch):
+    calls = []
+    expand = model._sigma_lambda_polys
+
+    def counted(s, lam_center):
+        calls.append(lam_center)
+        return expand(s, lam_center)
+
+    monkeypatch.setattr(model, "_sigma_lambda_polys", counted)
+    m = separable_model([[[0.2, 0.1], [-0.6, 0.0], [0.25, 0.05]]])
+    grid = make_lambda_grid(S, 0.5, 0.1, 12)
+    run_dpm(S, m, [1.5], grid, k=3)
+    assert calls == [float(lam) for lam in grid.lam[:-1]]
+    calls.clear()
+    run_dpm(S, m, [1.5], grid, k=1)
+    assert calls == []
 
 
 @PROPERTY

@@ -227,12 +227,13 @@ def test_multistep_unipc_evaluates_each_state_once(monkeypatch):
     for (p, corrector), before in expected.items():
         calls.clear()
         run = run_unipc(S, bench.model(), [bench.x_T], grid, p=p, corrector=corrector)
-        # warm-up: p-1 Taylor steps of p evaluations each; then eps once at
-        # every state that enters as history, plus at each predictor
+        # warm-up: p-1 Taylor steps of p evaluations each, whose n = 0
+        # terms are the history at the first p-1 states; then eps once at
+        # every later state that enters as history, plus at each predictor
         # output when the corrector reads it
         warm = (p - 1) * p
-        assert len(calls) == warm + 16 + (16 - p + 1) * corrector
-        assert len(set(calls[warm:])) == len(calls) - warm
+        assert len(calls) == warm + 16 - (p - 1) + (16 - p + 1) * corrector
+        assert len(set(calls)) == len(calls)
         assert run.nfe == before.nfe
         assert np.array_equal(run.state_matrix(), before.state_matrix())
     calls.clear()
