@@ -132,7 +132,7 @@ _SCHEMA = {
                 "which": {"enum": ["predictor", "corrector"]},
                 "solver": {"enum": ["forward", "gmres"]},
                 "gmres_tol": {"type": "number", "exclusiveMinimum": 0},
-                "condition": {"enum": ["auto", "dense_svd", "power", "none"]},
+                "condition": {"enum": ["auto", "dense_svd", "lanczos", "none"]},
                 "condition_rtol": {"type": "number", "exclusiveMinimum": 0},
                 "equivalence_check": {"type": "boolean"},
                 "export_matrix": {"type": "boolean"},

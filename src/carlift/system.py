@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve_triangular
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
+from . import carleman
 from .carleman import Qcm, UnipcQcmSet
-from .errors import StructureError
+from .errors import CapacityError, StructureError
 from .solve import _lower_diagonal
 
 __all__ = [
@@ -59,6 +60,8 @@ def _stack_block_rows(block_rows: list[list[tuple[int, sp.csr_matrix]]], D: int)
     each row lists its blocks' entries in column-block order, which is
     the entry order sp.bmat produces.  Blocks are brought to canonical
     form in place, a no-op on what sparse arithmetic usually returns.
+    Raises CapacityError before allocating entries whose arrays would
+    exceed carleman.MAX_STEP_BYTES.
     """
     n = len(block_rows) * D
     for row in block_rows:
@@ -69,6 +72,9 @@ def _stack_block_rows(block_rows: list[list[tuple[int, sp.csr_matrix]]], D: int)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.concatenate([ln.sum(axis=1) for ln in lens]), out=indptr[1:])
     nnz = int(indptr[-1])
+    nbytes = 12 * nnz + 8 * (n + 1)  # float64 data, int32 indices, int64 indptr
+    if nbytes > carleman.MAX_STEP_BYTES:
+        raise CapacityError(f"global system needs {nbytes} bytes, above {carleman.MAX_STEP_BYTES}")
     idx_dtype = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
     indices = np.empty(nnz, dtype=idx_dtype)
     data = np.empty(nnz)
@@ -203,49 +209,39 @@ class ConditionReport:
     nnz: int
 
 
-def _power_sigma(mat: sp.csr_matrix, rtol: float, max_iter: int, rng, inverse: bool):
-    """Largest (or, with ``inverse``, smallest) singular value of mat.
+def _lanczos_top(apply, n: int, rtol: float, max_iter: int, rng):
+    """Top eigenvalue of a symmetric positive definite operator B by
+    ARPACK's Lanczos, within about max_iter applications, then certified.
 
-    Power iteration on M^T M, or on its inverse applied through
-    triangular solves.  The residual ||B v - theta v|| <= rtol * theta
-    certifies |theta - lambda| <= rtol * theta for the symmetric
-    operator B, so singular values inherit half that relative error.
+    theta = u^T B u / u^T u uses an explicit ||u||^2, so eigenvectors of
+    B (the identity's, for one) come out bit-exact; ||B u - theta u|| /
+    ||u|| <= rtol * theta bounds |theta - lambda|.  ARPACK stops at half
+    that residual, which leaves room for rounding.  Out of budget, u is
+    the applied vector of largest Rayleigh quotient (a lower bound).
+    Returns (theta, applications, residual, converged).
     """
-    n = mat.shape[0]
-    matT = mat.T.tocsr()
-    if inverse:
-        unit = bool(np.all(mat.diagonal() == 1.0))
+    seen = {"calls": 0, "theta": -np.inf, "v": None}
 
-        def apply(v):
-            # (M^T M)^{-1} v = M^{-1} M^{-T} v
-            w = spsolve_triangular(matT, v, lower=False, unit_diagonal=unit)  # M^T w = v
-            return spsolve_triangular(mat, w, lower=True, unit_diagonal=unit)
-    else:
-
-        def apply(v):
-            return matT @ (mat @ v)
-
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    theta = 0.0
-    res = np.inf
-    for it in range(1, max_iter + 1):
+    def matvec(v):
         w = apply(v)
-        # Rayleigh quotient with an explicit ||v||^2: the iterate is only
-        # unit-norm up to rounding, and eigenvectors of B (the identity
-        # being the extreme case) should come out bit-exact
-        vv = float(v @ v)
-        theta = float(v @ w) / vv
-        res = float(np.linalg.norm(w - theta * v) / np.sqrt(vv))
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            raise StructureError("matrix appears to be singular (zero power iterate)")
-        v = w / nw
-        if res <= rtol * abs(theta) and it >= 3:
-            sing = 1.0 / np.sqrt(theta) if inverse else np.sqrt(theta)
-            return sing, it, res, True
-    sing = 1.0 / np.sqrt(theta) if inverse else np.sqrt(theta)
-    return sing, max_iter, res, False
+        seen["calls"] += 1
+        theta = float(v @ w) / float(v @ v)
+        if theta > seen["theta"]:
+            seen["theta"], seen["v"] = theta, v.copy()  # v is ARPACK's work buffer
+        return w
+
+    ncv = min(n, 20)
+    try:
+        u = eigsh(LinearOperator((n, n), matvec=matvec, dtype=float), k=1, which="LA",
+                  v0=rng.standard_normal(n), ncv=ncv, tol=rtol / 2,
+                  maxiter=max(1, max_iter // ncv))[1][:, 0]
+    except ArpackNoConvergence:
+        u = seen["v"]
+    w = matvec(u)
+    uu = float(u @ u)
+    theta = float(u @ w) / uu
+    res = float(np.linalg.norm(w - theta * u) / np.sqrt(uu))
+    return theta, seen["calls"], res, res <= rtol * theta
 
 
 def condition_number(
@@ -257,44 +253,46 @@ def condition_number(
     """2-norm condition number of the system matrix.
 
     "dense_svd" computes all singular values and is restricted to
-    dimensions <= 2000; "power" estimates the extreme singular values
-    with power iteration (largest on M^T M, smallest through the
-    triangular inverse) and works at any size but requires the lower
-    triangular structure the global assemblies produce.  "auto" picks
-    dense below the size cutoff.  The power method starts from vectors
-    of a generator seeded with 0, so its estimate is deterministic.
-    Non-convergence of the power method is reported through
-    ``converged`` rather than raised.
+    dimensions <= 2000.  "lanczos" works at any size but needs the lower
+    triangular structure with nonzero diagonal that the global
+    assemblies produce: sigma_max^2 is the top eigenvalue of M^T M and
+    1/sigma_min^2 that of M^{-1} M^{-T}, applied through one sparse LU
+    factor of M (no fill, as M is triangular).  Each run starts from a
+    generator seeded with 0, so kappa and ``iterations`` (operator
+    applications) are deterministic; ``max_iter`` caps the applications
+    per run, and running out is reported through ``converged`` rather
+    than raised.  "auto" is "lanczos" except for a 1 x 1 matrix, which
+    ARPACK cannot take.
     """
     mat = _zero_free(system)
     stats = sparsity_stats(mat)
     n = mat.shape[0]
     if method == "auto":
-        method = "dense_svd" if n <= DENSE_SVD_MAX_DIM else "power"
+        method = "lanczos" if n >= 2 else "dense_svd"
     if method == "dense_svd":
         if n > DENSE_SVD_MAX_DIM:
             raise ValueError(f"dense SVD limited to dim <= {DENSE_SVD_MAX_DIM}, got {n}")
         svals = np.linalg.svd(mat.toarray(), compute_uv=False)
         if svals[-1] == 0.0:
             raise StructureError("matrix is numerically singular")
-        return ConditionReport(
-            kappa=float(svals[0] / svals[-1]), method="dense_svd", dim=n,
-            iterations=0, rtol=0.0, residual=0.0, converged=True,
-            sigma_max=float(svals[0]), sigma_min=float(svals[-1]),
-            s_row=stats.s_row, s_col=stats.s_col, nnz=stats.nnz,
-        )
-    if method != "power":
+        smax, smin, its, res, ok, rtol = svals[0], svals[-1], 0, 0.0, True, 0.0
+    elif method == "lanczos":
+        if np.any(_lower_diagonal(mat) == 0.0):
+            raise StructureError("lanczos path needs a nonzero diagonal")
+        if n < 2:
+            raise ValueError("lanczos needs dim >= 2")
+        lu = splu(mat.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        rng = np.random.default_rng(0)
+        top, it1, res1, ok1 = _lanczos_top(lambda v: mat.T @ (mat @ v), n, rtol, max_iter, rng)
+        inv, it2, res2, ok2 = _lanczos_top(lambda v: lu.solve(lu.solve(v, trans="T")), n, rtol,
+                                           max_iter, rng)
+        smax, smin, its = np.sqrt(top), 1.0 / np.sqrt(inv), it1 + it2
+        res, ok = max(res1, res2), ok1 and ok2
+    else:
         raise ValueError(f"unknown method {method!r}")
-    if np.any(_lower_diagonal(mat) == 0.0):
-        raise StructureError("power-iteration path needs a nonzero diagonal")
-    rng = np.random.default_rng(0)
-    smax, it1, res1, ok1 = _power_sigma(mat, rtol, max_iter, rng, inverse=False)
-    smin, it2, res2, ok2 = _power_sigma(mat, rtol, max_iter, rng, inverse=True)
     return ConditionReport(
-        kappa=float(smax / smin), method="power", dim=n,
-        iterations=it1 + it2, rtol=rtol, residual=float(max(res1, res2)),
-        converged=bool(ok1 and ok2),
-        sigma_max=float(smax), sigma_min=float(smin),
+        kappa=float(smax / smin), method=method, dim=n, iterations=its, rtol=rtol,
+        residual=float(res), converged=bool(ok), sigma_max=float(smax), sigma_min=float(smin),
         s_row=stats.s_row, s_col=stats.s_col, nnz=stats.nnz,
     )
 

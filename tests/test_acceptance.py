@@ -179,18 +179,18 @@ def test_criterion_06_conditioning_cross_check():
     for system in condition_sweep_systems():
         assert system.dim <= 2000
         dense = condition_number(system, method="dense_svd")
-        power = condition_number(system, method="power", rtol=1e-6)
-        assert power.converged
-        rel = abs(power.kappa - dense.kappa) / dense.kappa
-        assert rel <= 0.01, (system.dim, dense.kappa, power.kappa)
+        lanczos = condition_number(system, method="lanczos", rtol=1e-6)
+        assert lanczos.converged
+        rel = abs(lanczos.kappa - dense.kappa) / dense.kappa
+        assert rel <= 0.01, (system.dim, dense.kappa, lanczos.kappa)
         checked.append((system.dim, rel))
-    for method in ("dense_svd", "power"):
+    for method in ("dense_svd", "lanczos"):
         assert condition_number(sp.identity(64, format="csr"), method=method).kappa == 1.0
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     worst = max(rel for _, rel in checked)
     print(
-        f"PASS criterion 6: power vs dense within {worst:.2e} over "
+        f"PASS criterion 6: lanczos vs dense within {worst:.2e} over "
         f"{len(checked)} systems, identity exactly 1 ({elapsed:.2f}s)"
     )
 

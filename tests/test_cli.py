@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from carlift import cli
+from carlift import carleman, cli
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -86,6 +86,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
         {"model": {"preset": "linear", "mode": "scalar"}},
         {"model": {"preset": "quartic"}},
         {"window": {"M": "eight"}},
+        {"window": {"benchmark": "weak_quadratic", "M": 8}, "carleman": {"condition": "power"}},
     ]
     for cfg in bad_cases:
         code, _ = run(tmp_path, "simulate", {**cfg}, out=f"e{bad_cases.index(cfg)}")
@@ -124,6 +125,27 @@ def test_oversized_lift_exits_3(tmp_path):
     }
     code, _ = run(tmp_path, "carleman", cfg)
     assert code == 3
+
+
+def test_oversized_global_system_exits_3(tmp_path, monkeypatch, capsys):
+    # the lowered cap admits the step lift (8 * d^N * dim_total = 24 bytes)
+    # but not the global system at 12 bytes per entry
+    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", 256)
+    cfg = {"window": {"benchmark": "weak_quadratic", "M": 8}, "carleman": {"N": 3}}
+    code, _ = run(tmp_path, "carleman", cfg)
+    assert code == 3
+    assert "global system needs" in capsys.readouterr().err
+
+
+def test_condition_estimate_short_of_rtol_exits_4(tmp_path):
+    cfg = {
+        "window": {"benchmark": "weak_quadratic", "M": 8},
+        "carleman": {"N": 3, "condition": "lanczos", "condition_rtol": 1e-300},
+    }
+    code, out = run(tmp_path, "carleman", cfg)
+    assert code == 4
+    cols, rows = data_rows(out / "condition.csv")
+    assert dict(zip(cols, rows[0]))["converged"] == "false"
 
 
 def test_gmres_stall_exits_4(tmp_path):

@@ -240,6 +240,16 @@ def lifted(seed, d, N, M, scheme, order, corrector):
     return run_lifted(S, m, x_T, grid, basis, scheme=scheme, order=order, corrector=corrector)
 
 
+def assembled(seed, d, N, M, scheme, order, which="corrector"):
+    """Lifted states and global system of a random kron trajectory."""
+    states, qcms = lifted(seed, d, N, M, scheme, order, scheme == "unipc" and which == "corrector")
+    if scheme == "dpm":
+        return states, assemble_global_dpm(qcms, states[0].y)
+    warm = [q for q in qcms if not isinstance(q, UnipcQcmSet)]
+    steps = [q for q in qcms if isinstance(q, UnipcQcmSet)]
+    return states, assemble_global_unipc(warm, steps, states[0].y, which=which)
+
+
 def assert_same_csr(a, b):
     assert a.shape == b.shape
     assert np.array_equal(a.indptr, b.indptr)
@@ -360,19 +370,30 @@ def test_direct_unipc_assembly_matches_bmat(seed, d, N, M, p, which):
 )
 def test_forward_substitute_matches_sequential_walk(seed, d, N, M, scheme):
     if scheme.startswith("dpm"):
-        states, qcms = lifted(seed, d, N, M, "dpm", int(scheme[-1]), False)
-        system = assemble_global_dpm(qcms, states[0].y)
+        states, system = assembled(seed, d, N, M, "dpm", int(scheme[-1]))
     else:
-        which = scheme.split("_")[1]
-        states, qcms = lifted(seed, d, N, M, "unipc", 2, which == "corrector")
-        warm = [q for q in qcms if not isinstance(q, UnipcQcmSet)]
-        steps = [q for q in qcms if isinstance(q, UnipcQcmSet)]
-        system = assemble_global_unipc(warm, steps, states[0].y, which=which)
+        states, system = assembled(seed, d, N, M, "unipc", 2, scheme.split("_")[1])
     seq = np.concatenate([s.y for s in states])
     result = forward_substitute(system)
     scale = max(1.0, float(np.abs(seq).max()))
     assert np.max(np.abs(result.solution - seq)) <= 1e-12 * scale
     assert result.residual <= 1e-12
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    N=st.integers(1, 3),
+    M=st.integers(3, 8),
+    scheme=st.sampled_from([("dpm", 1), ("dpm", 2), ("unipc", 2), ("unipc", 3)]),
+)
+def test_lanczos_condition_matches_dense_svd(seed, d, N, M, scheme):
+    _, system = assembled(seed, d, N, M, *scheme)
+    dense = condition_number(system, method="dense_svd")
+    lanczos = condition_number(system, method="lanczos", rtol=1e-8)
+    assert lanczos.converged
+    assert abs(lanczos.kappa - dense.kappa) <= 1e-6 * dense.kappa
 
 
 def lower_without_diagonal(n, row, empty_row, seed):
@@ -398,7 +419,7 @@ def test_missing_diagonal_raises_structure_error(data, n, empty_row, seed):
     with pytest.raises(StructureError):
         forward_substitute(SimpleNamespace(mat=mat, rhs=np.ones(n)))
     with pytest.raises(StructureError):
-        condition_number(mat, method="power")
+        condition_number(mat, method="lanczos")
 
 
 def test_stored_zero_diagonal_raises_structure_error():
@@ -408,4 +429,4 @@ def test_stored_zero_diagonal_raises_structure_error():
     with pytest.raises(StructureError):
         forward_substitute(SimpleNamespace(mat=mat, rhs=np.ones(2)))
     with pytest.raises(StructureError):
-        condition_number(mat, method="power")
+        condition_number(mat, method="lanczos")

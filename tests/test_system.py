@@ -1,14 +1,18 @@
 """Global block-system assembly, sparsity, and conditioning estimates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from carlift import carleman
 from carlift.carleman import CarlemanBasis, assemble_dpm_qcm, lift, run_lifted
-from carlift.errors import StructureError
+from carlift.errors import CapacityError, StructureError
 from carlift.model import scalar_model
 from carlift.schedule import make_lambda_grid, make_vp_schedule
 from carlift.system import (
+    _stack_block_rows,
     assemble_global_dpm,
     assemble_global_unipc,
     condition_number,
@@ -87,7 +91,7 @@ def test_stored_zeros_leave_the_callers_matrix_untouched():
     clean = sp.csr_matrix(np.array([[2.0, 0.0], [0.5, 1.0]]))
     assert stored.nnz == 4 and clean.nnz == 3
     assert sparsity_stats(stored) == sparsity_stats(clean)
-    for method in ("dense_svd", "power"):
+    for method in ("dense_svd", "lanczos"):
         assert condition_number(stored, method=method) == condition_number(clean, method=method)
     assert stored.nnz == 4
     np.testing.assert_array_equal(stored.data, [2.0, 0.0, 0.5, 1.0])
@@ -108,30 +112,51 @@ def test_export_import_round_trip(tmp_path):
 
 def test_condition_number_identity_is_exactly_one():
     eye = sp.identity(40, format="csr")
-    for method in ("dense_svd", "power"):
+    for method in ("dense_svd", "lanczos"):
         report = condition_number(eye, method=method)
         assert report.kappa == 1.0
         assert report.converged
 
 
-def test_condition_number_power_matches_dense():
-    # the power path must track dense SVD on real assembled systems
+def test_condition_number_lanczos_matches_dense():
+    # the Lanczos path must track dense SVD on real assembled systems
     for N, M in ((2, 4), (3, 6), (4, 5)):
         _, _, _, qcms = lifted_setup(N=N, M=M)
         basis = CarlemanBasis(N=N, d=1)
         system = assemble_global_dpm(qcms, lift([0.8], basis).y)
         dense = condition_number(system, method="dense_svd")
-        power = condition_number(system, method="power", rtol=1e-6)
-        assert power.converged
-        assert power.kappa == pytest.approx(dense.kappa, rel=1e-2)
-        assert power.iterations > 0
+        lanczos = condition_number(system, method="lanczos", rtol=1e-6)
+        assert lanczos.converged
+        assert lanczos.kappa == pytest.approx(dense.kappa, rel=1e-2)
+        assert lanczos.iterations > 0
         assert dense.dim == system.dim
+
+
+def test_condition_number_lanczos_rerun_is_identical():
+    _, _, _, qcms = lifted_setup(N=4, M=6)
+    system = assemble_global_dpm(qcms, lift([0.8], CarlemanBasis(N=4, d=1)).y)
+    first = condition_number(system, method="lanczos", rtol=1e-6)
+    assert first.iterations > 0
+    assert condition_number(system, method="lanczos", rtol=1e-6) == first
+
+
+def test_condition_number_lanczos_out_of_budget_reports_not_converged():
+    # a spread-out spectrum that one restart cycle cannot resolve to 1e-8
+    mat = sp.diags(np.linspace(1.0, 100.0, 500)).tocsr()
+    full = condition_number(mat, method="lanczos", rtol=1e-8)
+    short = condition_number(mat, method="lanczos", rtol=1e-8, max_iter=25)
+    assert full.converged and full.kappa == pytest.approx(100.0, rel=1e-8)
+    assert not short.converged
+    assert short.iterations < full.iterations
+    # the fallback Rayleigh quotients bound sigma_max from below and
+    # sigma_min from above, so kappa can only come out low
+    assert 1.0 <= short.kappa <= 100.0 * (1 + 1e-12)
 
 
 def test_condition_number_known_diagonal():
     mat = sp.diags([4.0, 2.0, 0.5]).tocsr()
     assert condition_number(mat, method="dense_svd").kappa == pytest.approx(8.0)
-    assert condition_number(mat, method="power", rtol=1e-8).kappa == pytest.approx(
+    assert condition_number(mat, method="lanczos", rtol=1e-8).kappa == pytest.approx(
         8.0, rel=1e-4
     )
 
@@ -139,20 +164,39 @@ def test_condition_number_known_diagonal():
 def test_condition_number_error_paths():
     upper = sp.csr_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(StructureError):
-        condition_number(upper, method="power")
+        condition_number(upper, method="lanczos")
     with pytest.raises(StructureError):
         condition_number(sp.csr_matrix((3, 3)), method="dense_svd")
     with pytest.raises(ValueError):
         condition_number(sp.identity(2001, format="csr"), method="dense_svd")
     with pytest.raises(ValueError):
-        condition_number(sp.identity(4, format="csr"), method="lanczos")
+        condition_number(sp.identity(4, format="csr"), method="power")
+    with pytest.raises(ValueError):
+        condition_number(sp.identity(1, format="csr"), method="lanczos")
 
 
 def test_condition_auto_switches_on_size():
-    small = condition_number(sp.identity(10, format="csr"))
-    assert small.method == "dense_svd"
-    big = condition_number(sp.identity(2500, format="csr"))
-    assert big.method == "power"
+    # ARPACK needs k = 1 < n, so only a 1 x 1 matrix falls back to dense
+    for n in (10, 2500):
+        report = condition_number(sp.identity(n, format="csr"))
+        assert report.method == "lanczos" and report.kappa == 1.0
+    assert condition_number(sp.identity(1, format="csr")).method == "dense_svd"
+
+
+def test_global_assembly_refuses_oversized_system_before_allocating(monkeypatch):
+    # 400 block rows sharing one dense 100 x 100 block: 7.99M entries,
+    # about 96 MB of data and indices, against a cap lowered to 1 MiB
+    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", 2**20)
+    blk = sp.csr_matrix(np.ones((100, 100)))
+    rows = [[(0, blk)]] + [[(i - 1, blk), (i, blk)] for i in range(1, 400)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            _stack_block_rows(rows, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 7_990_000 // 20
 
 
 def test_assembly_dimension_mismatch():
