@@ -1,9 +1,11 @@
 """Solvers for the global systems and the Hamiltonian-route emulator.
 
-The global trajectory systems are unit lower triangular, so a forward
-sweep solves them directly; GMRES is provided as the iterative
-reference point for conditioning experiments.  ``lchs_solve`` emulates
-the linear-combination-of-Hamiltonian-simulation route classically:
+The global trajectory systems are block unit lower triangular and kept
+as their per-step blocks (:class:`carlift.system.TrajectoryOperator`),
+so a forward walk over those blocks solves them directly; GMRES, handed
+the same operator, is the iterative reference point for conditioning
+experiments.  ``lchs_solve`` emulates the
+linear-combination-of-Hamiltonian-simulation route classically:
 the non-unitary flow of du/dt = -A(t) u + b(t) is reproduced as a
 Cauchy-kernel-weighted quadrature over unitary evolutions generated by
 k L(t) + H(t), with a spectral shift keeping L positive semidefinite.
@@ -16,10 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.linalg import gmres as scipy_gmres
-from scipy.sparse.linalg import spsolve_triangular
 
 from .errors import ConvergenceError, StructureError
 
@@ -47,40 +47,19 @@ class SolveResult:
     method: str
 
 
-def _lower_diagonal(mat: sp.csr_matrix) -> np.ndarray:
-    """Diagonal of a square CSR matrix checked to be lower triangular.
-
-    Raises StructureError if a row stores an entry above the diagonal or
-    stores nothing at all (so it cannot hold a diagonal entry).
-    """
-    counts = np.diff(mat.indptr)
-    if np.any(counts == 0):
-        raise StructureError(f"missing diagonal entry in row {int(np.argmin(counts))}")
-    if np.any(np.maximum.reduceat(mat.indices, mat.indptr[:-1]) > np.arange(mat.shape[0])):
-        raise StructureError("matrix has entries above the diagonal")
-    return mat.diagonal()
-
-
 def forward_substitute(system) -> SolveResult:
-    """Direct forward substitution on a unit lower triangular system.
+    """Direct forward substitution on a trajectory system.
 
-    The structure is checked first: any entry above the diagonal or a
-    diagonal entry away from 1 raises StructureError.  The sweep is
-    SciPy's compiled triangular solve.  The reported residual is
-    ||M x - b|| / max(||b||, 1) recomputed from the sparse matrix after
-    the sweep.
+    ``system.mat`` is a :class:`carlift.system.TrajectoryOperator`: its
+    diagonal blocks are the identity and its couplings lie strictly
+    below them by construction, so the sweep is a walk over the per-step
+    blocks.  On a derivative-scheme system it evaluates y + A y + b like
+    the lifted walk and reproduces that walk exactly.  The reported
+    residual ||M x - b|| / max(||b||, 1) is recomputed by a block walk
+    after the sweep.
     """
-    mat, rhs = sp.csr_matrix(system.mat), system.rhs
-    n = mat.shape[0]
-    if mat.shape[0] != mat.shape[1] or len(rhs) != n:
-        raise ValueError("system must be square with a matching right-hand side")
-    diag = _lower_diagonal(mat)
-    bad = np.abs(diag - 1.0) > 1e-12
-    if np.any(bad):
-        raise StructureError(
-            f"diagonal must be 1 (first offender at row {int(np.argmax(bad))})"
-        )
-    x = spsolve_triangular(mat, rhs, lower=True, unit_diagonal=bool(np.all(diag == 1.0)))
+    mat, rhs = system.mat, system.rhs
+    x = mat.solve(rhs)
     res = float(np.linalg.norm(mat @ x - rhs) / max(np.linalg.norm(rhs), 1.0))
     return SolveResult(solution=x, residual=res, iterations=0, method="forward_substitution")
 
@@ -88,10 +67,12 @@ def forward_substitute(system) -> SolveResult:
 def gmres_solve(system, tol: float = 1e-10, restart: int | None = None, max_iter: int = 20000) -> SolveResult:
     """GMRES with explicit residual verification.
 
-    A trajectory system is I minus a block strictly lower triangular
-    part, nilpotent of index at most n_blocks, so the default restart
-    min(n_blocks + 1, dim) lets one Krylov cycle reach the exact
-    solution; systems without n_blocks default to 50.  Raises
+    The system matrix goes to SciPy's GMRES as it is, so a trajectory
+    operator is applied by block walks.  A trajectory system is I minus
+    a block strictly lower triangular part, nilpotent of index at most
+    n_blocks, so the default restart min(n_blocks + 1, dim) lets one
+    Krylov cycle reach the exact solution; systems without n_blocks
+    default to 50.  Raises
     ConvergenceError carrying the best residual and iteration count if
     the recomputed relative residual stays above tol.
     """

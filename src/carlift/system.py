@@ -1,12 +1,14 @@
 """Global block linear systems over whole lifted trajectories.
 
 Stacking the per-step quantized updates Y_i = (I + A_i) Y_{i-1} + b_i
-for i = 1..M together with the initial condition gives one sparse
-system M Y = beta whose solution is the entire lifted trajectory.  The
-matrix is block lower triangular with unit diagonal (elementwise lower
+for i = 1..M together with the initial condition gives one system
+M Y = beta whose solution is the entire lifted trajectory.  M is block
+lower triangular with identity diagonal blocks (elementwise unit lower
 triangular, since every coupling block sits strictly below its row's
-diagonal block), which the solvers and the smallest-singular-value
-estimator exploit.
+diagonal block).  :class:`TrajectoryOperator` keeps M as the per-step
+blocks the lift made: products with M and M^T and the forward solve
+walk those blocks, and the global CSR matrix is built only on request,
+for matrix export and the condition estimate.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 from . import carleman
 from .carleman import Qcm, UnipcQcmSet
 from .errors import CapacityError, StructureError
-from .solve import _lower_diagonal
 
 __all__ = [
+    "TrajectoryOperator",
     "BlockLinearSystem",
     "SparsityStats",
     "ConditionReport",
@@ -37,70 +39,189 @@ __all__ = [
 DENSE_SVD_MAX_DIM = 2000
 
 
+def _canonical_block(blk) -> sp.csr_matrix:
+    """A CSR block with sorted, unique indices and no stored zeros.
+
+    A block already in that form (what the lift produces) is returned
+    sharing its arrays; anything else is cleaned in a copy, so the
+    caller's matrix is never altered.
+    """
+    blk = sp.csr_matrix(blk)
+    if not blk.has_canonical_format or np.count_nonzero(blk.data) < blk.nnz:
+        blk = blk.copy()
+        blk.sum_duplicates()
+        blk.eliminate_zeros()
+    return blk
+
+
+class TrajectoryOperator(LinearOperator):
+    """Block lower triangular trajectory matrix, held as its blocks.
+
+    Block row i is
+
+        Y_i - sum_k C_k Y_{c_k},   C_k = I + B_k if plus_eye else B_k,
+
+    over ``rows[i]``, a list of (c_k, B_k, plus_eye) couplings with
+    ascending columns c_k < i; row 0 has none and pins Y_0.  The D x D
+    blocks B_k are held, not copied: a derivative-scheme step holds its
+    A with ``plus_eye``, a unified step its predictor (or folded
+    corrector) matrices.
+    """
+
+    def __init__(self, block_dim: int, rows: list[list[tuple[int, sp.csr_matrix, bool]]]):
+        D = block_dim
+        held = []
+        for i, row in enumerate(rows):
+            cols = [c for c, _, _ in row]
+            if any(not 0 <= c < i for c in cols):
+                raise StructureError(f"block row {i} couples to block columns {cols}; "
+                                     "couplings must lie strictly below the diagonal")
+            if cols != sorted(set(cols)):
+                raise ValueError(f"block row {i} lists columns {cols}, not strictly ascending")
+            if any(blk.shape != (D, D) for _, blk, _ in row):
+                raise ValueError(f"block row {i} holds a block that is not {D} x {D}")
+            held.append([(c, _canonical_block(blk), plus_eye) for c, blk, plus_eye in row])
+        self.block_dim = D
+        self.n_blocks = len(rows)
+        self.rows = held
+        n = self.n_blocks * D
+        super().__init__(dtype=np.float64, shape=(n, n))
+
+    def _blocks(self, x) -> np.ndarray:
+        return np.asarray(x).reshape(self.n_blocks, self.block_dim)
+
+    def _matvec(self, x):
+        x = self._blocks(x)
+        y = x.astype(np.result_type(x, np.float64))
+        for i, row in enumerate(self.rows):
+            for c, blk, plus_eye in row:
+                y[i] -= blk @ x[c]
+                if plus_eye:
+                    y[i] -= x[c]
+        return y.ravel()
+
+    def _rmatvec(self, x):
+        x = self._blocks(x)
+        y = x.astype(np.result_type(x, np.float64))
+        for i, row in enumerate(self.rows):
+            for c, blk, plus_eye in row:
+                y[c] -= blk.T @ x[i]
+                if plus_eye:
+                    y[c] -= x[i]
+        return y.ravel()
+
+    def solve(self, rhs) -> np.ndarray:
+        """Forward block substitution for M Y = rhs.
+
+        Y_i = rhs_i + sum_k C_k Y_{c_k}, block row by block row, with the
+        terms added in coupling order; a plus_eye term is y + B @ y.  For a
+        derivative-scheme row that is the y + A @ y + b that
+        :func:`carlift.carleman.step_lifted` evaluates, and a predictor
+        row sums like it too, so those solutions equal the sequential
+        lifted walk exactly.
+        """
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape != (self.shape[0],):
+            raise ValueError(f"right-hand side has shape {rhs.shape}, need ({self.shape[0]},)")
+        b = self._blocks(rhs)
+        Y = np.empty_like(b)
+        for i, row in enumerate(self.rows):
+            acc = b[i]
+            for c, blk, plus_eye in row:
+                y = Y[c]
+                acc = acc + (y + blk @ y if plus_eye else blk @ y)
+            Y[i] = acc
+        return Y.ravel()
+
+    def _row_counts(self):
+        """Nonzeros of each row of M, yielded one block row at a time."""
+        for row in self.rows:
+            counts = np.ones(self.block_dim, dtype=np.int64)  # the identity block
+            for _, blk, plus_eye in row:
+                counts += np.diff(blk.indptr)
+                if plus_eye:
+                    diag = blk.diagonal()
+                    counts += diag == 0.0  # I adds an entry where B stores none
+                    counts -= diag == -1.0  # and cancels one where B holds -1
+            yield counts
+
+    @property
+    def nnz(self) -> int:
+        """Nonzeros of M, counted from the blocks without building it."""
+        return sum(int(counts.sum()) for counts in self._row_counts())
+
+    def tocsr(self) -> sp.csr_matrix:
+        """The global CSR matrix, built afresh on every call.
+
+        Each row lists its blocks' entries in column-block order with
+        sorted indices and no stored zeros.  The signed values are
+        written straight into the preallocated global arrays.  Raises
+        CapacityError, before allocating them, if they would exceed
+        carleman.MAX_STEP_BYTES.
+        """
+        D, n = self.block_dim, self.shape[0]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        for i, counts in enumerate(self._row_counts()):
+            indptr[i * D + 1 : (i + 1) * D + 1] = counts
+        np.cumsum(indptr, out=indptr)
+        nnz = int(indptr[-1])
+        nbytes = 12 * nnz + 8 * (n + 1)  # float64 data, int32 indices, int64 indptr
+        if nbytes > carleman.MAX_STEP_BYTES:
+            raise CapacityError(f"global system needs {nbytes} bytes, above {carleman.MAX_STEP_BYTES}")
+        idx_dtype = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
+        indices = np.empty(nnz, dtype=idx_dtype)
+        data = np.empty(nnz)
+        diag_cols = np.arange(D, dtype=idx_dtype)
+        for i, row in enumerate(self.rows):
+            lo, hi = indptr[i * D], indptr[(i + 1) * D]
+            free = indptr[i * D : (i + 1) * D].copy()  # next unwritten slot of each row
+            for c, blk, plus_eye in row:
+                if plus_eye and np.any(np.isin(blk.diagonal(), (0.0, -1.0))):
+                    # I changes this block's pattern: build I + B for this step only
+                    blk, plus_eye = blk + sp.identity(D, format="csr"), False
+                cnt = np.diff(blk.indptr)
+                pos = np.repeat(free - blk.indptr[:-1], cnt) + np.arange(blk.nnz)
+                indices[pos] = np.add(blk.indices, c * D, dtype=idx_dtype)
+                data[pos] = blk.data
+                if plus_eye:  # B stores every diagonal entry: add the 1 there
+                    rows_of = np.repeat(np.arange(D, dtype=blk.indices.dtype), cnt)
+                    data[pos[blk.indices == rows_of]] += 1.0
+                free += cnt
+            np.negative(data[lo:hi], out=data[lo:hi])
+            indices[free] = diag_cols + i * D  # the identity closes every row
+            data[free] = 1.0
+        return sp.csr_matrix((data, indices, indptr.astype(idx_dtype)), shape=(n, n))
+
+
 @dataclass
 class BlockLinearSystem:
-    """Sparse block system mat @ y = rhs over n_blocks trajectory nodes."""
+    """Block system mat @ y = rhs over a whole lifted trajectory."""
 
-    mat: sp.csr_matrix
+    mat: TrajectoryOperator
     rhs: np.ndarray
-    n_blocks: int
-    block_dim: int
     scheme: str
+
+    def __post_init__(self) -> None:
+        if self.rhs.shape != (self.mat.shape[0],):
+            raise ValueError(f"right-hand side has shape {self.rhs.shape}, "
+                             f"need ({self.mat.shape[0]},)")
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
 
+    @property
+    def n_blocks(self) -> int:
+        return self.mat.n_blocks
 
-def _stack_block_rows(block_rows: list[list[tuple[int, sp.csr_matrix]]], D: int) -> sp.csr_matrix:
-    """Square CSR matrix of D x D CSR blocks, given per block row as
-    (column block, block) pairs in ascending column order.
-
-    indptr/indices/data are written straight into preallocated arrays;
-    each row lists its blocks' entries in column-block order, which is
-    the entry order sp.bmat produces.  Blocks are brought to canonical
-    form in place, a no-op on what sparse arithmetic usually returns.
-    Raises CapacityError before allocating entries whose arrays would
-    exceed carleman.MAX_STEP_BYTES.
-    """
-    n = len(block_rows) * D
-    for row in block_rows:
-        for _, blk in row:
-            blk.sum_duplicates()
-    # per-row entry counts, one column per block of the block row
-    lens = [np.stack([np.diff(blk.indptr) for _, blk in row], axis=1) for row in block_rows]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.concatenate([ln.sum(axis=1) for ln in lens]), out=indptr[1:])
-    nnz = int(indptr[-1])
-    nbytes = 12 * nnz + 8 * (n + 1)  # float64 data, int32 indices, int64 indptr
-    if nbytes > carleman.MAX_STEP_BYTES:
-        raise CapacityError(f"global system needs {nbytes} bytes, above {carleman.MAX_STEP_BYTES}")
-    idx_dtype = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
-    indices = np.empty(nnz, dtype=idx_dtype)
-    data = np.empty(nnz)
-    for i, (row, ln) in enumerate(zip(block_rows, lens)):
-        lo, hi = indptr[i * D], indptr[(i + 1) * D]
-        # which block of the row each entry of the segment comes from
-        owner = np.repeat(np.tile(np.arange(len(row), dtype=np.int16), D), ln.ravel())
-        for k, (c, blk) in enumerate(row):
-            sel = owner == k
-            indices[lo:hi][sel] = blk.indices + c * D
-            data[lo:hi][sel] = blk.data
-    mat = sp.csr_matrix((data, indices, indptr.astype(idx_dtype)), shape=(n, n))
-    mat.eliminate_zeros()
-    return mat
+    @property
+    def block_dim(self) -> int:
+        return self.mat.block_dim
 
 
-def _derivative_rows(qcms: list[Qcm], eye: sp.csr_matrix) -> list:
-    """Block rows Y_i - (I + A_i) Y_{i-1} of derivative-scheme steps i = 1, 2, ..."""
-    if any(q.A.shape != eye.shape for q in qcms):
-        raise ValueError("step matrix dimension does not match the initial state")
-    rows = []
-    for i, q in enumerate(qcms, start=1):
-        blk = eye + q.A
-        np.negative(blk.data, out=blk.data)  # -(I + A_i) without a second copy
-        rows.append([(i - 1, blk), (i, eye)])
-    return rows
+def _delta_rows(qcms: list[Qcm]) -> list:
+    """Block row 0, then the rows Y_i - (I + A_i) Y_{i-1} of derivative-scheme steps."""
+    return [[]] + [[(i - 1, q.A, True)] for i, q in enumerate(qcms, start=1)]
 
 
 def assemble_global_dpm(qcms: list[Qcm], y0: np.ndarray) -> BlockLinearSystem:
@@ -110,11 +231,9 @@ def assemble_global_dpm(qcms: list[Qcm], y0: np.ndarray) -> BlockLinearSystem:
     through -(I + A_i).
     """
     y0 = np.asarray(y0, dtype=float)
-    eye = sp.identity(len(y0), format="csr")
     return BlockLinearSystem(
-        mat=_stack_block_rows([[(0, eye)]] + _derivative_rows(qcms, eye), len(y0)),
-        rhs=np.concatenate([y0] + [q.b for q in qcms]),
-        n_blocks=len(qcms) + 1, block_dim=len(y0), scheme="dpm",
+        mat=TrajectoryOperator(len(y0), _delta_rows(qcms)),
+        rhs=np.concatenate([y0] + [q.b for q in qcms]), scheme="dpm",
     )
 
 
@@ -137,22 +256,24 @@ def assemble_global_unipc(
     if which not in ("predictor", "corrector"):
         raise ValueError("which must be 'predictor' or 'corrector'")
     y0 = np.asarray(y0, dtype=float)
-    D = len(y0)
-    eye = sp.identity(D, format="csr")
-    block_rows = [[(0, eye)]] + _derivative_rows(warmup, eye)
+    rows = _delta_rows(warmup)
     rhs = [y0] + [q.b for q in warmup]
     for qset in steps:
+        if qset.i != len(rows):
+            raise ValueError(f"step to node {qset.i} would fill block row {len(rows)}")
         if which == "predictor":
-            blocks = [-mat for mat in qset.pred_mats]
+            blocks = qset.pred_mats
             rhs.append(qset.pred_b)
         else:
-            blocks = [-(qset.corr_mats[mm] + qset.corr_target @ qset.pred_mats[mm])
+            blocks = [qset.corr_mats[mm] + qset.corr_target @ qset.pred_mats[mm]
                       for mm in range(qset.p)]
+            for blk in blocks:
+                blk.sum_duplicates()  # sparse products leave indices unsorted
             rhs.append(qset.corr_b + qset.corr_target @ qset.pred_b)
-        block_rows.append([(qset.anchor + mm, blk) for mm, blk in enumerate(blocks)] + [(qset.i, eye)])
+        rows.append([(qset.anchor + mm, blk, False) for mm, blk in enumerate(blocks)])
     return BlockLinearSystem(
-        mat=_stack_block_rows(block_rows, D), rhs=np.concatenate(rhs), n_blocks=len(block_rows),
-        block_dim=D, scheme=f"unipc_{which}",
+        mat=TrajectoryOperator(len(y0), rows), rhs=np.concatenate(rhs),
+        scheme=f"unipc_{which}",
     )
 
 
@@ -167,15 +288,34 @@ class SparsityStats:
 def _zero_free(mat) -> sp.csr_matrix:
     """CSR form of a matrix or system without stored zeros, leaving it untouched.
 
-    sp.csr_matrix shares the arrays of a CSR input, so eliminating zeros
-    in place would compact the caller's matrix; copy only when there are
-    stored zeros to drop.
+    A trajectory operator builds a fresh CSR matrix, which holds no
+    zeros.  sp.csr_matrix shares the arrays of a CSR input, so
+    eliminating zeros in place would compact the caller's matrix; copy
+    only when there are stored zeros to drop.
     """
-    csr = sp.csr_matrix(mat.mat if isinstance(mat, BlockLinearSystem) else mat)
+    if isinstance(mat, BlockLinearSystem):
+        mat = mat.mat
+    if isinstance(mat, TrajectoryOperator):
+        return mat.tocsr()
+    csr = sp.csr_matrix(mat)
     if np.any(csr.data == 0.0):
         csr = csr.copy()
         csr.eliminate_zeros()
     return csr
+
+
+def _lower_diagonal(mat: sp.csr_matrix) -> np.ndarray:
+    """Diagonal of a square CSR matrix checked to be lower triangular.
+
+    Raises StructureError if a row stores an entry above the diagonal or
+    stores nothing at all (so it cannot hold a diagonal entry).
+    """
+    counts = np.diff(mat.indptr)
+    if np.any(counts == 0):
+        raise StructureError(f"missing diagonal entry in row {int(np.argmin(counts))}")
+    if np.any(np.maximum.reduceat(mat.indices, mat.indptr[:-1]) > np.arange(mat.shape[0])):
+        raise StructureError("matrix has entries above the diagonal")
+    return mat.diagonal()
 
 
 def sparsity_stats(mat) -> SparsityStats:

@@ -1,11 +1,10 @@
 """Property tests of the vectorised lift -> assemble -> solve path against
 the straightforward formulations kept here as oracles: the explicit
 sparse-Kronecker total derivative, the per-n rebuild of the total
-derivative, sp.bmat global assembly, and the sequential lifted walk."""
+derivative, sp.bmat global assembly, the global CSR matrix the
+trajectory operator builds, and the sequential lifted walk."""
 
 import math
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,7 +32,12 @@ from carlift.model import (
 from carlift.reference import run_dpm
 from carlift.schedule import make_lambda_grid, make_vp_schedule
 from carlift.solve import forward_substitute
-from carlift.system import assemble_global_dpm, assemble_global_unipc, condition_number
+from carlift.system import (
+    TrajectoryOperator,
+    assemble_global_dpm,
+    assemble_global_unipc,
+    condition_number,
+)
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -340,7 +344,7 @@ def test_slot_insertion_derivative_matches_sparse_kron(seed, d, J, L, Lv):
 def test_direct_dpm_assembly_matches_bmat(seed, d, N, M, k):
     states, qcms = lifted(seed, d, N, M, "dpm", k, False)
     system = assemble_global_dpm(qcms, states[0].y)
-    assert_same_csr(system.mat, bmat_dpm(qcms, len(states[0].y)))
+    assert_same_csr(system.mat.tocsr(), bmat_dpm(qcms, len(states[0].y)))
 
 
 @PROPERTY
@@ -357,7 +361,7 @@ def test_direct_unipc_assembly_matches_bmat(seed, d, N, M, p, which):
     warm = [q for q in qcms if not isinstance(q, UnipcQcmSet)]
     steps = [q for q in qcms if isinstance(q, UnipcQcmSet)]
     system = assemble_global_unipc(warm, steps, states[0].y, which=which)
-    assert_same_csr(system.mat, bmat_unipc(warm, steps, len(states[0].y), which))
+    assert_same_csr(system.mat.tocsr(), bmat_unipc(warm, steps, len(states[0].y), which))
 
 
 @PROPERTY
@@ -396,6 +400,66 @@ def test_lanczos_condition_matches_dense_svd(seed, d, N, M, scheme):
     assert abs(lanczos.kappa - dense.kappa) <= 1e-6 * dense.kappa
 
 
+OPERATOR_SCHEMES = [("dpm", 1, None), ("dpm", 2, None)] + [
+    ("unipc", p, which) for p in (1, 2, 3) for which in ("predictor", "corrector")
+]
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    N=st.integers(1, 3),
+    M=st.integers(3, 8),
+    scheme=st.sampled_from(OPERATOR_SCHEMES),
+)
+def test_operator_block_walks_match_its_csr(seed, d, N, M, scheme):
+    name, order, which = scheme
+    _, system = assembled(seed, d, N, M, name, order, which or "corrector")
+    mat = system.mat
+    csr = mat.tocsr()
+    assert mat.nnz == csr.nnz
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(system.dim)
+    y = rng.standard_normal(system.dim)
+    # rounding in a product is bounded by |M| |x|, entry by entry
+    for got, want, bound in ((mat @ x, csr @ x, abs(csr) @ abs(x)),
+                             (mat.rmatvec(y), csr.T @ y, abs(csr).T @ abs(y))):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(bound)
+    mx, mty = mat @ x, mat.rmatvec(y)
+    scale = max(np.linalg.norm(mx) * np.linalg.norm(y), np.linalg.norm(x) * np.linalg.norm(mty))
+    assert abs(mx @ y - x @ mty) <= 1e-12 * scale
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    N=st.integers(1, 3),
+    M=st.integers(2, 8),
+    scheme=st.sampled_from([("dpm", 1), ("dpm", 2), ("dpm", 3), ("unipc", 2), ("unipc", 3)]),
+)
+def test_forward_substitute_is_the_lifted_walk(seed, d, N, M, scheme):
+    # derivative-scheme and predictor rows are solved with the very sums
+    # step_lifted evaluates, so the solution is the walk bit for bit
+    states, system = assembled(seed, d, N, M, *scheme, which="predictor")
+    result = forward_substitute(system)
+    assert np.array_equal(result.solution, np.concatenate([s.y for s in states]))
+
+
+def as_trajectory_rows(mat):
+    """A square matrix read as block rows (block_dim 1) of a trajectory
+    operator M = I - couplings: entry (r, c) couples row r to column c
+    through -M[r, c], and a diagonal away from 1 couples a row to itself."""
+    dense = mat.toarray()
+    rows = []
+    for r, row in enumerate(dense):
+        coupling = -row
+        coupling[r] += 1.0
+        rows.append([(c, sp.csr_matrix([[v]]), False) for c, v in enumerate(coupling) if v != 0.0])
+    return rows
+
+
 def lower_without_diagonal(n, row, empty_row, seed):
     """Unit lower triangular n x n CSR matrix whose row ``row`` has no
     diagonal entry; with ``empty_row`` that row stores nothing at all."""
@@ -417,9 +481,13 @@ def test_missing_diagonal_raises_structure_error(data, n, empty_row, seed):
     row = data.draw(st.integers(0, n - 1))
     mat = lower_without_diagonal(n, row, empty_row or row == 0, seed)
     with pytest.raises(StructureError):
-        forward_substitute(SimpleNamespace(mat=mat, rhs=np.ones(n)))
+        TrajectoryOperator(1, as_trajectory_rows(mat))
     with pytest.raises(StructureError):
         condition_number(mat, method="lanczos")
+    unit = mat.toarray()
+    unit[row, row] = 1.0
+    op = TrajectoryOperator(1, as_trajectory_rows(sp.csr_matrix(unit)))
+    assert np.array_equal(op.tocsr().toarray(), unit)
 
 
 def test_stored_zero_diagonal_raises_structure_error():
@@ -427,6 +495,6 @@ def test_stored_zero_diagonal_raises_structure_error():
                         shape=(2, 2))
     assert mat.nnz == 3
     with pytest.raises(StructureError):
-        forward_substitute(SimpleNamespace(mat=mat, rhs=np.ones(2)))
+        TrajectoryOperator(1, as_trajectory_rows(mat))
     with pytest.raises(StructureError):
         condition_number(mat, method="lanczos")

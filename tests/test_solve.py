@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from carlift.solve import (
     lchs_solve,
     qlss_cost_model,
 )
-from carlift.system import assemble_global_dpm
+from carlift.system import BlockLinearSystem, TrajectoryOperator, assemble_global_dpm
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 
@@ -37,25 +38,54 @@ def test_forward_substitution_solves_exactly():
     assert result.residual < 1e-11
     assert result.method == "forward_substitution"
     assert np.allclose(result.solution, np.concatenate([st.y for st in states]), atol=1e-12)
-    dense = np.linalg.solve(system.mat.toarray(), system.rhs)
+    dense = np.linalg.solve(system.mat.tocsr().toarray(), system.rhs)
     assert np.allclose(result.solution, dense, atol=1e-11)
 
 
 def test_forward_substitution_structure_checks():
-    class Fake:
-        pass
-
-    bad = Fake()
-    bad.mat = sp.csr_matrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
-    bad.rhs = np.ones(2)
+    # the operator refuses what a forward sweep cannot take: block row i
+    # of M is Y_i - sum_k C_k Y_{c_k}, so an entry above the diagonal is a
+    # coupling above its row and a diagonal away from 1 couples a row to itself
+    blk = sp.csr_matrix([[0.5]])
+    TrajectoryOperator(1, [[], [(0, blk, False)]])
     with pytest.raises(StructureError):
-        forward_substitute(bad)
-    bad.mat = sp.csr_matrix(np.array([[2.0, 0.0], [1.0, 1.0]]))
+        TrajectoryOperator(1, [[(1, blk, False)], []])
     with pytest.raises(StructureError):
-        forward_substitute(bad)
-    bad.mat = sp.csr_matrix(np.eye(3))
+        TrajectoryOperator(1, [[], [(1, blk, True)]])
     with pytest.raises(ValueError):
-        forward_substitute(bad)
+        TrajectoryOperator(2, [[], [(0, blk, False)]])
+    system = assemble_global_dpm([], np.ones(3))
+    with pytest.raises(ValueError):
+        system.mat.solve(np.ones(2))
+    with pytest.raises(ValueError):
+        BlockLinearSystem(mat=system.mat, rhs=np.ones(2), scheme="dpm")
+
+
+def test_trajectory_solves_allocate_far_less_than_the_step_matrices():
+    # d=3, N=4, M=32: the 32 step matrices hold about 4 MB of data and
+    # indices; assembly and forward substitution keep no copy of them,
+    # and GMRES adds little beyond its own Krylov basis
+    rng = np.random.default_rng(3)
+    m = kron_model(3, {1: np.diag([0.3, 0.5, 0.7]) + 0.01 * rng.standard_normal((3, 3)),
+                       2: 0.02 / 3 * rng.standard_normal((3, 9))})
+    grid = make_lambda_grid(S, 0.5, 0.1, 32)
+    states, qcms = run_lifted(S, m, [0.85, 0.8, 0.9], grid, CarlemanBasis(N=4, d=3, mode="kron"))
+    step_bytes = sum(q.A.data.nbytes + q.A.indices.nbytes for q in qcms)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        system = assemble_global_dpm(qcms, states[0].y)
+        peaks["assemble"] = tracemalloc.get_traced_memory()[1]
+        for name, solver in (("forward", forward_substitute), ("gmres", gmres_solve)):
+            tracemalloc.reset_peak()
+            solver(system)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    krylov_bytes = 8 * (system.n_blocks + 2) * system.dim  # restart + 1 basis vectors
+    assert peaks["assemble"] < step_bytes // 10
+    assert peaks["forward"] < step_bytes // 10
+    assert peaks["gmres"] - krylov_bytes < step_bytes // 10
 
 
 def test_gmres_agrees_with_forward_substitution():

@@ -7,12 +7,11 @@ import pytest
 import scipy.sparse as sp
 
 from carlift import carleman
-from carlift.carleman import CarlemanBasis, assemble_dpm_qcm, lift, run_lifted
+from carlift.carleman import CarlemanBasis, Qcm, assemble_dpm_qcm, lift, run_lifted
 from carlift.errors import CapacityError, StructureError
 from carlift.model import scalar_model
 from carlift.schedule import make_lambda_grid, make_vp_schedule
 from carlift.system import (
-    _stack_block_rows,
     assemble_global_dpm,
     assemble_global_unipc,
     condition_number,
@@ -61,7 +60,7 @@ def test_unipc_order_one_predictor_coincides_with_dpm_assembly():
     y0 = lift([0.8], basis).y
     a = assemble_global_dpm(qcms_d, y0)
     b = assemble_global_unipc([], qcms_u, y0, which="predictor")
-    assert (a.mat != b.mat).nnz == 0
+    assert (a.mat.tocsr() != b.mat.tocsr()).nnz == 0
     assert np.allclose(a.rhs, b.rhs, atol=1e-15)
 
 
@@ -69,10 +68,30 @@ def test_global_matrix_is_block_lower_triangular():
     _, _, _, qcms = lifted_setup(scheme="unipc", order=2, corrector=True)
     basis = CarlemanBasis(N=3, d=1)
     system = assemble_global_unipc(qcms[:1], qcms[1:], lift([0.8], basis).y)
-    assert sp.triu(system.mat, k=1).nnz == 0
+    assert sp.triu(system.mat.tocsr(), k=1).nnz == 0
     stats = sparsity_stats(system.mat)
     assert stats.nnz == system.mat.nnz
     assert stats.s_row >= 1 and stats.s_col >= 1
+
+
+def test_operator_csr_follows_step_diagonals_that_cancel_or_are_missing():
+    # I + A drops the entry where A holds -1 and gains one where A stores
+    # none; a stored zero in A is not an entry, and A itself is left as given
+    A = sp.csr_matrix((np.array([-1.0, 0.5, 0.0, 2.0, 0.3, 0.25]), np.array([0, 1, 0, 2, 0, 2]),
+                       np.array([0, 2, 4, 6])), shape=(3, 3))
+    system = assemble_global_dpm([Qcm(A=A, b=np.zeros(3))] * 2, np.ones(3))
+    eye = sp.identity(3, format="csr")
+    step = -(eye + A)
+    want = sp.bmat([[eye, None, None], [step, eye, None], [None, step, eye]], format="csr")
+    want.eliminate_zeros()
+    got = system.mat.tocsr()
+    assert system.mat.nnz == got.nnz == want.nnz == 19
+    for attr in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
+    x = np.random.default_rng(0).standard_normal(9)
+    np.testing.assert_allclose(system.mat @ x, want @ x, rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(system.mat.rmatvec(x), want.T @ x, rtol=1e-15, atol=1e-15)
+    assert A.nnz == 6
 
 
 def test_sparsity_stats_small_matrix():
@@ -102,10 +121,10 @@ def test_export_import_round_trip(tmp_path):
     basis = CarlemanBasis(N=3, d=1)
     system = assemble_global_dpm(qcms, lift([0.8], basis).y)
     path = tmp_path / "mat.txt"
-    export_matrix(system.mat, path)
+    export_matrix(system, path)
     back = import_matrix(path)
     assert back.shape == system.mat.shape
-    assert (back != system.mat).nnz == 0
+    assert (back != system.mat.tocsr()).nnz == 0
     header = path.read_text().splitlines()[0].split()
     assert int(header[2]) == system.mat.nnz
 
@@ -184,19 +203,23 @@ def test_condition_auto_switches_on_size():
 
 
 def test_global_assembly_refuses_oversized_system_before_allocating(monkeypatch):
-    # 400 block rows sharing one dense 100 x 100 block: 7.99M entries,
-    # about 96 MB of data and indices, against a cap lowered to 1 MiB
+    # 40 derivative-scheme steps sharing one dense 400 x 400 step matrix:
+    # 6.4M entries, about 77 MB of data and indices, against a cap
+    # lowered to 1 MiB; one step alone holds 1.92 MB
     monkeypatch.setattr(carleman, "MAX_STEP_BYTES", 2**20)
-    blk = sp.csr_matrix(np.ones((100, 100)))
-    rows = [[(0, blk)]] + [[(i - 1, blk), (i, blk)] for i in range(1, 400)]
+    D = 400
+    step = Qcm(A=sp.csr_matrix(np.ones((D, D))), b=np.zeros(D))
+    system = assemble_global_dpm([step] * 40, np.ones(D))
+    assert system.mat.nnz == 40 * D * D + 41 * D
+    step_bytes = step.A.data.nbytes + step.A.indices.nbytes
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):
-            _stack_block_rows(rows, 100)
+            system.mat.tocsr()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 7_990_000 // 20
+    assert peak < step_bytes // 10
 
 
 def test_assembly_dimension_mismatch():
