@@ -526,11 +526,16 @@ def cmd_lchs(cfg: dict, out_dir: str) -> int:
         raise ConfigError("$.lchs.A: must be a square matrix")
     if b.shape != (A.shape[0],) or u0.shape != (A.shape[0],):
         raise ConfigError("$.lchs.b and $.lchs.u0 must match the matrix dimension")
-    lcfg = LchsConfig(K=sec["K"], nodes=sec["nodes"], substeps=sec["substeps"])
+    # the schema admits integral floats such as 9.0 as integers
+    lcfg = LchsConfig(K=sec["K"], nodes=int(sec["nodes"]), substeps=int(sec["substeps"]))
     res = lchs_solve(lambda t: A, lambda t: b, u0, sec["T"], lcfg)
-    E = expm(-A * sec["T"])
-    rhs = (np.eye(A.shape[0]) - E) @ b
-    u_exact = E @ u0 + np.linalg.solve(A, rhs)
+    # exact for any A, singular included: exp(T [[-A, b], [0, 0]]) maps
+    # (u0, 1) to (u(T), 1)
+    n = A.shape[0]
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n] = -A
+    aug[:n, n] = b
+    u_exact = (expm(sec["T"] * aug) @ np.append(u0, 1.0))[:n]
     error = float(np.linalg.norm(res.u - u_exact))
     columns = (
         ["K", "nodes", "substeps", "T"]

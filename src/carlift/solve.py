@@ -8,9 +8,13 @@ experiments.  ``lchs_solve`` emulates the
 linear-combination-of-Hamiltonian-simulation route classically:
 the non-unitary flow of du/dt = -A(t) u + b(t) is reproduced as a
 Cauchy-kernel-weighted quadrature over unitary evolutions generated by
-k L(t) + H(t), with a spectral shift keeping L positive semidefinite.
-``qlss_cost_model`` turns system parameters into the query-count
-estimate of the quantum linear-system route.
+the Hermitian k L(t) + H(t), with a spectral shift keeping L positive
+semidefinite.  Each evolution comes from a batched Hermitian
+eigendecomposition per chunk of kernel nodes and distinct generator,
+and a forward walk applies it to one vector per node, so no matrix
+product of propagators is formed.  ``qlss_cost_model`` turns system
+parameters into the query-count estimate of the quantum linear-system
+route.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.sparse.linalg import gmres as scipy_gmres
 
 from .errors import ConvergenceError, StructureError
@@ -33,9 +36,10 @@ __all__ = [
     "qlss_cost_model",
 ]
 
-# Byte cap on one stacked (nodes, n, n) complex array in lchs_solve; the
-# kernel nodes are processed in chunks that fit, so the working set (a
-# few such arrays) does not grow with the node count.
+# Byte cap on one stacked (nodes, n, n) complex array in lchs_solve: the
+# generators of a chunk of kernel nodes and their eigenvectors.  The nodes
+# are processed in chunks that fit, so the working set (a few such arrays
+# and one n-vector per node) does not grow with the node count.
 LCHS_CHUNK_BYTES = 1 << 20
 
 
@@ -114,8 +118,12 @@ class LchsConfig:
     shift_eps: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.K <= 0.0:
-            raise ValueError("need K > 0")
+        if not (np.isfinite(self.K) and self.K > 0.0):
+            raise ValueError("need a finite K > 0")
+        for name in ("nodes", "substeps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.nodes < 3:
             raise ValueError("need at least 3 quadrature nodes")
         if self.substeps < 1:
@@ -142,14 +150,25 @@ def lchs_solve(A_fun, b_fun, u0, T: float, cfg: LchsConfig | None = None) -> Lch
                  + int_0^T U_k(T,s) e^{-mu s} b(s) ds ] dk,
 
     with g(k) = 1/(pi (1+k^2)), U_k the time-ordered evolution under
-    k L(t) + H(t) (midpoint-frozen exponentials per substep), the k
-    integral by trapezoid on a uniform grid and the Duhamel integral by
-    trapezoid on the substep boundaries.
+    k L(t) + H(t) (frozen at each substep's midpoint), the k integral by
+    trapezoid on a uniform grid and the Duhamel integral by trapezoid on
+    the substep boundaries.
+
+    Each generator k L_j + H_j is Hermitian, so one batched
+    eigendecomposition V diag(w) V^H over a chunk of kernel nodes gives
+    the substep propagator W_j = V diag(e^{-i dt w}) V^H, unitary to
+    rounding and applied to vectors without being formed.  A forward
+    walk carries one vector per node, z_0 = u0 + w_0 b_0 and
+    z_{j+1} = W_j z_j + w_{j+1} b_{j+1} (w the Duhamel weights, b the
+    shifted source), and ends at the bracket above.  Constant A has one
+    distinct generator, split and shifted once and decomposed once per
+    chunk; a time-dependent A has one per substep.  ``n_exponentials``
+    counts the propagators built: one per node per distinct generator.
     """
     if cfg is None:
         cfg = LchsConfig()
-    if T <= 0.0:
-        raise ValueError("need T > 0")
+    if not (np.isfinite(T) and T > 0.0):
+        raise ValueError("need a finite T > 0")
     u0 = np.asarray(u0)
     n = len(u0)
     dt = T / cfg.substeps
@@ -157,12 +176,15 @@ def lchs_solve(A_fun, b_fun, u0, T: float, cfg: LchsConfig | None = None) -> Lch
     A_mid = [np.asarray(A_fun(t), dtype=complex) for t in mids]
     time_dep = any(not np.array_equal(A_mid[0], Aj) for Aj in A_mid[1:])
 
-    Ls = [(Aj + Aj.conj().T) / 2.0 for Aj in A_mid]
-    Hs = [(Aj - Aj.conj().T) / 2.0j for Aj in A_mid]
-    lam_min = min(float(np.linalg.eigvalsh(Lj)[0]) for Lj in Ls)
-    mu = max(0.0, -lam_min) + cfg.shift_eps
-    Ls = [Lj + mu * np.eye(n) for Lj in Ls]
-    if min(float(np.linalg.eigvalsh(Lj)[0]) for Lj in Ls) < -1e-10:
+    # one split and shift per distinct generator: Ls[j], Hs[j] for substep j,
+    # or Ls[0], Hs[0] for all of them when A is constant
+    A_gen = np.stack(A_mid if time_dep else A_mid[:1])
+    A_adj = A_gen.conj().swapaxes(-1, -2)
+    Ls = (A_gen + A_adj) / 2.0
+    Hs = (A_gen - A_adj) / 2.0j
+    mu = max(0.0, -float(np.linalg.eigvalsh(Ls)[:, 0].min())) + cfg.shift_eps
+    Ls = Ls + mu * np.eye(n)
+    if float(np.linalg.eigvalsh(Ls)[:, 0].min()) < -1e-10:
         raise StructureError("stability shift failed to make L positive semidefinite")
 
     ks = np.linspace(-cfg.K, cfg.K, cfg.nodes)
@@ -171,38 +193,31 @@ def lchs_solve(A_fun, b_fun, u0, T: float, cfg: LchsConfig | None = None) -> Lch
     wk[-1] *= 0.5
     gk = 1.0 / (np.pi * (1.0 + ks**2))
 
-    bounds = np.arange(cfg.substeps + 1) * dt
+    z0 = u0.astype(complex)
     if b_fun is not None:
+        bounds = np.arange(cfg.substeps + 1) * dt
         b_shift = [np.exp(-mu * t) * np.asarray(b_fun(t), dtype=complex) for t in bounds]
         ws = np.full(cfg.substeps + 1, dt)
         ws[0] *= 0.5
         ws[-1] *= 0.5
+        z0 = z0 + ws[0] * b_shift[0]
 
-    # Per chunk of nodes, one backward walk over the substeps carries the
-    # stacked suffix products P = W_{S-1} ... W_j (the propagators from
-    # boundary j to T, S = substeps) and the Duhamel sum; W comes from one
-    # batched expm per substep, or once per chunk when A is constant.
     chunk = max(1, LCHS_CHUNK_BYTES // (16 * n * n))
     acc = np.zeros(n, dtype=complex)
     n_exp = 0
     for lo in range(0, cfg.nodes, chunk):
         kc = ks[lo : lo + chunk, None, None]
-        if not time_dep:
-            W = expm(-1j * dt * (kc * Ls[0] + Hs[0]))
-            n_exp += len(kc)
-        P = None  # the empty product at boundary S
-        contrib = np.zeros((len(kc), n), dtype=complex)
-        if b_fun is not None:
-            contrib += ws[-1] * b_shift[-1]
-        for j in range(cfg.substeps - 1, -1, -1):
-            if time_dep:
-                W = expm(-1j * dt * (kc * Ls[j] + Hs[j]))
+        z = np.repeat(z0[None, :, None], len(kc), axis=0)  # (nodes, n, 1)
+        for j in range(cfg.substeps):
+            if time_dep or j == 0:
+                w, V = np.linalg.eigh(kc * Ls[j] + Hs[j])
+                phase = np.exp(-1j * dt * w)[..., None]
+                Vh = V.conj().swapaxes(-1, -2)
                 n_exp += len(kc)
-            P = W if P is None else P @ W
+            z = V @ (phase * (Vh @ z))
             if b_fun is not None:
-                contrib += ws[j] * (P @ b_shift[j])
-        contrib += P @ u0
-        acc += (wk[lo : lo + chunk] * gk[lo : lo + chunk]) @ contrib
+                z += ws[j + 1] * b_shift[j + 1][:, None]
+        acc += (wk[lo : lo + chunk] * gk[lo : lo + chunk]) @ z[..., 0]
 
     u = np.exp(mu * T) * acc
     real_inputs = not np.iscomplexobj(u0) and all(np.all(Aj.imag == 0.0) for Aj in A_mid)

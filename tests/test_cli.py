@@ -208,6 +208,44 @@ def test_lchs_command(tmp_path):
     assert int(row["n_exponentials"]) == 257
 
 
+def test_lchs_command_on_singular_matrix(tmp_path):
+    # A = diag(0, 1) has no inverse; the exact reference does not need one
+    lchs = {"A": [[0.0, 0.0], [0.0, 1.0]], "b": [1.0, 0.5], "u0": [1.0, -0.5], "T": 1.0}
+    code, out = run(tmp_path, "lchs", {"lchs": {**lchs, "K": 2048.0, "nodes": 8193}}, out="wide")
+    assert code == 0
+    cols, rows = data_rows(out / "summary.csv")
+    row = dict(zip(cols, rows[0]))
+    assert float(row["error"]) < 1e-3
+    # the zero mode is not damped, so the truncated kernel misses it by its
+    # tail mass: error = |u_0(T)| (1 - kernel_mass) with u_0(T) = 1 + T = 2
+    code, out = run(tmp_path, "lchs", {"lchs": lchs}, out="default")
+    assert code == 0
+    cols, rows = data_rows(out / "summary.csv")
+    row = dict(zip(cols, rows[0]))
+    assert float(row["error"]) == pytest.approx(2.0 * (1.0 - float(row["kernel_mass"])), rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("T", math.nan), ("K", math.nan), ("K", math.inf)],
+)
+def test_lchs_command_refuses_non_finite_values(tmp_path, field, value):
+    lchs = {"A": [[2.0, 1.0], [1.0, 3.0]], "b": [1.0, 0.5], "u0": [1.0, -0.5], "T": 1.0, field: value}
+    code, out = run(tmp_path, "lchs", {"lchs": lchs})
+    assert code == 3
+    assert not (out / "summary.csv").exists()
+
+
+def test_lchs_command_takes_integral_float_counts(tmp_path):
+    # JSON Schema counts 9.0 as an integer, so the config may spell counts so
+    lchs = {"A": [[2.0, 1.0], [1.0, 3.0]], "b": [1.0, 0.5], "u0": [1.0, -0.5], "T": 1.0,
+            "nodes": 9.0, "substeps": 4.0}
+    code, out = run(tmp_path, "lchs", {"lchs": lchs})
+    assert code == 0
+    cols, rows = data_rows(out / "summary.csv")
+    assert int(dict(zip(cols, rows[0]))["n_exponentials"]) == 9
+
+
 def test_diagnose_command_tracks_decay(tmp_path):
     cfg = {"window": {"benchmark": "dissipative_linear", "M": 12}}
     code, out = run(tmp_path, "diagnose", cfg)

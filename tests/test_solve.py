@@ -4,6 +4,8 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -256,6 +258,57 @@ def test_lchs_matches_per_node_suffix_products(A_fun, b_fun, cfg, chunk_bytes):
     assert not np.iscomplexobj(res.u)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    complex_inputs=st.booleans(),
+    time_dep=st.booleans(),
+    with_b=st.booleans(),
+    nodes=st.integers(3, 33),
+    substeps=st.integers(1, 8),
+    K=st.floats(0.5, 32.0),
+    T=st.floats(0.1, 2.0),
+    chunk_nodes=st.one_of(st.none(), st.integers(1, 32)),
+)
+def test_lchs_matches_per_node_suffix_products_on_random_systems(
+    seed, n, complex_inputs, time_dep, with_b, nodes, substeps, K, T, chunk_nodes
+):
+    """Non-normal A, real or complex, constant or linear in t, with or
+    without a source; chunk_nodes None keeps all nodes in one chunk, an
+    integer caps a chunk at that many nodes (several chunks below nodes)."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if complex_inputs else x
+
+    A0, A1 = draw(n, n), draw(n, n)
+    b0, b1, u0 = draw(n), draw(n), draw(n)
+
+    def A_fun(t):
+        return A0 + t * A1 if time_dep else A0
+
+    def b_fun(t):
+        return b0 + np.sin(t) * b1
+
+    b_fun = b_fun if with_b else None
+    cfg = LchsConfig(K=K, nodes=nodes, substeps=substeps)
+    node_bytes = 16 * n * n
+    cap = node_bytes * (nodes if chunk_nodes is None else chunk_nodes)
+    with mock.patch.object(solve, "LCHS_CHUNK_BYTES", cap):
+        res = lchs_solve(A_fun, b_fun, u0, T, cfg)
+    expected, n_exp = lchs_per_node(A_fun, b_fun, u0, T, cfg)
+    # relative to the size of the summed terms, e^{mu T} sum_k w_k g_k |z_k|
+    # with |z_k| <= |u0| + T max_t |b(t)| (unitary propagators): the
+    # quadrature cancels down to expected, so rounding scales with the terms
+    source = T * (np.linalg.norm(b0) + np.linalg.norm(b1)) if with_b else 0.0
+    scale = np.exp(res.shift * T) * res.kernel_mass * (np.linalg.norm(u0) + source)
+    assert np.linalg.norm(res.u - expected) <= 1e-13 * scale
+    assert res.n_exponentials == n_exp == nodes * (substeps if time_dep and substeps > 1 else 1)
+    assert np.iscomplexobj(res.u) == complex_inputs
+
+
 def test_lchs_validation():
     with pytest.raises(ValueError):
         lchs_solve(lambda t: CONST_A, None, U0, 0.0)
@@ -265,6 +318,16 @@ def test_lchs_validation():
         LchsConfig(nodes=2)
     with pytest.raises(ValueError):
         LchsConfig(substeps=0)
+    for T in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            lchs_solve(lambda t: CONST_A, None, U0, T)
+    for K in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            LchsConfig(K=K)
+    with pytest.raises(ValueError):
+        LchsConfig(nodes=9.5)
+    with pytest.raises(ValueError):
+        LchsConfig(substeps=4.5)
 
 
 def test_qlss_cost_model_value_and_ratios():
