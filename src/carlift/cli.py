@@ -1,11 +1,17 @@
 """Batch front end: JSON config in, bit-stable CSV tables out.
 
 Commands: simulate, carleman, lchs, diagnose, readout, sweep.  Every run
-validates its config against a strict schema (unknown keys rejected),
-writes the fully resolved config next to the results, and stamps each
-CSV with the tool version and a sha256 of that resolved config.  Fixed
-seed and fixed config give byte-identical files, regardless of how many
-workers a sweep uses.
+validates its config against a strict schema (unknown keys rejected) and
+writes the fully resolved config to the output directory before the
+command starts.  A command is a function of that config that writes
+nothing: it returns its exit status and its outputs, which map each file
+name to a table (columns, rows, metadata) or, for the one non-CSV file,
+to a deferred writer.  :func:`main` alone writes them, stamping each CSV
+with the tool version and a sha256 of the resolved config, so a command
+that raises leaves only ``resolved_config.json`` behind.  A sweep runs
+its points in process or in a worker pool and merges their summary
+tables as values; points write no files.  Fixed seed and fixed config
+give byte-identical files, regardless of how many workers a sweep uses.
 
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 non-convergence.
 """
@@ -14,11 +20,11 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import math
 import os
-import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -372,38 +378,10 @@ def write_csv(path, cfg_sha: str, columns, rows, extra_meta=()):
         fh.write("\n".join(lines) + "\n")
 
 
-def read_csv_rows(path):
-    """Return (columns, data rows as raw strings) of a file written by write_csv."""
-    columns = None
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            if columns is None:
-                columns = line
-            else:
-                rows.append(line)
-    if columns is None:
-        raise ValueError(f"{path} has no header row")
-    return columns, rows
-
-
-def emit_resolved_config(cfg: dict, out_dir: str) -> str:
-    canon = canonical_config(cfg)
-    sha = config_hash(cfg)
-    with open(os.path.join(out_dir, "resolved_config.json"), "w") as fh:
-        json.dump(canon, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return sha
-
-
 # --- commands -----------------------------------------------------------------
 
 
-def cmd_simulate(cfg: dict, out_dir: str) -> int:
-    sha = emit_resolved_config(cfg, out_dir)
+def cmd_simulate(cfg: dict) -> tuple[int, dict]:
     m = build_model(cfg)
     s, grid, x_T = build_window(cfg, m)
     sim = cfg["simulate"]
@@ -435,15 +413,15 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
             + [errors[i]]
         )
     meta = [("scheme", run.scheme), ("nfe", run.nfe)]
-    write_csv(os.path.join(out_dir, "trajectory.csv"), sha, columns, rows, meta)
     sum_cols = ["scheme", "M", "nfe"] + [f"x_end_{i}" for i in range(m.d)] + ["endpoint_error"]
     sum_row = [run.scheme, len(grid.h), run.nfe] + list(states[-1]) + [endpoint_error]
-    write_csv(os.path.join(out_dir, "summary.csv"), sha, sum_cols, [sum_row])
-    return 0
+    return 0, {
+        "trajectory.csv": (columns, rows, meta),
+        "summary.csv": (sum_cols, [sum_row], ()),
+    }
 
 
-def cmd_carleman(cfg: dict, out_dir: str) -> int:
-    sha = emit_resolved_config(cfg, out_dir)
+def cmd_carleman(cfg: dict) -> tuple[int, dict]:
     m = build_model(cfg)
     s, grid, x_T = build_window(cfg, m)
     car = cfg["carleman"]
@@ -475,6 +453,7 @@ def cmd_carleman(cfg: dict, out_dir: str) -> int:
     error = float(np.linalg.norm(traj[-1] - oracle.endpoint))
     defect = states[-1].consistency_defect()
 
+    outputs = {}
     kappa = math.nan
     converged = True
     if car["condition"] != "none":
@@ -490,14 +469,14 @@ def cmd_carleman(cfg: dict, out_dir: str) -> int:
             report.rtol, report.residual, report.converged,
             report.sigma_max, report.sigma_min, report.s_row, report.s_col, report.nnz,
         ]
-        write_csv(os.path.join(out_dir, "condition.csv"), sha, cond_cols, [cond_row])
+        outputs["condition.csv"] = (cond_cols, [cond_row], ())
     if car["export_matrix"]:
-        export_matrix(system, os.path.join(out_dir, "matrix.txt"))
+        outputs["matrix.txt"] = functools.partial(export_matrix, system)
 
     columns = ["step", "t", "lam"] + [f"x_{i}" for i in range(m.d)]
     rows = [[i, grid.t[i], grid.lam[i]] + list(traj[i]) for i in range(len(grid.t))]
     meta = [("scheme", system.scheme), ("solver", sol.method), ("dim", system.dim)]
-    write_csv(os.path.join(out_dir, "trajectory.csv"), sha, columns, rows, meta)
+    outputs["trajectory.csv"] = (columns, rows, meta)
 
     sum_cols = (
         ["scheme", "N", "M", "dim"]
@@ -509,12 +488,11 @@ def cmd_carleman(cfg: dict, out_dir: str) -> int:
         + list(traj[-1])
         + [error, defect, kappa, sol.residual, sol.iterations, equivalence]
     )
-    write_csv(os.path.join(out_dir, "summary.csv"), sha, sum_cols, [sum_row])
-    return 0 if converged else 4
+    outputs["summary.csv"] = (sum_cols, [sum_row], ())
+    return (0 if converged else 4), outputs
 
 
-def cmd_lchs(cfg: dict, out_dir: str) -> int:
-    sha = emit_resolved_config(cfg, out_dir)
+def cmd_lchs(cfg: dict) -> tuple[int, dict]:
     sec = cfg["lchs"]
     for field in ("A", "b", "u0"):
         if field not in sec:
@@ -547,12 +525,10 @@ def cmd_lchs(cfg: dict, out_dir: str) -> int:
         + list(np.real(res.u))
         + [error, res.shift, res.n_exponentials, res.kernel_mass]
     )
-    write_csv(os.path.join(out_dir, "summary.csv"), sha, columns, [row])
-    return 0
+    return 0, {"summary.csv": (columns, [row], ())}
 
 
-def cmd_diagnose(cfg: dict, out_dir: str) -> int:
-    sha = emit_resolved_config(cfg, out_dir)
+def cmd_diagnose(cfg: dict) -> tuple[int, dict]:
     m = build_model(cfg)
     s, grid, x_T = build_window(cfg, m)
     diag = cfg["diagnose"]
@@ -561,23 +537,18 @@ def cmd_diagnose(cfg: dict, out_dir: str) -> int:
     ptrace = dissipativity_P(trace)
     spec_cols = ["step", "t"] + [f"eig_{i}" for i in range(m.d)]
     spec_rows = [[i, trace.times[i]] + list(trace.eigs[i]) for i in range(len(trace.times))]
-    write_csv(
-        os.path.join(out_dir, "spectrum.csv"), sha, spec_cols, spec_rows,
-        [("normalization", trace.normalization)],
-    )
     p_cols = ["step", "t", "P"] + [f"a_{i}" for i in range(m.d)]
     p_rows = [[i, ptrace.times[i], ptrace.P[i]] + list(ptrace.a[i]) for i in range(len(ptrace.times))]
-    write_csv(
-        os.path.join(out_dir, "ptrace.csv"), sha, p_cols, p_rows,
-        [("flagged", ptrace.flagged)],
-    )
     sum_cols = ["scheme", "M", "normalization", "flagged", "P_final", "max_eig"]
     sum_row = [
         run.scheme, len(grid.h), trace.normalization, ptrace.flagged,
         float(ptrace.P[-1]), float(np.max(trace.eigs)),
     ]
-    write_csv(os.path.join(out_dir, "summary.csv"), sha, sum_cols, [sum_row])
-    return 0
+    return 0, {
+        "spectrum.csv": (spec_cols, spec_rows, [("normalization", trace.normalization)]),
+        "ptrace.csv": (p_cols, p_rows, [("flagged", ptrace.flagged)]),
+        "summary.csv": (sum_cols, [sum_row], ()),
+    }
 
 
 def _readout_fixture(kind: str, dim: int, r: int, rng) -> np.ndarray:
@@ -592,8 +563,7 @@ def _readout_fixture(kind: str, dim: int, r: int, rng) -> np.ndarray:
     return v
 
 
-def cmd_readout(cfg: dict, out_dir: str) -> int:
-    sha = emit_resolved_config(cfg, out_dir)
+def cmd_readout(cfg: dict) -> tuple[int, dict]:
     sec = cfg["readout"]
     r, dim = sec["r"], sec["dim"]
     if r >= dim:
@@ -617,8 +587,7 @@ def cmd_readout(cfg: dict, out_dir: str) -> int:
     l2_err = float(np.mean(l2_errors)) if l2_errors else math.nan
     columns = ["r", "dim", "shots", "trials", "successes", "amp_shots", "l2_err"]
     row = [r, dim, shots, sec["trials"], successes, sec["amp_shots"], l2_err]
-    write_csv(os.path.join(out_dir, "summary.csv"), sha, columns, [row])
-    return 0
+    return 0, {"summary.csv": (columns, [row], ())}
 
 
 # --- sweep --------------------------------------------------------------------
@@ -636,66 +605,50 @@ def _set_path(cfg: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
-def _execute_point(payload):
-    index, command, cfg_json, point_dir = payload
-    cfg = json.loads(cfg_json)
-    os.makedirs(point_dir, exist_ok=True)
-    status = _POINT_COMMANDS[command](cfg, point_dir)
-    columns, rows = read_csv_rows(os.path.join(point_dir, "summary.csv"))
-    return index, status, columns, rows
+def _point_summary(command: str, cfg: dict):
+    """Status and summary table of one sweep point; its other outputs go unwritten."""
+    status, outputs = _POINT_COMMANDS[command](cfg)
+    return status, outputs["summary.csv"]
 
 
-def cmd_sweep(cfg: dict, out_dir: str) -> int:
-    sha = emit_resolved_config(cfg, out_dir)
+def cmd_sweep(cfg: dict) -> tuple[int, dict]:
     sweep = cfg["sweep"]
-    base_command = sweep["command"]
     parameter = sweep["parameter"]
     values = sweep["values"]
-    base_cfg = {k: copy.deepcopy(v) for k, v in cfg.items() if k != "sweep"}
-    payloads = []
-    points_root = os.path.join(out_dir, "points")
-    for idx, value in enumerate(values):
+    base_cfg = {k: v for k, v in cfg.items() if k != "sweep"}
+    point_cfgs = []
+    for value in values:
         point_cfg = copy.deepcopy(base_cfg)
         _set_path(point_cfg, parameter, value)
-        point_dir = os.path.join(points_root, f"{idx:04d}")
-        payloads.append((idx, base_command, json.dumps(point_cfg, sort_keys=True), point_dir))
+        point_cfgs.append(point_cfg)
 
-    workers = min(sweep["workers"], len(payloads))
-    results = [None] * len(payloads)
+    point = functools.partial(_point_summary, sweep["command"])
+    workers = min(sweep["workers"], len(point_cfgs))
     if workers <= 1:
-        for payload in payloads:
-            idx, status, columns, rows = _execute_point(payload)
-            results[idx] = (status, columns, rows)
+        results = list(map(point, point_cfgs))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for idx, status, columns, rows in pool.map(_execute_point, payloads):
-                results[idx] = (status, columns, rows)
+            results = list(pool.map(point, point_cfgs))
 
     worst = 0
-    merged_rows = []
     header = None
-    for idx, value in enumerate(values):
-        status, columns, rows = results[idx]
+    rows = []
+    for value, (status, (columns, point_rows, _)) in zip(values, results):
         worst = max(worst, status)
         if header is None:
             header = columns
         elif header != columns:
             raise StructureError("sweep points produced mismatching summary columns")
-        for row in rows:
-            merged_rows.append(f"{parameter},{_fmt(value)},{row}")
+        rows += [[parameter, value, *row] for row in point_rows]
 
-    slope_value = math.nan
     if sweep["slope"]:
-        cols = header.split(",")
-        if "error" in cols:
-            err_idx = cols.index("error")
-        elif "endpoint_error" in cols:
-            err_idx = cols.index("endpoint_error")
-        else:
+        err_col = next((c for c in ("error", "endpoint_error") if c in header), None)
+        if err_col is None:
             raise StructureError("slope requested but no error column in summary")
+        err_idx = 2 + header.index(err_col)
         errs, hs = [], []
-        for value, line in zip(values, merged_rows):
-            err = float(line.split(",")[2 + err_idx])
+        for value, row in zip(values, rows):
+            err = float(row[err_idx])
             if not (isinstance(value, (int, float)) and value > 0):
                 raise ConfigError("$.sweep.slope: swept values must be positive numbers")
             if err > 0 and math.isfinite(err):
@@ -703,13 +656,11 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
                 hs.append(math.log(1.0 / float(value)))
         if len(errs) < 2:
             raise StructureError("slope requested but fewer than two usable error points")
-        slope_value = float(np.polyfit(hs, errs, 1)[0])
-        merged_rows.append(parameter + ",slope," + ",".join([_fmt(slope_value)] + [""] * (len(cols) - 1)))
+        slope = float(np.polyfit(hs, errs, 1)[0])
+        rows.append([parameter, "slope", slope] + [None] * (len(header) - 1))
 
-    write_csv(os.path.join(out_dir, "sweep.csv"), sha, ["parameter", "value", header],
-              [[row] for row in merged_rows], [("command", base_command)])
-    shutil.rmtree(points_root)
-    return worst
+    meta = [("command", sweep["command"])]
+    return worst, {"sweep.csv": (["parameter", "value", *header], rows, meta)}
 
 
 # commands a sweep point can run; main adds "sweep" itself
@@ -760,8 +711,19 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     handler = {**_POINT_COMMANDS, "sweep": cmd_sweep}[args.command]
+    sha = config_hash(cfg)
+    with open(os.path.join(out_dir, "resolved_config.json"), "w") as fh:
+        json.dump(canonical_config(cfg), fh, indent=2, sort_keys=True)
+        fh.write("\n")
     try:
-        return handler(cfg, out_dir)
+        status, outputs = handler(cfg)
+        for name, output in outputs.items():
+            path = os.path.join(out_dir, name)
+            if callable(output):
+                output(path)
+            else:
+                write_csv(path, sha, *output)
+        return status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

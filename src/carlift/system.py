@@ -26,11 +26,9 @@ from .errors import CapacityError, StructureError
 __all__ = [
     "TrajectoryOperator",
     "BlockLinearSystem",
-    "SparsityStats",
     "ConditionReport",
     "assemble_global_dpm",
     "assemble_global_unipc",
-    "sparsity_stats",
     "condition_number",
     "export_matrix",
     "import_matrix",
@@ -277,14 +275,6 @@ def assemble_global_unipc(
     )
 
 
-@dataclass
-class SparsityStats:
-    s_row: int
-    s_col: int
-    nnz: int
-    fill: float
-
-
 def _zero_free(mat) -> sp.csr_matrix:
     """CSR form of a matrix or system without stored zeros, leaving it untouched.
 
@@ -318,22 +308,10 @@ def _lower_diagonal(mat: sp.csr_matrix) -> np.ndarray:
     return mat.diagonal()
 
 
-def sparsity_stats(mat) -> SparsityStats:
-    """Max nonzeros per row/column and overall fill of a sparse matrix."""
-    csr = _zero_free(mat)
-    row_counts = np.diff(csr.indptr)
-    col_counts = np.bincount(csr.indices, minlength=csr.shape[1]) if csr.nnz else np.zeros(csr.shape[1], int)
-    return SparsityStats(
-        s_row=int(row_counts.max(initial=0)),
-        s_col=int(col_counts.max(initial=0)),
-        nnz=int(csr.nnz),
-        fill=float(csr.nnz / (csr.shape[0] * csr.shape[1])),
-    )
-
-
 @dataclass
 class ConditionReport:
-    """2-norm condition estimate with how it was obtained."""
+    """2-norm condition estimate with how it was obtained, and the most
+    nonzeros in a row (``s_row``) and in a column (``s_col``) of the matrix."""
 
     kappa: float
     method: str
@@ -405,8 +383,9 @@ def condition_number(
     ARPACK cannot take.
     """
     mat = _zero_free(system)
-    stats = sparsity_stats(mat)
     n = mat.shape[0]
+    s_row = int(np.diff(mat.indptr).max(initial=0))
+    s_col = int(np.bincount(mat.indices, minlength=n).max(initial=0))
     if method == "auto":
         method = "lanczos" if n >= 2 else "dense_svd"
     if method == "dense_svd":
@@ -433,7 +412,7 @@ def condition_number(
     return ConditionReport(
         kappa=float(smax / smin), method=method, dim=n, iterations=its, rtol=rtol,
         residual=float(res), converged=bool(ok), sigma_max=float(smax), sigma_min=float(smin),
-        s_row=stats.s_row, s_col=stats.s_col, nnz=stats.nnz,
+        s_row=s_row, s_col=s_col, nnz=int(mat.nnz),
     )
 
 

@@ -25,8 +25,9 @@ def run(tmp_path, command, cfg, out="out", extra=()):
 
 
 def data_rows(path):
-    columns, rows = cli.read_csv_rows(str(path))
-    return columns.split(","), [r.split(",") for r in rows]
+    """Header and data rows of a CSV the CLI wrote, past its '#' stamp lines."""
+    lines = [line for line in path.read_text().splitlines() if line and not line.startswith("#")]
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
 SIM_CFG = {"window": {"benchmark": "weak_quadratic", "M": 8}, "simulate": {"order": 2}}
@@ -320,6 +321,37 @@ def test_sweep_point_matches_single_run(tmp_path):
     _, srows = data_rows(out_s / "summary.csv")
     _, wrows = data_rows(out_w / "sweep.csv")
     assert ",".join(wrows[0][2:]) == ",".join(srows[0])
+
+
+def test_failing_sweep_point_leaves_only_the_resolved_config(tmp_path):
+    cfg = {
+        "model": {"mode": "separable", "d": 1, "terms": [[0, 0, 0.1], [1, 0, -0.5], [2, 0, 0.1]]},
+        "window": {"x_T": 0.8, "t_start": 0.6, "t_end": 0.05, "M": 6},
+        "carleman": {"N": 3, "solver": "gmres", "gmres_tol": 1e-30},
+        "sweep": {"command": "carleman", "parameter": "carleman.N", "values": [3]},
+    }
+    code, out = run(tmp_path, "sweep", cfg)
+    assert code == 4
+    assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+
+
+def test_sweep_points_export_no_matrix(tmp_path, monkeypatch):
+    cfg = {
+        "window": {"benchmark": "weak_quadratic", "M": 4},
+        "carleman": {"N": 2, "export_matrix": True},
+        "sweep": {"command": "carleman", "parameter": "carleman.N", "values": [1, 2]},
+    }
+    code, out = run(tmp_path, "sweep", cfg, out="plain")
+    assert code == 0
+
+    def refuse(*args):
+        raise AssertionError("a sweep point exported its matrix")
+
+    monkeypatch.setattr(cli, "export_matrix", refuse)
+    code, out_patched = run(tmp_path, "sweep", cfg, out="patched")
+    assert code == 0
+    assert sorted(p.name for p in out_patched.iterdir()) == ["resolved_config.json", "sweep.csv"]
+    assert (out_patched / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
 
 
 def test_sweep_unknown_parameter_path(tmp_path):

@@ -17,7 +17,6 @@ from carlift.system import (
     condition_number,
     export_matrix,
     import_matrix,
-    sparsity_stats,
 )
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
@@ -69,9 +68,9 @@ def test_global_matrix_is_block_lower_triangular():
     basis = CarlemanBasis(N=3, d=1)
     system = assemble_global_unipc(qcms[:1], qcms[1:], lift([0.8], basis).y)
     assert sp.triu(system.mat.tocsr(), k=1).nnz == 0
-    stats = sparsity_stats(system.mat)
-    assert stats.nnz == system.mat.nnz
-    assert stats.s_row >= 1 and stats.s_col >= 1
+    report = condition_number(system.mat)
+    assert report.nnz == system.mat.nnz
+    assert report.s_row >= 1 and report.s_col >= 1
 
 
 def test_operator_csr_follows_step_diagonals_that_cancel_or_are_missing():
@@ -96,10 +95,10 @@ def test_operator_csr_follows_step_diagonals_that_cancel_or_are_missing():
 
 def test_sparsity_stats_small_matrix():
     mat = sp.csr_matrix(np.array([[1.0, 0.0], [2.0, 3.0]]))
-    stats = sparsity_stats(mat)
-    assert stats.nnz == 3
-    assert stats.s_row == 2
-    assert stats.s_col == 2
+    report = condition_number(mat)
+    assert report.nnz == 3
+    assert report.s_row == 2
+    assert report.s_col == 2
 
 
 def test_stored_zeros_leave_the_callers_matrix_untouched():
@@ -109,7 +108,8 @@ def test_stored_zeros_leave_the_callers_matrix_untouched():
                             np.array([0, 2, 4])), shape=(2, 2))
     clean = sp.csr_matrix(np.array([[2.0, 0.0], [0.5, 1.0]]))
     assert stored.nnz == 4 and clean.nnz == 3
-    assert sparsity_stats(stored) == sparsity_stats(clean)
+    report = condition_number(stored)
+    assert (report.s_row, report.s_col, report.nnz) == (2, 2, 3)
     for method in ("dense_svd", "lanczos"):
         assert condition_number(stored, method=method) == condition_number(clean, method=method)
     assert stored.nnz == 4
