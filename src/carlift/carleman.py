@@ -39,7 +39,6 @@ __all__ = [
     "Qcm",
     "UnipcQcmSet",
     "lift",
-    "compose_poly_power",
     "step_polynomial_dpm",
     "assemble_dpm_qcm",
     "assemble_unipc_qcms",
@@ -119,24 +118,6 @@ def lift(x, basis: CarlemanBasis) -> LiftedState:
         if j < basis.N:
             power = np.kron(power, x)
     return LiftedState(basis=basis, y=np.concatenate(parts))
-
-
-def compose_poly_power(P: dict[int, np.ndarray], m: int, basis: CarlemanBasis) -> dict[int, np.ndarray]:
-    """Coefficients of the m-th Kronecker power of a polynomial map.
-
-    P maps degree q to the (d, d^q) coefficient matrix B_q; the result
-    maps degree q to the (d^m, d^q) coefficient of x^{(q)} in
-    P(x)^{(m)}, with degrees above the basis truncation dropped.
-    """
-    if m < 0:
-        raise ValueError("need m >= 0")
-    for q, B in P.items():
-        if np.shape(B) != (basis.d, basis.d**q):
-            raise ValueError(f"degree-{q} coefficient must have shape ({basis.d}, {basis.d**q})")
-    out: dict[int, np.ndarray] = {0: np.ones((1, 1))}
-    for _ in range(m):
-        out = _times_poly(out, P, basis.N)
-    return out
 
 
 def _times_poly(R: dict[int, np.ndarray], P: dict[int, np.ndarray], N: int) -> dict[int, np.ndarray]:

@@ -8,9 +8,12 @@ nothing: it returns its exit status and its outputs, which map each file
 name to a table (columns, rows, metadata) or, for the one non-CSV file,
 to a deferred writer.  :func:`main` alone writes them, stamping each CSV
 with the tool version and a sha256 of the resolved config, so a command
-that raises leaves only ``resolved_config.json`` behind.  A sweep runs
-its points in process or in a worker pool and merges their summary
-tables as values; points write no files.  Fixed seed and fixed config
+that raises leaves only ``resolved_config.json`` behind.  A sweep checks
+every point's config against the schema before running any, runs the
+points in process or in a worker pool and merges their summary tables
+as values; points write no files.  The first failing point ends the
+sweep, pool workers included, and its index and swept value are
+appended to the error message.  Fixed seed and fixed config
 give byte-identical files, regardless of how many workers a sweep uses.
 
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 non-convergence.
@@ -24,9 +27,9 @@ import functools
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 from scipy.linalg import expm
@@ -611,6 +614,11 @@ def _point_summary(command: str, cfg: dict):
     return status, outputs["summary.csv"]
 
 
+def _name_point(exc: Exception, index: int, parameter: str, value) -> None:
+    """Append the sweep point a failure came from to the message main prints."""
+    exc.args = (f"{exc} (sweep point {index}: {parameter} = {json.dumps(value)})",)
+
+
 def cmd_sweep(cfg: dict) -> tuple[int, dict]:
     sweep = cfg["sweep"]
     parameter = sweep["parameter"]
@@ -620,15 +628,29 @@ def cmd_sweep(cfg: dict) -> tuple[int, dict]:
     for value in values:
         point_cfg = copy.deepcopy(base_cfg)
         _set_path(point_cfg, parameter, value)
+        try:
+            validate_config(point_cfg)
+        except ConfigError as exc:
+            _name_point(exc, len(point_cfgs), parameter, value)
+            raise
         point_cfgs.append(point_cfg)
 
     point = functools.partial(_point_summary, sweep["command"])
     workers = min(sweep["workers"], len(point_cfgs))
-    if workers <= 1:
-        results = list(map(point, point_cfgs))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(point, point_cfgs))
+    results = []
+    try:
+        if workers <= 1:
+            for point_cfg in point_cfgs:
+                results.append(point(point_cfg))
+        else:
+            # leaving the block terminates the workers: the first failing
+            # point stops the points still running or queued
+            with multiprocessing.Pool(workers) as pool:
+                for result in pool.imap(point, point_cfgs):
+                    results.append(result)
+    except Exception as exc:
+        _name_point(exc, len(results), parameter, values[len(results)])
+        raise
 
     worst = 0
     header = None

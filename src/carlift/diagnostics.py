@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carleman import CarlemanBasis, assemble_dpm_qcm, lift, run_lifted
+from .carleman import CarlemanBasis, lift, run_lifted
 from .model import PolyNoiseModel, drift_eigenvalues
 from .reference import SolverRun, rk4_oracle, run_scheme
 from .schedule import NoiseSchedule, TimeGrid, make_lambda_grid
-from .system import ConditionReport, assemble_global_dpm, condition_number
+from .system import assemble_global_dpm, condition_number
 
 __all__ = [
     "SpectrumTrace",

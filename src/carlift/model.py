@@ -38,10 +38,8 @@ __all__ = [
     "scalar_model",
     "separable_model",
     "kron_model",
-    "zero_model",
     "eval_eps",
     "jacobian_eps",
-    "dx_dlambda",
     "drift_jacobian",
     "total_derivative_poly",
     "coeff_matrices",
@@ -146,14 +144,6 @@ def kron_model(d: int, terms) -> PolyNoiseModel:
         else:
             blocks.append(np.zeros((1, d, d**j)))
     return PolyNoiseModel(mode="kron", d=d, coeffs=blocks)
-
-
-def zero_model(d: int = 1, mode: str = "separable") -> PolyNoiseModel:
-    if mode == "separable":
-        return separable_model(np.zeros((d, 1, 1)))
-    if mode == "kron":
-        return kron_model(d, {0: np.zeros((1, d, 1))})
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 # --- batch (separable) polynomial helpers --------------------------------
@@ -343,13 +333,6 @@ def _separable_deps(m: PolyNoiseModel, x: np.ndarray, lam: float) -> np.ndarray:
     for j in range(m.coeffs.shape[1] - 1, 0, -1):
         deps = deps * x + j * clam[:, j]
     return deps
-
-
-def dx_dlambda(s: NoiseSchedule, m: PolyNoiseModel, x, lam: float) -> np.ndarray:
-    """Right-hand side of the flow in lam: sigma^2 x - sigma eps(x, lam)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    sig = float(s.sigma_from_lam(lam))
-    return sig**2 * x - sig * eval_eps(m, x, lam)
 
 
 def drift_jacobian(s: NoiseSchedule, m: PolyNoiseModel, x, t: float) -> np.ndarray:

@@ -45,8 +45,6 @@ class ReadoutReport:
     l2_error: float            # against the normalised truth, full length
     success: bool
     ambiguous: bool            # count tie at the support boundary
-    shots: int
-    amp_shots: int
 
 
 def recover_sparse(
@@ -97,8 +95,6 @@ def recover_sparse(
         l2_error=float(np.linalg.norm(full - vn)),
         success=bool(np.array_equal(support, true_support)),
         ambiguous=ambiguous,
-        shots=shots,
-        amp_shots=amp_shots,
     )
 
 

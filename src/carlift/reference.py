@@ -57,7 +57,6 @@ class SolverRun:
     states: list[TrajectoryPoint]
     nfe: int
     scheme: str
-    order: int
 
     def state_matrix(self) -> np.ndarray:
         return np.stack([p.x for p in self.states])
@@ -153,7 +152,7 @@ def rk4_oracle(
         x = np.atleast_1d(np.asarray(y, dtype=float))
         pts.append(TrajectoryPoint(float(tb), float(s.lam(tb)), x.copy()))
     grid = TimeGrid(t=times, lam=np.asarray(s.lam(times), dtype=float))
-    return SolverRun(grid=grid, states=pts, nfe=nfe, scheme="rk4", order=4)
+    return SolverRun(grid=grid, states=pts, nfe=nfe, scheme="rk4")
 
 
 def dpm_weights(s: NoiseSchedule, lam_s: float, lam_t: float, k: int) -> tuple[float, np.ndarray]:
@@ -288,7 +287,7 @@ def run_dpm(
     for i in range(1, grid.M + 1):
         x = dpm_step(s, m, x, i, grid, k)
         pts.append(TrajectoryPoint(float(grid.t[i]), float(grid.lam[i]), x.copy()))
-    return SolverRun(grid=grid, states=pts, nfe=k * grid.M, scheme=f"dpm{k}", order=k)
+    return SolverRun(grid=grid, states=pts, nfe=k * grid.M, scheme=f"dpm{k}")
 
 
 def run_unipc(
@@ -299,39 +298,19 @@ def run_unipc(
     p: int,
     variant: str = "bh2",
     corrector: bool = False,
-    singlestep: bool = False,
 ) -> SolverRun:
     """Run the unified predictor(/corrector) sampler over the grid.
 
-    Multistep (default): the step to node i anchors at node i-p and
-    reuses the p-1 grid nodes in between, after a warm-up of p-1 steps
-    at matching single-step order.  Single-step: each step spawns fresh
-    interior nodes inside [lam_{i-1}, lam_i] (debugging layout; p
-    evaluations per step).
+    The step to node i anchors at node i-p and reuses the p-1 grid nodes
+    in between, after a warm-up of p-1 steps at matching single-step
+    order.
     """
-    if p < 1 or (not singlestep and p > 3):
+    if not 1 <= p <= 3:
         raise ValueError("supported orders are p in {1, 2, 3}")
     x = np.atleast_1d(np.asarray(x_T, dtype=float)).copy()
     pts = [TrajectoryPoint(float(grid.t[0]), float(grid.lam[0]), x.copy())]
     nfe = 0
     scheme = ("unic" if corrector else "unip") + str(p)
-
-    if singlestep:
-        for i in range(1, grid.M + 1):
-            lam0, lam1 = float(grid.lam[i - 1]), float(grid.lam[i])
-            x0 = xi = pts[-1].x
-            lams = lam0 + (lam1 - lam0) * np.arange(p + 1) / p
-            eps = []
-            for mm in range(1, p + 1):
-                eps.append(eval_eps(m, xi, float(lams[mm - 1])))
-                xi = _apply_weights(*uni_weights(s, lams[: mm + 1], variant), x0, eps)
-            nfe += p
-            if corrector and p > 1:
-                eps.append(eval_eps(m, xi, float(lams[-1])))
-                xi = _apply_weights(*uni_weights(s, lams, variant, corrector=True), x0, eps)
-                nfe += 1
-            pts.append(TrajectoryPoint(float(grid.t[i]), lam1, xi))
-        return SolverRun(grid=grid, states=pts, nfe=nfe, scheme=scheme + "s", order=p)
 
     eps: list[np.ndarray] = []  # eps at pts[0], pts[1], ...: each state is evaluated once
     for i in range(1, min(p - 1, grid.M) + 1):
@@ -349,7 +328,7 @@ def run_unipc(
             xi = _apply_weights(*uni_weights(s, lams, variant, corrector=True), x0, hist + [x_pred_eps])
             nfe += 1
         pts.append(TrajectoryPoint(float(grid.t[i]), float(grid.lam[i]), xi))
-    return SolverRun(grid=grid, states=pts, nfe=nfe, scheme=scheme, order=p)
+    return SolverRun(grid=grid, states=pts, nfe=nfe, scheme=scheme)
 
 
 def run_scheme(

@@ -89,10 +89,6 @@ class NoiseSchedule:
         """Squared diffusion coefficient, g^2(t) = beta(t)."""
         return self.beta(t)
 
-    def dlam_dt(self, t):
-        """d lam / dt = f(t) / sigma_t^2, strictly negative on (0, T]."""
-        return self.f(t) / self.sigma(t) ** 2
-
     # Lambda-domain views.  alpha^2 = 1/(1+e^{-2 lam}) and
     # sigma^2 = 1/(1+e^{2 lam}); expit keeps both stable for large |lam|.
 
@@ -164,12 +160,6 @@ class TimeGrid:
     @property
     def M(self) -> int:
         return len(self.t) - 1
-
-    def is_uniform(self, rtol: float = 1e-9) -> bool:
-        if self.M <= 1:
-            return True
-        h0 = self.h.mean()
-        return bool(np.all(np.abs(self.h - h0) <= rtol * abs(h0)))
 
 
 def make_lambda_grid(s: NoiseSchedule, t_start: float, t_end: float, M: int) -> TimeGrid:

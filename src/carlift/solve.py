@@ -42,6 +42,10 @@ __all__ = [
 # and one n-vector per node) does not grow with the node count.
 LCHS_CHUNK_BYTES = 1 << 20
 
+# Margin added to the stability shift of lchs_solve, so the shifted L is
+# positive semidefinite with room for rounding in its eigenvalues.
+SHIFT_EPS = 1e-12
+
 
 @dataclass
 class SolveResult:
@@ -115,7 +119,6 @@ class LchsConfig:
     K: float = 32.0
     nodes: int = 257
     substeps: int = 64
-    shift_eps: float = 1e-12
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.K) and self.K > 0.0):
@@ -143,7 +146,7 @@ def lchs_solve(A_fun, b_fun, u0, T: float, cfg: LchsConfig | None = None) -> Lch
     """Emulate the Hamiltonian-simulation route for du/dt = -A(t)u + b(t).
 
     Splits A = L + iH with L = (A + A^H)/2, H = (A - A^H)/(2i), shifts
-    by mu = max(0, -min_t lambda_min(L)) + eps so the shifted L is
+    by mu = max(0, -min_t lambda_min(L)) + SHIFT_EPS so the shifted L is
     positive semidefinite, and reproduces the flow as
 
         u(T) = e^{mu T} int_{-K}^{K} g(k) [ U_k(T,0) u0
@@ -182,7 +185,7 @@ def lchs_solve(A_fun, b_fun, u0, T: float, cfg: LchsConfig | None = None) -> Lch
     A_adj = A_gen.conj().swapaxes(-1, -2)
     Ls = (A_gen + A_adj) / 2.0
     Hs = (A_gen - A_adj) / 2.0j
-    mu = max(0.0, -float(np.linalg.eigvalsh(Ls)[:, 0].min())) + cfg.shift_eps
+    mu = max(0.0, -float(np.linalg.eigvalsh(Ls)[:, 0].min())) + SHIFT_EPS
     Ls = Ls + mu * np.eye(n)
     if float(np.linalg.eigvalsh(Ls)[:, 0].min()) < -1e-10:
         raise StructureError("stability shift failed to make L positive semidefinite")

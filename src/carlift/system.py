@@ -6,8 +6,8 @@ M Y = beta whose solution is the entire lifted trajectory.  M is block
 lower triangular with identity diagonal blocks (elementwise unit lower
 triangular, since every coupling block sits strictly below its row's
 diagonal block).  :class:`TrajectoryOperator` keeps M as the per-step
-blocks the lift made: products with M and M^T and the forward solve
-walk those blocks, and the global CSR matrix is built only on request,
+blocks the lift made: products with M and the forward solve walk
+those blocks, and the global CSR matrix is built only on request,
 for matrix export and the condition estimate.
 """
 
@@ -31,7 +31,6 @@ __all__ = [
     "assemble_global_unipc",
     "condition_number",
     "export_matrix",
-    "import_matrix",
 ]
 
 DENSE_SVD_MAX_DIM = 2000
@@ -96,16 +95,6 @@ class TrajectoryOperator(LinearOperator):
                 y[i] -= blk @ x[c]
                 if plus_eye:
                     y[i] -= x[c]
-        return y.ravel()
-
-    def _rmatvec(self, x):
-        x = self._blocks(x)
-        y = x.astype(np.result_type(x, np.float64))
-        for i, row in enumerate(self.rows):
-            for c, blk, plus_eye in row:
-                y[c] -= blk.T @ x[i]
-                if plus_eye:
-                    y[c] -= x[i]
         return y.ravel()
 
     def solve(self, rhs) -> np.ndarray:
@@ -428,20 +417,3 @@ def export_matrix(mat, path) -> None:
         for r, c, v in zip(coo.row, coo.col, coo.data):
             fh.write(f"{r} {c} {v:.17g}\n")
 
-
-def import_matrix(path) -> sp.csr_matrix:
-    """Read a matrix written by :func:`export_matrix`."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError("matrix header must be 'rows cols nnz'")
-        rows, cols, nnz = (int(x) for x in header)
-        r = np.empty(nnz, dtype=int)
-        c = np.empty(nnz, dtype=int)
-        v = np.empty(nnz, dtype=float)
-        for k in range(nnz):
-            parts = fh.readline().split()
-            if len(parts) != 3:
-                raise ValueError(f"bad triplet on line {k + 2}")
-            r[k], c[k], v[k] = int(parts[0]), int(parts[1]), float(parts[2])
-    return sp.coo_matrix((v, (r, c)), shape=(rows, cols)).tocsr()

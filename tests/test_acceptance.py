@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm
 
@@ -21,7 +20,7 @@ from carlift.diagnostics import (
     spectrum_trace,
     truncation_sweep,
 )
-from carlift.model import drift_jacobian, eval_eps, kron_model, scalar_model, separable_model, zero_model
+from carlift.model import drift_jacobian, eval_eps, kron_model, scalar_model, separable_model
 from carlift.presets import benchmark
 from carlift.readout import recover_sparse, tomography_cost_model
 from carlift.reference import rk4_oracle, run_dpm, run_unipc
@@ -32,6 +31,7 @@ from carlift.system import (
     assemble_global_unipc,
     condition_number,
 )
+from oracles import zero_model
 
 
 def test_criterion_01_linear_exactness():

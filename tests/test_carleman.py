@@ -10,9 +10,9 @@ from carlift.carleman import (
     CarlemanBasis,
     Qcm,
     UnipcQcmSet,
+    _poly_to_update,
     assemble_dpm_qcm,
     assemble_unipc_qcms,
-    compose_poly_power,
     lift,
     run_lifted,
     step_lifted,
@@ -23,6 +23,7 @@ from carlift.model import kron_model, scalar_model, separable_model
 from carlift.presets import benchmark
 from carlift.reference import dpm_step, rk4_oracle, run_dpm, run_unipc
 from carlift.schedule import make_lambda_grid, make_vp_schedule
+from oracles import compose_poly_power
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 LINEAR = scalar_model({(1, 0): -0.5})
@@ -110,6 +111,19 @@ def test_consistency_defect_detects_drift():
     assert lift([2.0], CarlemanBasis(N=1, d=1)).consistency_defect() == 0.0
 
 
+def assert_update_rows_are_powers(P, basis):
+    """Block row j of the non-delta lifted update of P holds the truncated
+    coefficients of P(x)^{(j)}: degree 0 in b, degree q in column block q."""
+    U, b = _poly_to_update(P, basis)
+    U = U.toarray()
+    for j in range(1, basis.N + 1):
+        want = compose_poly_power(P, j, basis)
+        rows = basis.block_slice(j)
+        np.testing.assert_array_equal(b[rows], want[0][:, 0] if 0 in want else 0.0)
+        for q in range(1, basis.N + 1):
+            np.testing.assert_array_equal(U[rows, basis.block_slice(q)], want.get(q, 0.0))
+
+
 def test_compose_poly_power_against_direct_expansion():
     rng = np.random.default_rng(22)
     d = 2
@@ -122,13 +136,21 @@ def test_compose_poly_power_against_direct_expansion():
         rows = compose_poly_power(P, m, basis)
         rebuilt = sum(mat @ kron_power(x, q) for q, mat in rows.items())
         assert np.allclose(rebuilt, kron_power(px, m), rtol=1e-12, atol=1e-12)
+    # block rows 4..6 of the lift drop the degrees above N = 6
+    assert_update_rows_are_powers(P, basis)
 
 
 def test_compose_poly_power_truncates_high_degrees():
     basis = CarlemanBasis(N=2, d=1)
-    rows = compose_poly_power({1: np.array([[2.0]]), 2: np.array([[1.0]])}, 2, basis)
+    P = {1: np.array([[2.0]]), 2: np.array([[1.0]])}
+    rows = compose_poly_power(P, 2, basis)
     assert set(rows) == {2}
     assert rows[2][0, 0] == pytest.approx(4.0)
+    assert_update_rows_are_powers(P, basis)
+    # a step degree above N never reaches the lift
+    rng = np.random.default_rng(24)
+    P3 = {q: rng.normal(size=(2, 2**q)) for q in (0, 1, 3)}
+    assert_update_rows_are_powers(P3, CarlemanBasis(N=2, d=2))
     with pytest.raises(ValueError):
         compose_poly_power({1: np.ones((2, 2))}, 1, basis)
 

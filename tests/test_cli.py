@@ -4,6 +4,7 @@ deterministic reruns, and the sweep merge."""
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ def test_carleman_solvers_agree(tmp_path):
 
 
 def test_carleman_matrix_export_round_trips(tmp_path):
-    from carlift.system import import_matrix
+    from oracles import import_matrix
 
     cfg = {
         "window": {"benchmark": "weak_quadratic", "M": 4},
@@ -323,16 +324,54 @@ def test_sweep_point_matches_single_run(tmp_path):
     assert ",".join(wrows[0][2:]) == ",".join(srows[0])
 
 
-def test_failing_sweep_point_leaves_only_the_resolved_config(tmp_path):
+def test_failing_sweep_point_leaves_only_the_resolved_config(tmp_path, capsys):
     cfg = {
         "model": {"mode": "separable", "d": 1, "terms": [[0, 0, 0.1], [1, 0, -0.5], [2, 0, 0.1]]},
         "window": {"x_T": 0.8, "t_start": 0.6, "t_end": 0.05, "M": 6},
-        "carleman": {"N": 3, "solver": "gmres", "gmres_tol": 1e-30},
-        "sweep": {"command": "carleman", "parameter": "carleman.N", "values": [3]},
+        "carleman": {"N": 3, "solver": "gmres"},
+        "sweep": {"command": "carleman", "parameter": "carleman.gmres_tol", "values": [1e-8, 1e-30]},
     }
     code, out = run(tmp_path, "sweep", cfg)
     assert code == 4
     assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+    err = capsys.readouterr().err
+    assert err.startswith("did not converge: gmres stalled")
+    assert err.rstrip().endswith("(sweep point 1: carleman.gmres_tol = 1e-30)")
+
+
+@pytest.mark.parametrize("parameter, values, message", [
+    ("carleman.N", [2, "x"], "$.carleman.N: 'x' is not of type 'integer'"),
+    ("carleman.scheme", ["dpm", "bogus"], "$.carleman.scheme: 'bogus' is not one of"),
+], ids=["N", "scheme"])
+def test_bad_swept_values_exit_2_before_any_point_runs(tmp_path, capsys, parameter, values, message):
+    cfg = {
+        "window": {"benchmark": "weak_quadratic", "M": 4},
+        "sweep": {"command": "carleman", "parameter": parameter, "values": values},
+    }
+    code, out = run(tmp_path, "sweep", cfg)
+    assert code == 2
+    assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert err.rstrip().endswith(f"(sweep point 1: {parameter} = {json.dumps(values[1])})")
+
+
+def test_failing_two_worker_sweep_stops_its_slow_points(tmp_path, capsys):
+    # point 0 fails at once (t_end below the schedule floor); each other
+    # point integrates its oracle for far longer than the bound below
+    cfg = {
+        "window": {"benchmark": "weak_quadratic", "M": 4},
+        "simulate": {"oracle_substeps": 4_000_000},
+        "sweep": {"command": "simulate", "parameter": "window.t_end",
+                  "values": [1e-7, 0.05, 0.05], "workers": 2},
+    }
+    t0 = time.perf_counter()
+    code, out = run(tmp_path, "sweep", cfg)
+    elapsed = time.perf_counter() - t0
+    assert code == 3
+    assert elapsed < 5.0
+    assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+    assert capsys.readouterr().err.rstrip().endswith("(sweep point 0: window.t_end = 1e-07)")
 
 
 def test_sweep_points_export_no_matrix(tmp_path, monkeypatch):

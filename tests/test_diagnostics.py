@@ -14,11 +14,11 @@ from carlift.model import (
     drift_jacobian,
     scalar_model,
     separable_model,
-    zero_model,
 )
 from carlift.presets import benchmark
 from carlift.reference import run_dpm
 from carlift.schedule import make_lambda_grid, make_vp_schedule
+from oracles import zero_model
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 

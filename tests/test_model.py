@@ -8,16 +8,15 @@ from carlift.model import (
     coeff_matrices,
     drift_eigenvalues,
     drift_jacobian,
-    dx_dlambda,
     eval_eps,
     jacobian_eps,
     kron_model,
     scalar_model,
     separable_model,
     total_derivative_poly,
-    zero_model,
 )
 from carlift.schedule import make_vp_schedule
+from oracles import dx_dlambda, zero_model
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 

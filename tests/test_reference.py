@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from carlift import reference
-from carlift.model import dx_dlambda, eval_eps, kron_model, scalar_model, separable_model
+from carlift.model import eval_eps, kron_model, scalar_model, separable_model
 from carlift.presets import benchmark
 from carlift.reference import dpm_weights, rk4_oracle, run_dpm, run_unipc, uni_coeffs, uni_weights
 from carlift.schedule import make_lambda_grid, make_vp_schedule, phi_moment, taylor_integral
+from oracles import dlam_dt, dx_dlambda
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 WEAK = scalar_model({(0, 0): 0.2, (1, 0): -0.6, (2, 0): 0.25})
@@ -35,7 +36,7 @@ def test_rk4_fourth_order_self_convergence():
 def test_rk4_matches_adaptive_integrator():
     def rhs_t(t, x):
         lam = float(S.lam(t))
-        return float(S.dlam_dt(t)) * dx_dlambda(S, WEAK, x, lam)
+        return float(dlam_dt(S, t)) * dx_dlambda(S, WEAK, x, lam)
 
     sol = solve_ivp(rhs_t, (1.0, 0.1), [1.5], rtol=1e-12, atol=1e-14)
     got = rk4_oracle(S, WEAK, [1.5], substeps=4000, t_start=1.0, t_end=0.1).endpoint
@@ -194,20 +195,8 @@ def test_scheme_labels_and_helpers():
     assert np.array_equal(run.endpoint, run.states[-1].x)
     assert run_unipc(S, WEAK, [1.0], grid, p=2).scheme == "unip2"
     assert run_unipc(S, WEAK, [1.0], grid, p=2, corrector=True).scheme == "unic2"
-    assert run_unipc(S, WEAK, [1.0], grid, p=2, singlestep=True).scheme == "unip2s"
     with pytest.raises(ValueError):
         run_unipc(S, WEAK, [1.0], grid, p=4)
-
-
-def test_singlestep_layout_converges_at_order():
-    oracle = rk4_oracle(S, WEAK, [1.5], substeps=2000, t_start=1.0, t_end=0.1).endpoint
-    errs = []
-    for M in (16, 32):
-        grid = make_lambda_grid(S, 1.0, 0.1, M)
-        run = run_unipc(S, WEAK, [1.5], grid, p=2, singlestep=True)
-        errs.append(float(np.linalg.norm(run.endpoint - oracle)))
-        assert run.nfe == 2 * M
-    assert errs[1] < 0.5 * errs[0]
 
 
 def test_multistep_unipc_evaluates_each_state_once(monkeypatch):
@@ -236,9 +225,6 @@ def test_multistep_unipc_evaluates_each_state_once(monkeypatch):
         assert len(set(calls)) == len(calls)
         assert run.nfe == before.nfe
         assert np.array_equal(run.state_matrix(), before.state_matrix())
-    calls.clear()
-    run_unipc(S, bench.model(), [bench.x_T], grid, p=3, corrector=True, singlestep=True)
-    assert len(calls) == 16 * 4
 
 
 # --- the RK4 oracle against its per-substep form ------------------------------

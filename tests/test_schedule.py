@@ -20,6 +20,7 @@ from carlift.schedule import (
     phi_moment,
     taylor_integral,
 )
+from oracles import dlam_dt
 
 VP = make_vp_schedule(0.1, 20.0, 1.0)
 
@@ -64,8 +65,8 @@ def test_log_snr_monotone_decreasing():
     assert np.all(np.diff(lam) < 0.0)
     dt = 1e-7
     fd = (VP.lam(t[1:-1] + dt) - VP.lam(t[1:-1] - dt)) / (2 * dt)
-    assert np.allclose(VP.dlam_dt(t[1:-1]), fd, rtol=1e-5)
-    assert np.all(VP.dlam_dt(t) < 0.0)
+    assert np.allclose(dlam_dt(VP, t[1:-1]), fd, rtol=1e-5)
+    assert np.all(dlam_dt(VP, t) < 0.0)
 
 
 def test_time_round_trip():
@@ -94,7 +95,7 @@ def test_lambda_grid_structure():
     assert grid.lam[-1] == pytest.approx(float(VP.lam(0.05)))
     assert np.all(grid.h > 0.0)
     assert np.all(np.diff(grid.t) < 0.0)
-    assert grid.is_uniform()
+    np.testing.assert_allclose(grid.h, grid.h.mean(), rtol=1e-9, atol=0.0)
     # the t nodes must actually invert the schedule
     assert np.allclose(VP.lam(grid.t), grid.lam, atol=1e-10)
 

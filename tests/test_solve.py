@@ -15,6 +15,7 @@ from carlift import solve
 from carlift.model import kron_model, scalar_model
 from carlift.schedule import make_lambda_grid, make_vp_schedule
 from carlift.solve import (
+    SHIFT_EPS,
     LchsConfig,
     forward_substitute,
     gmres_solve,
@@ -198,7 +199,7 @@ def lchs_per_node(A_fun, b_fun, u0, T, cfg):
     time_dep = any(not np.array_equal(A_mid[0], Aj) for Aj in A_mid[1:])
     Ls = [(Aj + Aj.conj().T) / 2.0 for Aj in A_mid]
     Hs = [(Aj - Aj.conj().T) / 2.0j for Aj in A_mid]
-    mu = max(0.0, -min(float(np.linalg.eigvalsh(Lj)[0]) for Lj in Ls)) + cfg.shift_eps
+    mu = max(0.0, -min(float(np.linalg.eigvalsh(Lj)[0]) for Lj in Ls)) + SHIFT_EPS
     Ls = [Lj + mu * np.eye(n) for Lj in Ls]
     ks = np.linspace(-cfg.K, cfg.K, cfg.nodes)
     wk = np.full(cfg.nodes, ks[1] - ks[0])
