@@ -1,22 +1,28 @@
 """Batch front end: JSON config in, bit-stable CSV tables out.
 
-Commands: simulate, carleman, lchs, diagnose, readout, sweep.  Every run
-validates its config against a strict schema (unknown keys rejected) and
-writes the fully resolved config to the output directory before the
-command starts.  A command is a function of that config that writes
-nothing: it returns its exit status and its outputs, which map each file
-name to a table (columns, rows, metadata) or, for the one non-CSV file,
-to a deferred writer.  :func:`main` alone writes them, stamping each CSV
-with the tool version and a sha256 of the resolved config, so a command
-that raises leaves only ``resolved_config.json`` behind.  A sweep checks
-every point's config against the schema before running any, runs the
-points in process or in a worker pool and merges their summary tables
-as values; points write no files.  The first failing point ends the
-sweep, pool workers included, and its index and swept value are
-appended to the error message.  Fixed seed and fixed config
-give byte-identical files, regardless of how many workers a sweep uses.
+Commands: simulate, carleman, lchs, diagnose, readout, sweep.  One strict
+schema declares the config: every option's type and default, and the
+rules that tie model keys together (a preset stands alone; otherwise a
+mode is required, separable needs d, kron needs d and blocks).  Every run
+validates its config against it (unknown keys rejected), checks that the
+config holds what the command needs beyond the defaults, and writes the
+fully resolved config to the output directory before the command starts.
+A command is a function of that config that writes nothing: it returns
+its exit status and its outputs, which map each file name to a table
+(columns, rows, metadata) or, for the one non-CSV file, to a deferred
+writer.  :func:`main` alone writes them, stamping each CSV with the tool
+version and a sha256 of the resolved config, so a command that raises
+leaves only ``resolved_config.json`` behind.  A sweep checks what its
+point command needs, and every point's config against the schema,
+before it runs any point.  It runs the points in process or in a worker
+pool and merges their summary tables as values; points write no files.
+The first failing point ends the sweep, pool workers included, and its
+index and swept value are appended to the error message.  Fixed seed
+and fixed config give byte-identical files, regardless of how many
+workers a sweep uses.
 
-Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 non-convergence.
+Exit codes: 0 ok, 2 config error, 3 numerical failure (a sampler that
+overflows or leaves a non-finite state included), 4 non-convergence.
 """
 
 from __future__ import annotations
@@ -43,12 +49,22 @@ from .errors import CapacityError, ConvergenceError, StructureError
 from .model import PolyNoiseModel, kron_model, scalar_model, separable_model
 from .presets import BENCHMARKS, MODEL_PRESETS, benchmark, model_preset
 from .readout import recover_sparse
-from .reference import rk4_oracle, run_scheme
+from .reference import SolverRun, rk4_oracle, run_scheme
 from .schedule import make_lambda_grid, make_vp_schedule
 from .solve import LchsConfig, forward_substitute, gmres_solve, lchs_solve
 from .system import assemble_global_dpm, assemble_global_unipc, condition_number, export_matrix
 
-COMMANDS = ("simulate", "carleman", "lchs", "diagnose", "readout", "sweep")
+# the config paths each command needs beyond the defaults; a sweep also
+# needs what its point command needs
+_NEEDS = {
+    "simulate": ("model",),
+    "carleman": ("model",),
+    "lchs": ("lchs.A", "lchs.b", "lchs.u0"),
+    "diagnose": ("model",),
+    "readout": (),
+    "sweep": ("sweep.command", "sweep.parameter", "sweep.values"),
+}
+COMMANDS = tuple(_NEEDS)
 
 
 class ConfigError(Exception):
@@ -57,178 +73,125 @@ class ConfigError(Exception):
 
 # --- schema -----------------------------------------------------------------
 
-_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "seed": {"type": "integer", "minimum": 0},
-        "out": {"type": ["string", "null"]},
-        "schedule": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "beta_min": {"type": "number", "exclusiveMinimum": 0},
-                "beta_max": {"type": "number", "exclusiveMinimum": 0},
-                "T": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "model": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "preset": {"enum": sorted(MODEL_PRESETS)},
-                "mode": {"enum": ["scalar", "separable", "kron"]},
-                "d": {"type": "integer", "minimum": 1},
-                "terms": {
-                    "type": "array",
-                    "items": {
-                        "type": "array",
-                        "minItems": 3,
-                        "maxItems": 3,
-                        "prefixItems": [
-                            {"type": "integer", "minimum": 0},
-                            {"type": "integer", "minimum": 0},
-                            {
-                                "anyOf": [
-                                    {"type": "number"},
-                                    {"type": "array", "items": {"type": "number"}},
-                                ]
-                            },
-                        ],
-                    },
-                },
-                "blocks": {
-                    "type": "object",
-                    "additionalProperties": {"type": "array"},
-                },
-            },
-        },
-        "window": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "benchmark": {"enum": sorted(BENCHMARKS)},
-                "x_T": {
-                    "anyOf": [
-                        {"type": "number"},
-                        {"type": "array", "items": {"type": "number"}, "minItems": 1},
-                    ]
-                },
-                "t_start": {"type": "number", "exclusiveMinimum": 0},
-                "t_end": {"type": "number", "exclusiveMinimum": 0},
-                "M": {"type": "integer", "minimum": 1},
-            },
-        },
-        "simulate": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "scheme": {"enum": ["dpm", "unip", "unic"]},
-                "order": {"type": "integer", "minimum": 1, "maximum": 3},
-                "variant": {"enum": ["bh1", "bh2"]},
-                "oracle": {"type": "boolean"},
-                "oracle_substeps": {"type": "integer", "minimum": 1},
-            },
-        },
-        "carleman": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "N": {"type": "integer", "minimum": 1},
-                "scheme": {"enum": ["dpm", "unipc"]},
-                "order": {"type": "integer", "minimum": 1, "maximum": 3},
-                "variant": {"enum": ["bh1", "bh2"]},
-                "which": {"enum": ["predictor", "corrector"]},
-                "solver": {"enum": ["forward", "gmres"]},
-                "gmres_tol": {"type": "number", "exclusiveMinimum": 0},
-                "condition": {"enum": ["auto", "dense_svd", "lanczos", "none"]},
-                "condition_rtol": {"type": "number", "exclusiveMinimum": 0},
-                "equivalence_check": {"type": "boolean"},
-                "export_matrix": {"type": "boolean"},
-            },
-        },
-        "lchs": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "A": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
-                "b": {"type": "array", "items": {"type": "number"}},
-                "u0": {"type": "array", "items": {"type": "number"}},
-                "T": {"type": "number", "exclusiveMinimum": 0},
-                "K": {"type": "number", "exclusiveMinimum": 0},
-                "nodes": {"type": "integer", "minimum": 3},
-                "substeps": {"type": "integer", "minimum": 1},
-            },
-        },
-        "diagnose": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "scheme": {"enum": ["dpm", "unip", "unic"]},
-                "order": {"type": "integer", "minimum": 1, "maximum": 3},
-                "variant": {"enum": ["bh1", "bh2"]},
-            },
-        },
-        "readout": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "r": {"type": "integer", "minimum": 1},
-                "dim": {"type": "integer", "minimum": 2},
-                "shots": {"type": ["integer", "null"], "minimum": 1},
-                "amp_shots": {"type": "integer", "minimum": 1},
-                "trials": {"type": "integer", "minimum": 1},
-                "threshold": {"type": "number", "minimum": 0},
-                "fixture": {"enum": ["uniform", "random"]},
-            },
-        },
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "command": {"enum": ["simulate", "carleman", "lchs", "diagnose", "readout"]},
-                "parameter": {"type": "string", "minLength": 1},
-                "values": {"type": "array", "minItems": 1},
-                "slope": {"type": "boolean"},
-                "workers": {"type": "integer", "minimum": 1},
-            },
-            "required": ["command", "parameter", "values"],
-        },
-    },
-}
 
-_DEFAULTS = {
-    "seed": 0,
-    "out": None,
-    "schedule": {"beta_min": 0.1, "beta_max": 20.0, "T": 1.0},
-    "window": {"x_T": 1.0, "t_start": 1.0, "t_end": 0.05, "M": 16},
-    "simulate": {"scheme": "dpm", "order": 1, "variant": "bh2", "oracle": True, "oracle_substeps": 4000},
-    "carleman": {
-        "N": 2,
-        "scheme": "dpm",
-        "order": 1,
-        "variant": "bh2",
-        "which": "corrector",
-        "solver": "forward",
-        "gmres_tol": 1e-10,
-        "condition": "auto",
-        "condition_rtol": 1e-4,
-        "equivalence_check": True,
-        "export_matrix": False,
+def _section(properties: dict) -> dict:
+    """A config object that rejects unknown keys."""
+    return {"type": "object", "additionalProperties": False, "properties": properties}
+
+
+# the only declaration of the config: every option's type and default, and
+# the rules that tie model keys together
+_SCHEMA = _section({
+    "seed": {"type": "integer", "minimum": 0, "default": 0},
+    "out": {"type": ["string", "null"], "default": None},
+    "schedule": _section({
+        "beta_min": {"type": "number", "exclusiveMinimum": 0, "default": 0.1},
+        "beta_max": {"type": "number", "exclusiveMinimum": 0, "default": 20.0},
+        "T": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
+    }),
+    "model": _section({
+        "preset": {"enum": sorted(MODEL_PRESETS)},
+        "mode": {"enum": ["scalar", "separable", "kron"]},
+        "d": {"type": "integer", "minimum": 1},
+        "terms": {"type": "array", "items": {
+            "type": "array",
+            "minItems": 3,
+            "maxItems": 3,
+            "prefixItems": [
+                {"type": "integer", "minimum": 0},
+                {"type": "integer", "minimum": 0},
+                {"anyOf": [{"type": "number"}, {"type": "array", "items": {"type": "number"}}]},
+            ],
+        }},
+        "blocks": {"type": "object", "additionalProperties": {"type": "array"}},
+    }) | {
+        # a preset stands alone; otherwise the mode is required and names
+        # the keys it needs
+        "if": {"required": ["preset"]},
+        "then": {"properties": {"preset": True}, "additionalProperties": False},
+        "else": {"required": ["mode"]},
+        "allOf": [
+            {"if": {"properties": {"mode": {"const": mode}}, "required": ["mode"]},
+             "then": {"required": keys}}
+            for mode, keys in (("separable", ["d"]), ("kron", ["d", "blocks"]))
+        ],
     },
-    "lchs": {"T": 1.0, "K": 32.0, "nodes": 257, "substeps": 64},
-    "diagnose": {"scheme": "dpm", "order": 1, "variant": "bh2"},
-    "readout": {
-        "r": 4,
-        "dim": 1024,
-        "shots": None,
-        "amp_shots": 4096,
-        "trials": 100,
-        "threshold": 0.0,
-        "fixture": "random",
-    },
-    "sweep": {"slope": False, "workers": 1},
-}
+    "window": _section({
+        "benchmark": {"enum": sorted(BENCHMARKS)},
+        "x_T": {
+            "anyOf": [
+                {"type": "number"},
+                {"type": "array", "items": {"type": "number"}, "minItems": 1},
+            ],
+            "default": 1.0,
+        },
+        "t_start": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
+        "t_end": {"type": "number", "exclusiveMinimum": 0, "default": 0.05},
+        "M": {"type": "integer", "minimum": 1, "default": 16},
+    }),
+    "simulate": _section({
+        "scheme": {"enum": ["dpm", "unip", "unic"], "default": "dpm"},
+        "order": {"type": "integer", "minimum": 1, "maximum": 3, "default": 1},
+        "variant": {"enum": ["bh1", "bh2"], "default": "bh2"},
+        "oracle": {"type": "boolean", "default": True},
+        "oracle_substeps": {"type": "integer", "minimum": 1, "default": 4000},
+    }),
+    "carleman": _section({
+        "N": {"type": "integer", "minimum": 1, "default": 2},
+        "scheme": {"enum": ["dpm", "unipc"], "default": "dpm"},
+        "order": {"type": "integer", "minimum": 1, "maximum": 3, "default": 1},
+        "variant": {"enum": ["bh1", "bh2"], "default": "bh2"},
+        "which": {"enum": ["predictor", "corrector"], "default": "corrector"},
+        "solver": {"enum": ["forward", "gmres"], "default": "forward"},
+        "gmres_tol": {"type": "number", "exclusiveMinimum": 0, "default": 1e-10},
+        "condition": {"enum": ["auto", "dense_svd", "lanczos", "none"], "default": "auto"},
+        "condition_rtol": {"type": "number", "exclusiveMinimum": 0, "default": 1e-4},
+        "equivalence_check": {"type": "boolean", "default": True},
+        "export_matrix": {"type": "boolean", "default": False},
+    }),
+    "lchs": _section({
+        "A": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
+        "b": {"type": "array", "items": {"type": "number"}},
+        "u0": {"type": "array", "items": {"type": "number"}},
+        "T": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
+        "K": {"type": "number", "exclusiveMinimum": 0, "default": 32.0},
+        "nodes": {"type": "integer", "minimum": 3, "default": 257},
+        "substeps": {"type": "integer", "minimum": 1, "default": 64},
+    }),
+    "diagnose": _section({
+        "scheme": {"enum": ["dpm", "unip", "unic"], "default": "dpm"},
+        "order": {"type": "integer", "minimum": 1, "maximum": 3, "default": 1},
+        "variant": {"enum": ["bh1", "bh2"], "default": "bh2"},
+    }),
+    "readout": _section({
+        "r": {"type": "integer", "minimum": 1, "default": 4},
+        "dim": {"type": "integer", "minimum": 2, "default": 1024},
+        "shots": {"type": ["integer", "null"], "minimum": 1, "default": None},
+        "amp_shots": {"type": "integer", "minimum": 1, "default": 4096},
+        "trials": {"type": "integer", "minimum": 1, "default": 100},
+        "threshold": {"type": "number", "minimum": 0, "default": 0.0},
+        "fixture": {"enum": ["uniform", "random"], "default": "random"},
+    }),
+    "sweep": _section({
+        "command": {"enum": [c for c in COMMANDS if c != "sweep"]},
+        "parameter": {"type": "string", "minLength": 1},
+        "values": {"type": "array", "minItems": 1},
+        "slope": {"type": "boolean", "default": False},
+        "workers": {"type": "integer", "minimum": 1, "default": 1},
+    }) | {"required": ["command", "parameter", "values"]},
+})
+
+
+def _defaults(schema: dict) -> dict:
+    """The declared defaults, nested as the config is; a section enters
+    only when it holds a default."""
+    out = {}
+    for key, prop in schema.get("properties", {}).items():
+        if "default" in prop:
+            out[key] = prop["default"]
+        elif section := _defaults(prop):
+            out[key] = section
+    return out
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -268,7 +231,7 @@ def validate_config(raw: dict) -> None:
 def resolve_config(raw: dict, seed=None, out=None, workers=None) -> dict:
     """Schema-validate, apply CLI overrides and defaults, expand benchmark."""
     validate_config(raw)
-    cfg = _deep_merge(_DEFAULTS, raw)
+    cfg = _deep_merge(_defaults(_SCHEMA), raw)
     if seed is not None:
         cfg["seed"] = seed
     if out is not None:
@@ -311,48 +274,46 @@ def build_schedule(cfg: dict):
 
 
 def build_model(cfg: dict) -> PolyNoiseModel:
+    """The model of a config whose model keys the schema has checked."""
     mc = cfg["model"]
     if "preset" in mc:
-        extra = set(mc) - {"preset"}
-        if extra:
-            raise ConfigError(f"$.model: preset cannot be combined with {sorted(extra)}")
         return model_preset(mc["preset"])
-    mode = mc.get("mode")
-    if mode is None:
-        raise ConfigError("$.model.mode: required when no preset is given")
+    terms = mc.get("terms", [])
     try:
-        if mode == "scalar":
-            terms = {(int(j), int(l)): float(c) for j, l, c in mc.get("terms", [])}
-            return scalar_model(terms)
-        if mode == "separable":
-            if "d" not in mc:
-                raise ConfigError("$.model.d: required for separable models")
+        if mc["mode"] == "scalar":
+            return scalar_model({(int(j), int(l)): float(c) for j, l, c in terms})
+        if mc["mode"] == "separable":
             d = mc["d"]
-            deg_x = max((j for j, _, _ in mc.get("terms", [])), default=0)
-            deg_l = max((l for _, l, _ in mc.get("terms", [])), default=0)
+            deg_x = max((j for j, _, _ in terms), default=0)
+            deg_l = max((l for _, l, _ in terms), default=0)
             coeffs = np.zeros((d, deg_x + 1, deg_l + 1))
-            for j, l, c in mc.get("terms", []):
-                vec = np.broadcast_to(np.asarray(c, dtype=float), (d,))
-                coeffs[:, j, l] = vec
+            for j, l, c in terms:
+                coeffs[:, j, l] = np.broadcast_to(np.asarray(c, dtype=float), (d,))
             return separable_model(coeffs)
-        if mode == "kron":
-            if "d" not in mc or "blocks" not in mc:
-                raise ConfigError("$.model.d and $.model.blocks: required for kron models")
-            blocks = {int(j): np.asarray(block, dtype=float) for j, block in mc["blocks"].items()}
-            return kron_model(mc["d"], blocks)
-    except ConfigError:
-        raise
+        blocks = {int(j): np.asarray(block, dtype=float) for j, block in mc["blocks"].items()}
+        return kron_model(mc["d"], blocks)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"$.model: {exc}") from exc
-    raise ConfigError(f"$.model.mode: unsupported mode {mode!r}")
 
 
 def build_window(cfg: dict, m: PolyNoiseModel):
     s = build_schedule(cfg)
     win = cfg["window"]
     grid = make_lambda_grid(s, win["t_start"], win["t_end"], win["M"])
-    x_T = np.broadcast_to(np.atleast_1d(np.asarray(win["x_T"], dtype=float)), (m.d,)).copy()
-    return s, grid, x_T
+    x_T = np.atleast_1d(np.asarray(win["x_T"], dtype=float))
+    if x_T.size not in (1, m.d):
+        raise ConfigError(f"$.window.x_T: needs 1 or d = {m.d} entries, not {x_T.size}")
+    return s, grid, np.broadcast_to(x_T, (m.d,)).copy()
+
+
+def run_sampler(s, m: PolyNoiseModel, x_T, grid, sec: dict) -> SolverRun:
+    """The sampler run a command section names.  An overflow, an invalid
+    value or a non-finite state is a numerical failure."""
+    with np.errstate(over="raise", invalid="raise"):
+        run = run_scheme(s, m, x_T, grid, sec["scheme"], sec["order"], sec["variant"])
+    if not np.isfinite(run.state_matrix()).all():
+        raise FloatingPointError(f"the {run.scheme} sampler reached a non-finite state")
+    return run
 
 
 # --- CSV helpers --------------------------------------------------------------
@@ -388,7 +349,7 @@ def cmd_simulate(cfg: dict) -> tuple[int, dict]:
     m = build_model(cfg)
     s, grid, x_T = build_window(cfg, m)
     sim = cfg["simulate"]
-    run = run_scheme(s, m, x_T, grid, sim["scheme"], sim["order"], sim["variant"])
+    run = run_sampler(s, m, x_T, grid, sim)
     states = run.state_matrix()
     errors = np.full(len(grid.t), np.nan)
     endpoint_error = math.nan
@@ -497,14 +458,11 @@ def cmd_carleman(cfg: dict) -> tuple[int, dict]:
 
 def cmd_lchs(cfg: dict) -> tuple[int, dict]:
     sec = cfg["lchs"]
-    for field in ("A", "b", "u0"):
-        if field not in sec:
-            raise ConfigError(f"$.lchs.{field}: required")
+    if not sec["A"] or any(len(row) != len(sec["A"]) for row in sec["A"]):
+        raise ConfigError("$.lchs.A: must be a square matrix")
     A = np.asarray(sec["A"], dtype=float)
     b = np.asarray(sec["b"], dtype=float)
     u0 = np.asarray(sec["u0"], dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ConfigError("$.lchs.A: must be a square matrix")
     if b.shape != (A.shape[0],) or u0.shape != (A.shape[0],):
         raise ConfigError("$.lchs.b and $.lchs.u0 must match the matrix dimension")
     # the schema admits integral floats such as 9.0 as integers
@@ -534,8 +492,7 @@ def cmd_lchs(cfg: dict) -> tuple[int, dict]:
 def cmd_diagnose(cfg: dict) -> tuple[int, dict]:
     m = build_model(cfg)
     s, grid, x_T = build_window(cfg, m)
-    diag = cfg["diagnose"]
-    run = run_scheme(s, m, x_T, grid, diag["scheme"], diag["order"], diag["variant"])
+    run = run_sampler(s, m, x_T, grid, cfg["diagnose"])
     trace = spectrum_trace(s, m, run)
     ptrace = dissipativity_P(trace)
     spec_cols = ["step", "t"] + [f"eig_{i}" for i in range(m.d)]
@@ -596,16 +553,29 @@ def cmd_readout(cfg: dict) -> tuple[int, dict]:
 # --- sweep --------------------------------------------------------------------
 
 
-def _set_path(cfg: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
+def _has_path(cfg: dict, dotted: str) -> bool:
     node = cfg
-    for part in parts[:-1]:
+    for part in dotted.split("."):
         if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"$.sweep.parameter: path {dotted!r} not found in config")
+            return False
         node = node[part]
-    if not isinstance(node, dict) or parts[-1] not in node:
+    return True
+
+
+def _require(cfg: dict, command: str) -> None:
+    for path in _NEEDS[command]:
+        if not _has_path(cfg, path):
+            raise ConfigError(f"$.{path}: required for the {command} command")
+
+
+def _set_path(cfg: dict, dotted: str, value) -> None:
+    if not _has_path(cfg, dotted):
         raise ConfigError(f"$.sweep.parameter: path {dotted!r} not found in config")
-    node[parts[-1]] = value
+    *parents, leaf = dotted.split(".")
+    node = cfg
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
 
 
 def _point_summary(command: str, cfg: dict):
@@ -717,15 +687,10 @@ def main(argv=None) -> int:
     try:
         raw = load_config(args.config)
         cfg = resolve_config(raw, seed=args.seed, out=args.out, workers=args.workers)
-        if args.command == "sweep" and "sweep" not in raw:
-            raise ConfigError("$.sweep: required for the sweep command")
-        if args.command == "lchs" and "lchs" not in raw:
-            raise ConfigError("$.lchs: required for the lchs command")
-        needs_model = args.command in ("simulate", "carleman", "diagnose") or (
-            args.command == "sweep" and cfg["sweep"].get("command") in ("simulate", "carleman", "diagnose")
-        )
-        if needs_model and "model" not in cfg:
-            raise ConfigError("$.model: a preset or inline definition is required")
+        _require(cfg, args.command)
+        if args.command == "sweep":
+            # the points' inputs too, before any point runs
+            _require(cfg, cfg["sweep"]["command"])
         out_dir = cfg["out"] or os.getcwd()
         os.makedirs(out_dir, exist_ok=True)
         cfg["out"] = out_dir

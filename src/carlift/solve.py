@@ -79,15 +79,13 @@ def gmres_solve(system, tol: float = 1e-10, restart: int | None = None, max_iter
     operator is applied by block walks.  A trajectory system is I minus
     a block strictly lower triangular part, nilpotent of index at most
     n_blocks, so the default restart min(n_blocks + 1, dim) lets one
-    Krylov cycle reach the exact solution; systems without n_blocks
-    default to 50.  Raises
-    ConvergenceError carrying the best residual and iteration count if
-    the recomputed relative residual stays above tol.
+    Krylov cycle reach the exact solution.  Raises ConvergenceError
+    carrying the best residual and iteration count if the recomputed
+    relative residual stays above tol.
     """
     mat, rhs = system.mat, system.rhs
     if restart is None:
-        n_blocks = getattr(system, "n_blocks", None)
-        restart = 50 if n_blocks is None else min(n_blocks + 1, mat.shape[0])
+        restart = min(system.n_blocks + 1, mat.shape[0])
     counter = {"n": 0}
 
     def cb(_):

@@ -6,6 +6,7 @@ import json
 import math
 import time
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -82,19 +83,32 @@ def test_simulate_inline_separable_model(tmp_path):
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
+    sep2 = {"mode": "separable", "d": 2, "terms": [[1, 0, 0.5]]}
+    lchs = {"A": [[1.0, 0.0], [0.0]], "b": [1.0, 0.5], "u0": [1.0, -0.5]}
     bad_cases = [
-        {"window": {"M": 8}},
-        {"window": {"M": 8, "steps": 4}},
-        {"model": {"preset": "linear", "mode": "scalar"}},
-        {"model": {"preset": "quartic"}},
-        {"window": {"M": "eight"}},
-        {"window": {"benchmark": "weak_quadratic", "M": 8}, "carleman": {"condition": "power"}},
+        ("simulate", {"window": {"M": 8}}, "$.model"),
+        ("simulate", {"window": {"M": 8, "steps": 4}}, "$.window"),
+        ("simulate", {"model": {"preset": "linear", "mode": "scalar"}}, "$.model"),
+        ("simulate", {"model": {"preset": "quartic"}}, "$.model.preset"),
+        ("simulate", {"window": {"M": "eight"}}, "$.window.M"),
+        ("simulate", {"window": {"benchmark": "weak_quadratic", "M": 8},
+                      "carleman": {"condition": "power"}}, "$.carleman.condition"),
+        # the model-key rules: separable needs d, kron needs d and blocks,
+        # and without a preset the mode is required
+        ("simulate", {"model": {"mode": "separable", "terms": [[1, 0, 0.5]]}}, "$.model"),
+        ("simulate", {"model": {"mode": "kron", "d": 1}}, "$.model"),
+        ("simulate", {"model": {"mode": "kron", "blocks": {"1": [[0.5]]}}}, "$.model"),
+        ("simulate", {"model": {"terms": [[1, 0, 0.5]]}}, "$.model"),
+        # shapes the schema cannot check
+        ("simulate", {"model": sep2, "window": {"x_T": [1.0, 2.0, 3.0], "M": 4}}, "$.window.x_T"),
+        ("lchs", {"lchs": lchs}, "$.lchs.A"),
     ]
-    for cfg in bad_cases:
-        code, _ = run(tmp_path, "simulate", {**cfg}, out=f"e{bad_cases.index(cfg)}")
+    for i, (command, cfg, key) in enumerate(bad_cases):
+        code, out = run(tmp_path, command, cfg, out=f"e{i}")
         err = capsys.readouterr().err
         assert code == 2, cfg
-        assert err.startswith("config error: $")
+        assert err.startswith(f"config error: {key}"), (cfg, err)
+        assert not (out / "summary.csv").exists()
 
     # malformed JSON
     path = tmp_path / "broken.json"
@@ -117,6 +131,31 @@ def test_numerical_failure_exits_3(tmp_path):
     }
     code, _ = run(tmp_path, "simulate", cfg)
     assert code == 3
+
+
+# eps grows as x^2, so the order-3 sampler overflows within the window
+DIVERGING_CFG = {
+    "model": {"mode": "separable", "d": 2, "terms": [[0, 0, 0.2], [1, 0, [-0.6, -0.4]], [2, 1, 0.05]]},
+    "window": {"x_T": [1.0, 0.5], "t_start": 0.8, "t_end": 0.1, "M": 10},
+    "simulate": {"order": 3},
+    "diagnose": {"order": 3},
+}
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("simulate", DIVERGING_CFG, "overflow"),
+    ("diagnose", DIVERGING_CFG, "overflow"),
+    ("sweep", {**DIVERGING_CFG, "sweep": {"command": "simulate", "parameter": "window.M",
+                                          "values": [10, 12], "workers": 2}}, "overflow"),
+    # JSON admits NaN, and a NaN state raises no floating-point error
+    ("simulate", {"model": {"preset": "linear"}, "window": {"x_T": math.nan, "M": 4}},
+     "the dpm1 sampler reached a non-finite state"),
+], ids=["simulate", "diagnose", "sweep", "nan_start"])
+def test_non_finite_sampler_state_exits_3(tmp_path, capsys, command, cfg, message):
+    code, out = run(tmp_path, command, cfg)
+    assert code == 3
+    assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+    assert capsys.readouterr().err.startswith(f"numerical failure: {message}")
 
 
 def test_oversized_lift_exits_3(tmp_path):
@@ -356,6 +395,25 @@ def test_bad_swept_values_exit_2_before_any_point_runs(tmp_path, capsys, paramet
     assert err.rstrip().endswith(f"(sweep point 1: {parameter} = {json.dumps(values[1])})")
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ({"model": {"mode": "separable", "d": 1, "terms": [[1, 0, 0.5]]},
+      "window": {"x_T": 0.8, "t_start": 0.6, "t_end": 0.1, "M": 4},
+      "sweep": {"command": "simulate", "parameter": "model.mode", "values": ["separable", "kron"]}},
+     "config error: $.model: 'blocks' is a required property"),
+    ({"sweep": {"command": "lchs", "parameter": "lchs.T", "values": [1.0, 2.0]}},
+     "config error: $.lchs.A: required for the lchs command"),
+], ids=["model_rules", "lchs_inputs"])
+def test_sweep_checks_point_inputs_before_any_point_runs(tmp_path, monkeypatch, capsys, cfg, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setattr(cli, "run_scheme", refuse)
+    monkeypatch.setattr(cli, "lchs_solve", refuse)
+    code, _ = run(tmp_path, "sweep", cfg)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
 def test_failing_two_worker_sweep_stops_its_slow_points(tmp_path, capsys):
     # point 0 fails at once (t_end below the schedule floor); each other
     # point integrates its oracle for far longer than the bound below
@@ -408,3 +466,17 @@ def test_seed_flag_overrides_config(tmp_path):
     assert code == 0
     canon = json.loads((out / "resolved_config.json").read_text())
     assert canon["seed"] == 17
+
+
+def declared_defaults(schema, path="$"):
+    for key, prop in schema.get("properties", {}).items():
+        if "default" in prop:
+            yield f"{path}.{key}", prop
+        yield from declared_defaults(prop, f"{path}.{key}")
+
+
+def test_every_default_validates_against_its_property():
+    found = list(declared_defaults(cli._SCHEMA))
+    assert len(found) == 41
+    for path, prop in found:
+        assert jsonschema.Draft202012Validator(prop).is_valid(prop["default"]), path
