@@ -19,15 +19,24 @@ The step maps are not derived here: their coefficients come from
 :func:`carlift.reference.dpm_weights` and
 :func:`carlift.reference.uni_weights`, which the classical samplers
 evaluate too, so the lifted step and the sampler step are one map.
+
+Each step is lifted into one dense buffer, converted to CSR once.  The
+steps of a trajectory are independent, so :func:`run_lifted` lifts them
+concurrently, one thread per CPU in the process's affinity mask, and
+serially when a step's top block row is below PARALLEL_LIFT_MIN_ENTRIES.
+A step is lifted whole by one thread, so the outputs do not depend on
+the worker count.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
+from . import _threads
 from .errors import CapacityError
 from .model import PolyNoiseModel, _derivative_tower, coeff_matrices
 from .reference import dpm_weights, uni_weights
@@ -48,6 +57,19 @@ __all__ = [
 
 MAX_DIM_TOTAL = 400_000
 MAX_STEP_BYTES = 2**31
+
+# Attribute set on the CSR matrices the lift builds, which have sorted,
+# unique indices and no stored zeros: system.TrajectoryOperator holds
+# such a block without rescanning it.  A copy or a product does not carry it.
+ZERO_FREE = "_carlift_zero_free"
+
+# run_lifted lifts its steps on several threads only when a step's top
+# block row holds at least this many entries (d^N * dim_total).  Measured
+# crossover on a 2-CPU host, M=32: two threads took 1.03x the serial time
+# at 32 512 entries (d=2, N=7), 0.71x at 87 040 (d=4, N=4) and 0.66x at
+# 88 209 (d=3, N=5).  d=1 lifts are Python-bound and stay 1.1-1.2x slower
+# on two threads at any N, which this measure keeps serial.
+PARALLEL_LIFT_MIN_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -120,55 +142,66 @@ def lift(x, basis: CarlemanBasis) -> LiftedState:
     return LiftedState(basis=basis, y=np.concatenate(parts))
 
 
-def _times_poly(R: dict[int, np.ndarray], P: dict[int, np.ndarray], N: int) -> dict[int, np.ndarray]:
-    """Coefficients of R(x) (x) P(x), dropping degrees above N."""
-    new: dict[int, np.ndarray] = {}
-    for q1, Rq in R.items():
-        for q2, B in P.items():
-            qt = q1 + q2
-            if qt <= N:
-                term = np.kron(Rq, B)
-                new[qt] = new[qt] + term if qt in new else term
-    return new
+def _dense_csr(buf: np.ndarray, n_rows: int) -> sp.csr_matrix:
+    """(n_rows, cols) CSR matrix holding the dense ``buf`` in its leading rows.
 
-
-def _block_row(R: dict[int, np.ndarray], basis: CarlemanBasis, rows: int) -> sp.csr_matrix:
-    """(rows, dim_total) CSR matrix holding R[q] in column block q >= 1.
-
-    Filled as a dense buffer and converted through a boolean mask, which
-    gives what sp.csr_matrix(buf) gives without its coordinate detour.
+    The entries are read row by row through a boolean mask, which gives
+    what sp.csr_matrix(buf) gives without its coordinate detour: sorted,
+    unique indices and no stored zeros.  The matrix records that as
+    SciPy's canonical format and as the ZERO_FREE mark.
     """
-    buf = np.zeros((rows, basis.dim_total))
-    for q, mat in R.items():
-        if q >= 1:
-            buf[:, basis.block_slice(q)] = mat
     mask = buf != 0
-    indptr = np.zeros(rows + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
-    cols = np.broadcast_to(np.arange(basis.dim_total, dtype=np.int32), buf.shape)
-    return sp.csr_matrix((buf[mask], cols[mask], indptr), shape=buf.shape)
+    counts = np.zeros(n_rows, dtype=np.int32)
+    counts[: len(buf)] = np.count_nonzero(mask, axis=1)
+    indptr = np.zeros(n_rows + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    cols = np.broadcast_to(np.arange(buf.shape[1], dtype=np.int32), buf.shape)
+    out = sp.csr_matrix((buf[mask], cols[mask], indptr), shape=(n_rows, buf.shape[1]))
+    out.has_canonical_format = True
+    setattr(out, ZERO_FREE, True)
+    return out
 
 
 def _poly_to_update(P: dict[int, np.ndarray], basis: CarlemanBasis, delta: bool = False):
     """Lift a step polynomial into the update matrix U and offset b.
 
     Block row j of U holds the degree-truncated coefficients of
-    P(x)^{(j)}, built from block row j-1 in one pass; degree-0 parts
-    land in b.  With ``delta`` the identity is subtracted, giving the
-    delta-form matrix U - I.  Returns (csr, b).
+    P(x)^{(j)}.  It is written into one dense (dim_total, dim_total)
+    buffer from block row j-1, already there: each Kronecker product
+    R_{q1} (x) B_{q2} goes in by broadcasting, and the products of one
+    column degree are added in the order their (q1, q2) pairs come up.
+    Degree-0 parts land in b.  With ``delta`` the identity is subtracted,
+    giving the delta-form matrix U - I.  The buffer becomes CSR once.
+    Returns (csr, b).
     """
-    b = np.zeros(basis.dim_total)
-    Ptrunc = {q: B for q, B in P.items() if q <= basis.N and np.any(B)}
-    R: dict[int, np.ndarray] = {0: np.ones((1, 1))}
-    rows = []
-    for j in range(1, basis.N + 1):
-        R = _times_poly(R, Ptrunc, basis.N)
-        n_j = basis.d**j
-        if 0 in R:
-            b[basis.block_slice(j)] = R[0][:, 0]
-        row = {**R, j: R.get(j, 0.0) - np.eye(n_j)} if delta else R
-        rows.append(_block_row(row, basis, n_j))
-    return sp.vstack(rows, format="csr"), b
+    d, N, dim = basis.d, basis.N, basis.dim_total
+    buf = np.zeros((dim, dim))
+    b = np.zeros(dim)
+    Ptrunc = {q: B for q, B in P.items() if q <= N and np.any(B)}
+    R: dict[int, np.ndarray] = {0: np.ones((1, 1))}  # block row j-1 by column degree
+    for j in range(1, N + 1):
+        rows = basis.block_slice(j)
+        row: dict[int, np.ndarray] = {}
+        for q1, Rq in R.items():
+            for q2, B in Ptrunc.items():
+                qt = q1 + q2
+                if qt > N:
+                    continue
+                first = qt not in row
+                if first:
+                    row[qt] = b[rows, None] if qt == 0 else buf[rows, basis.block_slice(qt)]
+                # row[qt] as (a, i, c, k) = R_{q1}[a, c] * B_{q2}[i, k]; splitting
+                # the two axes of a strided view is again a view
+                out = row[qt].reshape(len(Rq), d, Rq.shape[1], B.shape[1])
+                left, right = Rq[:, None, :, None], B[None, :, None, :]
+                if first:
+                    np.multiply(left, right, out=out)
+                else:
+                    out += left * right
+        R = row
+    if delta:
+        buf.reshape(-1)[:: dim + 1] -= 1.0
+    return _dense_csr(buf, dim), b
 
 
 @dataclass
@@ -217,10 +250,15 @@ def assemble_dpm_qcm(
     return Qcm(A=A, b=b)
 
 
+def _step_bytes(basis: CarlemanBasis) -> int:
+    """Bytes of the dense (dim_total x dim_total) buffer one step lift fills."""
+    return 8 * basis.dim_total**2
+
+
 def _check_model_basis(m: PolyNoiseModel, basis: CarlemanBasis) -> None:
-    """Refuse a mismatched model, or a step lift whose dense top block row
-    (d^N x dim_total doubles) would exceed MAX_STEP_BYTES."""
-    step_bytes = 8 * basis.d**basis.N * basis.dim_total
+    """Refuse a mismatched model, or a step lift whose dense buffer would
+    exceed MAX_STEP_BYTES."""
+    step_bytes = _step_bytes(basis)
     if step_bytes > MAX_STEP_BYTES:
         raise CapacityError(f"step lift needs {step_bytes} bytes, above {MAX_STEP_BYTES}")
     if m.d != basis.d:
@@ -261,9 +299,11 @@ class UnipcQcmSet:
 
 def _node_block1(E: dict[int, np.ndarray], c: float, basis: CarlemanBasis) -> sp.csr_matrix:
     """Block-row-1 matrix c * E_q placed against column blocks q >= 1."""
-    out = _block_row({q: c * mat for q, mat in E.items() if q <= basis.N}, basis, basis.d)
-    out.resize((basis.dim_total, basis.dim_total))
-    return out
+    buf = np.zeros((basis.d, basis.dim_total))
+    for q, mat in E.items():
+        if 1 <= q <= basis.N:
+            buf[:, basis.block_slice(q)] = c * mat
+    return _dense_csr(buf, basis.dim_total)
 
 
 def assemble_unipc_qcms(
@@ -361,25 +401,33 @@ def run_lifted(
     path warms up with order-p lifted steps of the derivative scheme,
     matching the sequential sampler, and feeds corrected states back
     into the history when ``corrector`` is set.
+
+    Every step depends only on the grid and the model, so the steps are
+    lifted first, on one thread per CPU when a step's top block row
+    reaches PARALLEL_LIFT_MIN_ENTRIES; the state walk then runs in order.
+    Each step is lifted whole by one thread, so the step matrices and
+    states do not depend on the worker count.
     """
     Y0 = lift(x_T, basis)
-    states = [Y0.y]
-    qcms: list = []
     if scheme == "dpm":
-        for i in range(1, grid.M + 1):
-            qcm = assemble_dpm_qcm(s, m, i, grid, order, basis)
-            states.append(step_lifted(qcm, states[-1]))
-            qcms.append(qcm)
+        steps = [functools.partial(assemble_dpm_qcm, s, m, i, grid, order, basis)
+                 for i in range(1, grid.M + 1)]
     elif scheme == "unipc":
         p = order
-        for i in range(1, min(p - 1, grid.M) + 1):
-            qcm = assemble_dpm_qcm(s, m, i, grid, p, basis)
-            states.append(step_lifted(qcm, states[-1]))
-            qcms.append(qcm)
-        for i in range(p, grid.M + 1):
-            qset = assemble_unipc_qcms(s, m, i, grid, p, basis, variant=variant)
-            states.append(step_lifted(qset, states[i - p : i], corrector=corrector))
-            qcms.append(qset)
+        steps = [functools.partial(assemble_dpm_qcm, s, m, i, grid, p, basis)
+                 for i in range(1, min(p - 1, grid.M) + 1)]
+        steps += [functools.partial(assemble_unipc_qcms, s, m, i, grid, p, basis, variant=variant)
+                  for i in range(p, grid.M + 1)]
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
+    # one dense buffer per thread, and no more of them than MAX_STEP_BYTES
+    # holds; an oversized step (none fits) is refused by its serial lift
+    workers = min(_threads.worker_count(basis.d**basis.N * basis.dim_total,
+                                        PARALLEL_LIFT_MIN_ENTRIES),
+                  MAX_STEP_BYTES // _step_bytes(basis))
+    qcms = _threads.fan_out(lambda step: step(), steps, workers)
+    states = [Y0.y]
+    for i, q in enumerate(qcms, start=1):
+        history = states[i - q.p : i] if isinstance(q, UnipcQcmSet) else states[-1]
+        states.append(step_lifted(q, history, corrector=corrector))
     return [LiftedState(basis=basis, y=y) for y in states], qcms

@@ -21,8 +21,9 @@ index and swept value are appended to the error message.  Fixed seed
 and fixed config give byte-identical files, regardless of how many
 workers a sweep uses.
 
-Exit codes: 0 ok, 2 config error, 3 numerical failure (a sampler that
-overflows or leaves a non-finite state included), 4 non-convergence.
+Exit codes: 0 ok, 2 config error (a carleman model the lift cannot take
+included), 3 numerical failure (a sampler or RK4 oracle that overflows
+or leaves a non-finite state included), 4 non-convergence.
 """
 
 from __future__ import annotations
@@ -65,6 +66,18 @@ _NEEDS = {
     "sweep": ("sweep.command", "sweep.parameter", "sweep.values"),
 }
 COMMANDS = tuple(_NEEDS)
+
+
+def _require(cfg: dict, command: str) -> None:
+    """Refuse a config short of what the command needs, or a carleman
+    config whose model the lift cannot take (separable with d > 1)."""
+    for path in _NEEDS[command]:
+        if not _has_path(cfg, path):
+            raise ConfigError(f"$.{path}: required for the {command} command")
+    model = cfg.get("model", {})
+    if command == "carleman" and model.get("mode") == "separable" and model["d"] > 1:
+        raise ConfigError("$.model.mode: separable models with d > 1 cannot be lifted; "
+                          "use kron mode")
 
 
 class ConfigError(Exception):
@@ -316,6 +329,17 @@ def run_sampler(s, m: PolyNoiseModel, x_T, grid, sec: dict) -> SolverRun:
     return run
 
 
+def run_oracle(s, m: PolyNoiseModel, x_T, **kwargs) -> SolverRun:
+    """The RK4 oracle run, failing like :func:`run_sampler`.  A
+    one-coordinate model steps on Python floats, whose overflow raises
+    nothing, so the recorded states are checked too."""
+    with np.errstate(over="raise", invalid="raise"):
+        run = rk4_oracle(s, m, x_T, **kwargs)
+    if not np.isfinite(run.state_matrix()).all():
+        raise FloatingPointError("the RK4 oracle reached a non-finite state")
+    return run
+
+
 # --- CSV helpers --------------------------------------------------------------
 
 
@@ -357,7 +381,7 @@ def cmd_simulate(cfg: dict) -> tuple[int, dict]:
         # oracle_substeps is a whole-window budget; split it over the grid
         # intervals (rk4_oracle counts per interval when times are given)
         per_interval = max(32, -(-sim["oracle_substeps"] // max(1, len(grid.h))))
-        oracle = rk4_oracle(s, m, x_T, substeps=per_interval, times=grid.t)
+        oracle = run_oracle(s, m, x_T, substeps=per_interval, times=grid.t)
         diff = states - oracle.state_matrix()
         errors = np.linalg.norm(diff, axis=1)
         endpoint_error = float(errors[-1])
@@ -413,7 +437,7 @@ def cmd_carleman(cfg: dict) -> tuple[int, dict]:
     if car["equivalence_check"]:
         seq = np.concatenate([st.y for st in states])
         equivalence = float(np.max(np.abs(sol.solution - seq)))
-    oracle = rk4_oracle(s, m, x_T, substeps=4000, t_start=float(grid.t[0]), t_end=float(grid.t[-1]))
+    oracle = run_oracle(s, m, x_T, substeps=4000, t_start=float(grid.t[0]), t_end=float(grid.t[-1]))
     error = float(np.linalg.norm(traj[-1] - oracle.endpoint))
     defect = states[-1].consistency_defect()
 
@@ -562,12 +586,6 @@ def _has_path(cfg: dict, dotted: str) -> bool:
     return True
 
 
-def _require(cfg: dict, command: str) -> None:
-    for path in _NEEDS[command]:
-        if not _has_path(cfg, path):
-            raise ConfigError(f"$.{path}: required for the {command} command")
-
-
 def _set_path(cfg: dict, dotted: str, value) -> None:
     if not _has_path(cfg, dotted):
         raise ConfigError(f"$.sweep.parameter: path {dotted!r} not found in config")
@@ -600,6 +618,7 @@ def cmd_sweep(cfg: dict) -> tuple[int, dict]:
         _set_path(point_cfg, parameter, value)
         try:
             validate_config(point_cfg)
+            _require(point_cfg, sweep["command"])
         except ConfigError as exc:
             _name_point(exc, len(point_cfgs), parameter, value)
             raise

@@ -4,7 +4,11 @@ The global trajectory systems are block unit lower triangular and kept
 as their per-step blocks (:class:`carlift.system.TrajectoryOperator`),
 so a forward walk over those blocks solves them directly; GMRES, handed
 the same operator, is the iterative reference point for conditioning
-experiments.  ``lchs_solve`` emulates the
+experiments.  The operator's products walk chunks of block rows
+concurrently, one thread per CPU in the process's affinity mask (serial
+below system.PARALLEL_MATVEC_MIN_NNZ), and each row is summed by one
+thread, so GMRES solutions and iteration counts do not depend on the
+worker count.  ``lchs_solve`` emulates the
 linear-combination-of-Hamiltonian-simulation route classically:
 the non-unitary flow of du/dt = -A(t) u + b(t) is reproduced as a
 Cauchy-kernel-weighted quadrature over unitary evolutions generated by

@@ -8,7 +8,7 @@ independent form.
 import numpy as np
 import scipy.sparse as sp
 
-from carlift.carleman import CarlemanBasis
+from carlift.carleman import CarlemanBasis, lift, step_polynomial_dpm
 from carlift.model import PolyNoiseModel, eval_eps, kron_model, separable_model
 from carlift.schedule import NoiseSchedule
 
@@ -55,6 +55,63 @@ def compose_poly_power(P: dict[int, np.ndarray], m: int, basis: CarlemanBasis) -
                     new[q1 + q2] = new.get(q1 + q2, 0.0) + np.kron(R, B)
         out = new
     return out
+
+
+def _times_poly(R: dict[int, np.ndarray], P: dict[int, np.ndarray], N: int) -> dict[int, np.ndarray]:
+    """Coefficients of R(x) (x) P(x), dropping degrees above N."""
+    new: dict[int, np.ndarray] = {}
+    for q1, Rq in R.items():
+        for q2, B in P.items():
+            qt = q1 + q2
+            if qt <= N:
+                term = np.kron(Rq, B)
+                new[qt] = new[qt] + term if qt in new else term
+    return new
+
+
+def _slab(R: dict[int, np.ndarray], basis: CarlemanBasis, rows: int) -> sp.csr_matrix:
+    """(rows, dim_total) CSR matrix holding R[q] in column block q >= 1."""
+    buf = np.zeros((rows, basis.dim_total))
+    for q, mat in R.items():
+        if q >= 1:
+            buf[:, basis.block_slice(q)] = mat
+    mask = buf != 0
+    indptr = np.zeros(rows + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
+    cols = np.broadcast_to(np.arange(basis.dim_total, dtype=np.int32), buf.shape)
+    return sp.csr_matrix((buf[mask], cols[mask], indptr), shape=buf.shape)
+
+
+def slab_poly_to_update(P: dict[int, np.ndarray], basis: CarlemanBasis, delta: bool = False):
+    """The step lift one block row at a time: each row's Kronecker products
+    as a fresh dict, each row a CSR slab, the slabs stacked.  This is the
+    formulation that carleman._poly_to_update's single dense buffer
+    replaced, kept to check it entry for entry and to bound its memory."""
+    b = np.zeros(basis.dim_total)
+    Ptrunc = {q: B for q, B in P.items() if q <= basis.N and np.any(B)}
+    R: dict[int, np.ndarray] = {0: np.ones((1, 1))}
+    rows = []
+    for j in range(1, basis.N + 1):
+        R = _times_poly(R, Ptrunc, basis.N)
+        n_j = basis.d**j
+        if 0 in R:
+            b[basis.block_slice(j)] = R[0][:, 0]
+        row = {**R, j: R.get(j, 0.0) - np.eye(n_j)} if delta else R
+        rows.append(_slab(row, basis, n_j))
+    return sp.vstack(rows, format="csr"), b
+
+
+def slab_run_lifted_dpm(s: NoiseSchedule, m: PolyNoiseModel, x_T, grid, basis: CarlemanBasis,
+                        k: int):
+    """A derivative-scheme lifted trajectory lifted and walked step by
+    step with :func:`slab_poly_to_update`; returns (states, [(A, b)])."""
+    states = [lift(x_T, basis).y]
+    steps = []
+    for i in range(1, grid.M + 1):
+        A, b = slab_poly_to_update(step_polynomial_dpm(s, m, i, grid, k), basis, delta=True)
+        states.append(states[-1] + A @ states[-1] + b)
+        steps.append((A, b))
+    return states, steps
 
 
 def import_matrix(path) -> sp.csr_matrix:

@@ -77,7 +77,7 @@ def address_space_cap(extra_bytes):
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc to cap memory")
 def test_step_lift_refuses_oversized_dense_rows_before_allocating():
     # d=4, N=8 passes the dimension check (87 380) but one step's dense
-    # top block row would take 8 * 4^8 * 87 380 bytes, about 46 GB
+    # buffer would take 8 * 87 380^2 bytes, about 61 GB
     basis = CarlemanBasis(N=8, d=4, mode="kron")
     m = kron_model(4, {1: 0.5 * np.eye(4), 2: np.full((4, 16), 0.01)})
     grid = make_lambda_grid(S, 0.5, 0.1, 4)

@@ -158,6 +158,33 @@ def test_non_finite_sampler_state_exits_3(tmp_path, capsys, command, cfg, messag
     assert capsys.readouterr().err.startswith(f"numerical failure: {message}")
 
 
+def test_diverging_oracle_exits_3(tmp_path, capsys):
+    # the lifted endpoint stays finite (about 184) while the one-coordinate
+    # RK4 oracle, stepping on Python floats, overflows without raising
+    cfg = {
+        "model": {"mode": "separable", "d": 1, "terms": [[0, 0, 0.2], [1, 0, -0.6], [2, 1, 0.05]]},
+        "window": {"x_T": 1.0, "t_start": 0.8, "t_end": 0.1, "M": 10},
+    }
+    code, out = run(tmp_path, "carleman", cfg)
+    assert code == 3
+    assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: the RK4 oracle reached a non-finite state")
+
+
+def test_carleman_refuses_separable_models_with_d_above_1(tmp_path, capsys):
+    cfg = {
+        "model": {"mode": "separable", "d": 2, "terms": [[1, 0, 0.5]]},
+        "window": {"x_T": [1.0, 0.5], "t_start": 0.8, "t_end": 0.1, "M": 4},
+    }
+    code, out = run(tmp_path, "carleman", cfg)
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("config error: $.model.mode: separable models")
+    code, _ = run(tmp_path, "simulate", cfg, out="sim")
+    assert code == 0
+
+
 def test_oversized_lift_exits_3(tmp_path):
     cfg = {
         "model": {"mode": "kron", "d": 4, "blocks": {"1": (0.5 * np.eye(4)).tolist()}},
@@ -169,7 +196,7 @@ def test_oversized_lift_exits_3(tmp_path):
 
 
 def test_oversized_global_system_exits_3(tmp_path, monkeypatch, capsys):
-    # the lowered cap admits the step lift (8 * d^N * dim_total = 24 bytes)
+    # the lowered cap admits the step lift (8 * dim_total^2 = 72 bytes)
     # but not the global system at 12 bytes per entry
     monkeypatch.setattr(carleman, "MAX_STEP_BYTES", 256)
     cfg = {"window": {"benchmark": "weak_quadratic", "M": 8}, "carleman": {"N": 3}}
@@ -402,13 +429,18 @@ def test_bad_swept_values_exit_2_before_any_point_runs(tmp_path, capsys, paramet
      "config error: $.model: 'blocks' is a required property"),
     ({"sweep": {"command": "lchs", "parameter": "lchs.T", "values": [1.0, 2.0]}},
      "config error: $.lchs.A: required for the lchs command"),
-], ids=["model_rules", "lchs_inputs"])
+    ({"model": {"mode": "separable", "d": 1, "terms": [[1, 0, 0.5]]},
+      "window": {"x_T": 0.8, "t_start": 0.6, "t_end": 0.1, "M": 4},
+      "sweep": {"command": "carleman", "parameter": "model.d", "values": [1, 2]}},
+     "config error: $.model.mode: separable models with d > 1 cannot be lifted"),
+], ids=["model_rules", "lchs_inputs", "separable_lift"])
 def test_sweep_checks_point_inputs_before_any_point_runs(tmp_path, monkeypatch, capsys, cfg, message):
     def refuse(*args, **kwargs):
         raise AssertionError("a sweep point ran")
 
     monkeypatch.setattr(cli, "run_scheme", refuse)
     monkeypatch.setattr(cli, "lchs_solve", refuse)
+    monkeypatch.setattr(cli, "run_lifted", refuse)
     code, _ = run(tmp_path, "sweep", cfg)
     assert code == 2
     assert capsys.readouterr().err.startswith(message)

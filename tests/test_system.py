@@ -92,6 +92,16 @@ def test_operator_csr_follows_step_diagonals_that_cancel_or_are_missing():
     assert A.nnz == 6
 
 
+def test_lift_made_blocks_are_held_without_a_rescan():
+    basis, _, _, qcms = lifted_setup(M=3)
+    system = assemble_global_dpm(qcms, lift([0.8], basis).y)
+    assert all(row[0][1] is q.A for row, q in zip(system.mat.rows[1:], qcms))
+    # a copy carries no mark of the lift, so it is checked before it is held
+    copies = assemble_global_dpm([Qcm(A=q.A.copy(), b=q.b) for q in qcms], lift([0.8], basis).y)
+    assert all(row[0][1] is not q.A for row, q in zip(copies.mat.rows[1:], qcms))
+    assert (copies.mat.tocsr() != system.mat.tocsr()).nnz == 0
+
+
 def test_sparsity_stats_small_matrix():
     mat = sp.csr_matrix(np.array([[1.0, 0.0], [2.0, 3.0]]))
     report = condition_number(mat)
