@@ -354,7 +354,7 @@ def assemble_unipc_qcms(
 
 
 def step_lifted(q, states, corrector: bool = False) -> np.ndarray:
-    """Advance lifted state(s) through one quantized step.
+    """Advance lifted state vector(s) through one quantized step.
 
     For a :class:`Qcm`, ``states`` is the single lifted vector at the
     previous node.  For a :class:`UnipcQcmSet`, ``states`` is the list
@@ -366,19 +366,17 @@ def step_lifted(q, states, corrector: bool = False) -> np.ndarray:
     (see :class:`UnipcQcmSet`).
     """
     if isinstance(q, Qcm):
-        y = states.y if isinstance(states, LiftedState) else np.asarray(states)
-        return y + q.A @ y + q.b
+        return states + q.A @ states + q.b
     if isinstance(q, UnipcQcmSet):
-        ys = [st.y if isinstance(st, LiftedState) else np.asarray(st) for st in states]
-        if len(ys) != q.p:
-            raise ValueError(f"need {q.p} history states, got {len(ys)}")
+        if len(states) != q.p:
+            raise ValueError(f"need {q.p} history states, got {len(states)}")
         y_pred = q.pred_b.copy()
-        for mat, y in zip(q.pred_mats, ys):
+        for mat, y in zip(q.pred_mats, states):
             y_pred += mat @ y
         if not corrector:
             return y_pred
         y_corr = q.corr_b + q.corr_target @ y_pred
-        for mat, y in zip(q.corr_mats, ys):
+        for mat, y in zip(q.corr_mats, states):
             y_corr += mat @ y
         return y_corr
     raise TypeError(f"unsupported step object {type(q)!r}")

@@ -3,10 +3,11 @@
 Commands: simulate, carleman, lchs, diagnose, readout, sweep.  One strict
 schema declares the config: every option's type and default, and the
 rules that tie model keys together (a preset stands alone; otherwise a
-mode is required, separable needs d, kron needs d and blocks).  Every run
-validates its config against it (unknown keys rejected), checks that the
-config holds what the command needs beyond the defaults, and writes the
-fully resolved config to the output directory before the command starts.
+mode is required, separable needs d, kron needs d and blocks; a
+one-coordinate model is separable with d = 1).  Every run validates its
+config against it (unknown keys rejected), checks that the config holds
+what the command needs beyond the defaults, and writes the fully
+resolved config to the output directory before the command starts.
 A command is a function of that config that writes nothing: it returns
 its exit status and its outputs, which map each file name to a table
 (columns, rows, metadata) or, for the one non-CSV file, to a deferred
@@ -47,8 +48,9 @@ from . import __version__
 from .carleman import CarlemanBasis, UnipcQcmSet, run_lifted
 from .diagnostics import dissipativity_P, spectrum_trace
 from .errors import CapacityError, ConvergenceError, StructureError
-from .model import PolyNoiseModel, kron_model, scalar_model, separable_model
-from .presets import BENCHMARKS, MODEL_PRESETS, benchmark, model_preset
+from .model import PolyNoiseModel, kron_model, separable_model
+from .presets import (BENCHMARKS, DEFAULT_BETA_MAX, DEFAULT_BETA_MIN, DEFAULT_T, MODEL_PRESETS,
+                      benchmark, model_preset)
 from .readout import recover_sparse
 from .reference import SolverRun, rk4_oracle, run_scheme
 from .schedule import make_lambda_grid, make_vp_schedule
@@ -98,13 +100,14 @@ _SCHEMA = _section({
     "seed": {"type": "integer", "minimum": 0, "default": 0},
     "out": {"type": ["string", "null"], "default": None},
     "schedule": _section({
-        "beta_min": {"type": "number", "exclusiveMinimum": 0, "default": 0.1},
-        "beta_max": {"type": "number", "exclusiveMinimum": 0, "default": 20.0},
-        "T": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
+        # the benchmarks' schedule, so a window.benchmark runs where it was pinned
+        "beta_min": {"type": "number", "exclusiveMinimum": 0, "default": DEFAULT_BETA_MIN},
+        "beta_max": {"type": "number", "exclusiveMinimum": 0, "default": DEFAULT_BETA_MAX},
+        "T": {"type": "number", "exclusiveMinimum": 0, "default": DEFAULT_T},
     }),
     "model": _section({
         "preset": {"enum": sorted(MODEL_PRESETS)},
-        "mode": {"enum": ["scalar", "separable", "kron"]},
+        "mode": {"enum": ["separable", "kron"]},
         "d": {"type": "integer", "minimum": 1},
         "terms": {"type": "array", "items": {
             "type": "array",
@@ -159,7 +162,6 @@ _SCHEMA = _section({
         "gmres_tol": {"type": "number", "exclusiveMinimum": 0, "default": 1e-10},
         "condition": {"enum": ["auto", "dense_svd", "lanczos", "none"], "default": "auto"},
         "condition_rtol": {"type": "number", "exclusiveMinimum": 0, "default": 1e-4},
-        "equivalence_check": {"type": "boolean", "default": True},
         "export_matrix": {"type": "boolean", "default": False},
     }),
     "lchs": _section({
@@ -293,8 +295,6 @@ def build_model(cfg: dict) -> PolyNoiseModel:
         return model_preset(mc["preset"])
     terms = mc.get("terms", [])
     try:
-        if mc["mode"] == "scalar":
-            return scalar_model({(int(j), int(l)): float(c) for j, l, c in terms})
         if mc["mode"] == "separable":
             d = mc["d"]
             deg_x = max((j for j, _, _ in terms), default=0)
@@ -433,10 +433,7 @@ def cmd_carleman(cfg: dict) -> tuple[int, dict]:
     b1 = basis.block_slice(1)
     traj = blocks[:, b1]
 
-    equivalence = math.nan
-    if car["equivalence_check"]:
-        seq = np.concatenate([st.y for st in states])
-        equivalence = float(np.max(np.abs(sol.solution - seq)))
+    equivalence = float(np.max(np.abs(sol.solution - np.concatenate([st.y for st in states]))))
     oracle = run_oracle(s, m, x_T, substeps=4000, t_start=float(grid.t[0]), t_end=float(grid.t[-1]))
     error = float(np.linalg.norm(traj[-1] - oracle.endpoint))
     defect = states[-1].consistency_defect()

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carleman import CarlemanBasis, lift, run_lifted
+from .carleman import CarlemanBasis, run_lifted
 from .model import PolyNoiseModel, drift_eigenvalues
 from .reference import SolverRun, rk4_oracle, run_scheme
 from .schedule import NoiseSchedule, TimeGrid, make_lambda_grid
@@ -111,7 +111,7 @@ def truncation_sweep(
         defect = states[-1].consistency_defect() if N >= 2 else float("nan")
         kappa = float("nan")
         if with_kappa:
-            system = assemble_global_dpm(qcms, lift(x_T, basis).y)
+            system = assemble_global_dpm(qcms, states[0].y)
             kappa = condition_number(system).kappa
         rows.append(TruncationRow(N=N, error=err, defect=defect, kappa=kappa))
     return rows
@@ -119,7 +119,6 @@ def truncation_sweep(
 
 @dataclass
 class OrderSweep:
-    M_list: np.ndarray
     h: np.ndarray
     errors: np.ndarray
     slope: float
@@ -135,7 +134,6 @@ def order_sweep(
     scheme: str,
     order: int,
     M_list=(8, 16, 32, 64, 128),
-    variant: str = "bh2",
     oracle_substeps: int = 4000,
 ) -> OrderSweep:
     """Empirical convergence order of a sampler on a fixed window.
@@ -147,17 +145,16 @@ def order_sweep(
     the fit (error floor) and reported through ``used``.
     """
     oracle = rk4_oracle(s, m, x_T, substeps=oracle_substeps, t_start=t_start, t_end=t_end).endpoint
-    M_arr = np.asarray(list(M_list), dtype=int)
-    errors = np.empty(len(M_arr))
-    hs = np.empty(len(M_arr))
-    for idx, M in enumerate(M_arr):
+    errors = np.empty(len(M_list))
+    hs = np.empty(len(M_list))
+    for idx, M in enumerate(M_list):
         grid = make_lambda_grid(s, t_start, t_end, int(M))
         hs[idx] = grid.h.mean()
-        run = run_scheme(s, m, x_T, grid, scheme, order, variant)
+        run = run_scheme(s, m, x_T, grid, scheme, order)
         errors[idx] = float(np.linalg.norm(run.endpoint - oracle))
     floor = 100.0 * np.finfo(float).eps * max(1.0, float(np.linalg.norm(oracle)))
     used = errors > floor
     if used.sum() < 2:
         raise ValueError("too few points above the error floor to fit a slope")
     slope = float(np.polyfit(np.log(hs[used]), np.log(errors[used]), 1)[0])
-    return OrderSweep(M_list=M_arr, h=hs, errors=errors, slope=slope, used=used)
+    return OrderSweep(h=hs, errors=errors, slope=slope, used=used)

@@ -52,15 +52,17 @@ class NoiseSchedule:
     beta_min: float
     beta_max: float
     T: float
-    t_floor: float = field(default=0.0)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.beta_min < self.beta_max):
             raise ValueError("need 0 < beta_min < beta_max")
         if self.T <= 0.0:
             raise ValueError("need T > 0")
-        if self.t_floor == 0.0:
-            object.__setattr__(self, "t_floor", T_FLOOR_FRACTION * self.T)
+
+    @property
+    def t_floor(self) -> float:
+        """Earliest time a grid may reach, T_FLOOR_FRACTION of T."""
+        return T_FLOOR_FRACTION * self.T
 
     def beta(self, t):
         return self.beta_min + (self.beta_max - self.beta_min) * np.asarray(t) / self.T
@@ -98,7 +100,7 @@ class NoiseSchedule:
     def sigma_from_lam(self, lam):
         return np.sqrt(expit(-2.0 * np.asarray(lam, dtype=float)))
 
-    def t_from_lam(self, lam_target: float, t_lo: float | None = None, t_hi: float | None = None) -> float:
+    def t_from_lam(self, lam_target: float, t_lo: float, t_hi: float) -> float:
         """Invert lam(t) = lam_target on [t_lo, t_hi] by bracketed root finding.
 
         Raises ConvergenceError if the root does not reproduce the target
@@ -106,10 +108,6 @@ class NoiseSchedule:
         """
         from .errors import ConvergenceError
 
-        if t_lo is None:
-            t_lo = self.t_floor
-        if t_hi is None:
-            t_hi = self.T
         g = lambda t: float(self.lam(t) - lam_target)
         g_lo, g_hi = g(t_lo), g(t_hi)
         if g_lo < 0.0 or g_hi > 0.0:

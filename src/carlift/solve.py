@@ -4,11 +4,12 @@ The global trajectory systems are block unit lower triangular and kept
 as their per-step blocks (:class:`carlift.system.TrajectoryOperator`),
 so a forward walk over those blocks solves them directly; GMRES, handed
 the same operator, is the iterative reference point for conditioning
-experiments.  The operator's products walk chunks of block rows
-concurrently, one thread per CPU in the process's affinity mask (serial
-below system.PARALLEL_MATVEC_MIN_NNZ), and each row is summed by one
-thread, so GMRES solutions and iteration counts do not depend on the
-worker count.  ``lchs_solve`` emulates the
+experiments; it restarts at n_blocks + 1 vectors, which one Krylov
+cycle needs to reach the exact solution.  The operator's products hand
+block rows out one at a time to one thread per CPU in the process's
+affinity mask (serial below system.PARALLEL_MATVEC_MIN_NNZ), and each
+row is summed by one thread, so GMRES solutions and iteration counts do
+not depend on the worker count.  ``lchs_solve`` emulates the
 linear-combination-of-Hamiltonian-simulation route classically:
 the non-unitary flow of du/dt = -A(t) u + b(t) is reproduced as a
 Cauchy-kernel-weighted quadrature over unitary evolutions generated by
@@ -76,20 +77,19 @@ def forward_substitute(system) -> SolveResult:
     return SolveResult(solution=x, residual=res, iterations=0, method="forward_substitution")
 
 
-def gmres_solve(system, tol: float = 1e-10, restart: int | None = None, max_iter: int = 20000) -> SolveResult:
+def gmres_solve(system, tol: float = 1e-10, max_iter: int = 20000) -> SolveResult:
     """GMRES with explicit residual verification.
 
     The system matrix goes to SciPy's GMRES as it is, so a trajectory
     operator is applied by block walks.  A trajectory system is I minus
     a block strictly lower triangular part, nilpotent of index at most
-    n_blocks, so the default restart min(n_blocks + 1, dim) lets one
-    Krylov cycle reach the exact solution.  Raises ConvergenceError
+    n_blocks, so restarting at min(n_blocks + 1, dim) lets one Krylov
+    cycle reach the exact solution.  Raises ConvergenceError
     carrying the best residual and iteration count if the recomputed
     relative residual stays above tol.
     """
     mat, rhs = system.mat, system.rhs
-    if restart is None:
-        restart = min(system.n_blocks + 1, mat.shape[0])
+    restart = min(system.n_blocks + 1, mat.shape[0])
     counter = {"n": 0}
 
     def cb(_):
@@ -97,7 +97,7 @@ def gmres_solve(system, tol: float = 1e-10, restart: int | None = None, max_iter
 
     x, info = scipy_gmres(
         mat, rhs, rtol=tol, atol=0.0, restart=restart,
-        maxiter=max(1, max_iter // max(restart, 1)),
+        maxiter=max(1, max_iter // restart),
         callback=cb, callback_type="pr_norm",
     )
     res = float(np.linalg.norm(mat @ x - rhs) / max(np.linalg.norm(rhs), 1.0))
@@ -141,7 +141,6 @@ class LchsResult:
     shift: float
     n_exponentials: int
     kernel_mass: float
-    config: LchsConfig
 
 
 def lchs_solve(A_fun, b_fun, u0, T: float, cfg: LchsConfig | None = None) -> LchsResult:
@@ -169,6 +168,7 @@ def lchs_solve(A_fun, b_fun, u0, T: float, cfg: LchsConfig | None = None) -> Lch
     distinct generator, split and shifted once and decomposed once per
     chunk; a time-dependent A has one per substep.  ``n_exponentials``
     counts the propagators built: one per node per distinct generator.
+    A homogeneous flow takes a zero source.
     """
     if cfg is None:
         cfg = LchsConfig()
@@ -198,14 +198,12 @@ def lchs_solve(A_fun, b_fun, u0, T: float, cfg: LchsConfig | None = None) -> Lch
     wk[-1] *= 0.5
     gk = 1.0 / (np.pi * (1.0 + ks**2))
 
-    z0 = u0.astype(complex)
-    if b_fun is not None:
-        bounds = np.arange(cfg.substeps + 1) * dt
-        b_shift = [np.exp(-mu * t) * np.asarray(b_fun(t), dtype=complex) for t in bounds]
-        ws = np.full(cfg.substeps + 1, dt)
-        ws[0] *= 0.5
-        ws[-1] *= 0.5
-        z0 = z0 + ws[0] * b_shift[0]
+    bounds = np.arange(cfg.substeps + 1) * dt
+    b_shift = [np.exp(-mu * t) * np.asarray(b_fun(t), dtype=complex) for t in bounds]
+    ws = np.full(cfg.substeps + 1, dt)
+    ws[0] *= 0.5
+    ws[-1] *= 0.5
+    z0 = u0.astype(complex) + ws[0] * b_shift[0]
 
     chunk = max(1, LCHS_CHUNK_BYTES // (16 * n * n))
     acc = np.zeros(n, dtype=complex)
@@ -220,20 +218,13 @@ def lchs_solve(A_fun, b_fun, u0, T: float, cfg: LchsConfig | None = None) -> Lch
                 Vh = V.conj().swapaxes(-1, -2)
                 n_exp += len(kc)
             z = V @ (phase * (Vh @ z))
-            if b_fun is not None:
-                z += ws[j + 1] * b_shift[j + 1][:, None]
+            z += ws[j + 1] * b_shift[j + 1][:, None]
         acc += (wk[lo : lo + chunk] * gk[lo : lo + chunk]) @ z[..., 0]
 
     u = np.exp(mu * T) * acc
-    real_inputs = not np.iscomplexobj(u0) and all(np.all(Aj.imag == 0.0) for Aj in A_mid)
-    if b_fun is not None:
-        real_inputs = real_inputs and all(np.all(bj.imag == 0.0) for bj in b_shift)
-    if real_inputs:
+    if not np.iscomplexobj(u0) and all(np.all(a.imag == 0.0) for a in [*A_mid, *b_shift]):
         u = u.real
-    return LchsResult(
-        u=u, shift=mu, n_exponentials=n_exp,
-        kernel_mass=float(np.sum(wk * gk)), config=cfg,
-    )
+    return LchsResult(u=u, shift=mu, n_exponentials=n_exp, kernel_mass=float(np.sum(wk * gk)))
 
 
 def qlss_cost_model(

@@ -8,12 +8,11 @@ triangular, since every coupling block sits strictly below its row's
 diagonal block).  :class:`TrajectoryOperator` keeps M as the per-step
 blocks the lift made: products with M and the forward solve walk
 those blocks, and the global CSR matrix is built only on request,
-for matrix export and the condition estimate.  A product with M splits
-the block rows into contiguous chunks of about equal nonzeros and walks
-them concurrently, one thread per CPU in the process's affinity mask,
-or serially below PARALLEL_MATVEC_MIN_NNZ.  Each output row is summed
-by one thread in coupling order, so products do not depend on the
-worker count.
+for matrix export and the condition estimate.  A product with M hands
+its block rows out one at a time to one thread per CPU in the process's
+affinity mask, or walks them serially below PARALLEL_MATVEC_MIN_NNZ.
+Each output row is summed by one thread in coupling order, so products
+do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -39,6 +38,10 @@ __all__ = [
 ]
 
 DENSE_SVD_MAX_DIM = 2000
+
+# Operator applications each Lanczos run of condition_number may take
+# before it reports non-convergence.
+LANCZOS_MAX_ITER = 10000
 
 # A product with a trajectory operator walks its block rows on several
 # threads only when its couplings hold at least this many nonzeros.
@@ -96,38 +99,26 @@ class TrajectoryOperator(LinearOperator):
         self.block_dim = D
         self.n_blocks = len(rows)
         self.rows = held
-        # coupling nonzeros up to and including each block row
-        self._nnz_through = np.cumsum([sum(blk.nnz for _, blk, _ in row) for row in held])
+        self._coupling_nnz = sum(blk.nnz for row in held for _, blk, _ in row)
         n = self.n_blocks * D
         super().__init__(dtype=np.float64, shape=(n, n))
 
     def _blocks(self, x) -> np.ndarray:
         return np.asarray(x).reshape(self.n_blocks, self.block_dim)
 
-    def _row_chunks(self) -> list[range]:
-        """Contiguous ranges of block rows, one per worker, holding about
-        equal shares of the coupling nonzeros."""
-        total = int(self._nnz_through[-1])
-        workers = _threads.worker_count(total, PARALLEL_MATVEC_MIN_NNZ)
-        cuts = np.searchsorted(self._nnz_through, total * np.arange(1, workers) / workers,
-                               side="right")
-        bounds = [0, *cuts.tolist(), self.n_blocks]
-        return [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
     def _matvec(self, x):
-        """M x, block row by block row; the rows of each chunk on one thread."""
+        """M x, block row by block row; each row on one thread."""
         x = self._blocks(x)
         y = x.astype(np.result_type(x, np.float64))
 
-        def walk(chunk: range) -> None:
-            for i in chunk:
-                for c, blk, plus_eye in self.rows[i]:
-                    y[i] -= blk @ x[c]
-                    if plus_eye:
-                        y[i] -= x[c]
+        def walk(i: int) -> None:
+            for c, blk, plus_eye in self.rows[i]:
+                y[i] -= blk @ x[c]
+                if plus_eye:
+                    y[i] -= x[c]
 
-        chunks = self._row_chunks()
-        _threads.fan_out(walk, chunks, len(chunks))
+        _threads.fan_out(walk, range(self.n_blocks),
+                         _threads.worker_count(self._coupling_nnz, PARALLEL_MATVEC_MIN_NNZ))
         return y.ravel()
 
     def solve(self, rhs) -> np.ndarray:
@@ -349,9 +340,10 @@ class ConditionReport:
     nnz: int
 
 
-def _lanczos_top(apply, n: int, rtol: float, max_iter: int, rng):
+def _lanczos_top(apply, n: int, rtol: float, rng):
     """Top eigenvalue of a symmetric positive definite operator B by
-    ARPACK's Lanczos, within about max_iter applications, then certified.
+    ARPACK's Lanczos, within about LANCZOS_MAX_ITER applications, then
+    certified.
 
     theta = u^T B u / u^T u uses an explicit ||u||^2, so eigenvectors of
     B (the identity's, for one) come out bit-exact; ||B u - theta u|| /
@@ -374,7 +366,7 @@ def _lanczos_top(apply, n: int, rtol: float, max_iter: int, rng):
     try:
         u = eigsh(LinearOperator((n, n), matvec=matvec, dtype=float), k=1, which="LA",
                   v0=rng.standard_normal(n), ncv=ncv, tol=rtol / 2,
-                  maxiter=max(1, max_iter // ncv))[1][:, 0]
+                  maxiter=max(1, LANCZOS_MAX_ITER // ncv))[1][:, 0]
     except ArpackNoConvergence:
         u = seen["v"]
     w = matvec(u)
@@ -384,12 +376,7 @@ def _lanczos_top(apply, n: int, rtol: float, max_iter: int, rng):
     return theta, seen["calls"], res, res <= rtol * theta
 
 
-def condition_number(
-    system,
-    method: str = "auto",
-    rtol: float = 1e-3,
-    max_iter: int = 10000,
-) -> ConditionReport:
+def condition_number(system, method: str = "auto", rtol: float = 1e-3) -> ConditionReport:
     """2-norm condition number of the system matrix.
 
     "dense_svd" computes all singular values and is restricted to
@@ -399,9 +386,9 @@ def condition_number(
     1/sigma_min^2 that of M^{-1} M^{-T}, applied through one sparse LU
     factor of M (no fill, as M is triangular).  Each run starts from a
     generator seeded with 0, so kappa and ``iterations`` (operator
-    applications) are deterministic; ``max_iter`` caps the applications
-    per run, and running out is reported through ``converged`` rather
-    than raised.  "auto" is "lanczos" except for a 1 x 1 matrix, which
+    applications) are deterministic; LANCZOS_MAX_ITER caps the
+    applications per run, and running out is reported through
+    ``converged`` rather than raised.  "auto" is "lanczos" except for a 1 x 1 matrix, which
     ARPACK cannot take.
     """
     mat = _zero_free(system)
@@ -424,9 +411,8 @@ def condition_number(
             raise ValueError("lanczos needs dim >= 2")
         lu = splu(mat.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
         rng = np.random.default_rng(0)
-        top, it1, res1, ok1 = _lanczos_top(lambda v: mat.T @ (mat @ v), n, rtol, max_iter, rng)
-        inv, it2, res2, ok2 = _lanczos_top(lambda v: lu.solve(lu.solve(v, trans="T")), n, rtol,
-                                           max_iter, rng)
+        top, it1, res1, ok1 = _lanczos_top(lambda v: mat.T @ (mat @ v), n, rtol, rng)
+        inv, it2, res2, ok2 = _lanczos_top(lambda v: lu.solve(lu.solve(v, trans="T")), n, rtol, rng)
         smax, smin, its = np.sqrt(top), 1.0 / np.sqrt(inv), it1 + it2
         res, ok = max(res1, res2), ok1 and ok2
     else:

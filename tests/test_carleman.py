@@ -179,7 +179,7 @@ def test_lifted_step_block1_is_exact_on_lifted_states():
     grid = make_lambda_grid(S, 1.0, 0.1, 4)
     x = np.array([1.3])
     qcm = assemble_dpm_qcm(S, QUAD, 1, grid, 1, basis)
-    y1 = step_lifted(qcm, lift(x, basis))
+    y1 = step_lifted(qcm, lift(x, basis).y)
     assert np.allclose(
         y1[basis.block_slice(1)], dpm_step(S, QUAD, x, 1, grid, 1), atol=1e-14
     )

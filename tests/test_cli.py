@@ -57,7 +57,7 @@ def test_simulate_artifacts_and_stamp(tmp_path):
 
 def test_simulate_zero_model_conserves_rescaled_state(tmp_path):
     cfg = {
-        "model": {"mode": "scalar", "terms": []},
+        "model": {"mode": "separable", "d": 1, "terms": []},
         "window": {"x_T": 1.3, "t_start": 1.0, "t_end": 0.05, "M": 12},
         "simulate": {"oracle": False},
     }
@@ -88,7 +88,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
     bad_cases = [
         ("simulate", {"window": {"M": 8}}, "$.model"),
         ("simulate", {"window": {"M": 8, "steps": 4}}, "$.window"),
-        ("simulate", {"model": {"preset": "linear", "mode": "scalar"}}, "$.model"),
+        ("simulate", {"model": {"preset": "linear", "mode": "separable"}}, "$.model"),
         ("simulate", {"model": {"preset": "quartic"}}, "$.model.preset"),
         ("simulate", {"window": {"M": "eight"}}, "$.window.M"),
         ("simulate", {"window": {"benchmark": "weak_quadratic", "M": 8},
@@ -220,7 +220,7 @@ def test_gmres_stall_exits_4(tmp_path):
     # a growing trajectory leaves a nonzero floating-point residual that
     # an impossible tolerance can never reach
     cfg = {
-        "model": {"mode": "scalar", "terms": [[0, 0, 0.1], [1, 0, -0.5], [2, 0, 0.1]]},
+        "model": {"mode": "separable", "d": 1, "terms": [[0, 0, 0.1], [1, 0, -0.5], [2, 0, 0.1]]},
         "window": {"x_T": 0.8, "t_start": 0.6, "t_end": 0.05, "M": 6},
         "carleman": {"N": 3, "solver": "gmres", "gmres_tol": 1e-30},
     }
@@ -242,6 +242,34 @@ def test_carleman_solvers_agree(tmp_path):
     eq = float(dict(zip(cols, rows_f[0]))["equivalence"])
     assert eq < 1e-10
     assert (out_f / "condition.csv").exists()
+
+
+@pytest.mark.parametrize("which", ["predictor", "corrector"])
+def test_carleman_unipc_solvers_agree(tmp_path, which):
+    base = {
+        "model": {"mode": "kron", "d": 2, "blocks": {
+            "1": [[0.3, 0.05], [0.02, 0.6]],
+            "2": [[0.01, 0.0, 0.0, 0.02], [0.0, 0.01, 0.01, 0.0]],
+        }},
+        "window": {"x_T": [0.5, -0.4], "t_start": 0.5, "t_end": 0.1, "M": 8},
+        "carleman": {"N": 2, "scheme": "unipc", "order": 2, "which": which},
+    }
+    code_f, out_f = run(tmp_path, "carleman", base, out="fw")
+    gm = {**base, "carleman": {**base["carleman"], "solver": "gmres"}}
+    code_g, out_g = run(tmp_path, "carleman", gm, out="gm")
+    assert code_f == 0 and code_g == 0
+    cols, rows_f = data_rows(out_f / "trajectory.csv")
+    _, rows_g = data_rows(out_g / "trajectory.csv")
+    x_cols = [cols.index("x_0"), cols.index("x_1")]
+    xf = np.array([[float(r[i]) for i in x_cols] for r in rows_f])
+    xg = np.array([[float(r[i]) for i in x_cols] for r in rows_g])
+    assert len(xf) == 9
+    np.testing.assert_allclose(xg, xf, rtol=0.0, atol=1e-12)
+    for out in (out_f, out_g):
+        cols, rows = data_rows(out / "summary.csv")
+        row = dict(zip(cols, rows[0]))
+        assert row["scheme"] == f"unipc_{which}"
+        assert float(row["equivalence"]) <= 1e-12
 
 
 def test_carleman_matrix_export_round_trips(tmp_path):
@@ -362,11 +390,14 @@ def test_sweep_merge_order_slope_and_concurrency(tmp_path):
     code1, out1 = run(tmp_path, "sweep", SWEEP_CFG, out="w1")
     cfg2 = {**SWEEP_CFG, "sweep": {**SWEEP_CFG["sweep"], "workers": 3}}
     code2, out2 = run(tmp_path, "sweep", cfg2, out="w2")
-    assert code1 == 0 and code2 == 0
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
-    assert (out1 / "resolved_config.json").read_bytes() == (
-        out2 / "resolved_config.json"
-    ).read_bytes()
+    code3, out3 = run(tmp_path, "sweep", SWEEP_CFG, out="w3", extra=("--workers", "2"))
+    assert cli.resolve_config(SWEEP_CFG, workers=2)["sweep"]["workers"] == 2
+    assert code1 == 0 and code2 == 0 and code3 == 0
+    for out in (out2, out3):
+        assert (out1 / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
+        assert (out1 / "resolved_config.json").read_bytes() == (
+            out / "resolved_config.json"
+        ).read_bytes()
     assert not (out1 / "points").exists()
 
     cols, rows = data_rows(out1 / "sweep.csv")
@@ -509,6 +540,6 @@ def declared_defaults(schema, path="$"):
 
 def test_every_default_validates_against_its_property():
     found = list(declared_defaults(cli._SCHEMA))
-    assert len(found) == 41
+    assert len(found) == 40
     for path, prop in found:
         assert jsonschema.Draft202012Validator(prop).is_valid(prop["default"]), path

@@ -73,7 +73,7 @@ def test_time_round_trip():
     rng = np.random.default_rng(7)
     for _ in range(40):
         t = float(rng.uniform(VP.t_floor, VP.T))
-        assert VP.t_from_lam(float(VP.lam(t))) == pytest.approx(t, abs=1e-10)
+        assert VP.t_from_lam(float(VP.lam(t)), VP.t_floor, VP.T) == pytest.approx(t, abs=1e-10)
 
 
 def test_lam_parameterized_schedule_consistency():

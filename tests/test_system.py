@@ -168,11 +168,12 @@ def test_condition_number_lanczos_rerun_is_identical():
     assert condition_number(system, method="lanczos", rtol=1e-6) == first
 
 
-def test_condition_number_lanczos_out_of_budget_reports_not_converged():
+def test_condition_number_lanczos_out_of_budget_reports_not_converged(monkeypatch):
     # a spread-out spectrum that one restart cycle cannot resolve to 1e-8
     mat = sp.diags(np.linspace(1.0, 100.0, 500)).tocsr()
     full = condition_number(mat, method="lanczos", rtol=1e-8)
-    short = condition_number(mat, method="lanczos", rtol=1e-8, max_iter=25)
+    monkeypatch.setattr("carlift.system.LANCZOS_MAX_ITER", 25)
+    short = condition_number(mat, method="lanczos", rtol=1e-8)
     assert full.converged and full.kappa == pytest.approx(100.0, rel=1e-8)
     assert not short.converged
     assert short.iterations < full.iterations
