@@ -5,8 +5,10 @@
 product with M, on one thread per CPU this process may run on.  Each
 step or output row is computed whole by one thread, with the same
 operations in the same order as the serial loop, so results do not
-depend on the worker count.  Below a loop's cutoff the serial loop runs
-and no executor is made.
+depend on the worker count.  Each loop's cutoff is on the entries of
+one item (a step's top block row, a block row of M), since an item too
+small to outweigh its thread hand-off is slower threaded at any count;
+below it the serial loop runs and no executor is made.
 
 An executor lives for one call and is shut down before the call
 returns, so no pool thread outlives it: a process forked afterwards (a

@@ -20,12 +20,14 @@ The step maps are not derived here: their coefficients come from
 :func:`carlift.reference.uni_weights`, which the classical samplers
 evaluate too, so the lifted step and the sampler step are one map.
 
-Each step is lifted into one dense buffer, converted to CSR once.  The
-steps of a trajectory are independent, so :func:`run_lifted` lifts them
-concurrently, one thread per CPU in the process's affinity mask, and
-serially when a step's top block row is below PARALLEL_LIFT_MIN_ENTRIES.
-A step is lifted whole by one thread, so the outputs do not depend on
-the worker count.
+Each step is lifted into one dense buffer, kept as its
+:class:`StepMatrix`: 65-80% of the entries are nonzero at d=2..4, so
+the array takes about the bytes CSR would at d=2 and fewer above.  The
+steps of a trajectory are independent, so :func:`run_lifted` lifts
+them concurrently, one thread per CPU in the process's affinity mask,
+and serially when a step's top block row is below
+PARALLEL_LIFT_MIN_ENTRIES.  A step is lifted whole by one thread, so
+the outputs do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .schedule import NoiseSchedule, TimeGrid
 __all__ = [
     "CarlemanBasis",
     "LiftedState",
+    "StepMatrix",
     "Qcm",
     "UnipcQcmSet",
     "lift",
@@ -57,11 +60,6 @@ __all__ = [
 
 MAX_DIM_TOTAL = 400_000
 MAX_STEP_BYTES = 2**31
-
-# Attribute set on the CSR matrices the lift builds, which have sorted,
-# unique indices and no stored zeros: system.TrajectoryOperator holds
-# such a block without rescanning it.  A copy or a product does not carry it.
-ZERO_FREE = "_carlift_zero_free"
 
 # run_lifted lifts its steps on several threads only when a step's top
 # block row holds at least this many entries (d^N * dim_total).  Measured
@@ -142,24 +140,37 @@ def lift(x, basis: CarlemanBasis) -> LiftedState:
     return LiftedState(basis=basis, y=np.concatenate(parts))
 
 
-def _dense_csr(buf: np.ndarray, n_rows: int) -> sp.csr_matrix:
-    """(n_rows, cols) CSR matrix holding the dense ``buf`` in its leading rows.
+class StepMatrix:
+    """A square step matrix held as the dense array of its leading rows.
 
-    The entries are read row by row through a boolean mask, which gives
-    what sp.csr_matrix(buf) gives without its coordinate detour: sorted,
-    unique indices and no stored zeros.  The matrix records that as
-    SciPy's canonical format and as the ZERO_FREE mark.
+    ``rows`` holds rows 0..r-1 of the (n, n) matrix, the only ones that
+    can be nonzero; the rest are zero.  The nonzeros of each row are
+    counted once, when the matrix is made (``row_nnz``), so nothing
+    rescans the array for them.
     """
-    mask = buf != 0
-    counts = np.zeros(n_rows, dtype=np.int32)
-    counts[: len(buf)] = np.count_nonzero(mask, axis=1)
-    indptr = np.zeros(n_rows + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
-    cols = np.broadcast_to(np.arange(buf.shape[1], dtype=np.int32), buf.shape)
-    out = sp.csr_matrix((buf[mask], cols[mask], indptr), shape=(n_rows, buf.shape[1]))
-    out.has_canonical_format = True
-    setattr(out, ZERO_FREE, True)
-    return out
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+        self.shape = (rows.shape[1], rows.shape[1])
+        self.row_nnz = np.count_nonzero(rows, axis=1)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.row_nnz.sum())
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The product with a vector."""
+        out = np.zeros(self.shape[0], dtype=np.result_type(self.rows, x))
+        out[: len(self.rows)] = self.rows @ x
+        return out
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[: len(self.rows)] = self.rows
+        return out
+
+    def tocsr(self) -> sp.csr_matrix:
+        return sp.csr_matrix(self.toarray())
 
 
 def _poly_to_update(P: dict[int, np.ndarray], basis: CarlemanBasis, delta: bool = False):
@@ -171,8 +182,8 @@ def _poly_to_update(P: dict[int, np.ndarray], basis: CarlemanBasis, delta: bool 
     R_{q1} (x) B_{q2} goes in by broadcasting, and the products of one
     column degree are added in the order their (q1, q2) pairs come up.
     Degree-0 parts land in b.  With ``delta`` the identity is subtracted,
-    giving the delta-form matrix U - I.  The buffer becomes CSR once.
-    Returns (csr, b).
+    giving the delta-form matrix U - I.  The buffer is the step matrix.
+    Returns (StepMatrix, b).
     """
     d, N, dim = basis.d, basis.N, basis.dim_total
     buf = np.zeros((dim, dim))
@@ -201,14 +212,14 @@ def _poly_to_update(P: dict[int, np.ndarray], basis: CarlemanBasis, delta: bool 
         R = row
     if delta:
         buf.reshape(-1)[:: dim + 1] -= 1.0
-    return _dense_csr(buf, dim), b
+    return StepMatrix(buf), b
 
 
 @dataclass
 class Qcm:
     """One lifted step in delta form: Y_i = (I + A) Y_{i-1} + b."""
 
-    A: sp.csr_matrix
+    A: StepMatrix
     b: np.ndarray
 
 
@@ -293,17 +304,18 @@ class UnipcQcmSet:
     pred_mats: list
     pred_b: np.ndarray
     corr_mats: list
-    corr_target: sp.csr_matrix
+    corr_target: StepMatrix
     corr_b: np.ndarray
 
 
-def _node_block1(E: dict[int, np.ndarray], c: float, basis: CarlemanBasis) -> sp.csr_matrix:
-    """Block-row-1 matrix c * E_q placed against column blocks q >= 1."""
+def _node_block1(E: dict[int, np.ndarray], c: float, basis: CarlemanBasis) -> StepMatrix:
+    """Block-row-1 matrix c * E_q placed against column blocks q >= 1,
+    held as its d rows."""
     buf = np.zeros((basis.d, basis.dim_total))
     for q, mat in E.items():
         if 1 <= q <= basis.N:
             buf[:, basis.block_slice(q)] = c * mat
-    return _dense_csr(buf, basis.dim_total)
+    return StepMatrix(buf)
 
 
 def assemble_unipc_qcms(

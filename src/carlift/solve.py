@@ -2,14 +2,15 @@
 
 The global trajectory systems are block unit lower triangular and kept
 as their per-step blocks (:class:`carlift.system.TrajectoryOperator`),
-so a forward walk over those blocks solves them directly; GMRES, handed
-the same operator, is the iterative reference point for conditioning
-experiments; it restarts at n_blocks + 1 vectors, which one Krylov
-cycle needs to reach the exact solution.  The operator's products hand
-block rows out one at a time to one thread per CPU in the process's
-affinity mask (serial below system.PARALLEL_MATVEC_MIN_NNZ), and each
-row is summed by one thread, so GMRES solutions and iteration counts do
-not depend on the worker count.  ``lchs_solve`` emulates the
+dense row arrays, so a forward walk of one BLAS matrix-vector product
+per block solves them directly; GMRES, handed the same operator, is the
+iterative reference point for conditioning experiments; it restarts at
+n_blocks + 1 vectors, which one Krylov cycle needs to reach the exact
+solution.  The operator's products hand block rows out one at a time to
+one thread per CPU in the process's affinity mask (serially while no
+block row holds system.PARALLEL_MATVEC_MIN_ROW_ENTRIES entries), and
+each row is summed by one thread, so GMRES solutions and iteration
+counts do not depend on the worker count.  ``lchs_solve`` emulates the
 linear-combination-of-Hamiltonian-simulation route classically:
 the non-unitary flow of du/dt = -A(t) u + b(t) is reproduced as a
 Cauchy-kernel-weighted quadrature over unitary evolutions generated by

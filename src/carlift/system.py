@@ -8,11 +8,14 @@ triangular, since every coupling block sits strictly below its row's
 diagonal block).  :class:`TrajectoryOperator` keeps M as the per-step
 blocks the lift made: products with M and the forward solve walk
 those blocks, and the global CSR matrix is built only on request,
-for matrix export and the condition estimate.  A product with M hands
-its block rows out one at a time to one thread per CPU in the process's
-affinity mask, or walks them serially below PARALLEL_MATVEC_MIN_NNZ.
-Each output row is summed by one thread in coupling order, so products
-do not depend on the worker count.
+for matrix export and the condition estimate.  Each block is a
+:class:`carlift.carleman.StepMatrix`, the dense array of its leading
+rows, so a block of a product or of the forward solve is one BLAS
+matrix-vector call.  A product with M hands its block rows out one at a
+time to one thread per CPU in the process's affinity mask, or walks
+them serially when no block row holds PARALLEL_MATVEC_MIN_ROW_ENTRIES
+entries.  Each output row is summed by one thread in coupling order,
+so products do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -44,29 +47,28 @@ DENSE_SVD_MAX_DIM = 2000
 LANCZOS_MAX_ITER = 10000
 
 # A product with a trajectory operator walks its block rows on several
-# threads only when its couplings hold at least this many nonzeros.
-# Measured crossover on a 2-CPU host: two threads took 1.03x the serial
-# time at 652 224 nonzeros (d=2, N=7, M=16) and 0.70x at 1 463 552
-# (d=4, N=4, M=16); below that, starting the thread costs more than it saves.
-PARALLEL_MATVEC_MIN_NNZ = 2**20
+# threads only when a block row holds at least this many entries.  On a
+# 2-CPU host the crossover follows the row size, not the total: two
+# threads took 1.2-1.3x the serial time at 115 600 entries a row (d=4,
+# N=4) for M=32..128, and 0.6-0.74x from 260 100 (d=2, N=8) up.
+PARALLEL_MATVEC_MIN_ROW_ENTRIES = 200_000
 
 
-def _canonical_block(blk) -> sp.csr_matrix:
-    """A CSR block with sorted, unique indices and no stored zeros.
-
-    A block the lift made carries carleman.ZERO_FREE and is held as it
-    is, unscanned.  Any other block already in that form is returned
-    sharing its arrays, and anything else is cleaned in a copy, so the
-    caller's matrix is never altered.
-    """
-    if getattr(blk, carleman.ZERO_FREE, False):
+def _held_block(blk) -> carleman.StepMatrix:
+    """A coupling block as the operator holds it: a lift's StepMatrix as
+    it is, anything else converted once to the dense rows of a copy, so
+    the caller's matrix is never altered."""
+    if isinstance(blk, carleman.StepMatrix):
         return blk
-    blk = sp.csr_matrix(blk)
-    if not blk.has_canonical_format or np.count_nonzero(blk.data) < blk.nnz:
-        blk = blk.copy()
-        blk.sum_duplicates()
-        blk.eliminate_zeros()
-    return blk
+    return carleman.StepMatrix(sp.csr_matrix(blk).toarray())
+
+
+def _eye_change(blk: carleman.StepMatrix) -> np.ndarray:
+    """Change in each row's entry count when I is added to ``blk``: I adds
+    an entry where the diagonal is 0 and cancels one where it is -1."""
+    diag = np.zeros(blk.shape[0])
+    diag[: len(blk.rows)] = np.diagonal(blk.rows)
+    return (diag == 0.0).astype(np.int64) - (diag == -1.0)
 
 
 class TrajectoryOperator(LinearOperator):
@@ -78,12 +80,13 @@ class TrajectoryOperator(LinearOperator):
 
     over ``rows[i]``, a list of (c_k, B_k, plus_eye) couplings with
     ascending columns c_k < i; row 0 has none and pins Y_0.  The D x D
-    blocks B_k are held, not copied: a derivative-scheme step holds its
-    A with ``plus_eye``, a unified step its predictor (or folded
-    corrector) matrices.
+    blocks B_k are StepMatrix objects, held as they are: a
+    derivative-scheme step holds its A with ``plus_eye``, a unified step
+    its predictor (or folded corrector) matrices.  Any other block is
+    converted to a StepMatrix once.
     """
 
-    def __init__(self, block_dim: int, rows: list[list[tuple[int, sp.csr_matrix, bool]]]):
+    def __init__(self, block_dim: int, rows: list[list[tuple]]):
         D = block_dim
         held = []
         for i, row in enumerate(rows):
@@ -93,13 +96,14 @@ class TrajectoryOperator(LinearOperator):
                                      "couplings must lie strictly below the diagonal")
             if cols != sorted(set(cols)):
                 raise ValueError(f"block row {i} lists columns {cols}, not strictly ascending")
+            row = [(c, _held_block(blk), plus_eye) for c, blk, plus_eye in row]
             if any(blk.shape != (D, D) for _, blk, _ in row):
                 raise ValueError(f"block row {i} holds a block that is not {D} x {D}")
-            held.append([(c, _canonical_block(blk), plus_eye) for c, blk, plus_eye in row])
+            held.append(row)
         self.block_dim = D
         self.n_blocks = len(rows)
         self.rows = held
-        self._coupling_nnz = sum(blk.nnz for row in held for _, blk, _ in row)
+        self._row_entries = max((sum(blk.rows.size for _, blk, _ in row) for row in held), default=0)
         n = self.n_blocks * D
         super().__init__(dtype=np.float64, shape=(n, n))
 
@@ -113,12 +117,12 @@ class TrajectoryOperator(LinearOperator):
 
         def walk(i: int) -> None:
             for c, blk, plus_eye in self.rows[i]:
-                y[i] -= blk @ x[c]
+                y[i, : len(blk.rows)] -= blk.rows @ x[c]
                 if plus_eye:
                     y[i] -= x[c]
 
         _threads.fan_out(walk, range(self.n_blocks),
-                         _threads.worker_count(self._coupling_nnz, PARALLEL_MATVEC_MIN_NNZ))
+                         _threads.worker_count(self._row_entries, PARALLEL_MATVEC_MIN_ROW_ENTRIES))
         return y.ravel()
 
     def solve(self, rhs) -> np.ndarray:
@@ -149,17 +153,16 @@ class TrajectoryOperator(LinearOperator):
         for row in self.rows:
             counts = np.ones(self.block_dim, dtype=np.int64)  # the identity block
             for _, blk, plus_eye in row:
-                counts += np.diff(blk.indptr)
+                counts[: len(blk.rows)] += blk.row_nnz
                 if plus_eye:
-                    diag = blk.diagonal()
-                    counts += diag == 0.0  # I adds an entry where B stores none
-                    counts -= diag == -1.0  # and cancels one where B holds -1
+                    counts += _eye_change(blk)
             yield counts
 
     @property
     def nnz(self) -> int:
-        """Nonzeros of M, counted from the blocks without building it."""
-        return sum(int(counts.sum()) for counts in self._row_counts())
+        """Nonzeros of M, from the counts the blocks hold and their diagonals."""
+        return self.shape[0] + sum(blk.nnz + (int(_eye_change(blk).sum()) if plus_eye else 0)
+                                   for row in self.rows for _, blk, plus_eye in row)
 
     def tocsr(self) -> sp.csr_matrix:
         """The global CSR matrix, built afresh on every call.
@@ -170,15 +173,14 @@ class TrajectoryOperator(LinearOperator):
         CapacityError, before allocating them, if they would exceed
         carleman.MAX_STEP_BYTES.
         """
-        D, n = self.block_dim, self.shape[0]
+        D, n, nnz = self.block_dim, self.shape[0], self.nnz
+        nbytes = 12 * nnz + 8 * (n + 1)  # float64 data, int32 indices, int64 indptr
+        if nbytes > carleman.MAX_STEP_BYTES:
+            raise CapacityError(f"global system needs {nbytes} bytes, above {carleman.MAX_STEP_BYTES}")
         indptr = np.zeros(n + 1, dtype=np.int64)
         for i, counts in enumerate(self._row_counts()):
             indptr[i * D + 1 : (i + 1) * D + 1] = counts
         np.cumsum(indptr, out=indptr)
-        nnz = int(indptr[-1])
-        nbytes = 12 * nnz + 8 * (n + 1)  # float64 data, int32 indices, int64 indptr
-        if nbytes > carleman.MAX_STEP_BYTES:
-            raise CapacityError(f"global system needs {nbytes} bytes, above {carleman.MAX_STEP_BYTES}")
         idx_dtype = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
         indices = np.empty(nnz, dtype=idx_dtype)
         data = np.empty(nnz)
@@ -187,17 +189,17 @@ class TrajectoryOperator(LinearOperator):
             lo, hi = indptr[i * D], indptr[(i + 1) * D]
             free = indptr[i * D : (i + 1) * D].copy()  # next unwritten slot of each row
             for c, blk, plus_eye in row:
-                if plus_eye and np.any(np.isin(blk.diagonal(), (0.0, -1.0))):
-                    # I changes this block's pattern: build I + B for this step only
-                    blk, plus_eye = blk + sp.identity(D, format="csr"), False
-                cnt = np.diff(blk.indptr)
-                pos = np.repeat(free - blk.indptr[:-1], cnt) + np.arange(blk.nnz)
-                indices[pos] = np.add(blk.indices, c * D, dtype=idx_dtype)
-                data[pos] = blk.data
-                if plus_eye:  # B stores every diagonal entry: add the 1 there
-                    rows_of = np.repeat(np.arange(D, dtype=blk.indices.dtype), cnt)
-                    data[pos[blk.indices == rows_of]] += 1.0
-                free += cnt
+                vals = blk.rows
+                if plus_eye:  # I + B for this block only
+                    vals = blk.toarray()
+                    vals.reshape(-1)[:: D + 1] += 1.0
+                mask = vals != 0.0
+                cnt = np.count_nonzero(mask, axis=1)
+                starts = np.cumsum(cnt) - cnt
+                pos = np.repeat(free[: len(vals)] - starts, cnt) + np.arange(cnt.sum())
+                indices[pos] = np.add(np.nonzero(mask)[1], c * D, dtype=idx_dtype)
+                data[pos] = vals[mask]
+                free[: len(vals)] += cnt
             np.negative(data[lo:hi], out=data[lo:hi])
             indices[free] = diag_cols + i * D  # the identity closes every row
             data[free] = 1.0
@@ -248,6 +250,13 @@ def assemble_global_dpm(qcms: list[Qcm], y0: np.ndarray) -> BlockLinearSystem:
     )
 
 
+def _fold(corr, target, pred) -> carleman.StepMatrix:
+    """corr + target @ pred, formed on the d rows of the block-row-1 target."""
+    rows = corr.rows.copy()
+    rows[: len(target.rows)] += target.rows[:, : len(pred.rows)] @ pred.rows
+    return carleman.StepMatrix(rows)
+
+
 def assemble_global_unipc(
     warmup: list[Qcm],
     steps: list[UnipcQcmSet],
@@ -276,10 +285,8 @@ def assemble_global_unipc(
             blocks = qset.pred_mats
             rhs.append(qset.pred_b)
         else:
-            blocks = [qset.corr_mats[mm] + qset.corr_target @ qset.pred_mats[mm]
-                      for mm in range(qset.p)]
-            for blk in blocks:
-                blk.sum_duplicates()  # sparse products leave indices unsorted
+            blocks = [_fold(corr, qset.corr_target, pred)
+                      for corr, pred in zip(qset.corr_mats, qset.pred_mats)]
             rhs.append(qset.corr_b + qset.corr_target @ qset.pred_b)
         rows.append([(qset.anchor + mm, blk, False) for mm, blk in enumerate(blocks)])
     return BlockLinearSystem(

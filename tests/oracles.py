@@ -104,12 +104,13 @@ def slab_poly_to_update(P: dict[int, np.ndarray], basis: CarlemanBasis, delta: b
 def slab_run_lifted_dpm(s: NoiseSchedule, m: PolyNoiseModel, x_T, grid, basis: CarlemanBasis,
                         k: int):
     """A derivative-scheme lifted trajectory lifted and walked step by
-    step with :func:`slab_poly_to_update`; returns (states, [(A, b)])."""
+    step with :func:`slab_poly_to_update`; returns (states, [(A, b)]).
+    The walk multiplies by the dense A, as the lifted walk does."""
     states = [lift(x_T, basis).y]
     steps = []
     for i in range(1, grid.M + 1):
         A, b = slab_poly_to_update(step_polynomial_dpm(s, m, i, grid, k), basis, delta=True)
-        states.append(states[-1] + A @ states[-1] + b)
+        states.append(states[-1] + A.toarray() @ states[-1] + b)
         steps.append((A, b))
     return states, steps
 

@@ -207,18 +207,29 @@ def bmat_system(block_rows, n_blocks):
 
 def bmat_dpm(qcms, D):
     eye = sp.identity(D, format="csr")
-    rows = [[(0, eye)]] + [[(i - 1, -(eye + q.A)), (i, eye)] for i, q in enumerate(qcms, start=1)]
+    rows = [[(0, eye)]] + [[(i - 1, -(eye + q.A.tocsr())), (i, eye)]
+                           for i, q in enumerate(qcms, start=1)]
     return bmat_system(rows, len(qcms) + 1)
+
+
+def dense_fold(corr, target, pred):
+    """corr + target @ pred with the dense product the assembly forms on
+    the target's rows."""
+    out = corr.toarray()
+    out[: len(target.rows)] += target.rows[:, : len(pred.rows)] @ pred.rows
+    return sp.csr_matrix(out)
 
 
 def bmat_unipc(warmup, steps, D, which):
     eye = sp.identity(D, format="csr")
-    rows = [[(0, eye)]] + [[(i - 1, -(eye + q.A)), (i, eye)] for i, q in enumerate(warmup, start=1)]
+    rows = [[(0, eye)]] + [[(i - 1, -(eye + q.A.tocsr())), (i, eye)]
+                           for i, q in enumerate(warmup, start=1)]
     for qs in steps:
         if which == "predictor":
-            blocks = [-mat for mat in qs.pred_mats]
+            blocks = [-mat.tocsr() for mat in qs.pred_mats]
         else:
-            blocks = [-(qs.corr_mats[mm] + qs.corr_target @ qs.pred_mats[mm]) for mm in range(qs.p)]
+            blocks = [-dense_fold(qs.corr_mats[mm], qs.corr_target, qs.pred_mats[mm])
+                      for mm in range(qs.p)]
         rows.append([(qs.anchor + mm, blk) for mm, blk in enumerate(blocks)] + [(qs.i, eye)])
     return bmat_system(rows, len(rows))
 
@@ -439,6 +450,51 @@ def test_forward_substitute_is_the_lifted_walk(seed, d, N, M, scheme):
     states, system = assembled(seed, d, N, M, *scheme, which="predictor")
     result = forward_substitute(system)
     assert np.array_equal(result.solution, np.concatenate([s.y for s in states]))
+
+
+def blockwise_csr(mat):
+    """The global matrix as sp.bmat builds it from the CSR form of each
+    block the operator holds, plus the identity blocks."""
+    eye = sp.identity(mat.block_dim, format="csr")
+    rows = []
+    for i, row in enumerate(mat.rows):
+        blocks = [(c, -(eye + sp.csr_matrix(blk.toarray())) if plus_eye else -sp.csr_matrix(blk.toarray()))
+                  for c, blk, plus_eye in row]
+        rows.append(blocks + [(i, eye)])
+    return bmat_system(rows, mat.n_blocks)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 4),
+    N=st.integers(1, 4),
+    M=st.integers(1, 4),
+    scheme=st.sampled_from([("dpm", k, None) for k in (1, 2, 3)] + [
+        ("unipc", p, which) for p in (1, 2, 3) for which in ("predictor", "corrector")]),
+)
+def test_dense_blocks_match_the_sparse_construction(seed, d, N, M, scheme):
+    name, order, which = scheme
+    states, qcms = lifted(seed, d, N, M, name, order, which == "corrector")
+    warm = [q for q in qcms if not isinstance(q, UnipcQcmSet)]
+    steps = [q for q in qcms if isinstance(q, UnipcQcmSet)]
+    if name == "dpm":
+        system = assemble_global_dpm(qcms, states[0].y)
+    else:
+        system = assemble_global_unipc(warm, steps, states[0].y, which=which)
+    mat = system.mat
+    csr = mat.tocsr()
+    assert_same_csr(csr, blockwise_csr(mat))
+    x = np.random.default_rng(seed).standard_normal(system.dim)
+    assert np.max(np.abs(mat @ x - csr @ x)) <= 1e-13 * np.max(abs(csr) @ abs(x))
+    if which != "corrector":
+        return
+    for qs in steps:
+        target = qs.corr_target.tocsr()
+        for (_, folded, _), corr, pred in zip(mat.rows[qs.i], qs.corr_mats, qs.pred_mats):
+            want = (corr.tocsr() + target @ pred.tocsr()).toarray()
+            scale = (abs(corr.tocsr()) + abs(target) @ abs(pred.tocsr())).toarray()
+            assert np.all(np.abs(folded.toarray() - want) <= 1e-13 * scale)
 
 
 def as_trajectory_rows(mat):

@@ -95,11 +95,15 @@ def test_operator_csr_follows_step_diagonals_that_cancel_or_are_missing():
 def test_lift_made_blocks_are_held_without_a_rescan():
     basis, _, _, qcms = lifted_setup(M=3)
     system = assemble_global_dpm(qcms, lift([0.8], basis).y)
-    assert all(row[0][1] is q.A for row, q in zip(system.mat.rows[1:], qcms))
-    # a copy carries no mark of the lift, so it is checked before it is held
-    copies = assemble_global_dpm([Qcm(A=q.A.copy(), b=q.b) for q in qcms], lift([0.8], basis).y)
-    assert all(row[0][1] is not q.A for row, q in zip(copies.mat.rows[1:], qcms))
-    assert (copies.mat.tocsr() != system.mat.tocsr()).nnz == 0
+    assert all(row[0][1].rows is q.A.rows for row, q in zip(system.mat.rows[1:], qcms))
+    _, _, _, qcms = lifted_setup(M=4, scheme="unipc", order=2)
+    system = assemble_global_unipc(qcms[:1], qcms[1:], lift([0.8], basis).y, which="predictor")
+    assert all(held.rows is mat.rows for row, q in zip(system.mat.rows[2:], qcms[1:])
+               for (_, held, _), mat in zip(row, q.pred_mats))
+    # a sparse block a caller hands in is converted to the same matrix
+    sparse = assemble_global_dpm([Qcm(A=q.A.tocsr(), b=q.b) for q in qcms[:1]], lift([0.8], basis).y)
+    lifted = assemble_global_dpm(qcms[:1], lift([0.8], basis).y)
+    assert (sparse.mat.tocsr() != lifted.mat.tocsr()).nnz == 0
 
 
 def test_sparsity_stats_small_matrix():
@@ -214,14 +218,14 @@ def test_condition_auto_switches_on_size():
 
 def test_global_assembly_refuses_oversized_system_before_allocating(monkeypatch):
     # 40 derivative-scheme steps sharing one dense 400 x 400 step matrix:
-    # 6.4M entries, about 77 MB of data and indices, against a cap
-    # lowered to 1 MiB; one step alone holds 1.92 MB
+    # 6.4M entries, about 77 MB of CSR data and indices, against a cap
+    # lowered to 1 MiB; the one step's rows hold 1.28 MB
     monkeypatch.setattr(carleman, "MAX_STEP_BYTES", 2**20)
     D = 400
-    step = Qcm(A=sp.csr_matrix(np.ones((D, D))), b=np.zeros(D))
+    step = Qcm(A=carleman.StepMatrix(np.ones((D, D))), b=np.zeros(D))
     system = assemble_global_dpm([step] * 40, np.ones(D))
     assert system.mat.nnz == 40 * D * D + 41 * D
-    step_bytes = step.A.data.nbytes + step.A.indices.nbytes
+    step_bytes = step.A.rows.nbytes
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):
