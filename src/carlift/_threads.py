@@ -13,13 +13,23 @@ below it the serial loop runs and no executor is made.
 An executor lives for one call and is shut down before the call
 returns, so no pool thread outlives it: a process forked afterwards (a
 sweep's worker pool) inherits no executor to hang on.
+
+:func:`one_blas_thread` runs a block of LAPACK calls on one OpenBLAS
+thread, for results whose rounding would follow OpenBLAS's own thread
+count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 
 def worker_count(work: float, cutoff: float) -> int:
@@ -60,3 +70,36 @@ def fan_out(fn, items: list, workers: int) -> list:
     for helper in helpers:
         helper.result()  # re-raises a helper's exception
     return results
+
+
+@functools.lru_cache(maxsize=1)
+def _openblas_thread_setter():
+    """``openblas_set_num_threads_local`` of the OpenBLAS bundled with numpy
+    (it sets the count and returns the old one), or None without it."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*")
+    for path in sorted(glob.glob(libs)):
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the enclosed BLAS and LAPACK calls on one OpenBLAS thread, as
+    under OPENBLAS_NUM_THREADS=1, and restore the old count afterwards.
+    numpy's OpenBLAS uses its own threads, so the count holds for every
+    thread of the process while the block runs.  A numpy built without
+    the bundled OpenBLAS runs the calls unchanged."""
+    setter = _openblas_thread_setter()
+    if setter is None:
+        yield
+        return
+    old = setter(1)
+    try:
+        yield
+    finally:
+        setter(old)

@@ -3,11 +3,18 @@
 A polynomial step map x -> P(x) = sum_q B_q x^{(q)} (with x^{(q)} the
 q-fold Kronecker power) becomes linear on the truncated lifted state
 
-    Y = (x, x^{(2)}, ..., x^{(N)}),
+    Y = (y_1, ..., y_N),   y_j = (sqrt(m_beta) x^beta : |beta| = j),
 
-because block j of the lifted image is the degree-truncated j-th
-Kronecker power of P.  Each sampler step then takes the quantized
-update form
+the monomials of each degree j in sorted multi-index order, each scaled
+by the square root of its multiplicity m_beta = j! / prod_k beta_k!,
+the number of entries of x^{(j)} equal to it.  So y_j = Q_j^T x^{(j)},
+where the columns of Q_j are an orthonormal basis of the symmetric
+tensors of order j.  Q = diag(Q_j) is an isometry on them, and every
+lifted Kronecker-basis map U keeps them symmetric, so U Q = Q U_s: the
+lifted states, their norms and the defect are the Kronecker basis's,
+and the singular values of U_s lie within U's, at dimension
+C(d+N, N) - 1 instead of d + d^2 + ... + d^N.  Block 1 is x itself.
+Each sampler step then takes the quantized update form
 
     Y_i = (I + A_i) Y_{i-1} + b_i,
 
@@ -21,18 +28,17 @@ The step maps are not derived here: their coefficients come from
 evaluate too, so the lifted step and the sampler step are one map.
 
 Each step is lifted into one dense buffer, kept as its
-:class:`StepMatrix`: 65-80% of the entries are nonzero at d=2..4, so
-the array takes about the bytes CSR would at d=2 and fewer above.  The
-steps of a trajectory are independent, so :func:`run_lifted` lifts
-them concurrently, one thread per CPU in the process's affinity mask,
-and serially when a step's top block row is below
-PARALLEL_LIFT_MIN_ENTRIES.  A step is lifted whole by one thread, so
-the outputs do not depend on the worker count.
+:class:`StepMatrix`.  The steps of a trajectory are independent, so
+:func:`run_lifted` lifts them concurrently, one thread per CPU in the
+process's affinity mask, and serially when a step's top block row is
+below PARALLEL_LIFT_MIN_ENTRIES.  A step is lifted whole by one
+thread, so the outputs do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,23 +68,26 @@ MAX_DIM_TOTAL = 400_000
 MAX_STEP_BYTES = 2**31
 
 # run_lifted lifts its steps on several threads only when a step's top
-# block row holds at least this many entries (d^N * dim_total).  Measured
-# crossover on a 2-CPU host, M=32: two threads took 1.03x the serial time
-# at 32 512 entries (d=2, N=7), 0.71x at 87 040 (d=4, N=4) and 0.66x at
-# 88 209 (d=3, N=5).  d=1 lifts are Python-bound and stay 1.1-1.2x slower
-# on two threads at any N, which this measure keeps serial.
-PARALLEL_LIFT_MIN_ENTRIES = 2**16
+# block row holds at least this many entries (C(d+N-1, N) * dim_total).
+# Measured crossover on a 2-CPU host, M=32: two threads took 1.04-1.09x
+# the serial time at 7 000 entries (d=4, N=5), 0.95x at 7 380 (d=3,
+# N=8), 0.76x at 12 045 (d=3, N=9), 0.72-0.84x at 17 556 (d=4, N=6) and
+# 0.60x at 39 480 (d=4, N=7).  d=1 lifts are Python-bound and run 2x
+# slower on two threads (N=150); their top row of N entries stays serial.
+PARALLEL_LIFT_MIN_ENTRIES = 2**13
 
 
 @dataclass(frozen=True)
 class CarlemanBasis:
-    """Index bookkeeping for the truncated Kronecker-power basis.
+    """Index bookkeeping for the truncated symmetric-monomial basis.
 
-    Blocks j = 1..N hold the plain (unsymmetrised) Kronecker powers
-    x^{(j)}; within block j the flat offset of the monomial
-    (i_1, ..., i_j) is its base-d value, which orders monomials by
-    degree first and lexicographically inside a degree.  ``mode`` names
-    the basis; "kron" is the only one.
+    Block j = 1..N holds the C(d+j-1, j) monomials of degree j, each
+    scaled by sqrt(multiplicity), in sorted multi-index order: x^beta is
+    written as its variable indices i_1 <= ... <= i_j, and the tuples
+    are listed in lexicographic order.  The sizes come from the closed
+    form, so no monomial is listed before a lift needs it.  ``mode``
+    selects nothing; its one value "kron" is accepted because callers
+    pass it (``benchmark/workloads.py:kron_basis``).
     """
 
     N: int
@@ -91,9 +100,10 @@ class CarlemanBasis:
             raise ValueError("need truncation order N >= 1")
         if self.mode != "kron":
             raise ValueError(f"unknown basis mode {self.mode!r}; only 'kron' is supported")
-        sizes = [self.d**j for j in range(1, self.N + 1)]
-        if sum(sizes) > MAX_DIM_TOTAL:
-            raise CapacityError(f"lifted dimension {sum(sizes)} exceeds {MAX_DIM_TOTAL}")
+        dim = math.comb(self.d + self.N, self.N) - 1
+        if dim > MAX_DIM_TOTAL:
+            raise CapacityError(f"lifted dimension {dim} exceeds {MAX_DIM_TOTAL}")
+        sizes = [math.comb(self.d + j - 1, j) for j in range(1, self.N + 1)]
         off = np.concatenate([[0], np.cumsum(sizes)])
         off.flags.writeable = False
         object.__setattr__(self, "offsets", off)
@@ -108,9 +118,87 @@ class CarlemanBasis:
         return slice(int(self.offsets[j - 1]), int(self.offsets[j]))
 
 
+@dataclass(frozen=True)
+class _Monomials:
+    """Index tables of the monomials of degree 0..N in d variables.
+
+    Monomial k of degree t is x_i times monomial ``parent[t][k]`` of
+    degree t-1, with i = ``first[t][k]`` its lowest variable.  The
+    tables that multiply monomials use "ext" indices, which list every
+    degree in order: 0 is the constant 1 and 1 + k is coordinate k of
+    the lifted state, so degree t starts at ``start[t]``.
+    ``times_x[e, i]`` is x_i times e, -1 at degree N; ``products[q]``
+    holds a b for every a of degree <= N - q (the ext indices below
+    start[N-q+1]) and every b of degree q, as a flat (a, b) array.
+    """
+
+    start: tuple
+    parent: tuple
+    first: tuple
+    sqrt_mult: np.ndarray  # over the lifted coordinates
+    times_x: np.ndarray
+    products: tuple
+
+    def fold(self, B: np.ndarray, q: int) -> np.ndarray:
+        """The (r, d^q) coefficients of x^{(q)} as the (r, n_q) coefficients of
+        the degree-q monomials: the Kronecker columns of each monomial summed."""
+        n_q = self.start[q + 1] - self.start[q]
+        if B.shape[1] == n_q:  # q <= 1 or d = 1: one column per monomial, in order
+            return B
+        cols = np.zeros(1, dtype=np.intp)  # ext index of each Kronecker column
+        for _ in range(q):
+            cols = self.times_x[cols].ravel()
+        flat = np.arange(len(B))[:, None] * n_q + (cols - self.start[q])
+        return np.bincount(flat.ravel(), weights=B.ravel(), minlength=len(B) * n_q).reshape(-1, n_q)
+
+
+@functools.lru_cache(maxsize=16)
+def _monomials(d: int, N: int) -> _Monomials:
+    """Index tables of the (d, N) basis, built when its first lift needs them.
+
+    Degree t lists x_i x^e for i = 0..d-1 and, for each i, every
+    degree-(t-1) monomial e whose lowest variable is at least i, in
+    order; that is the sorted multi-index order.
+    """
+    sizes = [math.comb(d + t - 1, t) for t in range(N + 1)]
+    start = tuple(int(v) for v in np.cumsum([0] + sizes))
+    var = np.arange(d)
+    parent, first = [np.zeros(0, np.intp)], [np.array([d])]  # the constant has no variable
+    lead, mult = [np.zeros(1, np.intp)], [np.ones(1)]  # lead: how often first divides it
+    times_x = np.full((start[-1], d), -1, dtype=np.intp)
+    for t in range(1, N + 1):
+        skip = np.searchsorted(first[t - 1], var)  # degree-(t-1) monomials with first < i
+        counts = sizes[t - 1] - skip
+        offset = np.cumsum(counts) - counts - skip  # x_i e is monomial offset[i] + e of degree t
+        f = np.repeat(var, counts)
+        par = np.arange(sizes[t]) - np.repeat(offset, counts)
+        lead.append(1 + np.where(first[t - 1][par] == f, lead[t - 1][par], 0))
+        mult.append(mult[t - 1][par] * t / lead[t])
+        parent.append(par), first.append(f)
+        # x_i e is (i, e) when i <= first(e), else (first(e), x_i parent(e))
+        fe = first[t - 1][:, None]
+        prod = offset[var] + np.arange(sizes[t - 1])[:, None]
+        if t > 1:
+            via = offset[fe] + times_x[start[t - 2] + parent[t - 1]] - start[t - 1]
+            prod = np.where(var <= fe, prod, via)
+        times_x[start[t - 1] : start[t]] = start[t] + prod
+    products = []
+    mul = np.arange(start[-1])[None, :]  # mul[b, a] = a b, b of degree s, a of degree <= N - s
+    for s in range(N + 1):
+        if s:
+            mul = times_x[mul[parent[s], : start[N - s + 1]], first[s][:, None]]
+        products.append(np.ascontiguousarray(mul.T).ravel())
+    mono = _Monomials(start=start, parent=tuple(parent), first=tuple(first),
+                      sqrt_mult=np.sqrt(np.concatenate(mult[1:])), times_x=times_x,
+                      products=tuple(products))
+    for arr in (*mono.parent, *mono.first, mono.sqrt_mult, times_x, *mono.products):
+        arr.flags.writeable = False  # shared by every lift of this basis
+    return mono
+
+
 @dataclass
 class LiftedState:
-    """Truncated Kronecker-power vector with its basis."""
+    """Truncated symmetric-monomial vector with its basis."""
 
     basis: CarlemanBasis
     y: np.ndarray
@@ -119,25 +207,22 @@ class LiftedState:
         return self.y[self.basis.block_slice(j)]
 
     def consistency_defect(self) -> float:
-        """|| y_2 - y_1 (x) y_1 ||, zero on exactly lifted states."""
+        """|| y_2 - lift(y_1)_2 ||, zero on exactly lifted states."""
         if self.basis.N < 2:
             return 0.0
-        y1 = self.block(1)
-        return float(np.linalg.norm(self.block(2) - np.kron(y1, y1)))
+        return float(np.linalg.norm(self.block(2) - lift(self.block(1), self.basis).block(2)))
 
 
 def lift(x, basis: CarlemanBasis) -> LiftedState:
-    """Exact lifting of a state into Kronecker powers 1..N."""
+    """Exact lifting of a state into the weighted monomials of degree 1..N."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (basis.d,):
         raise ValueError(f"state must have shape ({basis.d},)")
-    parts = []
-    power = x
-    for j in range(1, basis.N + 1):
-        parts.append(power)
-        if j < basis.N:
-            power = np.kron(power, x)
-    return LiftedState(basis=basis, y=np.concatenate(parts))
+    mono = _monomials(basis.d, basis.N)
+    blocks = [np.ones(1)]
+    for t in range(1, basis.N + 1):
+        blocks.append(blocks[-1][mono.parent[t]] * x[mono.first[t]])
+    return LiftedState(basis=basis, y=np.concatenate(blocks[1:]) * mono.sqrt_mult)
 
 
 class StepMatrix:
@@ -176,40 +261,42 @@ class StepMatrix:
 def _poly_to_update(P: dict[int, np.ndarray], basis: CarlemanBasis, delta: bool = False):
     """Lift a step polynomial into the update matrix U and offset b.
 
-    Block row j of U holds the degree-truncated coefficients of
-    P(x)^{(j)}.  It is written into one dense (dim_total, dim_total)
-    buffer from block row j-1, already there: each Kronecker product
-    R_{q1} (x) B_{q2} goes in by broadcasting, and the products of one
-    column degree are added in the order their (q1, q2) pairs come up.
-    Degree-0 parts land in b.  With ``delta`` the identity is subtracted,
-    giving the delta-form matrix U - I.  The buffer is the step matrix.
+    Row beta of block row j holds the degree-truncated coefficients of
+    sqrt(m_beta) prod_k P_{beta_k}(x) on the weighted monomials.  The
+    (d, d^q) blocks of P are first summed onto monomial columns.  Each
+    block row is then made from block row j-1 in one pass: row beta is
+    its parent row, beta - e_{beta_1}, times P_{beta_1}; the products of
+    each degree q of P are taken for all rows at once, and one bincount
+    adds them onto their monomial columns.  Rows and columns are scaled
+    by sqrt(m_beta) and 1/sqrt(m_gamma) last.  Degree-0 parts land in b.
+    With ``delta`` the identity is subtracted, giving the delta-form
+    matrix U - I.  The (dim_total, dim_total) buffer is the step matrix.
     Returns (StepMatrix, b).
     """
-    d, N, dim = basis.d, basis.N, basis.dim_total
-    buf = np.zeros((dim, dim))
-    b = np.zeros(dim)
-    Ptrunc = {q: B for q, B in P.items() if q <= N and np.any(B)}
-    R: dict[int, np.ndarray] = {0: np.ones((1, 1))}  # block row j-1 by column degree
+    N, dim = basis.N, basis.dim_total
+    mono = _monomials(basis.d, N)
+    C = {q: mono.fold(B, q) for q, B in P.items() if q <= N and np.any(B)}
+    width = dim + 1  # the constant, then the lifted coordinates
+    targets = np.concatenate([mono.products[q] for q in C] + [np.zeros(0, np.intp)])
+    buf = np.empty((dim, dim))
+    b = np.empty(dim)
+    col_scale = 1.0 / mono.sqrt_mult
+    R = np.zeros((1, width))  # block row j-1, unscaled, with its constant column
+    R[0, 0] = 1.0
     for j in range(1, N + 1):
+        f = mono.first[j]
+        n_j = len(f)
+        Rp = R[mono.parent[j]]
+        vals = [(Rp[:, : mono.start[N - q + 1], None] * Cq[f][:, None, :]).reshape(n_j, -1)
+                for q, Cq in C.items()]
+        vals = np.concatenate(vals, axis=1) if vals else np.zeros((n_j, 0))
+        flat = np.arange(n_j)[:, None] * width + targets
+        R = np.bincount(flat.ravel(), weights=vals.ravel(), minlength=n_j * width).reshape(n_j, width)
         rows = basis.block_slice(j)
-        row: dict[int, np.ndarray] = {}
-        for q1, Rq in R.items():
-            for q2, B in Ptrunc.items():
-                qt = q1 + q2
-                if qt > N:
-                    continue
-                first = qt not in row
-                if first:
-                    row[qt] = b[rows, None] if qt == 0 else buf[rows, basis.block_slice(qt)]
-                # row[qt] as (a, i, c, k) = R_{q1}[a, c] * B_{q2}[i, k]; splitting
-                # the two axes of a strided view is again a view
-                out = row[qt].reshape(len(Rq), d, Rq.shape[1], B.shape[1])
-                left, right = Rq[:, None, :, None], B[None, :, None, :]
-                if first:
-                    np.multiply(left, right, out=out)
-                else:
-                    out += left * right
-        R = row
+        scale = mono.sqrt_mult[rows]
+        b[rows] = R[:, 0] * scale
+        np.multiply(R[:, 1:], col_scale, out=buf[rows])
+        buf[rows] *= scale[:, None]
     if delta:
         buf.reshape(-1)[:: dim + 1] -= 1.0
     return StepMatrix(buf), b
@@ -289,8 +376,8 @@ class UnipcQcmSet:
                    + corr_target Y_i^pred + corr_b
 
     Block row 1 of every matrix is exact; higher block rows are carried
-    by the anchor matrices (index 0) as truncated Kronecker powers of
-    the anchor step polynomial, with the interior-node state dependence
+    by the anchor matrices (index 0) as truncated powers of the anchor
+    step polynomial, with the interior-node state dependence
     of those rows dropped.  Block row 1 of Y_i^pred is therefore exact
     from exactly lifted history, but its higher blocks are not, and
     corr_target reads them on a nonlinear model: the corrector's block
@@ -309,12 +396,15 @@ class UnipcQcmSet:
 
 
 def _node_block1(E: dict[int, np.ndarray], c: float, basis: CarlemanBasis) -> StepMatrix:
-    """Block-row-1 matrix c * E_q placed against column blocks q >= 1,
-    held as its d rows."""
+    """Block-row-1 matrix c * E_q against column blocks q >= 1, its
+    Kronecker columns summed onto the monomials and scaled by
+    1/sqrt(multiplicity), held as its d rows."""
+    mono = _monomials(basis.d, basis.N)
     buf = np.zeros((basis.d, basis.dim_total))
     for q, mat in E.items():
         if 1 <= q <= basis.N:
-            buf[:, basis.block_slice(q)] = c * mat
+            cols = basis.block_slice(q)
+            buf[:, cols] = c * mono.fold(mat, q) / mono.sqrt_mult[cols]
     return StepMatrix(buf)
 
 
@@ -418,6 +508,7 @@ def run_lifted(
     Each step is lifted whole by one thread, so the step matrices and
     states do not depend on the worker count.
     """
+    _check_model_basis(m, basis)
     Y0 = lift(x_T, basis)
     if scheme == "dpm":
         steps = [functools.partial(assemble_dpm_qcm, s, m, i, grid, order, basis)
@@ -430,10 +521,9 @@ def run_lifted(
                   for i in range(p, grid.M + 1)]
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    # one dense buffer per thread, and no more of them than MAX_STEP_BYTES
-    # holds; an oversized step (none fits) is refused by its serial lift
-    workers = min(_threads.worker_count(basis.d**basis.N * basis.dim_total,
-                                        PARALLEL_LIFT_MIN_ENTRIES),
+    # one dense buffer per thread, and no more of them than MAX_STEP_BYTES holds
+    top_row = (basis.dim_total - int(basis.offsets[-2])) * basis.dim_total
+    workers = min(_threads.worker_count(top_row, PARALLEL_LIFT_MIN_ENTRIES),
                   MAX_STEP_BYTES // _step_bytes(basis))
     qcms = _threads.fan_out(lambda step: step(), steps, workers)
     states = [Y0.y]

@@ -48,10 +48,13 @@ LANCZOS_MAX_ITER = 10000
 
 # A product with a trajectory operator walks its block rows on several
 # threads only when a block row holds at least this many entries.  On a
-# 2-CPU host the crossover follows the row size, not the total: two
-# threads took 1.2-1.3x the serial time at 115 600 entries a row (d=4,
-# N=4) for M=32..128, and 0.6-0.74x from 260 100 (d=2, N=8) up.
-PARALLEL_MATVEC_MIN_ROW_ENTRIES = 200_000
+# 2-CPU host the crossover follows the row size, not the total, and sits
+# near 2 MB of rows: with OpenBLAS at one thread, two threads took
+# 1.15-1.2x the serial time at 244 036 entries a row (d=4, N=8) and
+# 245 025 (d=2, N=30) for M=16..64, and 0.64x at 277 729 (d=2, N=31,
+# M=32), 0.82x at 509 796 (d=4, N=9, M=8) and 0.60x at 739 600 (d=2,
+# N=40, M=16).
+PARALLEL_MATVEC_MIN_ROW_ENTRIES = 250_000
 
 
 def _held_block(blk) -> carleman.StepMatrix:
@@ -386,7 +389,8 @@ def _lanczos_top(apply, n: int, rtol: float, rng):
 def condition_number(system, method: str = "auto", rtol: float = 1e-3) -> ConditionReport:
     """2-norm condition number of the system matrix.
 
-    "dense_svd" computes all singular values and is restricted to
+    "dense_svd" computes all singular values on one OpenBLAS thread, so
+    they do not depend on the CPU count, and is restricted to
     dimensions <= 2000.  "lanczos" works at any size but needs the lower
     triangular structure with nonzero diagonal that the global
     assemblies produce: sigma_max^2 is the top eigenvalue of M^T M and
@@ -407,7 +411,8 @@ def condition_number(system, method: str = "auto", rtol: float = 1e-3) -> Condit
     if method == "dense_svd":
         if n > DENSE_SVD_MAX_DIM:
             raise ValueError(f"dense SVD limited to dim <= {DENSE_SVD_MAX_DIM}, got {n}")
-        svals = np.linalg.svd(mat.toarray(), compute_uv=False)
+        with _threads.one_blas_thread():  # the same bytes on any CPU count
+            svals = np.linalg.svd(mat.toarray(), compute_uv=False)
         if svals[-1] == 0.0:
             raise StructureError("matrix is numerically singular")
         smax, smin, its, res, ok, rtol = svals[0], svals[-1], 0, 0.0, True, 0.0

@@ -5,10 +5,18 @@ reads back what it writes, so a test can check the package against an
 independent form.
 """
 
+from __future__ import annotations
+
+import contextlib
+import itertools
+
 import numpy as np
+import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
-from carlift.carleman import CarlemanBasis, lift, step_polynomial_dpm
+from carlift import carleman
+from carlift.carleman import LiftedState, StepMatrix
 from carlift.model import PolyNoiseModel, eval_eps, kron_model, separable_model
 from carlift.schedule import NoiseSchedule
 
@@ -34,7 +42,7 @@ def dx_dlambda(s: NoiseSchedule, m: PolyNoiseModel, x, lam: float) -> np.ndarray
     return sig**2 * x - sig * eval_eps(m, x, lam)
 
 
-def compose_poly_power(P: dict[int, np.ndarray], m: int, basis: CarlemanBasis) -> dict[int, np.ndarray]:
+def compose_poly_power(P: dict[int, np.ndarray], m: int, basis: KronBasis) -> dict[int, np.ndarray]:
     """Coefficients of the m-th Kronecker power of a polynomial map.
 
     P maps degree q to the (d, d^q) coefficient matrix B_q; the result
@@ -57,62 +65,101 @@ def compose_poly_power(P: dict[int, np.ndarray], m: int, basis: CarlemanBasis) -
     return out
 
 
-def _times_poly(R: dict[int, np.ndarray], P: dict[int, np.ndarray], N: int) -> dict[int, np.ndarray]:
-    """Coefficients of R(x) (x) P(x), dropping degrees above N."""
-    new: dict[int, np.ndarray] = {}
-    for q1, Rq in R.items():
-        for q2, B in P.items():
-            qt = q1 + q2
-            if qt <= N:
-                term = np.kron(Rq, B)
-                new[qt] = new[qt] + term if qt in new else term
-    return new
+class KronBasis:
+    """The truncated Kronecker-power basis: block j holds x^{(j)}, entry
+    (i_1, ..., i_j) at its base-d value, so blocks take d, d^2, ..., d^N."""
+
+    def __init__(self, N: int, d: int):
+        self.N, self.d = N, d
+        self.offsets = np.concatenate([[0], np.cumsum([d**j for j in range(1, N + 1)])])
+
+    @property
+    def dim_total(self) -> int:
+        return int(self.offsets[-1])
+
+    def block_slice(self, j: int) -> slice:
+        return slice(int(self.offsets[j - 1]), int(self.offsets[j]))
 
 
-def _slab(R: dict[int, np.ndarray], basis: CarlemanBasis, rows: int) -> sp.csr_matrix:
-    """(rows, dim_total) CSR matrix holding R[q] in column block q >= 1."""
-    buf = np.zeros((rows, basis.dim_total))
-    for q, mat in R.items():
-        if q >= 1:
-            buf[:, basis.block_slice(q)] = mat
-    mask = buf != 0
-    indptr = np.zeros(rows + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
-    cols = np.broadcast_to(np.arange(basis.dim_total, dtype=np.int32), buf.shape)
-    return sp.csr_matrix((buf[mask], cols[mask], indptr), shape=buf.shape)
+def kron_lift(x, basis: KronBasis) -> LiftedState:
+    """Exact lifting of a state into Kronecker powers 1..N."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (basis.d,):
+        raise ValueError(f"state must have shape ({basis.d},)")
+    parts = [x]
+    for _ in range(1, basis.N):
+        parts.append(np.kron(parts[-1], x))
+    return LiftedState(basis=basis, y=np.concatenate(parts))
 
 
-def slab_poly_to_update(P: dict[int, np.ndarray], basis: CarlemanBasis, delta: bool = False):
-    """The step lift one block row at a time: each row's Kronecker products
-    as a fresh dict, each row a CSR slab, the slabs stacked.  This is the
-    formulation that carleman._poly_to_update's single dense buffer
-    replaced, kept to check it entry for entry and to bound its memory."""
-    b = np.zeros(basis.dim_total)
-    Ptrunc = {q: B for q, B in P.items() if q <= basis.N and np.any(B)}
-    R: dict[int, np.ndarray] = {0: np.ones((1, 1))}
-    rows = []
-    for j in range(1, basis.N + 1):
-        R = _times_poly(R, Ptrunc, basis.N)
-        n_j = basis.d**j
-        if 0 in R:
-            b[basis.block_slice(j)] = R[0][:, 0]
-        row = {**R, j: R.get(j, 0.0) - np.eye(n_j)} if delta else R
-        rows.append(_slab(row, basis, n_j))
-    return sp.vstack(rows, format="csr"), b
+def kron_poly_to_update(P: dict[int, np.ndarray], basis: KronBasis, delta: bool = False):
+    """The step lift in the Kronecker basis: block row j of U holds the
+    degree-truncated coefficients of P(x)^{(j)}, written into one dense
+    buffer from block row j-1, each product R_{q1} (x) B_{q2} by
+    broadcasting.  Returns (StepMatrix, b)."""
+    d, N, dim = basis.d, basis.N, basis.dim_total
+    buf = np.zeros((dim, dim))
+    b = np.zeros(dim)
+    Ptrunc = {q: B for q, B in P.items() if q <= N and np.any(B)}
+    R: dict[int, np.ndarray] = {0: np.ones((1, 1))}  # block row j-1 by column degree
+    for j in range(1, N + 1):
+        rows = basis.block_slice(j)
+        row: dict[int, np.ndarray] = {}
+        for q1, Rq in R.items():
+            for q2, B in Ptrunc.items():
+                qt = q1 + q2
+                if qt > N:
+                    continue
+                first = qt not in row
+                if first:
+                    row[qt] = b[rows, None] if qt == 0 else buf[rows, basis.block_slice(qt)]
+                out = row[qt].reshape(len(Rq), d, Rq.shape[1], B.shape[1])
+                left, right = Rq[:, None, :, None], B[None, :, None, :]
+                if first:
+                    np.multiply(left, right, out=out)
+                else:
+                    out += left * right
+        R = row
+    if delta:
+        buf.reshape(-1)[:: dim + 1] -= 1.0
+    return StepMatrix(buf), b
 
 
-def slab_run_lifted_dpm(s: NoiseSchedule, m: PolyNoiseModel, x_T, grid, basis: CarlemanBasis,
-                        k: int):
-    """A derivative-scheme lifted trajectory lifted and walked step by
-    step with :func:`slab_poly_to_update`; returns (states, [(A, b)]).
-    The walk multiplies by the dense A, as the lifted walk does."""
-    states = [lift(x_T, basis).y]
-    steps = []
-    for i in range(1, grid.M + 1):
-        A, b = slab_poly_to_update(step_polynomial_dpm(s, m, i, grid, k), basis, delta=True)
-        states.append(states[-1] + A.toarray() @ states[-1] + b)
-        steps.append((A, b))
-    return states, steps
+def kron_node_block1(E: dict[int, np.ndarray], c: float, basis: KronBasis) -> StepMatrix:
+    """Block-row-1 matrix c * E_q against Kronecker column blocks q >= 1."""
+    buf = np.zeros((basis.d, basis.dim_total))
+    for q, mat in E.items():
+        if 1 <= q <= basis.N:
+            buf[:, basis.block_slice(q)] = c * mat
+    return StepMatrix(buf)
+
+
+@contextlib.contextmanager
+def kron_lifting():
+    """A context in which carlift.carleman lifts in the Kronecker basis:
+    hand it a :class:`KronBasis` wherever a CarlemanBasis goes, and
+    run_lifted, the assemblies and LiftedState run as they did before
+    the symmetric basis replaced it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(carleman, "lift", kron_lift)
+        mp.setattr(carleman, "_poly_to_update", kron_poly_to_update)
+        mp.setattr(carleman, "_node_block1", kron_node_block1)
+        yield
+
+
+def symmetric_embedding(d: int, N: int) -> np.ndarray:
+    """Q, the (sum_j d^j, C(d+N, N) - 1) matrix whose column for monomial
+    beta is 1/sqrt(m_beta) on each Kronecker entry equal to x^beta, blocks
+    in the orders of KronBasis and CarlemanBasis; Q^T Q = I."""
+    blocks = []
+    for j in range(1, N + 1):
+        monos = list(itertools.combinations_with_replacement(range(d), j))
+        col = {beta: k for k, beta in enumerate(monos)}
+        Qj = np.zeros((d**j, len(monos)))
+        for r, digits in enumerate(itertools.product(range(d), repeat=j)):
+            Qj[r, col[tuple(sorted(digits))]] = 1.0
+        blocks.append(Qj / np.sqrt(Qj.sum(axis=0)))
+    return sla.block_diag(*blocks)
 
 
 def import_matrix(path) -> sp.csr_matrix:

@@ -1,4 +1,5 @@
 import contextlib
+import math
 import os
 import resource
 import tracemalloc
@@ -23,7 +24,7 @@ from carlift.model import kron_model, scalar_model, separable_model
 from carlift.presets import benchmark
 from carlift.reference import dpm_step, rk4_oracle, run_dpm, run_unipc
 from carlift.schedule import make_lambda_grid, make_vp_schedule
-from oracles import compose_poly_power
+from oracles import KronBasis, compose_poly_power, kron_poly_to_update, symmetric_embedding
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 LINEAR = scalar_model({(1, 0): -0.5})
@@ -39,10 +40,12 @@ def kron_power(x, j):
 
 def test_basis_indexing_round_trip():
     basis = CarlemanBasis(N=3, d=2, mode="kron")
-    assert basis.dim_total == 2 + 4 + 8
+    # C(d+N, N) - 1 monomials: 2 of degree 1, 3 of degree 2, 4 of degree 3
+    assert basis.dim_total == 2 + 3 + 4 == math.comb(5, 3) - 1
     # slices partition the vector in degree order
     stops = [basis.block_slice(j).stop for j in range(1, 4)]
-    assert stops == [2, 6, 14]
+    assert stops == [2, 5, 9]
+    assert CarlemanBasis(N=5, d=4).dim_total == 125
 
 
 def test_basis_validation():
@@ -55,8 +58,9 @@ def test_basis_validation():
         CarlemanBasis(N=2, d=2, mode="scalar")
     with pytest.raises(ValueError):
         CarlemanBasis(N=2, d=1, mode="matrix")
-    with pytest.raises(CapacityError):
-        CarlemanBasis(N=30, d=4, mode="kron")
+    # 635 375 monomials, refused from the closed form
+    with pytest.raises(CapacityError, match="635375"):
+        CarlemanBasis(N=60, d=4, mode="kron")
 
 
 @contextlib.contextmanager
@@ -76,9 +80,9 @@ def address_space_cap(extra_bytes):
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc to cap memory")
 def test_step_lift_refuses_oversized_dense_rows_before_allocating():
-    # d=4, N=8 passes the dimension check (87 380) but one step's dense
-    # buffer would take 8 * 87 380^2 bytes, about 61 GB
-    basis = CarlemanBasis(N=8, d=4, mode="kron")
+    # d=4, N=24 passes the dimension check (20 474) but one step's dense
+    # buffer would take 8 * 20 474^2 bytes, about 3.35 GB
+    basis = CarlemanBasis(N=24, d=4, mode="kron")
     m = kron_model(4, {1: 0.5 * np.eye(4), 2: np.full((4, 16), 0.01)})
     grid = make_lambda_grid(S, 0.5, 0.1, 4)
     tracemalloc.start()
@@ -96,8 +100,15 @@ def test_lift_matches_kron_powers():
     basis = CarlemanBasis(N=3, d=2, mode="kron")
     x = rng.normal(size=2)
     state = lift(x, basis)
-    for j in (1, 2, 3):
-        assert np.allclose(state.block(j), kron_power(x, j), rtol=1e-15)
+    Q = symmetric_embedding(2, 3)
+    kron = np.concatenate([kron_power(x, j) for j in (1, 2, 3)])
+    assert np.allclose(Q @ state.y, kron, rtol=1e-15)
+    assert np.allclose(state.y, Q.T @ kron, rtol=1e-15)
+    # sorted multi-indices, each monomial scaled by sqrt(multiplicity)
+    x0, x1 = x
+    assert np.allclose(state.block(2), [x0 * x0, np.sqrt(2) * x0 * x1, x1 * x1], rtol=1e-15)
+    assert np.allclose(state.block(3), [x0**3, np.sqrt(3) * x0**2 * x1, np.sqrt(3) * x0 * x1**2,
+                                        x1**3], rtol=1e-15)
     assert state.consistency_defect() == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ValueError):
         lift(np.ones(3), basis)
@@ -112,9 +123,10 @@ def test_consistency_defect_detects_drift():
 
 
 def assert_update_rows_are_powers(P, basis):
-    """Block row j of the non-delta lifted update of P holds the truncated
-    coefficients of P(x)^{(j)}: degree 0 in b, degree q in column block q."""
-    U, b = _poly_to_update(P, basis)
+    """Block row j of the non-delta Kronecker lift of P holds the truncated
+    coefficients of P(x)^{(j)}: degree 0 in b, degree q in column block q;
+    the symmetric lift is that map on the weighted monomials, U Q = Q U_s."""
+    U, b = kron_poly_to_update(P, basis)
     U = U.toarray()
     for j in range(1, basis.N + 1):
         want = compose_poly_power(P, j, basis)
@@ -122,12 +134,17 @@ def assert_update_rows_are_powers(P, basis):
         np.testing.assert_array_equal(b[rows], want[0][:, 0] if 0 in want else 0.0)
         for q in range(1, basis.N + 1):
             np.testing.assert_array_equal(U[rows, basis.block_slice(q)], want.get(q, 0.0))
+    U_s, b_s = _poly_to_update(P, CarlemanBasis(N=basis.N, d=basis.d))
+    Q = symmetric_embedding(basis.d, basis.N)
+    scale = max(1.0, np.abs(U).max(), np.abs(b).max())
+    assert np.abs(U @ Q - Q @ U_s.toarray()).max() <= 1e-14 * scale
+    assert np.abs(b - Q @ b_s).max() <= 1e-14 * scale
 
 
 def test_compose_poly_power_against_direct_expansion():
     rng = np.random.default_rng(22)
     d = 2
-    basis = CarlemanBasis(N=6, d=d, mode="kron")
+    basis = KronBasis(N=6, d=d)
     P = {q: rng.normal(size=(d, d**q)) for q in (0, 1, 2)}
     x = rng.normal(size=d)
     px = sum(mat @ kron_power(x, q) for q, mat in P.items())
@@ -141,7 +158,7 @@ def test_compose_poly_power_against_direct_expansion():
 
 
 def test_compose_poly_power_truncates_high_degrees():
-    basis = CarlemanBasis(N=2, d=1)
+    basis = KronBasis(N=2, d=1)
     P = {1: np.array([[2.0]]), 2: np.array([[1.0]])}
     rows = compose_poly_power(P, 2, basis)
     assert set(rows) == {2}
@@ -150,7 +167,7 @@ def test_compose_poly_power_truncates_high_degrees():
     # a step degree above N never reaches the lift
     rng = np.random.default_rng(24)
     P3 = {q: rng.normal(size=(2, 2**q)) for q in (0, 1, 3)}
-    assert_update_rows_are_powers(P3, CarlemanBasis(N=2, d=2))
+    assert_update_rows_are_powers(P3, KronBasis(N=2, d=2))
     with pytest.raises(ValueError):
         compose_poly_power({1: np.ones((2, 2))}, 1, basis)
 

@@ -189,7 +189,7 @@ def test_oversized_lift_exits_3(tmp_path):
     cfg = {
         "model": {"mode": "kron", "d": 4, "blocks": {"1": (0.5 * np.eye(4)).tolist()}},
         "window": {"x_T": [0.1, 0.2, 0.3, 0.4], "t_start": 0.5, "t_end": 0.1, "M": 2},
-        "carleman": {"N": 8},
+        "carleman": {"N": 24},
     }
     code, _ = run(tmp_path, "carleman", cfg)
     assert code == 3

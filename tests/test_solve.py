@@ -65,14 +65,14 @@ def test_forward_substitution_structure_checks():
 
 
 def test_trajectory_solves_allocate_far_less_than_the_step_matrices():
-    # d=3, N=4, M=32: the 32 step matrices hold about 3.7 MB of dense
+    # d=4, N=5, M=32: the 32 step matrices hold about 4 MB of dense
     # rows; assembly and forward substitution keep no copy of them,
     # and GMRES adds little beyond its own Krylov basis
     rng = np.random.default_rng(3)
-    m = kron_model(3, {1: np.diag([0.3, 0.5, 0.7]) + 0.01 * rng.standard_normal((3, 3)),
-                       2: 0.02 / 3 * rng.standard_normal((3, 9))})
+    m = kron_model(4, {1: np.diag([0.3, 0.5, 0.7, 0.4]) + 0.01 * rng.standard_normal((4, 4)),
+                       2: 0.02 / 4 * rng.standard_normal((4, 16))})
     grid = make_lambda_grid(S, 0.5, 0.1, 32)
-    states, qcms = run_lifted(S, m, [0.85, 0.8, 0.9], grid, CarlemanBasis(N=4, d=3, mode="kron"))
+    states, qcms = run_lifted(S, m, [0.85, 0.8, 0.9, 0.75], grid, CarlemanBasis(N=5, d=4, mode="kron"))
     step_bytes = sum(q.A.rows.nbytes for q in qcms)
     peaks = {}
     tracemalloc.start()

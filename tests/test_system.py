@@ -1,15 +1,19 @@
 """Global block-system assembly, sparsity, and conditioning estimates."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from carlift import carleman
-from carlift.carleman import CarlemanBasis, Qcm, lift, run_lifted
+from carlift.carleman import CarlemanBasis, Qcm, UnipcQcmSet, lift, run_lifted
 from carlift.errors import CapacityError, StructureError
-from carlift.model import scalar_model
+from carlift.model import kron_model, scalar_model
 from carlift.schedule import make_lambda_grid, make_vp_schedule
 from carlift.system import (
     assemble_global_dpm,
@@ -184,6 +188,32 @@ def test_condition_number_lanczos_out_of_budget_reports_not_converged(monkeypatc
     # the fallback Rayleigh quotients bound sigma_max from below and
     # sigma_min from above, so kappa can only come out low
     assert 1.0 <= short.kappa <= 100.0 * (1 + 1e-12)
+
+
+def sweep_shaped_kappa() -> float:
+    """Dense-SVD kappa of a system shaped like a `carlift sweep` point:
+    d=2 kron model, unipc p=2 corrector, M=16, N=5 (dim 340)."""
+    rng = np.random.default_rng(0)
+    m = kron_model(2, {0: 0.05 * rng.standard_normal((2, 2, 1)),
+                       1: np.diag([0.3, 0.6]) + 0.02 * rng.standard_normal((2, 2)),
+                       2: 0.05 * rng.standard_normal((2, 2, 4))})
+    states, qcms = run_lifted(S, m, [0.8, -0.5], make_lambda_grid(S, 0.5, 0.1, 16),
+                              CarlemanBasis(N=5, d=2), scheme="unipc", order=2, corrector=True)
+    system = assemble_global_unipc([q for q in qcms if not isinstance(q, UnipcQcmSet)],
+                                   [q for q in qcms if isinstance(q, UnipcQcmSet)], states[0].y)
+    return condition_number(system, method="dense_svd").kappa
+
+
+def test_dense_svd_kappa_is_the_same_bytes_as_on_one_blas_thread():
+    # unpinned, OpenBLAS rounds this SVD differently on one CPU and on two
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    out = subprocess.run([sys.executable, "-c", "import test_system; "
+                          "print(test_system.sweep_shaped_kappa().hex())"],
+                         env=env, cwd=here, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert sweep_shaped_kappa().hex() == out.stdout.strip()
 
 
 def test_condition_number_known_diagonal():

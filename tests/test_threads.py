@@ -1,11 +1,10 @@
 """The concurrent step lifts and block-row walks.
 
 Whatever the worker count, the lift, the products with M and the solves
-give the arrays the serial loop gives, and the single dense buffer per
-step gives the arrays of the slab-by-slab lift it replaced.  Small work
-runs serially without an executor, no executor is left behind for a
-forked sweep worker to hang on, and two concurrent lifts take no more
-memory than the serial slab lift.
+give the arrays the serial loop gives.  Small work runs serially without
+an executor, no executor is left behind for a forked sweep worker to
+hang on, and two concurrent lifts take no more memory than the serial
+lift in the Kronecker basis.
 """
 
 import contextlib
@@ -24,13 +23,13 @@ from hypothesis import strategies as st
 
 import carlift
 from carlift import _threads, cli
-from carlift.carleman import CarlemanBasis, UnipcQcmSet, _node_block1, _poly_to_update, run_lifted
+from carlift.carleman import CarlemanBasis, UnipcQcmSet, run_lifted
 from carlift.model import kron_model
 from carlift.schedule import make_lambda_grid, make_vp_schedule
 from carlift.solve import forward_substitute, gmres_solve
 from carlift.system import assemble_global_dpm, assemble_global_unipc
 
-from oracles import _slab, slab_poly_to_update, slab_run_lifted_dpm
+from oracles import KronBasis, kron_lifting
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 PROPERTY = settings(max_examples=20, deadline=None)
@@ -104,38 +103,6 @@ def test_outputs_do_not_depend_on_the_worker_count(seed, d, N, M, scheme, order,
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-@PROPERTY
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    d=st.integers(1, 4),
-    N=st.integers(1, 4),
-    degrees=st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True),
-    zero=st.integers(0, 3),
-    delta=st.booleans(),
-)
-def test_dense_buffer_lift_equals_the_slab_lift(seed, d, N, degrees, zero, delta):
-    # degrees in a random order, one block possibly all zero: the products
-    # of each column degree must be summed in the slab lift's order
-    rng = np.random.default_rng(seed)
-    P = {q: (0.0 if q == zero else 1.0) * rng.standard_normal((d, d**q)) for q in degrees}
-    basis = CarlemanBasis(N=N, d=d)
-    got, b = _poly_to_update(P, basis, delta=delta)
-    want, want_b = slab_poly_to_update(P, basis, delta=delta)
-    assert np.array_equal(b, want_b)
-    g, w = got.toarray(), want.toarray()
-    assert g.dtype == w.dtype and np.array_equal(g, w)
-    assert got.nnz == want.nnz
-
-    E = {q: rng.standard_normal((d, d**q)) for q in degrees}
-    node = _node_block1(E, 0.3, basis)
-    slab = _slab({q: 0.3 * mat for q, mat in E.items() if q <= N}, basis, d)
-    assert node.rows.shape == (d, basis.dim_total)
-    slab.resize((basis.dim_total, basis.dim_total))
-    g, w = node.toarray(), slab.toarray()
-    assert g.dtype == w.dtype and np.array_equal(g, w)
-    assert node.nnz == slab.nnz
-
-
 def test_small_work_creates_no_executor(monkeypatch):
     # the largest kron_sweep_kappa-like lift and solve stay below both cutoffs
     def refuse(*args, **kwargs):
@@ -188,10 +155,10 @@ def test_more_workers_than_cpus_under_rapid_thread_switches():
         sys.setswitchinterval(interval)
 
 
-def test_two_concurrent_lifts_stay_within_the_serial_slab_lifts_memory():
+def test_two_concurrent_lifts_stay_within_the_serial_kron_lifts_memory():
     m, x_T = random_kron(3, 4)
     grid = make_lambda_grid(S, 0.5, 0.1, 4)
-    basis = CarlemanBasis(N=4, d=4)
+    N = 4
 
     def peak(fn):
         tracemalloc.start()
@@ -201,11 +168,16 @@ def test_two_concurrent_lifts_stay_within_the_serial_slab_lifts_memory():
         finally:
             tracemalloc.stop()
 
-    serial_peak, (want_states, _) = peak(lambda: slab_run_lifted_dpm(S, m, x_T, grid, basis, 1))
+    basis = CarlemanBasis(N=N, d=4)
+    run_lifted(S, m, x_T, grid, basis, order=1)  # index tables built outside the traces
+    with forced_workers(1), kron_lifting():
+        kron_peak, _ = peak(lambda: run_lifted(S, m, x_T, grid, KronBasis(N=N, d=4), order=1))
+    with forced_workers(1):
+        want_states, _ = run_lifted(S, m, x_T, grid, basis, order=1)
     with forced_workers(2):
         threaded_peak, (states, _) = peak(lambda: run_lifted(S, m, x_T, grid, basis, order=1))
-    assert all(np.array_equal(a.y, b) for a, b in zip(states, want_states))
-    assert threaded_peak <= serial_peak
+    assert all(np.array_equal(a.y, b.y) for a, b in zip(states, want_states))
+    assert threaded_peak <= kron_peak
 
 
 FORKED_SWEEP = """
