@@ -28,11 +28,8 @@ The step maps are not derived here: their coefficients come from
 evaluate too, so the lifted step and the sampler step are one map.
 
 Each step is lifted into one dense buffer, kept as its
-:class:`StepMatrix`.  The steps of a trajectory are independent, so
-:func:`run_lifted` lifts them concurrently, one thread per CPU in the
-process's affinity mask, and serially when a step's top block row is
-below PARALLEL_LIFT_MIN_ENTRIES.  A step is lifted whole by one
-thread, so the outputs do not depend on the worker count.
+:class:`StepMatrix`.  :func:`run_lifted` lifts the steps of a
+trajectory in order on the calling thread, then walks the states.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from . import _threads
 from .errors import CapacityError
 from .model import PolyNoiseModel, _derivative_tower, coeff_matrices
 from .reference import dpm_weights, uni_weights
@@ -66,15 +62,6 @@ __all__ = [
 
 MAX_DIM_TOTAL = 400_000
 MAX_STEP_BYTES = 2**31
-
-# run_lifted lifts its steps on several threads only when a step's top
-# block row holds at least this many entries (C(d+N-1, N) * dim_total).
-# Measured crossover on a 2-CPU host, M=32: two threads took 1.04-1.09x
-# the serial time at 7 000 entries (d=4, N=5), 0.95x at 7 380 (d=3,
-# N=8), 0.76x at 12 045 (d=3, N=9), 0.72-0.84x at 17 556 (d=4, N=6) and
-# 0.60x at 39 480 (d=4, N=7).  d=1 lifts are Python-bound and run 2x
-# slower on two threads (N=150); their top row of N entries stays serial.
-PARALLEL_LIFT_MIN_ENTRIES = 2**13
 
 
 @dataclass(frozen=True)
@@ -348,15 +335,10 @@ def assemble_dpm_qcm(
     return Qcm(A=A, b=b)
 
 
-def _step_bytes(basis: CarlemanBasis) -> int:
-    """Bytes of the dense (dim_total x dim_total) buffer one step lift fills."""
-    return 8 * basis.dim_total**2
-
-
 def _check_model_basis(m: PolyNoiseModel, basis: CarlemanBasis) -> None:
     """Refuse a mismatched model, or a step lift whose dense buffer would
     exceed MAX_STEP_BYTES."""
-    step_bytes = _step_bytes(basis)
+    step_bytes = 8 * basis.dim_total**2  # the dense (dim_total x dim_total) buffer
     if step_bytes > MAX_STEP_BYTES:
         raise CapacityError(f"step lift needs {step_bytes} bytes, above {MAX_STEP_BYTES}")
     if m.d != basis.d:
@@ -502,30 +484,20 @@ def run_lifted(
     matching the sequential sampler, and feeds corrected states back
     into the history when ``corrector`` is set.
 
-    Every step depends only on the grid and the model, so the steps are
-    lifted first, on one thread per CPU when a step's top block row
-    reaches PARALLEL_LIFT_MIN_ENTRIES; the state walk then runs in order.
-    Each step is lifted whole by one thread, so the step matrices and
-    states do not depend on the worker count.
+    Every step depends only on the grid and the model: the steps are
+    lifted first, in order, and the states are walked after them.
     """
     _check_model_basis(m, basis)
     Y0 = lift(x_T, basis)
     if scheme == "dpm":
-        steps = [functools.partial(assemble_dpm_qcm, s, m, i, grid, order, basis)
-                 for i in range(1, grid.M + 1)]
+        qcms = [assemble_dpm_qcm(s, m, i, grid, order, basis) for i in range(1, grid.M + 1)]
     elif scheme == "unipc":
         p = order
-        steps = [functools.partial(assemble_dpm_qcm, s, m, i, grid, p, basis)
-                 for i in range(1, min(p - 1, grid.M) + 1)]
-        steps += [functools.partial(assemble_unipc_qcms, s, m, i, grid, p, basis, variant=variant)
-                  for i in range(p, grid.M + 1)]
+        qcms = [assemble_dpm_qcm(s, m, i, grid, p, basis) for i in range(1, min(p - 1, grid.M) + 1)]
+        qcms += [assemble_unipc_qcms(s, m, i, grid, p, basis, variant=variant)
+                 for i in range(p, grid.M + 1)]
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    # one dense buffer per thread, and no more of them than MAX_STEP_BYTES holds
-    top_row = (basis.dim_total - int(basis.offsets[-2])) * basis.dim_total
-    workers = min(_threads.worker_count(top_row, PARALLEL_LIFT_MIN_ENTRIES),
-                  MAX_STEP_BYTES // _step_bytes(basis))
-    qcms = _threads.fan_out(lambda step: step(), steps, workers)
     states = [Y0.y]
     for i, q in enumerate(qcms, start=1):
         history = states[i - q.p : i] if isinstance(q, UnipcQcmSet) else states[-1]

@@ -6,16 +6,11 @@ dense row arrays, so a forward walk of one BLAS matrix-vector product
 per block solves them directly; GMRES, handed the same operator, is the
 iterative reference point for conditioning experiments; it restarts at
 n_blocks + 1 vectors, which one Krylov cycle needs to reach the exact
-solution.  The operator's products hand block rows out one at a time to
-one thread per CPU in the process's affinity mask (serially while no
-block row holds system.PARALLEL_MATVEC_MIN_ROW_ENTRIES entries), and
-each row is summed by one thread, so GMRES solutions and iteration
-counts do not depend on the worker count.  ``lchs_solve`` emulates the
-linear-combination-of-Hamiltonian-simulation route classically:
-the non-unitary flow of du/dt = -A(t) u + b(t) is reproduced as a
-Cauchy-kernel-weighted quadrature over unitary evolutions generated by
-the Hermitian k L(t) + H(t), with a spectral shift keeping L positive
-semidefinite.  Each evolution comes from a batched Hermitian
+solution.  ``lchs_solve`` emulates the linear-combination-of-Hamiltonian-
+simulation route classically: the non-unitary flow of
+du/dt = -A(t) u + b(t) is reproduced as a Cauchy-kernel-weighted
+quadrature over unitary evolutions generated by the Hermitian
+k L(t) + H(t), with a spectral shift keeping L positive semidefinite.  Each evolution comes from a batched Hermitian
 eigendecomposition per chunk of kernel nodes and distinct generator,
 and a forward walk applies it to one vector per node, so no matrix
 product of propagators is formed.  ``qlss_cost_model`` turns system

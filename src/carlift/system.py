@@ -11,22 +11,25 @@ those blocks, and the global CSR matrix is built only on request,
 for matrix export and the condition estimate.  Each block is a
 :class:`carlift.carleman.StepMatrix`, the dense array of its leading
 rows, so a block of a product or of the forward solve is one BLAS
-matrix-vector call.  A product with M hands its block rows out one at a
-time to one thread per CPU in the process's affinity mask, or walks
-them serially when no block row holds PARALLEL_MATVEC_MIN_ROW_ENTRIES
-entries.  Each output row is summed by one thread in coupling order,
-so products do not depend on the worker count.
+matrix-vector call.  Both walk the block rows in order on the calling
+thread.  A dense-SVD condition number runs its LAPACK call on one
+OpenBLAS thread, so its bytes do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from . import _threads, carleman
+from . import carleman
 from .carleman import Qcm, UnipcQcmSet
 from .errors import CapacityError, StructureError
 
@@ -45,16 +48,6 @@ DENSE_SVD_MAX_DIM = 2000
 # Operator applications each Lanczos run of condition_number may take
 # before it reports non-convergence.
 LANCZOS_MAX_ITER = 10000
-
-# A product with a trajectory operator walks its block rows on several
-# threads only when a block row holds at least this many entries.  On a
-# 2-CPU host the crossover follows the row size, not the total, and sits
-# near 2 MB of rows: with OpenBLAS at one thread, two threads took
-# 1.15-1.2x the serial time at 244 036 entries a row (d=4, N=8) and
-# 245 025 (d=2, N=30) for M=16..64, and 0.64x at 277 729 (d=2, N=31,
-# M=32), 0.82x at 509 796 (d=4, N=9, M=8) and 0.60x at 739 600 (d=2,
-# N=40, M=16).
-PARALLEL_MATVEC_MIN_ROW_ENTRIES = 250_000
 
 
 def _held_block(blk) -> carleman.StepMatrix:
@@ -106,7 +99,6 @@ class TrajectoryOperator(LinearOperator):
         self.block_dim = D
         self.n_blocks = len(rows)
         self.rows = held
-        self._row_entries = max((sum(blk.rows.size for _, blk, _ in row) for row in held), default=0)
         n = self.n_blocks * D
         super().__init__(dtype=np.float64, shape=(n, n))
 
@@ -114,18 +106,14 @@ class TrajectoryOperator(LinearOperator):
         return np.asarray(x).reshape(self.n_blocks, self.block_dim)
 
     def _matvec(self, x):
-        """M x, block row by block row; each row on one thread."""
+        """M x, block row by block row, each row's terms in coupling order."""
         x = self._blocks(x)
         y = x.astype(np.result_type(x, np.float64))
-
-        def walk(i: int) -> None:
-            for c, blk, plus_eye in self.rows[i]:
+        for i, row in enumerate(self.rows):
+            for c, blk, plus_eye in row:
                 y[i, : len(blk.rows)] -= blk.rows @ x[c]
                 if plus_eye:
                     y[i] -= x[c]
-
-        _threads.fan_out(walk, range(self.n_blocks),
-                         _threads.worker_count(self._row_entries, PARALLEL_MATVEC_MIN_ROW_ENTRIES))
         return y.ravel()
 
     def solve(self, rhs) -> np.ndarray:
@@ -386,6 +374,39 @@ def _lanczos_top(apply, n: int, rtol: float, rng):
     return theta, seen["calls"], res, res <= rtol * theta
 
 
+@functools.lru_cache(maxsize=1)
+def _openblas_thread_setter():
+    """``openblas_set_num_threads_local`` of the OpenBLAS bundled with numpy
+    (it sets the count and returns the old one), or None without it."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*")
+    for path in sorted(glob.glob(libs)):
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the enclosed BLAS and LAPACK calls on one OpenBLAS thread, as
+    under OPENBLAS_NUM_THREADS=1, and restore the old count afterwards.
+    numpy's OpenBLAS uses its own threads, so the count holds for every
+    thread of the process while the block runs.  A numpy built without
+    the bundled OpenBLAS runs the calls unchanged."""
+    setter = _openblas_thread_setter()
+    if setter is None:
+        yield
+        return
+    old = setter(1)
+    try:
+        yield
+    finally:
+        setter(old)
+
+
 def condition_number(system, method: str = "auto", rtol: float = 1e-3) -> ConditionReport:
     """2-norm condition number of the system matrix.
 
@@ -411,7 +432,7 @@ def condition_number(system, method: str = "auto", rtol: float = 1e-3) -> Condit
     if method == "dense_svd":
         if n > DENSE_SVD_MAX_DIM:
             raise ValueError(f"dense SVD limited to dim <= {DENSE_SVD_MAX_DIM}, got {n}")
-        with _threads.one_blas_thread():  # the same bytes on any CPU count
+        with _one_blas_thread():  # the same bytes on any CPU count
             svals = np.linalg.svd(mat.toarray(), compute_uv=False)
         if svals[-1] == 0.0:
             raise StructureError("matrix is numerically singular")

@@ -265,6 +265,21 @@ def test_lifted_unipc_step_matches_sampler_on_quadratic_model():
                 np.testing.assert_allclose(y[one], ref.states[i].x, rtol=0.0, atol=1e-14)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_lifted_unipc_converges_to_its_sampler():
+    # blocks j >= 2 of a lifted unipc state are powers of the anchor
+    # polynomial alone, so block 1 plateaus near 1e-2 from N = 4 on
+    bench = benchmark("weak_quadratic")
+    s, m, grid = bench.schedule(), bench.model(), bench.grid(16)
+    basis = CarlemanBasis(N=8, d=1)
+    for corrector in (False, True):
+        ref = run_unipc(s, m, [bench.x_T], grid, p=2, corrector=corrector)
+        states, _ = run_lifted(s, m, [bench.x_T], grid, basis, scheme="unipc", order=2,
+                               corrector=corrector)
+        gap = max(float(np.max(np.abs(st.block(1) - pt.x))) for st, pt in zip(states, ref.states))
+        assert gap <= 1e-9, f"corrector={corrector}: gap {gap:.3e}"
+
+
 def test_unipc_qcm_set_shape_and_history_check():
     basis = CarlemanBasis(N=2, d=1)
     grid = make_lambda_grid(S, 1.0, 0.1, 5)

@@ -4,8 +4,11 @@ Q (``oracles.symmetric_embedding``) maps the weighted monomials into the
 Kronecker powers isometrically.  Every Kronecker-basis step matrix U
 keeps the symmetric tensors symmetric, so U Q = Q U_s for the step
 matrix U_s the package builds; lifted states, block 1 of a trajectory,
-the defect and the system's singular values follow from that.
+the defect and the system's singular values follow from that.  The
+symmetric lift also takes no more memory than the Kronecker lift.
 """
+
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -124,3 +127,22 @@ def test_symmetric_kappa_is_at_most_the_kron_kappa(seed, d, N, M, scheme):
     (_, system), (_, ksystem) = both_bases(seed, d, N, M, scheme)
     kappa = condition_number(system, method="dense_svd").kappa
     assert kappa <= condition_number(ksystem, method="dense_svd").kappa * (1 + 1e-9)
+
+
+def test_lift_peaks_no_higher_than_the_kron_lift():
+    m, x_T = random_kron(3, 4)
+    grid = make_lambda_grid(S, 0.5, 0.1, 4)
+    basis = CarlemanBasis(N=4, d=4)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_lifted(S, m, x_T, grid, basis, order=1)  # index tables built outside the traces
+    with kron_lifting():
+        kron_peak = peak(lambda: run_lifted(S, m, x_T, grid, KronBasis(N=4, d=4), order=1))
+    assert peak(lambda: run_lifted(S, m, x_T, grid, basis, order=1)) <= kron_peak
