@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CapacityError
 from .model import PolyNoiseModel, _derivative_tower, coeff_matrices
@@ -240,9 +239,6 @@ class StepMatrix:
         out = np.zeros(self.shape)
         out[: len(self.rows)] = self.rows
         return out
-
-    def tocsr(self) -> sp.csr_matrix:
-        return sp.csr_matrix(self.toarray())
 
 
 def _poly_to_update(P: dict[int, np.ndarray], basis: CarlemanBasis, delta: bool = False):

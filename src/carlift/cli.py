@@ -14,8 +14,9 @@ its exit status and its outputs, which map each file name to a table
 writer.  :func:`main` alone writes them, stamping each CSV with the tool
 version and a sha256 of the resolved config, so a command that raises
 leaves only ``resolved_config.json`` behind.  A sweep checks what its
-point command needs, and every point's config against the schema,
-before it runs any point.  It runs the points in process or in a worker
+point command needs, every point's config against the schema and, for
+a slope, that every swept value is a positive number, before it runs
+any point.  It runs the points in process or in a worker
 pool and merges their summary tables as values; points write no files.
 The first failing point ends the sweep, pool workers included, and its
 index and swept value are appended to the error message.  Fixed seed
@@ -319,24 +320,16 @@ def build_window(cfg: dict, m: PolyNoiseModel):
     return s, grid, np.broadcast_to(x_T, (m.d,)).copy()
 
 
-def run_sampler(s, m: PolyNoiseModel, x_T, grid, sec: dict) -> SolverRun:
-    """The sampler run a command section names.  An overflow, an invalid
-    value or a non-finite state is a numerical failure."""
-    with np.errstate(over="raise", invalid="raise"):
-        run = run_scheme(s, m, x_T, grid, sec["scheme"], sec["order"], sec["variant"])
-    if not np.isfinite(run.state_matrix()).all():
-        raise FloatingPointError(f"the {run.scheme} sampler reached a non-finite state")
-    return run
-
-
-def run_oracle(s, m: PolyNoiseModel, x_T, **kwargs) -> SolverRun:
-    """The RK4 oracle run, failing like :func:`run_sampler`.  A
+def finite_run(solve) -> SolverRun:
+    """``solve()``, a sampler or RK4-oracle run, with an overflow, an
+    invalid value or a non-finite state as a numerical failure.  A
     one-coordinate model steps on Python floats, whose overflow raises
     nothing, so the recorded states are checked too."""
     with np.errstate(over="raise", invalid="raise"):
-        run = rk4_oracle(s, m, x_T, **kwargs)
+        run = solve()
     if not np.isfinite(run.state_matrix()).all():
-        raise FloatingPointError("the RK4 oracle reached a non-finite state")
+        name = "the RK4 oracle" if run.scheme == "rk4" else f"the {run.scheme} sampler"
+        raise FloatingPointError(f"{name} reached a non-finite state")
     return run
 
 
@@ -373,15 +366,15 @@ def cmd_simulate(cfg: dict) -> tuple[int, dict]:
     m = build_model(cfg)
     s, grid, x_T = build_window(cfg, m)
     sim = cfg["simulate"]
-    run = run_sampler(s, m, x_T, grid, sim)
+    run = finite_run(lambda: run_scheme(s, m, x_T, grid, sim["scheme"], sim["order"], sim["variant"]))
     states = run.state_matrix()
     errors = np.full(len(grid.t), np.nan)
     endpoint_error = math.nan
     if sim["oracle"]:
         # oracle_substeps is a whole-window budget; split it over the grid
-        # intervals (rk4_oracle counts per interval when times are given)
+        # intervals (rk4_oracle counts substeps per interval)
         per_interval = max(32, -(-sim["oracle_substeps"] // max(1, len(grid.h))))
-        oracle = run_oracle(s, m, x_T, substeps=per_interval, times=grid.t)
+        oracle = finite_run(lambda: rk4_oracle(s, m, x_T, substeps=per_interval, times=grid.t))
         diff = states - oracle.state_matrix()
         errors = np.linalg.norm(diff, axis=1)
         endpoint_error = float(errors[-1])
@@ -434,7 +427,8 @@ def cmd_carleman(cfg: dict) -> tuple[int, dict]:
     traj = blocks[:, b1]
 
     equivalence = float(np.max(np.abs(sol.solution - np.concatenate([st.y for st in states]))))
-    oracle = run_oracle(s, m, x_T, substeps=4000, t_start=float(grid.t[0]), t_end=float(grid.t[-1]))
+    oracle = finite_run(lambda: rk4_oracle(s, m, x_T, substeps=4000,
+                                            times=(float(grid.t[0]), float(grid.t[-1]))))
     error = float(np.linalg.norm(traj[-1] - oracle.endpoint))
     defect = states[-1].consistency_defect()
 
@@ -513,7 +507,8 @@ def cmd_lchs(cfg: dict) -> tuple[int, dict]:
 def cmd_diagnose(cfg: dict) -> tuple[int, dict]:
     m = build_model(cfg)
     s, grid, x_T = build_window(cfg, m)
-    run = run_sampler(s, m, x_T, grid, cfg["diagnose"])
+    sec = cfg["diagnose"]
+    run = finite_run(lambda: run_scheme(s, m, x_T, grid, sec["scheme"], sec["order"], sec["variant"]))
     trace = spectrum_trace(s, m, run)
     ptrace = dissipativity_P(trace)
     spec_cols = ["step", "t"] + [f"eig_{i}" for i in range(m.d)]
@@ -616,6 +611,9 @@ def cmd_sweep(cfg: dict) -> tuple[int, dict]:
         try:
             validate_config(point_cfg)
             _require(point_cfg, sweep["command"])
+            if sweep["slope"] and (isinstance(value, bool) or not isinstance(value, (int, float))
+                                   or not value > 0):
+                raise ConfigError("$.sweep.slope: swept values must be positive numbers")
         except ConfigError as exc:
             _name_point(exc, len(point_cfgs), parameter, value)
             raise
@@ -657,8 +655,6 @@ def cmd_sweep(cfg: dict) -> tuple[int, dict]:
         errs, hs = [], []
         for value, row in zip(values, rows):
             err = float(row[err_idx])
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ConfigError("$.sweep.slope: swept values must be positive numbers")
             if err > 0 and math.isfinite(err):
                 errs.append(math.log(err))
                 hs.append(math.log(1.0 / float(value)))

@@ -100,8 +100,7 @@ def truncation_sweep(
     where there is no second block).
     """
     oracle = rk4_oracle(
-        s, m, x_T, substeps=oracle_substeps,
-        t_start=float(grid.t[0]), t_end=float(grid.t[-1]),
+        s, m, x_T, substeps=oracle_substeps, times=(float(grid.t[0]), float(grid.t[-1])),
     ).endpoint
     rows = []
     for N in N_list:
@@ -144,7 +143,7 @@ def order_sweep(
     100 of machine epsilon times the solution scale are excluded from
     the fit (error floor) and reported through ``used``.
     """
-    oracle = rk4_oracle(s, m, x_T, substeps=oracle_substeps, t_start=t_start, t_end=t_end).endpoint
+    oracle = rk4_oracle(s, m, x_T, substeps=oracle_substeps, times=(t_start, t_end)).endpoint
     errors = np.empty(len(M_list))
     hs = np.empty(len(M_list))
     for idx, M in enumerate(M_list):

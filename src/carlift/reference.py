@@ -86,17 +86,14 @@ def rk4_oracle(
     s: NoiseSchedule,
     m: PolyNoiseModel,
     x_T,
+    times,
     substeps: int = 2000,
-    t_start: float | None = None,
-    t_end: float | None = None,
-    times: np.ndarray | None = None,
 ) -> SolverRun:
     """Classic fixed-step RK4 integration of the sampling ODE in t.
 
-    With ``times`` given (strictly decreasing, the record nodes),
-    ``substeps`` applies per interval; otherwise the span
-    [t_start, t_end] (defaults [T, t_floor]) is integrated with
-    ``substeps`` total steps and only the endpoints are recorded.
+    ``times`` are the record nodes, strictly decreasing, and ``substeps``
+    applies per interval between them; a span (t0, t1) is one interval
+    with only its endpoints recorded.
 
     The right-hand side is f(t) x + g^2(t) / (2 sigma_t) eps(x, lam(t)).
     Everything in it that depends on t alone is tabulated once per chunk
@@ -106,14 +103,7 @@ def rk4_oracle(
     """
     if substeps < 1:
         raise ValueError("need substeps >= 1")
-    if times is None:
-        a = s.T if t_start is None else t_start
-        b = s.t_floor if t_end is None else t_end
-        times = np.array([a, b])
-        per = [substeps]
-    else:
-        times = np.asarray(times, dtype=float)
-        per = [substeps] * (len(times) - 1)
+    times = np.asarray(times, dtype=float)
 
     x = np.atleast_1d(np.asarray(x_T, dtype=float)).copy()
     pts = [TrajectoryPoint(float(times[0]), float(s.lam(times[0])), x.copy())]
@@ -123,13 +113,13 @@ def rk4_oracle(
     # IEEE double operations as on 1-element arrays, without numpy's
     # per-operation overhead.
     on_floats = m.mode != "kron" and m.d == 1
-    for (ta, tb), n in zip(zip(times[:-1], times[1:]), per):
-        ht = float((tb - ta) / n)
+    for ta, tb in zip(times[:-1], times[1:]):
+        ht = float((tb - ta) / substeps)
         half, sixth = 0.5 * ht, ht / 6.0
         t = ta
         y = float(x[0]) if on_floats else x
-        for done in range(0, n, chunk):
-            cnt = min(chunk, n - done)
+        for done in range(0, substeps, chunk):
+            cnt = min(chunk, substeps - done)
             tt = np.empty(2 * cnt + 1)
             tt[0::2] = np.add.accumulate(np.concatenate(([t], np.full(cnt, ht))))
             tt[1::2] = tt[0:-1:2] + half

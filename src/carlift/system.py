@@ -50,15 +50,6 @@ DENSE_SVD_MAX_DIM = 2000
 LANCZOS_MAX_ITER = 10000
 
 
-def _held_block(blk) -> carleman.StepMatrix:
-    """A coupling block as the operator holds it: a lift's StepMatrix as
-    it is, anything else converted once to the dense rows of a copy, so
-    the caller's matrix is never altered."""
-    if isinstance(blk, carleman.StepMatrix):
-        return blk
-    return carleman.StepMatrix(sp.csr_matrix(blk).toarray())
-
-
 def _eye_change(blk: carleman.StepMatrix) -> np.ndarray:
     """Change in each row's entry count when I is added to ``blk``: I adds
     an entry where the diagonal is 0 and cancels one where it is -1."""
@@ -76,15 +67,15 @@ class TrajectoryOperator(LinearOperator):
 
     over ``rows[i]``, a list of (c_k, B_k, plus_eye) couplings with
     ascending columns c_k < i; row 0 has none and pins Y_0.  The D x D
-    blocks B_k are StepMatrix objects, held as they are: a
-    derivative-scheme step holds its A with ``plus_eye``, a unified step
-    its predictor (or folded corrector) matrices.  Any other block is
-    converted to a StepMatrix once.
+    blocks B_k are the StepMatrix objects the lift made, held as they
+    are: a derivative-scheme step holds its A with ``plus_eye``, a
+    unified step its predictor (or folded corrector) matrices.  So M is
+    unit lower triangular: every coupling lies left of its row's
+    identity block.
     """
 
     def __init__(self, block_dim: int, rows: list[list[tuple]]):
         D = block_dim
-        held = []
         for i, row in enumerate(rows):
             cols = [c for c, _, _ in row]
             if any(not 0 <= c < i for c in cols):
@@ -92,13 +83,12 @@ class TrajectoryOperator(LinearOperator):
                                      "couplings must lie strictly below the diagonal")
             if cols != sorted(set(cols)):
                 raise ValueError(f"block row {i} lists columns {cols}, not strictly ascending")
-            row = [(c, _held_block(blk), plus_eye) for c, blk, plus_eye in row]
-            if any(blk.shape != (D, D) for _, blk, _ in row):
-                raise ValueError(f"block row {i} holds a block that is not {D} x {D}")
-            held.append(row)
+            if any(not isinstance(blk, carleman.StepMatrix) or blk.shape != (D, D)
+                   for _, blk, _ in row):
+                raise ValueError(f"block row {i} holds a block that is not a {D} x {D} StepMatrix")
         self.block_dim = D
         self.n_blocks = len(rows)
-        self.rows = held
+        self.rows = rows
         n = self.n_blocks * D
         super().__init__(dtype=np.float64, shape=(n, n))
 
@@ -286,39 +276,6 @@ def assemble_global_unipc(
     )
 
 
-def _zero_free(mat) -> sp.csr_matrix:
-    """CSR form of a matrix or system without stored zeros, leaving it untouched.
-
-    A trajectory operator builds a fresh CSR matrix, which holds no
-    zeros.  sp.csr_matrix shares the arrays of a CSR input, so
-    eliminating zeros in place would compact the caller's matrix; copy
-    only when there are stored zeros to drop.
-    """
-    if isinstance(mat, BlockLinearSystem):
-        mat = mat.mat
-    if isinstance(mat, TrajectoryOperator):
-        return mat.tocsr()
-    csr = sp.csr_matrix(mat)
-    if np.any(csr.data == 0.0):
-        csr = csr.copy()
-        csr.eliminate_zeros()
-    return csr
-
-
-def _lower_diagonal(mat: sp.csr_matrix) -> np.ndarray:
-    """Diagonal of a square CSR matrix checked to be lower triangular.
-
-    Raises StructureError if a row stores an entry above the diagonal or
-    stores nothing at all (so it cannot hold a diagonal entry).
-    """
-    counts = np.diff(mat.indptr)
-    if np.any(counts == 0):
-        raise StructureError(f"missing diagonal entry in row {int(np.argmin(counts))}")
-    if np.any(np.maximum.reduceat(mat.indices, mat.indptr[:-1]) > np.arange(mat.shape[0])):
-        raise StructureError("matrix has entries above the diagonal")
-    return mat.diagonal()
-
-
 @dataclass
 class ConditionReport:
     """2-norm condition estimate with how it was obtained, and the most
@@ -407,23 +364,23 @@ def _one_blas_thread():
         setter(old)
 
 
-def condition_number(system, method: str = "auto", rtol: float = 1e-3) -> ConditionReport:
-    """2-norm condition number of the system matrix.
+def condition_number(system: BlockLinearSystem, method: str = "auto",
+                     rtol: float = 1e-3) -> ConditionReport:
+    """2-norm condition number of an assembled system's matrix M.
 
     "dense_svd" computes all singular values on one OpenBLAS thread, so
     they do not depend on the CPU count, and is restricted to
-    dimensions <= 2000.  "lanczos" works at any size but needs the lower
-    triangular structure with nonzero diagonal that the global
-    assemblies produce: sigma_max^2 is the top eigenvalue of M^T M and
-    1/sigma_min^2 that of M^{-1} M^{-T}, applied through one sparse LU
-    factor of M (no fill, as M is triangular).  Each run starts from a
-    generator seeded with 0, so kappa and ``iterations`` (operator
-    applications) are deterministic; LANCZOS_MAX_ITER caps the
-    applications per run, and running out is reported through
-    ``converged`` rather than raised.  "auto" is "lanczos" except for a 1 x 1 matrix, which
+    dimensions <= 2000.  "lanczos" works at any size: sigma_max^2 is the
+    top eigenvalue of M^T M and 1/sigma_min^2 that of M^{-1} M^{-T},
+    applied through one sparse LU factor of M (no fill and no pivoting,
+    as M is unit lower triangular).  Each run starts from a generator
+    seeded with 0, so kappa and ``iterations`` (operator applications)
+    are deterministic; LANCZOS_MAX_ITER caps the applications per run,
+    and running out is reported through ``converged`` rather than
+    raised.  "auto" is "lanczos" except for a 1 x 1 system, which
     ARPACK cannot take.
     """
-    mat = _zero_free(system)
+    mat = system.mat.tocsr()
     n = mat.shape[0]
     s_row = int(np.diff(mat.indptr).max(initial=0))
     s_col = int(np.bincount(mat.indices, minlength=n).max(initial=0))
@@ -438,8 +395,6 @@ def condition_number(system, method: str = "auto", rtol: float = 1e-3) -> Condit
             raise StructureError("matrix is numerically singular")
         smax, smin, its, res, ok, rtol = svals[0], svals[-1], 0, 0.0, True, 0.0
     elif method == "lanczos":
-        if np.any(_lower_diagonal(mat) == 0.0):
-            raise StructureError("lanczos path needs a nonzero diagonal")
         if n < 2:
             raise ValueError("lanczos needs dim >= 2")
         lu = splu(mat.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
@@ -457,13 +412,14 @@ def condition_number(system, method: str = "auto", rtol: float = 1e-3) -> Condit
     )
 
 
-def export_matrix(mat, path) -> None:
-    """Write a sparse matrix as text: 'rows cols nnz' then triplets.
+def export_matrix(system: BlockLinearSystem, path) -> None:
+    """Write an assembled system's matrix M as text: 'rows cols nnz' then
+    the triplets of its CSR form, row by row.
 
     Values are printed with 17 significant digits, which round-trips
     IEEE doubles exactly.
     """
-    coo = _zero_free(mat).tocoo()
+    coo = system.mat.tocsr().tocoo()
     with open(path, "w") as fh:
         fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
         for r, c, v in zip(coo.row, coo.col, coo.data):

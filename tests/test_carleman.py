@@ -217,7 +217,7 @@ def test_lifted_truncation_error_decreases():
     bench = benchmark("weak_quadratic")
     s, m, grid = bench.schedule(), bench.model(), bench.grid(16)
     oracle = rk4_oracle(
-        s, m, [bench.x_T], substeps=2000, t_start=bench.t_start, t_end=bench.t_end
+        s, m, [bench.x_T], substeps=2000, times=(bench.t_start, bench.t_end)
     ).endpoint
     errs = []
     for N in (1, 2, 3):

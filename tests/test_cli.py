@@ -477,6 +477,29 @@ def test_sweep_checks_point_inputs_before_any_point_runs(tmp_path, monkeypatch, 
     assert capsys.readouterr().err.startswith(message)
 
 
+@pytest.mark.parametrize("parameter, values, bad", [
+    ("simulate.scheme", ["dpm", "unip", "unic"], 0),
+    ("simulate.oracle", [True, True], 0),
+    ("window.x_T", [1.0, -0.5], 1),
+], ids=["strings", "booleans", "negative"])
+def test_slope_sweep_of_non_positive_values_exits_2_before_any_point_runs(
+        tmp_path, monkeypatch, capsys, parameter, values, bad):
+    def refuse(cfg):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setitem(cli._POINT_COMMANDS, "simulate", refuse)
+    cfg = {
+        "window": {"benchmark": "weak_quadratic", "M": 4},
+        "sweep": {"command": "simulate", "parameter": parameter, "values": values, "slope": True},
+    }
+    code, out = run(tmp_path, "sweep", cfg)
+    assert code == 2
+    assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+    err = capsys.readouterr().err
+    assert err.startswith("config error: $.sweep.slope: swept values must be positive numbers")
+    assert err.rstrip().endswith(f"(sweep point {bad}: {parameter} = {json.dumps(values[bad])})")
+
+
 def test_failing_two_worker_sweep_stops_its_slow_points(tmp_path, capsys):
     # point 0 fails at once (t_end below the schedule floor); each other
     # point integrates its oracle for far longer than the bound below

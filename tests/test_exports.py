@@ -1,6 +1,8 @@
 """Every name a carlift module exports through __all__ must exist, every
 exported function must be called by the package or the benchmark, and
-every defaulted parameter of one must be set by some such call."""
+every defaulted parameter of one must be set by some such call.  Every
+carlift name the benchmark imports must exist, and every call it makes
+to one must bind to the current signature."""
 
 import ast
 import importlib
@@ -11,6 +13,8 @@ from pathlib import Path
 import carlift
 
 ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK_SOURCES = sorted((ROOT / "benchmark").glob("*.py"))
+SOURCES = [*sorted((ROOT / "src" / "carlift").glob("*.py")), *BENCHMARK_SOURCES]
 
 # exported functions that nothing outside the tests calls yet, each with the
 # reason it stays
@@ -47,7 +51,7 @@ def referenced_names() -> set[str]:
     """Every name and attribute read in src/carlift and benchmark/*.py; a
     def, an import and a string in __all__ are not references."""
     names = set()
-    for path in [*(ROOT / "src" / "carlift").glob("*.py"), *(ROOT / "benchmark").glob("*.py")]:
+    for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -65,12 +69,13 @@ def test_every_exported_function_is_called_outside_the_tests():
     assert not stale, f"allowed as uncalled but called or no longer exported: {stale}"
 
 
-def source_calls():
-    """(callee name, positional argument nodes, keyword names) of every call
-    in src/carlift and benchmark/*.py.  functools.partial(fn, ...) and
-    Tracer.call("label", fn, ...) count as calls of fn with the arguments
-    after it; a keyword name None stands for ``**kwargs``."""
-    for path in [*(ROOT / "src" / "carlift").glob("*.py"), *(ROOT / "benchmark").glob("*.py")]:
+def source_calls(paths=SOURCES):
+    """(callee name, callee node, positional argument nodes, keyword names)
+    of every call in ``paths``, by default src/carlift and benchmark/*.py.
+    functools.partial(fn, ...) and Tracer.call("label", fn, ...) count as
+    calls of fn with the arguments after it; a keyword name None stands
+    for ``**kwargs``."""
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if not isinstance(node, ast.Call):
                 continue
@@ -85,7 +90,7 @@ def source_calls():
                 keywords = [kw for kw in keywords if kw != "alloc"]  # Tracer's own option
             name = getattr(func, "id", getattr(func, "attr", None))
             if name is not None:
-                yield name, args, keywords
+                yield name, func, args, keywords
 
 
 def set_parameters(fn, args, keywords) -> set[str]:
@@ -103,10 +108,55 @@ def test_every_default_of_an_exported_function_is_set_outside_the_tests():
     defaulted = {f"{name}.{p.name}" for name, fn in functions.items()
                  for p in inspect.signature(fn).parameters.values() if p.default is not p.empty}
     used = set()
-    for name, args, keywords in source_calls():
+    for name, _, args, keywords in source_calls():
         if name in functions:
             used |= {f"{name}.{p}" for p in set_parameters(functions[name], args, keywords)}
     unset = sorted(defaulted - used - set(UNSET_DEFAULTS))
     assert not unset, f"defaulted parameters only the tests set, or nothing: {unset}"
     stale = sorted(key for key in UNSET_DEFAULTS if key not in defaulted or key in used)
     assert not stale, f"allowed as unset but set or no longer defaulted: {stale}"
+
+
+def benchmark_imports() -> dict[str, object]:
+    """Each name benchmark/*.py imports from carlift, resolved to the
+    object it names; a missing name fails here."""
+    found = {}
+    for path in BENCHMARK_SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "carlift":
+                mod = importlib.import_module(node.module)
+                for alias in node.names:
+                    if not hasattr(mod, alias.name) and hasattr(mod, "__path__"):
+                        # a submodule not yet imported: from carlift import cli
+                        importlib.import_module(f"{node.module}.{alias.name}")
+                    assert hasattr(mod, alias.name), f"{path.name}: {node.module} has no {alias.name!r}"
+                    found[alias.asname or alias.name] = getattr(mod, alias.name)
+    return found
+
+
+def test_benchmark_calls_bind_to_the_current_signatures():
+    """A call in benchmark/*.py of a function or class it imports from
+    carlift, by name or as an attribute of an imported module (cli.main),
+    must bind its positional count and keyword names.  Attribute reads,
+    such as ``q.corr_target.nnz``, and calls of methods are not covered."""
+    imported = benchmark_imports()
+    bound = set()
+    for name, func, args, keywords in source_calls(BENCHMARK_SOURCES):
+        target = None
+        if isinstance(func, ast.Name):
+            target = imported.get(func.id)
+        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            mod = imported.get(func.value.id)
+            target = getattr(mod, func.attr, None) if inspect.ismodule(mod) else None
+        if target is None or inspect.ismodule(target):
+            continue
+        assert None not in keywords and not any(isinstance(arg, ast.Starred) for arg in args), (
+            f"{name} at benchmark line {func.lineno}: unpacked arguments cannot be checked")
+        signature = inspect.signature(target)
+        try:
+            signature.bind(*[None] * len(args), **{k: None for k in keywords})
+        except TypeError as exc:
+            raise AssertionError(f"{name} at benchmark line {func.lineno} does not bind to "
+                                 f"{signature}: {exc}") from None
+        bound.add(name)
+    assert {"CarlemanBasis", "truncation_sweep", "rk4_oracle", "main"} <= bound

@@ -24,9 +24,9 @@ PROPERTY = settings(max_examples=25, deadline=None)
 
 
 def test_rk4_fourth_order_self_convergence():
-    ref = rk4_oracle(S, WEAK, [1.5], substeps=2048, t_start=1.0, t_end=0.1).endpoint
+    ref = rk4_oracle(S, WEAK, [1.5], substeps=2048, times=(1.0, 0.1)).endpoint
     errs = [
-        float(np.linalg.norm(rk4_oracle(S, WEAK, [1.5], substeps=n, t_start=1.0, t_end=0.1).endpoint - ref))
+        float(np.linalg.norm(rk4_oracle(S, WEAK, [1.5], substeps=n, times=(1.0, 0.1)).endpoint - ref))
         for n in (16, 32, 64)
     ]
     ratios = [e0 / e1 for e0, e1 in zip(errs, errs[1:])]
@@ -39,7 +39,7 @@ def test_rk4_matches_adaptive_integrator():
         return float(dlam_dt(S, t)) * dx_dlambda(S, WEAK, x, lam)
 
     sol = solve_ivp(rhs_t, (1.0, 0.1), [1.5], rtol=1e-12, atol=1e-14)
-    got = rk4_oracle(S, WEAK, [1.5], substeps=4000, t_start=1.0, t_end=0.1).endpoint
+    got = rk4_oracle(S, WEAK, [1.5], substeps=4000, times=(1.0, 0.1)).endpoint
     assert np.allclose(got, sol.y[:, -1], atol=1e-9)
 
 
@@ -50,7 +50,7 @@ def test_rk4_records_requested_nodes():
     assert run.nfe == 4 * 8 * 5
     assert np.allclose([pt.t for pt in run.states], grid.t)
     with pytest.raises(ValueError):
-        rk4_oracle(S, WEAK, [1.0], substeps=0)
+        rk4_oracle(S, WEAK, [1.0], substeps=0, times=grid.t)
 
 
 def test_dpm1_exact_for_constant_eps():
@@ -68,7 +68,7 @@ def test_dpm_order_increases_accuracy():
     bench = benchmark("cubic")
     oracle = rk4_oracle(
         bench.schedule(), bench.model(), [bench.x_T], substeps=2000,
-        t_start=bench.t_start, t_end=bench.t_end,
+        times=(bench.t_start, bench.t_end),
     ).endpoint
     slopes = {}
     for k in (1, 2):
@@ -169,7 +169,7 @@ def test_corrector_improves_endpoint():
     s, m = bench.schedule(), bench.model()
     grid = bench.grid(16)
     oracle = rk4_oracle(
-        s, m, [bench.x_T], substeps=2000, t_start=bench.t_start, t_end=bench.t_end
+        s, m, [bench.x_T], substeps=2000, times=(bench.t_start, bench.t_end)
     ).endpoint
     pred = run_unipc(s, m, [bench.x_T], grid, p=2)
     corr = run_unipc(s, m, [bench.x_T], grid, p=2, corrector=True)
@@ -309,10 +309,9 @@ def test_rk4_oracle_equals_per_substep_loop(case, table_bytes, data, t_start, sp
         )
         if intervals == 0:
             times = np.array([t_start, t_start - span])
-            run = rk4_oracle(S, m, x_T, substeps=substeps, t_start=t_start, t_end=t_start - span)
         else:
             times = make_lambda_grid(S, t_start, t_start - span, intervals).t
-            run = rk4_oracle(S, m, x_T, substeps=substeps, times=times)
+        run = rk4_oracle(S, m, x_T, substeps=substeps, times=times)
     expected, nfe = rk4_per_substep(S, m, x_T, substeps, times)
     assert run.nfe == nfe
     assert np.array_equal(run.grid.t, times)
@@ -339,7 +338,7 @@ def test_rk4_oracle_chunks_at_the_real_table_size():
     chunk = reference._oracle_chunk(m)
     assert chunk > 1
     substeps = 2 * chunk + 77
-    run = rk4_oracle(S, m, [bench.x_T], substeps=substeps, t_start=bench.t_start, t_end=bench.t_end)
+    run = rk4_oracle(S, m, [bench.x_T], substeps=substeps, times=(bench.t_start, bench.t_end))
     expected, nfe = rk4_per_substep(S, m, [bench.x_T], substeps,
                                     np.array([bench.t_start, bench.t_end]))
     assert run.nfe == nfe
@@ -354,7 +353,7 @@ def test_rk4_oracle_memory_does_not_grow_with_substeps():
     for substeps in (2 * chunk, 8 * chunk):
         tracemalloc.start()
         try:
-            rk4_oracle(S, m, [bench.x_T], substeps=substeps, t_start=bench.t_start, t_end=bench.t_end)
+            rk4_oracle(S, m, [bench.x_T], substeps=substeps, times=(bench.t_start, bench.t_end))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

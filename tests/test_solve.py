@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from carlift.carleman import CarlemanBasis, lift, run_lifted
+from carlift.carleman import CarlemanBasis, StepMatrix, lift, run_lifted
 from carlift.errors import ConvergenceError, StructureError
 from carlift import solve
 from carlift.model import kron_model, scalar_model
@@ -49,7 +49,7 @@ def test_forward_substitution_structure_checks():
     # the operator refuses what a forward sweep cannot take: block row i
     # of M is Y_i - sum_k C_k Y_{c_k}, so an entry above the diagonal is a
     # coupling above its row and a diagonal away from 1 couples a row to itself
-    blk = sp.csr_matrix([[0.5]])
+    blk = StepMatrix(np.array([[0.5]]))
     TrajectoryOperator(1, [[], [(0, blk, False)]])
     with pytest.raises(StructureError):
         TrajectoryOperator(1, [[(1, blk, False)], []])
@@ -57,6 +57,9 @@ def test_forward_substitution_structure_checks():
         TrajectoryOperator(1, [[], [(1, blk, True)]])
     with pytest.raises(ValueError):
         TrajectoryOperator(2, [[], [(0, blk, False)]])
+    # blocks are the StepMatrix objects a lift makes, not other matrices
+    with pytest.raises(ValueError):
+        TrajectoryOperator(1, [[], [(0, sp.csr_matrix([[0.5]]), False)]])
     system = assemble_global_dpm([], np.ones(3))
     with pytest.raises(ValueError):
         system.mat.solve(np.ones(2))

@@ -1,5 +1,6 @@
 """Global block-system assembly, sparsity, and conditioning estimates."""
 
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,8 @@ from carlift.errors import CapacityError, StructureError
 from carlift.model import kron_model, scalar_model
 from carlift.schedule import make_lambda_grid, make_vp_schedule
 from carlift.system import (
+    BlockLinearSystem,
+    TrajectoryOperator,
     assemble_global_dpm,
     assemble_global_unipc,
     condition_number,
@@ -34,6 +37,15 @@ def lifted_setup(N=3, M=6, scheme="dpm", order=1, corrector=False, x0=0.8):
         S, QUAD, [x0], grid, basis, scheme=scheme, order=order, corrector=corrector
     )
     return basis, grid, states, qcms
+
+
+def pair_system(ts) -> BlockLinearSystem:
+    """Block diagonal D = 1 system of the pairs [[1, 0], [-c, 1]] with
+    c = t - 1/t, whose singular values are t and 1/t."""
+    rows = []
+    for t in ts:
+        rows += [[], [(len(rows), carleman.StepMatrix(np.array([[t - 1.0 / t]])), False)]]
+    return BlockLinearSystem(mat=TrajectoryOperator(1, rows), rhs=np.zeros(len(rows)), scheme="dpm")
 
 
 def test_global_dpm_reproduces_sequential_walk():
@@ -72,19 +84,19 @@ def test_global_matrix_is_block_lower_triangular():
     basis = CarlemanBasis(N=3, d=1)
     system = assemble_global_unipc(qcms[:1], qcms[1:], lift([0.8], basis).y)
     assert sp.triu(system.mat.tocsr(), k=1).nnz == 0
-    report = condition_number(system.mat)
+    report = condition_number(system)
     assert report.nnz == system.mat.nnz
     assert report.s_row >= 1 and report.s_col >= 1
 
 
 def test_operator_csr_follows_step_diagonals_that_cancel_or_are_missing():
-    # I + A drops the entry where A holds -1 and gains one where A stores
-    # none; a stored zero in A is not an entry, and A itself is left as given
-    A = sp.csr_matrix((np.array([-1.0, 0.5, 0.0, 2.0, 0.3, 0.25]), np.array([0, 1, 0, 2, 0, 2]),
-                       np.array([0, 2, 4, 6])), shape=(3, 3))
-    system = assemble_global_dpm([Qcm(A=A, b=np.zeros(3))] * 2, np.ones(3))
+    # I + A drops the entry where A holds -1 and gains one where A holds
+    # a zero, and A itself is left as given
+    A = np.array([[-1.0, 0.5, 0.0], [0.0, 0.0, 2.0], [0.3, 0.0, 0.25]])
+    system = assemble_global_dpm([Qcm(A=carleman.StepMatrix(A.copy()), b=np.zeros(3))] * 2,
+                                 np.ones(3))
     eye = sp.identity(3, format="csr")
-    step = -(eye + A)
+    step = -(eye + sp.csr_matrix(A))
     want = sp.bmat([[eye, None, None], [step, eye, None], [None, step, eye]], format="csr")
     want.eliminate_zeros()
     got = system.mat.tocsr()
@@ -93,7 +105,7 @@ def test_operator_csr_follows_step_diagonals_that_cancel_or_are_missing():
         np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
     x = np.random.default_rng(0).standard_normal(9)
     np.testing.assert_allclose(system.mat @ x, want @ x, rtol=1e-15, atol=1e-15)
-    assert A.nnz == 6
+    np.testing.assert_array_equal(system.mat.rows[1][0][1].rows, A)
 
 
 def test_lift_made_blocks_are_held_without_a_rescan():
@@ -104,33 +116,16 @@ def test_lift_made_blocks_are_held_without_a_rescan():
     system = assemble_global_unipc(qcms[:1], qcms[1:], lift([0.8], basis).y, which="predictor")
     assert all(held.rows is mat.rows for row, q in zip(system.mat.rows[2:], qcms[1:])
                for (_, held, _), mat in zip(row, q.pred_mats))
-    # a sparse block a caller hands in is converted to the same matrix
-    sparse = assemble_global_dpm([Qcm(A=q.A.tocsr(), b=q.b) for q in qcms[:1]], lift([0.8], basis).y)
-    lifted = assemble_global_dpm(qcms[:1], lift([0.8], basis).y)
-    assert (sparse.mat.tocsr() != lifted.mat.tocsr()).nnz == 0
 
 
 def test_sparsity_stats_small_matrix():
-    mat = sp.csr_matrix(np.array([[1.0, 0.0], [2.0, 3.0]]))
-    report = condition_number(mat)
+    # M = [[1, 0], [-2, 1]]
+    system = assemble_global_dpm([Qcm(A=carleman.StepMatrix(np.array([[1.0]])), b=np.zeros(1))],
+                                 np.ones(1))
+    report = condition_number(system)
     assert report.nnz == 3
     assert report.s_row == 2
     assert report.s_col == 2
-
-
-def test_stored_zeros_leave_the_callers_matrix_untouched():
-    # a stored zero above the diagonal: counted out of the report, kept in
-    # the caller's matrix, and not mistaken for upper-triangular structure
-    stored = sp.csr_matrix((np.array([2.0, 0.0, 0.5, 1.0]), np.array([0, 1, 0, 1]),
-                            np.array([0, 2, 4])), shape=(2, 2))
-    clean = sp.csr_matrix(np.array([[2.0, 0.0], [0.5, 1.0]]))
-    assert stored.nnz == 4 and clean.nnz == 3
-    report = condition_number(stored)
-    assert (report.s_row, report.s_col, report.nnz) == (2, 2, 3)
-    for method in ("dense_svd", "lanczos"):
-        assert condition_number(stored, method=method) == condition_number(clean, method=method)
-    assert stored.nnz == 4
-    np.testing.assert_array_equal(stored.data, [2.0, 0.0, 0.5, 1.0])
 
 
 def test_export_import_round_trip(tmp_path):
@@ -147,7 +142,7 @@ def test_export_import_round_trip(tmp_path):
 
 
 def test_condition_number_identity_is_exactly_one():
-    eye = sp.identity(40, format="csr")
+    eye = assemble_global_dpm([], np.ones(40))
     for method in ("dense_svd", "lanczos"):
         report = condition_number(eye, method=method)
         assert report.kappa == 1.0
@@ -177,11 +172,12 @@ def test_condition_number_lanczos_rerun_is_identical():
 
 
 def test_condition_number_lanczos_out_of_budget_reports_not_converged(monkeypatch):
-    # a spread-out spectrum that one restart cycle cannot resolve to 1e-8
-    mat = sp.diags(np.linspace(1.0, 100.0, 500)).tocsr()
-    full = condition_number(mat, method="lanczos", rtol=1e-8)
+    # a spread-out spectrum that one restart cycle cannot resolve to 1e-8:
+    # singular values t and 1/t for 250 values of t in [1, 10], so kappa = 100
+    system = pair_system(np.linspace(1.0, 10.0, 250))
+    full = condition_number(system, method="lanczos", rtol=1e-8)
     monkeypatch.setattr("carlift.system.LANCZOS_MAX_ITER", 25)
-    short = condition_number(mat, method="lanczos", rtol=1e-8)
+    short = condition_number(system, method="lanczos", rtol=1e-8)
     assert full.converged and full.kappa == pytest.approx(100.0, rel=1e-8)
     assert not short.converged
     assert short.iterations < full.iterations
@@ -217,33 +213,34 @@ def test_dense_svd_kappa_is_the_same_bytes_as_on_one_blas_thread():
 
 
 def test_condition_number_known_diagonal():
-    mat = sp.diags([4.0, 2.0, 0.5]).tocsr()
-    assert condition_number(mat, method="dense_svd").kappa == pytest.approx(8.0)
-    assert condition_number(mat, method="lanczos", rtol=1e-8).kappa == pytest.approx(
+    # singular values sqrt(8) and 1/sqrt(8)
+    system = pair_system([math.sqrt(8.0)])
+    assert condition_number(system, method="dense_svd").kappa == pytest.approx(8.0)
+    assert condition_number(system, method="lanczos", rtol=1e-8).kappa == pytest.approx(
         8.0, rel=1e-4
     )
 
 
-def test_condition_number_error_paths():
-    upper = sp.csr_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+def test_condition_number_error_paths(monkeypatch):
+    with pytest.raises(ValueError):
+        condition_number(assemble_global_dpm([], np.ones(2001)), method="dense_svd")
+    with pytest.raises(ValueError):
+        condition_number(assemble_global_dpm([], np.ones(4)), method="power")
+    with pytest.raises(ValueError):
+        condition_number(assemble_global_dpm([], np.ones(1)), method="lanczos")
+    # a unit triangular M is never singular in exact arithmetic, but its
+    # smallest singular value can round to 0
+    monkeypatch.setattr(np.linalg, "svd", lambda a, compute_uv: np.array([1.0, 0.0]))
     with pytest.raises(StructureError):
-        condition_number(upper, method="lanczos")
-    with pytest.raises(StructureError):
-        condition_number(sp.csr_matrix((3, 3)), method="dense_svd")
-    with pytest.raises(ValueError):
-        condition_number(sp.identity(2001, format="csr"), method="dense_svd")
-    with pytest.raises(ValueError):
-        condition_number(sp.identity(4, format="csr"), method="power")
-    with pytest.raises(ValueError):
-        condition_number(sp.identity(1, format="csr"), method="lanczos")
+        condition_number(assemble_global_dpm([], np.ones(2)), method="dense_svd")
 
 
 def test_condition_auto_switches_on_size():
-    # ARPACK needs k = 1 < n, so only a 1 x 1 matrix falls back to dense
+    # ARPACK needs k = 1 < n, so only a 1 x 1 system falls back to dense
     for n in (10, 2500):
-        report = condition_number(sp.identity(n, format="csr"))
+        report = condition_number(assemble_global_dpm([], np.ones(n)))
         assert report.method == "lanczos" and report.kappa == 1.0
-    assert condition_number(sp.identity(1, format="csr")).method == "dense_svd"
+    assert condition_number(assemble_global_dpm([], np.ones(1))).method == "dense_svd"
 
 
 def test_global_assembly_refuses_oversized_system_before_allocating(monkeypatch):
