@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError
-from .model import PolyNoiseModel, _derivative_tower, coeff_matrices
+from .model import PolyNoiseModel, _derivative_tower
 from .reference import dpm_weights, uni_weights
 from .schedule import NoiseSchedule, TimeGrid
 
@@ -52,8 +52,8 @@ __all__ = [
     "Qcm",
     "UnipcQcmSet",
     "lift",
-    "step_polynomial_dpm",
-    "assemble_dpm_qcm",
+    "step_polynomials_dpm",
+    "assemble_dpm_qcms",
     "assemble_unipc_qcms",
     "step_lifted",
     "run_lifted",
@@ -293,42 +293,39 @@ class Qcm:
     b: np.ndarray
 
 
-def step_polynomial_dpm(
-    s: NoiseSchedule,
-    m: PolyNoiseModel,
-    i: int,
-    grid: TimeGrid,
-    k: int,
-) -> dict[int, np.ndarray]:
-    """Coefficient matrices of the order-k step map from node i-1 to i,
-    the :func:`carlift.reference.dpm_weights` step written out in powers of x."""
-    lam_s, lam_t = float(grid.lam[i - 1]), float(grid.lam[i])
-    ratio, c = dpm_weights(s, lam_s, lam_t, k)
-    d = m.d
-    P: dict[int, np.ndarray] = {1: ratio * np.eye(d)}
-    for cn, dn in zip(c, _derivative_tower(s, m, k, lam_s)):
-        for q, mat in coeff_matrices(dn, lam_s).items():
-            P[q] = P.get(q, np.zeros((d, d**q))) + cn * mat
-    return P
+def _table_matrices(m: PolyNoiseModel, table) -> dict[int, np.ndarray]:
+    """Coefficient matrices {q: (d, d^q)} of a one-row eps table, all-zero
+    degrees left out; a separable table is one-coordinate here."""
+    mats = [cq[0] for cq in table] if m.mode == "kron" else table[0][:, None]
+    return {q: mat for q, mat in enumerate(mats) if np.any(mat)}
 
 
-def assemble_dpm_qcm(
-    s: NoiseSchedule,
-    m: PolyNoiseModel,
-    i: int,
-    grid: TimeGrid,
-    k: int,
-    basis: CarlemanBasis,
-) -> Qcm:
-    """Lift the order-k step into quantized update form.
+def step_polynomials_dpm(s: NoiseSchedule, m: PolyNoiseModel, lams: np.ndarray,
+                         k: int) -> list[dict[int, np.ndarray]]:
+    """Coefficient matrices of the order-k step maps from lams[i] to
+    lams[i+1], each the :func:`carlift.reference.dpm_weights` step written
+    out in powers of x, from one derivative tower for all step starts."""
+    polys = []
+    for i, tower in enumerate(_derivative_tower(s, m, k, lams[:-1])):
+        ratio, c = dpm_weights(s, float(lams[i]), float(lams[i + 1]), k)
+        P: dict[int, np.ndarray] = {1: ratio * np.eye(m.d)}
+        for cn, table in zip(c, tower):
+            for q, mat in _table_matrices(m, table).items():
+                P[q] = P.get(q, np.zeros((m.d, m.d**q))) + cn * mat
+        polys.append(P)
+    return polys
+
+
+def assemble_dpm_qcms(s: NoiseSchedule, m: PolyNoiseModel, lams: np.ndarray, k: int,
+                      basis: CarlemanBasis) -> list[Qcm]:
+    """Lift the order-k steps over the log-SNRs ``lams`` into quantized update form.
 
     Step-polynomial degrees above the basis truncation N are dropped;
     block 1 (and every block j with j * deg(P) <= N) is otherwise an
     exact image of the sequential step.
     """
     _check_model_basis(m, basis)
-    A, b = _poly_to_update(step_polynomial_dpm(s, m, i, grid, k), basis, delta=True)
-    return Qcm(A=A, b=b)
+    return [Qcm(*_poly_to_update(P, basis, delta=True)) for P in step_polynomials_dpm(s, m, lams, k)]
 
 
 def _check_model_basis(m: PolyNoiseModel, basis: CarlemanBasis) -> None:
@@ -400,14 +397,14 @@ def assemble_unipc_qcms(
     The step anchors at grid node i-p and its interior nodes are the
     grid nodes in between, so every matrix acts on an already-computed
     lifted state.  At p = 1 the predictor degenerates to the order-1
-    lifted step of :func:`assemble_dpm_qcm` exactly.
+    lifted step of :func:`assemble_dpm_qcms` exactly.
     """
     _check_model_basis(m, basis)
     anchor = i - p
     if anchor < 0:
         raise ValueError(f"step to node {i} at order {p} lacks node history")
     lam_nodes = grid.lam[anchor : i + 1]
-    E_nodes = [coeff_matrices(m, float(lam)) for lam in lam_nodes]
+    E_nodes = [_table_matrices(m, eps) for eps, in _derivative_tower(s, m, 1, lam_nodes)]
 
     def lift_step(corrector: bool):
         """Lift the uni_weights step: the anchor row carries c[0] E_0 and
@@ -486,10 +483,10 @@ def run_lifted(
     _check_model_basis(m, basis)
     Y0 = lift(x_T, basis)
     if scheme == "dpm":
-        qcms = [assemble_dpm_qcm(s, m, i, grid, order, basis) for i in range(1, grid.M + 1)]
+        qcms = assemble_dpm_qcms(s, m, grid.lam, order, basis)
     elif scheme == "unipc":
         p = order
-        qcms = [assemble_dpm_qcm(s, m, i, grid, p, basis) for i in range(1, min(p - 1, grid.M) + 1)]
+        qcms = assemble_dpm_qcms(s, m, grid.lam[:p], p, basis)
         qcms += [assemble_unipc_qcms(s, m, i, grid, p, basis, variant=variant)
                  for i in range(p, grid.M + 1)]
     else:

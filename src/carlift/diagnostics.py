@@ -95,9 +95,9 @@ def truncation_sweep(
     """Endpoint error, lifting defect, and conditioning versus truncation N.
 
     The error compares block 1 of the lifted endpoint against an RK4
-    oracle endpoint; the defect is || y_2 - y_1 (x) y_1 || at the
-    endpoint (zero for exactly consistent lifted states, NaN at N = 1
-    where there is no second block).
+    oracle endpoint; the defect is || y_2 - lift(y_1)_2 || at the endpoint
+    (``LiftedState.consistency_defect``, symmetric-monomial basis; zero on
+    exactly lifted states, NaN at N = 1 where there is no second block).
     """
     oracle = rk4_oracle(
         s, m, x_T, substeps=oracle_substeps, times=(float(grid.t[0]), float(grid.t[-1])),

@@ -16,8 +16,9 @@ integrators applies
     D eps = d eps/d lam + (d eps/d x) . (sigma_lam^2 x - sigma_lam eps)
 
 symbolically, with sigma_lam and sigma_lam^2 replaced by fixed-degree
-Taylor polynomials around the expansion point supplied by the caller,
-so the result is again a polynomial model of the same mode.
+Taylor polynomials around an expansion point, so the result is again a
+polynomial in x and lam.  A sampler run builds these derivatives once,
+for all of its step starts at a time, in chunks of expansion points.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "jacobian_eps",
     "drift_jacobian",
     "total_derivative_poly",
-    "coeff_matrices",
 ]
 
 KRON_D_MAX = 4
@@ -50,6 +50,7 @@ MAX_X_DEGREE = 24
 MAX_LAM_DEGREE = 64
 MAX_KRON_COLUMNS = 65536
 SIGMA_TAYLOR_DEGREE = 4
+TOWER_CHUNK_BYTES = 1 << 22  # derivative-tower work arrays per chunk of expansion points
 
 
 @dataclass(frozen=True)
@@ -186,8 +187,10 @@ def _padded_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # --- sigma Taylor expansions ---------------------------------------------
 
 
-def _sigma_recurrences() -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """R_n(q) and S_n(q), n = 0..SIGMA_TAYLOR_DEGREE, as ascending coefficients in q.
+def _sigma_recurrences() -> tuple[np.ndarray, np.ndarray]:
+    """S_n(q) and R_n(q), n = 0..SIGMA_TAYLOR_DEGREE, as ascending coefficients
+    in q zero-padded into one array (2, SIGMA_TAYLOR_DEGREE + 1,
+    SIGMA_TAYLOR_DEGREE + 2), S first; and the factorials n!.
 
     q = sigma_lam^2 obeys dq/dlam = -2 q (1 - q), so
 
@@ -203,39 +206,38 @@ def _sigma_recurrences() -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]
     for _ in range(SIGMA_TAYLOR_DEGREE):
         R.append(npoly.polymul(npoly.polyder(R[-1]), shrink))
         S.append(npoly.polyadd(npoly.polymul(-one_minus, S[-1]), npoly.polymul(shrink, npoly.polyder(S[-1]))))
-    return tuple(R), tuple(S)
+    polys = np.zeros((2, SIGMA_TAYLOR_DEGREE + 1, SIGMA_TAYLOR_DEGREE + 2))
+    for n, (Sn, Rn) in enumerate(zip(S, R)):
+        polys[0, n, : len(Sn)], polys[1, n, : len(Rn)] = Sn, Rn
+    return polys, np.array([math.factorial(n) for n in range(SIGMA_TAYLOR_DEGREE + 1)], dtype=float)
 
 
-_SIGMA_R, _SIGMA_S = _sigma_recurrences()
+_SIGMA_POLYS, _FACTORIALS = _sigma_recurrences()
 
 
-def _sigma_lambda_polys(s: NoiseSchedule, lam_center: float):
+def _sigma_lambda_polys(s: NoiseSchedule, lams: np.ndarray):
     """Degree-SIGMA_TAYLOR_DEGREE polynomials of sigma_lam and sigma_lam^2 in lam.
 
-    The Taylor coefficients at lam_center are R_n(q0) / n! and
-    sigma0 S_n(q0) / n! (see :func:`_sigma_recurrences`), re-expressed
-    in the absolute lam basis.  Returns (s1, s2): coefficient arrays for
-    sigma_lam and sigma_lam^2.
+    The Taylor coefficients at each lam_c in ``lams`` (1-d) are
+    sigma0 S_n(q0) / n! and R_n(q0) / n! (see :func:`_sigma_recurrences`),
+    re-expressed in the absolute lam basis.  Returns (s1, s2), the
+    coefficients of sigma_lam and sigma_lam^2, one row per lam_c.
     """
-    q0 = float(expit(-2.0 * lam_center))
-    sig0 = math.sqrt(q0)
-    degree = SIGMA_TAYLOR_DEGREE
-    tay_q = np.empty(degree + 1)
-    tay_s = np.empty(degree + 1)
-    for n, (R, S) in enumerate(zip(_SIGMA_R, _SIGMA_S)):
-        tay_q[n] = npoly.polyval(q0, R) / math.factorial(n)
-        tay_s[n] = sig0 * npoly.polyval(q0, S) / math.factorial(n)
-
-    def shift(taylor: np.ndarray) -> np.ndarray:
-        out = np.zeros(degree + 1)
-        pw = np.array([1.0])
-        base = np.array([-lam_center, 1.0])
-        for a in taylor:
-            out[: len(pw)] += a * pw
-            pw = npoly.polymul(pw, base)
-        return out
-
-    return shift(tay_s), shift(tay_q)
+    q0 = expit(-2.0 * lams)
+    taylor = _SIGMA_POLYS[..., -1, None] + q0 * 0  # Horner in q0, as npoly.polyval
+    for i in range(2, _SIGMA_POLYS.shape[-1] + 1):
+        taylor = _SIGMA_POLYS[..., -i, None] + taylor * q0
+    taylor[0] *= np.sqrt(q0)
+    taylor = (taylor / _FACTORIALS[:, None]).transpose(0, 2, 1)
+    out = np.zeros_like(taylor)
+    pw = np.zeros_like(taylor)  # (lam - lam_c)^n
+    pw[..., 0] = 1.0
+    for n in range(SIGMA_TAYLOR_DEGREE + 1):
+        out += taylor[..., n, None] * pw
+        shifted = pw * -lams[:, None]
+        shifted[..., 1:] += pw[..., :-1]
+        pw = shifted
+    return out[0], out[1]
 
 
 # --- evaluation ------------------------------------------------------------
@@ -271,8 +273,7 @@ def _eps_tables(m: PolyNoiseModel, lams: np.ndarray):
             else _lam_collapse(cj, lams)
             for cj in m.coeffs
         ]
-    clam = np.polynomial.polynomial.polyval(lams, m.coeffs.transpose(2, 0, 1))  # (d, J+1, n)
-    return clam.transpose(2, 1, 0)
+    return _center_tables(m, m.coeffs, lams)
 
 
 def _eval_tabulated(m: PolyNoiseModel, tables, i: int, x):
@@ -368,15 +369,16 @@ def _velocity_batch(arr0: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndar
     """dx/dlam = sigma^2 x - sigma eps as a batch polynomial.
 
     Built from the undifferentiated model; the same velocity enters every
-    application of the derivative operator.
+    application of the derivative operator.  ``s1`` and ``s2`` hold a sigma
+    and a sigma^2 polynomial per batch row, or one for all rows.
     """
     B, J1, L1 = arr0.shape
-    Lv = max(len(s2), len(s1) + L1 - 1)
-    Jv = max(2, J1)
-    v = np.zeros((B, Jv, Lv))
-    v[:, 1, : len(s2)] += s2[None, :]
-    for l1, c in enumerate(s1):
-        if c != 0.0:
+    Lv = max(s2.shape[-1], s1.shape[-1] + L1 - 1)
+    v = np.zeros((B, max(2, J1), Lv))
+    v[:, 1, : s2.shape[-1]] += s2
+    for l1 in range(s1.shape[-1]):
+        c = s1[..., l1, None, None]
+        if c.any():
             v[:, :J1, l1 : l1 + L1] -= c * arr0
     return _trim_batch(v)
 
@@ -393,20 +395,22 @@ def _deriv_once_batch(arr: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _lamconv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Convolve two kron blocks along their leading lam axis (matrix product
-    applied elsewhere); here a is (La, p, q) and b a 1-d lam-coefficient
-    array, returning (La + len(b) - 1, p, q)."""
-    out = np.zeros((a.shape[0] + len(b) - 1,) + a.shape[1:])
-    for l2, c in enumerate(b):
-        if c != 0.0:
-            out[l2 : l2 + a.shape[0]] += c * a
+    """Convolve kron blocks a (..., La, p, q) along their lam axis with the
+    lam coefficients b (..., Lb), returning (..., La + Lb - 1, p, q).  Here
+    and below, leading axes (one per expansion point) are carried through."""
+    lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-1])
+    out = np.zeros(lead + (a.shape[-3] + b.shape[-1] - 1,) + a.shape[-2:])
+    for l2 in range(b.shape[-1]):
+        c = b[..., l2, None, None, None]
+        if c.any():
+            out[..., l2 : l2 + a.shape[-3], :, :] += c * a
     return out
 
 
 def _velocity_kron(blocks0: list[np.ndarray], s1, s2, d: int) -> dict[int, np.ndarray]:
     """dx/dlam = sigma^2 x - sigma eps as lam-polynomial kron blocks keyed
     by x-degree, built once from the undifferentiated model."""
-    v: dict[int, np.ndarray] = {1: s2[:, None, None] * np.eye(d)[None, :, :]}
+    v: dict[int, np.ndarray] = {1: s2[..., None, None] * np.eye(d)}
     for q, cq in enumerate(blocks0):
         if not np.any(cq):
             continue
@@ -417,6 +421,7 @@ def _velocity_kron(blocks0: list[np.ndarray], s1, s2, d: int) -> dict[int, np.nd
 
 def _deriv_once_kron(blocks: list[np.ndarray], v: dict[int, np.ndarray], d: int) -> list[np.ndarray]:
     J = len(blocks) - 1
+    lead = blocks[0].shape[:-3]
     max_q = max(v.keys())
     out_deg = max(J, J - 1 + max_q) if J >= 1 else J
     out: dict[int, np.ndarray] = {}
@@ -427,8 +432,8 @@ def _deriv_once_kron(blocks: list[np.ndarray], v: dict[int, np.ndarray], d: int)
 
     # d/dlam term
     for j, cj in enumerate(blocks):
-        if cj.shape[0] > 1:
-            acc(j, cj[1:] * np.arange(1, cj.shape[0])[:, None, None])
+        if cj.shape[-3] > 1:
+            acc(j, cj[..., 1:, :, :] * np.arange(1, cj.shape[-3])[:, None, None])
 
     # (d eps/dx) . v: cj @ (I_{d^a} (x) V (x) I_{d^b}) contracts V's row
     # index against slot a of x^{(j)}, batched over both lam axes
@@ -442,55 +447,93 @@ def _deriv_once_kron(blocks: list[np.ndarray], v: dict[int, np.ndarray], d: int)
             deg_new = j - 1 + q
             if d**deg_new > MAX_KRON_COLUMNS:
                 raise CapacityError("kron derivative exceeds supported block size")
-            Lc, Lv = cj.shape[0], vq.shape[0]
-            prod = np.zeros((Lc + Lv - 1, d, d**deg_new))
+            Lc, Lv = cj.shape[-3], vq.shape[-3]
+            prod = np.zeros(lead + (Lc + Lv - 1, d, d**deg_new))
             for a in range(j):
-                slots = cj.reshape(Lc, d, d**a, d, d ** (j - 1 - a))
-                terms = np.einsum("xiasb,yst->xyiatb", slots, vq).reshape(Lc, Lv, d, d**deg_new)
+                slots = cj.reshape(lead + (Lc, d, d**a, d, d ** (j - 1 - a)))
+                terms = np.einsum("...xiasb,...yst->...xyiatb", slots, vq)
+                terms = terms.reshape(lead + (Lc, Lv, d, d**deg_new))
                 for l1 in range(Lc):
-                    prod[l1 : l1 + Lv] += terms[l1]
+                    prod[..., l1 : l1 + Lv, :, :] += terms[..., l1, :, :, :]
             acc(deg_new, prod)
 
-    filled = [out[j] if j in out else np.zeros((1, d, d**j)) for j in range(out_deg + 1)]
+    filled = [out[j] if j in out else np.zeros(lead + (1, d, d**j)) for j in range(out_deg + 1)]
     # drop trailing all-zero degrees
     while len(filled) > 1 and not np.any(filled[-1]):
         filled.pop()
     return filled
 
 
-def _derivative_tower(
-    s: NoiseSchedule,
-    m: PolyNoiseModel,
-    k: int,
-    lam_center: float,
-) -> list[PolyNoiseModel]:
-    """The total derivatives D^0 eps, ..., D^{k-1} eps as polynomial models.
-
-    sigma_lam and sigma_lam^2 are expanded once around lam_center (not
-    at all for k = 1), the velocity is built once from the model, and
-    each derivative is taken from the one before it.  Element 0 is the
-    model itself.
-    """
-    tower = [m]
+def _tower_levels(s: NoiseSchedule, m: PolyNoiseModel, k: int, lams: np.ndarray):
+    """Yield D^1 eps, ..., D^{k-1} eps around each point of ``lams``: the
+    coefficients, batched over the points (kron blocks (C, L+1, d, d^j);
+    separable rows (C*d, J+1, L+1), point c in rows c*d ..), and point 0's
+    model.  sigma_lam, sigma_lam^2 and the velocity are built once for all
+    points, and each derivative is taken from the one before it."""
     if k < 2:
-        return tower
-    s1, s2 = _sigma_lambda_polys(s, lam_center)
+        return
+    s1, s2 = _sigma_lambda_polys(s, lams)
     kron = m.mode == "kron"
-    coeffs = list(m.coeffs) if kron else m.coeffs
-    v = _velocity_kron(coeffs, s1, s2, m.d) if kron else _velocity_batch(coeffs, s1, s2)
+    if kron:
+        coeffs = [np.repeat(cj[None], len(lams), axis=0) for cj in m.coeffs]
+        v = _velocity_kron(coeffs, s1, s2, m.d)
+    else:
+        coeffs = np.tile(m.coeffs, (len(lams), 1, 1))
+        v = _velocity_batch(coeffs, np.repeat(s1, m.d, axis=0), np.repeat(s2, m.d, axis=0))
     for _ in range(k - 1):
         coeffs = _deriv_once_kron(coeffs, v, m.d) if kron else _deriv_once_batch(coeffs, v)
         # the constructor's capacity check stops a runaway degree before the next pass
-        tower.append(PolyNoiseModel(mode=m.mode, d=m.d, coeffs=coeffs))
+        yield coeffs, PolyNoiseModel(mode=m.mode, d=m.d,
+                                     coeffs=[cj[0] for cj in coeffs] if kron else coeffs[: m.d])
+
+
+def _center_tables(m: PolyNoiseModel, level, lams: np.ndarray):
+    """Collapse per-point coefficients (batched as :func:`_tower_levels`
+    yields them, or ``m.coeffs`` for all points), each at its own point of
+    ``lams``, into the layout of :func:`_eps_tables`.  Kron blocks with lam
+    dependence are collapsed one point at a time, keeping a single collapse's bits."""
+    if m.mode == "kron":
+        return [np.broadcast_to(cj[..., 0, :, :], (len(lams),) + cj.shape[-2:]) if cj.shape[-3] == 1
+                else np.array([_lam_collapse(b, lam) for b, lam in
+                               zip(np.broadcast_to(cj, (len(lams),) + cj.shape[-3:]), lams)])
+                for cj in level]
+    c = level.reshape((-1, m.d) + level.shape[1:]).transpose(3, 1, 2, 0)  # (L+1, d, J+1, C)
+    return npoly.polyval(lams, c, tensor=False).transpose(2, 1, 0)
+
+
+def _tower_chunk(m: PolyNoiseModel, k: int) -> int:
+    """Expansion points per chunk: D^{k-1} eps per point, times the velocity's
+    lam length for the products that build it, within TOWER_CHUNK_BYTES."""
+    L, Lv = m.lam_degree + 1, m.lam_degree + 1 + SIGMA_TAYLOR_DEGREE
+    top_J = m.x_degree + (k - 1) * max(m.x_degree - 1, 0)
+    cols = m.d**top_J if m.mode == "kron" else top_J + 1
+    return max(1, TOWER_CHUNK_BYTES // (8 * m.d * cols * (L + (k - 1) * (Lv - 1)) * Lv))
+
+
+def _derivative_tower(s: NoiseSchedule, m: PolyNoiseModel, k: int, lams) -> list:
+    """The total derivatives D^0 eps, ..., D^{k-1} eps around each point of ``lams``.
+
+    ``lams`` is a 1-d array of expansion points, a run's step starts.
+    Element i is the tower at lams[i]: D^n eps for n < k, each collapsed
+    there into a one-row table (the layout of :func:`_eps_tables`).  It is
+    built for all points at once, in chunks of :func:`_tower_chunk` points.
+    A scalar ``lams`` gives the models D^n eps themselves, element 0 m.
+    """
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim == 0:
+        return [m] + [dn for _, dn in _tower_levels(s, m, k, lams.reshape(1))]
+    step = _tower_chunk(m, k)
+    tower = []
+    for part in (lams[lo : lo + step] for lo in range(0, len(lams), step)):
+        levels = [m.coeffs] + [coeffs for coeffs, _ in _tower_levels(s, m, k, part)]
+        tables = [_center_tables(m, level, part) for level in levels]
+        tower += [[[cj[c : c + 1] for cj in t] if m.mode == "kron" else t[c : c + 1] for t in tables]
+                  for c in range(len(part))]
     return tower
 
 
-def total_derivative_poly(
-    s: NoiseSchedule,
-    m: PolyNoiseModel,
-    n: int,
-    lam_center: float,
-) -> PolyNoiseModel:
+def total_derivative_poly(s: NoiseSchedule, m: PolyNoiseModel, n: int,
+                          lam_center: float) -> PolyNoiseModel:
     """n-th total derivative of eps along the flow, as a polynomial model.
 
     The chain rule D eps = d_lam eps + (d_x eps) . (sigma^2 x - sigma eps)
@@ -498,32 +541,8 @@ def total_derivative_poly(
     degree-SIGMA_TAYLOR_DEGREE Taylor polynomials around lam_center, so
     the result is exact up to the O((lam - lam_center)^{SIGMA_TAYLOR_DEGREE+1})
     truncation of those two factors.  n = 0 returns the model unchanged.
-    This is element n of :func:`_derivative_tower`, which the sampler
-    and the lift read directly.
+    This is the one-point :func:`_derivative_tower`.
     """
     if n < 0:
         raise ValueError("need n >= 0")
     return _derivative_tower(s, m, n + 1, lam_center)[n]
-
-
-def coeff_matrices(m: PolyNoiseModel, lam: float) -> dict[int, np.ndarray]:
-    """Coefficient matrices {j: (d, d^j)} of eps at a fixed lam.
-
-    Only kron and one-coordinate separable models admit this form;
-    separable models with d > 1 do not have a flat Kronecker coefficient
-    representation.
-    """
-    if m.mode == "separable" and m.d > 1:
-        raise ValueError("separable models have no kron coefficient form")
-    out: dict[int, np.ndarray] = {}
-    if m.mode == "kron":
-        for j, cj in enumerate(m.coeffs):
-            mat = _lam_collapse(cj, lam)
-            if np.any(mat):
-                out[j] = mat
-        return out
-    clam = np.polynomial.polynomial.polyval(lam, m.coeffs[0].T)
-    for j, c in enumerate(np.atleast_1d(clam)):
-        if c != 0.0:
-            out[j] = np.array([[c]])
-    return out

@@ -28,7 +28,6 @@ __all__ = [
     "SolverRun",
     "rk4_oracle",
     "dpm_weights",
-    "dpm_step",
     "uni_coeffs",
     "uni_weights",
     "run_dpm",
@@ -168,28 +167,15 @@ def _apply_weights(ratio: float, c: np.ndarray, x0: np.ndarray, eps: list[np.nda
     return out
 
 
-def _taylor_step(s: NoiseSchedule, m: PolyNoiseModel, x: np.ndarray, i: int, grid: TimeGrid,
-                 k: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`dpm_step` from the state array x, also returning the
-    eps(x, lam_s) it evaluated as the n = 0 term."""
-    if not (1 <= i <= grid.M):
-        raise ValueError(f"step index {i} outside 1..{grid.M}")
-    lam_s, lam_t = float(grid.lam[i - 1]), float(grid.lam[i])
-    ratio, c = dpm_weights(s, lam_s, lam_t, k)
-    ders = [eval_eps(dn, x, lam_s) for dn in _derivative_tower(s, m, k, lam_s)]
-    return _apply_weights(ratio, c, x, ders), ders[0]
-
-
-def dpm_step(
-    s: NoiseSchedule,
-    m: PolyNoiseModel,
-    x,
-    i: int,
-    grid: TimeGrid,
-    k: int,
-) -> np.ndarray:
-    """Order-k single step from grid node i-1 to node i (see :func:`dpm_weights`)."""
-    return _taylor_step(s, m, np.atleast_1d(np.asarray(x, dtype=float)), i, grid, k)[0]
+def _taylor_walk(s: NoiseSchedule, m: PolyNoiseModel, x: np.ndarray, lams: np.ndarray, k: int):
+    """Order-k single steps (see :func:`dpm_weights`) from the state x over the
+    log-SNRs ``lams``, from one derivative tower for all step starts; each
+    yields its new state and the eps(x_s, lam_s) it evaluated as the n = 0 term."""
+    for i, tower in enumerate(_derivative_tower(s, m, k, lams[:-1])):
+        ratio, c = dpm_weights(s, float(lams[i]), float(lams[i + 1]), k)
+        ders = [_eval_tabulated(m, table, 0, x) for table in tower]
+        x = _apply_weights(ratio, c, x, ders)
+        yield x, ders[0]
 
 
 def uni_coeffs(
@@ -274,9 +260,8 @@ def run_dpm(
     """Run the order-k derivative-based sampler over the grid."""
     x = np.atleast_1d(np.asarray(x_T, dtype=float)).copy()
     pts = [TrajectoryPoint(float(grid.t[0]), float(grid.lam[0]), x.copy())]
-    for i in range(1, grid.M + 1):
-        x = dpm_step(s, m, x, i, grid, k)
-        pts.append(TrajectoryPoint(float(grid.t[i]), float(grid.lam[i]), x.copy()))
+    for i, (x, _) in enumerate(_taylor_walk(s, m, x, grid.lam, k), start=1):
+        pts.append(TrajectoryPoint(float(grid.t[i]), float(grid.lam[i]), x))
     return SolverRun(grid=grid, states=pts, nfe=k * grid.M, scheme=f"dpm{k}")
 
 
@@ -303,8 +288,7 @@ def run_unipc(
     scheme = ("unic" if corrector else "unip") + str(p)
 
     eps: list[np.ndarray] = []  # eps at pts[0], pts[1], ...: each state is evaluated once
-    for i in range(1, min(p - 1, grid.M) + 1):
-        x, eps_s = _taylor_step(s, m, pts[-1].x, i, grid, k=p)
+    for i, (x, eps_s) in enumerate(_taylor_walk(s, m, x, grid.lam[:p], p), start=1):
         eps.append(eps_s)  # the warm-up step's n = 0 term
         nfe += p
         pts.append(TrajectoryPoint(float(grid.t[i]), float(grid.lam[i]), x))

@@ -12,18 +12,18 @@ from carlift.carleman import (
     Qcm,
     UnipcQcmSet,
     _poly_to_update,
-    assemble_dpm_qcm,
+    assemble_dpm_qcms,
     assemble_unipc_qcms,
     lift,
     run_lifted,
     step_lifted,
-    step_polynomial_dpm,
+    step_polynomials_dpm,
 )
 from carlift.errors import CapacityError
 from carlift.model import kron_model, scalar_model, separable_model
 from carlift.presets import benchmark
-from carlift.reference import dpm_step, rk4_oracle, run_dpm, run_unipc
-from carlift.schedule import make_lambda_grid, make_vp_schedule
+from carlift.reference import rk4_oracle, run_dpm, run_unipc
+from carlift.schedule import TimeGrid, make_lambda_grid, make_vp_schedule
 from oracles import KronBasis, compose_poly_power, kron_poly_to_update, symmetric_embedding
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
@@ -172,6 +172,12 @@ def test_compose_poly_power_truncates_high_degrees():
         compose_poly_power({1: np.ones((2, 2))}, 1, basis)
 
 
+def sampler_step(m, x, i, grid, k):
+    """The sampler's order-k step from x at node i-1 to node i."""
+    one_step = TimeGrid(t=grid.t[i - 1 : i + 1], lam=grid.lam[i - 1 : i + 1])
+    return run_dpm(S, m, x, one_step, k).endpoint
+
+
 def test_step_polynomial_reproduces_sequential_step():
     grid = make_lambda_grid(S, 1.0, 0.1, 6)
     rng = np.random.default_rng(23)
@@ -182,10 +188,11 @@ def test_step_polynomial_reproduces_sequential_step():
     for m, d in ((QUAD, 1), (mk, 2)):
         x = rng.normal(size=d) + 1.0
         for k in (1, 2):
+            polys = step_polynomials_dpm(S, m, grid.lam, k)
+            assert len(polys) == grid.M
             for i in (1, 3):
-                P = step_polynomial_dpm(S, m, i, grid, k)
-                via_poly = sum(mat @ kron_power(x, q) for q, mat in P.items())
-                direct = dpm_step(S, m, x, i, grid, k)
+                via_poly = sum(mat @ kron_power(x, q) for q, mat in polys[i - 1].items())
+                direct = sampler_step(m, x, i, grid, k)
                 assert np.allclose(via_poly, direct, rtol=1e-12, atol=1e-12)
 
 
@@ -195,11 +202,13 @@ def test_lifted_step_block1_is_exact_on_lifted_states():
     basis = CarlemanBasis(N=2, d=1)
     grid = make_lambda_grid(S, 1.0, 0.1, 4)
     x = np.array([1.3])
-    qcm = assemble_dpm_qcm(S, QUAD, 1, grid, 1, basis)
-    y1 = step_lifted(qcm, lift(x, basis).y)
-    assert np.allclose(
-        y1[basis.block_slice(1)], dpm_step(S, QUAD, x, 1, grid, 1), atol=1e-14
-    )
+    qcms = assemble_dpm_qcms(S, QUAD, grid.lam, 1, basis)
+    assert len(qcms) == grid.M
+    for i in (1, 4):
+        y1 = step_lifted(qcms[i - 1], lift(x, basis).y)
+        assert np.allclose(
+            y1[basis.block_slice(1)], sampler_step(QUAD, x, i, grid, 1), atol=1e-14
+        )
 
 
 def test_lifted_linear_trajectory_matches_sequential():
@@ -298,7 +307,7 @@ def test_run_lifted_rejects_unknown_scheme_and_mismatched_model():
     with pytest.raises(ValueError):
         run_lifted(S, QUAD, [1.0], grid, basis, scheme="euler")
     with pytest.raises(ValueError):
-        assemble_dpm_qcm(S, kron_model(2, {1: np.eye(2)}), 1, grid, 1, basis)
+        assemble_dpm_qcms(S, kron_model(2, {1: np.eye(2)}), grid.lam, 1, basis)
     with pytest.raises(ValueError):
-        assemble_dpm_qcm(S, separable_model(np.zeros((2, 2, 1))), 1, grid, 1,
-                         CarlemanBasis(N=2, d=2, mode="kron"))
+        assemble_dpm_qcms(S, separable_model(np.zeros((2, 2, 1))), grid.lam, 1,
+                          CarlemanBasis(N=2, d=2, mode="kron"))

@@ -69,12 +69,17 @@ def test_every_exported_function_is_called_outside_the_tests():
     assert not stale, f"allowed as uncalled but called or no longer exported: {stale}"
 
 
+def is_label(node) -> bool:
+    """A string literal or a named constant, as a Tracer.call label is."""
+    return isinstance(node, ast.Name) or (isinstance(node, ast.Constant) and isinstance(node.value, str))
+
+
 def source_calls(paths=SOURCES):
     """(callee name, callee node, positional argument nodes, keyword names)
     of every call in ``paths``, by default src/carlift and benchmark/*.py.
-    functools.partial(fn, ...) and Tracer.call("label", fn, ...) count as
-    calls of fn with the arguments after it; a keyword name None stands
-    for ``**kwargs``."""
+    functools.partial(fn, ...) and Tracer.call(label, fn, ...), the label
+    a string literal or a named constant, count as calls of fn with the
+    arguments after it; a keyword name None stands for ``**kwargs``."""
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if not isinstance(node, ast.Call):
@@ -84,8 +89,7 @@ def source_calls(paths=SOURCES):
             name = getattr(func, "id", getattr(func, "attr", None))
             if name == "partial" and args:
                 func, args = args[0], args[1:]
-            elif (name == "call" and len(args) >= 2 and isinstance(args[0], ast.Constant)
-                  and isinstance(args[0].value, str)):
+            elif name == "call" and len(args) >= 2 and is_label(args[0]):
                 func, args = args[1], args[2:]
                 keywords = [kw for kw in keywords if kw != "alloc"]  # Tracer's own option
             name = getattr(func, "id", getattr(func, "attr", None))
@@ -134,20 +138,48 @@ def benchmark_imports() -> dict[str, object]:
     return found
 
 
+def resolve(node, names: dict[str, object]):
+    """The object a name or a module attribute (cli.main) refers to, or None."""
+    if isinstance(node, ast.Name):
+        return names.get(node.id)
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        mod = names.get(node.value.id)
+        return getattr(mod, node.attr, None) if inspect.ismodule(mod) else None
+    return None
+
+
+def benchmark_names() -> dict[str, object]:
+    """:func:`benchmark_imports` plus the module-level aliases benchmark/*.py
+    binds to them, such as ``TOTAL_DERIVATIVE = model.total_derivative_poly``."""
+    names = benchmark_imports()
+    for path in BENCHMARK_SOURCES:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)):
+                target = resolve(node.value, names)
+                if target is not None:
+                    names[node.targets[0].id] = target
+    return names
+
+
+def forwards(args, keywords) -> bool:
+    """A call f(*args, **kwargs) passes its own caller's arguments on."""
+    return len(args) == 1 and isinstance(args[0], ast.Starred) and keywords == [None]
+
+
 def test_benchmark_calls_bind_to_the_current_signatures():
     """A call in benchmark/*.py of a function or class it imports from
-    carlift, by name or as an attribute of an imported module (cli.main),
-    must bind its positional count and keyword names.  Attribute reads,
-    such as ``q.corr_target.nnz``, and calls of methods are not covered."""
-    imported = benchmark_imports()
+    carlift, by name, as an attribute of an imported module (cli.main) or
+    through a module-level alias, must bind its positional count and
+    keyword names.  Attribute reads, such as ``q.corr_target.nnz``, calls
+    of methods and calls that only forward ``*args, **kwargs`` are not
+    covered."""
+    imported = benchmark_names()
     bound = set()
     for name, func, args, keywords in source_calls(BENCHMARK_SOURCES):
-        target = None
-        if isinstance(func, ast.Name):
-            target = imported.get(func.id)
-        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            mod = imported.get(func.value.id)
-            target = getattr(mod, func.attr, None) if inspect.ismodule(mod) else None
+        if forwards(args, keywords):
+            continue
+        target = resolve(func, imported)
         if target is None or inspect.ismodule(target):
             continue
         assert None not in keywords and not any(isinstance(arg, ast.Starred) for arg in args), (
@@ -159,4 +191,4 @@ def test_benchmark_calls_bind_to_the_current_signatures():
             raise AssertionError(f"{name} at benchmark line {func.lineno} does not bind to "
                                  f"{signature}: {exc}") from None
         bound.add(name)
-    assert {"CarlemanBasis", "truncation_sweep", "rk4_oracle", "main"} <= bound
+    assert {"CarlemanBasis", "truncation_sweep", "rk4_oracle", "main", "TOTAL_DERIVATIVE"} <= bound

@@ -5,6 +5,7 @@ derivative, sp.bmat global assembly, the global CSR matrix the
 trajectory operator builds, and the sequential lifted walk."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,14 +23,16 @@ from carlift.model import (
     _batch_mul,
     _deriv_once_kron,
     _derivative_tower,
+    _eps_tables,
     _lamconv,
     _trim_batch,
     _velocity_batch,
     _velocity_kron,
     kron_model,
     separable_model,
+    total_derivative_poly,
 )
-from carlift.reference import run_dpm
+from carlift.reference import run_dpm, run_unipc
 from carlift.schedule import make_lambda_grid, make_vp_schedule
 from carlift.solve import forward_substitute
 from carlift.system import (
@@ -311,19 +314,64 @@ def test_derivative_tower_matches_per_n_rebuild(seed, kron, d, J, lam_center):
             assert got.shape == want.shape and np.array_equal(got, want)
 
 
-def test_run_dpm_expands_sigma_once_per_step(monkeypatch):
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kron=st.booleans(),
+    d=st.integers(1, 3),
+    J=st.integers(0, 2),
+    k=st.integers(1, 4),
+    C=st.integers(1, 6),
+    one_point_chunks=st.booleans(),
+)
+def test_derivative_tower_matches_one_point_derivatives(seed, kron, d, J, k, C, one_point_chunks):
+    rng = np.random.default_rng(seed)
+    m = random_poly_model(rng, kron, d, J)
+    lams = rng.uniform(-4.0, 5.0, C)
+    with mock.patch.object(model, "TOWER_CHUNK_BYTES", 1 if one_point_chunks else model.TOWER_CHUNK_BYTES):
+        tower = _derivative_tower(S, m, k, lams)
+    assert len(tower) == C and all(len(at_lam) == k for at_lam in tower)
+    for at_lam, lam in zip(tower, lams):
+        for n, got in enumerate(at_lam):
+            want = _eps_tables(total_derivative_poly(S, m, n, lam), np.array([lam]))
+            if kron:
+                assert len(got) == len(want)
+                assert all(g.shape == w.shape and np.array_equal(g, w) for g, w in zip(got, want))
+            else:
+                assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_samplers_and_lift_expand_sigma_once_per_chunk(monkeypatch):
     calls = []
     expand = model._sigma_lambda_polys
 
-    def counted(s, lam_center):
-        calls.append(lam_center)
-        return expand(s, lam_center)
+    def counted(s, lams):
+        calls.append(np.array(lams))
+        return expand(s, lams)
 
     monkeypatch.setattr(model, "_sigma_lambda_polys", counted)
     m = separable_model([[[0.2, 0.1], [-0.6, 0.0], [0.25, 0.05]]])
     grid = make_lambda_grid(S, 0.5, 0.1, 12)
-    run_dpm(S, m, [1.5], grid, k=3)
-    assert calls == [float(lam) for lam in grid.lam[:-1]]
+    basis = CarlemanBasis(N=2, d=1)
+    runs = {  # each with the step starts its derivative tower is built for
+        "run_dpm": (lambda: run_dpm(S, m, [1.5], grid, k=3).state_matrix(), grid.lam[:-1]),
+        "run_unipc": (lambda: run_unipc(S, m, [1.5], grid, p=3, corrector=True).state_matrix(),
+                      grid.lam[:2]),
+        "run_lifted dpm": (lambda: np.stack([st.y for st in run_lifted(
+            S, m, [1.5], grid, basis, scheme="dpm", order=3)[0]]), grid.lam[:-1]),
+        "run_lifted unipc": (lambda: np.stack([st.y for st in run_lifted(
+            S, m, [1.5], grid, basis, scheme="unipc", order=3, corrector=True)[0]]), grid.lam[:2]),
+    }
+    for name, (run, starts) in runs.items():
+        calls.clear()
+        whole = run()
+        assert len(calls) == 1 and np.array_equal(calls[0], starts), name
+        calls.clear()
+        with mock.patch.object(model, "_tower_chunk", lambda m, k: 5):
+            chunked = run()
+        assert len(calls) == -(-len(starts) // 5), name
+        assert all(np.array_equal(got, starts[lo : lo + 5]) for got, lo in zip(calls, range(0, 12, 5)))
+        assert np.array_equal(chunked, whole), name
     calls.clear()
     run_dpm(S, m, [1.5], grid, k=1)
     assert calls == []

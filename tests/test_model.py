@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from carlift.carleman import _table_matrices
 from carlift.errors import CapacityError
 from carlift.model import (
     PolyNoiseModel,
-    coeff_matrices,
+    _derivative_tower,
     drift_eigenvalues,
     drift_jacobian,
     eval_eps,
@@ -270,9 +271,11 @@ def test_constructor_validation():
         eval_eps(zero_model(d=2, mode="separable"), [1.0], 0.0)
 
 
-def test_coeff_matrices_round_trip():
+def test_tabulated_coefficient_matrices_round_trip():
+    # the lift reads each step's {q: (d, d^q)} matrices from the rows of
+    # the derivative tower's tables
     m = scalar_model({(0, 0): 0.5, (2, 1): -0.3})
-    mats = coeff_matrices(m, 2.0)
+    mats = _table_matrices(m, _derivative_tower(S, m, 1, [1.0, 2.0])[1][0])
     assert set(mats) == {0, 2}
     assert mats[0][0, 0] == 0.5
     assert mats[2][0, 0] == pytest.approx(-0.6)
@@ -281,11 +284,9 @@ def test_coeff_matrices_round_trip():
     mk = random_kron(rng, d=2, jmax=2)
     x = rng.normal(size=2)
     lam = 0.25
-    rebuilt = sum(mat @ kron_power(x, j) for j, mat in coeff_matrices(mk, lam).items())
+    (table,), = _derivative_tower(S, mk, 1, [lam])
+    rebuilt = sum(mat @ kron_power(x, j) for j, mat in _table_matrices(mk, table).items())
     assert np.allclose(rebuilt, eval_eps(mk, x, lam), rtol=1e-12)
-
-    with pytest.raises(ValueError):
-        coeff_matrices(zero_model(d=2, mode="separable"), 0.0)
 
 
 def test_zero_model_modes():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from carlift import reference
-from carlift.model import eval_eps, kron_model, scalar_model, separable_model
+from carlift.model import _eval_tabulated, eval_eps, kron_model, scalar_model, separable_model
 from carlift.presets import benchmark
 from carlift.reference import dpm_weights, rk4_oracle, run_dpm, run_unipc, uni_coeffs, uni_weights
 from carlift.schedule import make_lambda_grid, make_vp_schedule, phi_moment, taylor_integral
@@ -206,6 +206,10 @@ def test_multistep_unipc_evaluates_each_state_once(monkeypatch):
         calls.append((id(m), np.asarray(x).tobytes(), float(lam)))
         return eval_eps(m, x, lam)
 
+    def counted_tabulated(m, tables, i, x):
+        calls.append((id(tables), i, np.asarray(x).tobytes()))
+        return _eval_tabulated(m, tables, i, x)
+
     bench = benchmark("weak_quadratic")
     grid = bench.grid(16)
     expected = {}
@@ -213,11 +217,13 @@ def test_multistep_unipc_evaluates_each_state_once(monkeypatch):
         expected[p, corrector] = run_unipc(S, bench.model(), [bench.x_T], grid, p=p,
                                            corrector=corrector)
     monkeypatch.setattr(reference, "eval_eps", counted)
+    monkeypatch.setattr(reference, "_eval_tabulated", counted_tabulated)
     for (p, corrector), before in expected.items():
         calls.clear()
         run = run_unipc(S, bench.model(), [bench.x_T], grid, p=p, corrector=corrector)
-        # warm-up: p-1 Taylor steps of p evaluations each, whose n = 0
-        # terms are the history at the first p-1 states; then eps once at
+        # warm-up: p-1 Taylor steps of p evaluations each, one per tabulated
+        # derivative, whose n = 0 terms are the history at the first p-1
+        # states; then eps once at
         # every later state that enters as history, plus at each predictor
         # output when the corrector reads it
         warm = (p - 1) * p
