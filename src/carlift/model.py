@@ -188,9 +188,8 @@ def _padded_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _sigma_recurrences() -> tuple[np.ndarray, np.ndarray]:
-    """S_n(q) and R_n(q), n = 0..SIGMA_TAYLOR_DEGREE, as ascending coefficients
-    in q zero-padded into one array (2, SIGMA_TAYLOR_DEGREE + 1,
-    SIGMA_TAYLOR_DEGREE + 2), S first; and the factorials n!.
+    """S_n(q) and R_n(q), n = 0..SIGMA_TAYLOR_DEGREE, as ascending coefficients in q
+    zero-padded into one array (S first), and the factorials n!.
 
     q = sigma_lam^2 obeys dq/dlam = -2 q (1 - q), so
 
@@ -369,8 +368,7 @@ def _velocity_batch(arr0: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndar
     """dx/dlam = sigma^2 x - sigma eps as a batch polynomial.
 
     Built from the undifferentiated model; the same velocity enters every
-    application of the derivative operator.  ``s1`` and ``s2`` hold a sigma
-    and a sigma^2 polynomial per batch row, or one for all rows.
+    application of the derivative operator; ``s1``, ``s2`` may differ per batch row.
     """
     B, J1, L1 = arr0.shape
     Lv = max(s2.shape[-1], s1.shape[-1] + L1 - 1)

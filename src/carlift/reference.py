@@ -171,6 +171,8 @@ def _taylor_walk(s: NoiseSchedule, m: PolyNoiseModel, x: np.ndarray, lams: np.nd
     """Order-k single steps (see :func:`dpm_weights`) from the state x over the
     log-SNRs ``lams``, from one derivative tower for all step starts; each
     yields its new state and the eps(x_s, lam_s) it evaluated as the n = 0 term."""
+    if x.shape != (m.d,):
+        raise ValueError(f"state must have shape ({m.d},)")
     for i, tower in enumerate(_derivative_tower(s, m, k, lams[:-1])):
         ratio, c = dpm_weights(s, float(lams[i]), float(lams[i + 1]), k)
         ders = [_eval_tabulated(m, table, 0, x) for table in tower]

@@ -197,6 +197,8 @@ def test_scheme_labels_and_helpers():
     assert run_unipc(S, WEAK, [1.0], grid, p=2, corrector=True).scheme == "unic2"
     with pytest.raises(ValueError):
         run_unipc(S, WEAK, [1.0], grid, p=4)
+    with pytest.raises(ValueError):
+        run_dpm(S, WEAK, [1.0, 2.0], grid, k=2)
 
 
 def test_multistep_unipc_evaluates_each_state_once(monkeypatch):
