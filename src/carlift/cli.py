@@ -378,7 +378,7 @@ def cmd_simulate(cfg: dict) -> tuple[int, dict]:
         diff = states - oracle.state_matrix()
         errors = np.linalg.norm(diff, axis=1)
         endpoint_error = float(errors[-1])
-    alpha = np.array([float(s.alpha(t)) for t in grid.t])
+    alpha = s.alpha(grid.t)
     columns = (
         ["step", "t", "lam"]
         + [f"x_{i}" for i in range(m.d)]

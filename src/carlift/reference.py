@@ -154,9 +154,11 @@ def dpm_weights(s: NoiseSchedule, lam_s: float, lam_t: float, k: int) -> tuple[f
     """
     if k not in (1, 2, 3):
         raise ValueError("supported orders are k in {1, 2, 3}")
-    ratio = float(s.alpha_from_lam(lam_t) / s.alpha_from_lam(lam_s))
+    # the weights before the ratio: a step too wide for their series stops
+    # with ConvergenceError before an underflowed alpha_s divides by zero
     alpha_t = float(s.alpha_from_lam(lam_t))
-    return ratio, np.array([-alpha_t * taylor_integral(n, lam_s, lam_t) for n in range(k)])
+    c = np.array([-alpha_t * taylor_integral(n, lam_s, lam_t) for n in range(k)])
+    return float(s.alpha_from_lam(lam_t) / s.alpha_from_lam(lam_s)), c
 
 
 def _apply_weights(ratio: float, c: np.ndarray, x0: np.ndarray, eps: list[np.ndarray]) -> np.ndarray:

@@ -8,7 +8,7 @@ with alpha_t^2 + sigma_t^2 = 1, f = d log(alpha)/dt and g^2 = -2 f for the
 variance-preserving family.  Everything downstream is parametrised by the
 log signal-to-noise ratio lam = log(alpha/sigma), which decreases
 monotonically in t, so solver grids are built uniform in lam and mapped
-back to t by root finding.
+back to t by the closed-form inverse of the linear-beta log-SNR.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import expit
+
+from .errors import ConvergenceError
 
 __all__ = [
     "NoiseSchedule",
@@ -100,29 +101,18 @@ class NoiseSchedule:
     def sigma_from_lam(self, lam):
         return np.sqrt(expit(-2.0 * np.asarray(lam, dtype=float)))
 
-    def t_from_lam(self, lam_target: float, t_lo: float, t_hi: float) -> float:
-        """Invert lam(t) = lam_target on [t_lo, t_hi] by bracketed root finding.
+    def t_from_lam(self, lam):
+        """Time at which the log-SNR equals lam, in closed form.
 
-        Raises ConvergenceError if the root does not reproduce the target
-        log-SNR to 1e-10.
+        log alpha = -log(1 + e^{-2 lam}) / 2, and t is the positive root of
+        a t^2 + b t + log alpha = 0 with a = (beta_max - beta_min) / (4 T)
+        and b = beta_min / 2, written as -2 log alpha / (b + sqrt(b^2 -
+        4 a log alpha)) so that no digits cancel.
         """
-        from .errors import ConvergenceError
-
-        g = lambda t: float(self.lam(t) - lam_target)
-        g_lo, g_hi = g(t_lo), g(t_hi)
-        if g_lo < 0.0 or g_hi > 0.0:
-            # lam decreases in t, so lam(t_lo) >= target >= lam(t_hi) is required
-            raise ValueError(
-                f"lam={lam_target} not bracketed by t in [{t_lo}, {t_hi}] "
-                f"(lam range [{self.lam(t_hi)}, {self.lam(t_lo)}])"
-            )
-        t_hat = brentq(g, t_lo, t_hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-        if abs(g(t_hat)) > 1e-10:
-            raise ConvergenceError(
-                f"lambda inversion residual {abs(g(t_hat)):.3e} above 1e-10",
-                residual=abs(g(t_hat)),
-            )
-        return float(t_hat)
+        log_alpha = -0.5 * np.logaddexp(0.0, -2.0 * np.asarray(lam, dtype=float))
+        a = 0.25 * (self.beta_max - self.beta_min) / self.T
+        b = 0.5 * self.beta_min
+        return -2.0 * log_alpha / (b + np.sqrt(b * b - 4.0 * a * log_alpha))
 
 
 def make_vp_schedule(beta_min: float, beta_max: float, T: float) -> NoiseSchedule:
@@ -164,8 +154,8 @@ def make_lambda_grid(s: NoiseSchedule, t_start: float, t_end: float, M: int) -> 
     """Uniform-in-lambda grid of M steps from t_start down to t_end.
 
     Node i sits at lam_i = lam(t_start) + i * (lam(t_end) - lam(t_start)) / M,
-    and the t nodes are recovered by inverting the schedule.  Endpoints are
-    pinned to the requested times exactly.
+    and the t nodes are recovered by the schedule's closed-form inverse.
+    Endpoints are pinned to the requested times exactly.
     """
     if M < 1:
         raise ValueError("need at least one step")
@@ -176,10 +166,8 @@ def make_lambda_grid(s: NoiseSchedule, t_start: float, t_end: float, M: int) -> 
     lam0 = float(s.lam(t_start))
     lam1 = float(s.lam(t_end))
     lam = np.linspace(lam0, lam1, M + 1)
-    t = np.empty(M + 1)
+    t = s.t_from_lam(lam)
     t[0], t[-1] = t_start, t_end
-    for i in range(1, M):
-        t[i] = s.t_from_lam(lam[i], t_end, t_start)
     return TimeGrid(t=t, lam=lam)
 
 
@@ -189,7 +177,8 @@ def exp_taylor_tail(n: int, h: float) -> float:
     All terms share the sign pattern of h^k, and for the h > 0 steps used
     here the sum is of positive terms, so accumulation is stable without
     cancellation.  Terms are added until they fall below TAIL_REL_TOL of
-    the running sum, at most TAIL_MAX_TERMS of them.
+    the running sum, at most TAIL_MAX_TERMS of them; ConvergenceError
+    otherwise.
     """
     if n < 0:
         raise ValueError("need n >= 0")
@@ -200,7 +189,8 @@ def exp_taylor_tail(n: int, h: float) -> float:
         total += term
         if abs(term) <= TAIL_REL_TOL * abs(total):
             return total
-    raise RuntimeError(f"exponential tail did not converge for n={n}, h={h}")
+    raise ConvergenceError(f"exponential tail did not converge for n={n}, h={h}",
+                           iterations=TAIL_MAX_TERMS)
 
 
 def taylor_integral(n: int, lam_s: float, lam_t: float) -> float:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.optimize import brentq
 
 from carlift import carleman
 from carlift.carleman import LiftedState, StepMatrix
@@ -33,6 +34,15 @@ def zero_model(d: int = 1, mode: str = "separable") -> PolyNoiseModel:
 def dlam_dt(s: NoiseSchedule, t):
     """d lam / dt = f(t) / sigma_t^2, strictly negative on (0, T]."""
     return s.f(t) / s.sigma(t) ** 2
+
+
+def t_from_lam_brentq(s: NoiseSchedule, lam_target: float, t_lo: float, t_hi: float) -> float:
+    """Invert lam(t) = lam_target on [t_lo, t_hi] by bracketed root finding,
+    the search the schedule's closed-form inverse replaced."""
+    g = lambda t: float(s.lam(t) - lam_target)
+    t_hat = brentq(g, t_lo, t_hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    assert abs(g(t_hat)) <= 1e-10
+    return float(t_hat)
 
 
 def dx_dlambda(s: NoiseSchedule, m: PolyNoiseModel, x, lam: float) -> np.ndarray:

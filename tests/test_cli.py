@@ -4,7 +4,11 @@ deterministic reruns, and the sweep merge."""
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -226,6 +230,24 @@ def test_gmres_stall_exits_4(tmp_path):
     }
     code, _ = run(tmp_path, "carleman", cfg)
     assert code == 4
+
+
+def test_unsummable_step_weights_exit_4(tmp_path, capsys):
+    # one step of log-SNR width about 399 outruns exp_taylor_tail's term budget
+    cfg = {"model": {"preset": "linear"}, "schedule": {"beta_max": 1600}, "window": {"M": 1},
+           "simulate": {"oracle": False}}
+    code, out = run(tmp_path, "simulate", cfg)
+    assert code == 4
+    assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+    assert capsys.readouterr().err.startswith("did not converge: exponential tail")
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    probe = "import sys, carlift.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_carleman_solvers_agree(tmp_path):

@@ -20,7 +20,7 @@ from carlift.schedule import (
     phi_moment,
     taylor_integral,
 )
-from oracles import dlam_dt
+from oracles import dlam_dt, t_from_lam_brentq
 
 VP = make_vp_schedule(0.1, 20.0, 1.0)
 
@@ -70,10 +70,10 @@ def test_log_snr_monotone_decreasing():
 
 
 def test_time_round_trip():
-    rng = np.random.default_rng(7)
-    for _ in range(40):
-        t = float(rng.uniform(VP.t_floor, VP.T))
-        assert VP.t_from_lam(float(VP.lam(t)), VP.t_floor, VP.T) == pytest.approx(t, abs=1e-10)
+    t = np.random.default_rng(7).uniform(VP.t_floor, VP.T, 40)
+    np.testing.assert_allclose(VP.t_from_lam(VP.lam(t)), t, rtol=0.0, atol=1e-10)
+    for ti in t[:5]:
+        assert VP.t_from_lam(float(VP.lam(ti))) == pytest.approx(ti, abs=1e-10)
 
 
 def test_lam_parameterized_schedule_consistency():
@@ -97,7 +97,30 @@ def test_lambda_grid_structure():
     assert np.all(np.diff(grid.t) < 0.0)
     np.testing.assert_allclose(grid.h, grid.h.mean(), rtol=1e-9, atol=0.0)
     # the t nodes must actually invert the schedule
-    assert np.allclose(VP.lam(grid.t), grid.lam, atol=1e-10)
+    assert np.allclose(VP.lam(grid.t), grid.lam, atol=1e-14)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    beta_min=st.floats(min_value=0.01, max_value=1.0),
+    spread=st.floats(min_value=1e-6, max_value=50.0),
+    T=st.floats(min_value=0.5, max_value=2.0),
+    end=st.floats(min_value=0.0, max_value=0.9),
+    width=st.floats(min_value=0.05, max_value=1.0),
+    M=st.integers(min_value=1, max_value=64),
+)
+def test_lambda_grid_matches_root_finding(beta_min, spread, T, end, width, M):
+    # windows reach from t_floor up to T, and beta_max near beta_min makes
+    # the textbook quadratic root cancel; the nodes agree with the bracketed
+    # search and reproduce their log-SNR to 1e-14 relative
+    s = make_vp_schedule(beta_min, beta_min + spread, T)
+    t_end = s.t_floor + end * (T - s.t_floor)
+    t_start = t_end + width * (T - t_end)
+    grid = make_lambda_grid(s, t_start, t_end, M)
+    oracle = [t_from_lam_brentq(s, lam, t_end, t_start) for lam in grid.lam[1:-1]]
+    np.testing.assert_allclose(grid.t, [t_start, *oracle, t_end], rtol=0.0, atol=1e-14)
+    assert np.all(np.abs(s.lam(grid.t) - grid.lam) <= 1e-14 * np.maximum(1.0, np.abs(grid.lam)))
+    assert np.all(np.diff(grid.t) < 0.0)
 
 
 def test_grid_validation():
