@@ -391,13 +391,15 @@ def assemble_unipc_qcms(
     p: int,
     basis: CarlemanBasis,
     variant: str = "bh2",
+    solved: dict | None = None,
 ) -> UnipcQcmSet:
     """Lift the order-p predictor and corrector step targeting node i.
 
     The step anchors at grid node i-p and its interior nodes are the
     grid nodes in between, so every matrix acts on an already-computed
     lifted state.  At p = 1 the predictor degenerates to the order-1
-    lifted step of :func:`assemble_dpm_qcms` exactly.
+    lifted step of :func:`assemble_dpm_qcms` exactly.  ``solved`` goes to
+    :func:`carlift.reference.uni_weights`.
     """
     _check_model_basis(m, basis)
     anchor = i - p
@@ -409,7 +411,7 @@ def assemble_unipc_qcms(
     def lift_step(corrector: bool):
         """Lift the uni_weights step: the anchor row carries c[0] E_0 and
         every node's constant term, each other node a block-row-1 matrix."""
-        ratio, c = uni_weights(s, lam_nodes, variant=variant, corrector=corrector)
+        ratio, c = uni_weights(s, lam_nodes, variant=variant, corrector=corrector, solved=solved)
         P: dict[int, np.ndarray] = {1: ratio * np.eye(m.d)}
         for q, mat in E_nodes[0].items():
             P[q] = P.get(q, np.zeros((m.d, m.d**q))) + c[0] * mat
@@ -487,7 +489,8 @@ def run_lifted(
     elif scheme == "unipc":
         p = order
         qcms = assemble_dpm_qcms(s, m, grid.lam[:p], p, basis)
-        qcms += [assemble_unipc_qcms(s, m, i, grid, p, basis, variant=variant)
+        solved: dict = {}  # one solve per distinct step, as in run_unipc
+        qcms += [assemble_unipc_qcms(s, m, i, grid, p, basis, variant=variant, solved=solved)
                  for i in range(p, grid.M + 1)]
     else:
         raise ValueError(f"unknown scheme {scheme!r}")

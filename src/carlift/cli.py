@@ -18,6 +18,8 @@ point command needs, every point's config against the schema and, for
 a slope, that every swept value is a positive number, before it runs
 any point.  It runs the points in process or in a worker
 pool and merges their summary tables as values; points write no files.
+Carleman points that share a window share its RK4 reference, run once
+before the points.
 The first failing point ends the sweep, pool workers included, and its
 index and swept value are appended to the error message.  Fixed seed
 and fixed config give byte-identical files, regardless of how many
@@ -31,6 +33,7 @@ or leaves a non-finite state included), 4 non-convergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import functools
 import hashlib
@@ -402,7 +405,27 @@ def cmd_simulate(cfg: dict) -> tuple[int, dict]:
     }
 
 
-def cmd_carleman(cfg: dict) -> tuple[int, dict]:
+def _oracle_key(cfg: dict) -> str:
+    """What :func:`_carleman_oracle` reads of a config: the grid pins both
+    window ends to t_start and t_end exactly, so M does not enter."""
+    win = cfg["window"]
+    return json.dumps([cfg["schedule"], cfg["model"], win["x_T"], win["t_start"], win["t_end"]],
+                      sort_keys=True)
+
+
+def _carleman_oracle(cfg: dict) -> np.ndarray:
+    """Endpoint of the RK4 reference a carleman run measures its error against."""
+    m = build_model(cfg)
+    s, grid, x_T = build_window(cfg, m)
+    return finite_run(lambda: rk4_oracle(s, m, x_T, substeps=4000,
+                                         times=(float(grid.t[0]), float(grid.t[-1])))).endpoint
+
+
+def cmd_carleman(cfg: dict, oracle=None) -> tuple[int, dict]:
+    """Lift, assemble and solve the trajectory, and measure its endpoint
+    against :func:`_carleman_oracle`.  A sweep passes that in as ``oracle``:
+    the endpoint, or the exception its run raised, raised where a single
+    run computes its own."""
     m = build_model(cfg)
     s, grid, x_T = build_window(cfg, m)
     car = cfg["carleman"]
@@ -427,9 +450,11 @@ def cmd_carleman(cfg: dict) -> tuple[int, dict]:
     traj = blocks[:, b1]
 
     equivalence = float(np.max(np.abs(sol.solution - np.concatenate([st.y for st in states]))))
-    oracle = finite_run(lambda: rk4_oracle(s, m, x_T, substeps=4000,
-                                            times=(float(grid.t[0]), float(grid.t[-1]))))
-    error = float(np.linalg.norm(traj[-1] - oracle.endpoint))
+    if oracle is None:
+        oracle = _carleman_oracle(cfg)
+    elif isinstance(oracle, Exception):
+        raise oracle
+    error = float(np.linalg.norm(traj[-1] - oracle))
     defect = states[-1].consistency_defect()
 
     outputs = {}
@@ -588,10 +613,34 @@ def _set_path(cfg: dict, dotted: str, value) -> None:
     node[leaf] = value
 
 
-def _point_summary(command: str, cfg: dict):
-    """Status and summary table of one sweep point; its other outputs go unwritten."""
-    status, outputs = _POINT_COMMANDS[command](cfg)
+def _point_summary(command: str, args: tuple):
+    """Status and summary table of one sweep point, its command called on
+    ``args``: the point's config, then a carleman point's RK4 reference.
+    Its other outputs go unwritten."""
+    status, outputs = _POINT_COMMANDS[command](*args)
     return status, outputs["summary.csv"]
+
+
+def _with_oracles(point_cfgs: list, run) -> list:
+    """The carleman points' arguments, each config with its RK4 reference.
+
+    ``run`` (``map`` or a pool's ``imap``) computes each distinct
+    :func:`_oracle_key`'s reference once, in the order the points first
+    need them.  A failing reference stops the rest: the first point that
+    needs it receives the exception in its place, and the points after it
+    are dropped, since that point fails in any case.
+    """
+    keys = [_oracle_key(c) for c in point_cfgs]
+    firsts = {key: point_cfgs[keys.index(key)] for key in dict.fromkeys(keys)}
+    oracles = {}
+    try:
+        for key, endpoint in zip(firsts, run(_carleman_oracle, firsts.values())):
+            oracles[key] = endpoint
+    except Exception as exc:
+        failed = next(key for key in firsts if key not in oracles)
+        oracles[failed] = exc
+        point_cfgs = point_cfgs[: keys.index(failed) + 1]
+    return [(cfg, oracles[key]) for cfg, key in zip(point_cfgs, keys)]
 
 
 def _name_point(exc: Exception, index: int, parameter: str, value) -> None:
@@ -623,15 +672,16 @@ def cmd_sweep(cfg: dict) -> tuple[int, dict]:
     workers = min(sweep["workers"], len(point_cfgs))
     results = []
     try:
-        if workers <= 1:
-            for point_cfg in point_cfgs:
-                results.append(point(point_cfg))
-        else:
-            # leaving the block terminates the workers: the first failing
-            # point stops the points still running or queued
-            with multiprocessing.Pool(workers) as pool:
-                for result in pool.imap(point, point_cfgs):
-                    results.append(result)
+        # leaving the block terminates the workers: the first failing
+        # point stops the points still running or queued
+        with multiprocessing.Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+            run = map if pool is None else pool.imap
+            if sweep["command"] == "carleman":
+                point_args = _with_oracles(point_cfgs, run)
+            else:
+                point_args = [(point_cfg,) for point_cfg in point_cfgs]
+            for result in run(point, point_args):
+                results.append(result)
     except Exception as exc:
         _name_point(exc, len(results), parameter, values[len(results)])
         raise

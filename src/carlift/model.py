@@ -285,9 +285,9 @@ def _eval_tabulated(m: PolyNoiseModel, tables, i: int, x):
     lists of floats.
     """
     if m.mode == "kron":
-        out = np.zeros(m.d)
-        xj = np.ones(1)
-        for j, cj in enumerate(tables):
+        out = 0.0 + tables[0][i, :, 0]  # -0.0 to +0.0, as a sum from zero gives
+        xj = x
+        for j, cj in enumerate(tables[1:]):
             if j:
                 xj = (xj[:, None] * x).ravel()
             out += cj[i].dot(xj)

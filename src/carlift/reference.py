@@ -232,6 +232,7 @@ def uni_weights(
     lam_nodes: np.ndarray,
     variant: str = "bh2",
     corrector: bool = False,
+    solved: dict | None = None,
 ) -> tuple[float, np.ndarray]:
     """Coefficients of the unified step through the nodes lam_nodes[0..p].
 
@@ -241,13 +242,19 @@ def uni_weights(
     m <= p for the corrector (x_p then being the predictor output).
     With w_m = sigma_p B(h) a_m / r_m from :func:`uni_coeffs`,
     c[0] = -alpha_p I_0 + sum_m w_m and c[m] = -w_m for m >= 1.
+    ``solved``, a dict one run hands to all its steps, keeps each
+    distinct step's :func:`uni_coeffs` solution.
     """
     lam_nodes = np.asarray(lam_nodes, dtype=float)
     p = len(lam_nodes) - 1
     lam_0, lam_p = float(lam_nodes[0]), float(lam_nodes[-1])
     h = lam_p - lam_0
     r = (lam_nodes[1:] - lam_nodes[0]) / h
-    a, Bh = uni_coeffs(p, r, h, variant=variant, corrector=corrector)
+    solved = {} if solved is None else solved
+    key = (p, tuple(r), h, variant, corrector)
+    if key not in solved:
+        solved[key] = uni_coeffs(p, r, h, variant=variant, corrector=corrector)
+    a, Bh = solved[key]
     ratio = float(s.alpha_from_lam(lam_p) / s.alpha_from_lam(lam_0))
     w = float(s.sigma_from_lam(lam_p)) * Bh * (a / r[: len(a)])
     c0 = -float(s.alpha_from_lam(lam_p)) * taylor_integral(0, lam_0, lam_p) + float(w.sum())
@@ -291,6 +298,7 @@ def run_unipc(
     nfe = 0
     scheme = ("unic" if corrector else "unip") + str(p)
 
+    solved: dict = {}  # one solve per distinct step: a uniform grid's steps share few (r, h)
     eps: list[np.ndarray] = []  # eps at pts[0], pts[1], ...: each state is evaluated once
     for i, (x, eps_s) in enumerate(_taylor_walk(s, m, x, grid.lam[:p], p), start=1):
         eps.append(eps_s)  # the warm-up step's n = 0 term
@@ -299,11 +307,12 @@ def run_unipc(
     for i in range(p, grid.M + 1):
         eps += [eval_eps(m, pt.x, pt.lam) for pt in pts[len(eps) : i]]
         x0, hist, lams = pts[i - p].x, eps[i - p : i], grid.lam[i - p : i + 1]
-        xi = _apply_weights(*uni_weights(s, lams, variant), x0, hist)
+        xi = _apply_weights(*uni_weights(s, lams, variant, solved=solved), x0, hist)
         nfe += 1  # eps at the newest state; the older history is cached in eps
         if corrector:
             x_pred_eps = eval_eps(m, xi, float(lams[-1]))
-            xi = _apply_weights(*uni_weights(s, lams, variant, corrector=True), x0, hist + [x_pred_eps])
+            xi = _apply_weights(*uni_weights(s, lams, variant, corrector=True, solved=solved), x0,
+                                hist + [x_pred_eps])
             nfe += 1
         pts.append(TrajectoryPoint(float(grid.t[i]), float(grid.lam[i]), xi))
     return SolverRun(grid=grid, states=pts, nfe=nfe, scheme=scheme)

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from carlift import reference
 from carlift.carleman import (
     CarlemanBasis,
     Qcm,
@@ -287,6 +288,33 @@ def test_lifted_unipc_converges_to_its_sampler():
                                corrector=corrector)
         gap = max(float(np.max(np.abs(st.block(1) - pt.x))) for st, pt in zip(states, ref.states))
         assert gap <= 1e-9, f"corrector={corrector}: gap {gap:.3e}"
+
+
+def test_lifted_unipc_solves_each_distinct_step_once(monkeypatch):
+    solved = []
+
+    def counted(p, r, h, variant="bh2", corrector=False):
+        solved.append((p, tuple(r), h, variant, corrector))
+        return uni_coeffs(p, r, h, variant=variant, corrector=corrector)
+
+    uni_coeffs = reference.uni_coeffs
+    monkeypatch.setattr(reference, "uni_coeffs", counted)
+    basis = CarlemanBasis(N=2, d=1)
+    grid = make_lambda_grid(S, 1.0, 0.1, 32)
+    nodes = [grid.lam[i - 2 : i + 1] for i in range(2, grid.M + 1)]
+    steps = {(tuple((lam[1:] - lam[0]) / (lam[-1] - lam[0])), lam[-1] - lam[0]) for lam in nodes}
+    assert len(steps) < len(nodes)
+    for _ in range(2):  # the solutions are kept for one run only
+        solved.clear()
+        _, qcms = run_lifted(S, QUAD, [1.3], grid, basis, scheme="unipc", order=2)
+        assert len(solved) == len(set(solved)) == 2 * len(steps)
+    for q in qcms[1:]:
+        # a step lifted alone solves its own weights
+        alone = assemble_unipc_qcms(S, QUAD, q.i, grid, 2, basis)
+        for got, expected in zip(q.pred_mats + q.corr_mats + [q.corr_target],
+                                 alone.pred_mats + alone.corr_mats + [alone.corr_target]):
+            assert np.array_equal(got.rows, expected.rows)
+        assert np.array_equal(q.pred_b, alone.pred_b) and np.array_equal(q.corr_b, alone.corr_b)
 
 
 def test_unipc_qcm_set_shape_and_history_check():

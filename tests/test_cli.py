@@ -176,6 +176,40 @@ def test_diverging_oracle_exits_3(tmp_path, capsys):
         "numerical failure: the RK4 oracle reached a non-finite state")
 
 
+# test_diverging_oracle_exits_3's model over x_T: its oracle overflows at
+# x_T = 1.0 and stays finite at 0.1, and every lift stays finite
+XT_SWEEP_CFG = {
+    "model": {"mode": "separable", "d": 1, "terms": [[0, 0, 0.2], [1, 0, -0.6], [2, 1, 0.05]]},
+    "window": {"t_start": 0.8, "t_end": 0.1, "M": 4},
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_reports_a_lift_failure_before_a_later_points_oracle(tmp_path, capsys, workers):
+    # point 0's GMRES stalls; point 1's oracle, run before any lift, overflows
+    cfg = {**XT_SWEEP_CFG, "carleman": {"solver": "gmres", "gmres_tol": 1e-30},
+           "sweep": {"command": "carleman", "parameter": "window.x_T", "values": [0.1, 1.0],
+                     "workers": workers}}
+    code, out = run(tmp_path, "sweep", cfg)
+    assert code == 4
+    assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+    err = capsys.readouterr().err
+    assert err.startswith("did not converge: gmres stalled")
+    assert err.rstrip().endswith("(sweep point 0: window.x_T = 0.1)")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_names_the_point_whose_oracle_diverges(tmp_path, capsys, workers):
+    cfg = {**XT_SWEEP_CFG, "sweep": {"command": "carleman", "parameter": "window.x_T",
+                                     "values": [1.0, 0.1], "workers": workers}}
+    code, out = run(tmp_path, "sweep", cfg)
+    assert code == 3
+    assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: the RK4 oracle reached a non-finite state")
+    assert err.rstrip().endswith("(sweep point 0: window.x_T = 1.0)")
+
+
 def test_carleman_refuses_separable_models_with_d_above_1(tmp_path, capsys):
     cfg = {
         "model": {"mode": "separable", "d": 2, "terms": [[1, 0, 0.5]]},
@@ -441,6 +475,52 @@ def test_sweep_point_matches_single_run(tmp_path):
     _, srows = data_rows(out_s / "summary.csv")
     _, wrows = data_rows(out_w / "sweep.csv")
     assert ",".join(wrows[0][2:]) == ",".join(srows[0])
+
+
+KRON_UNIPC_CFG = {
+    "model": {"mode": "kron", "d": 2, "blocks": {"1": [[-0.5, 0.1], [0.05, -0.4]],
+                                                 "2": [[0.02, -0.01, 0.0, 0.03], [0.0, 0.01, 0.02, -0.02]]}},
+    "window": {"x_T": [0.6, -0.3], "t_start": 0.5, "t_end": 0.1, "M": 8},
+    "carleman": {"scheme": "unipc", "order": 2},
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_carleman_sweep_point_matches_single_run(tmp_path, workers):
+    sweep = {**KRON_UNIPC_CFG, "sweep": {"command": "carleman", "parameter": "carleman.N",
+                                         "values": [1, 2, 3], "workers": workers}}
+    code, out_w = run(tmp_path, "sweep", sweep, out="many")
+    assert code == 0
+    _, wrows = data_rows(out_w / "sweep.csv")
+    assert len(wrows) == 3
+    for N, wrow in zip((1, 2, 3), wrows):
+        single = {**KRON_UNIPC_CFG, "carleman": {**KRON_UNIPC_CFG["carleman"], "N": N}}
+        code, out_s = run(tmp_path, "carleman", single, out=f"one{N}")
+        assert code == 0
+        _, srows = data_rows(out_s / "summary.csv")
+        assert ",".join(wrow[2:]) == ",".join(srows[0])
+
+
+def test_carleman_sweep_runs_one_oracle_per_distinct_window(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["times"])
+        return rk4_oracle(*args, **kwargs)
+
+    rk4_oracle = cli.rk4_oracle
+    monkeypatch.setattr(cli, "rk4_oracle", counted)
+    n_sweep = {**KRON_UNIPC_CFG, "sweep": {"command": "carleman", "parameter": "carleman.N",
+                                           "values": [1, 2, 3, 4, 5]}}
+    assert run(tmp_path, "sweep", n_sweep, out="n")[0] == 0
+    assert len(calls) == 1
+    x_sweep = {**KRON_UNIPC_CFG, "sweep": {"command": "carleman", "parameter": "window.x_T",
+                                           "values": [[0.6, -0.3], [0.5, 0.2]]}}
+    assert run(tmp_path, "sweep", x_sweep, out="x")[0] == 0
+    assert len(calls) == 3
+    # nothing outlives a sweep: the same sweep again runs its oracle again
+    assert run(tmp_path, "sweep", n_sweep, out="n2")[0] == 0
+    assert len(calls) == 4
 
 
 def test_failing_sweep_point_leaves_only_the_resolved_config(tmp_path, capsys):

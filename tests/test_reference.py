@@ -235,6 +235,26 @@ def test_multistep_unipc_evaluates_each_state_once(monkeypatch):
         assert np.array_equal(run.state_matrix(), before.state_matrix())
 
 
+def test_unipc_run_solves_each_distinct_step_once(monkeypatch):
+    solved = []
+
+    def counted(p, r, h, variant="bh2", corrector=False):
+        solved.append((p, tuple(r), h, variant, corrector))
+        return uni_coeffs(p, r, h, variant=variant, corrector=corrector)
+
+    monkeypatch.setattr(reference, "uni_coeffs", counted)
+    bench = benchmark("weak_quadratic")
+    grid = bench.grid(128)
+    for p in (2, 3):
+        nodes = [grid.lam[i - p : i + 1] for i in range(p, grid.M + 1)]
+        steps = {(tuple((lam[1:] - lam[0]) / (lam[-1] - lam[0])), lam[-1] - lam[0]) for lam in nodes}
+        assert len(steps) < len(nodes)
+        for _ in range(2):  # the solutions are kept for one run only
+            solved.clear()
+            run_unipc(S, bench.model(), [bench.x_T], grid, p=p, corrector=True)
+            assert len(solved) == len(set(solved)) == 2 * len(steps)
+
+
 # --- the RK4 oracle against its per-substep form ------------------------------
 
 
@@ -338,6 +358,16 @@ def test_eval_eps_equals_direct_evaluation(case, lam, scale):
     m, _ = case
     x = scale * np.linspace(-1.0, 1.0, m.d)
     assert np.array_equal(eval_eps(m, x, lam), eval_eps_direct(m, x, lam))
+
+
+@pytest.mark.parametrize("higher", [{}, {1: np.zeros((2, 2)), 2: np.zeros((2, 4))}],
+                         ids=["constant", "zero_higher_blocks"])
+def test_kron_eval_sums_a_negative_zero_constant_from_zero(higher):
+    m = kron_model(2, {0: np.array([[-0.0], [0.5]]), **higher})
+    x = np.array([-0.7, -0.4])
+    got, expected = eval_eps(m, x, 0.3), eval_eps_direct(m, x, 0.3)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def test_rk4_oracle_chunks_at_the_real_table_size():
