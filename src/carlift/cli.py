@@ -16,14 +16,12 @@ version and a sha256 of the resolved config, so a command that raises
 leaves only ``resolved_config.json`` behind.  A sweep checks what its
 point command needs, every point's config against the schema and, for
 a slope, that every swept value is a positive number, before it runs
-any point.  It runs the points in process or in a worker
-pool and merges their summary tables as values; points write no files.
-Carleman points that share a window share its RK4 reference, run once
-before the points.
-The first failing point ends the sweep, pool workers included, and its
-index and swept value are appended to the error message.  Fixed seed
-and fixed config give byte-identical files, regardless of how many
-workers a sweep uses.
+any point.  It runs the points one after another in the calling process
+and merges their summary tables as values; points write no files.
+Carleman points that share a window share its RK4 reference, run by the
+first point that needs it.  The first failing point, in grid order, ends
+the sweep, and its index and swept value are appended to the error
+message.  Fixed seed and fixed config give byte-identical files.
 
 Exit codes: 0 ok, 2 config error (a carleman model the lift cannot take
 included), 3 numerical failure (a sampler or RK4 oracle that overflows
@@ -33,13 +31,11 @@ or leaves a non-finite state included), 4 non-convergence.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import copy
 import functools
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import sys
 
@@ -196,6 +192,7 @@ _SCHEMA = _section({
         "parameter": {"type": "string", "minLength": 1},
         "values": {"type": "array", "minItems": 1},
         "slope": {"type": "boolean", "default": False},
+        # accepted and unread; see canonical_config
         "workers": {"type": "integer", "minimum": 1, "default": 1},
     }) | {"required": ["command", "parameter", "values"]},
 })
@@ -247,7 +244,7 @@ def validate_config(raw: dict) -> None:
         raise ConfigError(f"{path}: {err.message}")
 
 
-def resolve_config(raw: dict, seed=None, out=None, workers=None) -> dict:
+def resolve_config(raw: dict, seed=None, out=None) -> dict:
     """Schema-validate, apply CLI overrides and defaults, expand benchmark."""
     validate_config(raw)
     cfg = _deep_merge(_defaults(_SCHEMA), raw)
@@ -255,8 +252,6 @@ def resolve_config(raw: dict, seed=None, out=None, workers=None) -> dict:
         cfg["seed"] = seed
     if out is not None:
         cfg["out"] = out
-    if workers is not None and "sweep" in raw:
-        cfg["sweep"]["workers"] = workers
     window_given = raw.get("window", {})
     bench_name = window_given.get("benchmark")
     if bench_name is not None:
@@ -271,7 +266,11 @@ def resolve_config(raw: dict, seed=None, out=None, workers=None) -> dict:
 
 def canonical_config(cfg: dict) -> dict:
     """The experiment identity: the resolved config minus run-environment
-    fields (output path, worker count), which must not affect output bytes."""
+    fields, which must not affect output bytes: the output path, and
+    ``sweep.workers``.  The schema still accepts that key from configs
+    written for the worker pool sweeps once ran on, but nothing reads it;
+    popping it keeps a config's hash, and so its CSV stamps, the same
+    whatever count it names."""
     out = copy.deepcopy(cfg)
     out["out"] = None
     if "sweep" in out:
@@ -421,11 +420,11 @@ def _carleman_oracle(cfg: dict) -> np.ndarray:
                                          times=(float(grid.t[0]), float(grid.t[-1])))).endpoint
 
 
-def cmd_carleman(cfg: dict, oracle=None) -> tuple[int, dict]:
+def cmd_carleman(cfg: dict, oracles: dict | None = None) -> tuple[int, dict]:
     """Lift, assemble and solve the trajectory, and measure its endpoint
-    against :func:`_carleman_oracle`.  A sweep passes that in as ``oracle``:
-    the endpoint, or the exception its run raised, raised where a single
-    run computes its own."""
+    against :func:`_carleman_oracle`.  A sweep hands every point the same
+    ``oracles`` dict, keyed on :func:`_oracle_key`, so points that share a
+    window run its reference once."""
     m = build_model(cfg)
     s, grid, x_T = build_window(cfg, m)
     car = cfg["carleman"]
@@ -450,11 +449,11 @@ def cmd_carleman(cfg: dict, oracle=None) -> tuple[int, dict]:
     traj = blocks[:, b1]
 
     equivalence = float(np.max(np.abs(sol.solution - np.concatenate([st.y for st in states]))))
-    if oracle is None:
-        oracle = _carleman_oracle(cfg)
-    elif isinstance(oracle, Exception):
-        raise oracle
-    error = float(np.linalg.norm(traj[-1] - oracle))
+    oracles = {} if oracles is None else oracles
+    key = _oracle_key(cfg)
+    if key not in oracles:
+        oracles[key] = _carleman_oracle(cfg)
+    error = float(np.linalg.norm(traj[-1] - oracles[key]))
     defect = states[-1].consistency_defect()
 
     outputs = {}
@@ -613,36 +612,6 @@ def _set_path(cfg: dict, dotted: str, value) -> None:
     node[leaf] = value
 
 
-def _point_summary(command: str, args: tuple):
-    """Status and summary table of one sweep point, its command called on
-    ``args``: the point's config, then a carleman point's RK4 reference.
-    Its other outputs go unwritten."""
-    status, outputs = _POINT_COMMANDS[command](*args)
-    return status, outputs["summary.csv"]
-
-
-def _with_oracles(point_cfgs: list, run) -> list:
-    """The carleman points' arguments, each config with its RK4 reference.
-
-    ``run`` (``map`` or a pool's ``imap``) computes each distinct
-    :func:`_oracle_key`'s reference once, in the order the points first
-    need them.  A failing reference stops the rest: the first point that
-    needs it receives the exception in its place, and the points after it
-    are dropped, since that point fails in any case.
-    """
-    keys = [_oracle_key(c) for c in point_cfgs]
-    firsts = {key: point_cfgs[keys.index(key)] for key in dict.fromkeys(keys)}
-    oracles = {}
-    try:
-        for key, endpoint in zip(firsts, run(_carleman_oracle, firsts.values())):
-            oracles[key] = endpoint
-    except Exception as exc:
-        failed = next(key for key in firsts if key not in oracles)
-        oracles[failed] = exc
-        point_cfgs = point_cfgs[: keys.index(failed) + 1]
-    return [(cfg, oracles[key]) for cfg, key in zip(point_cfgs, keys)]
-
-
 def _name_point(exc: Exception, index: int, parameter: str, value) -> None:
     """Append the sweep point a failure came from to the message main prints."""
     exc.args = (f"{exc} (sweep point {index}: {parameter} = {json.dumps(value)})",)
@@ -668,28 +637,19 @@ def cmd_sweep(cfg: dict) -> tuple[int, dict]:
             raise
         point_cfgs.append(point_cfg)
 
-    point = functools.partial(_point_summary, sweep["command"])
-    workers = min(sweep["workers"], len(point_cfgs))
-    results = []
-    try:
-        # leaving the block terminates the workers: the first failing
-        # point stops the points still running or queued
-        with multiprocessing.Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
-            run = map if pool is None else pool.imap
-            if sweep["command"] == "carleman":
-                point_args = _with_oracles(point_cfgs, run)
-            else:
-                point_args = [(point_cfg,) for point_cfg in point_cfgs]
-            for result in run(point, point_args):
-                results.append(result)
-    except Exception as exc:
-        _name_point(exc, len(results), parameter, values[len(results)])
-        raise
-
+    command = _POINT_COMMANDS[sweep["command"]]
+    if sweep["command"] == "carleman":
+        command = functools.partial(command, oracles={})
     worst = 0
     header = None
     rows = []
-    for value, (status, (columns, point_rows, _)) in zip(values, results):
+    for index, (value, point_cfg) in enumerate(zip(values, point_cfgs)):
+        try:
+            status, outputs = command(point_cfg)
+        except Exception as exc:
+            _name_point(exc, index, parameter, value)
+            raise
+        columns, point_rows, _ = outputs["summary.csv"]
         worst = max(worst, status)
         if header is None:
             header = columns
@@ -739,7 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to a JSON config file")
     parser.add_argument("--out", default=None, help="output directory (default: config 'out' or cwd)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--workers", type=int, default=None, help="sweep worker processes")
     return parser
 
 
@@ -748,7 +707,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         raw = load_config(args.config)
-        cfg = resolve_config(raw, seed=args.seed, out=args.out, workers=args.workers)
+        cfg = resolve_config(raw, seed=args.seed, out=args.out)
         _require(cfg, args.command)
         if args.command == "sweep":
             # the points' inputs too, before any point runs

@@ -186,7 +186,8 @@ XT_SWEEP_CFG = {
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_reports_a_lift_failure_before_a_later_points_oracle(tmp_path, capsys, workers):
-    # point 0's GMRES stalls; point 1's oracle, run before any lift, overflows
+    # point 0's GMRES stalls, which ends the sweep before point 1's oracle
+    # would overflow
     cfg = {**XT_SWEEP_CFG, "carleman": {"solver": "gmres", "gmres_tol": 1e-30},
            "sweep": {"command": "carleman", "parameter": "window.x_T", "values": [0.1, 1.0],
                      "workers": workers}}
@@ -444,16 +445,14 @@ SWEEP_CFG = {
 
 def test_sweep_merge_order_slope_and_concurrency(tmp_path):
     code1, out1 = run(tmp_path, "sweep", SWEEP_CFG, out="w1")
+    # sweep.workers is accepted and changes nothing
     cfg2 = {**SWEEP_CFG, "sweep": {**SWEEP_CFG["sweep"], "workers": 3}}
     code2, out2 = run(tmp_path, "sweep", cfg2, out="w2")
-    code3, out3 = run(tmp_path, "sweep", SWEEP_CFG, out="w3", extra=("--workers", "2"))
-    assert cli.resolve_config(SWEEP_CFG, workers=2)["sweep"]["workers"] == 2
-    assert code1 == 0 and code2 == 0 and code3 == 0
-    for out in (out2, out3):
-        assert (out1 / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
-        assert (out1 / "resolved_config.json").read_bytes() == (
-            out / "resolved_config.json"
-        ).read_bytes()
+    assert code1 == 0 and code2 == 0
+    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+    assert (out1 / "resolved_config.json").read_bytes() == (
+        out2 / "resolved_config.json"
+    ).read_bytes()
     assert not (out1 / "points").exists()
 
     cols, rows = data_rows(out1 / "sweep.csv")
@@ -462,6 +461,13 @@ def test_sweep_merge_order_slope_and_concurrency(tmp_path):
     assert rows[3][1] == "slope"
     slope = float(rows[3][2])
     assert 0.7 < slope < 1.3
+
+
+def test_workers_flag_is_refused(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "sweep", SWEEP_CFG, extra=("--workers", "2"))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 def test_sweep_point_matches_single_run(tmp_path):
@@ -501,7 +507,9 @@ def test_carleman_sweep_point_matches_single_run(tmp_path, workers):
         assert ",".join(wrow[2:]) == ",".join(srows[0])
 
 
-def test_carleman_sweep_runs_one_oracle_per_distinct_window(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_carleman_sweep_runs_one_oracle_per_distinct_window(tmp_path, monkeypatch, workers):
+    # the points run in this process, so the patched oracle sees every call
     calls = []
 
     def counted(*args, **kwargs):
@@ -511,11 +519,11 @@ def test_carleman_sweep_runs_one_oracle_per_distinct_window(tmp_path, monkeypatc
     rk4_oracle = cli.rk4_oracle
     monkeypatch.setattr(cli, "rk4_oracle", counted)
     n_sweep = {**KRON_UNIPC_CFG, "sweep": {"command": "carleman", "parameter": "carleman.N",
-                                           "values": [1, 2, 3, 4, 5]}}
+                                           "values": [1, 2, 3, 4, 5], "workers": workers}}
     assert run(tmp_path, "sweep", n_sweep, out="n")[0] == 0
     assert len(calls) == 1
     x_sweep = {**KRON_UNIPC_CFG, "sweep": {"command": "carleman", "parameter": "window.x_T",
-                                           "values": [[0.6, -0.3], [0.5, 0.2]]}}
+                                           "values": [[0.6, -0.3], [0.5, 0.2]], "workers": workers}}
     assert run(tmp_path, "sweep", x_sweep, out="x")[0] == 0
     assert len(calls) == 3
     # nothing outlives a sweep: the same sweep again runs its oracle again

@@ -124,6 +124,19 @@ def test_gmres_unreachable_tolerance_raises():
     assert exc.value.iterations is not None
 
 
+def test_gmres_stops_after_a_cycle_that_does_not_lower_the_residual():
+    # the first cycle leaves a residual near 2e-14, the second 6e-16 and
+    # the third does not go lower; the 20 000-iteration budget is never spent
+    m = scalar_model({(0, 0): 0.2, (1, 0): -0.6, (2, 1): 0.05})
+    grid = make_lambda_grid(S, 0.8, 0.1, 10)
+    states, qcms = run_lifted(S, m, [0.1], grid, CarlemanBasis(N=2, d=1))
+    system = assemble_global_dpm(qcms, states[0].y)
+    with pytest.raises(ConvergenceError) as exc:
+        gmres_solve(system, tol=1e-30)
+    assert exc.value.iterations <= 3 * (system.n_blocks + 1)
+    assert exc.value.residual < 1e-15
+
+
 CONST_A = np.array([[2.0, 1.0], [1.0, 3.0]])
 CONST_B = np.array([1.0, 0.5])
 U0 = np.array([1.0, -0.5])
