@@ -27,14 +27,16 @@ The step maps are not derived here: their coefficients come from
 :func:`carlift.reference.uni_weights`, which the classical samplers
 evaluate too, so the lifted step and the sampler step are one map.
 
-Each step is lifted into one dense buffer, kept as its
-:class:`StepMatrix`.  :func:`run_lifted` lifts the steps of a
-trajectory in order on the calling thread, then walks the states.
+The steps of a trajectory are lifted together, in chunks stacked
+along a leading step axis, each step into a dense buffer kept as its
+:class:`StepMatrix`.  :func:`run_lifted` lifts all of a trajectory's
+steps on the calling thread, then walks the states.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -61,6 +63,7 @@ __all__ = [
 
 MAX_DIM_TOTAL = 400_000
 MAX_STEP_BYTES = 2**31
+LIFT_CHUNK_BYTES = 1 << 18  # step-lift work arrays per chunk of steps lifted together
 
 
 @dataclass(frozen=True)
@@ -241,8 +244,9 @@ class StepMatrix:
         return out
 
 
-def _poly_to_update(P: dict[int, np.ndarray], basis: CarlemanBasis, delta: bool = False):
-    """Lift a step polynomial into the update matrix U and offset b.
+def _poly_to_update(polys: list[dict[int, np.ndarray]], basis: CarlemanBasis,
+                    delta: bool = False) -> list[tuple[StepMatrix, np.ndarray]]:
+    """Lift step polynomials into update matrices U and offsets b.
 
     Row beta of block row j holds the degree-truncated coefficients of
     sqrt(m_beta) prod_k P_{beta_k}(x) on the weighted monomials.  The
@@ -253,36 +257,64 @@ def _poly_to_update(P: dict[int, np.ndarray], basis: CarlemanBasis, delta: bool 
     adds them onto their monomial columns.  Rows and columns are scaled
     by sqrt(m_beta) and 1/sqrt(m_gamma) last.  Degree-0 parts land in b.
     With ``delta`` the identity is subtracted, giving the delta-form
-    matrix U - I.  The (dim_total, dim_total) buffer is the step matrix.
-    Returns (StepMatrix, b).
+    matrix U - I.
+
+    Consecutive polynomials with the same nonzero degrees, in the same
+    key order, are lifted together, their rows stacked, as many per chunk
+    as keep the products, their bin indices and the block rows within
+    LIFT_CHUNK_BYTES.  bincount adds each bin's terms in input order, so
+    a step's U and b are the same bits in any chunk.  A chunk's (steps,
+    dim_total, dim_total) buffer holds its step matrices.  Returns one
+    (StepMatrix, b) per polynomial.
     """
     N, dim = basis.N, basis.dim_total
     mono = _monomials(basis.d, N)
-    C = {q: mono.fold(B, q) for q, B in P.items() if q <= N and np.any(B)}
     width = dim + 1  # the constant, then the lifted coordinates
-    targets = np.concatenate([mono.products[q] for q in C] + [np.zeros(0, np.intp)])
-    buf = np.empty((dim, dim))
-    b = np.empty(dim)
     col_scale = 1.0 / mono.sqrt_mult
-    R = np.zeros((1, width))  # block row j-1, unscaled, with its constant column
-    R[0, 0] = 1.0
-    for j in range(1, N + 1):
-        f = mono.first[j]
-        n_j = len(f)
-        Rp = R[mono.parent[j]]
-        vals = [(Rp[:, : mono.start[N - q + 1], None] * Cq[f][:, None, :]).reshape(n_j, -1)
-                for q, Cq in C.items()]
-        vals = np.concatenate(vals, axis=1) if vals else np.zeros((n_j, 0))
-        flat = np.arange(n_j)[:, None] * width + targets
-        R = np.bincount(flat.ravel(), weights=vals.ravel(), minlength=n_j * width).reshape(n_j, width)
-        rows = basis.block_slice(j)
-        scale = mono.sqrt_mult[rows]
-        b[rows] = R[:, 0] * scale
-        np.multiply(R[:, 1:], col_scale, out=buf[rows])
-        buf[rows] *= scale[:, None]
-    if delta:
-        buf.reshape(-1)[:: dim + 1] -= 1.0
-    return StepMatrix(buf), b
+    keys = [tuple(q for q, B in P.items() if q <= N and B.any()) for P in polys]
+    out = []
+    for qs, run in itertools.groupby(range(len(polys)), key=keys.__getitem__):
+        run = list(run)
+        targets = np.concatenate([mono.products[q] for q in qs] + [np.zeros(0, np.intp)])
+        work = 8 * len(mono.first[N]) * (3 * len(targets) + 2 * width)  # per step, at block row N
+        per_chunk = max(1, LIFT_CHUNK_BYTES // work)
+        for lo in range(0, len(run), per_chunk):
+            steps = [polys[i] for i in run[lo : lo + per_chunk]]
+            S = len(steps)  # stacked row-wise: (S * d, n_q) coefficients, (S * n_j, width) rows
+            C = {q: mono.fold(np.concatenate([P[q] for P in steps]) if S > 1 else steps[0][q], q)
+                 for q in qs}
+            buf = np.empty((S, dim, dim))
+            b = np.empty((S, dim))
+            R = np.zeros((S, width))  # block row j-1, unscaled, with its constant column
+            R[:, 0] = 1.0
+            for j, (parent, f) in enumerate(_stacked_rows(basis.d, N, S), start=1):
+                Rp = R[parent]
+                vals = [(Rp[:, : mono.start[N - q + 1], None] * Cq[f][:, None, :]).reshape(len(f), -1)
+                        for q, Cq in C.items()]
+                vals = np.concatenate(vals, axis=1) if vals else np.zeros((len(f), 0))
+                flat = np.arange(len(f))[:, None] * width + targets
+                R = np.bincount(flat.ravel(), weights=vals.ravel(), minlength=len(f) * width)
+                R = R.reshape(len(f), width)
+                rows = basis.block_slice(j)
+                scale = mono.sqrt_mult[rows]
+                b[:, rows] = R[:, 0].reshape(S, -1) * scale
+                np.multiply(R[:, 1:].reshape(S, -1, dim), col_scale, out=buf[:, rows])
+                buf[:, rows] *= scale[:, None]
+            if delta:
+                buf.reshape(S, -1)[:, :: dim + 1] -= 1.0
+            out += [(StepMatrix(U), b_i) for U, b_i in zip(buf, b)]
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _stacked_rows(d: int, N: int, S: int) -> tuple:
+    """Rows of block row j = 1..N for S steps stacked row-wise: each row's
+    parent in the stack of block rows j-1, and its first variable's row
+    in the stack of the steps' (d, n_q) coefficient blocks."""
+    mono = _monomials(d, N)
+    steps = np.arange(S)[:, None]
+    return tuple(((steps * len(mono.first[j - 1]) + mono.parent[j]).ravel(),
+                  (steps * d + mono.first[j]).ravel()) for j in range(1, N + 1))
 
 
 @dataclass
@@ -325,7 +357,8 @@ def assemble_dpm_qcms(s: NoiseSchedule, m: PolyNoiseModel, lams: np.ndarray, k: 
     exact image of the sequential step.
     """
     _check_model_basis(m, basis)
-    return [Qcm(*_poly_to_update(P, basis, delta=True)) for P in step_polynomials_dpm(s, m, lams, k)]
+    polys = step_polynomials_dpm(s, m, lams, k)
+    return [Qcm(*step) for step in _poly_to_update(polys, basis, delta=True)]
 
 
 def _check_model_basis(m: PolyNoiseModel, basis: CarlemanBasis) -> None:
@@ -370,66 +403,71 @@ class UnipcQcmSet:
     corr_b: np.ndarray
 
 
-def _node_block1(E: dict[int, np.ndarray], c: float, basis: CarlemanBasis) -> StepMatrix:
-    """Block-row-1 matrix c * E_q against column blocks q >= 1, its
-    Kronecker columns summed onto the monomials and scaled by
-    1/sqrt(multiplicity), held as its d rows."""
+def _node_block1(E: dict[int, np.ndarray], cs, basis: CarlemanBasis) -> list[StepMatrix]:
+    """Block-row-1 matrices c * E_q against column blocks q >= 1, one per
+    c in ``cs``: E's Kronecker columns summed onto the monomials once,
+    then scaled by c and 1/sqrt(multiplicity), each held as its d rows."""
     mono = _monomials(basis.d, basis.N)
-    buf = np.zeros((basis.d, basis.dim_total))
+    cs = np.asarray(cs, dtype=float)[:, None, None]
+    buf = np.zeros((len(cs), basis.d, basis.dim_total))
     for q, mat in E.items():
         if 1 <= q <= basis.N:
             cols = basis.block_slice(q)
-            buf[:, cols] = c * mono.fold(mat, q) / mono.sqrt_mult[cols]
-    return StepMatrix(buf)
+            buf[:, :, cols] = cs * mono.fold(mat, q) / mono.sqrt_mult[cols]
+    return [StepMatrix(rows) for rows in buf]
 
 
 def assemble_unipc_qcms(
     s: NoiseSchedule,
     m: PolyNoiseModel,
-    i: int,
     grid: TimeGrid,
     p: int,
     basis: CarlemanBasis,
     variant: str = "bh2",
-    solved: dict | None = None,
-) -> UnipcQcmSet:
-    """Lift the order-p predictor and corrector step targeting node i.
+) -> list[UnipcQcmSet]:
+    """Lift the order-p predictor and corrector steps to nodes p..M of ``grid``.
 
-    The step anchors at grid node i-p and its interior nodes are the
-    grid nodes in between, so every matrix acts on an already-computed
-    lifted state.  At p = 1 the predictor degenerates to the order-1
-    lifted step of :func:`assemble_dpm_qcms` exactly.  ``solved`` goes to
-    :func:`carlift.reference.uni_weights`.
+    The step to node i anchors at grid node i-p and its interior nodes
+    are the grid nodes in between, so every matrix acts on an
+    already-computed lifted state.  At p = 1 the predictor degenerates
+    to the order-1 lifted step of :func:`assemble_dpm_qcms` exactly.
+    eps is tabulated once over the grid and each distinct step's
+    :func:`carlift.reference.uni_weights` solve is done once.  The
+    anchor maps of all steps are lifted together by
+    :func:`_poly_to_update`, and each node's block-row-1 matrices are
+    made from one fold of its eps.
     """
     _check_model_basis(m, basis)
-    anchor = i - p
-    if anchor < 0:
-        raise ValueError(f"step to node {i} at order {p} lacks node history")
-    lam_nodes = grid.lam[anchor : i + 1]
-    E_nodes = [_table_matrices(m, eps) for eps, in _derivative_tower(s, m, 1, lam_nodes)]
-
-    def lift_step(corrector: bool):
-        """Lift the uni_weights step: the anchor row carries c[0] E_0 and
-        every node's constant term, each other node a block-row-1 matrix."""
-        ratio, c = uni_weights(s, lam_nodes, variant=variant, corrector=corrector, solved=solved)
-        P: dict[int, np.ndarray] = {1: ratio * np.eye(m.d)}
-        for q, mat in E_nodes[0].items():
-            P[q] = P.get(q, np.zeros((m.d, m.d**q))) + c[0] * mat
-        for mm in range(1, len(c)):
-            if 0 in E_nodes[mm]:
-                P[0] = P.get(0, np.zeros((m.d, 1))) + c[mm] * E_nodes[mm][0]
-        U0, b = _poly_to_update(P, basis)
-        return [U0] + [_node_block1(E_nodes[mm], c[mm], basis) for mm in range(1, len(c))], b
-
-    pred_mats, pred_b = lift_step(corrector=False)
-    corr_mats, corr_b = lift_step(corrector=True)
-    corr_target = corr_mats.pop()
-
-    return UnipcQcmSet(
-        i=i, p=p, anchor=anchor,
-        pred_mats=pred_mats, pred_b=pred_b,
-        corr_mats=corr_mats, corr_target=corr_target, corr_b=corr_b,
-    )
+    E = [_table_matrices(m, eps) for eps, in _derivative_tower(s, m, 1, grid.lam)]
+    solved: dict = {}  # one solve per distinct step, as in run_unipc
+    polys, mats, uses = [], [], {}  # uses: node -> [(matrix list, slot, coefficient)]
+    for i in range(p, grid.M + 1):
+        for corrector in (False, True):
+            # the anchor row carries c[0] E_0 and every node's constant term,
+            # each other node a block-row-1 matrix
+            ratio, c = uni_weights(s, grid.lam[i - p : i + 1], variant=variant,
+                                   corrector=corrector, solved=solved)
+            P: dict[int, np.ndarray] = {1: ratio * np.eye(m.d)}
+            for q, mat in E[i - p].items():
+                P[q] = P.get(q, np.zeros((m.d, m.d**q))) + c[0] * mat
+            mats.append([None] * len(c))
+            for mm in range(1, len(c)):
+                if 0 in E[i - p + mm]:
+                    P[0] = P.get(0, np.zeros((m.d, 1))) + c[mm] * E[i - p + mm][0]
+                uses.setdefault(i - p + mm, []).append((mats[-1], mm, c[mm]))
+            polys.append(P)
+    for node, node_uses in uses.items():
+        blocks = _node_block1(E[node], [c for *_, c in node_uses], basis)
+        for (step, mm, _), blk in zip(node_uses, blocks):
+            step[mm] = blk
+    bs = []
+    for step, (U, b) in zip(mats, _poly_to_update(polys, basis)):
+        step[0] = U
+        bs.append(b)
+    return [UnipcQcmSet(i=i, p=p, anchor=i - p, pred_mats=pred, pred_b=pred_b,
+                        corr_mats=corr[:-1], corr_target=corr[-1], corr_b=corr_b)
+            for i, pred, corr, pred_b, corr_b in zip(range(p, grid.M + 1), mats[::2], mats[1::2],
+                                                     bs[::2], bs[1::2])]
 
 
 def step_lifted(q, states, corrector: bool = False) -> np.ndarray:
@@ -480,18 +518,15 @@ def run_lifted(
     into the history when ``corrector`` is set.
 
     Every step depends only on the grid and the model: the steps are
-    lifted first, in order, and the states are walked after them.
+    lifted first, together, and the states are walked after them.
     """
     _check_model_basis(m, basis)
     Y0 = lift(x_T, basis)
     if scheme == "dpm":
         qcms = assemble_dpm_qcms(s, m, grid.lam, order, basis)
     elif scheme == "unipc":
-        p = order
-        qcms = assemble_dpm_qcms(s, m, grid.lam[:p], p, basis)
-        solved: dict = {}  # one solve per distinct step, as in run_unipc
-        qcms += [assemble_unipc_qcms(s, m, i, grid, p, basis, variant=variant, solved=solved)
-                 for i in range(p, grid.M + 1)]
+        qcms = assemble_dpm_qcms(s, m, grid.lam[:order], order, basis)
+        qcms += assemble_unipc_qcms(s, m, grid, order, basis, variant=variant)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     states = [Y0.y]

@@ -399,7 +399,8 @@ def condition_number(system: BlockLinearSystem, method: str = "auto",
             raise ValueError("lanczos needs dim >= 2")
         lu = splu(mat.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
         rng = np.random.default_rng(0)
-        top, it1, res1, ok1 = _lanczos_top(lambda v: mat.T @ (mat @ v), n, rtol, rng)
+        mat_t = mat.T  # one CSC transpose for every application
+        top, it1, res1, ok1 = _lanczos_top(lambda v: mat_t @ (mat @ v), n, rtol, rng)
         inv, it2, res2, ok2 = _lanczos_top(lambda v: lu.solve(lu.solve(v, trans="T")), n, rtol, rng)
         smax, smin, its = np.sqrt(top), 1.0 / np.sqrt(inv), it1 + it2
         res, ok = max(res1, res2), ok1 and ok2

@@ -135,6 +135,40 @@ def kron_poly_to_update(P: dict[int, np.ndarray], basis: KronBasis, delta: bool 
     return StepMatrix(buf), b
 
 
+def one_step_poly_to_update(P: dict[int, np.ndarray], basis, delta: bool = False):
+    """The symmetric-basis lift of one step polynomial, alone, as
+    :func:`carlift.carleman._poly_to_update` made it before it lifted
+    steps together: P's degrees in its own key order, block row j from
+    block row j-1 by one product pass and one bincount.  Returns
+    (StepMatrix, b)."""
+    N, dim = basis.N, basis.dim_total
+    mono = carleman._monomials(basis.d, N)
+    C = {q: mono.fold(B, q) for q, B in P.items() if q <= N and np.any(B)}
+    width = dim + 1
+    targets = np.concatenate([mono.products[q] for q in C] + [np.zeros(0, np.intp)])
+    buf = np.empty((dim, dim))
+    b = np.empty(dim)
+    R = np.zeros((1, width))
+    R[0, 0] = 1.0
+    for j in range(1, N + 1):
+        f = mono.first[j]
+        n_j = len(f)
+        Rp = R[mono.parent[j]]
+        vals = [(Rp[:, : mono.start[N - q + 1], None] * Cq[f][:, None, :]).reshape(n_j, -1)
+                for q, Cq in C.items()]
+        vals = np.concatenate(vals, axis=1) if vals else np.zeros((n_j, 0))
+        flat = np.arange(n_j)[:, None] * width + targets
+        R = np.bincount(flat.ravel(), weights=vals.ravel(), minlength=n_j * width).reshape(n_j, width)
+        rows = basis.block_slice(j)
+        scale = mono.sqrt_mult[rows]
+        b[rows] = R[:, 0] * scale
+        np.multiply(R[:, 1:], 1.0 / mono.sqrt_mult, out=buf[rows])
+        buf[rows] *= scale[:, None]
+    if delta:
+        buf.reshape(-1)[:: dim + 1] -= 1.0
+    return StepMatrix(buf), b
+
+
 def kron_node_block1(E: dict[int, np.ndarray], c: float, basis: KronBasis) -> StepMatrix:
     """Block-row-1 matrix c * E_q against Kronecker column blocks q >= 1."""
     buf = np.zeros((basis.d, basis.dim_total))
@@ -149,11 +183,14 @@ def kron_lifting():
     """A context in which carlift.carleman lifts in the Kronecker basis:
     hand it a :class:`KronBasis` wherever a CarlemanBasis goes, and
     run_lifted, the assemblies and LiftedState run as they did before
-    the symmetric basis replaced it."""
+    the symmetric basis replaced it.  The batched step and node lifts
+    are replaced by these one-step lifts, called once per step."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(carleman, "lift", kron_lift)
-        mp.setattr(carleman, "_poly_to_update", kron_poly_to_update)
-        mp.setattr(carleman, "_node_block1", kron_node_block1)
+        mp.setattr(carleman, "_poly_to_update", lambda polys, basis, delta=False: [
+            kron_poly_to_update(P, basis, delta=delta) for P in polys])
+        mp.setattr(carleman, "_node_block1", lambda E, cs, basis: [
+            kron_node_block1(E, c, basis) for c in cs])
         yield
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from carlift import reference
+from carlift import carleman, reference
 from carlift.carleman import (
     CarlemanBasis,
     Qcm,
@@ -96,6 +96,26 @@ def test_step_lift_refuses_oversized_dense_rows_before_allocating():
     assert peak < 8 * 2**20
 
 
+@pytest.mark.parametrize("chunk_bytes", [carleman.LIFT_CHUNK_BYTES, 1 << 14])
+def test_lift_work_stays_within_its_chunk_budget(chunk_bytes, monkeypatch):
+    # a kron_sweep_kappa shape, d=2, N=5, M=32; lifting the whole trajectory
+    # in one chunk takes about 0.4 MB beyond the steps it keeps
+    rng = np.random.default_rng(3)
+    m = kron_model(2, {1: np.diag([0.3, 0.7]), 2: 0.05 * rng.standard_normal((2, 2, 4))})
+    polys = step_polynomials_dpm(S, m, make_lambda_grid(S, 0.5, 0.1, 32).lam, 1)
+    basis = CarlemanBasis(N=5, d=2)
+    monkeypatch.setattr(carleman, "LIFT_CHUNK_BYTES", chunk_bytes)
+    _poly_to_update(polys, basis)  # index tables built outside the trace
+    tracemalloc.start()
+    try:
+        steps = _poly_to_update(polys, basis, delta=True)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(steps) == 32 and kept >= 32 * 8 * basis.dim_total**2
+    assert peak - kept <= 2 * chunk_bytes
+
+
 def test_lift_matches_kron_powers():
     rng = np.random.default_rng(21)
     basis = CarlemanBasis(N=3, d=2, mode="kron")
@@ -135,7 +155,7 @@ def assert_update_rows_are_powers(P, basis):
         np.testing.assert_array_equal(b[rows], want[0][:, 0] if 0 in want else 0.0)
         for q in range(1, basis.N + 1):
             np.testing.assert_array_equal(U[rows, basis.block_slice(q)], want.get(q, 0.0))
-    U_s, b_s = _poly_to_update(P, CarlemanBasis(N=basis.N, d=basis.d))
+    [(U_s, b_s)] = _poly_to_update([P], CarlemanBasis(N=basis.N, d=basis.d))
     Q = symmetric_embedding(basis.d, basis.N)
     scale = max(1.0, np.abs(U).max(), np.abs(b).max())
     assert np.abs(U @ Q - Q @ U_s.toarray()).max() <= 1e-14 * scale
@@ -264,8 +284,8 @@ def test_lifted_unipc_step_matches_sampler_on_quadratic_model():
     for p in (2, 3):
         for corrector in (False, True):
             ref = run_unipc(S, QUAD, [1.3], grid, p=p, corrector=corrector)
-            for i in range(p, grid.M + 1):
-                qset = assemble_unipc_qcms(S, QUAD, i, grid, p, basis)
+            for qset in assemble_unipc_qcms(S, QUAD, grid, p, basis):
+                i = qset.i
                 ys = [lift(pt.x, basis).y for pt in ref.states[i - p : i]]
                 y = step_lifted(qset, ys)
                 if corrector:
@@ -308,9 +328,14 @@ def test_lifted_unipc_solves_each_distinct_step_once(monkeypatch):
         solved.clear()
         _, qcms = run_lifted(S, QUAD, [1.3], grid, basis, scheme="unipc", order=2)
         assert len(solved) == len(set(solved)) == 2 * len(steps)
-    for q in qcms[1:]:
-        # a step lifted alone solves its own weights
-        alone = assemble_unipc_qcms(S, QUAD, q.i, grid, 2, basis)
+    # a run in which every step solves its own weights lifts the same matrices
+    uni_weights = carleman.uni_weights
+    monkeypatch.setattr(carleman, "uni_weights",
+                        lambda *args, solved=None, **kwargs: uni_weights(*args, **kwargs))
+    solved.clear()
+    _, unshared = run_lifted(S, QUAD, [1.3], grid, basis, scheme="unipc", order=2)
+    assert len(solved) == 2 * len(nodes)
+    for q, alone in zip(qcms[1:], unshared[1:], strict=True):
         for got, expected in zip(q.pred_mats + q.corr_mats + [q.corr_target],
                                  alone.pred_mats + alone.corr_mats + [alone.corr_target]):
             assert np.array_equal(got.rows, expected.rows)
@@ -320,7 +345,7 @@ def test_lifted_unipc_solves_each_distinct_step_once(monkeypatch):
 def test_unipc_qcm_set_shape_and_history_check():
     basis = CarlemanBasis(N=2, d=1)
     grid = make_lambda_grid(S, 1.0, 0.1, 5)
-    qset = assemble_unipc_qcms(S, QUAD, 2, grid, 2, basis)
+    qset = assemble_unipc_qcms(S, QUAD, grid, 2, basis)[0]
     assert qset.p == 2 and qset.anchor == 0
     y = lift([1.0], basis).y
     with pytest.raises(ValueError):

@@ -1,8 +1,8 @@
 """Property tests of the vectorised lift -> assemble -> solve path against
 the straightforward formulations kept here as oracles: the explicit
 sparse-Kronecker total derivative, the per-n rebuild of the total
-derivative, sp.bmat global assembly, the global CSR matrix the
-trajectory operator builds, and the sequential lifted walk."""
+derivative, the one-step lift, sp.bmat global assembly, the global CSR
+matrix the trajectory operator builds, and the sequential lifted walk."""
 
 import math
 from unittest import mock
@@ -15,9 +15,16 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 from scipy.special import expit
 
-from carlift.carleman import CarlemanBasis, StepMatrix, UnipcQcmSet, run_lifted
+from carlift import carleman, model
+from carlift.carleman import (
+    CarlemanBasis,
+    StepMatrix,
+    UnipcQcmSet,
+    _poly_to_update,
+    run_lifted,
+    step_polynomials_dpm,
+)
 from carlift.errors import StructureError
-from carlift import model
 from carlift.model import (
     SIGMA_TAYLOR_DEGREE,
     _batch_mul,
@@ -41,6 +48,8 @@ from carlift.system import (
     assemble_global_unipc,
     condition_number,
 )
+
+from oracles import one_step_poly_to_update
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -395,6 +404,43 @@ def test_slot_insertion_derivative_matches_sparse_kron(seed, d, J, L, Lv):
     for g, w in zip(got, want):
         assert g.shape == w.shape
         np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(w).max()))
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 4),
+    N=st.integers(1, 5),
+    M=st.integers(1, 6),
+    k=st.integers(1, 3),
+    delta=st.booleans(),
+    chunk_bytes=st.integers(1, 2**16),
+    extra=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3)), max_size=4),
+)
+def test_batched_lift_equals_per_step_lifts(seed, d, N, M, k, delta, chunk_bytes, extra):
+    # the oracle lifts each step alone, as the lift did before it batched;
+    # the steps of a lam-dependent kron model with a constant term list their
+    # degrees 1, 0, 2, ...; the extra steps, each with one all-zero block and
+    # degrees in sorted order, split the runs that are lifted together
+    rng = np.random.default_rng(seed)
+    m, _ = random_kron(seed, d)
+    polys = step_polynomials_dpm(S, m, make_lambda_grid(S, 0.5, 0.1, M).lam, k)
+    assert list(polys[0])[:3] == [1, 0, 2]
+    for at, zero in extra:
+        P = {q: (0.0 if q == zero else 1.0) * rng.standard_normal((d, d**q)) for q in range(4)}
+        polys.insert(min(at, len(polys)), P)
+    basis = CarlemanBasis(N=N, d=d)
+    with mock.patch.object(carleman, "LIFT_CHUNK_BYTES", chunk_bytes):
+        batched = _poly_to_update(polys, basis, delta=delta)
+    assert len(batched) == len(polys)
+    for P, (U, b) in zip(polys, batched):
+        U_1, b_1 = one_step_poly_to_update(P, basis, delta=delta)
+        assert same_bits(U.rows, U_1.rows) and same_bits(b, b_1)
+        assert np.array_equal(U.row_nnz, U_1.row_nnz)
 
 
 @PROPERTY

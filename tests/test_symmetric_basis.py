@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carlift import carleman
 from carlift.carleman import CarlemanBasis, UnipcQcmSet, _node_block1, _poly_to_update, run_lifted
 from carlift.model import kron_model
 from carlift.schedule import make_lambda_grid, make_vp_schedule
@@ -75,7 +76,7 @@ def test_step_lift_intertwines_with_the_kron_lift(seed, d, N, degrees, zero, del
     rng = np.random.default_rng(seed)
     P = {q: (0.0 if q == zero else 1.0) * rng.standard_normal((d, d**q)) for q in degrees}
     Q = symmetric_embedding(d, N)
-    U_s, b_s = _poly_to_update(P, CarlemanBasis(N=N, d=d), delta=delta)
+    [(U_s, b_s)] = _poly_to_update([P], CarlemanBasis(N=N, d=d), delta=delta)
     U, b = kron_poly_to_update(P, KronBasis(N=N, d=d), delta=delta)
     U = U.toarray()
     assert U_s.rows.shape == (Q.shape[1], Q.shape[1])
@@ -83,7 +84,7 @@ def test_step_lift_intertwines_with_the_kron_lift(seed, d, N, degrees, zero, del
     assert np.linalg.norm(b - Q @ b_s) <= 1e-14 * max(np.linalg.norm(b), 1e-300)
 
     E = {q: rng.standard_normal((d, d**q)) for q in degrees}
-    node = _node_block1(E, 0.3, CarlemanBasis(N=N, d=d))
+    [node] = _node_block1(E, [0.3], CarlemanBasis(N=N, d=d))
     want = kron_node_block1(E, 0.3, KronBasis(N=N, d=d)).toarray()
     assert node.rows.shape == (d, Q.shape[1])
     assert np.linalg.norm(want @ Q - Q @ node.toarray()) <= 1e-14 * max(np.linalg.norm(want), 1e-300)
@@ -127,6 +128,20 @@ def test_symmetric_kappa_is_at_most_the_kron_kappa(seed, d, N, M, scheme):
     (_, system), (_, ksystem) = both_bases(seed, d, N, M, scheme)
     kappa = condition_number(system, method="dense_svd").kappa
     assert kappa <= condition_number(ksystem, method="dense_svd").kappa * (1 + 1e-9)
+
+
+def test_kron_lifting_never_enters_the_symmetric_lift(monkeypatch):
+    # every symmetric-basis lift starts from the monomial index tables; the
+    # Kronecker trajectories the tests above compare with must not use them
+    def refuse(d, N):
+        raise AssertionError("the symmetric lift ran inside kron_lifting()")
+
+    monkeypatch.setattr(carleman, "_monomials", refuse)
+    for scheme in SCHEMES:
+        with kron_lifting():
+            states, _ = trajectory(5, 2, 3, 4, scheme, KronBasis(N=3, d=2))
+            assert len(states[0].y) == KronBasis(N=3, d=2).dim_total == 14
+            states[-1].consistency_defect()
 
 
 def test_lift_peaks_no_higher_than_the_kron_lift():
