@@ -22,21 +22,23 @@ and a whole trajectory becomes one block lower-triangular linear
 system.  Terms of degree above N are dropped (hard truncation); block 1
 of a single step is exact whenever the step polynomial fits within N.
 
-The step maps are not derived here: their coefficients come from
-:func:`carlift.reference.dpm_weights` and
-:func:`carlift.reference.uni_weights`, which the classical samplers
-evaluate too, so the lifted step and the sampler step are one map.
+The step maps are not derived here: their coefficients come from the
+tables of :func:`carlift.reference.dpm_weights` and
+:func:`carlift.reference.uni_weights`, whose rows the classical samplers
+read too, so the lifted step and the sampler step are one map.
 
-The steps of a trajectory are lifted together, in chunks stacked
-along a leading step axis, each step into a dense buffer kept as its
-:class:`StepMatrix`.  :func:`run_lifted` lifts all of a trajectory's
-steps on the calling thread, then walks the states.
+A run's step maps are one dict {q: (M, d, d^q)}: each degree's
+coefficient blocks stacked along a leading step axis, built from the
+weight tables and eps and its derivatives tabulated over the grid.
+They are lifted in chunks sliced along that axis, each step into a
+dense buffer kept as its :class:`StepMatrix`.  :func:`run_lifted` lifts
+all of a trajectory's steps on the calling thread, then walks the
+states.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -218,19 +220,17 @@ class StepMatrix:
     """A square step matrix held as the dense array of its leading rows.
 
     ``rows`` holds rows 0..r-1 of the (n, n) matrix, the only ones that
-    can be nonzero; the rest are zero.  The nonzeros of each row are
-    counted once, when the matrix is made (``row_nnz``), so nothing
-    rescans the array for them.
+    can be nonzero; the rest are zero.  The nonzeros are counted the
+    first time ``nnz`` is read, and that count is kept.
     """
 
     def __init__(self, rows: np.ndarray):
         self.rows = rows
         self.shape = (rows.shape[1], rows.shape[1])
-        self.row_nnz = np.count_nonzero(rows, axis=1)
 
-    @property
+    @functools.cached_property
     def nnz(self) -> int:
-        return int(self.row_nnz.sum())
+        return int(np.count_nonzero(self.rows))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """The product with a vector."""
@@ -244,65 +244,64 @@ class StepMatrix:
         return out
 
 
-def _poly_to_update(polys: list[dict[int, np.ndarray]], basis: CarlemanBasis,
+def _poly_to_update(polys: dict[int, np.ndarray], basis: CarlemanBasis,
                     delta: bool = False) -> list[tuple[StepMatrix, np.ndarray]]:
-    """Lift step polynomials into update matrices U and offsets b.
+    """Lift a run's step polynomials into update matrices U and offsets b.
 
-    Row beta of block row j holds the degree-truncated coefficients of
-    sqrt(m_beta) prod_k P_{beta_k}(x) on the weighted monomials.  The
-    (d, d^q) blocks of P are first summed onto monomial columns.  Each
-    block row is then made from block row j-1 in one pass: row beta is
-    its parent row, beta - e_{beta_1}, times P_{beta_1}; the products of
-    each degree q of P are taken for all rows at once, and one bincount
-    adds them onto their monomial columns.  Rows and columns are scaled
-    by sqrt(m_beta) and 1/sqrt(m_gamma) last.  Degree-0 parts land in b.
-    With ``delta`` the identity is subtracted, giving the delta-form
-    matrix U - I.
+    ``polys`` maps each degree q to the steps' (d, d^q) blocks, stacked
+    along a leading step axis.  Row beta of block row j holds the
+    degree-truncated coefficients of sqrt(m_beta) prod_k P_{beta_k}(x) on
+    the weighted monomials.  The (d, d^q) blocks of P are first summed
+    onto monomial columns.  Each block row is then made from block row
+    j-1 in one pass: row beta is its parent row, beta - e_{beta_1}, times
+    P_{beta_1}; the products of each degree q of P are taken for all rows
+    at once, in the dict's degree order, and one bincount adds them onto
+    their monomial columns.  Rows and columns are scaled by sqrt(m_beta)
+    and 1/sqrt(m_gamma) last.  Degree-0 parts land in b.  With ``delta``
+    the identity is subtracted, giving the delta-form matrix U - I.
 
-    Consecutive polynomials with the same nonzero degrees, in the same
-    key order, are lifted together, their rows stacked, as many per chunk
-    as keep the products, their bin indices and the block rows within
-    LIFT_CHUNK_BYTES.  bincount adds each bin's terms in input order, so
-    a step's U and b are the same bits in any chunk.  A chunk's (steps,
-    dim_total, dim_total) buffer holds its step matrices.  Returns one
-    (StepMatrix, b) per polynomial.
+    The steps are lifted in chunks sliced along the step axis, their rows
+    stacked, as many per chunk as keep the products, their bin indices
+    and the block rows within LIFT_CHUNK_BYTES.  bincount adds each bin's
+    terms in input order from +0, so a step's U and b are the same bits
+    in any chunk, and a degree that is zero at one step adds nothing to
+    it.  A chunk's (steps, dim_total, dim_total) buffer holds its step
+    matrices.  Returns one (StepMatrix, b) per step.
     """
     N, dim = basis.N, basis.dim_total
     mono = _monomials(basis.d, N)
     width = dim + 1  # the constant, then the lifted coordinates
     col_scale = 1.0 / mono.sqrt_mult
-    keys = [tuple(q for q, B in P.items() if q <= N and B.any()) for P in polys]
+    n_steps = len(next(iter(polys.values())))
+    polys = {q: B for q, B in polys.items() if q <= N and B.any()}
+    targets = np.concatenate([mono.products[q] for q in polys] + [np.zeros(0, np.intp)])
+    work = 8 * len(mono.first[N]) * (3 * len(targets) + 2 * width)  # per step, at block row N
+    per_chunk = max(1, LIFT_CHUNK_BYTES // work)
     out = []
-    for qs, run in itertools.groupby(range(len(polys)), key=keys.__getitem__):
-        run = list(run)
-        targets = np.concatenate([mono.products[q] for q in qs] + [np.zeros(0, np.intp)])
-        work = 8 * len(mono.first[N]) * (3 * len(targets) + 2 * width)  # per step, at block row N
-        per_chunk = max(1, LIFT_CHUNK_BYTES // work)
-        for lo in range(0, len(run), per_chunk):
-            steps = [polys[i] for i in run[lo : lo + per_chunk]]
-            S = len(steps)  # stacked row-wise: (S * d, n_q) coefficients, (S * n_j, width) rows
-            C = {q: mono.fold(np.concatenate([P[q] for P in steps]) if S > 1 else steps[0][q], q)
-                 for q in qs}
-            buf = np.empty((S, dim, dim))
-            b = np.empty((S, dim))
-            R = np.zeros((S, width))  # block row j-1, unscaled, with its constant column
-            R[:, 0] = 1.0
-            for j, (parent, f) in enumerate(_stacked_rows(basis.d, N, S), start=1):
-                Rp = R[parent]
-                vals = [(Rp[:, : mono.start[N - q + 1], None] * Cq[f][:, None, :]).reshape(len(f), -1)
-                        for q, Cq in C.items()]
-                vals = np.concatenate(vals, axis=1) if vals else np.zeros((len(f), 0))
-                flat = np.arange(len(f))[:, None] * width + targets
-                R = np.bincount(flat.ravel(), weights=vals.ravel(), minlength=len(f) * width)
-                R = R.reshape(len(f), width)
-                rows = basis.block_slice(j)
-                scale = mono.sqrt_mult[rows]
-                b[:, rows] = R[:, 0].reshape(S, -1) * scale
-                np.multiply(R[:, 1:].reshape(S, -1, dim), col_scale, out=buf[:, rows])
-                buf[:, rows] *= scale[:, None]
-            if delta:
-                buf.reshape(S, -1)[:, :: dim + 1] -= 1.0
-            out += [(StepMatrix(U), b_i) for U, b_i in zip(buf, b)]
+    for lo in range(0, n_steps, per_chunk):
+        # S steps stacked row-wise: (S * d, n_q) coefficients, (S * n_j, width) rows
+        S = min(per_chunk, n_steps - lo)
+        C = {q: mono.fold(B[lo : lo + S].reshape(S * basis.d, -1), q) for q, B in polys.items()}
+        buf = np.empty((S, dim, dim))
+        b = np.empty((S, dim))
+        R = np.zeros((S, width))  # block row j-1, unscaled, with its constant column
+        R[:, 0] = 1.0
+        for j, (parent, f) in enumerate(_stacked_rows(basis.d, N, S), start=1):
+            Rp = R[parent]
+            vals = [(Rp[:, : mono.start[N - q + 1], None] * Cq[f][:, None, :]).reshape(len(f), -1)
+                    for q, Cq in C.items()]
+            vals = np.concatenate(vals, axis=1) if vals else np.zeros((len(f), 0))
+            flat = np.arange(len(f))[:, None] * width + targets
+            R = np.bincount(flat.ravel(), weights=vals.ravel(), minlength=len(f) * width)
+            R = R.reshape(len(f), width)
+            rows = basis.block_slice(j)
+            scale = mono.sqrt_mult[rows]
+            b[:, rows] = R[:, 0].reshape(S, -1) * scale
+            np.multiply(R[:, 1:].reshape(S, -1, dim), col_scale, out=buf[:, rows])
+            buf[:, rows] *= scale[:, None]
+        if delta:
+            buf.reshape(S, -1)[:, :: dim + 1] -= 1.0
+        out += [(StepMatrix(U), b_i) for U, b_i in zip(buf, b)]
     return out
 
 
@@ -325,27 +324,35 @@ class Qcm:
     b: np.ndarray
 
 
-def _table_matrices(m: PolyNoiseModel, table) -> dict[int, np.ndarray]:
-    """Coefficient matrices {q: (d, d^q)} of a one-row eps table, all-zero
-    degrees left out; a separable table is one-coordinate here."""
-    mats = [cq[0] for cq in table] if m.mode == "kron" else table[0][:, None]
-    return {q: mat for q, mat in enumerate(mats) if np.any(mat)}
+def _degree_blocks(m: PolyNoiseModel, table) -> dict[int, np.ndarray]:
+    """The (S, d, d^q) coefficient blocks of an eps table over S points, by
+    degree q, leaving out the degrees that are zero at every point; a
+    separable table is one-coordinate here."""
+    blocks = table if m.mode == "kron" else table.transpose(1, 0, 2)[..., None]
+    return {q: B for q, B in enumerate(blocks) if B.any()}
+
+
+def _step_maps(ratio: np.ndarray, terms, d: int) -> dict[int, np.ndarray]:
+    """The step maps x -> ratio x + sum_n c_n E_n(x), stacked over the steps:
+    ``terms`` lists (c_n, E_n), each c_n one weight per step and E_n the
+    {q: (S, d, d^q)} blocks it scales.  Degree 1 comes first, then each
+    degree as the terms first show it."""
+    P: dict[int, np.ndarray] = {1: ratio[:, None, None] * np.eye(d)}
+    for cn, E in terms:
+        for q, B in E.items():
+            P[q] = P.get(q, np.zeros((len(ratio), d, d**q))) + cn[:, None, None] * B
+    return P
 
 
 def step_polynomials_dpm(s: NoiseSchedule, m: PolyNoiseModel, lams: np.ndarray,
-                         k: int) -> list[dict[int, np.ndarray]]:
-    """Coefficient matrices of the order-k step maps from lams[i] to
-    lams[i+1], each the :func:`carlift.reference.dpm_weights` step written
-    out in powers of x, from one derivative tower for all step starts."""
-    polys = []
-    for i, tower in enumerate(_derivative_tower(s, m, k, lams[:-1])):
-        ratio, c = dpm_weights(s, float(lams[i]), float(lams[i + 1]), k)
-        P: dict[int, np.ndarray] = {1: ratio * np.eye(m.d)}
-        for cn, table in zip(c, tower):
-            for q, mat in _table_matrices(m, table).items():
-                P[q] = P.get(q, np.zeros((m.d, m.d**q))) + cn * mat
-        polys.append(P)
-    return polys
+                         k: int) -> dict[int, np.ndarray]:
+    """Coefficient blocks {q: (M, d, d^q)} of the order-k step maps from
+    lams[i] to lams[i+1], stacked over the M steps, each the
+    :func:`carlift.reference.dpm_weights` step written out in powers of
+    x, from one derivative tower for all step starts."""
+    ratio, c = dpm_weights(s, lams, k)
+    tower = _derivative_tower(s, m, k, lams[:-1])
+    return _step_maps(ratio, [(cn, _degree_blocks(m, table)) for cn, table in zip(c.T, tower)], m.d)
 
 
 def assemble_dpm_qcms(s: NoiseSchedule, m: PolyNoiseModel, lams: np.ndarray, k: int,
@@ -403,17 +410,20 @@ class UnipcQcmSet:
     corr_b: np.ndarray
 
 
-def _node_block1(E: dict[int, np.ndarray], cs, basis: CarlemanBasis) -> list[StepMatrix]:
-    """Block-row-1 matrices c * E_q against column blocks q >= 1, one per
-    c in ``cs``: E's Kronecker columns summed onto the monomials once,
-    then scaled by c and 1/sqrt(multiplicity), each held as its d rows."""
+def _block1(E: dict[int, np.ndarray], nodes: np.ndarray, cs: np.ndarray,
+            basis: CarlemanBasis) -> list[StepMatrix]:
+    """Block-row-1 matrices cs[i] * E_q at grid node nodes[i] against column
+    blocks q >= 1, each held as its d rows.  Each E_q, the (G, d, d^q) eps
+    blocks over the grid, has its Kronecker columns summed onto the
+    monomials once; a degree that is zero at a node stays +0 there."""
     mono = _monomials(basis.d, basis.N)
-    cs = np.asarray(cs, dtype=float)[:, None, None]
     buf = np.zeros((len(cs), basis.d, basis.dim_total))
-    for q, mat in E.items():
+    for q, B in E.items():
         if 1 <= q <= basis.N:
             cols = basis.block_slice(q)
-            buf[:, :, cols] = cs * mono.fold(mat, q) / mono.sqrt_mult[cols]
+            F = mono.fold(B.reshape(-1, B.shape[-1]), q).reshape(len(B), basis.d, -1)
+            at = B.reshape(len(B), -1).any(axis=1)[nodes]
+            buf[at, :, cols] = cs[at, None, None] * F[nodes[at]] / mono.sqrt_mult[cols]
     return [StepMatrix(rows) for rows in buf]
 
 
@@ -431,43 +441,33 @@ def assemble_unipc_qcms(
     are the grid nodes in between, so every matrix acts on an
     already-computed lifted state.  At p = 1 the predictor degenerates
     to the order-1 lifted step of :func:`assemble_dpm_qcms` exactly.
-    eps is tabulated once over the grid and each distinct step's
-    :func:`carlift.reference.uni_weights` solve is done once.  The
-    anchor maps of all steps are lifted together by
-    :func:`_poly_to_update`, and each node's block-row-1 matrices are
-    made from one fold of its eps.
+    The weights of all K = M - p + 1 predictor and K corrector steps come
+    as two tables from :func:`carlift.reference.uni_weights`, eps as one
+    table over the grid.  The anchor row of a step carries c[0] E at the
+    anchor and every node's constant term; its 2K maps are lifted
+    together by :func:`_poly_to_update`.  Each other node's term is a
+    block-row-1 matrix, all of them from one fold of eps over the grid.
     """
     _check_model_basis(m, basis)
-    E = [_table_matrices(m, eps) for eps, in _derivative_tower(s, m, 1, grid.lam)]
-    solved: dict = {}  # one solve per distinct step, as in run_unipc
-    polys, mats, uses = [], [], {}  # uses: node -> [(matrix list, slot, coefficient)]
-    for i in range(p, grid.M + 1):
-        for corrector in (False, True):
-            # the anchor row carries c[0] E_0 and every node's constant term,
-            # each other node a block-row-1 matrix
-            ratio, c = uni_weights(s, grid.lam[i - p : i + 1], variant=variant,
-                                   corrector=corrector, solved=solved)
-            P: dict[int, np.ndarray] = {1: ratio * np.eye(m.d)}
-            for q, mat in E[i - p].items():
-                P[q] = P.get(q, np.zeros((m.d, m.d**q))) + c[0] * mat
-            mats.append([None] * len(c))
-            for mm in range(1, len(c)):
-                if 0 in E[i - p + mm]:
-                    P[0] = P.get(0, np.zeros((m.d, 1))) + c[mm] * E[i - p + mm][0]
-                uses.setdefault(i - p + mm, []).append((mats[-1], mm, c[mm]))
-            polys.append(P)
-    for node, node_uses in uses.items():
-        blocks = _node_block1(E[node], [c for *_, c in node_uses], basis)
-        for (step, mm, _), blk in zip(node_uses, blocks):
-            step[mm] = blk
-    bs = []
-    for step, (U, b) in zip(mats, _poly_to_update(polys, basis)):
-        step[0] = U
-        bs.append(b)
-    return [UnipcQcmSet(i=i, p=p, anchor=i - p, pred_mats=pred, pred_b=pred_b,
-                        corr_mats=corr[:-1], corr_target=corr[-1], corr_b=corr_b)
-            for i, pred, corr, pred_b, corr_b in zip(range(p, grid.M + 1), mats[::2], mats[1::2],
-                                                     bs[::2], bs[1::2])]
+    (eps,) = _derivative_tower(s, m, 1, grid.lam)
+    E = _degree_blocks(m, eps)
+    pred_ratio, pred_c = uni_weights(s, grid.lam, p, variant)
+    corr_ratio, corr_c = uni_weights(s, grid.lam, p, variant, corrector=True)
+    K = len(pred_ratio)
+    # steps 0..K-1 predict, K..2K-1 correct; the predictor puts no weight on the target
+    c = np.concatenate([np.pad(pred_c, ((0, 0), (0, 1))), corr_c])
+    slot = np.arange(p + 1)
+    nodes = np.tile(np.arange(K), 2)[:, None] + slot  # the grid node of each weight
+    terms = [(c[:, 0], {q: B[nodes[:, 0]] for q, B in E.items()})]
+    terms += [(c[:, mm], {0: E[0][nodes[:, mm]]}) for mm in range(1, p + 1) if 0 in E]
+    steps = _poly_to_update(_step_maps(np.concatenate([pred_ratio, corr_ratio]), terms, m.d), basis)
+    used = (slot > 0) & (slot < p + (np.arange(2 * K) >= K)[:, None])  # block-row-1 slots
+    blocks = iter(_block1(E, nodes[used], c[used], basis))
+    mats = [[U] + [next(blocks) for _ in range(used[n].sum())] for n, (U, _) in enumerate(steps)]
+    return [UnipcQcmSet(i=i, p=p, anchor=i - p, pred_mats=mats[n], pred_b=steps[n][1],
+                        corr_mats=mats[K + n][:-1], corr_target=mats[K + n][-1],
+                        corr_b=steps[K + n][1])
+            for n, i in enumerate(range(p, grid.M + 1))]
 
 
 def step_lifted(q, states, corrector: bool = False) -> np.ndarray:

@@ -18,7 +18,8 @@ integrators applies
 symbolically, with sigma_lam and sigma_lam^2 replaced by fixed-degree
 Taylor polynomials around an expansion point, so the result is again a
 polynomial in x and lam.  A sampler run builds these derivatives once,
-for all of its step starts at a time, in chunks of expansion points.
+for all of its step starts at a time, in chunks of expansion points, and
+keeps each as one table over the run's steps.
 """
 
 from __future__ import annotations
@@ -512,22 +513,31 @@ def _derivative_tower(s: NoiseSchedule, m: PolyNoiseModel, k: int, lams) -> list
     """The total derivatives D^0 eps, ..., D^{k-1} eps around each point of ``lams``.
 
     ``lams`` is a 1-d array of expansion points, a run's step starts.
-    Element i is the tower at lams[i]: D^n eps for n < k, each collapsed
-    there into a one-row table (the layout of :func:`_eps_tables`).  It is
-    built for all points at once, in chunks of :func:`_tower_chunk` points.
-    A scalar ``lams`` gives the models D^n eps themselves, element 0 m.
+    Level n is D^n eps collapsed at every point into one table over the
+    points, row c at lams[c] (the layout of :func:`_eps_tables`).  It is
+    built for all points at once, in chunks of :func:`_tower_chunk`
+    points; a degree that one chunk lacks is zero in that chunk's rows.
+    No points give no levels.  A scalar ``lams`` gives the models D^n eps
+    themselves, element 0 m.
     """
     lams = np.asarray(lams, dtype=float)
     if lams.ndim == 0:
         return [m] + [dn for _, dn in _tower_levels(s, m, k, lams.reshape(1))]
     step = _tower_chunk(m, k)
-    tower = []
-    for part in (lams[lo : lo + step] for lo in range(0, len(lams), step)):
-        levels = [m.coeffs] + [coeffs for coeffs, _ in _tower_levels(s, m, k, part)]
-        tables = [_center_tables(m, level, part) for level in levels]
-        tower += [[[cj[c : c + 1] for cj in t] if m.mode == "kron" else t[c : c + 1] for t in tables]
-                  for c in range(len(part))]
-    return tower
+    parts = [[_center_tables(m, level, part)
+              for level in [m.coeffs] + [coeffs for coeffs, _ in _tower_levels(s, m, k, part)]]
+             for part in (lams[lo : lo + step] for lo in range(0, len(lams), step))]
+    return parts[0] if len(parts) == 1 else [_concat_tables(m, tables) for tables in zip(*parts)]
+
+
+def _concat_tables(m: PolyNoiseModel, tables: tuple):
+    """Stack the tables of consecutive chunks of points, each zero-padded to
+    the largest x-degree among them."""
+    if m.mode == "kron":
+        return [np.concatenate([t[j] if j < len(t) else np.zeros((len(t[0]), m.d, m.d**j))
+                                for t in tables]) for j in range(max(map(len, tables)))]
+    J = max(t.shape[1] for t in tables)
+    return np.concatenate([np.pad(t, ((0, 0), (0, J - t.shape[1]), (0, 0))) for t in tables])
 
 
 def total_derivative_poly(s: NoiseSchedule, m: PolyNoiseModel, n: int,

@@ -8,10 +8,12 @@ solution
 by replacing eps along the step either with its Taylor expansion in lam
 (single-step, derivative-based) or with a polynomial interpolant through
 stored eps evaluations (predictor / corrector).  Either way a step is
-x_t = ratio x_s + sum_n c[n] eps_n, and its coefficients are computed
-only by :func:`dpm_weights` and :func:`uni_weights`, which the Carleman
-lift in :mod:`carlift.carleman` reads as well.  All weights reduce to
-the moments I_n computed by :func:`carlift.schedule.taylor_integral`.
+x_t = ratio x_s + sum_n c[n] eps_n.  The coefficients of a run's steps
+are tabulated over its grid, one row per step, only by
+:func:`dpm_weights` and :func:`uni_weights`; the samplers read rows of
+those tables and the Carleman lift in :mod:`carlift.carleman` reads them
+whole.  All weights reduce to the moments I_n computed by
+:func:`carlift.schedule.taylor_integral`.
 """
 
 from __future__ import annotations
@@ -144,21 +146,26 @@ def rk4_oracle(
     return SolverRun(grid=grid, states=pts, nfe=nfe, scheme="rk4")
 
 
-def dpm_weights(s: NoiseSchedule, lam_s: float, lam_t: float, k: int) -> tuple[float, np.ndarray]:
-    """Coefficients of the order-k Taylor step from lam_s to lam_t.
+def dpm_weights(s: NoiseSchedule, lams: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of the order-k Taylor steps over the log-SNRs ``lams``.
 
-    The step is x_t = ratio x_s + sum_{n<k} c[n] eps^{(n)}(x_s, lam_s)
-    with ratio = alpha_t / alpha_s and c[n] = -alpha_t I_n, eps^{(n)} the
-    total lambda-derivatives expanded around lam_s and I_n the
-    exponential moments over the step.
+    Step i, from lams[i] to lams[i+1], is x_{i+1} = ratio[i] x_i +
+    sum_{n<k} c[i, n] eps^{(n)}(x_i, lams[i]) with ratio[i] =
+    alpha_{i+1} / alpha_i and c[i, n] = -alpha_{i+1} I_n, eps^{(n)} the
+    total lambda-derivatives expanded around lams[i] and I_n the
+    exponential moments over the step.  Returns the (M,) ratios and the
+    (M, k) weights of the M = len(lams) - 1 steps.
     """
     if k not in (1, 2, 3):
         raise ValueError("supported orders are k in {1, 2, 3}")
+    lams = np.asarray(lams, dtype=float)
+    alpha = s.alpha_from_lam(lams)
     # the weights before the ratio: a step too wide for their series stops
     # with ConvergenceError before an underflowed alpha_s divides by zero
-    alpha_t = float(s.alpha_from_lam(lam_t))
-    c = np.array([-alpha_t * taylor_integral(n, lam_s, lam_t) for n in range(k)])
-    return float(s.alpha_from_lam(lam_t) / s.alpha_from_lam(lam_s)), c
+    c = np.array([[-alpha_t * taylor_integral(n, lam_s, lam_t) for n in range(k)]
+                  for lam_s, lam_t, alpha_t in zip(lams[:-1].tolist(), lams[1:].tolist(),
+                                                   alpha[1:].tolist())]).reshape(-1, k)
+    return alpha[1:] / alpha[:-1], c
 
 
 def _apply_weights(ratio: float, c: np.ndarray, x0: np.ndarray, eps: list[np.ndarray]) -> np.ndarray:
@@ -175,10 +182,11 @@ def _taylor_walk(s: NoiseSchedule, m: PolyNoiseModel, x: np.ndarray, lams: np.nd
     yields its new state and the eps(x_s, lam_s) it evaluated as the n = 0 term."""
     if x.shape != (m.d,):
         raise ValueError(f"state must have shape ({m.d},)")
-    for i, tower in enumerate(_derivative_tower(s, m, k, lams[:-1])):
-        ratio, c = dpm_weights(s, float(lams[i]), float(lams[i + 1]), k)
-        ders = [_eval_tabulated(m, table, 0, x) for table in tower]
-        x = _apply_weights(ratio, c, x, ders)
+    ratio, c = dpm_weights(s, lams, k)
+    tower = _derivative_tower(s, m, k, lams[:-1])
+    for i in range(len(ratio)):
+        ders = [_eval_tabulated(m, table, i, x) for table in tower]
+        x = _apply_weights(ratio[i], c[i], x, ders)
         yield x, ders[0]
 
 
@@ -227,38 +235,35 @@ def uni_coeffs(
     return a, Bh
 
 
-def uni_weights(
-    s: NoiseSchedule,
-    lam_nodes: np.ndarray,
-    variant: str = "bh2",
-    corrector: bool = False,
-    solved: dict | None = None,
-) -> tuple[float, np.ndarray]:
-    """Coefficients of the unified step through the nodes lam_nodes[0..p].
+def uni_weights(s: NoiseSchedule, lams: np.ndarray, p: int, variant: str = "bh2",
+                corrector: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of the order-p unified steps over the log-SNRs ``lams``.
 
-    The step from anchor lam_0 to target lam_p is
-    x_p = ratio x_0 + sum_m c[m] eps(x_m, lam_m), with ratio =
-    alpha_p / alpha_0, over the nodes m < p for the predictor and
-    m <= p for the corrector (x_p then being the predictor output).
-    With w_m = sigma_p B(h) a_m / r_m from :func:`uni_coeffs`,
-    c[0] = -alpha_p I_0 + sum_m w_m and c[m] = -w_m for m >= 1.
-    ``solved``, a dict one run hands to all its steps, keeps each
-    distinct step's :func:`uni_coeffs` solution.
+    Step j runs from anchor lam_0 = lams[j] to target lam_p = lams[j+p]
+    through the nodes between: x_p = ratio[j] x_0 + sum_m c[j, m]
+    eps(x_m, lam_m), with ratio = alpha_p / alpha_0, over the nodes
+    m < p for the predictor and m <= p for the corrector (x_p then being
+    the predictor output).  With w_m = sigma_p B(h) a_m / r_m from
+    :func:`uni_coeffs`, c[j, 0] = -alpha_p I_0 + sum_m w_m and c[j, m] =
+    -w_m for m >= 1.  Each distinct step's :func:`uni_coeffs` system is
+    solved once per call.  Returns the ratios and the (len(lams) - p, p)
+    weights, or (len(lams) - p, p + 1) for the corrector.
     """
-    lam_nodes = np.asarray(lam_nodes, dtype=float)
-    p = len(lam_nodes) - 1
-    lam_0, lam_p = float(lam_nodes[0]), float(lam_nodes[-1])
-    h = lam_p - lam_0
-    r = (lam_nodes[1:] - lam_nodes[0]) / h
-    solved = {} if solved is None else solved
-    key = (p, tuple(r), h, variant, corrector)
-    if key not in solved:
-        solved[key] = uni_coeffs(p, r, h, variant=variant, corrector=corrector)
-    a, Bh = solved[key]
-    ratio = float(s.alpha_from_lam(lam_p) / s.alpha_from_lam(lam_0))
-    w = float(s.sigma_from_lam(lam_p)) * Bh * (a / r[: len(a)])
-    c0 = -float(s.alpha_from_lam(lam_p)) * taylor_integral(0, lam_0, lam_p) + float(w.sum())
-    return ratio, np.concatenate([[c0], -w])
+    lams = np.asarray(lams, dtype=float)
+    nodes = lams[np.arange(max(len(lams) - p, 0))[:, None] + np.arange(p + 1)]
+    r = (nodes[:, 1:] - nodes[:, :1]) / (nodes[:, -1:] - nodes[:, :1])
+    alpha, sigma = s.alpha_from_lam(nodes[:, [0, -1]]).T, s.sigma_from_lam(nodes[:, -1])
+    solved: dict = {}  # a uniform grid's steps share few (r, h)
+    c = np.empty((len(nodes), p + 1 if corrector else p))
+    for j, (lam_0, lam_p) in enumerate(nodes[:, [0, -1]].tolist()):
+        key = (tuple(r[j]), lam_p - lam_0)
+        if key not in solved:
+            solved[key] = uni_coeffs(p, r[j], key[1], variant=variant, corrector=corrector)
+        a, Bh = solved[key]
+        w = float(sigma[j]) * Bh * (a / r[j, : len(a)])
+        c[j, 0] = -float(alpha[1, j]) * taylor_integral(0, lam_0, lam_p) + float(w.sum())
+        c[j, 1:] = -w
+    return alpha[1] / alpha[0], c
 
 
 def run_dpm(
@@ -298,7 +303,8 @@ def run_unipc(
     nfe = 0
     scheme = ("unic" if corrector else "unip") + str(p)
 
-    solved: dict = {}  # one solve per distinct step: a uniform grid's steps share few (r, h)
+    pred = uni_weights(s, grid.lam, p, variant)
+    corr = uni_weights(s, grid.lam, p, variant, corrector=True) if corrector else None
     eps: list[np.ndarray] = []  # eps at pts[0], pts[1], ...: each state is evaluated once
     for i, (x, eps_s) in enumerate(_taylor_walk(s, m, x, grid.lam[:p], p), start=1):
         eps.append(eps_s)  # the warm-up step's n = 0 term
@@ -306,13 +312,12 @@ def run_unipc(
         pts.append(TrajectoryPoint(float(grid.t[i]), float(grid.lam[i]), x))
     for i in range(p, grid.M + 1):
         eps += [eval_eps(m, pt.x, pt.lam) for pt in pts[len(eps) : i]]
-        x0, hist, lams = pts[i - p].x, eps[i - p : i], grid.lam[i - p : i + 1]
-        xi = _apply_weights(*uni_weights(s, lams, variant, solved=solved), x0, hist)
+        x0, hist, j = pts[i - p].x, eps[i - p : i], i - p
+        xi = _apply_weights(pred[0][j], pred[1][j], x0, hist)
         nfe += 1  # eps at the newest state; the older history is cached in eps
         if corrector:
-            x_pred_eps = eval_eps(m, xi, float(lams[-1]))
-            xi = _apply_weights(*uni_weights(s, lams, variant, corrector=True, solved=solved), x0,
-                                hist + [x_pred_eps])
+            x_pred_eps = eval_eps(m, xi, float(grid.lam[i]))
+            xi = _apply_weights(corr[0][j], corr[1][j], x0, hist + [x_pred_eps])
             nfe += 1
         pts.append(TrajectoryPoint(float(grid.t[i]), float(grid.lam[i]), xi))
     return SolverRun(grid=grid, states=pts, nfe=nfe, scheme=scheme)

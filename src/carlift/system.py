@@ -8,7 +8,8 @@ triangular, since every coupling block sits strictly below its row's
 diagonal block).  :class:`TrajectoryOperator` keeps M as the per-step
 blocks the lift made: products with M and the forward solve walk
 those blocks, and the global CSR matrix is built only on request,
-for matrix export and the condition estimate.  Each block is a
+for matrix export and the condition estimate, from the blocks'
+nonzeros by one COO to CSR conversion.  Each block is a
 :class:`carlift.carleman.StepMatrix`, the dense array of its leading
 rows, so a block of a product or of the forward solve is one BLAS
 matrix-vector call.  Both walk the block rows in order on the calling
@@ -129,16 +130,6 @@ class TrajectoryOperator(LinearOperator):
             Y[i] = acc
         return Y.ravel()
 
-    def _row_counts(self):
-        """Nonzeros of each row of M, yielded one block row at a time."""
-        for row in self.rows:
-            counts = np.ones(self.block_dim, dtype=np.int64)  # the identity block
-            for _, blk, plus_eye in row:
-                counts[: len(blk.rows)] += blk.row_nnz
-                if plus_eye:
-                    counts += _eye_change(blk)
-            yield counts
-
     @property
     def nnz(self) -> int:
         """Nonzeros of M, from the counts the blocks hold and their diagonals."""
@@ -148,43 +139,32 @@ class TrajectoryOperator(LinearOperator):
     def tocsr(self) -> sp.csr_matrix:
         """The global CSR matrix, built afresh on every call.
 
-        Each row lists its blocks' entries in column-block order with
-        sorted indices and no stored zeros.  The signed values are
-        written straight into the preallocated global arrays.  Raises
-        CapacityError, before allocating them, if they would exceed
-        carleman.MAX_STEP_BYTES.
+        The nonzeros of every block (of I + B for a plus_eye coupling),
+        negated, are listed with their global rows and columns, block row
+        by block row and each block in column order, then the identity.
+        One COO to CSR conversion, a stable sort by row, gives each row
+        its entries in column-block order, with sorted indices and no
+        stored zeros.  Raises CapacityError, before listing them, if the
+        CSR arrays would exceed carleman.MAX_STEP_BYTES.
         """
         D, n, nnz = self.block_dim, self.shape[0], self.nnz
         nbytes = 12 * nnz + 8 * (n + 1)  # float64 data, int32 indices, int64 indptr
         if nbytes > carleman.MAX_STEP_BYTES:
             raise CapacityError(f"global system needs {nbytes} bytes, above {carleman.MAX_STEP_BYTES}")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        for i, counts in enumerate(self._row_counts()):
-            indptr[i * D + 1 : (i + 1) * D + 1] = counts
-        np.cumsum(indptr, out=indptr)
-        idx_dtype = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
-        indices = np.empty(nnz, dtype=idx_dtype)
-        data = np.empty(nnz)
-        diag_cols = np.arange(D, dtype=idx_dtype)
+        diag = np.arange(n)
+        rows, cols, data = [], [], []
         for i, row in enumerate(self.rows):
-            lo, hi = indptr[i * D], indptr[(i + 1) * D]
-            free = indptr[i * D : (i + 1) * D].copy()  # next unwritten slot of each row
             for c, blk, plus_eye in row:
                 vals = blk.rows
                 if plus_eye:  # I + B for this block only
                     vals = blk.toarray()
                     vals.reshape(-1)[:: D + 1] += 1.0
-                mask = vals != 0.0
-                cnt = np.count_nonzero(mask, axis=1)
-                starts = np.cumsum(cnt) - cnt
-                pos = np.repeat(free[: len(vals)] - starts, cnt) + np.arange(cnt.sum())
-                indices[pos] = np.add(np.nonzero(mask)[1], c * D, dtype=idx_dtype)
-                data[pos] = vals[mask]
-                free[: len(vals)] += cnt
-            np.negative(data[lo:hi], out=data[lo:hi])
-            indices[free] = diag_cols + i * D  # the identity closes every row
-            data[free] = 1.0
-        return sp.csr_matrix((data, indices, indptr.astype(idx_dtype)), shape=(n, n))
+                r, k = np.nonzero(vals)
+                rows.append(r + i * D), cols.append(k + c * D), data.append(-vals[r, k])
+        coo = sp.coo_matrix((np.concatenate(data + [np.ones(n)]),
+                             (np.concatenate(rows + [diag]), np.concatenate(cols + [diag]))),
+                            shape=(n, n))
+        return coo.tocsr()
 
 
 @dataclass

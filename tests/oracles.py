@@ -18,7 +18,8 @@ from scipy.optimize import brentq
 
 from carlift import carleman
 from carlift.carleman import LiftedState, StepMatrix
-from carlift.model import PolyNoiseModel, eval_eps, kron_model, separable_model
+from carlift.model import PolyNoiseModel, _derivative_tower, eval_eps, kron_model, separable_model
+from carlift.reference import dpm_weights
 from carlift.schedule import NoiseSchedule
 
 
@@ -135,10 +136,38 @@ def kron_poly_to_update(P: dict[int, np.ndarray], basis: KronBasis, delta: bool 
     return StepMatrix(buf), b
 
 
+def stacked(P: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """One step polynomial {q: (d, d^q)} as a one-step run {q: (1, d, d^q)}."""
+    return {q: np.asarray(B)[None] for q, B in P.items()}
+
+
+def step_dicts(polys: dict[int, np.ndarray]) -> list[dict[int, np.ndarray]]:
+    """The steps {q: (d, d^q)} of a run's stacked step polynomials
+    {q: (S, d, d^q)}, each with every degree of the run."""
+    return [{q: B[i] for q, B in polys.items()} for i in range(len(next(iter(polys.values()))))]
+
+
+def one_step_polynomial_dpm(s: NoiseSchedule, m: PolyNoiseModel, lams, k: int,
+                            i: int) -> dict[int, np.ndarray]:
+    """Step i's map {q: (d, d^q)} alone, as :func:`carlift.carleman.step_polynomials_dpm`
+    made it before it stacked the steps: degree 1, then the degrees of
+    D^0 eps, D^1 eps, ... that are nonzero at step i, in the order they
+    first show."""
+    ratio, c = dpm_weights(s, lams, k)
+    tower = _derivative_tower(s, m, k, lams[:-1])
+    P = {1: ratio[i] * np.eye(m.d)}
+    for cn, level in zip(c[i], tower):
+        blocks = level if m.mode == "kron" else level.transpose(1, 0, 2)[..., None]
+        for q, B in enumerate(blocks):
+            if B[i].any():
+                P[q] = P.get(q, np.zeros((m.d, m.d**q))) + cn * B[i]
+    return P
+
+
 def one_step_poly_to_update(P: dict[int, np.ndarray], basis, delta: bool = False):
     """The symmetric-basis lift of one step polynomial, alone, as
     :func:`carlift.carleman._poly_to_update` made it before it lifted
-    steps together: P's degrees in its own key order, block row j from
+    steps together: P's nonzero degrees in its own key order, block row j from
     block row j-1 by one product pass and one bincount.  Returns
     (StepMatrix, b)."""
     N, dim = basis.N, basis.dim_total
@@ -183,14 +212,14 @@ def kron_lifting():
     """A context in which carlift.carleman lifts in the Kronecker basis:
     hand it a :class:`KronBasis` wherever a CarlemanBasis goes, and
     run_lifted, the assemblies and LiftedState run as they did before
-    the symmetric basis replaced it.  The batched step and node lifts
+    the symmetric basis replaced it.  The stacked step and node lifts
     are replaced by these one-step lifts, called once per step."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(carleman, "lift", kron_lift)
         mp.setattr(carleman, "_poly_to_update", lambda polys, basis, delta=False: [
-            kron_poly_to_update(P, basis, delta=delta) for P in polys])
-        mp.setattr(carleman, "_node_block1", lambda E, cs, basis: [
-            kron_node_block1(E, c, basis) for c in cs])
+            kron_poly_to_update(P, basis, delta=delta) for P in step_dicts(polys)])
+        mp.setattr(carleman, "_block1", lambda E, nodes, cs, basis: [
+            kron_node_block1({q: B[n] for q, B in E.items()}, c, basis) for n, c in zip(nodes, cs)])
         yield
 
 

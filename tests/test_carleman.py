@@ -25,7 +25,7 @@ from carlift.model import kron_model, scalar_model, separable_model
 from carlift.presets import benchmark
 from carlift.reference import rk4_oracle, run_dpm, run_unipc
 from carlift.schedule import TimeGrid, make_lambda_grid, make_vp_schedule
-from oracles import KronBasis, compose_poly_power, kron_poly_to_update, symmetric_embedding
+from oracles import KronBasis, compose_poly_power, kron_poly_to_update, stacked, symmetric_embedding
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 LINEAR = scalar_model({(1, 0): -0.5})
@@ -155,7 +155,7 @@ def assert_update_rows_are_powers(P, basis):
         np.testing.assert_array_equal(b[rows], want[0][:, 0] if 0 in want else 0.0)
         for q in range(1, basis.N + 1):
             np.testing.assert_array_equal(U[rows, basis.block_slice(q)], want.get(q, 0.0))
-    [(U_s, b_s)] = _poly_to_update([P], CarlemanBasis(N=basis.N, d=basis.d))
+    [(U_s, b_s)] = _poly_to_update(stacked(P), CarlemanBasis(N=basis.N, d=basis.d))
     Q = symmetric_embedding(basis.d, basis.N)
     scale = max(1.0, np.abs(U).max(), np.abs(b).max())
     assert np.abs(U @ Q - Q @ U_s.toarray()).max() <= 1e-14 * scale
@@ -210,9 +210,9 @@ def test_step_polynomial_reproduces_sequential_step():
         x = rng.normal(size=d) + 1.0
         for k in (1, 2):
             polys = step_polynomials_dpm(S, m, grid.lam, k)
-            assert len(polys) == grid.M
+            assert all(B.shape == (grid.M, d, d**q) for q, B in polys.items())
             for i in (1, 3):
-                via_poly = sum(mat @ kron_power(x, q) for q, mat in polys[i - 1].items())
+                via_poly = sum(B[i - 1] @ kron_power(x, q) for q, B in polys.items())
                 direct = sampler_step(m, x, i, grid, k)
                 assert np.allclose(via_poly, direct, rtol=1e-12, atol=1e-12)
 
@@ -330,8 +330,13 @@ def test_lifted_unipc_solves_each_distinct_step_once(monkeypatch):
         assert len(solved) == len(set(solved)) == 2 * len(steps)
     # a run in which every step solves its own weights lifts the same matrices
     uni_weights = carleman.uni_weights
-    monkeypatch.setattr(carleman, "uni_weights",
-                        lambda *args, solved=None, **kwargs: uni_weights(*args, **kwargs))
+
+    def per_step(s, lams, p, variant="bh2", corrector=False):
+        steps = [uni_weights(s, lams[j : j + p + 1], p, variant, corrector)
+                 for j in range(len(lams) - p)]
+        return tuple(np.concatenate(table) for table in zip(*steps))
+
+    monkeypatch.setattr(carleman, "uni_weights", per_step)
     solved.clear()
     _, unshared = run_lifted(S, QUAD, [1.3], grid, basis, scheme="unipc", order=2)
     assert len(solved) == 2 * len(nodes)

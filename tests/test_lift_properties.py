@@ -49,7 +49,7 @@ from carlift.system import (
     condition_number,
 )
 
-from oracles import one_step_poly_to_update
+from oracles import one_step_poly_to_update, one_step_polynomial_dpm, step_dicts
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -339,15 +339,20 @@ def test_derivative_tower_matches_one_point_derivatives(seed, kron, d, J, k, C, 
     lams = rng.uniform(-4.0, 5.0, C)
     with mock.patch.object(model, "TOWER_CHUNK_BYTES", 1 if one_point_chunks else model.TOWER_CHUNK_BYTES):
         tower = _derivative_tower(S, m, k, lams)
-    assert len(tower) == C and all(len(at_lam) == k for at_lam in tower)
-    for at_lam, lam in zip(tower, lams):
-        for n, got in enumerate(at_lam):
+    assert len(tower) == k
+    for n, level in enumerate(tower):
+        for c, lam in enumerate(lams):
+            # row c of the level; a degree that only other chunks have is zero here
             want = _eps_tables(total_derivative_poly(S, m, n, lam), np.array([lam]))
             if kron:
-                assert len(got) == len(want)
+                got = [cj[c : c + 1] for cj in level]
+                assert len(got) >= len(want) and not any(g.any() for g in got[len(want) :])
                 assert all(g.shape == w.shape and np.array_equal(g, w) for g, w in zip(got, want))
             else:
-                assert got.shape == want.shape and np.array_equal(got, want)
+                got = level[c : c + 1]
+                J1 = want.shape[1]
+                assert got.shape[1] >= J1 and not got[:, J1:].any()
+                assert got[:, :J1].shape == want.shape and np.array_equal(got[:, :J1], want)
 
 
 def test_samplers_and_lift_expand_sigma_once_per_chunk(monkeypatch):
@@ -419,28 +424,60 @@ def same_bits(a, b) -> bool:
     k=st.integers(1, 3),
     delta=st.booleans(),
     chunk_bytes=st.integers(1, 2**16),
-    extra=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3)), max_size=4),
+    zeros=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4)), max_size=4),
 )
-def test_batched_lift_equals_per_step_lifts(seed, d, N, M, k, delta, chunk_bytes, extra):
-    # the oracle lifts each step alone, as the lift did before it batched;
-    # the steps of a lam-dependent kron model with a constant term list their
-    # degrees 1, 0, 2, ...; the extra steps, each with one all-zero block and
-    # degrees in sorted order, split the runs that are lifted together
-    rng = np.random.default_rng(seed)
+def test_batched_lift_equals_per_step_lifts(seed, d, N, M, k, delta, chunk_bytes, zeros):
+    # the oracle lifts each step alone, as the lift did before it stacked the
+    # steps; the steps of a lam-dependent kron model with a constant term list
+    # their degrees 1, 0, 2, ...; each (step, key) in ``zeros`` zeroes one of
+    # the run's degrees at one step, which then lifts as if it lacked it
     m, _ = random_kron(seed, d)
     polys = step_polynomials_dpm(S, m, make_lambda_grid(S, 0.5, 0.1, M).lam, k)
-    assert list(polys[0])[:3] == [1, 0, 2]
-    for at, zero in extra:
-        P = {q: (0.0 if q == zero else 1.0) * rng.standard_normal((d, d**q)) for q in range(4)}
-        polys.insert(min(at, len(polys)), P)
+    assert list(polys)[:3] == [1, 0, 2]
+    for at, key in zeros:
+        polys[list(polys)[key % len(polys)]][at % M] = 0.0
     basis = CarlemanBasis(N=N, d=d)
     with mock.patch.object(carleman, "LIFT_CHUNK_BYTES", chunk_bytes):
         batched = _poly_to_update(polys, basis, delta=delta)
-    assert len(batched) == len(polys)
-    for P, (U, b) in zip(polys, batched):
+    assert len(batched) == M
+    for P, (U, b) in zip(step_dicts(polys), batched):
         U_1, b_1 = one_step_poly_to_update(P, basis, delta=delta)
         assert same_bits(U.rows, U_1.rows) and same_bits(b, b_1)
-        assert np.array_equal(U.row_nnz, U_1.row_nnz)
+        assert U.nnz == U_1.nnz
+
+
+def vanishing_kron(grid):
+    """A d=2 model whose degree-2 block (lam - lam_3) A2 is zero at grid
+    node 3: A2's entries are signed powers of two, so lam_3 A2 is exact and
+    the block collapses there to exactly zero.  The degree-3 block makes
+    the derivative of order 1 bring degree 2 back after degree 3."""
+    rng = np.random.default_rng(5)
+    A2 = rng.choice([-1.0, 1.0], (2, 4)) * 2.0 ** rng.integers(-6, -3, (2, 4))
+    return kron_model(2, {1: -0.5 * np.eye(2) + 0.05 * rng.standard_normal((2, 2)),
+                          2: np.stack([-grid.lam[3] * A2, A2]),
+                          3: 0.01 * rng.standard_normal((2, 8))})
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_step_without_a_degree_lifts_like_its_own_polynomial(k):
+    # the stacked lift adds a run's degrees in one order; step 3 lacks degree
+    # 2 at order 1, and at order 2 it lists degree 3 before 2
+    grid = make_lambda_grid(S, 0.5, 0.1, 7)
+    m = vanishing_kron(grid)
+    basis = CarlemanBasis(N=4, d=2)
+    polys = step_polynomials_dpm(S, m, grid.lam, k)
+    reordered = []
+    for i, (U, b) in enumerate(_poly_to_update(polys, basis, delta=True)):
+        P = one_step_polynomial_dpm(S, m, grid.lam, k, i)
+        U_1, b_1 = one_step_poly_to_update(P, basis, delta=True)
+        if list(P) == [q for q in polys if q in P]:
+            assert same_bits(U.rows, U_1.rows) and same_bits(b, b_1), i
+            continue
+        reordered.append(i)
+        assert np.abs(U.rows - U_1.rows).max() <= 1e-15 * np.abs(U_1.rows).max()
+        assert np.abs(b - b_1).max() <= 1e-15 * np.abs(b_1).max()
+    assert reordered == ([3] if k == 2 else [])
+    assert list(one_step_polynomial_dpm(S, m, grid.lam, k, 3))[:3] == [1, 3] + [2] * (k == 2)
 
 
 @PROPERTY

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from carlift.carleman import _table_matrices
+from carlift.carleman import _degree_blocks
 from carlift.errors import CapacityError
 from carlift.model import (
     PolyNoiseModel,
@@ -272,21 +272,24 @@ def test_constructor_validation():
 
 
 def test_tabulated_coefficient_matrices_round_trip():
-    # the lift reads each step's {q: (d, d^q)} matrices from the rows of
-    # the derivative tower's tables
+    # the lift reads each degree's (S, d, d^q) blocks, stacked over the
+    # points, from the derivative tower's tables
     m = scalar_model({(0, 0): 0.5, (2, 1): -0.3})
-    mats = _table_matrices(m, _derivative_tower(S, m, 1, [1.0, 2.0])[1][0])
+    mats = _degree_blocks(m, _derivative_tower(S, m, 1, [1.0, 2.0])[0])
     assert set(mats) == {0, 2}
-    assert mats[0][0, 0] == 0.5
-    assert mats[2][0, 0] == pytest.approx(-0.6)
+    assert all(B.shape == (2, 1, 1) for B in mats.values())
+    assert mats[0][1, 0, 0] == 0.5
+    assert mats[2][1, 0, 0] == pytest.approx(-0.6)
+    assert mats[2][0, 0, 0] == pytest.approx(-0.3)
 
     rng = np.random.default_rng(9)
     mk = random_kron(rng, d=2, jmax=2)
     x = rng.normal(size=2)
-    lam = 0.25
-    (table,), = _derivative_tower(S, mk, 1, [lam])
-    rebuilt = sum(mat @ kron_power(x, j) for j, mat in _table_matrices(mk, table).items())
-    assert np.allclose(rebuilt, eval_eps(mk, x, lam), rtol=1e-12)
+    lams = [0.25, -1.0]
+    (table,) = _derivative_tower(S, mk, 1, lams)
+    for c, lam in enumerate(lams):
+        rebuilt = sum(B[c] @ kron_power(x, j) for j, B in _degree_blocks(mk, table).items())
+        assert np.allclose(rebuilt, eval_eps(mk, x, lam), rtol=1e-12)
 
 
 def test_zero_model_modes():

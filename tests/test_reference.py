@@ -130,7 +130,7 @@ def test_step_weights_match_finite_difference_forms():
     lam_s, lam_t = float(S.lam(0.6)), float(S.lam(0.2))
     alpha_s, alpha_t = float(S.alpha_from_lam(lam_s)), float(S.alpha_from_lam(lam_t))
     for k in (1, 2, 3):
-        ratio, c = dpm_weights(S, lam_s, lam_t, k)
+        (ratio,), (c,) = dpm_weights(S, [lam_s, lam_t], k)
         assert ratio == pytest.approx(alpha_t / alpha_s, rel=1e-13)
         expected = [-alpha_t * taylor_integral(n, lam_s, lam_t) for n in range(k)]
         np.testing.assert_allclose(c, expected, rtol=1e-13, atol=0.0)
@@ -149,7 +149,7 @@ def test_step_weights_match_finite_difference_forms():
                 D = eps[1 : len(a) + 1] - eps[0]
                 old = (ratio_ref * x0 - sig_p * math.expm1(h) * eps[0]
                        - sig_p * Bh * ((a / r[: len(a)])[:, None] * D).sum(axis=0))
-                ratio, c = uni_weights(S, lam_nodes, variant=variant, corrector=corrector)
+                (ratio,), (c,) = uni_weights(S, lam_nodes, p, variant=variant, corrector=corrector)
                 assert c.shape == (len(eps),)
                 np.testing.assert_allclose(ratio * x0 + c @ eps, old, rtol=1e-13, atol=0.0)
 

@@ -15,13 +15,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carlift import carleman
-from carlift.carleman import CarlemanBasis, UnipcQcmSet, _node_block1, _poly_to_update, run_lifted
+from carlift.carleman import CarlemanBasis, UnipcQcmSet, _block1, _poly_to_update, run_lifted
 from carlift.model import kron_model
 from carlift.schedule import make_lambda_grid, make_vp_schedule
 from carlift.solve import forward_substitute
 from carlift.system import assemble_global_dpm, assemble_global_unipc, condition_number
 
-from oracles import KronBasis, kron_lifting, kron_node_block1, kron_poly_to_update, symmetric_embedding
+from oracles import (
+    KronBasis,
+    kron_lifting,
+    kron_node_block1,
+    kron_poly_to_update,
+    stacked,
+    symmetric_embedding,
+)
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 PROPERTY = settings(max_examples=20, deadline=None)
@@ -76,7 +83,7 @@ def test_step_lift_intertwines_with_the_kron_lift(seed, d, N, degrees, zero, del
     rng = np.random.default_rng(seed)
     P = {q: (0.0 if q == zero else 1.0) * rng.standard_normal((d, d**q)) for q in degrees}
     Q = symmetric_embedding(d, N)
-    [(U_s, b_s)] = _poly_to_update([P], CarlemanBasis(N=N, d=d), delta=delta)
+    [(U_s, b_s)] = _poly_to_update(stacked(P), CarlemanBasis(N=N, d=d), delta=delta)
     U, b = kron_poly_to_update(P, KronBasis(N=N, d=d), delta=delta)
     U = U.toarray()
     assert U_s.rows.shape == (Q.shape[1], Q.shape[1])
@@ -84,7 +91,7 @@ def test_step_lift_intertwines_with_the_kron_lift(seed, d, N, degrees, zero, del
     assert np.linalg.norm(b - Q @ b_s) <= 1e-14 * max(np.linalg.norm(b), 1e-300)
 
     E = {q: rng.standard_normal((d, d**q)) for q in degrees}
-    [node] = _node_block1(E, [0.3], CarlemanBasis(N=N, d=d))
+    [node] = _block1(stacked(E), np.array([0]), np.array([0.3]), CarlemanBasis(N=N, d=d))
     want = kron_node_block1(E, 0.3, KronBasis(N=N, d=d)).toarray()
     assert node.rows.shape == (d, Q.shape[1])
     assert np.linalg.norm(want @ Q - Q @ node.toarray()) <= 1e-14 * max(np.linalg.norm(want), 1e-300)
