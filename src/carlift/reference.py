@@ -151,21 +151,19 @@ def dpm_weights(s: NoiseSchedule, lams: np.ndarray, k: int) -> tuple[np.ndarray,
 
     Step i, from lams[i] to lams[i+1], is x_{i+1} = ratio[i] x_i +
     sum_{n<k} c[i, n] eps^{(n)}(x_i, lams[i]) with ratio[i] =
-    alpha_{i+1} / alpha_i and c[i, n] = -alpha_{i+1} I_n, eps^{(n)} the
-    total lambda-derivatives expanded around lams[i] and I_n the
-    exponential moments over the step.  Returns the (M,) ratios and the
-    (M, k) weights of the M = len(lams) - 1 steps.
+    alpha_{i+1} / alpha_i, formed from log alpha, and c[i, n] =
+    -alpha_{i+1} I_n, eps^{(n)} the total lambda-derivatives expanded
+    around lams[i] and I_n the exponential moments over the step.
+    Returns the (M,) ratios and the (M, k) weights of the
+    M = len(lams) - 1 steps.
     """
     if k not in (1, 2, 3):
         raise ValueError("supported orders are k in {1, 2, 3}")
     lams = np.asarray(lams, dtype=float)
-    alpha = s.alpha_from_lam(lams)
-    # the weights before the ratio: a step too wide for their series stops
-    # with ConvergenceError before an underflowed alpha_s divides by zero
-    c = np.array([[-alpha_t * taylor_integral(n, lam_s, lam_t) for n in range(k)]
-                  for lam_s, lam_t, alpha_t in zip(lams[:-1].tolist(), lams[1:].tolist(),
-                                                   alpha[1:].tolist())]).reshape(-1, k)
-    return alpha[1:] / alpha[:-1], c
+    alpha = s.alpha_from_lam(lams[1:]).tolist()
+    c = np.array([[-alpha[i] * taylor_integral(n, lam_s, lam_t) for n in range(k)]
+                  for i, (lam_s, lam_t) in enumerate(zip(lams[:-1].tolist(), lams[1:].tolist()))])
+    return np.exp(np.diff(s.log_alpha_from_lam(lams))), c.reshape(-1, k)
 
 
 def _apply_weights(ratio: float, c: np.ndarray, x0: np.ndarray, eps: list[np.ndarray]) -> np.ndarray:
@@ -241,18 +239,19 @@ def uni_weights(s: NoiseSchedule, lams: np.ndarray, p: int, variant: str = "bh2"
 
     Step j runs from anchor lam_0 = lams[j] to target lam_p = lams[j+p]
     through the nodes between: x_p = ratio[j] x_0 + sum_m c[j, m]
-    eps(x_m, lam_m), with ratio = alpha_p / alpha_0, over the nodes
-    m < p for the predictor and m <= p for the corrector (x_p then being
-    the predictor output).  With w_m = sigma_p B(h) a_m / r_m from
-    :func:`uni_coeffs`, c[j, 0] = -alpha_p I_0 + sum_m w_m and c[j, m] =
-    -w_m for m >= 1.  Each distinct step's :func:`uni_coeffs` system is
-    solved once per call.  Returns the ratios and the (len(lams) - p, p)
-    weights, or (len(lams) - p, p + 1) for the corrector.
+    eps(x_m, lam_m), with ratio = alpha_p / alpha_0 formed from log
+    alpha, over the nodes m < p for the predictor and m <= p for the
+    corrector (x_p then being the predictor output).  With
+    w_m = sigma_p B(h) a_m / r_m from :func:`uni_coeffs`,
+    c[j, 0] = -alpha_p I_0 + sum_m w_m and c[j, m] = -w_m for m >= 1.
+    Each distinct step's :func:`uni_coeffs` system is solved once per
+    call.  Returns the ratios and the (len(lams) - p, p) weights, or
+    (len(lams) - p, p + 1) for the corrector.
     """
     lams = np.asarray(lams, dtype=float)
     nodes = lams[np.arange(max(len(lams) - p, 0))[:, None] + np.arange(p + 1)]
     r = (nodes[:, 1:] - nodes[:, :1]) / (nodes[:, -1:] - nodes[:, :1])
-    alpha, sigma = s.alpha_from_lam(nodes[:, [0, -1]]).T, s.sigma_from_lam(nodes[:, -1])
+    alpha, sigma = s.alpha_from_lam(nodes[:, -1]), s.sigma_from_lam(nodes[:, -1])
     solved: dict = {}  # a uniform grid's steps share few (r, h)
     c = np.empty((len(nodes), p + 1 if corrector else p))
     for j, (lam_0, lam_p) in enumerate(nodes[:, [0, -1]].tolist()):
@@ -261,9 +260,9 @@ def uni_weights(s: NoiseSchedule, lams: np.ndarray, p: int, variant: str = "bh2"
             solved[key] = uni_coeffs(p, r[j], key[1], variant=variant, corrector=corrector)
         a, Bh = solved[key]
         w = float(sigma[j]) * Bh * (a / r[j, : len(a)])
-        c[j, 0] = -float(alpha[1, j]) * taylor_integral(0, lam_0, lam_p) + float(w.sum())
+        c[j, 0] = -float(alpha[j]) * taylor_integral(0, lam_0, lam_p) + float(w.sum())
         c[j, 1:] = -w
-    return alpha[1] / alpha[0], c
+    return np.exp(np.diff(s.log_alpha_from_lam(nodes[:, [0, -1]]))[:, 0]), c
 
 
 def run_dpm(

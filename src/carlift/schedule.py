@@ -101,6 +101,10 @@ class NoiseSchedule:
     def sigma_from_lam(self, lam):
         return np.sqrt(expit(-2.0 * np.asarray(lam, dtype=float)))
 
+    def log_alpha_from_lam(self, lam):
+        """log alpha = -log(1 + e^{-2 lam}) / 2, finite where alpha underflows."""
+        return -0.5 * np.logaddexp(0.0, -2.0 * np.asarray(lam, dtype=float))
+
     def t_from_lam(self, lam):
         """Time at which the log-SNR equals lam, in closed form.
 
@@ -109,7 +113,7 @@ class NoiseSchedule:
         and b = beta_min / 2, written as -2 log alpha / (b + sqrt(b^2 -
         4 a log alpha)) so that no digits cancel.
         """
-        log_alpha = -0.5 * np.logaddexp(0.0, -2.0 * np.asarray(lam, dtype=float))
+        log_alpha = self.log_alpha_from_lam(lam)
         a = 0.25 * (self.beta_max - self.beta_min) / self.T
         b = 0.5 * self.beta_min
         return -2.0 * log_alpha / (b + np.sqrt(b * b - 4.0 * a * log_alpha))

@@ -277,6 +277,18 @@ def test_unsummable_step_weights_exit_4(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("did not converge: exponential tail")
 
 
+def test_steps_from_an_underflowed_alpha_exit_0(tmp_path):
+    # two steps of log-SNR width about 200 from lam near -400, where alpha
+    # underflows to 0: the alpha ratio is taken from log alpha
+    cfg = {"model": {"preset": "weak_quadratic"}, "schedule": {"beta_max": 1600},
+           "window": {"M": 2}, "simulate": {"oracle": False}}
+    code, out = run(tmp_path, "simulate", cfg)
+    assert code == 0
+    cols, rows = data_rows(out / "trajectory.csv")
+    states = np.array(rows, dtype=float)[:, [i for i, c in enumerate(cols) if c.startswith("x")]]
+    assert states.shape == (3, 2) and np.isfinite(states).all()  # no oracle, so no error column
+
+
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     probe = "import sys, carlift.cli; print('scipy.optimize' in sys.modules)"
