@@ -279,8 +279,7 @@ def _poly_to_update(polys: dict[int, np.ndarray], basis: CarlemanBasis,
     per_chunk = max(1, LIFT_CHUNK_BYTES // work)
     out = []
     for lo in range(0, n_steps, per_chunk):
-        # S steps stacked row-wise: (S * d, n_q) coefficients, (S * n_j, width) rows
-        S = min(per_chunk, n_steps - lo)
+        S = min(per_chunk, n_steps - lo)  # stacked: (S*d, n_q) coefficients, (S*n_j, width) rows
         C = {q: mono.fold(B[lo : lo + S].reshape(S * basis.d, -1), q) for q, B in polys.items()}
         buf = np.empty((S, dim, dim))
         b = np.empty((S, dim))

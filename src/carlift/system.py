@@ -151,8 +151,8 @@ class TrajectoryOperator(LinearOperator):
         nbytes = 12 * nnz + 8 * (n + 1)  # float64 data, int32 indices, int64 indptr
         if nbytes > carleman.MAX_STEP_BYTES:
             raise CapacityError(f"global system needs {nbytes} bytes, above {carleman.MAX_STEP_BYTES}")
-        diag = np.arange(n)
-        rows, cols, data = [], [], []
+        idx = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
+        parts = []  # the (rows, columns, values) of each block's nonzeros
         for i, row in enumerate(self.rows):
             for c, blk, plus_eye in row:
                 vals = blk.rows
@@ -160,11 +160,11 @@ class TrajectoryOperator(LinearOperator):
                     vals = blk.toarray()
                     vals.reshape(-1)[:: D + 1] += 1.0
                 r, k = np.nonzero(vals)
-                rows.append(r + i * D), cols.append(k + c * D), data.append(-vals[r, k])
-        coo = sp.coo_matrix((np.concatenate(data + [np.ones(n)]),
-                             (np.concatenate(rows + [diag]), np.concatenate(cols + [diag]))),
-                            shape=(n, n))
-        return coo.tocsr()
+                parts.append((r.astype(idx) + i * D, k.astype(idx) + c * D, -vals[r, k]))
+        diag = np.arange(n, dtype=idx)
+        rows, cols, data = (np.concatenate(p) for p in zip(*parts, (diag, diag, np.ones(n))))
+        del parts  # freed before the CSR arrays are made
+        return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
 @dataclass
