@@ -12,8 +12,12 @@ x_t = ratio x_s + sum_n c[n] eps_n.  The coefficients of a run's steps
 are tabulated over its grid, one row per step, only by
 :func:`dpm_weights` and :func:`uni_weights`; the samplers read rows of
 those tables and the Carleman lift in :mod:`carlift.carleman` reads them
-whole.  All weights reduce to the moments I_n computed by
-:func:`carlift.schedule.taylor_integral`.
+whole.  All weights reduce to the moments I_n = int e^{-lam} (lam -
+lam_s)^n / n! dlam over a step of width h, which equal e^{-lam_t}
+tail_n(h) with tail_n from :func:`carlift.schedule.exp_taylor_tail`.
+They enter scaled by alpha_t, and alpha_t e^{-lam_t} = sigma_t, so a
+weight is formed as sigma_t tail_n(h) and the ratio from log alpha:
+neither passes through an alpha_t that underflows at very negative lam.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PolyNoiseModel, _derivative_tower, _eps_tables, _eval_tabulated, eval_eps
-from .schedule import NoiseSchedule, TimeGrid, phi_moment, taylor_integral
+from .schedule import NoiseSchedule, TimeGrid, exp_taylor_tail, phi_moment
 
 __all__ = [
     "TrajectoryPoint",
@@ -152,17 +156,17 @@ def dpm_weights(s: NoiseSchedule, lams: np.ndarray, k: int) -> tuple[np.ndarray,
     Step i, from lams[i] to lams[i+1], is x_{i+1} = ratio[i] x_i +
     sum_{n<k} c[i, n] eps^{(n)}(x_i, lams[i]) with ratio[i] =
     alpha_{i+1} / alpha_i, formed from log alpha, and c[i, n] =
-    -alpha_{i+1} I_n, eps^{(n)} the total lambda-derivatives expanded
-    around lams[i] and I_n the exponential moments over the step.
-    Returns the (M,) ratios and the (M, k) weights of the
-    M = len(lams) - 1 steps.
+    -alpha_{i+1} I_n = -sigma_{i+1} tail_n(h_i), eps^{(n)} the total
+    lambda-derivatives expanded around lams[i] and I_n the exponential
+    moments over the step of width h_i.  Returns the (M,) ratios and the
+    (M, k) weights of the M = len(lams) - 1 steps.
     """
     if k not in (1, 2, 3):
         raise ValueError("supported orders are k in {1, 2, 3}")
     lams = np.asarray(lams, dtype=float)
-    alpha = s.alpha_from_lam(lams[1:]).tolist()
-    c = np.array([[-alpha[i] * taylor_integral(n, lam_s, lam_t) for n in range(k)]
-                  for i, (lam_s, lam_t) in enumerate(zip(lams[:-1].tolist(), lams[1:].tolist()))])
+    sigma = s.sigma_from_lam(lams[1:]).tolist()
+    c = np.array([[-sigma[i] * exp_taylor_tail(n, h) for n in range(k)]
+                  for i, h in enumerate(np.diff(lams).tolist())])
     return np.exp(np.diff(s.log_alpha_from_lam(lams))), c.reshape(-1, k)
 
 
@@ -243,7 +247,8 @@ def uni_weights(s: NoiseSchedule, lams: np.ndarray, p: int, variant: str = "bh2"
     alpha, over the nodes m < p for the predictor and m <= p for the
     corrector (x_p then being the predictor output).  With
     w_m = sigma_p B(h) a_m / r_m from :func:`uni_coeffs`,
-    c[j, 0] = -alpha_p I_0 + sum_m w_m and c[j, m] = -w_m for m >= 1.
+    c[j, 0] = -alpha_p I_0 + sum_m w_m, with alpha_p I_0 = sigma_p tail_0(h),
+    and c[j, m] = -w_m for m >= 1.
     Each distinct step's :func:`uni_coeffs` system is solved once per
     call.  Returns the ratios and the (len(lams) - p, p) weights, or
     (len(lams) - p, p + 1) for the corrector.
@@ -251,7 +256,7 @@ def uni_weights(s: NoiseSchedule, lams: np.ndarray, p: int, variant: str = "bh2"
     lams = np.asarray(lams, dtype=float)
     nodes = lams[np.arange(max(len(lams) - p, 0))[:, None] + np.arange(p + 1)]
     r = (nodes[:, 1:] - nodes[:, :1]) / (nodes[:, -1:] - nodes[:, :1])
-    alpha, sigma = s.alpha_from_lam(nodes[:, -1]), s.sigma_from_lam(nodes[:, -1])
+    sigma = s.sigma_from_lam(nodes[:, -1])
     solved: dict = {}  # a uniform grid's steps share few (r, h)
     c = np.empty((len(nodes), p + 1 if corrector else p))
     for j, (lam_0, lam_p) in enumerate(nodes[:, [0, -1]].tolist()):
@@ -260,7 +265,7 @@ def uni_weights(s: NoiseSchedule, lams: np.ndarray, p: int, variant: str = "bh2"
             solved[key] = uni_coeffs(p, r[j], key[1], variant=variant, corrector=corrector)
         a, Bh = solved[key]
         w = float(sigma[j]) * Bh * (a / r[j, : len(a)])
-        c[j, 0] = -float(alpha[j]) * taylor_integral(0, lam_0, lam_p) + float(w.sum())
+        c[j, 0] = -float(sigma[j]) * exp_taylor_tail(0, key[1]) + float(w.sum())
         c[j, 1:] = -w
     return np.exp(np.diff(s.log_alpha_from_lam(nodes[:, [0, -1]]))[:, 0]), c
 

@@ -26,7 +26,6 @@ __all__ = [
     "TimeGrid",
     "make_vp_schedule",
     "make_lambda_grid",
-    "taylor_integral",
     "exp_taylor_tail",
     "phi_moment",
 ]
@@ -195,20 +194,6 @@ def exp_taylor_tail(n: int, h: float) -> float:
             return total
     raise ConvergenceError(f"exponential tail did not converge for n={n}, h={h}",
                            iterations=TAIL_MAX_TERMS)
-
-
-def taylor_integral(n: int, lam_s: float, lam_t: float) -> float:
-    """Weight I_n = int_{lam_s}^{lam_t} e^{-lam} (lam - lam_s)^n / n! dlam.
-
-    Closed form: e^{-lam_s} (1 - e^{-h} sum_{k<=n} h^k/k!) with h the step
-    width.  That difference cancels catastrophically for small h, so it is
-    evaluated as e^{-lam_s} e^{-h} * sum_{k>n} h^k/k!, which is exact and
-    all-positive.
-    """
-    h = lam_t - lam_s
-    if h <= 0.0:
-        raise ValueError("need lam_t > lam_s")
-    return math.exp(-lam_s) * math.exp(-h) * exp_taylor_tail(n, h)
 
 
 def phi_moment(n: int, h: float) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from carlift import carleman
 from carlift.carleman import LiftedState, StepMatrix
 from carlift.model import PolyNoiseModel, _derivative_tower, eval_eps, kron_model, separable_model
 from carlift.reference import dpm_weights
-from carlift.schedule import NoiseSchedule
+from carlift.schedule import NoiseSchedule, exp_taylor_tail
 
 
 def zero_model(d: int = 1, mode: str = "separable") -> PolyNoiseModel:
@@ -35,6 +36,21 @@ def zero_model(d: int = 1, mode: str = "separable") -> PolyNoiseModel:
 def dlam_dt(s: NoiseSchedule, t):
     """d lam / dt = f(t) / sigma_t^2, strictly negative on (0, T]."""
     return s.f(t) / s.sigma(t) ** 2
+
+
+def taylor_integral(n: int, lam_s: float, lam_t: float) -> float:
+    """Moment I_n = int_{lam_s}^{lam_t} e^{-lam} (lam - lam_s)^n / n! dlam,
+    which the step weights scale by alpha_t.
+
+    Closed form: e^{-lam_s} (1 - e^{-h} sum_{k<=n} h^k/k!) with h the step
+    width.  That difference cancels catastrophically for small h, so it is
+    evaluated as e^{-lam_s} e^{-h} * sum_{k>n} h^k/k!, which is exact and
+    all-positive.  The package forms alpha_t I_n as sigma_t times that sum.
+    """
+    h = lam_t - lam_s
+    if h <= 0.0:
+        raise ValueError("need lam_t > lam_s")
+    return math.exp(-lam_s) * math.exp(-h) * exp_taylor_tail(n, h)
 
 
 def t_from_lam_brentq(s: NoiseSchedule, lam_target: float, t_lo: float, t_hi: float) -> float:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from functools import reduce
 from unittest import mock
 
@@ -13,10 +14,10 @@ from scipy.integrate import solve_ivp
 
 from carlift import reference
 from carlift.model import _eval_tabulated, eval_eps, kron_model, scalar_model, separable_model
-from carlift.presets import benchmark
+from carlift.presets import benchmark, model_preset
 from carlift.reference import dpm_weights, rk4_oracle, run_dpm, run_unipc, uni_coeffs, uni_weights
-from carlift.schedule import make_lambda_grid, make_vp_schedule, phi_moment, taylor_integral
-from oracles import dlam_dt, dx_dlambda
+from carlift.schedule import TimeGrid, make_lambda_grid, make_vp_schedule, phi_moment
+from oracles import dlam_dt, dx_dlambda, taylor_integral
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 WEAK = scalar_model({(0, 0): 0.2, (1, 0): -0.6, (2, 0): 0.25})
@@ -152,6 +153,47 @@ def test_step_weights_match_finite_difference_forms():
                 (ratio,), (c,) = uni_weights(S, lam_nodes, p, variant=variant, corrector=corrector)
                 assert c.shape == (len(eps),)
                 np.testing.assert_allclose(ratio * x0 + c @ eps, old, rtol=1e-13, atol=0.0)
+
+
+def test_step_weights_where_alpha_underflows_match_a_decimal_reference():
+    # at beta_max 1600 a 16-step window starts at lam = -400 and its first
+    # step ends near lam = -375, where alpha_from_lam underflows to 0 while
+    # the step's true weights are near -7e10: every weight, and the first
+    # step of the sampler, against 50-digit closed forms
+    s = make_vp_schedule(0.1, 1600.0, 1.0)
+    grid = make_lambda_grid(s, 1.0, 0.05, 16)
+    assert s.alpha_from_lam(grid.lam[1]) == 0.0
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lam = [Decimal(v) for v in grid.lam.tolist()]
+        alpha = [1 / (1 + (-2 * v).exp()).sqrt() for v in lam]
+
+        def weight(n, i, j):  # -alpha_j I_n over lam[i]..lam[j], closed form
+            h = lam[j] - lam[i]
+            tail = 1 - (-h).exp() * sum(h**q / math.factorial(q) for q in range(n + 1))
+            return -alpha[j] * (-lam[i]).exp() * tail
+
+        ratio, c = dpm_weights(s, grid.lam, 3)
+        for i in range(grid.M):
+            assert ratio[i] == pytest.approx(float(alpha[i + 1] / alpha[i]), rel=1e-13)
+            np.testing.assert_allclose(c[i], [float(weight(n, i, i + 1)) for n in range(3)],
+                                       rtol=1e-13, atol=0.0)
+        for p in (1, 2, 3):
+            for corrector in (False, True):
+                ratio, c = uni_weights(s, grid.lam, p, corrector=corrector)
+                for j in range(grid.M + 1 - p):
+                    assert ratio[j] == pytest.approx(float(alpha[j + p] / alpha[j]), rel=1e-13)
+                    w = sum(Decimal(float(-v)) for v in c[j, 1:])  # the c[j, m >= 1] are -w_m
+                    expected = weight(0, j, j + p) + w
+                    assert abs(Decimal(float(c[j, 0])) - expected) <= Decimal(1e-13) * (
+                        abs(weight(0, j, j + p)) + abs(w))
+
+        x_T = Decimal(1)
+        first = float(alpha[1] / alpha[0] * x_T + weight(0, 0, 1) * Decimal(0.25))  # eps(1) = 0.25
+    m = model_preset("weak_quadratic")
+    assert eval_eps(m, np.array([1.0]), float(grid.lam[0]))[0] == 0.25
+    one_step = TimeGrid(t=grid.t[:2], lam=grid.lam[:2])
+    assert run_dpm(s, m, [1.0], one_step, k=1).endpoint[0] == pytest.approx(first, rel=1e-13)
 
 
 def test_unified_order_one_equals_derivative_scheme():

@@ -18,9 +18,8 @@ from carlift.schedule import (
     make_lambda_grid,
     make_vp_schedule,
     phi_moment,
-    taylor_integral,
 )
-from oracles import dlam_dt, t_from_lam_brentq
+from oracles import dlam_dt, t_from_lam_brentq, taylor_integral
 
 VP = make_vp_schedule(0.1, 20.0, 1.0)
 
