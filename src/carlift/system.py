@@ -8,8 +8,9 @@ triangular, since every coupling block sits strictly below its row's
 diagonal block).  :class:`TrajectoryOperator` keeps M as the per-step
 blocks the lift made: products with M and the forward solve walk
 those blocks, and the global CSR matrix is built only on request,
-for matrix export and the condition estimate, from the blocks'
-nonzeros by one COO to CSR conversion.  Each block is a
+for matrix export and the condition estimate, one block row at a
+time from the blocks' nonzeros, which it writes straight into the CSR
+arrays.  Each block is a
 :class:`carlift.carleman.StepMatrix`, the dense array of its leading
 rows, so a block of a product or of the forward solve is one BLAS
 matrix-vector call.  Both walk the block rows in order on the calling
@@ -139,32 +140,43 @@ class TrajectoryOperator(LinearOperator):
     def tocsr(self) -> sp.csr_matrix:
         """The global CSR matrix, built afresh on every call.
 
-        The nonzeros of every block (of I + B for a plus_eye coupling),
-        negated, are listed with their global rows and columns, block row
-        by block row and each block in column order, then the identity.
-        One COO to CSR conversion, a stable sort by row, gives each row
-        its entries in column-block order, with sorted indices and no
-        stored zeros.  Raises CapacityError, before listing them, if the
-        CSR arrays would exceed carleman.MAX_STEP_BYTES.
+        One block row at a time, its negated blocks (-(I + B) for a
+        plus_eye coupling) are laid side by side in column order, with
+        the identity as one last column; that array's nonzeros, read row
+        by row, are its rows' CSR entries in column order with no stored
+        zeros, and are written straight into the preallocated global
+        arrays, each row's last entry taking its diagonal column.  So
+        those arrays and one block row's temporaries are all it holds.
+        Raises CapacityError, before allocating them, if they would
+        exceed carleman.MAX_STEP_BYTES.
         """
         D, n, nnz = self.block_dim, self.shape[0], self.nnz
-        nbytes = 12 * nnz + 8 * (n + 1)  # float64 data, int32 indices, int64 indptr
+        nbytes = 12 * nnz + 8 * (n + 1)  # float64 data, int32 indices, indptr at 8 bytes
         if nbytes > carleman.MAX_STEP_BYTES:
             raise CapacityError(f"global system needs {nbytes} bytes, above {carleman.MAX_STEP_BYTES}")
         idx = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
-        parts = []  # the (rows, columns, values) of each block's nonzeros
+        indptr = np.zeros(n + 1, dtype=idx)
+        indices = np.empty(nnz, dtype=idx)
+        data = np.empty(nnz)
+        diag, end = np.arange(D), 0
         for i, row in enumerate(self.rows):
-            for c, blk, plus_eye in row:
-                vals = blk.rows
-                if plus_eye:  # I + B for this block only
-                    vals = blk.toarray()
-                    vals.reshape(-1)[:: D + 1] += 1.0
-                r, k = np.nonzero(vals)
-                parts.append((r.astype(idx) + i * D, k.astype(idx) + c * D, -vals[r, k]))
-        diag = np.arange(n, dtype=idx)
-        rows, cols, data = (np.concatenate(p) for p in zip(*parts, (diag, diag, np.ones(n))))
-        del parts  # freed before the CSR arrays are made
-        return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+            wide = np.zeros((D, len(row) * D + 1))
+            for k, (_, blk, plus_eye) in enumerate(row):
+                np.negative(blk.rows, out=wide[: len(blk.rows), k * D : (k + 1) * D])
+                if plus_eye:
+                    wide[diag, k * D + diag] -= 1.0
+            wide[:, -1] = 1.0
+            # the global column of each column of wide; the identity's is per row
+            cols = np.append(np.add.outer([c * D for c, _, _ in row], diag), 0).astype(idx)
+            mask = wide != 0.0
+            counts = np.count_nonzero(mask, axis=1)
+            start, end = end, end + int(counts.sum())
+            data[start:end] = wide[mask]
+            indices[start:end] = np.broadcast_to(cols, wide.shape)[mask]
+            indices[start + np.cumsum(counts) - 1] = i * D + diag  # each row's identity entry
+            indptr[i * D + 1 : (i + 1) * D + 1] = counts
+        np.cumsum(indptr, out=indptr)
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 @dataclass

@@ -5,6 +5,7 @@ derivative, the one-step lift, sp.bmat global assembly, the global CSR
 matrix the trajectory operator builds, and the sequential lifted walk."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -570,6 +571,28 @@ def test_operator_block_walks_match_its_csr(seed, d, N, M, scheme):
     x = rng.standard_normal(system.dim)
     # rounding in a product is bounded by |M| |x|, entry by entry
     assert np.max(np.abs(mat @ x - csr @ x)) <= 1e-13 * np.max(abs(csr) @ abs(x))
+
+
+@pytest.mark.parametrize("scheme", [("dpm", 1, None), ("unipc", 3, "corrector")])
+def test_csr_build_holds_the_priced_arrays_and_one_block_row(scheme):
+    # tocsr prices 12 bytes per nonzero and 8 per row pointer before it
+    # allocates them; beyond those it holds one block row's temporaries at
+    # a time: the (D, width) array of its values (8 bytes an entry), their
+    # nonzero mask (1) and the gathered values (8) and columns (4), plus a
+    # few KiB of Python and SciPy objects
+    name, order, which = scheme
+    _, system = assembled(5, 3, 3, 32, name, order, which or "corrector")
+    mat = system.mat
+    priced = 12 * mat.nnz + 8 * (mat.shape[0] + 1)
+    width = max(len(row) for row in mat.rows) * mat.block_dim + 1
+    mat.tocsr()  # any first-call caches of NumPy and SciPy are made here
+    tracemalloc.start()
+    try:
+        mat.tocsr()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= priced + 21 * mat.block_dim * width + 8192
 
 
 @PROPERTY
