@@ -324,9 +324,9 @@ def build_window(cfg: dict, m: PolyNoiseModel):
 
 def finite_run(solve) -> SolverRun:
     """``solve()``, a sampler or RK4-oracle run, with an overflow, an
-    invalid value or a non-finite state as a numerical failure.  A
-    one-coordinate model steps on Python floats, whose overflow raises
-    nothing, so the recorded states are checked too."""
+    invalid value or a non-finite state as a numerical failure.  The
+    oracle steps one-coordinate and kron models on Python floats, whose
+    overflow raises nothing, so the recorded states are checked too."""
     with np.errstate(over="raise", invalid="raise"):
         run = solve()
     if not np.isfinite(run.state_matrix()).all():

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from operator import itemgetter
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -279,24 +280,52 @@ def _eps_tables(m: PolyNoiseModel, lams: np.ndarray):
 def _eval_tabulated(m: PolyNoiseModel, tables, i: int, x):
     """eps(x, lams[i]) from ``tables = _eps_tables(m, lams)``.
 
-    Horner in x for separable models; sum_j C_j x^{(j)} for
-    kron models, with x^{(j)} built one outer product at a time (equal
-    to the left-folded np.kron bit for bit).  The Horner form also runs
-    on a Python float x with the rows of a one-coordinate table as
+    Horner in x for separable models; :func:`_kron_sum` of the constant
+    term and the blocks' rows i for kron models.  The Horner form also
+    runs on a Python float x with the rows of a one-coordinate table as
     lists of floats.
     """
     if m.mode == "kron":
-        out = 0.0 + tables[0][i, :, 0]  # -0.0 to +0.0, as a sum from zero gives
-        xj = x
-        for j, cj in enumerate(tables[1:]):
-            if j:
-                xj = (xj[:, None] * x).ravel()
-            out += cj[i].dot(xj)
-        return out
+        # -0.0 to +0.0, as a sum from zero gives; map, as a comprehension
+        # would make i a closure cell and slow every separable call
+        return _kron_sum(0.0 + tables[0][i, :, 0], list(map(itemgetter(i), tables[1:])), x)
     out = 0.0
     for cj in reversed(tables[i]):
         out = out * x + cj
     return out
+
+
+def _kron_sum(out, blocks, x):
+    """out + sum_j C_j x^{(j)} over the (d, d^j) matrices C_1, C_2, ... of
+    ``blocks``, added in degree order, with x^{(j)} built one outer
+    product at a time (equal to the left-folded np.kron bit for bit).
+
+    ``out`` and ``x`` are both arrays of shape (d,), or both lists of d
+    floats; on lists the monomials and the sums are float operations and
+    only each ``ndarray.dot`` contraction, the same as on arrays, runs in
+    NumPy, so both give the same bits.
+    """
+    on_lists = isinstance(x, list)
+    xj = x
+    for j, cj in enumerate(blocks):
+        if j:
+            xj = [p * q for p in xj for q in x] if on_lists else (xj[:, None] * x).ravel()
+        term = cj.dot(xj)
+        out = [a + b for a, b in zip(out, term.tolist())] if on_lists else out + term
+    return out
+
+
+def _kron_rows(m: PolyNoiseModel, tables) -> list:
+    """The arguments of :func:`_kron_sum` on lists at each point of kron
+    ``tables = _eps_tables(m, lams)``: the constant term as a list of
+    floats, from zero as :func:`_eval_tabulated` sums it, and the blocks'
+    rows, a block without lam dependence as its one matrix at every point."""
+    n = len(tables[0])
+    if all(cj.shape[0] == 1 for cj in m.coeffs):
+        return [((0.0 + tables[0][0, :, 0]).tolist(), [cj[0] for cj in m.coeffs[1:]])] * n
+    const = (0.0 + tables[0][:, :, 0]).tolist()
+    return [(const[i], [cj[0] if cj.shape[0] == 1 else table[i]
+                        for cj, table in zip(m.coeffs[1:], tables[1:])]) for i in range(n)]
 
 
 def eval_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
@@ -490,11 +519,13 @@ def _center_tables(m: PolyNoiseModel, level, lams: np.ndarray):
     """Collapse per-point coefficients (batched as :func:`_tower_levels`
     yields them, or ``m.coeffs`` for all points), each at its own point of
     ``lams``, into the layout of :func:`_eps_tables`.  Kron blocks with lam
-    dependence are collapsed one point at a time, keeping a single collapse's bits."""
+    dependence are collapsed by one stacked matmul of each point's lam
+    powers with its block, which gives every point a single collapse's bits."""
     if m.mode == "kron":
         return [np.broadcast_to(cj[..., 0, :, :], (len(lams),) + cj.shape[-2:]) if cj.shape[-3] == 1
-                else np.array([_lam_collapse(b, lam) for b, lam in
-                               zip(np.broadcast_to(cj, (len(lams),) + cj.shape[-3:]), lams)])
+                else np.matmul(lams[:, None, None] ** np.arange(cj.shape[-3]),
+                               cj.reshape(cj.shape[:-2] + (-1,))
+                               ).reshape((len(lams),) + cj.shape[-2:])
                 for cj in level]
     c = level.reshape((-1, m.d) + level.shape[1:]).transpose(3, 1, 2, 0)  # (L+1, d, J+1, C)
     return npoly.polyval(lams, c, tensor=False).transpose(2, 1, 0)

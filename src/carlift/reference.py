@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PolyNoiseModel, _derivative_tower, _eps_tables, _eval_tabulated, eval_eps
+from .model import (PolyNoiseModel, _derivative_tower, _eps_tables, _eval_tabulated, _kron_rows,
+                    _kron_sum, eval_eps)
 from .schedule import NoiseSchedule, TimeGrid, exp_taylor_tail, phi_moment
 
 __all__ = [
@@ -105,6 +106,13 @@ def rk4_oracle(
     of substeps, at the substep starts t (accumulated by t += ht) and
     midpoints t + ht/2; a substep's end is the next one's start.  The
     loop then evaluates only the x-dependent part of eps.
+
+    A one-coordinate model steps on a Python float and a kron model on a
+    list of d floats: the constant term, the Kronecker monomials and the
+    RK4 arithmetic are float operations, and only each degree block's
+    contraction is an ``ndarray.dot`` (see :func:`carlift.model._kron_sum`),
+    so the states equal those of the same steps on arrays bit for bit.
+    Separable models with d > 1 step on arrays.
     """
     if substeps < 1:
         raise ValueError("need substeps >= 1")
@@ -114,15 +122,17 @@ def rk4_oracle(
     pts = [TrajectoryPoint(float(times[0]), float(s.lam(times[0])), x.copy())]
     nfe = 0
     chunk = _oracle_chunk(m)
-    # A one-coordinate polynomial model steps on Python floats: the same
-    # IEEE double operations as on 1-element arrays, without numpy's
-    # per-operation overhead.
-    on_floats = m.mode != "kron" and m.d == 1
+    # One-coordinate models step on a float, kron models on a list of d
+    # floats with NumPy left only for the block contractions, separable
+    # models with d > 1 on arrays: the same IEEE double operations each
+    # way, without numpy's per-operation overhead on a few elements.
+    kron = m.mode == "kron"
+    scalar = not kron and m.d == 1
     for ta, tb in zip(times[:-1], times[1:]):
         ht = float((tb - ta) / substeps)
         half, sixth = 0.5 * ht, ht / 6.0
         t = ta
-        y = float(x[0]) if on_floats else x
+        y = float(x[0]) if scalar else x.tolist() if kron else x
         for done in range(0, substeps, chunk):
             cnt = min(chunk, substeps - done)
             tt = np.empty(2 * cnt + 1)
@@ -131,23 +141,46 @@ def rk4_oracle(
             f = s.f(tt).tolist()
             c = (s.g2(tt) / (2.0 * s.sigma(tt))).tolist()
             tables = _eps_tables(m, s.lam(tt))
-            if on_floats:
-                tables = tables[:, :, 0].tolist()
-            for i in range(0, 2 * cnt, 2):
-                k1 = f[i] * y + c[i] * _eval_tabulated(m, tables, i, y)
-                z = y + half * k1
-                k2 = f[i + 1] * z + c[i + 1] * _eval_tabulated(m, tables, i + 1, z)
-                z = y + half * k2
-                k3 = f[i + 1] * z + c[i + 1] * _eval_tabulated(m, tables, i + 1, z)
-                z = y + ht * k3
-                k4 = f[i + 2] * z + c[i + 2] * _eval_tabulated(m, tables, i + 2, z)
-                y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if kron:
+                y = _rk4_lists(y, f, c, _kron_rows(m, tables), cnt, ht)
+            else:
+                if scalar:
+                    tables = tables[:, :, 0].tolist()
+                for i in range(0, 2 * cnt, 2):
+                    k1 = f[i] * y + c[i] * _eval_tabulated(m, tables, i, y)
+                    z = y + half * k1
+                    k2 = f[i + 1] * z + c[i + 1] * _eval_tabulated(m, tables, i + 1, z)
+                    z = y + half * k2
+                    k3 = f[i + 1] * z + c[i + 1] * _eval_tabulated(m, tables, i + 1, z)
+                    z = y + ht * k3
+                    k4 = f[i + 2] * z + c[i + 2] * _eval_tabulated(m, tables, i + 2, z)
+                    y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t = tt[-1]
             nfe += 4 * cnt
         x = np.atleast_1d(np.asarray(y, dtype=float))
         pts.append(TrajectoryPoint(float(tb), float(s.lam(tb)), x.copy()))
     grid = TimeGrid(t=times, lam=np.asarray(s.lam(times), dtype=float))
     return SolverRun(grid=grid, states=pts, nfe=nfe, scheme="rk4")
+
+
+def _rk4_lists(y: list, f: list, c: list, rows: list, cnt: int, ht: float) -> list:
+    """``cnt`` substeps of :func:`rk4_oracle`'s loop from a kron state y, a
+    list of d floats, over one chunk's tables, each arithmetic operation
+    applied elementwise as on arrays; ``rows`` are :func:`_kron_rows`."""
+    half, sixth = 0.5 * ht, ht / 6.0
+
+    def k(i: int, z: list) -> list:
+        fi, ci = f[i], c[i]
+        return [fi * a + ci * e for a, e in zip(z, _kron_sum(*rows[i], z))]
+
+    for i in range(0, 2 * cnt, 2):
+        k1 = k(i, y)
+        k2 = k(i + 1, [a + half * b for a, b in zip(y, k1)])
+        k3 = k(i + 1, [a + half * b for a, b in zip(y, k2)])
+        k4 = k(i + 2, [a + ht * b for a, b in zip(y, k3)])
+        y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    return y
 
 
 def dpm_weights(s: NoiseSchedule, lams: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -158,15 +191,17 @@ def dpm_weights(s: NoiseSchedule, lams: np.ndarray, k: int) -> tuple[np.ndarray,
     alpha_{i+1} / alpha_i, formed from log alpha, and c[i, n] =
     -alpha_{i+1} I_n = -sigma_{i+1} tail_n(h_i), eps^{(n)} the total
     lambda-derivatives expanded around lams[i] and I_n the exponential
-    moments over the step of width h_i.  Returns the (M,) ratios and the
-    (M, k) weights of the M = len(lams) - 1 steps.
+    moments over the step of width h_i; each distinct width's tails are
+    summed once per call.  Returns the (M,) ratios and the (M, k)
+    weights of the M = len(lams) - 1 steps.
     """
     if k not in (1, 2, 3):
         raise ValueError("supported orders are k in {1, 2, 3}")
     lams = np.asarray(lams, dtype=float)
-    sigma = s.sigma_from_lam(lams[1:]).tolist()
-    c = np.array([[-sigma[i] * exp_taylor_tail(n, h) for n in range(k)]
-                  for i, h in enumerate(np.diff(lams).tolist())])
+    hs = np.diff(lams).tolist()
+    tails = {h: [exp_taylor_tail(n, h) for n in range(k)] for h in set(hs)}
+    c = np.array([[-sig * tail for tail in tails[h]]
+                  for sig, h in zip(s.sigma_from_lam(lams[1:]).tolist(), hs)])
     return np.exp(np.diff(s.log_alpha_from_lam(lams))), c.reshape(-1, k)
 
 
@@ -249,8 +284,8 @@ def uni_weights(s: NoiseSchedule, lams: np.ndarray, p: int, variant: str = "bh2"
     w_m = sigma_p B(h) a_m / r_m from :func:`uni_coeffs`,
     c[j, 0] = -alpha_p I_0 + sum_m w_m, with alpha_p I_0 = sigma_p tail_0(h),
     and c[j, m] = -w_m for m >= 1.
-    Each distinct step's :func:`uni_coeffs` system is solved once per
-    call.  Returns the ratios and the (len(lams) - p, p) weights, or
+    Each distinct step's :func:`uni_coeffs` system and tail_0 are solved
+    and summed once per call.  Returns the ratios and the (len(lams) - p, p) weights, or
     (len(lams) - p, p + 1) for the corrector.
     """
     lams = np.asarray(lams, dtype=float)
@@ -262,10 +297,11 @@ def uni_weights(s: NoiseSchedule, lams: np.ndarray, p: int, variant: str = "bh2"
     for j, (lam_0, lam_p) in enumerate(nodes[:, [0, -1]].tolist()):
         key = (tuple(r[j]), lam_p - lam_0)
         if key not in solved:
-            solved[key] = uni_coeffs(p, r[j], key[1], variant=variant, corrector=corrector)
-        a, Bh = solved[key]
+            solved[key] = (*uni_coeffs(p, r[j], key[1], variant=variant, corrector=corrector),
+                           exp_taylor_tail(0, key[1]))
+        a, Bh, tail = solved[key]
         w = float(sigma[j]) * Bh * (a / r[j, : len(a)])
-        c[j, 0] = -float(sigma[j]) * exp_taylor_tail(0, key[1]) + float(w.sum())
+        c[j, 0] = -float(sigma[j]) * tail + float(w.sum())
         c[j, 1:] = -w
     return np.exp(np.diff(s.log_alpha_from_lam(nodes[:, [0, -1]]))[:, 0]), c
 

@@ -131,9 +131,10 @@ class TrajectoryOperator(LinearOperator):
             Y[i] = acc
         return Y.ravel()
 
-    @property
+    @functools.cached_property
     def nnz(self) -> int:
-        """Nonzeros of M, from the counts the blocks hold and their diagonals."""
+        """Nonzeros of M, from the counts the blocks hold and their diagonals,
+        counted the first time it is read and kept."""
         return self.shape[0] + sum(blk.nnz + (int(_eye_change(blk).sum()) if plus_eye else 0)
                                    for row in self.rows for _, blk, plus_eye in row)
 

@@ -176,6 +176,23 @@ def test_diverging_oracle_exits_3(tmp_path, capsys):
         "numerical failure: the RK4 oracle reached a non-finite state")
 
 
+@pytest.mark.parametrize("command", ["simulate", "carleman"])
+def test_diverging_kron_oracle_exits_3(tmp_path, capsys, command):
+    # test_diverging_oracle_exits_3's model as a one-coordinate kron model:
+    # its RK4 oracle steps on a list of Python floats, and a block
+    # contraction of an infinite monomial raises nothing either
+    cfg = {
+        "model": {"mode": "kron", "d": 1,
+                  "blocks": {"0": [[0.2]], "1": [[-0.6]], "2": [[[0.0]], [[0.05]]]}},
+        "window": {"x_T": 1.0, "t_start": 0.8, "t_end": 0.1, "M": 10},
+    }
+    code, out = run(tmp_path, command, cfg)
+    assert code == 3
+    assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: the RK4 oracle reached a non-finite state")
+
+
 # test_diverging_oracle_exits_3's model over x_T: its oracle overflows at
 # x_T = 1.0 and stays finite at 0.1, and every lift stays finite
 XT_SWEEP_CFG = {

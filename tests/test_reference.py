@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from carlift import reference
-from carlift.model import _eval_tabulated, eval_eps, kron_model, scalar_model, separable_model
+from carlift.model import (_eps_tables, _eval_tabulated, _kron_rows, _kron_sum, eval_eps, kron_model,
+                           scalar_model, separable_model)
 from carlift.presets import benchmark, model_preset
 from carlift.reference import dpm_weights, rk4_oracle, run_dpm, run_unipc, uni_coeffs, uni_weights
 from carlift.schedule import TimeGrid, make_lambda_grid, make_vp_schedule, phi_moment
@@ -344,19 +345,22 @@ def rk4_per_substep(s, m, x_T, substeps, times):
 
 @st.composite
 def oracle_models(draw):
-    """(model, lam-dependent kron blocks?) over scalar, separable and kron d <= 3."""
+    """(model, lam-dependent kron blocks?) over scalar, separable d <= 3 and
+    kron d <= 4 (degree <= 2 at d >= 3); a kron_lam model draws lam
+    dependence per block."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["scalar", "separable", "kron", "kron_lam"]))
     J = draw(st.integers(0, 3))
     if kind == "scalar":
         return scalar_model(0.2 * rng.normal(size=(J + 1, draw(st.integers(1, 3))))), False
-    d = draw(st.integers(1, 3))
     if kind == "separable":
+        d = draw(st.integers(1, 3))
         return separable_model(0.2 * rng.normal(size=(d, J + 1, draw(st.integers(1, 3))))), False
-    L = draw(st.integers(2, 5)) if kind == "kron_lam" else 1
-    J = min(J, 2) if d == 3 else J
-    blocks = {j: 0.2 / d**j / L * rng.normal(size=(L, d, d**j)) for j in range(J + 1)}
-    return kron_model(d, blocks), L > 1
+    d = draw(st.integers(1, 4))
+    J = min(J, 2) if d >= 3 else J
+    L = [draw(st.integers(1, 5)) if kind == "kron_lam" else 1 for _ in range(J + 1)]
+    blocks = {j: 0.2 / d**j / L[j] * rng.normal(size=(L[j], d, d**j)) for j in range(J + 1)}
+    return kron_model(d, blocks), max(L) > 1
 
 
 @PROPERTY
@@ -394,12 +398,40 @@ def test_rk4_oracle_equals_per_substep_loop(case, table_bytes, data, t_start, sp
         assert np.array_equal(got, expected)
 
 
+def test_separable_oracle_equals_its_coordinates_oracles():
+    c = 0.2 * np.random.default_rng(3).normal(size=(3, 4, 3))
+    x_T = np.array([0.4, -0.5, 0.6])
+    times = make_lambda_grid(S, 0.6, 0.1, 3).t
+    got = rk4_oracle(S, separable_model(c), x_T, substeps=300, times=times).state_matrix()
+    # each coordinate alone is a one-coordinate model, which steps on floats
+    cols = [rk4_oracle(S, scalar_model(ci), [xi], substeps=300, times=times).state_matrix()[:, 0]
+            for ci, xi in zip(c, x_T)]
+    assert np.array_equal(got, np.stack(cols, axis=1))
+
+
 @PROPERTY
 @given(case=oracle_models(), lam=st.floats(-3.0, 3.0), scale=st.floats(0.1, 3.0))
 def test_eval_eps_equals_direct_evaluation(case, lam, scale):
     m, _ = case
     x = scale * np.linspace(-1.0, 1.0, m.d)
     assert np.array_equal(eval_eps(m, x, lam), eval_eps_direct(m, x, lam))
+
+
+def test_kron_sum_on_floats_equals_the_array_evaluation():
+    # every kron shape the oracle tests draw, with and without lam dependence
+    rng = np.random.default_rng(17)
+    lams = np.array([-2.5, -0.3, 0.0, 1.7])
+    for d in range(1, 5):
+        for J in range(3 if d >= 3 else 4):
+            for L in (1, 3):
+                m = kron_model(d, {j: rng.normal(size=(L, d, d**j)) for j in range(J + 1)})
+                tables = _eps_tables(m, lams)
+                for x in rng.normal(size=(12, d)) * np.exp(rng.uniform(-2.0, 1.0, size=(12, 1))):
+                    for i, row in enumerate(_kron_rows(m, tables)):
+                        got = np.array(_kron_sum(*row, x.tolist()))
+                        expected = _eval_tabulated(m, tables, i, x)
+                        assert np.array_equal(got, expected)
+                        assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 @pytest.mark.parametrize("higher", [{}, {1: np.zeros((2, 2)), 2: np.zeros((2, 4))}],
@@ -410,6 +442,8 @@ def test_kron_eval_sums_a_negative_zero_constant_from_zero(higher):
     got, expected = eval_eps(m, x, 0.3), eval_eps_direct(m, x, 0.3)
     assert np.array_equal(got, expected)
     assert np.array_equal(np.signbit(got), np.signbit(expected))
+    on_floats = np.array(_kron_sum(*_kron_rows(m, _eps_tables(m, np.array([0.3])))[0], x.tolist()))
+    assert np.array_equal(np.signbit(on_floats), np.signbit(expected))
 
 
 def test_rk4_oracle_chunks_at_the_real_table_size():
@@ -425,16 +459,30 @@ def test_rk4_oracle_chunks_at_the_real_table_size():
     assert np.array_equal(run.state_matrix(), expected)
 
 
+def oracle_peaks(m, x_T, substep_counts):
+    """Traced peak bytes of rk4_oracle over t 0.5 -> 0.1 at each substep count."""
+    peaks = []
+    for substeps in substep_counts:
+        tracemalloc.start()
+        try:
+            rk4_oracle(S, m, x_T, substeps=substeps, times=(0.5, 0.1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
 def test_rk4_oracle_memory_does_not_grow_with_substeps():
     bench = benchmark("cubic")
     m = bench.model()
     chunk = reference._oracle_chunk(m)
-    peaks = []
-    for substeps in (2 * chunk, 8 * chunk):
-        tracemalloc.start()
-        try:
-            rk4_oracle(S, m, [bench.x_T], substeps=substeps, times=(bench.t_start, bench.t_end))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = oracle_peaks(m, [bench.x_T], (2 * chunk, 8 * chunk))
+    assert peaks[1] <= peaks[0] + 64 * 1024
+
+
+def test_kron_rk4_oracle_memory_does_not_grow_with_substeps():
+    m = kron_model(2, {1: [[[-0.5, 0.1], [0.0, -0.4]], [[0.02, 0.0], [0.01, 0.03]]],
+                       2: [[0.05, 0.0, 0.0, 0.02], [0.0, 0.01, 0.03, 0.0]]})
+    chunk = reference._oracle_chunk(m)
+    peaks = oracle_peaks(m, [0.7, -0.6], (2 * chunk, 8 * chunk))
     assert peaks[1] <= peaks[0] + 64 * 1024
