@@ -1,13 +1,15 @@
 """Carleman lifting of polynomial sampler steps.
 
-A polynomial step map x -> P(x) = sum_q B_q x^{(q)} (with x^{(q)} the
-q-fold Kronecker power) becomes linear on the truncated lifted state
+A polynomial step map x -> P(x) = sum_q B_q x_q, with x_q the monomials
+x^beta of degree q in sorted multi-index order (the one coefficient
+basis of :mod:`carlift.model`), becomes linear on the truncated lifted
+state
 
     Y = (y_1, ..., y_N),   y_j = (sqrt(m_beta) x^beta : |beta| = j),
 
-the monomials of each degree j in sorted multi-index order, each scaled
-by the square root of its multiplicity m_beta = j! / prod_k beta_k!,
-the number of entries of x^{(j)} equal to it.  So y_j = Q_j^T x^{(j)},
+the monomials of each degree j, each scaled by the square root of its
+multiplicity m_beta = j! / prod_k beta_k!, the number of entries of the
+Kronecker power x^{(j)} equal to it.  So y_j = Q_j^T x^{(j)},
 where the columns of Q_j are an orthonormal basis of the symmetric
 tensors of order j.  Q = diag(Q_j) is an isometry on them, and every
 lifted Kronecker-basis map U keeps them symmetric, so U Q = Q U_s: the
@@ -27,7 +29,7 @@ tables of :func:`carlift.reference.dpm_weights` and
 :func:`carlift.reference.uni_weights`, whose rows the classical samplers
 read too, so the lifted step and the sampler step are one map.
 
-A run's step maps are one dict {q: (M, d, d^q)}: each degree's
+A run's step maps are one dict {q: (M, d, n_q)}: each degree's
 coefficient blocks stacked along a leading step axis, built from the
 weight tables and eps and its derivatives tabulated over the grid.
 They are lifted in chunks sliced along that axis, each step into a
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError
-from .model import PolyNoiseModel, _derivative_tower
+from .model import PolyNoiseModel, _derivative_tower, _monomials
 from .reference import dpm_weights, uni_weights
 from .schedule import NoiseSchedule, TimeGrid
 
@@ -109,84 +111,6 @@ class CarlemanBasis:
         return slice(int(self.offsets[j - 1]), int(self.offsets[j]))
 
 
-@dataclass(frozen=True)
-class _Monomials:
-    """Index tables of the monomials of degree 0..N in d variables.
-
-    Monomial k of degree t is x_i times monomial ``parent[t][k]`` of
-    degree t-1, with i = ``first[t][k]`` its lowest variable.  The
-    tables that multiply monomials use "ext" indices, which list every
-    degree in order: 0 is the constant 1 and 1 + k is coordinate k of
-    the lifted state, so degree t starts at ``start[t]``.
-    ``times_x[e, i]`` is x_i times e, -1 at degree N; ``products[q]``
-    holds a b for every a of degree <= N - q (the ext indices below
-    start[N-q+1]) and every b of degree q, as a flat (a, b) array.
-    """
-
-    start: tuple
-    parent: tuple
-    first: tuple
-    sqrt_mult: np.ndarray  # over the lifted coordinates
-    times_x: np.ndarray
-    products: tuple
-
-    def fold(self, B: np.ndarray, q: int) -> np.ndarray:
-        """The (r, d^q) coefficients of x^{(q)} as the (r, n_q) coefficients of
-        the degree-q monomials: the Kronecker columns of each monomial summed."""
-        n_q = self.start[q + 1] - self.start[q]
-        if B.shape[1] == n_q:  # q <= 1 or d = 1: one column per monomial, in order
-            return B
-        cols = np.zeros(1, dtype=np.intp)  # ext index of each Kronecker column
-        for _ in range(q):
-            cols = self.times_x[cols].ravel()
-        flat = np.arange(len(B))[:, None] * n_q + (cols - self.start[q])
-        return np.bincount(flat.ravel(), weights=B.ravel(), minlength=len(B) * n_q).reshape(-1, n_q)
-
-
-@functools.lru_cache(maxsize=16)
-def _monomials(d: int, N: int) -> _Monomials:
-    """Index tables of the (d, N) basis, built when its first lift needs them.
-
-    Degree t lists x_i x^e for i = 0..d-1 and, for each i, every
-    degree-(t-1) monomial e whose lowest variable is at least i, in
-    order; that is the sorted multi-index order.
-    """
-    sizes = [math.comb(d + t - 1, t) for t in range(N + 1)]
-    start = tuple(int(v) for v in np.cumsum([0] + sizes))
-    var = np.arange(d)
-    parent, first = [np.zeros(0, np.intp)], [np.array([d])]  # the constant has no variable
-    lead, mult = [np.zeros(1, np.intp)], [np.ones(1)]  # lead: how often first divides it
-    times_x = np.full((start[-1], d), -1, dtype=np.intp)
-    for t in range(1, N + 1):
-        skip = np.searchsorted(first[t - 1], var)  # degree-(t-1) monomials with first < i
-        counts = sizes[t - 1] - skip
-        offset = np.cumsum(counts) - counts - skip  # x_i e is monomial offset[i] + e of degree t
-        f = np.repeat(var, counts)
-        par = np.arange(sizes[t]) - np.repeat(offset, counts)
-        lead.append(1 + np.where(first[t - 1][par] == f, lead[t - 1][par], 0))
-        mult.append(mult[t - 1][par] * t / lead[t])
-        parent.append(par), first.append(f)
-        # x_i e is (i, e) when i <= first(e), else (first(e), x_i parent(e))
-        fe = first[t - 1][:, None]
-        prod = offset[var] + np.arange(sizes[t - 1])[:, None]
-        if t > 1:
-            via = offset[fe] + times_x[start[t - 2] + parent[t - 1]] - start[t - 1]
-            prod = np.where(var <= fe, prod, via)
-        times_x[start[t - 1] : start[t]] = start[t] + prod
-    products = []
-    mul = np.arange(start[-1])[None, :]  # mul[b, a] = a b, b of degree s, a of degree <= N - s
-    for s in range(N + 1):
-        if s:
-            mul = times_x[mul[parent[s], : start[N - s + 1]], first[s][:, None]]
-        products.append(np.ascontiguousarray(mul.T).ravel())
-    mono = _Monomials(start=start, parent=tuple(parent), first=tuple(first),
-                      sqrt_mult=np.sqrt(np.concatenate(mult[1:])), times_x=times_x,
-                      products=tuple(products))
-    for arr in (*mono.parent, *mono.first, mono.sqrt_mult, times_x, *mono.products):
-        arr.flags.writeable = False  # shared by every lift of this basis
-    return mono
-
-
 @dataclass
 class LiftedState:
     """Truncated symmetric-monomial vector with its basis."""
@@ -248,17 +172,17 @@ def _poly_to_update(polys: dict[int, np.ndarray], basis: CarlemanBasis,
                     delta: bool = False) -> list[tuple[StepMatrix, np.ndarray]]:
     """Lift a run's step polynomials into update matrices U and offsets b.
 
-    ``polys`` maps each degree q to the steps' (d, d^q) blocks, stacked
-    along a leading step axis.  Row beta of block row j holds the
-    degree-truncated coefficients of sqrt(m_beta) prod_k P_{beta_k}(x) on
-    the weighted monomials.  The (d, d^q) blocks of P are first summed
-    onto monomial columns.  Each block row is then made from block row
-    j-1 in one pass: row beta is its parent row, beta - e_{beta_1}, times
-    P_{beta_1}; the products of each degree q of P are taken for all rows
-    at once, in the dict's degree order, and one bincount adds them onto
-    their monomial columns.  Rows and columns are scaled by sqrt(m_beta)
-    and 1/sqrt(m_gamma) last.  Degree-0 parts land in b.  With ``delta``
-    the identity is subtracted, giving the delta-form matrix U - I.
+    ``polys`` maps each degree q to the steps' (d, n_q) blocks on the
+    degree-q monomials, stacked along a leading step axis.  Row beta of
+    block row j holds the degree-truncated coefficients of sqrt(m_beta)
+    prod_k P_{beta_k}(x) on the weighted monomials.  Each block row is
+    made from block row j-1 in one pass: row beta is its parent row,
+    beta - e_{beta_1}, times P_{beta_1}; the products of each degree q of
+    P are taken for all rows at once, in the dict's degree order, and one
+    bincount adds them onto their monomial columns.  Rows and columns are
+    scaled by sqrt(m_beta) and 1/sqrt(m_gamma) last.  Degree-0 parts land
+    in b.  With ``delta`` the identity is subtracted, giving the
+    delta-form matrix U - I.
 
     The steps are lifted in chunks sliced along the step axis, their rows
     stacked, as many per chunk as keep the products, their bin indices
@@ -280,7 +204,7 @@ def _poly_to_update(polys: dict[int, np.ndarray], basis: CarlemanBasis,
     out = []
     for lo in range(0, n_steps, per_chunk):
         S = min(per_chunk, n_steps - lo)  # stacked: (S*d, n_q) coefficients, (S*n_j, width) rows
-        C = {q: mono.fold(B[lo : lo + S].reshape(S * basis.d, -1), q) for q, B in polys.items()}
+        C = {q: B[lo : lo + S].reshape(S * basis.d, -1) for q, B in polys.items()}
         buf = np.empty((S, dim, dim))
         b = np.empty((S, dim))
         R = np.zeros((S, width))  # block row j-1, unscaled, with its constant column
@@ -324,7 +248,7 @@ class Qcm:
 
 
 def _degree_blocks(m: PolyNoiseModel, table) -> dict[int, np.ndarray]:
-    """The (S, d, d^q) coefficient blocks of an eps table over S points, by
+    """The (S, d, n_q) coefficient blocks of an eps table over S points, by
     degree q, leaving out the degrees that are zero at every point; a
     separable table is one-coordinate here."""
     blocks = table if m.mode == "kron" else table.transpose(1, 0, 2)[..., None]
@@ -334,21 +258,21 @@ def _degree_blocks(m: PolyNoiseModel, table) -> dict[int, np.ndarray]:
 def _step_maps(ratio: np.ndarray, terms, d: int) -> dict[int, np.ndarray]:
     """The step maps x -> ratio x + sum_n c_n E_n(x), stacked over the steps:
     ``terms`` lists (c_n, E_n), each c_n one weight per step and E_n the
-    {q: (S, d, d^q)} blocks it scales.  Degree 1 comes first, then each
+    {q: (S, d, n_q)} blocks it scales.  Degree 1 comes first, then each
     degree as the terms first show it."""
     P: dict[int, np.ndarray] = {1: ratio[:, None, None] * np.eye(d)}
     for cn, E in terms:
         for q, B in E.items():
-            P[q] = P.get(q, np.zeros((len(ratio), d, d**q))) + cn[:, None, None] * B
+            P[q] = P.get(q, 0.0) + cn[:, None, None] * B
     return P
 
 
 def step_polynomials_dpm(s: NoiseSchedule, m: PolyNoiseModel, lams: np.ndarray,
                          k: int) -> dict[int, np.ndarray]:
-    """Coefficient blocks {q: (M, d, d^q)} of the order-k step maps from
+    """Coefficient blocks {q: (M, d, n_q)} of the order-k step maps from
     lams[i] to lams[i+1], stacked over the M steps, each the
-    :func:`carlift.reference.dpm_weights` step written out in powers of
-    x, from one derivative tower for all step starts."""
+    :func:`carlift.reference.dpm_weights` step written out on the
+    monomials of x, from one derivative tower for all step starts."""
     ratio, c = dpm_weights(s, lams, k)
     tower = _derivative_tower(s, m, k, lams[:-1])
     return _step_maps(ratio, [(cn, _degree_blocks(m, table)) for cn, table in zip(c.T, tower)], m.d)
@@ -412,17 +336,15 @@ class UnipcQcmSet:
 def _block1(E: dict[int, np.ndarray], nodes: np.ndarray, cs: np.ndarray,
             basis: CarlemanBasis) -> list[StepMatrix]:
     """Block-row-1 matrices cs[i] * E_q at grid node nodes[i] against column
-    blocks q >= 1, each held as its d rows.  Each E_q, the (G, d, d^q) eps
-    blocks over the grid, has its Kronecker columns summed onto the
-    monomials once; a degree that is zero at a node stays +0 there."""
+    blocks q >= 1, each held as its d rows, from E_q, the (G, d, n_q) eps
+    blocks over the grid; a degree that is zero at a node stays +0 there."""
     mono = _monomials(basis.d, basis.N)
     buf = np.zeros((len(cs), basis.d, basis.dim_total))
     for q, B in E.items():
         if 1 <= q <= basis.N:
             cols = basis.block_slice(q)
-            F = mono.fold(B.reshape(-1, B.shape[-1]), q).reshape(len(B), basis.d, -1)
             at = B.reshape(len(B), -1).any(axis=1)[nodes]
-            buf[at, :, cols] = cs[at, None, None] * F[nodes[at]] / mono.sqrt_mult[cols]
+            buf[at, :, cols] = cs[at, None, None] * B[nodes[at]] / mono.sqrt_mult[cols]
     return [StepMatrix(rows) for rows in buf]
 
 
@@ -445,7 +367,7 @@ def assemble_unipc_qcms(
     table over the grid.  The anchor row of a step carries c[0] E at the
     anchor and every node's constant term; its 2K maps are lifted
     together by :func:`_poly_to_update`.  Each other node's term is a
-    block-row-1 matrix, all of them from one fold of eps over the grid.
+    block-row-1 matrix, all of them from the one eps table.
     """
     _check_model_basis(m, basis)
     (eps,) = _derivative_tower(s, m, 1, grid.lam)

@@ -322,15 +322,18 @@ def build_window(cfg: dict, m: PolyNoiseModel):
     return s, grid, np.broadcast_to(x_T, (m.d,)).copy()
 
 
-def finite_run(solve) -> SolverRun:
-    """``solve()``, a sampler or RK4-oracle run, with an overflow, an
-    invalid value or a non-finite state as a numerical failure.  The
-    oracle steps one-coordinate and kron models on Python floats, whose
-    overflow raises nothing, so the recorded states are checked too."""
-    with np.errstate(over="raise", invalid="raise"):
-        run = solve()
+def finite_run(name: str, solve) -> SolverRun:
+    """``solve()``, the sampler or RK4-oracle run ``name`` names, with an
+    overflow, an invalid value or a non-finite state as a numerical
+    failure of that run.  The oracle steps one-coordinate and kron models
+    on Python floats, whose overflow raises nothing, so the recorded
+    states are checked too."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            run = solve()
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{exc}, in {name}") from exc
     if not np.isfinite(run.state_matrix()).all():
-        name = "the RK4 oracle" if run.scheme == "rk4" else f"the {run.scheme} sampler"
         raise FloatingPointError(f"{name} reached a non-finite state")
     return run
 
@@ -368,7 +371,8 @@ def cmd_simulate(cfg: dict) -> tuple[int, dict]:
     m = build_model(cfg)
     s, grid, x_T = build_window(cfg, m)
     sim = cfg["simulate"]
-    run = finite_run(lambda: run_scheme(s, m, x_T, grid, sim["scheme"], sim["order"], sim["variant"]))
+    run = finite_run(f"the {sim['scheme']}{sim['order']} sampler",
+                     lambda: run_scheme(s, m, x_T, grid, sim["scheme"], sim["order"], sim["variant"]))
     states = run.state_matrix()
     errors = np.full(len(grid.t), np.nan)
     endpoint_error = math.nan
@@ -376,7 +380,8 @@ def cmd_simulate(cfg: dict) -> tuple[int, dict]:
         # oracle_substeps is a whole-window budget; split it over the grid
         # intervals (rk4_oracle counts substeps per interval)
         per_interval = max(32, -(-sim["oracle_substeps"] // max(1, len(grid.h))))
-        oracle = finite_run(lambda: rk4_oracle(s, m, x_T, substeps=per_interval, times=grid.t))
+        oracle = finite_run("the RK4 oracle",
+                            lambda: rk4_oracle(s, m, x_T, substeps=per_interval, times=grid.t))
         diff = states - oracle.state_matrix()
         errors = np.linalg.norm(diff, axis=1)
         endpoint_error = float(errors[-1])
@@ -416,8 +421,8 @@ def _carleman_oracle(cfg: dict) -> np.ndarray:
     """Endpoint of the RK4 reference a carleman run measures its error against."""
     m = build_model(cfg)
     s, grid, x_T = build_window(cfg, m)
-    return finite_run(lambda: rk4_oracle(s, m, x_T, substeps=4000,
-                                         times=(float(grid.t[0]), float(grid.t[-1])))).endpoint
+    return finite_run("the RK4 oracle", lambda: rk4_oracle(
+        s, m, x_T, substeps=4000, times=(float(grid.t[0]), float(grid.t[-1])))).endpoint
 
 
 def cmd_carleman(cfg: dict, oracles: dict | None = None) -> tuple[int, dict]:
@@ -532,7 +537,8 @@ def cmd_diagnose(cfg: dict) -> tuple[int, dict]:
     m = build_model(cfg)
     s, grid, x_T = build_window(cfg, m)
     sec = cfg["diagnose"]
-    run = finite_run(lambda: run_scheme(s, m, x_T, grid, sec["scheme"], sec["order"], sec["variant"]))
+    run = finite_run(f"the {sec['scheme']}{sec['order']} sampler",
+                     lambda: run_scheme(s, m, x_T, grid, sec["scheme"], sec["order"], sec["variant"]))
     trace = spectrum_trace(s, m, run)
     ptrace = dissipativity_P(trace)
     spec_cols = ["step", "t"] + [f"eig_{i}" for i in range(m.d)]

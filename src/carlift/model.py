@@ -6,9 +6,12 @@ lam.  Two coupling modes are supported:
 * ``separable``: each coordinate i evolves under its own scalar
   polynomial, coefficients c[i, j, l] of x_i^j lam^l; a one-coordinate
   (scalar) model is the d = 1 case.
-* ``kron``: full tensor coupling; the degree-j term is a matrix
-  C_j(lam) of shape (d, d^j) acting on the Kronecker power x^{(j)},
-  with a polynomial lam dependence on the leading axis.
+* ``kron``: full tensor coupling, given as (L+1, d, d^j) blocks: the
+  degree-j term is a matrix C_j(lam) acting on the Kronecker power
+  x^{(j)}, with a polynomial lam dependence on the leading axis.  The
+  constructor folds each block once onto the C(d+j-1, j) monomials x^beta
+  of degree j, in sorted multi-index order (see :func:`_monomials`), and
+  everything downstream reads only that folded form.
 
 The total lambda-derivative used by higher-order exponential
 integrators applies
@@ -24,10 +27,9 @@ keeps each as one table over the run's steps.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from functools import reduce
-from operator import itemgetter
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -47,21 +49,26 @@ __all__ = [
     "total_derivative_poly",
 ]
 
-KRON_D_MAX = 4
 MAX_X_DEGREE = 24
 MAX_LAM_DEGREE = 64
-MAX_KRON_COLUMNS = 65536
+MAX_MONOMIALS = 4096  # columns of a folded kron block, C(d+q-1, q) at its top degree q
 SIGMA_TAYLOR_DEGREE = 4
 TOWER_CHUNK_BYTES = 1 << 22  # derivative-tower work arrays per chunk of expansion points
 
 
 @dataclass(frozen=True)
 class PolyNoiseModel:
-    """Polynomial eps(x, lam); immutable after construction."""
+    """Polynomial eps(x, lam); immutable after construction.
+
+    ``coeffs`` stays as given.  ``blocks`` is what every computation
+    reads: a separable model's coefficients, or a kron model's folded
+    onto monomials, one (L+1, d, C(d+j-1, j)) block per degree j.
+    """
 
     mode: str
     d: int
     coeffs: object  # mode-dependent, see module docstring
+    blocks: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in ("separable", "kron"):
@@ -72,42 +79,145 @@ class PolyNoiseModel:
             c = np.array(self.coeffs, dtype=float)
             if c.ndim != 3 or c.shape[0] != self.d:
                 raise ValueError("separable coefficients must have shape (d, J+1, L+1)")
+            _check_capacity(self.d, c.shape[1] - 1, c.shape[2] - 1, kron=False)
             c.flags.writeable = False
             object.__setattr__(self, "coeffs", c)
-        else:
-            if self.d > KRON_D_MAX:
-                raise CapacityError(f"kron mode supports d <= {KRON_D_MAX}")
-            blocks = []
-            for j, cj in enumerate(self.coeffs):
-                cj = np.array(cj, dtype=float)
-                if cj.ndim != 3 or cj.shape[1] != self.d or cj.shape[2] != self.d**j:
-                    raise ValueError(
-                        f"kron degree-{j} block must have shape (L+1, {self.d}, {self.d**j})"
-                    )
-                cj.flags.writeable = False
-                blocks.append(cj)
-            object.__setattr__(self, "coeffs", tuple(blocks))
-        self._check_capacity()
-
-    def _check_capacity(self) -> None:
-        if self.x_degree > MAX_X_DEGREE:
-            raise CapacityError(f"x-degree {self.x_degree} exceeds {MAX_X_DEGREE}")
-        if self.lam_degree > MAX_LAM_DEGREE:
-            raise CapacityError(f"lam-degree {self.lam_degree} exceeds {MAX_LAM_DEGREE}")
-        if self.mode == "kron" and self.d**self.x_degree > MAX_KRON_COLUMNS:
-            raise CapacityError("kron coefficient block too large")
+            object.__setattr__(self, "blocks", c)
+            return
+        shapes = [np.shape(cj) for cj in self.coeffs]
+        for j, shape in enumerate(shapes):
+            if len(shape) != 3 or shape[1] != self.d or shape[2] != self.d**j:
+                raise ValueError(f"kron degree-{j} block must have shape (L+1, {self.d}, {self.d**j})")
+        # before any copy: a block past the caps is refused unallocated
+        _check_capacity(self.d, len(shapes) - 1, max(shape[0] for shape in shapes) - 1, kron=True)
+        coeffs = tuple(np.array(cj, dtype=float) for cj in self.coeffs)
+        blocks = _fold(coeffs, self.d)
+        for arr in coeffs + blocks:
+            arr.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def x_degree(self) -> int:
-        if self.mode == "kron":
-            return len(self.coeffs) - 1
-        return self.coeffs.shape[-2] - 1
+        return len(self.blocks) - 1 if self.mode == "kron" else self.blocks.shape[-2] - 1
 
     @property
     def lam_degree(self) -> int:
-        if self.mode == "kron":
-            return max(cj.shape[0] for cj in self.coeffs) - 1
-        return self.coeffs.shape[-1] - 1
+        return max(cj.shape[0] for cj in self.blocks) - 1 if self.mode == "kron" else self.blocks.shape[-1] - 1
+
+
+def _check_capacity(d: int, J: int, L: int, kron: bool) -> None:
+    """Refuse coefficients of x-degree J and lam-degree L past the caps, and
+    a kron model's with more than MAX_MONOMIALS monomials of degree J."""
+    for what, size, cap in (("x-degree", J, MAX_X_DEGREE), ("lam-degree", L, MAX_LAM_DEGREE),
+                            (f"d={d} kron degree-{J} monomial count",
+                             math.comb(d + J - 1, J) if kron else 0, MAX_MONOMIALS)):
+        if size > cap:
+            raise CapacityError(f"{what} {size} exceeds {cap}")
+
+
+def _fold(coeffs: tuple, d: int) -> tuple:
+    """The kron blocks (L+1, d, d^q) as (L+1, d, n_q) blocks on the degree-q
+    monomials: the Kronecker columns equal to each monomial summed."""
+    mono, cols, blocks = _monomials(d, len(coeffs) - 1), np.zeros(1, np.intp), []
+    for q, cq in enumerate(coeffs):
+        cols = mono.times_x[cols].ravel() if q else cols  # ext index of each Kronecker column
+        n_q = mono.start[q + 1] - mono.start[q]
+        flat = np.arange(cq.shape[0] * d)[:, None] * n_q + (cols - mono.start[q])
+        blocks.append(np.bincount(flat.ravel(), weights=cq.ravel(),
+                                  minlength=flat.shape[0] * n_q).reshape(cq.shape[:2] + (n_q,)))
+    return tuple(blocks)
+
+
+def _unfold(blocks: list, d: int) -> list:
+    """Monomial blocks (..., d, n_q) as kron blocks (..., d, d^q) that hold
+    each monomial's coefficient on its sorted-index Kronecker column, so
+    that :func:`_fold` gives them back exactly."""
+    mono, col, out = _monomials(d, len(blocks) - 1), np.zeros(1, np.intp), []
+    for q, B in enumerate(blocks):
+        # the Kronecker column of each monomial: its indices i_1 <= ... <= i_q in base d
+        col = mono.first[q] * d ** (q - 1) + col[mono.parent[q]] if q else col
+        out.append(np.zeros(B.shape[:-1] + (d**q,)))
+        out[-1][..., col] = B
+    return out
+
+
+@dataclass(frozen=True)
+class _Monomials:
+    """Index tables of the monomials of degree 0..N in d variables.
+
+    Monomial k of degree t is x_i times monomial ``parent[t][k]`` of
+    degree t-1, with i = ``first[t][k]`` its lowest variable.  The
+    tables that multiply monomials use "ext" indices, which list every
+    degree in order: 0 is the constant 1 and 1 + k is coordinate k of
+    the lifted state, so degree t starts at ``start[t]``.
+    ``times_x[e, i]`` is x_i times e, -1 at degree N; ``products[q]``
+    holds a b for every a of degree <= N - q (the ext indices below
+    start[N-q+1]) and every b of degree q, as a flat (a, b) array.
+    ``deriv[t]``, t >= 1, is the pair (index, factor) of (d, n_{t-1})
+    arrays that takes the partial derivatives of degree-t coefficients:
+    d_i x^beta of monomial ``index[i, k]`` is ``factor[i, k]`` times
+    monomial k of degree t-1.
+    """
+
+    start: tuple
+    parent: tuple
+    first: tuple
+    pairs: tuple  # (parent, first) of each monomial as Python ints
+    sqrt_mult: np.ndarray  # over the lifted coordinates
+    times_x: np.ndarray
+    products: tuple
+    deriv: tuple
+
+
+@functools.lru_cache(maxsize=32)
+def _monomials(d: int, N: int) -> _Monomials:
+    """Index tables of the (d, N) basis, built when first needed.
+
+    Degree t lists x_i x^e for i = 0..d-1 and, for each i, every
+    degree-(t-1) monomial e whose lowest variable is at least i, in
+    order; that is the sorted multi-index order.
+    """
+    sizes = [math.comb(d + t - 1, t) for t in range(N + 1)]
+    start = tuple(int(v) for v in np.cumsum([0] + sizes))
+    var = np.arange(d)
+    parent, first = [np.zeros(0, np.intp)], [np.array([d])]  # the constant has no variable
+    lead, mult = [np.zeros(1, np.intp)], [np.ones(1)]  # lead: how often first divides it
+    powers = [np.zeros((1, d), np.intp)]  # the exponent of each variable
+    times_x = np.full((start[-1], d), -1, dtype=np.intp)
+    for t in range(1, N + 1):
+        skip = np.searchsorted(first[t - 1], var)  # degree-(t-1) monomials with first < i
+        counts = sizes[t - 1] - skip
+        offset = np.cumsum(counts) - counts - skip  # x_i e is monomial offset[i] + e of degree t
+        f = np.repeat(var, counts)
+        par = np.arange(sizes[t]) - np.repeat(offset, counts)
+        lead.append(1 + np.where(first[t - 1][par] == f, lead[t - 1][par], 0))
+        mult.append(mult[t - 1][par] * t / lead[t])
+        powers.append(powers[t - 1][par] + (var == f[:, None]))
+        parent.append(par), first.append(f)
+        # x_i e is (i, e) when i <= first(e), else (first(e), x_i parent(e))
+        fe = first[t - 1][:, None]
+        prod = offset[var] + np.arange(sizes[t - 1])[:, None]
+        if t > 1:
+            via = offset[fe] + times_x[start[t - 2] + parent[t - 1]] - start[t - 1]
+            prod = np.where(var <= fe, prod, via)
+        times_x[start[t - 1] : start[t]] = start[t] + prod
+    products = []
+    mul = np.arange(start[-1])[None, :]  # mul[b, a] = a b, b of degree s, a of degree <= N - s
+    for s in range(N + 1):
+        if s:
+            mul = times_x[mul[parent[s], : start[N - s + 1]], first[s][:, None]]
+        products.append(np.ascontiguousarray(mul.T).ravel())
+    deriv = [()] + [(times_x[start[t - 1] : start[t]].T - start[t], powers[t - 1].T + 1.0)
+                    for t in range(1, N + 1)]
+    mono = _Monomials(start=start, parent=tuple(parent), first=tuple(first),
+                      pairs=tuple(list(zip(p.tolist(), f.tolist())) for p, f in zip(parent, first)),
+                      sqrt_mult=np.sqrt(np.concatenate(mult)[1:]), times_x=times_x,
+                      products=tuple(products), deriv=tuple(deriv))
+    for arr in (*mono.parent, *mono.first, mono.sqrt_mult, times_x, *mono.products,
+                *(a for pair in deriv for a in pair)):
+        arr.flags.writeable = False  # shared by every model, tower and lift of this basis
+    return mono
 
 
 def scalar_model(terms) -> PolyNoiseModel:
@@ -134,18 +244,14 @@ def kron_model(d: int, terms) -> PolyNoiseModel:
     """Build a kron model from {degree: matrix} with optional lam axis.
 
     Each value is either a (d, d^j) matrix (lam-independent) or a
-    (L+1, d, d^j) array of lam-polynomial coefficients.
+    (L+1, d, d^j) array of lam-polynomial coefficients.  A missing
+    degree is zero.
     """
     jmax = max(terms, default=0)
     blocks = []
     for j in range(jmax + 1):
-        if j in terms:
-            arr = np.asarray(terms[j], dtype=float)
-            if arr.ndim == 2:
-                arr = arr[None, :, :]
-            blocks.append(arr)
-        else:
-            blocks.append(np.zeros((1, d, d**j)))
+        arr = np.asarray(terms[j], dtype=float) if j in terms else np.broadcast_to(0.0, (1, d, d**j))
+        blocks.append(arr[None] if arr.ndim == 2 else arr)
     return PolyNoiseModel(mode="kron", d=d, coeffs=blocks)
 
 
@@ -156,12 +262,8 @@ def kron_model(d: int, terms) -> PolyNoiseModel:
 
 
 def _trim_batch(arr: np.ndarray) -> np.ndarray:
-    jmax = 0
-    lmax = 0
     nz = np.argwhere(arr != 0.0)
-    if len(nz):
-        jmax = int(nz[:, 1].max())
-        lmax = int(nz[:, 2].max())
+    jmax, lmax = nz[:, 1:].max(axis=0) if len(nz) else (0, 0)
     return np.ascontiguousarray(arr[:, : jmax + 1, : lmax + 1])
 
 
@@ -244,88 +346,66 @@ def _sigma_lambda_polys(s: NoiseSchedule, lams: np.ndarray):
 # --- evaluation ------------------------------------------------------------
 
 
-def _kron_power(x: np.ndarray, j: int) -> np.ndarray:
-    if j == 0:
-        return np.ones(1)
-    return reduce(np.kron, [x] * j)
-
-
-def _lam_collapse(block: np.ndarray, lam) -> np.ndarray:
-    """Evaluate the leading lam-polynomial axis of a kron block.
-
-    ``lam`` may be a scalar or an array; its shape leads the result's.
-    """
-    powers = np.asarray(lam, dtype=float)[..., None] ** np.arange(block.shape[0])
-    return np.tensordot(powers, block, axes=(-1, 0))
-
-
 def _eps_tables(m: PolyNoiseModel, lams: np.ndarray):
     """The x-polynomial coefficients of eps at each log-SNR in ``lams`` (1-d).
 
     Kron models give a list over the x-degree j of arrays (len(lams), d,
-    d^j); a block without lam dependence is broadcast, not copied.
-    Separable models give one array (len(lams), J+1, d) whose
-    row j holds the x^j coefficients.  :func:`_eval_tabulated` evaluates
-    them at a state.
+    n_j) on the degree-j monomials; a block without lam dependence is
+    broadcast, not copied.  Separable models give one array (len(lams),
+    J+1, d) whose row j holds the x^j coefficients.
+    :func:`_eval_tabulated` evaluates them at a state.
     """
-    if m.mode == "kron":
-        return [
-            np.broadcast_to(cj[0], (len(lams),) + cj.shape[1:]) if cj.shape[0] == 1
-            else _lam_collapse(cj, lams)
-            for cj in m.coeffs
-        ]
-    return _center_tables(m, m.coeffs, lams)
+    return _center_tables(m, m.blocks, lams)
 
 
 def _eval_tabulated(m: PolyNoiseModel, tables, i: int, x):
     """eps(x, lams[i]) from ``tables = _eps_tables(m, lams)``.
 
-    Horner in x for separable models; :func:`_kron_sum` of the constant
-    term and the blocks' rows i for kron models.  The Horner form also
-    runs on a Python float x with the rows of a one-coordinate table as
-    lists of floats.
+    Horner in x for separable models; :func:`_kron_sum` of the blocks'
+    rows i, side by side, for kron models.  The Horner form also runs on
+    a Python float x with the rows of a one-coordinate table as lists of
+    floats.
     """
     if m.mode == "kron":
-        # -0.0 to +0.0, as a sum from zero gives; map, as a comprehension
-        # would make i a closure cell and slow every separable call
-        return _kron_sum(0.0 + tables[0][i, :, 0], list(map(itemgetter(i), tables[1:])), x)
+        return _kron_sum(_monomials(m.d, len(tables) - 1), np.concatenate([t[i] for t in tables], axis=1), x)
     out = 0.0
     for cj in reversed(tables[i]):
         out = out * x + cj
     return out
 
 
-def _kron_sum(out, blocks, x):
-    """out + sum_j C_j x^{(j)} over the (d, d^j) matrices C_1, C_2, ... of
-    ``blocks``, added in degree order, with x^{(j)} built one outer
-    product at a time (equal to the left-folded np.kron bit for bit).
+def _kron_sum(mono: _Monomials, F: np.ndarray, x):
+    """F x_all, summed from +0 (so a -0.0 result is +0.0): F holds the
+    (d, n_j) coefficient matrices of degree j = 0, 1, ... side by side, and
+    x_all the monomials of those degrees at x, each x_first times its
+    parent of degree j-1 (see :func:`_monomials`).
 
-    ``out`` and ``x`` are both arrays of shape (d,), or both lists of d
-    floats; on lists the monomials and the sums are float operations and
-    only each ``ndarray.dot`` contraction, the same as on arrays, runs in
-    NumPy, so both give the same bits.
+    ``x`` is an array of shape (d,) or a list of d floats; on a list the
+    monomials and the sum from zero are float operations and only the
+    ``ndarray.dot`` contraction, the same as on an array, runs in NumPy,
+    so both give the same bits.
     """
-    on_lists = isinstance(x, list)
-    xj = x
-    for j, cj in enumerate(blocks):
-        if j:
-            xj = [p * q for p in xj for q in x] if on_lists else (xj[:, None] * x).ravel()
-        term = cj.dot(xj)
-        out = [a + b for a, b in zip(out, term.tolist())] if on_lists else out + term
-    return out
+    if isinstance(x, list):
+        x_all, xj = ([1.0, *x] if len(mono.pairs) > 1 else [1.0]), x  # degrees 0 and 1
+        for pairs in mono.pairs[2:]:
+            xj = [xj[p] * x[f] for p, f in pairs]
+            x_all += xj
+        return [0.0 + e for e in F.dot(x_all).tolist()]
+    x_all = [np.ones(1), x] if len(mono.pairs) > 1 else [np.ones(1)]
+    for parent, first in zip(mono.parent[2:], mono.first[2:]):
+        x_all.append(x_all[-1][parent] * x[first])
+    return 0.0 + F.dot(np.concatenate(x_all))
 
 
 def _kron_rows(m: PolyNoiseModel, tables) -> list:
     """The arguments of :func:`_kron_sum` on lists at each point of kron
-    ``tables = _eps_tables(m, lams)``: the constant term as a list of
-    floats, from zero as :func:`_eval_tabulated` sums it, and the blocks'
-    rows, a block without lam dependence as its one matrix at every point."""
-    n = len(tables[0])
-    if all(cj.shape[0] == 1 for cj in m.coeffs):
-        return [((0.0 + tables[0][0, :, 0]).tolist(), [cj[0] for cj in m.coeffs[1:]])] * n
-    const = (0.0 + tables[0][:, :, 0]).tolist()
-    return [(const[i], [cj[0] if cj.shape[0] == 1 else table[i]
-                        for cj, table in zip(m.coeffs[1:], tables[1:])]) for i in range(n)]
+    ``tables = _eps_tables(m, lams)``: the monomial tables and the blocks'
+    rows side by side, one matrix at every point when no block depends
+    on lam."""
+    mono = _monomials(m.d, m.x_degree)
+    if all(cj.shape[0] == 1 for cj in m.blocks):
+        return [(mono, np.concatenate([cj[0] for cj in m.blocks], axis=1))] * len(tables[0])
+    return [(mono, F) for F in np.concatenate(tables, axis=2)]
 
 
 def eval_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
@@ -342,16 +422,12 @@ def jacobian_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
     if x.shape != (m.d,):
         raise ValueError(f"state must have shape ({m.d},)")
     if m.mode == "kron":
-        out = np.zeros((m.d, m.d))
-        for j, cj in enumerate(m.coeffs):
-            if j == 0:
-                continue
-            mat = _lam_collapse(cj, lam)
-            for a in range(j):
-                left = _kron_power(x, a)[:, None]
-                right = _kron_power(x, j - 1 - a)[:, None]
-                slab = np.kron(left, np.kron(np.eye(m.d), right))
-                out += mat @ slab
+        mono, out, below = _monomials(m.d, m.x_degree), np.zeros((m.d, m.d)), np.ones(1)
+        for j, table in enumerate(_eps_tables(m, np.array([float(lam)]))[1:], start=1):
+            # below: the degree-(j-1) monomials at x; the derivative table takes F_j onto them
+            below = below[mono.parent[j - 1]] * x[mono.first[j - 1]] if j > 1 else below
+            index, factor = mono.deriv[j]
+            out += (table[0][:, index] * factor) @ below
         return out
     return np.diag(_separable_deps(m, x, lam))
 
@@ -422,70 +498,59 @@ def _deriv_once_batch(arr: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _trim_batch(_padded_sum(dlam, _batch_mul(dx, v)))
 
 
-def _lamconv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Convolve kron blocks a (..., La, p, q) along their lam axis with the
-    lam coefficients b (..., Lb), returning (..., La + Lb - 1, p, q).  Here
-    and below, leading axes (one per expansion point) are carried through."""
-    lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-1])
-    out = np.zeros(lead + (a.shape[-3] + b.shape[-1] - 1,) + a.shape[-2:])
-    for l2 in range(b.shape[-1]):
-        c = b[..., l2, None, None, None]
-        if c.any():
-            out[..., l2 : l2 + a.shape[-3], :, :] += c * a
-    return out
-
-
 def _velocity_kron(blocks0: list[np.ndarray], s1, s2, d: int) -> dict[int, np.ndarray]:
-    """dx/dlam = sigma^2 x - sigma eps as lam-polynomial kron blocks keyed
-    by x-degree, built once from the undifferentiated model."""
+    """dx/dlam = sigma^2 x - sigma eps as lam-polynomial monomial blocks
+    keyed by x-degree, built once from the undifferentiated model.  Here
+    and below, leading axes (one per expansion point) are carried through."""
     v: dict[int, np.ndarray] = {1: s2[..., None, None] * np.eye(d)}
     for q, cq in enumerate(blocks0):
-        if not np.any(cq):
-            continue
-        contrib = -_lamconv(cq, s1)
-        v[q] = _padded_sum(v[q], contrib) if q in v else contrib
+        if np.any(cq):  # sigma eps: each block's lam axis convolved with s1's
+            contrib = np.zeros(cq.shape[:-3] + (cq.shape[-3] + s1.shape[-1] - 1,) + cq.shape[-2:])
+            for l2 in range(s1.shape[-1]):
+                contrib[..., l2 : l2 + cq.shape[-3], :, :] -= s1[..., l2, None, None, None] * cq
+            v[q] = _padded_sum(v[q], contrib) if q in v else contrib
     return v
 
 
-def _deriv_once_kron(blocks: list[np.ndarray], v: dict[int, np.ndarray], d: int) -> list[np.ndarray]:
+def _deriv_once_kron(blocks: list[np.ndarray], v: dict[int, np.ndarray], mono: _Monomials) -> list[np.ndarray]:
+    """D eps = d_lam eps + sum_i (d_i eps) v_i on monomial blocks (..., L, d, n_j).
+
+    ``mono`` lists the degrees of the result.  d_i of a degree-j block is a
+    gather through ``mono.deriv[j]``, contracted with coordinate i of each
+    velocity block; one bincount then lands each product of monomials on
+    its monomial through the product table and convolves the lam axes."""
     J = len(blocks) - 1
-    lead = blocks[0].shape[:-3]
-    max_q = max(v.keys())
-    out_deg = max(J, J - 1 + max_q) if J >= 1 else J
+    lead, d = blocks[0].shape[:-3], blocks[0].shape[-2]
+    out_deg = max(J, J - 1 + max(v)) if J >= 1 else J
     out: dict[int, np.ndarray] = {}
 
     def acc(j: int, block: np.ndarray) -> None:
-        if j <= out_deg:
-            out[j] = _padded_sum(out[j], block) if j in out else block
+        out[j] = _padded_sum(out[j], block) if j in out else block
 
     # d/dlam term
     for j, cj in enumerate(blocks):
         if cj.shape[-3] > 1:
             acc(j, cj[..., 1:, :, :] * np.arange(1, cj.shape[-3])[:, None, None])
 
-    # (d eps/dx) . v: cj @ (I_{d^a} (x) V (x) I_{d^b}) contracts V's row
-    # index against slot a of x^{(j)}, batched over both lam axes
+    P = math.prod(lead)
     for j in range(1, J + 1):
-        cj = blocks[j]
-        if not np.any(cj):
+        if not np.any(blocks[j]):
             continue
+        index, factor = mono.deriv[j]
+        dj = blocks[j][..., index] * factor  # (..., Lc, d, i, n_{j-1})
+        below = slice(mono.start[j - 1], mono.start[j])
         for q, vq in v.items():
             if not np.any(vq):
                 continue
-            deg_new = j - 1 + q
-            if d**deg_new > MAX_KRON_COLUMNS:
-                raise CapacityError("kron derivative exceeds supported block size")
-            Lc, Lv = cj.shape[-3], vq.shape[-3]
-            prod = np.zeros(lead + (Lc + Lv - 1, d, d**deg_new))
-            for a in range(j):
-                slots = cj.reshape(lead + (Lc, d, d**a, d, d ** (j - 1 - a)))
-                terms = np.einsum("...xiasb,...yst->...xyiatb", slots, vq)
-                terms = terms.reshape(lead + (Lc, Lv, d, d**deg_new))
-                for l1 in range(Lc):
-                    prod[..., l1 : l1 + Lv, :, :] += terms[..., l1, :, :, :]
-            acc(deg_new, prod)
+            deg_new, Lc, Lv = j - 1 + q, dj.shape[-4], vq.shape[-3]
+            n_new, Lout = mono.start[deg_new + 1] - mono.start[deg_new], Lc + Lv - 1
+            target = mono.products[q].reshape(-1, vq.shape[-1])[below] - mono.start[deg_new]
+            rows = (np.arange(P)[:, None, None] * Lout + np.arange(Lc)[:, None] + np.arange(Lv))
+            flat = ((rows[..., None] * d + np.arange(d))[..., None, None] * n_new + target).ravel()
+            terms = np.einsum("...xria,...yib->...xyrab", dj, vq).ravel()
+            acc(deg_new, np.bincount(flat, terms, P * Lout * d * n_new).reshape(lead + (Lout, d, n_new)))
 
-    filled = [out[j] if j in out else np.zeros(lead + (1, d, d**j)) for j in range(out_deg + 1)]
+    filled = [out.get(j, np.zeros(lead + (1, d, mono.start[j + 1] - mono.start[j]))) for j in range(out_deg + 1)]
     # drop trailing all-zero degrees
     while len(filled) > 1 and not np.any(filled[-1]):
         filled.pop()
@@ -494,30 +559,34 @@ def _deriv_once_kron(blocks: list[np.ndarray], v: dict[int, np.ndarray], d: int)
 
 def _tower_levels(s: NoiseSchedule, m: PolyNoiseModel, k: int, lams: np.ndarray):
     """Yield D^1 eps, ..., D^{k-1} eps around each point of ``lams``: the
-    coefficients, batched over the points (kron blocks (C, L+1, d, d^j);
-    separable rows (C*d, J+1, L+1), point c in rows c*d ..), and point 0's
-    model.  sigma_lam, sigma_lam^2 and the velocity are built once for all
-    points, and each derivative is taken from the one before it."""
+    coefficients, batched over the points (kron blocks (C, L+1, d, n_j);
+    separable rows (C*d, J+1, L+1), point c in rows c*d ..).  sigma_lam,
+    sigma_lam^2 and the velocity are built once for all points, and each
+    derivative is taken from the one before it, once the capacity check
+    has passed the degrees it can reach."""
     if k < 2:
         return
     s1, s2 = _sigma_lambda_polys(s, lams)
     kron = m.mode == "kron"
     if kron:
-        coeffs = [np.repeat(cj[None], len(lams), axis=0) for cj in m.coeffs]
+        coeffs = [np.repeat(cj[None], len(lams), axis=0) for cj in m.blocks]
         v = _velocity_kron(coeffs, s1, s2, m.d)
+        Jv, Lv = max(v), max(vq.shape[-3] for vq in v.values())
     else:
-        coeffs = np.tile(m.coeffs, (len(lams), 1, 1))
+        coeffs = np.tile(m.blocks, (len(lams), 1, 1))
         v = _velocity_batch(coeffs, np.repeat(s1, m.d, axis=0), np.repeat(s2, m.d, axis=0))
+        Jv, Lv = v.shape[1] - 1, v.shape[2]
     for _ in range(k - 1):
-        coeffs = _deriv_once_kron(coeffs, v, m.d) if kron else _deriv_once_batch(coeffs, v)
-        # the constructor's capacity check stops a runaway degree before the next pass
-        yield coeffs, PolyNoiseModel(mode=m.mode, d=m.d,
-                                     coeffs=[cj[0] for cj in coeffs] if kron else coeffs[: m.d])
+        J1, L = (len(coeffs), max(cj.shape[-3] for cj in coeffs)) if kron else coeffs.shape[1:]
+        J = J1 + Jv - 2 if J1 > 1 else 0
+        _check_capacity(m.d, J, L + Lv - 2, kron)
+        coeffs = _deriv_once_kron(coeffs, v, _monomials(m.d, J)) if kron else _deriv_once_batch(coeffs, v)
+        yield coeffs
 
 
 def _center_tables(m: PolyNoiseModel, level, lams: np.ndarray):
     """Collapse per-point coefficients (batched as :func:`_tower_levels`
-    yields them, or ``m.coeffs`` for all points), each at its own point of
+    yields them, or ``m.blocks`` for all points), each at its own point of
     ``lams``, into the layout of :func:`_eps_tables`.  Kron blocks with lam
     dependence are collapsed by one stacked matmul of each point's lam
     powers with its block, which gives every point a single collapse's bits."""
@@ -532,11 +601,12 @@ def _center_tables(m: PolyNoiseModel, level, lams: np.ndarray):
 
 
 def _tower_chunk(m: PolyNoiseModel, k: int) -> int:
-    """Expansion points per chunk: D^{k-1} eps per point, times the velocity's
-    lam length for the products that build it, within TOWER_CHUNK_BYTES."""
-    L, Lv = m.lam_degree + 1, m.lam_degree + 1 + SIGMA_TAYLOR_DEGREE
-    top_J = m.x_degree + (k - 1) * max(m.x_degree - 1, 0)
-    cols = m.d**top_J if m.mode == "kron" else top_J + 1
+    """Expansion points per chunk: a derivative pass's largest product per
+    point (kron: the monomials of the top derivative times those of the
+    velocity), times the two lam lengths, within TOWER_CHUNK_BYTES."""
+    L, Lv, J = m.lam_degree + 1, m.lam_degree + 1 + SIGMA_TAYLOR_DEGREE, m.x_degree
+    a = (k - 1) * max(J - 1, 0)  # top degree minus J
+    cols = math.comb(m.d + a - 1, a) * math.comb(m.d + J - 1, J) if m.mode == "kron" else J + a + 1
     return max(1, TOWER_CHUNK_BYTES // (8 * m.d * cols * (L + (k - 1) * (Lv - 1)) * Lv))
 
 
@@ -548,15 +618,11 @@ def _derivative_tower(s: NoiseSchedule, m: PolyNoiseModel, k: int, lams) -> list
     points, row c at lams[c] (the layout of :func:`_eps_tables`).  It is
     built for all points at once, in chunks of :func:`_tower_chunk`
     points; a degree that one chunk lacks is zero in that chunk's rows.
-    No points give no levels.  A scalar ``lams`` gives the models D^n eps
-    themselves, element 0 m.
+    No points give no levels.
     """
     lams = np.asarray(lams, dtype=float)
-    if lams.ndim == 0:
-        return [m] + [dn for _, dn in _tower_levels(s, m, k, lams.reshape(1))]
     step = _tower_chunk(m, k)
-    parts = [[_center_tables(m, level, part)
-              for level in [m.coeffs] + [coeffs for coeffs, _ in _tower_levels(s, m, k, part)]]
+    parts = [[_center_tables(m, level, part) for level in [m.blocks, *_tower_levels(s, m, k, part)]]
              for part in (lams[lo : lo + step] for lo in range(0, len(lams), step))]
     return parts[0] if len(parts) == 1 else [_concat_tables(m, tables) for tables in zip(*parts)]
 
@@ -565,7 +631,7 @@ def _concat_tables(m: PolyNoiseModel, tables: tuple):
     """Stack the tables of consecutive chunks of points, each zero-padded to
     the largest x-degree among them."""
     if m.mode == "kron":
-        return [np.concatenate([t[j] if j < len(t) else np.zeros((len(t[0]), m.d, m.d**j))
+        return [np.concatenate([t[j] if j < len(t) else np.zeros((len(t[0]), m.d, math.comb(m.d + j - 1, j)))
                                 for t in tables]) for j in range(max(map(len, tables)))]
     J = max(t.shape[1] for t in tables)
     return np.concatenate([np.pad(t, ((0, 0), (0, J - t.shape[1]), (0, 0))) for t in tables])
@@ -580,8 +646,13 @@ def total_derivative_poly(s: NoiseSchedule, m: PolyNoiseModel, n: int,
     degree-SIGMA_TAYLOR_DEGREE Taylor polynomials around lam_center, so
     the result is exact up to the O((lam - lam_center)^{SIGMA_TAYLOR_DEGREE+1})
     truncation of those two factors.  n = 0 returns the model unchanged.
-    This is the one-point :func:`_derivative_tower`.
+    This is the last of :func:`_tower_levels` at the one point; a kron
+    result is given its blocks through :func:`_unfold`.
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    return _derivative_tower(s, m, n + 1, lam_center)[n]
+    if n == 0:
+        return m
+    *_, level = _tower_levels(s, m, n + 1, np.array([float(lam_center)]))
+    return PolyNoiseModel(mode=m.mode, d=m.d,
+                          coeffs=_unfold([cj[0] for cj in level], m.d) if m.mode == "kron" else level)

@@ -80,11 +80,10 @@ ORACLE_TABLE_BYTES = 1 << 14
 
 def _oracle_chunk(m: PolyNoiseModel) -> int:
     """Substeps per table chunk: two tabulated times per substep, each
-    holding f, g^2/(2 sigma) and the lam-dependent eps coefficients."""
-    if m.mode == "kron":
-        per_time = sum(cj[0].size for cj in m.coeffs if cj.shape[0] > 1)
-    else:
-        per_time = m.d * (m.x_degree + 1)
+    holding f, g^2/(2 sigma) and, if they depend on lam, the eps
+    coefficients."""
+    per_time = (sum(cj[0].size for cj in m.blocks) * any(cj.shape[0] > 1 for cj in m.blocks)
+                if m.mode == "kron" else m.d * (m.x_degree + 1))
     return max(1, ORACLE_TABLE_BYTES // (2 * 8 * (2 + per_time)))
 
 
@@ -108,9 +107,9 @@ def rk4_oracle(
     loop then evaluates only the x-dependent part of eps.
 
     A one-coordinate model steps on a Python float and a kron model on a
-    list of d floats: the constant term, the Kronecker monomials and the
-    RK4 arithmetic are float operations, and only each degree block's
-    contraction is an ``ndarray.dot`` (see :func:`carlift.model._kron_sum`),
+    list of d floats: the monomials and the RK4 arithmetic are float
+    operations, and only the contraction with eps's coefficients is an
+    ``ndarray.dot`` (see :func:`carlift.model._kron_sum`),
     so the states equal those of the same steps on arrays bit for bit.
     Separable models with d > 1 step on arrays.
     """
@@ -122,10 +121,6 @@ def rk4_oracle(
     pts = [TrajectoryPoint(float(times[0]), float(s.lam(times[0])), x.copy())]
     nfe = 0
     chunk = _oracle_chunk(m)
-    # One-coordinate models step on a float, kron models on a list of d
-    # floats with NumPy left only for the block contractions, separable
-    # models with d > 1 on arrays: the same IEEE double operations each
-    # way, without numpy's per-operation overhead on a few elements.
     kron = m.mode == "kron"
     scalar = not kron and m.d == 1
     for ta, tb in zip(times[:-1], times[1:]):

@@ -8,6 +8,7 @@ independent form.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 
@@ -15,11 +16,26 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from numpy.polynomial import polynomial as npoly
 from scipy.optimize import brentq
+from scipy.special import expit
 
 from carlift import carleman
 from carlift.carleman import LiftedState, StepMatrix
-from carlift.model import PolyNoiseModel, _derivative_tower, eval_eps, kron_model, separable_model
+from carlift.model import (
+    SIGMA_TAYLOR_DEGREE,
+    PolyNoiseModel,
+    _batch_mul,
+    _derivative_tower,
+    _monomials,
+    _padded_sum,
+    _sigma_lambda_polys,
+    _trim_batch,
+    _velocity_batch,
+    eval_eps,
+    kron_model,
+    separable_model,
+)
 from carlift.reference import dpm_weights
 from carlift.schedule import NoiseSchedule, exp_taylor_tail
 
@@ -153,19 +169,19 @@ def kron_poly_to_update(P: dict[int, np.ndarray], basis: KronBasis, delta: bool 
 
 
 def stacked(P: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """One step polynomial {q: (d, d^q)} as a one-step run {q: (1, d, d^q)}."""
+    """One step polynomial {q: (d, n)} as a one-step run {q: (1, d, n)}."""
     return {q: np.asarray(B)[None] for q, B in P.items()}
 
 
 def step_dicts(polys: dict[int, np.ndarray]) -> list[dict[int, np.ndarray]]:
-    """The steps {q: (d, d^q)} of a run's stacked step polynomials
-    {q: (S, d, d^q)}, each with every degree of the run."""
+    """The steps {q: (d, n_q)} of a run's stacked step polynomials
+    {q: (S, d, n_q)}, each with every degree of the run."""
     return [{q: B[i] for q, B in polys.items()} for i in range(len(next(iter(polys.values()))))]
 
 
 def one_step_polynomial_dpm(s: NoiseSchedule, m: PolyNoiseModel, lams, k: int,
                             i: int) -> dict[int, np.ndarray]:
-    """Step i's map {q: (d, d^q)} alone, as :func:`carlift.carleman.step_polynomials_dpm`
+    """Step i's map {q: (d, n_q)} alone, as :func:`carlift.carleman.step_polynomials_dpm`
     made it before it stacked the steps: degree 1, then the degrees of
     D^0 eps, D^1 eps, ... that are nonzero at step i, in the order they
     first show."""
@@ -176,19 +192,19 @@ def one_step_polynomial_dpm(s: NoiseSchedule, m: PolyNoiseModel, lams, k: int,
         blocks = level if m.mode == "kron" else level.transpose(1, 0, 2)[..., None]
         for q, B in enumerate(blocks):
             if B[i].any():
-                P[q] = P.get(q, np.zeros((m.d, m.d**q))) + cn * B[i]
+                P[q] = P.get(q, np.zeros(B[i].shape)) + cn * B[i]
     return P
 
 
 def one_step_poly_to_update(P: dict[int, np.ndarray], basis, delta: bool = False):
-    """The symmetric-basis lift of one step polynomial, alone, as
+    """The symmetric-basis lift of one step polynomial {q: (d, n_q)}, alone, as
     :func:`carlift.carleman._poly_to_update` made it before it lifted
     steps together: P's nonzero degrees in its own key order, block row j from
     block row j-1 by one product pass and one bincount.  Returns
     (StepMatrix, b)."""
     N, dim = basis.N, basis.dim_total
-    mono = carleman._monomials(basis.d, N)
-    C = {q: mono.fold(B, q) for q, B in P.items() if q <= N and np.any(B)}
+    mono = _monomials(basis.d, N)
+    C = {q: B for q, B in P.items() if q <= N and np.any(B)}
     width = dim + 1
     targets = np.concatenate([mono.products[q] for q in C] + [np.zeros(0, np.intp)])
     buf = np.empty((dim, dim))
@@ -229,13 +245,18 @@ def kron_lifting():
     hand it a :class:`KronBasis` wherever a CarlemanBasis goes, and
     run_lifted, the assemblies and LiftedState run as they did before
     the symmetric basis replaced it.  The stacked step and node lifts
-    are replaced by these one-step lifts, called once per step."""
+    are replaced by these one-step lifts, called once per step, of the
+    monomial blocks put back on Kronecker columns by :func:`unfold`."""
+    def kron_poly(P, d):
+        return {q: unfold(B, d, q) for q, B in P.items()}
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(carleman, "lift", kron_lift)
         mp.setattr(carleman, "_poly_to_update", lambda polys, basis, delta=False: [
-            kron_poly_to_update(P, basis, delta=delta) for P in step_dicts(polys)])
+            kron_poly_to_update(kron_poly(P, basis.d), basis, delta=delta) for P in step_dicts(polys)])
         mp.setattr(carleman, "_block1", lambda E, nodes, cs, basis: [
-            kron_node_block1({q: B[n] for q, B in E.items()}, c, basis) for n, c in zip(nodes, cs)])
+            kron_node_block1(kron_poly({q: B[n] for q, B in E.items()}, basis.d), c, basis)
+            for n, c in zip(nodes, cs)])
         yield
 
 
@@ -252,6 +273,186 @@ def symmetric_embedding(d: int, N: int) -> np.ndarray:
             Qj[r, col[tuple(sorted(digits))]] = 1.0
         blocks.append(Qj / np.sqrt(Qj.sum(axis=0)))
     return sla.block_diag(*blocks)
+
+
+# --- the Kronecker format the models are given in ---------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def sorted_monomials(d: int, q: int) -> tuple:
+    """The degree-q monomials as sorted index tuples, in the package's
+    order, and for each Kronecker column (i_1, ..., i_q) its monomial."""
+    monos = list(itertools.combinations_with_replacement(range(d), q))
+    index = {beta: k for k, beta in enumerate(monos)}
+    return monos, np.array([index[tuple(sorted(c))] for c in itertools.product(range(d), repeat=q)],
+                           dtype=np.intp)
+
+
+def fold(B: np.ndarray, d: int, q: int) -> np.ndarray:
+    """Coefficients (..., d^q) of x^{(q)} as coefficients (..., n_q) of the
+    degree-q monomials: the Kronecker columns equal to each one summed."""
+    monos, column_of = sorted_monomials(d, q)
+    out = np.zeros(B.shape[:-1] + (len(monos),))
+    for c, k in enumerate(column_of):
+        out[..., k] += B[..., c]
+    return out
+
+
+def unfold(B: np.ndarray, d: int, q: int) -> np.ndarray:
+    """Monomial coefficients (..., n_q) on the Kronecker columns
+    (..., d^q), each on the column of its sorted index tuple."""
+    monos, _ = sorted_monomials(d, q)
+    out = np.zeros(B.shape[:-1] + (d**q,))
+    for k, beta in enumerate(monos):
+        out[..., sum(i * d ** (q - 1 - a) for a, i in enumerate(beta))] = B[..., k]
+    return out
+
+
+def fold_blocks(blocks, d: int) -> list:
+    """Each degree-j block of a list of Kronecker blocks, folded."""
+    return [fold(np.asarray(B), d, j) for j, B in enumerate(blocks)]
+
+
+def monomials(x, q: int) -> np.ndarray:
+    """The degree-q monomials at x, in the package's order."""
+    monos, _ = sorted_monomials(len(x), q)
+    return np.array([math.prod(x[i] for i in beta) for beta in monos], dtype=float)
+
+
+def velocity_kron(blocks0: list[np.ndarray], s1, s2, d: int) -> dict[int, np.ndarray]:
+    """dx/dlam = sigma^2 x - sigma eps as lam-polynomial Kronecker blocks
+    keyed by x-degree; leading axes, one per expansion point, are carried."""
+    v: dict[int, np.ndarray] = {1: s2[..., None, None] * np.eye(d)}
+    for q, cq in enumerate(blocks0):
+        if not np.any(cq):
+            continue
+        contrib = np.zeros(cq.shape[:-3] + (cq.shape[-3] + s1.shape[-1] - 1,) + cq.shape[-2:])
+        for l2 in range(s1.shape[-1]):
+            contrib[..., l2 : l2 + cq.shape[-3], :, :] += s1[..., l2, None, None, None] * cq
+        v[q] = _padded_sum(v[q], -contrib) if q in v else -contrib
+    return v
+
+
+def deriv_once_kron(blocks: list[np.ndarray], v: dict[int, np.ndarray], d: int) -> list[np.ndarray]:
+    """One application of D eps = d_lam eps + (d_x eps) . v on Kronecker
+    blocks (..., L, d, d^j): v inserted into each slot of x^{(j)} by one
+    einsum per slot, batched over both lam axes."""
+    J = len(blocks) - 1
+    lead = blocks[0].shape[:-3]
+    out_deg = max(J, J - 1 + max(v)) if J >= 1 else J
+    out: dict[int, np.ndarray] = {}
+
+    def acc(j: int, block: np.ndarray) -> None:
+        out[j] = _padded_sum(out[j], block) if j in out else block
+
+    for j, cj in enumerate(blocks):
+        if cj.shape[-3] > 1:
+            acc(j, cj[..., 1:, :, :] * np.arange(1, cj.shape[-3])[:, None, None])
+    # cj @ (I_{d^a} (x) V (x) I_{d^b}) contracts V's row index against slot a of x^{(j)}
+    for j in range(1, J + 1):
+        cj = blocks[j]
+        if not np.any(cj):
+            continue
+        for q, vq in v.items():
+            if not np.any(vq):
+                continue
+            deg_new = j - 1 + q
+            Lc, Lv = cj.shape[-3], vq.shape[-3]
+            prod = np.zeros(lead + (Lc + Lv - 1, d, d**deg_new))
+            for a in range(j):
+                slots = cj.reshape(lead + (Lc, d, d**a, d, d ** (j - 1 - a)))
+                terms = np.einsum("...xiasb,...yst->...xyiatb", slots, vq)
+                terms = terms.reshape(lead + (Lc, Lv, d, d**deg_new))
+                for l1 in range(Lc):
+                    prod[..., l1 : l1 + Lv, :, :] += terms[..., l1, :, :, :]
+            acc(deg_new, prod)
+    filled = [out[j] if j in out else np.zeros(lead + (1, d, d**j)) for j in range(out_deg + 1)]
+    while len(filled) > 1 and not np.any(filled[-1]):
+        filled.pop()
+    return filled
+
+
+def kron_tower(s: NoiseSchedule, m: PolyNoiseModel, k: int, lams) -> list:
+    """D^0 eps, ..., D^{k-1} eps of a kron model around each point of
+    ``lams``, built on Kronecker blocks from ``m.coeffs`` and then folded:
+    level n lists the (C, L, d, n_j) monomial blocks of D^n eps, one per
+    point of ``lams`` along the leading axis, by degree j."""
+    lams = np.asarray(lams, dtype=float)
+    s1, s2 = _sigma_lambda_polys(s, lams)
+    blocks = [np.repeat(np.asarray(cj)[None], len(lams), axis=0) for cj in m.coeffs]
+    v = velocity_kron(blocks, s1, s2, m.d)
+    levels = [blocks]
+    for _ in range(k - 1):
+        levels.append(deriv_once_kron(levels[-1], v, m.d))
+    return [fold_blocks(level, m.d) for level in levels]
+
+
+def collapse(B: np.ndarray, lams) -> np.ndarray:
+    """Per-point lam-polynomial blocks (C, L, ...) evaluated each at its own
+    point of ``lams`` by polyval: (C, ...)."""
+    return np.stack([npoly.polyval(lam, B[c]) for c, lam in enumerate(lams)])
+
+
+def sigma_lambda_polys_per_call(lam_center):
+    """Taylor polynomials of sigma_lam and sigma_lam^2 around lam_center,
+    running the R_n / S_n recurrence afresh on every call."""
+    q0 = float(expit(-2.0 * lam_center))
+    sig0 = math.sqrt(q0)
+    shrink = np.array([0.0, -2.0, 2.0])
+    degree = SIGMA_TAYLOR_DEGREE
+    R = np.array([0.0, 1.0])
+    S_ = np.array([1.0])
+    one_minus = np.array([1.0, -1.0])
+    tay_q = np.empty(degree + 1)
+    tay_s = np.empty(degree + 1)
+    for n in range(degree + 1):
+        tay_q[n] = npoly.polyval(q0, R) / math.factorial(n)
+        tay_s[n] = sig0 * npoly.polyval(q0, S_) / math.factorial(n)
+        R = npoly.polymul(npoly.polyder(R), shrink)
+        S_ = npoly.polyadd(npoly.polymul(-one_minus, S_), npoly.polymul(shrink, npoly.polyder(S_)))
+
+    def shift(taylor):
+        out = np.zeros(degree + 1)
+        pw = np.array([1.0])
+        base = np.array([-lam_center, 1.0])
+        for a in taylor:
+            out[: len(pw)] += a * pw
+            pw = npoly.polymul(pw, base)
+        return out
+
+    return shift(tay_s), shift(tay_q)
+
+
+def deriv_once_batch_by_hand(arr, v):
+    B, J1, L1 = arr.shape
+    dlam = arr[:, :, 1:] * np.arange(1, L1)[None, None, :] if L1 > 1 else np.zeros((B, J1, 1))
+    if J1 == 1:
+        return _trim_batch(dlam)
+    prod = _batch_mul(arr[:, 1:, :] * np.arange(1, J1)[None, :, None], v)
+    out = np.zeros((B, max(dlam.shape[1], prod.shape[1]), max(dlam.shape[2], prod.shape[2])))
+    out[:, : dlam.shape[1], : dlam.shape[2]] += dlam
+    out[:, : prod.shape[1], : prod.shape[2]] += prod
+    return _trim_batch(out)
+
+
+def total_derivative_per_n(m, n, lam_center):
+    """D^n eps built from scratch: expand sigma, build the velocity, and
+    differentiate n times, as each call did before the tower existed; a
+    kron model's on its Kronecker blocks ``m.coeffs``."""
+    if n == 0:
+        return m.coeffs
+    s1, s2 = sigma_lambda_polys_per_call(lam_center)
+    if m.mode == "kron":
+        blocks = [np.array(cj) for cj in m.coeffs]
+        v = velocity_kron(blocks, s1, s2, m.d)
+        for _ in range(n):
+            blocks = deriv_once_kron(blocks, v, m.d)
+        return blocks
+    arr = m.coeffs
+    v = _velocity_batch(arr, s1, s2)
+    for _ in range(n):
+        arr = deriv_once_batch_by_hand(arr, v)
+    return _trim_batch(arr)
 
 
 def import_matrix(path) -> sp.csr_matrix:

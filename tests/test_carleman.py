@@ -25,7 +25,15 @@ from carlift.model import kron_model, scalar_model, separable_model
 from carlift.presets import benchmark
 from carlift.reference import rk4_oracle, run_dpm, run_unipc
 from carlift.schedule import TimeGrid, make_lambda_grid, make_vp_schedule
-from oracles import KronBasis, compose_poly_power, kron_poly_to_update, stacked, symmetric_embedding
+from oracles import (
+    KronBasis,
+    compose_poly_power,
+    fold,
+    kron_poly_to_update,
+    monomials,
+    stacked,
+    symmetric_embedding,
+)
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 LINEAR = scalar_model({(1, 0): -0.5})
@@ -155,7 +163,8 @@ def assert_update_rows_are_powers(P, basis):
         np.testing.assert_array_equal(b[rows], want[0][:, 0] if 0 in want else 0.0)
         for q in range(1, basis.N + 1):
             np.testing.assert_array_equal(U[rows, basis.block_slice(q)], want.get(q, 0.0))
-    [(U_s, b_s)] = _poly_to_update(stacked(P), CarlemanBasis(N=basis.N, d=basis.d))
+    folded = {q: fold(B, basis.d, q) for q, B in P.items()}
+    [(U_s, b_s)] = _poly_to_update(stacked(folded), CarlemanBasis(N=basis.N, d=basis.d))
     Q = symmetric_embedding(basis.d, basis.N)
     scale = max(1.0, np.abs(U).max(), np.abs(b).max())
     assert np.abs(U @ Q - Q @ U_s.toarray()).max() <= 1e-14 * scale
@@ -210,26 +219,30 @@ def test_step_polynomial_reproduces_sequential_step():
         x = rng.normal(size=d) + 1.0
         for k in (1, 2):
             polys = step_polynomials_dpm(S, m, grid.lam, k)
-            assert all(B.shape == (grid.M, d, d**q) for q, B in polys.items())
+            assert all(B.shape == (grid.M, d, math.comb(d + q - 1, q)) for q, B in polys.items())
             for i in (1, 3):
-                via_poly = sum(B[i - 1] @ kron_power(x, q) for q, B in polys.items())
+                via_poly = sum(B[i - 1] @ monomials(x, q) for q, B in polys.items())
                 direct = sampler_step(m, x, i, grid, k)
                 assert np.allclose(via_poly, direct, rtol=1e-12, atol=1e-12)
 
 
 def test_lifted_step_block1_is_exact_on_lifted_states():
     # applied to an exactly lifted state, block 1 of the quantized step
-    # equals the sequential update whenever deg(P) <= N
-    basis = CarlemanBasis(N=2, d=1)
+    # equals the sequential update whenever deg(P) <= N, at d=1 and for a
+    # d=6 kron model
+    rng = np.random.default_rng(25)
+    k6 = kron_model(6, {0: 0.1 * rng.normal(size=(6, 1)), 1: -0.5 * np.eye(6),
+                        2: 0.05 * rng.normal(size=(2, 6, 36))})
     grid = make_lambda_grid(S, 1.0, 0.1, 4)
-    x = np.array([1.3])
-    qcms = assemble_dpm_qcms(S, QUAD, grid.lam, 1, basis)
-    assert len(qcms) == grid.M
-    for i in (1, 4):
-        y1 = step_lifted(qcms[i - 1], lift(x, basis).y)
-        assert np.allclose(
-            y1[basis.block_slice(1)], sampler_step(QUAD, x, i, grid, 1), atol=1e-14
-        )
+    for m, x in ((QUAD, np.array([1.3])), (k6, rng.normal(size=6))):
+        basis = CarlemanBasis(N=2, d=m.d)
+        qcms = assemble_dpm_qcms(S, m, grid.lam, 1, basis)
+        assert len(qcms) == grid.M
+        for i in (1, 4):
+            y1 = step_lifted(qcms[i - 1], lift(x, basis).y)
+            assert np.allclose(
+                y1[basis.block_slice(1)], sampler_step(m, x, i, grid, 1), atol=1e-14
+            )
 
 
 def test_lifted_linear_trajectory_matches_sequential():

@@ -176,21 +176,29 @@ def test_diverging_oracle_exits_3(tmp_path, capsys):
         "numerical failure: the RK4 oracle reached a non-finite state")
 
 
-@pytest.mark.parametrize("command", ["simulate", "carleman"])
-def test_diverging_kron_oracle_exits_3(tmp_path, capsys, command):
-    # test_diverging_oracle_exits_3's model as a one-coordinate kron model:
-    # its RK4 oracle steps on a list of Python floats, and a block
-    # contraction of an infinite monomial raises nothing either
-    cfg = {
-        "model": {"mode": "kron", "d": 1,
-                  "blocks": {"0": [[0.2]], "1": [[-0.6]], "2": [[[0.0]], [[0.05]]]}},
-        "window": {"x_T": 1.0, "t_start": 0.8, "t_end": 0.1, "M": 10},
-    }
+# test_diverging_oracle_exits_3's model as a one-coordinate kron model,
+# and the same model on two coordinates
+DIVERGING_KRON = {
+    1: {"mode": "kron", "d": 1, "blocks": {"0": [[0.2]], "1": [[-0.6]], "2": [[[0.0]], [[0.05]]]}},
+    2: {"mode": "kron", "d": 2, "blocks": {"0": [[0.2], [0.2]], "1": [[-0.6, 0.0], [0.0, -0.6]],
+                                           "2": [[[0.0] * 4, [0.0] * 4],
+                                                 [[0.05, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.05]]]}},
+}
+
+
+@pytest.mark.parametrize("command, model", [
+    (command, DIVERGING_KRON[d]) for d in (1, 2) for command in ("simulate", "carleman")
+], ids=["simulate", "carleman", "simulate_d2", "carleman_d2"])
+def test_diverging_kron_oracle_exits_3(tmp_path, capsys, command, model):
+    # the oracle steps on a list of Python floats, whose overflow raises
+    # nothing; the contraction with eps's coefficients then meets
+    # inf - inf, and NumPy's error names the operation, the message the oracle
+    cfg = {"model": model, "window": {"x_T": 1.0, "t_start": 0.8, "t_end": 0.1, "M": 10}}
     code, out = run(tmp_path, command, cfg)
     assert code == 3
     assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
     assert capsys.readouterr().err.startswith(
-        "numerical failure: the RK4 oracle reached a non-finite state")
+        "numerical failure: invalid value encountered in dot, in the RK4 oracle")
 
 
 # test_diverging_oracle_exits_3's model over x_T: its oracle overflows at

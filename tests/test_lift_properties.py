@@ -1,10 +1,10 @@
 """Property tests of the vectorised lift -> assemble -> solve path against
-the straightforward formulations kept here as oracles: the explicit
+the straightforward formulations kept as oracles: the explicit
 sparse-Kronecker total derivative, the per-n rebuild of the total
-derivative, the one-step lift, sp.bmat global assembly, the global CSR
-matrix the trajectory operator builds, and the sequential lifted walk."""
+derivative and the Kronecker tower (each folded onto monomials), the
+one-step lift, sp.bmat global assembly, the global CSR matrix the
+trajectory operator builds, and the sequential lifted walk."""
 
-import math
 import tracemalloc
 from unittest import mock
 
@@ -13,8 +13,6 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial import polynomial as npoly
-from scipy.special import expit
 
 from carlift import carleman, model
 from carlift.carleman import (
@@ -27,15 +25,10 @@ from carlift.carleman import (
 )
 from carlift.errors import StructureError
 from carlift.model import (
-    SIGMA_TAYLOR_DEGREE,
-    _batch_mul,
     _deriv_once_kron,
     _derivative_tower,
     _eps_tables,
-    _lamconv,
-    _trim_batch,
-    _velocity_batch,
-    _velocity_kron,
+    _monomials,
     kron_model,
     separable_model,
     total_derivative_poly,
@@ -50,7 +43,17 @@ from carlift.system import (
     condition_number,
 )
 
-from oracles import one_step_poly_to_update, one_step_polynomial_dpm, step_dicts
+from oracles import (
+    collapse,
+    fold,
+    fold_blocks,
+    kron_tower,
+    one_step_poly_to_update,
+    one_step_polynomial_dpm,
+    step_dicts,
+    total_derivative_per_n,
+    velocity_kron,
+)
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -92,120 +95,6 @@ def deriv_once_kron_oracle(blocks, v, d):
     while len(out) > 1 and not np.any(out[-1]):
         out.pop()
     return out
-
-
-def sigma_lambda_polys_per_call(lam_center):
-    """Taylor polynomials of sigma_lam and sigma_lam^2 around lam_center,
-    running the R_n / S_n recurrence afresh on every call."""
-    q0 = float(expit(-2.0 * lam_center))
-    sig0 = math.sqrt(q0)
-    shrink = np.array([0.0, -2.0, 2.0])
-    degree = SIGMA_TAYLOR_DEGREE
-    R = np.array([0.0, 1.0])
-    S_ = np.array([1.0])
-    one_minus = np.array([1.0, -1.0])
-    tay_q = np.empty(degree + 1)
-    tay_s = np.empty(degree + 1)
-    for n in range(degree + 1):
-        tay_q[n] = npoly.polyval(q0, R) / math.factorial(n)
-        tay_s[n] = sig0 * npoly.polyval(q0, S_) / math.factorial(n)
-        R = npoly.polymul(npoly.polyder(R), shrink)
-        S_ = npoly.polyadd(npoly.polymul(-one_minus, S_), npoly.polymul(shrink, npoly.polyder(S_)))
-
-    def shift(taylor):
-        out = np.zeros(degree + 1)
-        pw = np.array([1.0])
-        base = np.array([-lam_center, 1.0])
-        for a in taylor:
-            out[: len(pw)] += a * pw
-            pw = npoly.polymul(pw, base)
-        return out
-
-    return shift(tay_s), shift(tay_q)
-
-
-def deriv_once_batch_by_hand(arr, v):
-    B, J1, L1 = arr.shape
-    dlam = arr[:, :, 1:] * np.arange(1, L1)[None, None, :] if L1 > 1 else np.zeros((B, J1, 1))
-    if J1 == 1:
-        return _trim_batch(dlam)
-    prod = _batch_mul(arr[:, 1:, :] * np.arange(1, J1)[None, :, None], v)
-    out = np.zeros((B, max(dlam.shape[1], prod.shape[1]), max(dlam.shape[2], prod.shape[2])))
-    out[:, : dlam.shape[1], : dlam.shape[2]] += dlam
-    out[:, : prod.shape[1], : prod.shape[2]] += prod
-    return _trim_batch(out)
-
-
-def grow_add(a, b):
-    """Pad two kron blocks along the lam axis to the longer one and add."""
-    grown = np.zeros((max(a.shape[0], b.shape[0]),) + a.shape[1:])
-    grown[: a.shape[0]] += a
-    grown[: b.shape[0]] += b
-    return grown
-
-
-def velocity_kron_by_hand(blocks0, s1, s2, d):
-    v = {1: np.zeros((len(s2), d, d))}
-    v[1][:, :, :] = s2[:, None, None] * np.eye(d)[None, :, :]
-    for q, cq in enumerate(blocks0):
-        if np.any(cq):
-            contrib = -_lamconv(cq, s1)
-            v[q] = grow_add(v[q], contrib) if q in v else contrib
-    return v
-
-
-def deriv_once_kron_by_hand(blocks, v, d):
-    """The einsum slot insertion with its accumulator written out."""
-    J = len(blocks) - 1
-    out_deg = max(J, J - 1 + max(v)) if J >= 1 else J
-    out = [None] * (out_deg + 1)
-
-    def acc(j, block):
-        if j <= out_deg:
-            out[j] = np.array(block) if out[j] is None else grow_add(out[j], block)
-
-    for j, cj in enumerate(blocks):
-        if cj.shape[0] > 1:
-            acc(j, cj[1:] * np.arange(1, cj.shape[0])[:, None, None])
-    for j in range(1, J + 1):
-        cj = blocks[j]
-        if not np.any(cj):
-            continue
-        for q, vq in v.items():
-            if not np.any(vq):
-                continue
-            deg_new = j - 1 + q
-            Lc, Lv = cj.shape[0], vq.shape[0]
-            prod = np.zeros((Lc + Lv - 1, d, d**deg_new))
-            for a in range(j):
-                slots = cj.reshape(Lc, d, d**a, d, d ** (j - 1 - a))
-                terms = np.einsum("xiasb,yst->xyiatb", slots, vq).reshape(Lc, Lv, d, d**deg_new)
-                for l1 in range(Lc):
-                    prod[l1 : l1 + Lv] += terms[l1]
-            acc(deg_new, prod)
-    filled = [b if b is not None else np.zeros((1, d, d**j)) for j, b in enumerate(out)]
-    while len(filled) > 1 and not np.any(filled[-1]):
-        filled.pop()
-    return filled
-
-
-def total_derivative_per_n(m, n, lam_center):
-    """D^n eps built from scratch: expand sigma, build the velocity, and
-    differentiate n times, as each call did before the tower existed."""
-    if n == 0:
-        return m.coeffs
-    s1, s2 = sigma_lambda_polys_per_call(lam_center)
-    if m.mode == "kron":
-        blocks = [np.array(cj) for cj in m.coeffs]
-        v = velocity_kron_by_hand(blocks, s1, s2, m.d)
-        for _ in range(n):
-            blocks = deriv_once_kron_by_hand(blocks, v, m.d)
-        return blocks
-    arr = m.coeffs
-    v = _velocity_batch(arr, s1, s2)
-    for _ in range(n):
-        arr = deriv_once_batch_by_hand(arr, v)
-    return _trim_batch(arr)
 
 
 def bmat_system(block_rows, n_blocks):
@@ -311,17 +200,47 @@ def random_poly_model(rng, kron, d, J):
     lam_center=st.floats(-4.0, 5.0),
 )
 def test_derivative_tower_matches_per_n_rebuild(seed, kron, d, J, lam_center):
+    # a kron rebuild runs on Kronecker blocks and is folded after; the two
+    # sum each monomial's terms in other orders
     m = random_poly_model(np.random.default_rng(seed), kron, d, J)
-    tower = _derivative_tower(S, m, 4, lam_center)
-    assert len(tower) == 4 and tower[0] is m
+    tower = [total_derivative_poly(S, m, n, lam_center) for n in range(4)]
+    assert tower[0] is m
     for n, dn in enumerate(tower):
         want = total_derivative_per_n(m, n, lam_center)
-        got = dn.coeffs
         if kron:
-            assert len(got) == len(want)
-            assert all(g.shape == w.shape and np.array_equal(g, w) for g, w in zip(got, want))
+            got, want = dn.blocks, fold_blocks(want, d)
+            assert len(got) == len(want) and all(g.shape == w.shape for g, w in zip(got, want))
+            scale = max(np.abs(w).max() for w in want)
+            assert all(np.abs(g - w).max() <= 1e-14 * scale for g, w in zip(got, want))
         else:
-            assert got.shape == want.shape and np.array_equal(got, want)
+            assert dn.coeffs.shape == want.shape and np.array_equal(dn.coeffs, want)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 4),
+    J=st.integers(0, 3),
+    k=st.integers(1, 3),
+    C=st.integers(1, 6),
+    chunk_bytes=st.sampled_from([1, 2**12, model.TOWER_CHUNK_BYTES]),
+)
+def test_folded_tower_matches_the_folded_kron_tower(seed, d, J, k, C, chunk_bytes):
+    # lam-dependent blocks at every degree; each table entry is a sum whose
+    # terms the two towers add in other orders, so it is measured against
+    # the size of those terms: the same sum over |coefficients| at |lam|
+    rng = np.random.default_rng(seed)
+    J = min(J, 2) if d == 4 else J
+    m = kron_model(d, {j: rng.standard_normal((int(rng.integers(2, 4)), d, d**j)) / d**j
+                       for j in range(J + 1)})
+    lams = rng.uniform(-4.0, 5.0, C)
+    with mock.patch.object(model, "TOWER_CHUNK_BYTES", chunk_bytes):
+        tower = _derivative_tower(S, m, k, lams)
+    for level, want in zip(tower, kron_tower(S, m, k, lams), strict=True):
+        assert len(level) >= len(want) and not any(t.any() for t in level[len(want) :])
+        scale = max(collapse(np.abs(B), np.abs(lams)).max() for B in want)
+        for table, B in zip(level, want):
+            assert np.abs(table - collapse(B, lams)).max() <= 1e-14 * scale
 
 
 @PROPERTY
@@ -401,11 +320,15 @@ def test_samplers_and_lift_expand_sigma_once_per_chunk(monkeypatch):
     Lv=st.integers(1, 4),
 )
 def test_slot_insertion_derivative_matches_sparse_kron(seed, d, J, L, Lv):
+    # the monomial derivative of folded blocks against the fold of the
+    # sparse-Kronecker derivative
     rng = np.random.default_rng(seed)
     blocks = [rng.standard_normal((L, d, d**j)) for j in range(J + 1)]
-    v = _velocity_kron(blocks, rng.standard_normal(Lv), rng.standard_normal(Lv), d)
-    got = _deriv_once_kron(blocks, v, d)
-    want = deriv_once_kron_oracle(blocks, v, d)
+    v = velocity_kron(blocks, rng.standard_normal(Lv), rng.standard_normal(Lv), d)
+    top = J - 1 + max(v) if J else 0
+    got = _deriv_once_kron(fold_blocks(blocks, d), {q: fold(vq, d, q) for q, vq in v.items()},
+                           _monomials(d, top))
+    want = fold_blocks(deriv_once_kron_oracle(blocks, v, d), d)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.shape == w.shape

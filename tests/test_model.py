@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -5,6 +7,7 @@ from scipy.integrate import solve_ivp
 from carlift.carleman import _degree_blocks
 from carlift.errors import CapacityError
 from carlift.model import (
+    MAX_MONOMIALS,
     PolyNoiseModel,
     _derivative_tower,
     drift_eigenvalues,
@@ -17,7 +20,7 @@ from carlift.model import (
     total_derivative_poly,
 )
 from carlift.schedule import make_vp_schedule
-from oracles import dx_dlambda, zero_model
+from oracles import dx_dlambda, monomials, zero_model
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 
@@ -88,7 +91,7 @@ def test_eval_eps_kron_direct():
 
 def test_jacobian_eps_finite_difference():
     rng = np.random.default_rng(3)
-    cases = [random_scalar(rng), random_separable(rng, d=3), random_kron(rng, d=2)]
+    cases = [random_scalar(rng), random_separable(rng, d=3), random_kron(rng, d=2), random_kron(rng, d=5)]
     for m in cases:
         x = rng.normal(size=m.d)
         lam = 0.6
@@ -251,11 +254,18 @@ def test_total_derivative_order_zero_is_identity():
 def test_capacity_limits():
     with pytest.raises(CapacityError):
         scalar_model(np.ones((26, 1)))
-    with pytest.raises(CapacityError):
-        kron_model(5, {0: np.zeros((1, 5, 1))})
+    # 4 845 monomials of degree 16 at d=5: refused before the 5^16 Kronecker
+    # columns, here a zero-stride view, or any missing degree is copied
+    assert math.comb(5 + 16 - 1, 16) == 4845 > MAX_MONOMIALS >= math.comb(5 + 15 - 1, 15)
+    with pytest.raises(CapacityError, match="monomial count 4845"):
+        kron_model(5, {16: np.broadcast_to(0.0, (1, 5, 5**16))})
     m = scalar_model(np.ones((13, 1)))
     with pytest.raises(CapacityError):
         total_derivative_poly(S, m, 2, 0.5)
+    # at d=8 a degree-5 model (792 monomials) differentiates to degree 9
+    # (11 440), which the tower refuses before the pass
+    with pytest.raises(CapacityError, match="monomial count 11440"):
+        total_derivative_poly(S, kron_model(8, {5: np.full((8, 8**5), 1e-3)}), 1, 0.5)
 
 
 def test_constructor_validation():
@@ -283,13 +293,28 @@ def test_tabulated_coefficient_matrices_round_trip():
     assert mats[2][0, 0, 0] == pytest.approx(-0.3)
 
     rng = np.random.default_rng(9)
+    # a kron model's blocks are on the monomials of each degree
     mk = random_kron(rng, d=2, jmax=2)
     x = rng.normal(size=2)
     lams = [0.25, -1.0]
     (table,) = _derivative_tower(S, mk, 1, lams)
+    mats = _degree_blocks(mk, table)
+    assert all(B.shape == (2, 2, j + 1) for j, B in mats.items())
     for c, lam in enumerate(lams):
-        rebuilt = sum(B[c] @ kron_power(x, j) for j, B in _degree_blocks(mk, table).items())
+        rebuilt = sum(B[c] @ monomials(x, j) for j, B in mats.items())
         assert np.allclose(rebuilt, eval_eps(mk, x, lam), rtol=1e-12)
+
+
+def test_kron_coefficients_stay_as_given():
+    # the folded blocks live beside the given ones, which callers read back
+    rng = np.random.default_rng(10)
+    for d in (1, 2, 3, 6):
+        given = {0: rng.normal(size=(d, 1)), 2: rng.normal(size=(3, d, d * d))}
+        m = kron_model(d, given)
+        assert np.array_equal(m.coeffs[0][0], given[0])
+        assert np.array_equal(m.coeffs[1], np.zeros((1, d, d)))
+        assert np.array_equal(m.coeffs[2], given[2])
+        assert [B.shape for B in m.blocks] == [(1, d, 1), (1, d, d), (3, d, d * (d + 1) // 2)]
 
 
 def test_zero_model_modes():

@@ -11,6 +11,7 @@ symmetric lift also takes no more memory than the Kronecker lift.
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from carlift.system import assemble_global_dpm, assemble_global_unipc, condition
 
 from oracles import (
     KronBasis,
+    fold,
     kron_lifting,
     kron_node_block1,
     kron_poly_to_update,
@@ -83,7 +85,8 @@ def test_step_lift_intertwines_with_the_kron_lift(seed, d, N, degrees, zero, del
     rng = np.random.default_rng(seed)
     P = {q: (0.0 if q == zero else 1.0) * rng.standard_normal((d, d**q)) for q in degrees}
     Q = symmetric_embedding(d, N)
-    [(U_s, b_s)] = _poly_to_update(stacked(P), CarlemanBasis(N=N, d=d), delta=delta)
+    folded = {q: fold(B, d, q) for q, B in P.items()}
+    [(U_s, b_s)] = _poly_to_update(stacked(folded), CarlemanBasis(N=N, d=d), delta=delta)
     U, b = kron_poly_to_update(P, KronBasis(N=N, d=d), delta=delta)
     U = U.toarray()
     assert U_s.rows.shape == (Q.shape[1], Q.shape[1])
@@ -91,7 +94,8 @@ def test_step_lift_intertwines_with_the_kron_lift(seed, d, N, degrees, zero, del
     assert np.linalg.norm(b - Q @ b_s) <= 1e-14 * max(np.linalg.norm(b), 1e-300)
 
     E = {q: rng.standard_normal((d, d**q)) for q in degrees}
-    [node] = _block1(stacked(E), np.array([0]), np.array([0.3]), CarlemanBasis(N=N, d=d))
+    folded = {q: fold(B, d, q) for q, B in E.items()}
+    [node] = _block1(stacked(folded), np.array([0]), np.array([0.3]), CarlemanBasis(N=N, d=d))
     want = kron_node_block1(E, 0.3, KronBasis(N=N, d=d)).toarray()
     assert node.rows.shape == (d, Q.shape[1])
     assert np.linalg.norm(want @ Q - Q @ node.toarray()) <= 1e-14 * max(np.linalg.norm(want), 1e-300)
@@ -138,12 +142,16 @@ def test_symmetric_kappa_is_at_most_the_kron_kappa(seed, d, N, M, scheme):
 
 
 def test_kron_lifting_never_enters_the_symmetric_lift(monkeypatch):
-    # every symmetric-basis lift starts from the monomial index tables; the
-    # Kronecker trajectories the tests above compare with must not use them
+    # every symmetric-basis lift starts from the monomial index tables,
+    # under the name carleman looks them up by; the Kronecker trajectories
+    # the tests above compare with must not use them (the model's tower
+    # and evaluation use them too, through carlift.model, and may)
     def refuse(d, N):
         raise AssertionError("the symmetric lift ran inside kron_lifting()")
 
     monkeypatch.setattr(carleman, "_monomials", refuse)
+    with pytest.raises(AssertionError, match="symmetric lift"):  # the guard is live
+        trajectory(5, 2, 3, 4, SCHEMES[0], CarlemanBasis(N=3, d=2))
     for scheme in SCHEMES:
         with kron_lifting():
             states, _ = trajectory(5, 2, 3, 4, scheme, KronBasis(N=3, d=2))
