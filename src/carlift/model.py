@@ -262,8 +262,9 @@ def kron_model(d: int, terms) -> PolyNoiseModel:
 
 
 def _trim_batch(arr: np.ndarray) -> np.ndarray:
-    nz = np.argwhere(arr != 0.0)
-    jmax, lmax = nz[:, 1:].max(axis=0) if len(nz) else (0, 0)
+    """Drop the trailing x- and lam-degrees that are zero in every row."""
+    nz = np.any(arr != 0.0, axis=0)
+    jmax, lmax = (int(np.flatnonzero(nz.any(axis=a))[-1]) if nz.any() else 0 for a in (1, 0))
     return np.ascontiguousarray(arr[:, : jmax + 1, : lmax + 1])
 
 
@@ -545,10 +546,12 @@ def _deriv_once_kron(blocks: list[np.ndarray], v: dict[int, np.ndarray], mono: _
             deg_new, Lc, Lv = j - 1 + q, dj.shape[-4], vq.shape[-3]
             n_new, Lout = mono.start[deg_new + 1] - mono.start[deg_new], Lc + Lv - 1
             target = mono.products[q].reshape(-1, vq.shape[-1])[below] - mono.start[deg_new]
+            # the products before their index, so that the ravel's copy never meets it
+            terms = np.einsum("...xria,...yib->...xyrab", dj, vq).ravel()
             rows = (np.arange(P)[:, None, None] * Lout + np.arange(Lc)[:, None] + np.arange(Lv))
             flat = ((rows[..., None] * d + np.arange(d))[..., None, None] * n_new + target).ravel()
-            terms = np.einsum("...xria,...yib->...xyrab", dj, vq).ravel()
             acc(deg_new, np.bincount(flat, terms, P * Lout * d * n_new).reshape(lead + (Lout, d, n_new)))
+            del terms, flat  # before the next pass builds its own
 
     filled = [out.get(j, np.zeros(lead + (1, d, mono.start[j + 1] - mono.start[j]))) for j in range(out_deg + 1)]
     # drop trailing all-zero degrees
@@ -558,12 +561,13 @@ def _deriv_once_kron(blocks: list[np.ndarray], v: dict[int, np.ndarray], mono: _
 
 
 def _tower_levels(s: NoiseSchedule, m: PolyNoiseModel, k: int, lams: np.ndarray):
-    """Yield D^1 eps, ..., D^{k-1} eps around each point of ``lams``: the
-    coefficients, batched over the points (kron blocks (C, L+1, d, n_j);
-    separable rows (C*d, J+1, L+1), point c in rows c*d ..).  sigma_lam,
-    sigma_lam^2 and the velocity are built once for all points, and each
-    derivative is taken from the one before it, once the capacity check
-    has passed the degrees it can reach."""
+    """Yield D^0 eps (``m.blocks``), ..., D^{k-1} eps around each point of
+    ``lams``, from D^1 on batched over the points (kron blocks (C, L+1,
+    d, n_j); separable rows (C*d, J+1, L+1), point c in rows c*d ..).
+    sigma_lam, sigma_lam^2 and the velocity are built once for all
+    points, and each derivative is taken from the one before it, once
+    the capacity check has passed the degrees it can reach."""
+    yield m.blocks
     if k < 2:
         return
     s1, s2 = _sigma_lambda_polys(s, lams)
@@ -601,13 +605,21 @@ def _center_tables(m: PolyNoiseModel, level, lams: np.ndarray):
 
 
 def _tower_chunk(m: PolyNoiseModel, k: int) -> int:
-    """Expansion points per chunk: a derivative pass's largest product per
-    point (kron: the monomials of the top derivative times those of the
-    velocity), times the two lam lengths, within TOWER_CHUNK_BYTES."""
+    """Expansion points per chunk: what the last, largest derivative pass
+    holds per point, within TOWER_CHUNK_BYTES.  It reads D^{k-2} eps (top
+    x-degree a+1, lam length Lc) and builds D^{k-1} eps (top x-degree J+a)
+    with the velocity (lam length Lv).  It holds two work arrays (kron: the
+    products of the top input and velocity blocks and their int64 bincount
+    index; separable: the batch product and its padded sum), the level it
+    builds twice and the level it reads three times.  A chunk never splits
+    one point's pass, so a point over the budget is a chunk of its own."""
     L, Lv, J = m.lam_degree + 1, m.lam_degree + 1 + SIGMA_TAYLOR_DEGREE, m.x_degree
-    a = (k - 1) * max(J - 1, 0)  # top degree minus J
-    cols = math.comb(m.d + a - 1, a) * math.comb(m.d + J - 1, J) if m.mode == "kron" else J + a + 1
-    return max(1, TOWER_CHUNK_BYTES // (8 * m.d * cols * (L + (k - 1) * (Lv - 1)) * Lv))
+    a, Lc = (k - 1) * max(J - 1, 0), L + max(k - 2, 0) * (Lv - 1)
+    kron = m.mode == "kron"
+    upto = (lambda t: math.comb(m.d + t, t)) if kron else (lambda t: t + 1)  # coefficients of degree <= t
+    built, read = upto(J + a) * (Lc + Lv - 1), upto(a + 1) * Lc
+    work = math.comb(m.d + a - 1, a) * math.comb(m.d + J - 1, J) * Lc * Lv if kron else built
+    return max(1, TOWER_CHUNK_BYTES // (8 * m.d * (2 * work + 2 * built + 3 * read)))
 
 
 def _derivative_tower(s: NoiseSchedule, m: PolyNoiseModel, k: int, lams) -> list:
@@ -622,7 +634,7 @@ def _derivative_tower(s: NoiseSchedule, m: PolyNoiseModel, k: int, lams) -> list
     """
     lams = np.asarray(lams, dtype=float)
     step = _tower_chunk(m, k)
-    parts = [[_center_tables(m, level, part) for level in [m.blocks, *_tower_levels(s, m, k, part)]]
+    parts = [[_center_tables(m, level, part) for level in _tower_levels(s, m, k, part)]
              for part in (lams[lo : lo + step] for lo in range(0, len(lams), step))]
     return parts[0] if len(parts) == 1 else [_concat_tables(m, tables) for tables in zip(*parts)]
 

@@ -9,11 +9,11 @@ by replacing eps along the step either with its Taylor expansion in lam
 (single-step, derivative-based) or with a polynomial interpolant through
 stored eps evaluations (predictor / corrector).  Either way a step is
 x_t = ratio x_s + sum_n c[n] eps_n.  The coefficients of a run's steps
-are tabulated over its grid, one row per step, only by
-:func:`dpm_weights` and :func:`uni_weights`; the samplers read rows of
-those tables and the Carleman lift in :mod:`carlift.carleman` reads them
-whole.  All weights reduce to the moments I_n = int e^{-lam} (lam -
-lam_s)^n / n! dlam over a step of width h, which equal e^{-lam_t}
+are tabulated over its grid, one row per step, only by :func:`dpm_weights`
+and :func:`uni_weights`, both from one checked step table; the samplers
+read rows of those tables and the Carleman lift in :mod:`carlift.carleman`
+reads them whole.  All weights reduce to the moments I_n = int e^{-lam}
+(lam - lam_s)^n / n! dlam over a step of width h, which equal e^{-lam_t}
 tail_n(h) with tail_n from :func:`carlift.schedule.exp_taylor_tail`.
 They enter scaled by alpha_t, and alpha_t e^{-lam_t} = sigma_t, so a
 weight is formed as sigma_t tail_n(h) and the ratio from log alpha:
@@ -22,20 +22,20 @@ neither passes through an alpha_t that underflows at very negative lam.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (PolyNoiseModel, _derivative_tower, _eps_tables, _eval_tabulated, _kron_rows,
                     _kron_sum, eval_eps)
-from .schedule import NoiseSchedule, TimeGrid, exp_taylor_tail, phi_moment
+from .schedule import NoiseSchedule, TimeGrid, exp_taylor_tail
 
 __all__ = [
     "TrajectoryPoint",
     "SolverRun",
     "rk4_oracle",
     "dpm_weights",
-    "uni_coeffs",
     "uni_weights",
     "run_dpm",
     "run_unipc",
@@ -178,6 +178,31 @@ def _rk4_lists(y: list, f: list, c: list, rows: list, cnt: int, ht: float) -> li
     return y
 
 
+def _step_table(s: NoiseSchedule, lams: np.ndarray, order: int, span: int, ntails: int,
+                variant: str = "bh2"):
+    """Per step over the log-SNRs ``lams``, from node j to node j + span:
+    the ratio alpha_{j+span} / alpha_j formed from log alpha, sigma at the
+    target, the node fractions r[j, m] = (lams[j+m+1] - lams[j]) / h[j],
+    the width h[j] and tail_0..tail_{ntails-1} of it, each distinct
+    width's tails summed once.  Both weight tables check ``order``,
+    ``variant`` and ``lams`` here."""
+    if order not in (1, 2, 3):
+        raise ValueError("supported orders are 1, 2 and 3")
+    if variant not in ("bh1", "bh2"):
+        raise ValueError(f"unknown variant {variant!r}")
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim != 1 or not np.all(np.diff(lams) > 0.0):
+        raise ValueError("log-SNRs must be a strictly increasing 1-d array")
+    nodes = lams[np.arange(max(len(lams) - span, 0))[:, None] + np.arange(span + 1)]
+    h = nodes[:, -1] - nodes[:, 0]
+    hs = h.tolist()
+    tails = {w: [exp_taylor_tail(n, w) for n in range(ntails)] for w in set(hs)}
+    log_alpha = s.log_alpha_from_lam(lams)
+    return (np.exp(log_alpha[span:] - log_alpha[:-span]), s.sigma_from_lam(lams[span:]),
+            (nodes[:, 1:] - nodes[:, :1]) / h[:, None], h,
+            np.array([tails[w] for w in hs]).reshape(-1, ntails))
+
+
 def dpm_weights(s: NoiseSchedule, lams: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of the order-k Taylor steps over the log-SNRs ``lams``.
 
@@ -190,14 +215,8 @@ def dpm_weights(s: NoiseSchedule, lams: np.ndarray, k: int) -> tuple[np.ndarray,
     summed once per call.  Returns the (M,) ratios and the (M, k)
     weights of the M = len(lams) - 1 steps.
     """
-    if k not in (1, 2, 3):
-        raise ValueError("supported orders are k in {1, 2, 3}")
-    lams = np.asarray(lams, dtype=float)
-    hs = np.diff(lams).tolist()
-    tails = {h: [exp_taylor_tail(n, h) for n in range(k)] for h in set(hs)}
-    c = np.array([[-sig * tail for tail in tails[h]]
-                  for sig, h in zip(s.sigma_from_lam(lams[1:]).tolist(), hs)])
-    return np.exp(np.diff(s.log_alpha_from_lam(lams))), c.reshape(-1, k)
+    ratio, sigma, _, _, tails = _step_table(s, lams, k, 1, k)
+    return ratio, -sigma[:, None] * tails
 
 
 def _apply_weights(ratio: float, c: np.ndarray, x0: np.ndarray, eps: list[np.ndarray]) -> np.ndarray:
@@ -222,51 +241,6 @@ def _taylor_walk(s: NoiseSchedule, m: PolyNoiseModel, x: np.ndarray, lams: np.nd
         yield x, ders[0]
 
 
-def uni_coeffs(
-    p: int,
-    r: np.ndarray,
-    h: float,
-    variant: str = "bh2",
-    corrector: bool = False,
-) -> tuple[np.ndarray, float]:
-    """Interpolation weights a and normaliser B(h) for a unified step.
-
-    The weights solve the Vandermonde order conditions
-
-        sum_m a_m r_m^{n-1} = n! * h * phi_{n+1}(h) / B(h),
-
-    over n = 1..p-1 in the p-1 free weights for the predictor, or
-    n = 1..p in p weights for the corrector.  B(h) is h for variant
-    "bh1" and e^h - 1 for "bh2".  The predictor at p = 1 has no free
-    weights and returns an empty array.
-    """
-    r = np.asarray(r, dtype=float)
-    if r.shape != (p,):
-        raise ValueError(f"need {p} node fractions, got shape {r.shape}")
-    if np.any(r <= 0.0) or np.any(r > 1.0):
-        raise ValueError("node fractions must lie in (0, 1]")
-    if np.any(np.diff(r) <= 0.0):
-        raise ValueError("node fractions must be strictly increasing (duplicates are singular)")
-    if abs(r[-1] - 1.0) > 1e-12:
-        raise ValueError("final node fraction must be 1")
-    if h <= 0.0:
-        raise ValueError("need h > 0")
-    if variant == "bh1":
-        Bh = h
-    elif variant == "bh2":
-        Bh = float(np.expm1(h))
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-
-    n_w = p if corrector else p - 1
-    if n_w == 0:
-        return np.zeros(0), Bh
-    g = np.array([phi_moment(n, h) / Bh for n in range(1, n_w + 1)])
-    V = np.vander(r[:n_w], N=n_w, increasing=True).T  # V[n-1, m] = r_m^{n-1}
-    a = np.linalg.solve(V, g)
-    return a, Bh
-
-
 def uni_weights(s: NoiseSchedule, lams: np.ndarray, p: int, variant: str = "bh2",
                 corrector: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of the order-p unified steps over the log-SNRs ``lams``.
@@ -275,30 +249,34 @@ def uni_weights(s: NoiseSchedule, lams: np.ndarray, p: int, variant: str = "bh2"
     through the nodes between: x_p = ratio[j] x_0 + sum_m c[j, m]
     eps(x_m, lam_m), with ratio = alpha_p / alpha_0 formed from log
     alpha, over the nodes m < p for the predictor and m <= p for the
-    corrector (x_p then being the predictor output).  With
-    w_m = sigma_p B(h) a_m / r_m from :func:`uni_coeffs`,
-    c[j, 0] = -alpha_p I_0 + sum_m w_m, with alpha_p I_0 = sigma_p tail_0(h),
-    and c[j, m] = -w_m for m >= 1.
-    Each distinct step's :func:`uni_coeffs` system and tail_0 are solved
-    and summed once per call.  Returns the ratios and the (len(lams) - p, p) weights, or
-    (len(lams) - p, p + 1) for the corrector.
+    corrector (x_p then being the predictor output).  With h = lam_p -
+    lam_0, node fractions r_m = (lam_{m+1} - lam_0) / h and B(h) = h
+    ("bh1") or e^h - 1 ("bh2"), the weights a_m solve the order conditions
+
+        sum_m a_m r_m^{n-1} = n! tail_n(h) / (h^n B(h))
+
+    over n = 1..p-1 for the predictor (no a_m at p = 1) or n = 1..p for
+    the corrector.  With w_m = sigma_p B(h) a_m / r_m, c[j, 0] =
+    -sigma_p tail_0(h) + sum_m w_m, the first term being -alpha_p I_0,
+    and c[j, m] = -w_m for m >= 1.  The distinct (r, h) systems are
+    solved once per call, in one stacked solve.  Returns the ratios and
+    the (len(lams) - p, p) weights, or (len(lams) - p, p + 1) for the
+    corrector.
     """
-    lams = np.asarray(lams, dtype=float)
-    nodes = lams[np.arange(max(len(lams) - p, 0))[:, None] + np.arange(p + 1)]
-    r = (nodes[:, 1:] - nodes[:, :1]) / (nodes[:, -1:] - nodes[:, :1])
-    sigma = s.sigma_from_lam(nodes[:, -1])
-    solved: dict = {}  # a uniform grid's steps share few (r, h)
-    c = np.empty((len(nodes), p + 1 if corrector else p))
-    for j, (lam_0, lam_p) in enumerate(nodes[:, [0, -1]].tolist()):
-        key = (tuple(r[j]), lam_p - lam_0)
-        if key not in solved:
-            solved[key] = (*uni_coeffs(p, r[j], key[1], variant=variant, corrector=corrector),
-                           exp_taylor_tail(0, key[1]))
-        a, Bh, tail = solved[key]
-        w = float(sigma[j]) * Bh * (a / r[j, : len(a)])
-        c[j, 0] = -float(sigma[j]) * tail + float(w.sum())
-        c[j, 1:] = -w
-    return np.exp(np.diff(s.log_alpha_from_lam(nodes[:, [0, -1]]))[:, 0]), c
+    n_w = p if corrector else p - 1
+    ratio, sigma, r, h, tails = _step_table(s, lams, p, p, n_w + 1, variant)
+    _, first, inv = np.unique(np.column_stack([r, h]), axis=0, return_index=True, return_inverse=True)
+    hk, rk = h[first].tolist(), r[first, :n_w]
+    Bh = np.array(hk if variant == "bh1" else [float(np.expm1(w)) for w in hk])
+    # the moments on Python floats, the Vandermonde rows as running products
+    g = [[math.factorial(n) * t[n] / w**n / b for n in range(1, n_w + 1)]
+         for w, b, t in zip(hk, Bh.tolist(), tails[first].tolist())]
+    V = np.ones((len(rk), n_w, n_w))
+    for n in range(1, n_w):
+        V[:, n] = V[:, n - 1] * rk
+    a = np.linalg.solve(V, np.reshape(g, (len(rk), n_w, 1)))[..., 0]
+    w = (sigma * Bh[inv])[:, None] * (a / rk)[inv]
+    return ratio, np.column_stack([-sigma * tails[:, 0] + w.sum(axis=1), -w])
 
 
 def run_dpm(
@@ -331,8 +309,6 @@ def run_unipc(
     in between, after a warm-up of p-1 steps at matching single-step
     order.
     """
-    if not 1 <= p <= 3:
-        raise ValueError("supported orders are p in {1, 2, 3}")
     x = np.atleast_1d(np.asarray(x_T, dtype=float)).copy()
     pts = [TrajectoryPoint(float(grid.t[0]), float(grid.lam[0]), x.copy())]
     nfe = 0

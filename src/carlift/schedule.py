@@ -27,7 +27,6 @@ __all__ = [
     "make_vp_schedule",
     "make_lambda_grid",
     "exp_taylor_tail",
-    "phi_moment",
 ]
 
 # Relative floor below which t is considered too close to the data end of
@@ -194,16 +193,3 @@ def exp_taylor_tail(n: int, h: float) -> float:
             return total
     raise ConvergenceError(f"exponential tail did not converge for n={n}, h={h}",
                            iterations=TAIL_MAX_TERMS)
-
-
-def phi_moment(n: int, h: float) -> float:
-    """Scaled exponential-integrator moment n! * h * phi_{n+1}(h).
-
-    phi_1(h) = (e^h - 1)/h and phi_{k+1}(h) = (phi_k(h) - 1/k!)/h; the
-    combination returned here equals n! * tail_{n}(h) / h^n with
-    tail_n(h) = sum_{k>n} h^k/k!, which is how it is computed (no
-    cancellation for small h).
-    """
-    if h == 0.0:
-        raise ValueError("need h != 0")
-    return math.factorial(n) * exp_taylor_tail(n, h) / h**n

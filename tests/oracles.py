@@ -69,6 +69,90 @@ def taylor_integral(n: int, lam_s: float, lam_t: float) -> float:
     return math.exp(-lam_s) * math.exp(-h) * exp_taylor_tail(n, h)
 
 
+def phi_moment(n: int, h: float) -> float:
+    """Scaled exponential-integrator moment n! * h * phi_{n+1}(h).
+
+    phi_1(h) = (e^h - 1)/h and phi_{k+1}(h) = (phi_k(h) - 1/k!)/h; the
+    combination returned here equals n! * tail_n(h) / h^n with
+    tail_n(h) = sum_{k>n} h^k/k!, which is how it is computed (no
+    cancellation for small h).
+    """
+    if h == 0.0:
+        raise ValueError("need h != 0")
+    return math.factorial(n) * exp_taylor_tail(n, h) / h**n
+
+
+def uni_coeffs(p: int, r: np.ndarray, h: float, variant: str = "bh2",
+               corrector: bool = False) -> tuple[np.ndarray, float]:
+    """Interpolation weights a and normaliser B(h) of one unified step,
+    one Vandermonde system on its own.
+
+    The weights solve sum_m a_m r_m^{n-1} = phi_moment(n, h) / B(h) over
+    n = 1..p-1 in the p-1 free weights for the predictor, or n = 1..p in
+    p weights for the corrector.  B(h) is h for variant "bh1" and e^h - 1
+    for "bh2".  The predictor at p = 1 has no free weights and returns an
+    empty array.
+    """
+    r = np.asarray(r, dtype=float)
+    if r.shape != (p,):
+        raise ValueError(f"need {p} node fractions, got shape {r.shape}")
+    if np.any(r <= 0.0) or np.any(r > 1.0):
+        raise ValueError("node fractions must lie in (0, 1]")
+    if np.any(np.diff(r) <= 0.0):
+        raise ValueError("node fractions must be strictly increasing (duplicates are singular)")
+    if abs(r[-1] - 1.0) > 1e-12:
+        raise ValueError("final node fraction must be 1")
+    if h <= 0.0:
+        raise ValueError("need h > 0")
+    if variant == "bh1":
+        Bh = h
+    elif variant == "bh2":
+        Bh = float(np.expm1(h))
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    n_w = p if corrector else p - 1
+    if n_w == 0:
+        return np.zeros(0), Bh
+    g = np.array([phi_moment(n, h) / Bh for n in range(1, n_w + 1)])
+    V = np.vander(r[:n_w], N=n_w, increasing=True).T  # V[n-1, m] = r_m^{n-1}
+    return np.linalg.solve(V, g), Bh
+
+
+def dpm_weights_per_width(s: NoiseSchedule, lams, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`carlift.reference.dpm_weights` with one tail table per
+    distinct step width, each weight formed on Python floats."""
+    if k not in (1, 2, 3):
+        raise ValueError("supported orders are k in {1, 2, 3}")
+    lams = np.asarray(lams, dtype=float)
+    hs = np.diff(lams).tolist()
+    tails = {h: [exp_taylor_tail(n, h) for n in range(k)] for h in set(hs)}
+    c = np.array([[-sig * tail for tail in tails[h]]
+                  for sig, h in zip(s.sigma_from_lam(lams[1:]).tolist(), hs)])
+    return np.exp(np.diff(s.log_alpha_from_lam(lams))), c.reshape(-1, k)
+
+
+def uni_weights_per_system(s: NoiseSchedule, lams, p: int, variant: str = "bh2",
+                           corrector: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`carlift.reference.uni_weights` with each step's weights from
+    its own :func:`uni_coeffs` system, solved once per distinct step."""
+    lams = np.asarray(lams, dtype=float)
+    nodes = lams[np.arange(max(len(lams) - p, 0))[:, None] + np.arange(p + 1)]
+    r = (nodes[:, 1:] - nodes[:, :1]) / (nodes[:, -1:] - nodes[:, :1])
+    sigma = s.sigma_from_lam(nodes[:, -1])
+    solved: dict = {}
+    c = np.empty((len(nodes), p + 1 if corrector else p))
+    for j, (lam_0, lam_p) in enumerate(nodes[:, [0, -1]].tolist()):
+        key = (tuple(r[j]), lam_p - lam_0)
+        if key not in solved:
+            solved[key] = (*uni_coeffs(p, r[j], key[1], variant=variant, corrector=corrector),
+                           exp_taylor_tail(0, key[1]))
+        a, Bh, tail = solved[key]
+        w = float(sigma[j]) * Bh * (a / r[j, : len(a)])
+        c[j, 0] = -float(sigma[j]) * tail + float(w.sum())
+        c[j, 1:] = -w
+    return np.exp(np.diff(s.log_alpha_from_lam(nodes[:, [0, -1]]))[:, 0]), c
+
+
 def t_from_lam_brentq(s: NoiseSchedule, lam_target: float, t_lo: float, t_hi: float) -> float:
     """Invert lam(t) = lam_target on [t_lo, t_hi] by bracketed root finding,
     the search the schedule's closed-form inverse replaced."""

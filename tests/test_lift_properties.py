@@ -275,6 +275,37 @@ def test_derivative_tower_matches_one_point_derivatives(seed, kron, d, J, k, C, 
                 assert got[:, :J1].shape == want.shape and np.array_equal(got[:, :J1], want)
 
 
+def test_derivative_tower_keeps_to_its_memory_budget():
+    # over 128 step starts, a chunk of two or more points holds, besides
+    # the tables it returns, no more than TOWER_CHUNK_BYTES; a smaller
+    # budget only splits the points into more chunks, so the tables keep
+    # their bits
+    rng = np.random.default_rng(5)
+    lams = np.linspace(-5.0, 2.0, 128)
+    models = [  # (model, k): tens of points per chunk at d=3, a few at d=4
+        (kron_model(3, {j: rng.normal(scale=0.4, size=(2, 3, 3**j)) for j in range(3)}), 3),
+        (kron_model(4, {j: rng.normal(scale=0.4, size=(1, 4, 4**j)) for j in range(4)}), 3),
+        (separable_model(rng.normal(size=(8, 4, 3))), 3),
+    ]
+    for m, k in models:
+        _derivative_tower(S, m, k, lams[:2])  # the monomial tables are cached once
+        tracemalloc.start()
+        try:
+            tower = _derivative_tower(S, m, k, lams)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model._tower_chunk(m, k) >= 2
+        tables = sum(t.nbytes for level in tower for t in (level if m.mode == "kron" else [level]))
+        assert peak - tables <= model.TOWER_CHUNK_BYTES, (m.mode, m.d, peak, tables)
+        for budget in (1, 1 << 12, 1 << 16):
+            with mock.patch.object(model, "TOWER_CHUNK_BYTES", budget):
+                chunked = _derivative_tower(S, m, k, lams)
+            for level, want in zip(chunked, tower, strict=True):
+                for got, table in zip(*((level, want) if m.mode == "kron" else ([level], [want])), strict=True):
+                    assert got.shape == table.shape and np.array_equal(got, table)
+
+
 def test_samplers_and_lift_expand_sigma_once_per_chunk(monkeypatch):
     calls = []
     expand = model._sigma_lambda_polys

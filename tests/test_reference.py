@@ -16,9 +16,11 @@ from carlift import reference
 from carlift.model import (_eps_tables, _eval_tabulated, _kron_rows, _kron_sum, eval_eps, kron_model,
                            scalar_model, separable_model)
 from carlift.presets import benchmark, model_preset
-from carlift.reference import dpm_weights, rk4_oracle, run_dpm, run_unipc, uni_coeffs, uni_weights
-from carlift.schedule import TimeGrid, make_lambda_grid, make_vp_schedule, phi_moment
-from oracles import dlam_dt, dx_dlambda, taylor_integral
+from carlift.errors import ConvergenceError
+from carlift.reference import dpm_weights, rk4_oracle, run_dpm, run_unipc, uni_weights
+from carlift.schedule import TimeGrid, exp_taylor_tail, make_lambda_grid, make_vp_schedule
+from oracles import (dlam_dt, dpm_weights_per_width, dx_dlambda, phi_moment, taylor_integral, uni_coeffs,
+                     uni_weights_per_system)
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 WEAK = scalar_model({(0, 0): 0.2, (1, 0): -0.6, (2, 0): 0.25})
@@ -85,43 +87,87 @@ def test_dpm_order_increases_accuracy():
     assert slopes[2] > 1.6
 
 
-def test_uni_coeffs_satisfy_order_conditions():
+def test_uni_weights_satisfy_order_conditions():
+    # a row's weights give back a_m = c[m] r_m / (-sigma_p B(h)) for m >= 1,
+    # which must solve the Vandermonde order conditions
     rng = np.random.default_rng(11)
     for p in (2, 3):
         for corrector in (False, True):
             for variant in ("bh1", "bh2"):
                 interior = np.sort(rng.uniform(0.1, 0.9, size=p - 1))
-                r = np.concatenate([interior, [1.0]])
-                h = float(rng.uniform(0.05, 1.5))
-                a, Bh = uni_coeffs(p, r, h, variant=variant, corrector=corrector)
+                lam_nodes = -1.0 + rng.uniform(0.05, 1.5) * np.concatenate([[0.0], interior, [1.0]])
+                (_,), (c,) = uni_weights(S, lam_nodes, p, variant=variant, corrector=corrector)
                 n_w = p if corrector else p - 1
-                assert a.shape == (n_w,)
-                assert Bh == pytest.approx(h if variant == "bh1" else math.expm1(h))
+                assert c.shape == (n_w + 1,)
+                h = float(lam_nodes[-1] - lam_nodes[0])
+                r = (lam_nodes[1:] - lam_nodes[0]) / h
+                Bh = h if variant == "bh1" else math.expm1(h)
+                sig_p = float(S.sigma_from_lam(lam_nodes[-1]))
+                a = -c[1:] * r[:n_w] / (sig_p * Bh)
                 for n in range(1, n_w + 1):
                     lhs = float(np.sum(a * r[:n_w] ** (n - 1)))
                     assert lhs == pytest.approx(phi_moment(n, h) / Bh, rel=1e-10)
+                assert c[0] == pytest.approx(-sig_p * exp_taylor_tail(0, h) - c[1:].sum(), rel=1e-12)
 
 
-def test_uni_coeffs_predictor_order_one_is_weightless():
-    a, Bh = uni_coeffs(1, np.array([1.0]), 0.3)
-    assert a.size == 0
-    assert Bh == pytest.approx(math.expm1(0.3))
+def test_uni_weights_predictor_order_one_is_weightless():
+    grid = make_lambda_grid(S, 1.0, 0.1, 8)
+    ratio, c = uni_weights(S, grid.lam, 1)
+    assert c.shape == (8, 1)
+    sigma = S.sigma_from_lam(grid.lam[1:])
+    assert np.array_equal(c[:, 0], [-sig * exp_taylor_tail(0, h) for sig, h in zip(sigma, grid.h)])
+    ratio1, c1 = dpm_weights(S, grid.lam, 1)
+    assert np.array_equal(ratio, ratio1) and np.array_equal(c, c1)
 
 
-def test_uni_coeffs_validation():
-    r2 = np.array([0.5, 1.0])
-    with pytest.raises(ValueError):
-        uni_coeffs(3, r2, 0.3)
-    with pytest.raises(ValueError):
-        uni_coeffs(2, np.array([1.0, 0.5]), 0.3)
-    with pytest.raises(ValueError):
-        uni_coeffs(2, np.array([0.5, 0.9]), 0.3)
-    with pytest.raises(ValueError):
-        uni_coeffs(2, r2, -0.1)
-    with pytest.raises(ValueError):
-        uni_coeffs(2, r2, 0.3, variant="bh3")
-    with pytest.raises(ValueError):
-        uni_coeffs(2, np.array([0.5, 0.5]), 0.3)
+def test_step_weights_validation():
+    # both weight tables refuse, with the same check, a grid that is not
+    # strictly increasing, an order outside 1..3 and an unknown variant
+    lams = make_lambda_grid(S, 1.0, 0.1, 4).lam
+    tables = [lambda lams, order: dpm_weights(S, lams, order),
+              lambda lams, order: uni_weights(S, lams, order),
+              lambda lams, order: uni_weights(S, lams, order, corrector=True)]
+    for table in tables:
+        for bad in ([1.0, 0.5, 0.0], [1.0, 1.0], lams[::-1], lams.reshape(1, -1), [0.0, np.nan]):
+            with pytest.raises(ValueError):
+                table(np.asarray(bad, dtype=float), 1)
+        for order in (0, 4):
+            with pytest.raises(ValueError):
+                table(lams, order)
+    for few in (lams, lams[:2]):  # one with no full step at p = 2
+        with pytest.raises(ValueError):
+            uni_weights(S, few, 2, variant="bh3")
+
+
+def test_step_weights_keep_the_bits_of_per_system_solves():
+    # the tables equal, bit for bit, the per-width dpm tails and the
+    # per-step Vandermonde solves, on uniform grids of 1..128 steps and
+    # random non-uniform ones, also where alpha underflows (beta_max 1600);
+    # where the reference raises, the table raises the same exception
+    rng = np.random.default_rng(27)
+    checked = raised = 0
+    for beta_max in (20.0, 1600.0):
+        s = make_vp_schedule(0.1, beta_max, 1.0)
+        grids = [make_lambda_grid(s, t0, t1, M).lam
+                 for M in (1, 2, 3, 5, 8, 16, 33, 64, 128) for t0, t1 in ((1.0, 0.05), (0.8, 0.001))]
+        lo, hi = float(s.lam(1.0)), float(s.lam(0.001))
+        grids += [np.sort(rng.uniform(lo, hi, int(rng.integers(2, 130)))) for _ in range(8)]
+        for lams in grids:
+            cases = [(dpm_weights, dpm_weights_per_width, (k,)) for k in (1, 2, 3)]
+            cases += [(uni_weights, uni_weights_per_system, (p, variant, corrector))
+                      for p in (1, 2, 3) for variant in ("bh1", "bh2") for corrector in (False, True)]
+            for table, per_system, args in cases:
+                try:
+                    expected = per_system(s, lams, *args)
+                except ConvergenceError:
+                    with pytest.raises(ConvergenceError):
+                        table(s, lams, *args)
+                    raised += 1
+                    continue
+                for got, want in zip(table(s, lams, *args), expected, strict=True):
+                    assert got.shape == want.shape and np.array_equal(got, want), (beta_max, args)
+                checked += 1
+    assert checked == 765 and raised == 15
 
 
 def test_step_weights_match_finite_difference_forms():
@@ -279,23 +325,24 @@ def test_multistep_unipc_evaluates_each_state_once(monkeypatch):
 
 
 def test_unipc_run_solves_each_distinct_step_once(monkeypatch):
-    solved = []
+    systems = []
+    solve = np.linalg.solve
 
-    def counted(p, r, h, variant="bh2", corrector=False):
-        solved.append((p, tuple(r), h, variant, corrector))
-        return uni_coeffs(p, r, h, variant=variant, corrector=corrector)
+    def counted(V, g):
+        systems.append(V.shape)
+        return solve(V, g)
 
-    monkeypatch.setattr(reference, "uni_coeffs", counted)
+    monkeypatch.setattr(np.linalg, "solve", counted)
     bench = benchmark("weak_quadratic")
     grid = bench.grid(128)
     for p in (2, 3):
         nodes = [grid.lam[i - p : i + 1] for i in range(p, grid.M + 1)]
         steps = {(tuple((lam[1:] - lam[0]) / (lam[-1] - lam[0])), lam[-1] - lam[0]) for lam in nodes}
         assert len(steps) < len(nodes)
-        for _ in range(2):  # the solutions are kept for one run only
-            solved.clear()
-            run_unipc(S, bench.model(), [bench.x_T], grid, p=p, corrector=True)
-            assert len(solved) == len(set(solved)) == 2 * len(steps)
+        systems.clear()
+        run_unipc(S, bench.model(), [bench.x_T], grid, p=p, corrector=True)
+        # one stacked solve per table, predictor then corrector, one system per distinct step
+        assert systems == [(len(steps), p - 1, p - 1), (len(steps), p, p)]
 
 
 # --- the RK4 oracle against its per-substep form ------------------------------

@@ -17,9 +17,8 @@ from carlift.schedule import (
     exp_taylor_tail,
     make_lambda_grid,
     make_vp_schedule,
-    phi_moment,
 )
-from oracles import dlam_dt, t_from_lam_brentq, taylor_integral
+from oracles import dlam_dt, phi_moment, t_from_lam_brentq, taylor_integral
 
 VP = make_vp_schedule(0.1, 20.0, 1.0)
 
