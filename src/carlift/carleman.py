@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError
-from .model import PolyNoiseModel, _derivative_tower, _monomials
+from .model import PolyNoiseModel, _derivative_tower, _monomials, _monomials_at
 from .reference import dpm_weights, uni_weights
 from .schedule import NoiseSchedule, TimeGrid
 
@@ -134,10 +134,7 @@ def lift(x, basis: CarlemanBasis) -> LiftedState:
     if x.shape != (basis.d,):
         raise ValueError(f"state must have shape ({basis.d},)")
     mono = _monomials(basis.d, basis.N)
-    blocks = [np.ones(1)]
-    for t in range(1, basis.N + 1):
-        blocks.append(blocks[-1][mono.parent[t]] * x[mono.first[t]])
-    return LiftedState(basis=basis, y=np.concatenate(blocks[1:]) * mono.sqrt_mult)
+    return LiftedState(basis=basis, y=np.concatenate(_monomials_at(mono, x)[1:]) * mono.sqrt_mult)
 
 
 class StepMatrix:
@@ -247,12 +244,10 @@ class Qcm:
     b: np.ndarray
 
 
-def _degree_blocks(m: PolyNoiseModel, table) -> dict[int, np.ndarray]:
+def _degree_blocks(table: list) -> dict[int, np.ndarray]:
     """The (S, d, n_q) coefficient blocks of an eps table over S points, by
-    degree q, leaving out the degrees that are zero at every point; a
-    separable table is one-coordinate here."""
-    blocks = table if m.mode == "kron" else table.transpose(1, 0, 2)[..., None]
-    return {q: B for q, B in enumerate(blocks) if B.any()}
+    degree q, leaving out the degrees that are zero at every point."""
+    return {q: B for q, B in enumerate(table) if B.any()}
 
 
 def _step_maps(ratio: np.ndarray, terms, d: int) -> dict[int, np.ndarray]:
@@ -275,7 +270,7 @@ def step_polynomials_dpm(s: NoiseSchedule, m: PolyNoiseModel, lams: np.ndarray,
     monomials of x, from one derivative tower for all step starts."""
     ratio, c = dpm_weights(s, lams, k)
     tower = _derivative_tower(s, m, k, lams[:-1])
-    return _step_maps(ratio, [(cn, _degree_blocks(m, table)) for cn, table in zip(c.T, tower)], m.d)
+    return _step_maps(ratio, [(cn, _degree_blocks(table)) for cn, table in zip(c.T, tower)], m.d)
 
 
 def assemble_dpm_qcms(s: NoiseSchedule, m: PolyNoiseModel, lams: np.ndarray, k: int,
@@ -371,7 +366,7 @@ def assemble_unipc_qcms(
     """
     _check_model_basis(m, basis)
     (eps,) = _derivative_tower(s, m, 1, grid.lam)
-    E = _degree_blocks(m, eps)
+    E = _degree_blocks(eps)
     pred_ratio, pred_c = uni_weights(s, grid.lam, p, variant)
     corr_ratio, corr_c = uni_weights(s, grid.lam, p, variant, corrector=True)
     K = len(pred_ratio)

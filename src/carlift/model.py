@@ -4,14 +4,22 @@ A model is a polynomial map eps(x, lam) in the state x and the log-SNR
 lam.  Two coupling modes are supported:
 
 * ``separable``: each coordinate i evolves under its own scalar
-  polynomial, coefficients c[i, j, l] of x_i^j lam^l; a one-coordinate
-  (scalar) model is the d = 1 case.
+  polynomial, given as coefficients c[i, j, l] of x_i^j lam^l; a
+  one-coordinate (scalar) model is the d = 1 case.
 * ``kron``: full tensor coupling, given as (L+1, d, d^j) blocks: the
   degree-j term is a matrix C_j(lam) acting on the Kronecker power
-  x^{(j)}, with a polynomial lam dependence on the leading axis.  The
-  constructor folds each block once onto the C(d+j-1, j) monomials x^beta
-  of degree j, in sorted multi-index order (see :func:`_monomials`), and
-  everything downstream reads only that folded form.
+  x^{(j)}, with a polynomial lam dependence on the leading axis.
+
+The constructor puts both into one layout, which everything downstream
+reads: one (L+1, d, n_j) block per x-degree j, row i holding coordinate
+i's coefficients of the n_j monomials of degree j, in sorted multi-index
+order (see :func:`_monomials`), in the variables that coordinate reads.
+A kron coordinate reads all d variables, so its blocks are the given
+ones folded onto the C(d+j-1, j) monomials x^beta; a separable
+coordinate reads only its own, so n_j = 1 and row i of block j holds
+c[i, j, :].  The modes differ only in that variable count and in how a
+state is evaluated: Horner in x for separable models, a contraction
+with the monomials at x for kron models.
 
 The total lambda-derivative used by higher-order exponential
 integrators applies
@@ -61,8 +69,9 @@ class PolyNoiseModel:
     """Polynomial eps(x, lam); immutable after construction.
 
     ``coeffs`` stays as given.  ``blocks`` is what every computation
-    reads: a separable model's coefficients, or a kron model's folded
-    onto monomials, one (L+1, d, C(d+j-1, j)) block per degree j.
+    reads: one (L+1, d, n_j) block per degree j, on the degree-j monomials
+    in the :attr:`n_vars` variables each coordinate reads (see the module
+    docstring).
     """
 
     mode: str
@@ -76,42 +85,48 @@ class PolyNoiseModel:
         if self.d < 1:
             raise ValueError("need d >= 1")
         if self.mode == "separable":
-            c = np.array(self.coeffs, dtype=float)
-            if c.ndim != 3 or c.shape[0] != self.d:
+            coeffs = np.array(self.coeffs, dtype=float)
+            if coeffs.ndim != 3 or coeffs.shape[0] != self.d:
                 raise ValueError("separable coefficients must have shape (d, J+1, L+1)")
-            _check_capacity(self.d, c.shape[1] - 1, c.shape[2] - 1, kron=False)
-            c.flags.writeable = False
-            object.__setattr__(self, "coeffs", c)
-            object.__setattr__(self, "blocks", c)
-            return
-        shapes = [np.shape(cj) for cj in self.coeffs]
-        for j, shape in enumerate(shapes):
-            if len(shape) != 3 or shape[1] != self.d or shape[2] != self.d**j:
-                raise ValueError(f"kron degree-{j} block must have shape (L+1, {self.d}, {self.d**j})")
-        # before any copy: a block past the caps is refused unallocated
-        _check_capacity(self.d, len(shapes) - 1, max(shape[0] for shape in shapes) - 1, kron=True)
-        coeffs = tuple(np.array(cj, dtype=float) for cj in self.coeffs)
-        blocks = _fold(coeffs, self.d)
-        for arr in coeffs + blocks:
+            _check_capacity(1, coeffs.shape[1] - 1, coeffs.shape[2] - 1)
+            # row i of block j: coordinate i's coefficients of x_i^j, on its one variable
+            blocks = tuple(np.ascontiguousarray(cj.T[..., None]) for cj in coeffs.transpose(1, 0, 2))
+            given = (coeffs,)
+        else:
+            shapes = [np.shape(cj) for cj in self.coeffs]
+            for j, shape in enumerate(shapes):
+                if len(shape) != 3 or shape[1] != self.d or shape[2] != self.d**j:
+                    raise ValueError(f"kron degree-{j} block must have shape (L+1, {self.d}, {self.d**j})")
+            # before any copy: a block past the caps is refused unallocated
+            _check_capacity(self.d, len(shapes) - 1, max(shape[0] for shape in shapes) - 1)
+            coeffs = given = tuple(np.array(cj, dtype=float) for cj in self.coeffs)
+            blocks = _fold(coeffs, self.d)
+        for arr in given + blocks:
             arr.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "blocks", blocks)
 
     @property
+    def n_vars(self) -> int:
+        """The variables one coordinate's polynomial reads: d for kron, 1 for separable."""
+        return self.d if self.mode == "kron" else 1
+
+    @property
     def x_degree(self) -> int:
-        return len(self.blocks) - 1 if self.mode == "kron" else self.blocks.shape[-2] - 1
+        return len(self.blocks) - 1
 
     @property
     def lam_degree(self) -> int:
-        return max(cj.shape[0] for cj in self.blocks) - 1 if self.mode == "kron" else self.blocks.shape[-1] - 1
+        return max(cj.shape[0] for cj in self.blocks) - 1
 
 
-def _check_capacity(d: int, J: int, L: int, kron: bool) -> None:
+def _check_capacity(n_vars: int, J: int, L: int) -> None:
     """Refuse coefficients of x-degree J and lam-degree L past the caps, and
-    a kron model's with more than MAX_MONOMIALS monomials of degree J."""
+    blocks with more than MAX_MONOMIALS monomials of degree J in n_vars
+    variables."""
     for what, size, cap in (("x-degree", J, MAX_X_DEGREE), ("lam-degree", L, MAX_LAM_DEGREE),
-                            (f"d={d} kron degree-{J} monomial count",
-                             math.comb(d + J - 1, J) if kron else 0, MAX_MONOMIALS)):
+                            (f"d={n_vars} kron degree-{J} monomial count",
+                             math.comb(n_vars + J - 1, J), MAX_MONOMIALS)):
         if size > cap:
             raise CapacityError(f"{what} {size} exceeds {cap}")
 
@@ -255,40 +270,6 @@ def kron_model(d: int, terms) -> PolyNoiseModel:
     return PolyNoiseModel(mode="kron", d=d, coeffs=blocks)
 
 
-# --- batch (separable) polynomial helpers --------------------------------
-# A batch polynomial is an array (B, J+1, L+1) of coefficients of
-# x^j lam^l, one independent polynomial per batch entry; a separable
-# model's coefficients are one.
-
-
-def _trim_batch(arr: np.ndarray) -> np.ndarray:
-    """Drop the trailing x- and lam-degrees that are zero in every row."""
-    nz = np.any(arr != 0.0, axis=0)
-    jmax, lmax = (int(np.flatnonzero(nz.any(axis=a))[-1]) if nz.any() else 0 for a in (1, 0))
-    return np.ascontiguousarray(arr[:, : jmax + 1, : lmax + 1])
-
-
-def _batch_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of batch polynomials, 2-d convolution of coefficients."""
-    B, Ja, La = a.shape
-    _, Jb, Lb = b.shape
-    out = np.zeros((B, Ja + Jb - 1, La + Lb - 1))
-    for j in range(Ja):
-        for l in range(La):
-            col = a[:, j, l]
-            if np.any(col != 0.0):
-                out[:, j : j + Jb, l : l + Lb] += col[:, None, None] * b
-    return out
-
-
-def _padded_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a + b, each zero-padded at the end of every axis to the larger shape."""
-    out = np.zeros(np.maximum(a.shape, b.shape))
-    out[tuple(map(slice, a.shape))] += a
-    out[tuple(map(slice, b.shape))] += b
-    return out
-
-
 # --- sigma Taylor expansions ---------------------------------------------
 
 
@@ -347,39 +328,46 @@ def _sigma_lambda_polys(s: NoiseSchedule, lams: np.ndarray):
 # --- evaluation ------------------------------------------------------------
 
 
-def _eps_tables(m: PolyNoiseModel, lams: np.ndarray):
-    """The x-polynomial coefficients of eps at each log-SNR in ``lams`` (1-d).
-
-    Kron models give a list over the x-degree j of arrays (len(lams), d,
-    n_j) on the degree-j monomials; a block without lam dependence is
-    broadcast, not copied.  Separable models give one array (len(lams),
-    J+1, d) whose row j holds the x^j coefficients.
-    :func:`_eval_tabulated` evaluates them at a state.
+def _eps_tables(m: PolyNoiseModel, lams: np.ndarray) -> list:
+    """The x-polynomial coefficients of eps at each log-SNR in ``lams`` (1-d):
+    a list over the x-degree j of arrays (len(lams), d, n_j), ``m.blocks``
+    collapsed at each point; a block without lam dependence is broadcast,
+    not copied.  :func:`_eval_tabulated` evaluates them at a state.
     """
-    return _center_tables(m, m.blocks, lams)
+    return _center_tables(m.blocks, lams)
 
 
 def _eval_tabulated(m: PolyNoiseModel, tables, i: int, x):
-    """eps(x, lams[i]) from ``tables = _eps_tables(m, lams)``.
-
-    Horner in x for separable models; :func:`_kron_sum` of the blocks'
-    rows i, side by side, for kron models.  The Horner form also runs on
-    a Python float x with the rows of a one-coordinate table as lists of
-    floats.
-    """
+    """eps(x, lams[i]) from ``tables = _eps_tables(m, lams)``: by
+    :func:`_kron_sum` of the blocks' rows i side by side for kron models,
+    by :func:`_horner` over them for separable ones."""
     if m.mode == "kron":
         return _kron_sum(_monomials(m.d, len(tables) - 1), np.concatenate([t[i] for t in tables], axis=1), x)
+    return _horner([t[i, :, 0] for t in tables], x)
+
+
+def _horner(rows, x):
+    """sum_j rows[j] x^j by Horner in x, from 0.0: rows of d coefficients
+    on an array x of shape (d,), or floats on a Python float x."""
     out = 0.0
-    for cj in reversed(tables[i]):
+    for cj in reversed(rows):
         out = out * x + cj
+    return out
+
+
+def _monomials_at(mono: _Monomials, x: np.ndarray) -> list:
+    """The monomials of each degree 0..N of ``mono`` at the state x, each
+    x_first times its parent of the degree below (see :func:`_monomials`)."""
+    out = [np.ones(1)]
+    for parent, first in zip(mono.parent[1:], mono.first[1:]):
+        out.append(out[-1][parent] * x[first])
     return out
 
 
 def _kron_sum(mono: _Monomials, F: np.ndarray, x):
     """F x_all, summed from +0 (so a -0.0 result is +0.0): F holds the
     (d, n_j) coefficient matrices of degree j = 0, 1, ... side by side, and
-    x_all the monomials of those degrees at x, each x_first times its
-    parent of degree j-1 (see :func:`_monomials`).
+    x_all the monomials of those degrees at x (:func:`_monomials_at`).
 
     ``x`` is an array of shape (d,) or a list of d floats; on a list the
     monomials and the sum from zero are float operations and only the
@@ -392,21 +380,16 @@ def _kron_sum(mono: _Monomials, F: np.ndarray, x):
             xj = [xj[p] * x[f] for p, f in pairs]
             x_all += xj
         return [0.0 + e for e in F.dot(x_all).tolist()]
-    x_all = [np.ones(1), x] if len(mono.pairs) > 1 else [np.ones(1)]
-    for parent, first in zip(mono.parent[2:], mono.first[2:]):
-        x_all.append(x_all[-1][parent] * x[first])
-    return 0.0 + F.dot(np.concatenate(x_all))
+    return 0.0 + F.dot(np.concatenate(_monomials_at(mono, x)))
 
 
-def _kron_rows(m: PolyNoiseModel, tables) -> list:
-    """The arguments of :func:`_kron_sum` on lists at each point of kron
-    ``tables = _eps_tables(m, lams)``: the monomial tables and the blocks'
-    rows side by side, one matrix at every point when no block depends
-    on lam."""
-    mono = _monomials(m.d, m.x_degree)
+def _point_rows(m: PolyNoiseModel, lams: np.ndarray, form) -> list:
+    """``form`` of eps's blocks side by side, a (d, n) matrix, at each
+    log-SNR in ``lams`` (1-d); when no block depends on lam, one matrix,
+    formed once, stands at every point."""
     if all(cj.shape[0] == 1 for cj in m.blocks):
-        return [(mono, np.concatenate([cj[0] for cj in m.blocks], axis=1))] * len(tables[0])
-    return [(mono, F) for F in np.concatenate(tables, axis=2)]
+        return [form(np.concatenate([cj[0] for cj in m.blocks], axis=1))] * len(lams)
+    return [form(F) for F in np.concatenate(_eps_tables(m, lams), axis=2)]
 
 
 def eval_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
@@ -414,7 +397,8 @@ def eval_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (m.d,):
         raise ValueError(f"state must have shape ({m.d},)")
-    return _eval_tabulated(m, _eps_tables(m, np.asarray(lam, dtype=float).reshape(1)), 0, x)
+    (F,) = _point_rows(m, np.asarray(lam, dtype=float).reshape(1), lambda F: F)
+    return _kron_sum(_monomials(m.d, m.x_degree), F, x) if m.mode == "kron" else _horner(F.T, x)
 
 
 def jacobian_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
@@ -423,12 +407,12 @@ def jacobian_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
     if x.shape != (m.d,):
         raise ValueError(f"state must have shape ({m.d},)")
     if m.mode == "kron":
-        mono, out, below = _monomials(m.d, m.x_degree), np.zeros((m.d, m.d)), np.ones(1)
+        mono, out = _monomials(m.d, m.x_degree), np.zeros((m.d, m.d))
+        below = _monomials_at(mono, x)
         for j, table in enumerate(_eps_tables(m, np.array([float(lam)]))[1:], start=1):
-            # below: the degree-(j-1) monomials at x; the derivative table takes F_j onto them
-            below = below[mono.parent[j - 1]] * x[mono.first[j - 1]] if j > 1 else below
+            # the derivative table takes F_j onto the degree-(j-1) monomials at x
             index, factor = mono.deriv[j]
-            out += (table[0][:, index] * factor) @ below
+            out += (table[0][:, index] * factor) @ below[j - 1]
         return out
     return np.diag(_separable_deps(m, x, lam))
 
@@ -471,32 +455,12 @@ def drift_eigenvalues(s: NoiseSchedule, m: PolyNoiseModel, x, t: float) -> np.nd
 # --- total lambda-derivative ------------------------------------------------
 
 
-def _velocity_batch(arr0: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """dx/dlam = sigma^2 x - sigma eps as a batch polynomial.
-
-    Built from the undifferentiated model; the same velocity enters every
-    application of the derivative operator; ``s1``, ``s2`` may differ per batch row.
-    """
-    B, J1, L1 = arr0.shape
-    Lv = max(s2.shape[-1], s1.shape[-1] + L1 - 1)
-    v = np.zeros((B, max(2, J1), Lv))
-    v[:, 1, : s2.shape[-1]] += s2
-    for l1 in range(s1.shape[-1]):
-        c = s1[..., l1, None, None]
-        if c.any():
-            v[:, :J1, l1 : l1 + L1] -= c * arr0
-    return _trim_batch(v)
-
-
-def _deriv_once_batch(arr: np.ndarray, v: np.ndarray) -> np.ndarray:
-    B, J1, L1 = arr.shape
-    # d/dlam at fixed x
-    dlam = arr[:, :, 1:] * np.arange(1, L1)[None, None, :] if L1 > 1 else np.zeros((B, J1, 1))
-    if J1 == 1:
-        return _trim_batch(dlam)
-    # d/dx, contracted against the fixed flow velocity
-    dx = arr[:, 1:, :] * np.arange(1, J1)[None, :, None]
-    return _trim_batch(_padded_sum(dlam, _batch_mul(dx, v)))
+def _padded_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b, each zero-padded at the end of every axis to the larger shape."""
+    out = np.zeros(np.maximum(a.shape, b.shape))
+    out[tuple(map(slice, a.shape))] += a
+    out[tuple(map(slice, b.shape))] += b
+    return out
 
 
 def _velocity_kron(blocks0: list[np.ndarray], s1, s2, d: int) -> dict[int, np.ndarray]:
@@ -562,63 +526,60 @@ def _deriv_once_kron(blocks: list[np.ndarray], v: dict[int, np.ndarray], mono: _
 
 def _tower_levels(s: NoiseSchedule, m: PolyNoiseModel, k: int, lams: np.ndarray):
     """Yield D^0 eps (``m.blocks``), ..., D^{k-1} eps around each point of
-    ``lams``, from D^1 on batched over the points (kron blocks (C, L+1,
-    d, n_j); separable rows (C*d, J+1, L+1), point c in rows c*d ..).
-    sigma_lam, sigma_lam^2 and the velocity are built once for all
-    points, and each derivative is taken from the one before it, once
-    the capacity check has passed the degrees it can reach."""
+    ``lams``, from D^1 on as blocks (C, L, d, n_j) batched over the points.
+
+    The passes run on groups of coordinates whose polynomials read the
+    same m.n_vars variables: a kron model is one group of d coordinates,
+    a separable model d groups of one, carried as a second batch axis
+    after the points.  sigma_lam, sigma_lam^2 and the velocity are built
+    once for all points, and each derivative is taken from the one before
+    it, once the capacity check has passed the degrees it can reach."""
     yield m.blocks
     if k < 2:
         return
-    s1, s2 = _sigma_lambda_polys(s, lams)
-    kron = m.mode == "kron"
-    if kron:
-        coeffs = [np.repeat(cj[None], len(lams), axis=0) for cj in m.blocks]
-        v = _velocity_kron(coeffs, s1, s2, m.d)
-        Jv, Lv = max(v), max(vq.shape[-3] for vq in v.values())
-    else:
-        coeffs = np.tile(m.blocks, (len(lams), 1, 1))
-        v = _velocity_batch(coeffs, np.repeat(s1, m.d, axis=0), np.repeat(s2, m.d, axis=0))
-        Jv, Lv = v.shape[1] - 1, v.shape[2]
+    C, n, groups = len(lams), m.n_vars, m.d // m.n_vars
+    s1, s2 = (np.repeat(p[:, None], groups, axis=1) for p in _sigma_lambda_polys(s, lams))
+    coeffs = [np.repeat(cj.reshape(len(cj), groups, n, -1).swapaxes(0, 1)[None], C, axis=0)
+              for cj in m.blocks]  # (C, groups, L+1, n, n_j)
+    v = _velocity_kron(coeffs, s1, s2, n)
+    Jv, Lv = max(v), max(vq.shape[-3] for vq in v.values())
     for _ in range(k - 1):
-        J1, L = (len(coeffs), max(cj.shape[-3] for cj in coeffs)) if kron else coeffs.shape[1:]
+        J1, L = len(coeffs), max(cj.shape[-3] for cj in coeffs)
         J = J1 + Jv - 2 if J1 > 1 else 0
-        _check_capacity(m.d, J, L + Lv - 2, kron)
-        coeffs = _deriv_once_kron(coeffs, v, _monomials(m.d, J)) if kron else _deriv_once_batch(coeffs, v)
-        yield coeffs
+        _check_capacity(n, J, L + Lv - 2)
+        coeffs = _deriv_once_kron(coeffs, v, _monomials(n, J))
+        # contiguous: the collapse's matmul keeps a block's bits only in one memory order
+        yield [np.ascontiguousarray(cj.swapaxes(1, 2)).reshape(C, cj.shape[2], m.d, -1) for cj in coeffs]
 
 
-def _center_tables(m: PolyNoiseModel, level, lams: np.ndarray):
-    """Collapse per-point coefficients (batched as :func:`_tower_levels`
-    yields them, or ``m.blocks`` for all points), each at its own point of
-    ``lams``, into the layout of :func:`_eps_tables`.  Kron blocks with lam
-    dependence are collapsed by one stacked matmul of each point's lam
-    powers with its block, which gives every point a single collapse's bits."""
-    if m.mode == "kron":
-        return [np.broadcast_to(cj[..., 0, :, :], (len(lams),) + cj.shape[-2:]) if cj.shape[-3] == 1
-                else np.matmul(lams[:, None, None] ** np.arange(cj.shape[-3]),
-                               cj.reshape(cj.shape[:-2] + (-1,))
-                               ).reshape((len(lams),) + cj.shape[-2:])
-                for cj in level]
-    c = level.reshape((-1, m.d) + level.shape[1:]).transpose(3, 1, 2, 0)  # (L+1, d, J+1, C)
-    return npoly.polyval(lams, c, tensor=False).transpose(2, 1, 0)
+def _center_tables(level, lams: np.ndarray) -> list:
+    """Collapse per-point blocks (C, L, d, n_j), as :func:`_tower_levels`
+    yields them, or blocks (L, d, n_j) for all points, each at its own
+    point of ``lams``, into the layout of :func:`_eps_tables`.  Blocks
+    with lam dependence are collapsed by one stacked matmul of each
+    point's lam powers with its block, which gives every point a single
+    collapse's bits."""
+    return [np.broadcast_to(cj[..., 0, :, :], (len(lams),) + cj.shape[-2:]) if cj.shape[-3] == 1
+            else np.matmul(lams[:, None, None] ** np.arange(cj.shape[-3]),
+                           cj.reshape(cj.shape[:-2] + (-1,))
+                           ).reshape((len(lams),) + cj.shape[-2:])
+            for cj in level]
 
 
 def _tower_chunk(m: PolyNoiseModel, k: int) -> int:
     """Expansion points per chunk: what the last, largest derivative pass
     holds per point, within TOWER_CHUNK_BYTES.  It reads D^{k-2} eps (top
     x-degree a+1, lam length Lc) and builds D^{k-1} eps (top x-degree J+a)
-    with the velocity (lam length Lv).  It holds two work arrays (kron: the
-    products of the top input and velocity blocks and their int64 bincount
-    index; separable: the batch product and its padded sum), the level it
-    builds twice and the level it reads three times.  A chunk never splits
-    one point's pass, so a point over the budget is a chunk of its own."""
-    L, Lv, J = m.lam_degree + 1, m.lam_degree + 1 + SIGMA_TAYLOR_DEGREE, m.x_degree
+    with the velocity (lam length Lv), per coordinate on the monomials in
+    m.n_vars variables.  It holds two work arrays (the products of the top
+    input and velocity blocks and their int64 bincount index), the level
+    it builds twice and the level it reads three times.  A chunk never
+    splits one point's pass, so a point over the budget is a chunk of its
+    own."""
+    L, Lv, J, n = m.lam_degree + 1, m.lam_degree + 1 + SIGMA_TAYLOR_DEGREE, m.x_degree, m.n_vars
     a, Lc = (k - 1) * max(J - 1, 0), L + max(k - 2, 0) * (Lv - 1)
-    kron = m.mode == "kron"
-    upto = (lambda t: math.comb(m.d + t, t)) if kron else (lambda t: t + 1)  # coefficients of degree <= t
-    built, read = upto(J + a) * (Lc + Lv - 1), upto(a + 1) * Lc
-    work = math.comb(m.d + a - 1, a) * math.comb(m.d + J - 1, J) * Lc * Lv if kron else built
+    built, read = math.comb(n + J + a, J + a) * (Lc + Lv - 1), math.comb(n + a + 1, a + 1) * Lc
+    work = math.comb(n + a - 1, a) * math.comb(n + J - 1, J) * Lc * Lv
     return max(1, TOWER_CHUNK_BYTES // (8 * m.d * (2 * work + 2 * built + 3 * read)))
 
 
@@ -634,19 +595,16 @@ def _derivative_tower(s: NoiseSchedule, m: PolyNoiseModel, k: int, lams) -> list
     """
     lams = np.asarray(lams, dtype=float)
     step = _tower_chunk(m, k)
-    parts = [[_center_tables(m, level, part) for level in _tower_levels(s, m, k, part)]
+    parts = [[_center_tables(level, part) for level in _tower_levels(s, m, k, part)]
              for part in (lams[lo : lo + step] for lo in range(0, len(lams), step))]
     return parts[0] if len(parts) == 1 else [_concat_tables(m, tables) for tables in zip(*parts)]
 
 
-def _concat_tables(m: PolyNoiseModel, tables: tuple):
+def _concat_tables(m: PolyNoiseModel, tables: tuple) -> list:
     """Stack the tables of consecutive chunks of points, each zero-padded to
     the largest x-degree among them."""
-    if m.mode == "kron":
-        return [np.concatenate([t[j] if j < len(t) else np.zeros((len(t[0]), m.d, math.comb(m.d + j - 1, j)))
-                                for t in tables]) for j in range(max(map(len, tables)))]
-    J = max(t.shape[1] for t in tables)
-    return np.concatenate([np.pad(t, ((0, 0), (0, J - t.shape[1]), (0, 0))) for t in tables])
+    return [np.concatenate([t[j] if j < len(t) else np.zeros((len(t[0]), m.d, math.comb(m.n_vars + j - 1, j)))
+                            for t in tables]) for j in range(max(map(len, tables)))]
 
 
 def total_derivative_poly(s: NoiseSchedule, m: PolyNoiseModel, n: int,
@@ -658,13 +616,19 @@ def total_derivative_poly(s: NoiseSchedule, m: PolyNoiseModel, n: int,
     degree-SIGMA_TAYLOR_DEGREE Taylor polynomials around lam_center, so
     the result is exact up to the O((lam - lam_center)^{SIGMA_TAYLOR_DEGREE+1})
     truncation of those two factors.  n = 0 returns the model unchanged.
-    This is the last of :func:`_tower_levels` at the one point; a kron
-    result is given its blocks through :func:`_unfold`.
+    This is the last of :func:`_tower_levels` at the one point, given in
+    the model's mode: kron blocks through :func:`_unfold`, separable
+    coefficients zero-padded to the largest lam-degree.
     """
     if n < 0:
         raise ValueError("need n >= 0")
     if n == 0:
         return m
     *_, level = _tower_levels(s, m, n + 1, np.array([float(lam_center)]))
-    return PolyNoiseModel(mode=m.mode, d=m.d,
-                          coeffs=_unfold([cj[0] for cj in level], m.d) if m.mode == "kron" else level)
+    blocks = [cj[0] for cj in level]
+    if m.mode == "kron":
+        return PolyNoiseModel(mode=m.mode, d=m.d, coeffs=_unfold(blocks, m.d))
+    coeffs = np.zeros((m.d, len(blocks), max(map(len, blocks))))
+    for j, cj in enumerate(blocks):
+        coeffs[:, j, : len(cj)] = cj[..., 0].T
+    return PolyNoiseModel(mode=m.mode, d=m.d, coeffs=coeffs)

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (PolyNoiseModel, _derivative_tower, _eps_tables, _eval_tabulated, _kron_rows,
-                    _kron_sum, eval_eps)
+from .model import (PolyNoiseModel, _derivative_tower, _eval_tabulated, _horner, _kron_sum, _monomials,
+                    _point_rows, eval_eps)
 from .schedule import NoiseSchedule, TimeGrid, exp_taylor_tail
 
 __all__ = [
@@ -82,8 +82,7 @@ def _oracle_chunk(m: PolyNoiseModel) -> int:
     """Substeps per table chunk: two tabulated times per substep, each
     holding f, g^2/(2 sigma) and, if they depend on lam, the eps
     coefficients."""
-    per_time = (sum(cj[0].size for cj in m.blocks) * any(cj.shape[0] > 1 for cj in m.blocks)
-                if m.mode == "kron" else m.d * (m.x_degree + 1))
+    per_time = sum(cj[0].size for cj in m.blocks) * any(cj.shape[0] > 1 for cj in m.blocks)
     return max(1, ORACLE_TABLE_BYTES // (2 * 8 * (2 + per_time)))
 
 
@@ -135,20 +134,20 @@ def rk4_oracle(
             tt[1::2] = tt[0:-1:2] + half
             f = s.f(tt).tolist()
             c = (s.g2(tt) / (2.0 * s.sigma(tt))).tolist()
-            tables = _eps_tables(m, s.lam(tt))
             if kron:
-                y = _rk4_lists(y, f, c, _kron_rows(m, tables), cnt, ht)
+                mono = _monomials(m.d, m.x_degree)
+                y = _rk4_lists(y, f, c, _point_rows(m, s.lam(tt), lambda F: (mono, F)), cnt, ht)
             else:
-                if scalar:
-                    tables = tables[:, :, 0].tolist()
+                # each point's x^j coefficients: J+1 floats, or J+1 rows of d
+                rows = _point_rows(m, s.lam(tt), (lambda F: F[0].tolist()) if scalar else np.transpose)
                 for i in range(0, 2 * cnt, 2):
-                    k1 = f[i] * y + c[i] * _eval_tabulated(m, tables, i, y)
+                    k1 = f[i] * y + c[i] * _horner(rows[i], y)
                     z = y + half * k1
-                    k2 = f[i + 1] * z + c[i + 1] * _eval_tabulated(m, tables, i + 1, z)
+                    k2 = f[i + 1] * z + c[i + 1] * _horner(rows[i + 1], z)
                     z = y + half * k2
-                    k3 = f[i + 1] * z + c[i + 1] * _eval_tabulated(m, tables, i + 1, z)
+                    k3 = f[i + 1] * z + c[i + 1] * _horner(rows[i + 1], z)
                     z = y + ht * k3
-                    k4 = f[i + 2] * z + c[i + 2] * _eval_tabulated(m, tables, i + 2, z)
+                    k4 = f[i + 2] * z + c[i + 2] * _horner(rows[i + 2], z)
                     y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t = tt[-1]
             nfe += 4 * cnt
@@ -161,7 +160,8 @@ def rk4_oracle(
 def _rk4_lists(y: list, f: list, c: list, rows: list, cnt: int, ht: float) -> list:
     """``cnt`` substeps of :func:`rk4_oracle`'s loop from a kron state y, a
     list of d floats, over one chunk's tables, each arithmetic operation
-    applied elementwise as on arrays; ``rows`` are :func:`_kron_rows`."""
+    applied elementwise as on arrays; ``rows`` are each point's monomial
+    tables and blocks side by side, the arguments of :func:`_kron_sum`."""
     half, sixth = 0.5 * ht, ht / 6.0
 
     def k(i: int, z: list) -> list:
@@ -265,7 +265,11 @@ def uni_weights(s: NoiseSchedule, lams: np.ndarray, p: int, variant: str = "bh2"
     """
     n_w = p if corrector else p - 1
     ratio, sigma, r, h, tails = _step_table(s, lams, p, p, n_w + 1, variant)
-    _, first, inv = np.unique(np.column_stack([r, h]), axis=0, return_index=True, return_inverse=True)
+    rows = list(map(tuple, np.column_stack([r, h]).tolist()))
+    system = {row: n for n, row in enumerate(dict.fromkeys(rows))}  # one per distinct (r, h) row
+    inv = np.array([system[row] for row in rows], dtype=np.intp)
+    first = np.empty(len(system), np.intp)
+    first[inv] = np.arange(len(rows))  # a step of each system
     hk, rk = h[first].tolist(), r[first, :n_w]
     Bh = np.array(hk if variant == "bh1" else [float(np.expm1(w)) for w in hk])
     # the moments on Python floats, the Vandermonde rows as running products

@@ -25,13 +25,10 @@ from carlift.carleman import LiftedState, StepMatrix
 from carlift.model import (
     SIGMA_TAYLOR_DEGREE,
     PolyNoiseModel,
-    _batch_mul,
     _derivative_tower,
     _monomials,
     _padded_sum,
     _sigma_lambda_polys,
-    _trim_batch,
-    _velocity_batch,
     eval_eps,
     kron_model,
     separable_model,
@@ -273,8 +270,7 @@ def one_step_polynomial_dpm(s: NoiseSchedule, m: PolyNoiseModel, lams, k: int,
     tower = _derivative_tower(s, m, k, lams[:-1])
     P = {1: ratio[i] * np.eye(m.d)}
     for cn, level in zip(c[i], tower):
-        blocks = level if m.mode == "kron" else level.transpose(1, 0, 2)[..., None]
-        for q, B in enumerate(blocks):
+        for q, B in enumerate(level):
             if B[i].any():
                 P[q] = P.get(q, np.zeros(B[i].shape)) + cn * B[i]
     return P
@@ -507,16 +503,72 @@ def sigma_lambda_polys_per_call(lam_center):
     return shift(tay_s), shift(tay_q)
 
 
-def deriv_once_batch_by_hand(arr, v):
+# --- batch polynomials: the separable tower before one-variable blocks -------
+# A batch polynomial is an array (B, J+1, L+1) of coefficients of
+# x^j lam^l, one independent polynomial per batch entry; a separable
+# model's coefficients are one.
+
+
+def trim_batch(arr: np.ndarray) -> np.ndarray:
+    """Drop the trailing x- and lam-degrees that are zero in every row."""
+    nz = np.any(arr != 0.0, axis=0)
+    jmax, lmax = (int(np.flatnonzero(nz.any(axis=a))[-1]) if nz.any() else 0 for a in (1, 0))
+    return np.ascontiguousarray(arr[:, : jmax + 1, : lmax + 1])
+
+
+def batch_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of batch polynomials, 2-d convolution of coefficients."""
+    B, Ja, La = a.shape
+    _, Jb, Lb = b.shape
+    out = np.zeros((B, Ja + Jb - 1, La + Lb - 1))
+    for j in range(Ja):
+        for l in range(La):
+            col = a[:, j, l]
+            if np.any(col != 0.0):
+                out[:, j : j + Jb, l : l + Lb] += col[:, None, None] * b
+    return out
+
+
+def velocity_batch(arr0: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """dx/dlam = sigma^2 x - sigma eps as a batch polynomial, from the
+    undifferentiated model; ``s1``, ``s2`` may differ per batch row."""
+    B, J1, L1 = arr0.shape
+    Lv = max(s2.shape[-1], s1.shape[-1] + L1 - 1)
+    v = np.zeros((B, max(2, J1), Lv))
+    v[:, 1, : s2.shape[-1]] += s2
+    for l1 in range(s1.shape[-1]):
+        c = s1[..., l1, None, None]
+        if c.any():
+            v[:, :J1, l1 : l1 + L1] -= c * arr0
+    return trim_batch(v)
+
+
+def deriv_once_batch(arr, v):
+    """One application of D eps = d_lam eps + (d_x eps) v on batch polynomials."""
     B, J1, L1 = arr.shape
     dlam = arr[:, :, 1:] * np.arange(1, L1)[None, None, :] if L1 > 1 else np.zeros((B, J1, 1))
     if J1 == 1:
-        return _trim_batch(dlam)
-    prod = _batch_mul(arr[:, 1:, :] * np.arange(1, J1)[None, :, None], v)
+        return trim_batch(dlam)
+    prod = batch_mul(arr[:, 1:, :] * np.arange(1, J1)[None, :, None], v)
     out = np.zeros((B, max(dlam.shape[1], prod.shape[1]), max(dlam.shape[2], prod.shape[2])))
     out[:, : dlam.shape[1], : dlam.shape[2]] += dlam
     out[:, : prod.shape[1], : prod.shape[2]] += prod
-    return _trim_batch(out)
+    return trim_batch(out)
+
+
+def separable_tower(s: NoiseSchedule, m: PolyNoiseModel, k: int, lams) -> list:
+    """D^0 eps, ..., D^{k-1} eps of a separable model around each point of
+    ``lams`` in batch-polynomial algebra, every point's d coordinates as
+    batch rows: level n is (C, L, d, J+1), point c's coefficient of
+    x_i^j lam^l at [c, l, i, j]."""
+    lams = np.asarray(lams, dtype=float)
+    s1, s2 = _sigma_lambda_polys(s, lams)
+    arr = np.tile(m.coeffs, (len(lams), 1, 1))
+    v = velocity_batch(arr, np.repeat(s1, m.d, axis=0), np.repeat(s2, m.d, axis=0))
+    levels = [arr]
+    for _ in range(k - 1):
+        levels.append(deriv_once_batch(levels[-1], v))
+    return [a.reshape((len(lams), m.d) + a.shape[1:]).transpose(0, 3, 1, 2) for a in levels]
 
 
 def total_derivative_per_n(m, n, lam_center):
@@ -533,10 +585,10 @@ def total_derivative_per_n(m, n, lam_center):
             blocks = deriv_once_kron(blocks, v, m.d)
         return blocks
     arr = m.coeffs
-    v = _velocity_batch(arr, s1, s2)
+    v = velocity_batch(arr, s1, s2)
     for _ in range(n):
-        arr = deriv_once_batch_by_hand(arr, v)
-    return _trim_batch(arr)
+        arr = deriv_once_batch(arr, v)
+    return trim_batch(arr)
 
 
 def import_matrix(path) -> sp.csr_matrix:

@@ -1,8 +1,9 @@
 """Every name a carlift module exports through __all__ must exist, every
 exported function must be called by the package or the benchmark, and
 every defaulted parameter of one must be set by some such call.  Every
-carlift name the benchmark imports must exist, and every call it makes
-to one must bind to the current signature."""
+private module-level function or class must be read by the package
+itself.  Every carlift name the benchmark imports must exist, and every
+call it makes to one must bind to the current signature."""
 
 import ast
 import importlib
@@ -14,7 +15,8 @@ import carlift
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK_SOURCES = sorted((ROOT / "benchmark").glob("*.py"))
-SOURCES = [*sorted((ROOT / "src" / "carlift").glob("*.py")), *BENCHMARK_SOURCES]
+PACKAGE_SOURCES = sorted((ROOT / "src" / "carlift").glob("*.py"))
+SOURCES = [*PACKAGE_SOURCES, *BENCHMARK_SOURCES]
 
 # exported functions that nothing outside the tests calls yet, each with the
 # reason it stays
@@ -47,11 +49,12 @@ def test_every_exported_name_resolves():
     assert checked > 0
 
 
-def referenced_names() -> set[str]:
-    """Every name and attribute read in src/carlift and benchmark/*.py; a
-    def, an import and a string in __all__ are not references."""
+def referenced_names(paths=SOURCES) -> set[str]:
+    """Every name and attribute read in ``paths``, by default src/carlift and
+    benchmark/*.py; a def, an import and a string in __all__ are not
+    references."""
     names = set()
-    for path in SOURCES:
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -67,6 +70,18 @@ def test_every_exported_function_is_called_outside_the_tests():
     assert not uncalled, f"exported functions only the tests call: {uncalled}"
     stale = sorted(name for name in UNCALLED_EXPORTS if name not in functions or name in used)
     assert not stale, f"allowed as uncalled but called or no longer exported: {stale}"
+
+
+def test_every_private_helper_is_read_by_the_package():
+    # a helper that only the tests or the benchmark read belongs with them
+    used = referenced_names(PACKAGE_SOURCES)
+    private = [f"{path.stem}.{node.name}" for path in PACKAGE_SOURCES
+               for node in ast.parse(path.read_text(), filename=str(path)).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    assert private
+    unread = [name for name in private if name.split(".", 1)[1] not in used]
+    assert not unread, f"private helpers no carlift code reads: {unread}"
 
 
 def is_label(node) -> bool:

@@ -33,6 +33,7 @@ from carlift.model import (
     separable_model,
     total_derivative_poly,
 )
+from carlift.presets import model_preset
 from carlift.reference import run_dpm, run_unipc
 from carlift.schedule import make_lambda_grid, make_vp_schedule
 from carlift.solve import forward_substitute
@@ -50,6 +51,7 @@ from oracles import (
     kron_tower,
     one_step_poly_to_update,
     one_step_polynomial_dpm,
+    separable_tower,
     step_dicts,
     total_derivative_per_n,
     velocity_kron,
@@ -200,20 +202,18 @@ def random_poly_model(rng, kron, d, J):
     lam_center=st.floats(-4.0, 5.0),
 )
 def test_derivative_tower_matches_per_n_rebuild(seed, kron, d, J, lam_center):
-    # a kron rebuild runs on Kronecker blocks and is folded after; the two
-    # sum each monomial's terms in other orders
+    # a kron rebuild runs on Kronecker blocks and is folded after, a
+    # separable one on batch polynomials; each sums a coefficient's terms
+    # in another order than the monomial-block passes
     m = random_poly_model(np.random.default_rng(seed), kron, d, J)
     tower = [total_derivative_poly(S, m, n, lam_center) for n in range(4)]
     assert tower[0] is m
     for n, dn in enumerate(tower):
         want = total_derivative_per_n(m, n, lam_center)
-        if kron:
-            got, want = dn.blocks, fold_blocks(want, d)
-            assert len(got) == len(want) and all(g.shape == w.shape for g, w in zip(got, want))
-            scale = max(np.abs(w).max() for w in want)
-            assert all(np.abs(g - w).max() <= 1e-14 * scale for g, w in zip(got, want))
-        else:
-            assert dn.coeffs.shape == want.shape and np.array_equal(dn.coeffs, want)
+        got, want = (dn.blocks, fold_blocks(want, d)) if kron else ([dn.coeffs], [want])
+        assert len(got) == len(want) and all(g.shape == w.shape for g, w in zip(got, want))
+        scale = max(np.abs(w).max() for w in want)
+        assert all(np.abs(g - w).max() <= 1e-14 * scale for g, w in zip(got, want))
 
 
 @PROPERTY
@@ -246,6 +246,34 @@ def test_folded_tower_matches_the_folded_kron_tower(seed, d, J, k, C, chunk_byte
 @PROPERTY
 @given(
     seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 8),
+    J=st.integers(0, 3),
+    L=st.integers(0, 2),
+    k=st.integers(1, 3),
+    C=st.integers(1, 6),
+    chunk_bytes=st.sampled_from([1, 2**12, model.TOWER_CHUNK_BYTES]),
+)
+def test_separable_tower_matches_the_batch_polynomial_tower(seed, d, J, L, k, C, chunk_bytes):
+    # each coordinate runs as a one-variable model through the monomial-block
+    # passes, which add a table entry's terms in other orders than the batch
+    # algebra; measured as the kron tower is, against the same sum over
+    # |coefficients| at |lam|
+    rng = np.random.default_rng(seed)
+    m = separable_model(rng.standard_normal((d, J + 1, L + 1)))
+    lams = rng.uniform(-4.0, 5.0, C)
+    with mock.patch.object(model, "TOWER_CHUNK_BYTES", chunk_bytes):
+        tower = _derivative_tower(S, m, k, lams)
+    for level, B in zip(tower, separable_tower(S, m, k, lams), strict=True):
+        assert all(t.shape == (C, d, 1) for t in level)
+        got, want = np.concatenate(level, axis=2), collapse(B, lams)
+        assert got.shape[2] >= want.shape[2] and not got[..., want.shape[2] :].any()
+        scale = collapse(np.abs(B), np.abs(lams)).max()
+        assert np.abs(got[..., : want.shape[2]] - want).max() <= 1e-14 * scale
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
     kron=st.booleans(),
     d=st.integers(1, 3),
     J=st.integers(0, 2),
@@ -264,15 +292,9 @@ def test_derivative_tower_matches_one_point_derivatives(seed, kron, d, J, k, C, 
         for c, lam in enumerate(lams):
             # row c of the level; a degree that only other chunks have is zero here
             want = _eps_tables(total_derivative_poly(S, m, n, lam), np.array([lam]))
-            if kron:
-                got = [cj[c : c + 1] for cj in level]
-                assert len(got) >= len(want) and not any(g.any() for g in got[len(want) :])
-                assert all(g.shape == w.shape and np.array_equal(g, w) for g, w in zip(got, want))
-            else:
-                got = level[c : c + 1]
-                J1 = want.shape[1]
-                assert got.shape[1] >= J1 and not got[:, J1:].any()
-                assert got[:, :J1].shape == want.shape and np.array_equal(got[:, :J1], want)
+            got = [cj[c : c + 1] for cj in level]
+            assert len(got) >= len(want) and not any(g.any() for g in got[len(want) :])
+            assert all(g.shape == w.shape and np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_derivative_tower_keeps_to_its_memory_budget():
@@ -286,6 +308,7 @@ def test_derivative_tower_keeps_to_its_memory_budget():
         (kron_model(3, {j: rng.normal(scale=0.4, size=(2, 3, 3**j)) for j in range(3)}), 3),
         (kron_model(4, {j: rng.normal(scale=0.4, size=(1, 4, 4**j)) for j in range(4)}), 3),
         (separable_model(rng.normal(size=(8, 4, 3))), 3),
+        (model_preset("cubic"), 3),
     ]
     for m, k in models:
         _derivative_tower(S, m, k, lams[:2])  # the monomial tables are cached once
@@ -296,13 +319,13 @@ def test_derivative_tower_keeps_to_its_memory_budget():
         finally:
             tracemalloc.stop()
         assert model._tower_chunk(m, k) >= 2
-        tables = sum(t.nbytes for level in tower for t in (level if m.mode == "kron" else [level]))
+        tables = sum(t.nbytes for level in tower for t in level)
         assert peak - tables <= model.TOWER_CHUNK_BYTES, (m.mode, m.d, peak, tables)
         for budget in (1, 1 << 12, 1 << 16):
             with mock.patch.object(model, "TOWER_CHUNK_BYTES", budget):
                 chunked = _derivative_tower(S, m, k, lams)
             for level, want in zip(chunked, tower, strict=True):
-                for got, table in zip(*((level, want) if m.mode == "kron" else ([level], [want])), strict=True):
+                for got, table in zip(level, want, strict=True):
                     assert got.shape == table.shape and np.array_equal(got, table)
 
 

@@ -285,7 +285,7 @@ def test_tabulated_coefficient_matrices_round_trip():
     # the lift reads each degree's (S, d, d^q) blocks, stacked over the
     # points, from the derivative tower's tables
     m = scalar_model({(0, 0): 0.5, (2, 1): -0.3})
-    mats = _degree_blocks(m, _derivative_tower(S, m, 1, [1.0, 2.0])[0])
+    mats = _degree_blocks(_derivative_tower(S, m, 1, [1.0, 2.0])[0])
     assert set(mats) == {0, 2}
     assert all(B.shape == (2, 1, 1) for B in mats.values())
     assert mats[0][1, 0, 0] == 0.5
@@ -298,7 +298,7 @@ def test_tabulated_coefficient_matrices_round_trip():
     x = rng.normal(size=2)
     lams = [0.25, -1.0]
     (table,) = _derivative_tower(S, mk, 1, lams)
-    mats = _degree_blocks(mk, table)
+    mats = _degree_blocks(table)
     assert all(B.shape == (2, 2, j + 1) for j, B in mats.items())
     for c, lam in enumerate(lams):
         rebuilt = sum(B[c] @ monomials(x, j) for j, B in mats.items())
