@@ -10,16 +10,17 @@ lam.  Two coupling modes are supported:
   degree-j term is a matrix C_j(lam) acting on the Kronecker power
   x^{(j)}, with a polynomial lam dependence on the leading axis.
 
-The constructor puts both into one layout, which everything downstream
-reads: one (L+1, d, n_j) block per x-degree j, row i holding coordinate
-i's coefficients of the n_j monomials of degree j, in sorted multi-index
-order (see :func:`_monomials`), in the variables that coordinate reads.
-A kron coordinate reads all d variables, so its blocks are the given
-ones folded onto the C(d+j-1, j) monomials x^beta; a separable
-coordinate reads only its own, so n_j = 1 and row i of block j holds
-c[i, j, :].  The modes differ only in that variable count and in how a
-state is evaluated: Horner in x for separable models, a contraction
-with the monomials at x for kron models.
+The constructor puts both into one layout: one (L+1, d, n_j) block per
+x-degree j, row i holding coordinate i's coefficients of the n_j
+monomials of degree j, in sorted multi-index order (see
+:func:`_monomials`), in the variables that coordinate reads: all d for
+kron (the given blocks folded onto the C(d+j-1, j) monomials x^beta),
+its own for separable (n_j = 1, row i of block j holding c[i, j, :]).
+The derivative tower runs on these blocks, and every coefficient table
+that the samplers and the lift read is in the same layout.  The modes
+differ in that variable count and in how eps is evaluated: kron by a
+contraction with the monomials at x, separable by Horner in x after
+Horner in lam over ``coeffs`` (as its Jacobian is).
 
 The total lambda-derivative used by higher-order exponential
 integrators applies
@@ -330,10 +331,16 @@ def _sigma_lambda_polys(s: NoiseSchedule, lams: np.ndarray):
 
 def _eps_tables(m: PolyNoiseModel, lams: np.ndarray) -> list:
     """The x-polynomial coefficients of eps at each log-SNR in ``lams`` (1-d):
-    a list over the x-degree j of arrays (len(lams), d, n_j), ``m.blocks``
-    collapsed at each point; a block without lam dependence is broadcast,
-    not copied.  :func:`_eval_tabulated` evaluates them at a state.
+    a list over the x-degree j of arrays (len(lams), d, n_j), the model
+    collapsed at each point.  A separable model is collapsed from
+    ``m.coeffs`` by Horner in lam, as it is evaluated; a kron model's
+    blocks by :func:`_center_tables`, a block without lam dependence
+    broadcast, not copied.  :func:`_eval_tabulated` evaluates them at a
+    state.
     """
+    if m.mode == "separable":
+        c = npoly.polyval(lams, m.coeffs.transpose(2, 1, 0)[..., None], tensor=False)  # (J+1, d, C)
+        return list(c.transpose(0, 2, 1)[..., None])
     return _center_tables(m.blocks, lams)
 
 
@@ -383,13 +390,15 @@ def _kron_sum(mono: _Monomials, F: np.ndarray, x):
     return 0.0 + F.dot(np.concatenate(_monomials_at(mono, x)))
 
 
-def _point_rows(m: PolyNoiseModel, lams: np.ndarray, form) -> list:
-    """``form`` of eps's blocks side by side, a (d, n) matrix, at each
-    log-SNR in ``lams`` (1-d); when no block depends on lam, one matrix,
-    formed once, stands at every point."""
+def _kron_rows(m: PolyNoiseModel, tables) -> list:
+    """The arguments of :func:`_kron_sum` on lists at each point of kron
+    ``tables = _eps_tables(m, lams)``: the monomial tables and the blocks'
+    rows side by side, one matrix at every point when no block depends
+    on lam."""
+    mono = _monomials(m.d, m.x_degree)
     if all(cj.shape[0] == 1 for cj in m.blocks):
-        return [form(np.concatenate([cj[0] for cj in m.blocks], axis=1))] * len(lams)
-    return [form(F) for F in np.concatenate(_eps_tables(m, lams), axis=2)]
+        return [(mono, np.concatenate([cj[0] for cj in m.blocks], axis=1))] * len(tables[0])
+    return [(mono, F) for F in np.concatenate(tables, axis=2)]
 
 
 def eval_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
@@ -397,8 +406,7 @@ def eval_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (m.d,):
         raise ValueError(f"state must have shape ({m.d},)")
-    (F,) = _point_rows(m, np.asarray(lam, dtype=float).reshape(1), lambda F: F)
-    return _kron_sum(_monomials(m.d, m.x_degree), F, x) if m.mode == "kron" else _horner(F.T, x)
+    return _eval_tabulated(m, _eps_tables(m, np.asarray(lam, dtype=float).reshape(1)), 0, x)
 
 
 def jacobian_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
@@ -419,11 +427,8 @@ def jacobian_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
 
 def _separable_deps(m: PolyNoiseModel, x: np.ndarray, lam: float) -> np.ndarray:
     """Diagonal d eps_i / d x_i of a separable model, by Horner in x."""
-    clam = np.polynomial.polynomial.polyval(lam, m.coeffs.transpose(2, 0, 1))
-    deps = np.zeros(m.d)
-    for j in range(m.coeffs.shape[1] - 1, 0, -1):
-        deps = deps * x + j * clam[:, j]
-    return deps
+    tables = _eps_tables(m, np.array([float(lam)]))
+    return np.full(m.d, _horner([j * t[0, :, 0] for j, t in enumerate(tables)][1:], x))
 
 
 def drift_jacobian(s: NoiseSchedule, m: PolyNoiseModel, x, t: float) -> np.ndarray:
@@ -512,8 +517,10 @@ def _deriv_once_kron(blocks: list[np.ndarray], v: dict[int, np.ndarray], mono: _
             target = mono.products[q].reshape(-1, vq.shape[-1])[below] - mono.start[deg_new]
             # the products before their index, so that the ravel's copy never meets it
             terms = np.einsum("...xria,...yib->...xyrab", dj, vq).ravel()
-            rows = (np.arange(P)[:, None, None] * Lout + np.arange(Lc)[:, None] + np.arange(Lv))
-            flat = ((rows[..., None] * d + np.arange(d))[..., None, None] * n_new + target).ravel()
+            # each product's bin: its point and lam power x + y, then its row and monomial
+            lam_bins = np.arange(P)[:, None] * Lout + (np.arange(Lc)[:, None] + np.arange(Lv)).ravel()
+            lam_bins *= d * n_new
+            flat = np.add.outer(lam_bins.ravel(), (np.arange(d)[:, None, None] * n_new + target).ravel()).ravel()
             acc(deg_new, np.bincount(flat, terms, P * Lout * d * n_new).reshape(lead + (Lout, d, n_new)))
             del terms, flat  # before the next pass builds its own
 
@@ -525,8 +532,8 @@ def _deriv_once_kron(blocks: list[np.ndarray], v: dict[int, np.ndarray], mono: _
 
 
 def _tower_levels(s: NoiseSchedule, m: PolyNoiseModel, k: int, lams: np.ndarray):
-    """Yield D^0 eps (``m.blocks``), ..., D^{k-1} eps around each point of
-    ``lams``, from D^1 on as blocks (C, L, d, n_j) batched over the points.
+    """Yield D^1 eps, ..., D^{k-1} eps around each point of ``lams``, as
+    blocks (C, L, d, n_j) batched over the points.
 
     The passes run on groups of coordinates whose polynomials read the
     same m.n_vars variables: a kron model is one group of d coordinates,
@@ -534,7 +541,6 @@ def _tower_levels(s: NoiseSchedule, m: PolyNoiseModel, k: int, lams: np.ndarray)
     after the points.  sigma_lam, sigma_lam^2 and the velocity are built
     once for all points, and each derivative is taken from the one before
     it, once the capacity check has passed the degrees it can reach."""
-    yield m.blocks
     if k < 2:
         return
     C, n, groups = len(lams), m.n_vars, m.d // m.n_vars
@@ -557,10 +563,11 @@ def _center_tables(level, lams: np.ndarray) -> list:
     yields them, or blocks (L, d, n_j) for all points, each at its own
     point of ``lams``, into the layout of :func:`_eps_tables`.  Blocks
     with lam dependence are collapsed by one stacked matmul of each
-    point's lam powers with its block, which gives every point a single
-    collapse's bits."""
+    point's lam powers, formed once for the level, with its block, which
+    gives every point a single collapse's bits."""
+    powers = lams[:, None, None] ** np.arange(max(cj.shape[-3] for cj in level))
     return [np.broadcast_to(cj[..., 0, :, :], (len(lams),) + cj.shape[-2:]) if cj.shape[-3] == 1
-            else np.matmul(lams[:, None, None] ** np.arange(cj.shape[-3]),
+            else np.matmul(np.ascontiguousarray(powers[..., : cj.shape[-3]]),
                            cj.reshape(cj.shape[:-2] + (-1,))
                            ).reshape((len(lams),) + cj.shape[-2:])
             for cj in level]
@@ -588,14 +595,14 @@ def _derivative_tower(s: NoiseSchedule, m: PolyNoiseModel, k: int, lams) -> list
 
     ``lams`` is a 1-d array of expansion points, a run's step starts.
     Level n is D^n eps collapsed at every point into one table over the
-    points, row c at lams[c] (the layout of :func:`_eps_tables`).  It is
+    points, row c at lams[c]; level 0 is :func:`_eps_tables`.  It is
     built for all points at once, in chunks of :func:`_tower_chunk`
     points; a degree that one chunk lacks is zero in that chunk's rows.
     No points give no levels.
     """
     lams = np.asarray(lams, dtype=float)
     step = _tower_chunk(m, k)
-    parts = [[_center_tables(level, part) for level in _tower_levels(s, m, k, part)]
+    parts = [[_eps_tables(m, part), *(_center_tables(level, part) for level in _tower_levels(s, m, k, part))]
              for part in (lams[lo : lo + step] for lo in range(0, len(lams), step))]
     return parts[0] if len(parts) == 1 else [_concat_tables(m, tables) for tables in zip(*parts)]
 
@@ -625,10 +632,8 @@ def total_derivative_poly(s: NoiseSchedule, m: PolyNoiseModel, n: int,
     if n == 0:
         return m
     *_, level = _tower_levels(s, m, n + 1, np.array([float(lam_center)]))
-    blocks = [cj[0] for cj in level]
     if m.mode == "kron":
-        return PolyNoiseModel(mode=m.mode, d=m.d, coeffs=_unfold(blocks, m.d))
-    coeffs = np.zeros((m.d, len(blocks), max(map(len, blocks))))
-    for j, cj in enumerate(blocks):
-        coeffs[:, j, : len(cj)] = cj[..., 0].T
-    return PolyNoiseModel(mode=m.mode, d=m.d, coeffs=coeffs)
+        return PolyNoiseModel(mode=m.mode, d=m.d, coeffs=_unfold([cj[0] for cj in level], m.d))
+    L = max(cj.shape[1] for cj in level)
+    coeffs = np.stack([np.pad(cj[0, ..., 0], ((0, L - cj.shape[1]), (0, 0))) for cj in level])  # (J+1, L+1, d)
+    return PolyNoiseModel(mode=m.mode, d=m.d, coeffs=coeffs.transpose(2, 0, 1))

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (PolyNoiseModel, _derivative_tower, _eval_tabulated, _horner, _kron_sum, _monomials,
-                    _point_rows, eval_eps)
+from .model import (PolyNoiseModel, _derivative_tower, _eps_tables, _eval_tabulated, _horner, _kron_rows,
+                    _kron_sum, eval_eps)
 from .schedule import NoiseSchedule, TimeGrid, exp_taylor_tail
 
 __all__ = [
@@ -82,7 +82,8 @@ def _oracle_chunk(m: PolyNoiseModel) -> int:
     """Substeps per table chunk: two tabulated times per substep, each
     holding f, g^2/(2 sigma) and, if they depend on lam, the eps
     coefficients."""
-    per_time = sum(cj[0].size for cj in m.blocks) * any(cj.shape[0] > 1 for cj in m.blocks)
+    per_time = (sum(cj[0].size for cj in m.blocks) * any(cj.shape[0] > 1 for cj in m.blocks)
+                if m.mode == "kron" else m.d * (m.x_degree + 1))
     return max(1, ORACLE_TABLE_BYTES // (2 * 8 * (2 + per_time)))
 
 
@@ -134,12 +135,13 @@ def rk4_oracle(
             tt[1::2] = tt[0:-1:2] + half
             f = s.f(tt).tolist()
             c = (s.g2(tt) / (2.0 * s.sigma(tt))).tolist()
+            tables = _eps_tables(m, s.lam(tt))
             if kron:
-                mono = _monomials(m.d, m.x_degree)
-                y = _rk4_lists(y, f, c, _point_rows(m, s.lam(tt), lambda F: (mono, F)), cnt, ht)
+                y = _rk4_lists(y, f, c, _kron_rows(m, tables), cnt, ht)
             else:
                 # each point's x^j coefficients: J+1 floats, or J+1 rows of d
-                rows = _point_rows(m, s.lam(tt), (lambda F: F[0].tolist()) if scalar else np.transpose)
+                rows = np.concatenate(tables, axis=2)
+                rows = rows[:, 0].tolist() if scalar else rows.transpose(0, 2, 1)
                 for i in range(0, 2 * cnt, 2):
                     k1 = f[i] * y + c[i] * _horner(rows[i], y)
                     z = y + half * k1
@@ -160,8 +162,7 @@ def rk4_oracle(
 def _rk4_lists(y: list, f: list, c: list, rows: list, cnt: int, ht: float) -> list:
     """``cnt`` substeps of :func:`rk4_oracle`'s loop from a kron state y, a
     list of d floats, over one chunk's tables, each arithmetic operation
-    applied elementwise as on arrays; ``rows`` are each point's monomial
-    tables and blocks side by side, the arguments of :func:`_kron_sum`."""
+    applied elementwise as on arrays; ``rows`` are :func:`_kron_rows`."""
     half, sixth = 0.5 * ht, ht / 6.0
 
     def k(i: int, z: list) -> list:

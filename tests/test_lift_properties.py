@@ -25,6 +25,7 @@ from carlift.carleman import (
 )
 from carlift.errors import StructureError
 from carlift.model import (
+    _center_tables,
     _deriv_once_kron,
     _derivative_tower,
     _eps_tables,
@@ -290,8 +291,11 @@ def test_derivative_tower_matches_one_point_derivatives(seed, kron, d, J, k, C, 
     assert len(tower) == k
     for n, level in enumerate(tower):
         for c, lam in enumerate(lams):
-            # row c of the level; a degree that only other chunks have is zero here
-            want = _eps_tables(total_derivative_poly(S, m, n, lam), np.array([lam]))
+            # row c of the level; a degree that only other chunks have is zero here.
+            # Level 0 is the model's own tables; a derivative's blocks are
+            # collapsed as the tower collapses them
+            dn = total_derivative_poly(S, m, n, lam)
+            want = _eps_tables(dn, np.array([lam])) if n == 0 else _center_tables(dn.blocks, np.array([lam]))
             got = [cj[c : c + 1] for cj in level]
             assert len(got) >= len(want) and not any(g.any() for g in got[len(want) :])
             assert all(g.shape == w.shape and np.array_equal(g, w) for g, w in zip(got, want))

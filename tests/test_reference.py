@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from carlift import reference
-from carlift.model import (_eps_tables, _eval_tabulated, _kron_sum, _monomials, _point_rows, eval_eps,
-                           kron_model, scalar_model, separable_model)
+from carlift.model import (_eps_tables, _eval_tabulated, _kron_rows, _kron_sum, eval_eps, kron_model,
+                           scalar_model, separable_model)
 from carlift.presets import benchmark, model_preset
 from carlift.errors import ConvergenceError
 from carlift.reference import dpm_weights, rk4_oracle, run_dpm, run_unipc, uni_weights
@@ -460,27 +460,17 @@ def test_separable_oracle_equals_its_coordinates_oracles():
 @given(case=oracle_models(), lam=st.floats(-3.0, 3.0), scale=st.floats(0.1, 3.0))
 def test_eval_eps_equals_direct_evaluation(case, lam, scale):
     # a kron model sums each monomial's Kronecker columns before it meets
-    # x, the direct form after; a lam-dependent separable model contracts
-    # its lam powers in one product, the direct form by Horner in lam.  So
-    # those two agree to the rounding of a sum the size of the same sum
-    # over |coefficients| at |x| and |lam|, and a lam-independent
-    # separable model, Horner in x on both sides, keeps its bits
+    # x, the direct form after, so the two agree to the rounding of a sum
+    # the size of the same sum over |coefficients| at |x| and |lam|
     m, _ = case
     x = scale * np.linspace(-1.0, 1.0, m.d)
     got, want = eval_eps(m, x, lam), eval_eps_direct(m, x, lam)
-    if m.mode == "separable" and m.lam_degree == 0:
-        assert np.array_equal(got, want)
-    else:
-        size = eval_eps_direct(kron_model(m.d, {j: np.abs(cj) for j, cj in enumerate(m.coeffs)})
-                               if m.mode == "kron" else separable_model(np.abs(m.coeffs)),
+    if m.mode == "kron":
+        size = eval_eps_direct(kron_model(m.d, {j: np.abs(cj) for j, cj in enumerate(m.coeffs)}),
                                np.abs(x), abs(lam))
         assert np.all(np.abs(got - want) <= 1e-14 * size)
-
-
-def kron_rows(m, lams):
-    """The :func:`_kron_sum` arguments of a kron model at each of ``lams``."""
-    mono = _monomials(m.d, m.x_degree)
-    return _point_rows(m, lams, lambda F: (mono, F))
+    else:
+        assert np.array_equal(got, want)
 
 
 def test_kron_sum_on_floats_equals_the_array_evaluation():
@@ -493,7 +483,7 @@ def test_kron_sum_on_floats_equals_the_array_evaluation():
                 m = kron_model(d, {j: rng.normal(size=(L, d, d**j)) for j in range(J + 1)})
                 tables = _eps_tables(m, lams)
                 for x in rng.normal(size=(12, d)) * np.exp(rng.uniform(-2.0, 1.0, size=(12, 1))):
-                    for i, row in enumerate(kron_rows(m, lams)):
+                    for i, row in enumerate(_kron_rows(m, tables)):
                         got = np.array(_kron_sum(*row, x.tolist()))
                         expected = _eval_tabulated(m, tables, i, x)
                         assert np.array_equal(got, expected)
@@ -508,7 +498,7 @@ def test_kron_eval_sums_a_negative_zero_constant_from_zero(higher):
     got, expected = eval_eps(m, x, 0.3), eval_eps_direct(m, x, 0.3)
     assert np.array_equal(got, expected)
     assert np.array_equal(np.signbit(got), np.signbit(expected))
-    on_floats = np.array(_kron_sum(*kron_rows(m, np.array([0.3]))[0], x.tolist()))
+    on_floats = np.array(_kron_sum(*_kron_rows(m, _eps_tables(m, np.array([0.3])))[0], x.tolist()))
     assert np.array_equal(np.signbit(on_floats), np.signbit(expected))
 
 
