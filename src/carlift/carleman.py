@@ -32,8 +32,9 @@ read too, so the lifted step and the sampler step are one map.
 A run's step maps are one dict {q: (M, d, n_q)}: each degree's
 coefficient blocks stacked along a leading step axis, built from the
 weight tables and eps and its derivatives tabulated over the grid.
-They are lifted in chunks sliced along that axis, each step into a
-dense buffer kept as its :class:`StepMatrix`.  :func:`run_lifted` lifts
+They are lifted in chunks sliced along that axis into one dense
+(M, dim_total, dim_total) array, each step's slice kept as its
+:class:`StepMatrix`.  :func:`run_lifted` lifts
 all of a trajectory's steps on the calling thread, then walks the
 states.
 """
@@ -186,8 +187,11 @@ def _poly_to_update(polys: dict[int, np.ndarray], basis: CarlemanBasis,
     and the block rows within LIFT_CHUNK_BYTES.  bincount adds each bin's
     terms in input order from +0, so a step's U and b are the same bits
     in any chunk, and a degree that is zero at one step adds nothing to
-    it.  A chunk's (steps, dim_total, dim_total) buffer holds its step
-    matrices.  Returns one (StepMatrix, b) per step.
+    it.  All the steps' matrices are written into one (steps, dim_total,
+    dim_total) array, so a run of them is one stack of blocks to
+    :class:`carlift.system.TrajectoryOperator`.  Returns one
+    (StepMatrix, b) per step, views of that array and of the (steps,
+    dim_total) offsets.
     """
     N, dim = basis.N, basis.dim_total
     mono = _monomials(basis.d, N)
@@ -198,12 +202,11 @@ def _poly_to_update(polys: dict[int, np.ndarray], basis: CarlemanBasis,
     targets = np.concatenate([mono.products[q] for q in polys] + [np.zeros(0, np.intp)])
     work = 8 * len(mono.first[N]) * (3 * len(targets) + 2 * width)  # per step, at block row N
     per_chunk = max(1, LIFT_CHUNK_BYTES // work)
-    out = []
+    U_all, b_all = np.empty((n_steps, dim, dim)), np.empty((n_steps, dim))
     for lo in range(0, n_steps, per_chunk):
         S = min(per_chunk, n_steps - lo)  # stacked: (S*d, n_q) coefficients, (S*n_j, width) rows
         C = {q: B[lo : lo + S].reshape(S * basis.d, -1) for q, B in polys.items()}
-        buf = np.empty((S, dim, dim))
-        b = np.empty((S, dim))
+        buf, b = U_all[lo : lo + S], b_all[lo : lo + S]
         R = np.zeros((S, width))  # block row j-1, unscaled, with its constant column
         R[:, 0] = 1.0
         for j, (parent, f) in enumerate(_stacked_rows(basis.d, N, S), start=1):
@@ -219,10 +222,9 @@ def _poly_to_update(polys: dict[int, np.ndarray], basis: CarlemanBasis,
             b[:, rows] = R[:, 0].reshape(S, -1) * scale
             np.multiply(R[:, 1:].reshape(S, -1, dim), col_scale, out=buf[:, rows])
             buf[:, rows] *= scale[:, None]
-        if delta:
-            buf.reshape(S, -1)[:, :: dim + 1] -= 1.0
-        out += [(StepMatrix(U), b_i) for U, b_i in zip(buf, b)]
-    return out
+    if delta:
+        U_all.reshape(n_steps, dim * dim)[:, :: dim + 1] -= 1.0
+    return [(StepMatrix(U), b_i) for U, b_i in zip(U_all, b_all)]
 
 
 @functools.lru_cache(maxsize=64)

@@ -390,17 +390,6 @@ def _kron_sum(mono: _Monomials, F: np.ndarray, x):
     return 0.0 + F.dot(np.concatenate(_monomials_at(mono, x)))
 
 
-def _kron_rows(m: PolyNoiseModel, tables) -> list:
-    """The arguments of :func:`_kron_sum` on lists at each point of kron
-    ``tables = _eps_tables(m, lams)``: the monomial tables and the blocks'
-    rows side by side, one matrix at every point when no block depends
-    on lam."""
-    mono = _monomials(m.d, m.x_degree)
-    if all(cj.shape[0] == 1 for cj in m.blocks):
-        return [(mono, np.concatenate([cj[0] for cj in m.blocks], axis=1))] * len(tables[0])
-    return [(mono, F) for F in np.concatenate(tables, axis=2)]
-
-
 def eval_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
     """Evaluate eps(x, lam); returns an array of shape (d,)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))

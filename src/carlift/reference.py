@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (PolyNoiseModel, _derivative_tower, _eps_tables, _eval_tabulated, _horner, _kron_rows,
-                    _kron_sum, eval_eps)
+from .model import (PolyNoiseModel, _derivative_tower, _eps_tables, _eval_tabulated, _horner, _kron_sum,
+                    _monomials, eval_eps)
 from .schedule import NoiseSchedule, TimeGrid, exp_taylor_tail
 
 __all__ = [
@@ -82,9 +82,22 @@ def _oracle_chunk(m: PolyNoiseModel) -> int:
     """Substeps per table chunk: two tabulated times per substep, each
     holding f, g^2/(2 sigma) and, if they depend on lam, the eps
     coefficients."""
-    per_time = (sum(cj[0].size for cj in m.blocks) * any(cj.shape[0] > 1 for cj in m.blocks)
-                if m.mode == "kron" else m.d * (m.x_degree + 1))
+    per_time = sum(cj[0].size for cj in m.blocks) * any(cj.shape[0] > 1 for cj in m.blocks)
     return max(1, ORACLE_TABLE_BYTES // (2 * 8 * (2 + per_time)))
+
+
+def _oracle_rows(m: PolyNoiseModel, tables) -> list:
+    """eps's coefficients at each point of ``tables`` (the layout of
+    :func:`carlift.model._eps_tables`) as the RK4 loop reads them: for a
+    kron model the arguments of :func:`carlift.model._kron_sum` on lists,
+    the monomial tables and the blocks' rows side by side; J+1 floats,
+    the x^j coefficients, for a one-coordinate model; the (J+1, d) rows
+    of a separable one."""
+    rows = np.concatenate(tables, axis=2)
+    if m.mode == "kron":
+        mono = _monomials(m.d, m.x_degree)
+        return [(mono, F) for F in rows]
+    return rows[:, 0].tolist() if m.d == 1 else list(rows.transpose(0, 2, 1))
 
 
 def rk4_oracle(
@@ -104,7 +117,9 @@ def rk4_oracle(
     Everything in it that depends on t alone is tabulated once per chunk
     of substeps, at the substep starts t (accumulated by t += ht) and
     midpoints t + ht/2; a substep's end is the next one's start.  The
-    loop then evaluates only the x-dependent part of eps.
+    loop then evaluates only the x-dependent part of eps.  When eps does
+    not depend on lam, every substep reads one shared set of its
+    coefficients, made once.
 
     A one-coordinate model steps on a Python float and a kron model on a
     list of d floats: the monomials and the RK4 arithmetic are float
@@ -123,6 +138,8 @@ def rk4_oracle(
     chunk = _oracle_chunk(m)
     kron = m.mode == "kron"
     scalar = not kron and m.d == 1
+    # a lam-independent model's blocks are its tables at any one point
+    shared = _oracle_rows(m, m.blocks) if all(cj.shape[0] == 1 for cj in m.blocks) else None
     for ta, tb in zip(times[:-1], times[1:]):
         ht = float((tb - ta) / substeps)
         half, sixth = 0.5 * ht, ht / 6.0
@@ -135,13 +152,13 @@ def rk4_oracle(
             tt[1::2] = tt[0:-1:2] + half
             f = s.f(tt).tolist()
             c = (s.g2(tt) / (2.0 * s.sigma(tt))).tolist()
-            tables = _eps_tables(m, s.lam(tt))
-            if kron:
-                y = _rk4_lists(y, f, c, _kron_rows(m, tables), cnt, ht)
+            if shared is not None:
+                rows = shared * (2 * cnt + 1)
             else:
-                # each point's x^j coefficients: J+1 floats, or J+1 rows of d
-                rows = np.concatenate(tables, axis=2)
-                rows = rows[:, 0].tolist() if scalar else rows.transpose(0, 2, 1)
+                rows = _oracle_rows(m, _eps_tables(m, s.lam(tt)))
+            if kron:
+                y = _rk4_lists(y, f, c, rows, cnt, ht)
+            else:
                 for i in range(0, 2 * cnt, 2):
                     k1 = f[i] * y + c[i] * _horner(rows[i], y)
                     z = y + half * k1
@@ -162,7 +179,7 @@ def rk4_oracle(
 def _rk4_lists(y: list, f: list, c: list, rows: list, cnt: int, ht: float) -> list:
     """``cnt`` substeps of :func:`rk4_oracle`'s loop from a kron state y, a
     list of d floats, over one chunk's tables, each arithmetic operation
-    applied elementwise as on arrays; ``rows`` are :func:`_kron_rows`."""
+    applied elementwise as on arrays; ``rows`` are :func:`_oracle_rows`."""
     half, sixth = 0.5 * ht, ht / 6.0
 
     def k(i: int, z: list) -> list:

@@ -3,11 +3,14 @@
 The global trajectory systems are block unit lower triangular and kept
 as their per-step blocks (:class:`carlift.system.TrajectoryOperator`),
 dense row arrays, so a forward walk of one BLAS matrix-vector product
-per block solves them directly; GMRES, handed the same operator, is the
-iterative reference point for conditioning experiments; it restarts at
-n_blocks + 1 vectors, which one Krylov cycle needs to reach the exact
-solution.  ``lchs_solve`` emulates the linear-combination-of-Hamiltonian-
-simulation route classically: the non-unitary flow of
+per block solves them directly.  GMRES, the iterative reference point
+for conditioning experiments, applies the same operator, one batched
+product per run of blocks, in a restarted cycle of its own: classical
+Gram-Schmidt on the whole Krylov basis in two BLAS calls per step,
+Givens rotations on Python floats and one triangular solve per cycle.
+It restarts at n_blocks + 1 vectors, which one Krylov cycle needs to
+reach the exact solution.  ``lchs_solve`` emulates the
+linear-combination-of-Hamiltonian-simulation route classically: the non-unitary flow of
 du/dt = -A(t) u + b(t) is reproduced as a Cauchy-kernel-weighted
 quadrature over unitary evolutions generated by the Hermitian
 k L(t) + H(t), with a spectral shift keeping L positive semidefinite.  Each evolution comes from a batched Hermitian
@@ -20,10 +23,10 @@ route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import gmres as scipy_gmres
 
 from .errors import ConvergenceError, StructureError
 
@@ -73,42 +76,109 @@ def forward_substitute(system) -> SolveResult:
     return SolveResult(solution=x, residual=res, iterations=0, method="forward_substitution")
 
 
-def gmres_solve(system, tol: float = 1e-10, max_iter: int = 20000) -> SolveResult:
-    """GMRES with explicit residual verification.
+def _gmres_cycle(matvec, r: np.ndarray, steps: int, stop: float) -> tuple[np.ndarray, int]:
+    """One restart cycle of GMRES from the residual r = b - M x.
 
-    The system matrix goes to SciPy's GMRES as it is, so a trajectory
-    operator is applied by block walks.  A trajectory system is I minus
-    a block strictly lower triangular part, nilpotent of index at most
-    n_blocks, so restarting at min(n_blocks + 1, dim) lets one Krylov
-    cycle reach the exact solution.  GMRES runs one restart cycle at a
-    time, and a cycle that does not lower the recomputed relative
-    residual ends the solve, since further cycles only stir rounding.
-    Raises ConvergenceError carrying the best residual and the iterations
-    used if that residual stays above tol.
+    Arnoldi takes at most ``steps`` steps.  Each orthogonalises w = M v_j
+    against the whole basis by classical Gram-Schmidt, two BLAS
+    matrix-vector calls, and repeats that pass only when it left ||w||
+    below h0 / sqrt(2), h0 the norm before orthogonalisation ("twice is
+    enough").  The cycle ends early once the estimated residual |g_{j+1}|
+    of the rotated least-squares problem is at most ``stop``, or at a
+    breakdown, ||w|| <= eps h0, where the basis spans an invariant
+    subspace.  The Hessenberg columns are rotated on Python floats, and
+    one back substitution by columns, which gives a zero pivot no weight,
+    yields the correction dx.  Returns (dx, steps taken).
     """
+    eps = np.finfo(float).eps
+    beta = math.sqrt(r @ r)
+    V = np.empty((steps + 1, len(r)))
+    np.multiply(r, 1.0 / beta, out=V[0])
+    R = np.zeros((steps, steps))  # the rotated Hessenberg matrix, upper triangular
+    g = [beta]  # beta e_1, rotated
+    rotations = []
+    for j in range(steps):
+        w = matvec(V[j])
+        basis = V[: j + 1]
+        h0 = math.sqrt(w @ w)
+        h = basis @ w
+        w -= h @ basis
+        h1 = math.sqrt(w @ w)
+        if h1 < h0 / math.sqrt(2.0):
+            h2 = basis @ w
+            w -= h2 @ basis
+            h += h2
+            h1 = math.sqrt(w @ w)
+        breakdown = h1 <= eps * h0
+        if not breakdown:
+            np.multiply(w, 1.0 / h1, out=V[j + 1])
+        top, *rest = h.tolist()
+        col = []
+        for (c, s), below in zip(rotations, rest):
+            col.append(c * top + s * below)
+            top = c * below - s * top
+        below = 0.0 if breakdown else h1
+        rho = math.hypot(top, below)
+        c, s = (top / rho, below / rho) if rho > 0.0 else (1.0, 0.0)
+        rotations.append((c, s))
+        R[:j, j] = col
+        R[j, j] = rho
+        g[j], g_next = c * g[j], -s * g[j]
+        g.append(g_next)
+        if abs(g_next) <= stop or breakdown:
+            break
+    y = np.array(g[: j + 1])
+    for k in range(j, -1, -1):
+        if R[k, k] == 0.0:
+            y[k] = 0.0
+        if y[k] != 0.0:
+            y[k] /= R[k, k]
+            y[:k] -= y[k] * R[:k, k]
+    return y @ V[: j + 1], j + 1
+
+
+def gmres_solve(system, tol: float = 1e-10, max_iter: int = 20000) -> SolveResult:
+    """Restarted GMRES with explicit residual verification.
+
+    A trajectory system is I minus a block strictly lower triangular
+    part, nilpotent of index at most n_blocks, so restarting at
+    min(n_blocks + 1, dim) lets one Krylov cycle reach the exact
+    solution.  Each cycle (:func:`_gmres_cycle`) stops once its estimated
+    residual is at most tol ||b||; the residual b - M x is then
+    recomputed, and the solve succeeds when its norm is at most
+    tol ||b|| and at most tol max(||b||, 1).  A cycle that does not lower
+    that relative residual ends the solve, since further cycles only stir
+    rounding, and so does running out of ``max_iter`` Arnoldi steps, the
+    last cycle cut to what is left.  Raises ConvergenceError carrying the
+    best residual and the steps used, at most max_iter, and ValueError
+    for a max_iter below 1.
+    """
+    if max_iter < 1:
+        raise ValueError(f"need max_iter >= 1, got {max_iter}")
     mat, rhs = system.mat, system.rhs
     restart = min(system.n_blocks + 1, mat.shape[0])
-    counter = {"n": 0}
-
-    def cb(_):
-        counter["n"] += 1
-
-    x, best = None, np.inf
-    for _ in range(max(1, max_iter // restart)):
-        x, info = scipy_gmres(
-            mat, rhs, x0=x, rtol=tol, atol=0.0, restart=restart, maxiter=1,
-            callback=cb, callback_type="pr_norm",
-        )
-        res = float(np.linalg.norm(mat @ x - rhs) / max(np.linalg.norm(rhs), 1.0))
-        if info == 0 and res <= tol:
-            return SolveResult(solution=x, residual=res, iterations=counter["n"], method="gmres")
-        if not res < best:
-            break
-        best = res
-    raise ConvergenceError(
-        f"gmres stalled at relative residual {best:.3e} (target {tol:.1e})",
-        residual=best, iterations=counter["n"],
-    )
+    bnorm = float(np.linalg.norm(rhs))
+    scale = max(bnorm, 1.0)
+    x = np.zeros(mat.shape[0])
+    if bnorm == 0.0:
+        return SolveResult(solution=x, residual=0.0, iterations=0, method="gmres")
+    r, best, used = rhs, np.inf, 0
+    while True:
+        dx, steps = _gmres_cycle(mat.matvec, r, min(restart, max_iter - used), tol * bnorm)
+        used += steps
+        x += dx
+        r = rhs - mat.matvec(x)
+        rnorm = float(np.linalg.norm(r))
+        res = rnorm / scale
+        if rnorm <= tol * bnorm and res <= tol:
+            return SolveResult(solution=x, residual=res, iterations=used, method="gmres")
+        stalled = not res < best
+        best = min(best, res)
+        if stalled or used >= max_iter:
+            raise ConvergenceError(
+                f"gmres stalled at relative residual {best:.3e} (target {tol:.1e})",
+                residual=best, iterations=used,
+            )
 
 
 @dataclass(frozen=True)

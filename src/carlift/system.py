@@ -6,16 +6,19 @@ M Y = beta whose solution is the entire lifted trajectory.  M is block
 lower triangular with identity diagonal blocks (elementwise unit lower
 triangular, since every coupling block sits strictly below its row's
 diagonal block).  :class:`TrajectoryOperator` keeps M as the per-step
-blocks the lift made: products with M and the forward solve walk
+blocks the lift made: products with M and the forward solve read
 those blocks, and the global CSR matrix is built only on request,
 for matrix export and the condition estimate, one block row at a
 time from the blocks' nonzeros, which it writes straight into the CSR
 arrays.  Each block is a
 :class:`carlift.carleman.StepMatrix`, the dense array of its leading
-rows, so a block of a product or of the forward solve is one BLAS
-matrix-vector call.  Both walk the block rows in order on the calling
-thread.  A dense-SVD condition number runs its LAPACK call on one
-OpenBLAS thread, so its bytes do not depend on the CPU count.
+rows.  The lift writes a trajectory's steps into one array, so the
+blocks of consecutive rows are consecutive slices of it: a product
+takes each such run of blocks as one batched BLAS call, and the
+forward solve walks the block rows in order, one matrix-vector call
+per block.  Both run on the calling thread.  A dense-SVD condition
+number runs its LAPACK call on one OpenBLAS thread, so its bytes do
+not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -60,6 +63,18 @@ def _eye_change(blk: carleman.StepMatrix) -> np.ndarray:
     return (diag == 0.0).astype(np.int64) - (diag == -1.0)
 
 
+def _stack_slice(rows: np.ndarray) -> tuple:
+    """(base, k) when ``rows`` is base[k] of the 3-d array that owns its
+    memory, else (None, None)."""
+    base = rows.base
+    if (isinstance(base, np.ndarray) and base.ndim == 3 and base.shape[1:] == rows.shape
+            and base.strides[1:] == rows.strides and base.strides[0] > 0):
+        k, off = divmod(rows.ctypes.data - base.ctypes.data, base.strides[0])
+        if off == 0 and 0 <= k < len(base):
+            return base, k
+    return None, None
+
+
 class TrajectoryOperator(LinearOperator):
     """Block lower triangular trajectory matrix, held as its blocks.
 
@@ -74,6 +89,10 @@ class TrajectoryOperator(LinearOperator):
     unified step its predictor (or folded corrector) matrices.  So M is
     unit lower triangular: every coupling lies left of its row's
     identity block.
+
+    A product with M takes the couplings as runs (:attr:`_runs`), each
+    one batched matmul over a view of consecutive blocks, so no block is
+    copied.
     """
 
     def __init__(self, block_dim: int, rows: list[list[tuple]]):
@@ -97,15 +116,43 @@ class TrajectoryOperator(LinearOperator):
     def _blocks(self, x) -> np.ndarray:
         return np.asarray(x).reshape(self.n_blocks, self.block_dim)
 
+    @functools.cached_property
+    def _runs(self) -> list[tuple]:
+        """The couplings as runs (rows, cols, blocks, plus_eye), grouped the
+        first time a product needs them: block rows ``rows`` couple to
+        block columns ``cols`` through ``blocks``, a (rows, r, D) view.  A
+        run holds the k-th couplings of consecutive rows whose blocks are
+        consecutive slices of one array, at one lag and one plus_eye; a
+        block that continues no run is a run of one.  The runs come slot
+        by slot, k = 0, 1, ..., so each row meets its couplings in order."""
+        runs = []
+        for k in range(max(map(len, self.rows), default=0)):
+            run = None  # slot k's open run: first row, column, plus_eye, base, index, length, block
+            for i, row in enumerate(self.rows):
+                if k >= len(row):
+                    continue
+                c, blk, plus_eye = row[k]
+                base, at = _stack_slice(blk.rows)
+                if (run is not None and base is not None and run[3] is base and run[2] == plus_eye
+                        and (i, c, at) == (run[0] + run[5], run[1] + run[5], run[4] + run[5])):
+                    run[5] += 1
+                else:
+                    run = [i, c, plus_eye, base, at, 1, blk.rows]
+                    runs.append(run)
+        return [(slice(i, i + n), slice(c, c + n), base[at : at + n] if n > 1 else rows[None], eye)
+                for i, c, eye, base, at, n, rows in runs]
+
     def _matvec(self, x):
-        """M x, block row by block row, each row's terms in coupling order."""
+        """M x, one batched product per run of blocks.  Each entry gets its
+        terms in the order of a row-by-row walk, the terms of a row in
+        coupling order, and each block's product is the same BLAS
+        matrix-vector call, so the result keeps that walk's bits."""
         x = self._blocks(x)
         y = x.astype(np.result_type(x, np.float64))
-        for i, row in enumerate(self.rows):
-            for c, blk, plus_eye in row:
-                y[i, : len(blk.rows)] -= blk.rows @ x[c]
-                if plus_eye:
-                    y[i] -= x[c]
+        for rows, cols, blocks, plus_eye in self._runs:
+            y[rows, : blocks.shape[1]] -= (blocks @ x[cols, :, None])[..., 0]
+            if plus_eye:
+                y[rows] -= x[cols]
         return y.ravel()
 
     def solve(self, rhs) -> np.ndarray:

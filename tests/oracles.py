@@ -607,3 +607,17 @@ def import_matrix(path) -> sp.csr_matrix:
                 raise ValueError(f"bad triplet on line {k + 2}")
             r[k], c[k], v[k] = int(parts[0]), int(parts[1]), float(parts[2])
     return sp.coo_matrix((v, (r, c)), shape=(rows, cols)).tocsr()
+
+
+def walk_matvec(mat, x) -> np.ndarray:
+    """M x for a :class:`carlift.system.TrajectoryOperator`, block row by
+    block row, each row's terms in coupling order, one matrix-vector
+    product per block."""
+    x = np.asarray(x).reshape(mat.n_blocks, mat.block_dim)
+    y = x.astype(np.result_type(x, np.float64))
+    for i, row in enumerate(mat.rows):
+        for c, blk, plus_eye in row:
+            y[i, : len(blk.rows)] -= blk.rows @ x[c]
+            if plus_eye:
+                y[i] -= x[c]
+    return y.ravel()

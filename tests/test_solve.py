@@ -70,19 +70,24 @@ def test_forward_substitution_structure_checks():
 
 def test_trajectory_solves_allocate_far_less_than_the_step_matrices():
     # d=4, N=5, M=32: the 32 step matrices hold about 4 MB of dense
-    # rows; assembly and forward substitution keep no copy of them,
-    # and GMRES adds little beyond its own Krylov basis
+    # rows; assembly, products with the operator and forward
+    # substitution keep no copy of them, and GMRES adds little beyond
+    # its own Krylov basis
     rng = np.random.default_rng(3)
     m = kron_model(4, {1: np.diag([0.3, 0.5, 0.7, 0.4]) + 0.01 * rng.standard_normal((4, 4)),
                        2: 0.02 / 4 * rng.standard_normal((4, 16))})
     grid = make_lambda_grid(S, 0.5, 0.1, 32)
     states, qcms = run_lifted(S, m, [0.85, 0.8, 0.9, 0.75], grid, CarlemanBasis(N=5, d=4, mode="kron"))
     step_bytes = sum(q.A.rows.nbytes for q in qcms)
+    x = np.concatenate([st.y for st in states])
     peaks = {}
     tracemalloc.start()
     try:
         system = assemble_global_dpm(qcms, states[0].y)
         peaks["assemble"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        system.mat @ x  # the first product also groups the blocks into runs
+        peaks["product"] = tracemalloc.get_traced_memory()[1]
         for name, solver in (("forward", forward_substitute), ("gmres", gmres_solve)):
             tracemalloc.reset_peak()
             solver(system)
@@ -91,6 +96,7 @@ def test_trajectory_solves_allocate_far_less_than_the_step_matrices():
         tracemalloc.stop()
     krylov_bytes = 8 * (system.n_blocks + 2) * system.dim  # restart + 1 basis vectors
     assert peaks["assemble"] < step_bytes // 10
+    assert peaks["product"] < step_bytes // 10
     assert peaks["forward"] < step_bytes // 10
     assert peaks["gmres"] - krylov_bytes < step_bytes // 10
 
@@ -126,28 +132,92 @@ def test_gmres_unreachable_tolerance_raises():
 
 
 def test_gmres_stops_after_a_cycle_that_does_not_lower_the_residual():
-    # the first cycle leaves a residual near 1e-14, the second 1.1e-15 and
-    # the third does not go lower; the solve ends there, far short of the
-    # 20 000-iteration budget.  The cycles are replayed with SciPy's GMRES,
-    # at most three of them, to tie the count and the residual to the rule
+    # the first cycle leaves a residual near 1e-14, the second 7.1e-16 and
+    # the third, which breaks down after 10 steps, does not go lower; the
+    # solve ends there, far short of the 20 000-iteration budget.  The
+    # cycles are replayed with the solver's own cycle, at most three of
+    # them, to tie the count and the residual to the rule
     m = scalar_model({(0, 0): 0.2, (1, 0): -0.6, (2, 1): 0.05})
     grid = make_lambda_grid(S, 0.8, 0.1, 10)
     states, qcms = run_lifted(S, m, [0.1], grid, CarlemanBasis(N=2, d=1))
     system = assemble_global_dpm(qcms, states[0].y)
     restart = system.n_blocks + 1
-    x, history = None, []  # the residual after each restart cycle
+    bnorm = np.linalg.norm(system.rhs)
+    x, r, history, steps = np.zeros(system.dim), system.rhs, [], []  # per restart cycle
     for _ in range(3):
-        x, _ = scipy_gmres(system.mat, system.rhs, x0=x, rtol=1e-30, atol=0.0, restart=restart,
-                           maxiter=1)
-        res = np.linalg.norm(system.mat @ x - system.rhs) / max(np.linalg.norm(system.rhs), 1.0)
-        history.append(float(res))
+        dx, taken = solve._gmres_cycle(system.mat.matvec, r, restart, 1e-30 * bnorm)
+        x += dx
+        r = system.rhs - system.mat @ x
+        history.append(float(np.linalg.norm(r) / max(bnorm, 1.0)))
+        steps.append(taken)
         if len(history) > 1 and history[-1] >= min(history[:-1]):
             break
     with pytest.raises(ConvergenceError) as exc:
         gmres_solve(system, tol=1e-30)
     assert exc.value.iterations <= 3 * restart
-    assert exc.value.iterations == len(history) * restart
+    assert exc.value.iterations == sum(steps)
     assert exc.value.residual == min(history) < 10 * np.finfo(float).eps
+
+
+def scipy_gmres_cycles(system, tol: float):
+    """The restarted solve on SciPy's GMRES, one cycle per call, with the
+    rules of gmres_solve: (solution, relative residual, iterations)."""
+    mat, rhs = system.mat, system.rhs
+    restart = min(system.n_blocks + 1, mat.shape[0])
+    calls = []
+    x, best = None, np.inf
+    while True:
+        x, info = scipy_gmres(mat, rhs, x0=x, rtol=tol, atol=0.0, restart=restart, maxiter=1,
+                              callback=calls.append, callback_type="pr_norm")
+        res = float(np.linalg.norm(mat @ x - rhs) / max(np.linalg.norm(rhs), 1.0))
+        if (info == 0 and res <= tol) or not res < best:
+            return x, min(res, best), len(calls)
+        best = res
+
+
+def kron_chain(M: int, d: int = 2, N: int = 1, k: int = 1, window=(1.0, 0.05), seed: int = 0):
+    """A derivative-scheme system of a seeded kron model with a near-diagonal
+    linear and a small quadratic part, as the benchmark draws them."""
+    rng = np.random.default_rng(seed)
+    m = kron_model(d, {1: np.diag(np.linspace(0.3, 0.7, d)) + 0.01 * rng.normal(size=(d, d)),
+                       2: 0.02 / d * rng.normal(size=(d, d * d))})
+    grid = make_lambda_grid(S, *window, M)
+    states, qcms = run_lifted(S, m, 0.8 + 0.1 * rng.uniform(size=d), grid,
+                              CarlemanBasis(N=N, d=d), scheme="dpm", order=k)
+    return assemble_global_dpm(qcms, states[0].y)
+
+
+def test_gmres_max_iter_caps_the_arnoldi_steps():
+    # one cycle of the M=64 system needs 65 steps; a budget of 10 cuts it
+    system = kron_chain(64)
+    for budget in (1, 10, 64):
+        with pytest.raises(ConvergenceError) as exc:
+            gmres_solve(system, max_iter=budget)
+        assert exc.value.iterations == budget
+    assert gmres_solve(system, max_iter=65).iterations == 65
+    with pytest.raises(ValueError):
+        gmres_solve(system, max_iter=0)
+
+
+@pytest.mark.parametrize("case", ["sweep_M64", "lift_A", "lift_B", "quadratic"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gmres_takes_scipys_iterations_at_the_same_restart(case, seed):
+    # the benchmark's GMRES shapes (d, N, M, k) and the scalar quadratic
+    system = {
+        "sweep_M64": lambda: kron_chain(64, seed=seed),
+        "lift_A": lambda: kron_chain(32, d=4, N=4, k=2, window=(0.5, 0.1), seed=seed),
+        "lift_B": lambda: kron_chain(16, d=4, N=5, window=(0.5, 0.1), seed=seed),
+        "quadratic": lambda: quadratic_system(M=6 + seed)[0],
+    }[case]()
+    direct = forward_substitute(system).solution
+    scale = max(1.0, float(np.abs(direct).max()))
+    for tol in (1e-10, 1e-12):
+        ours = gmres_solve(system, tol=tol)
+        x, res, iterations = scipy_gmres_cycles(system, tol)
+        assert ours.iterations == iterations
+        assert ours.residual <= tol and res <= tol
+        assert np.abs(ours.solution - direct).max() <= 1e-10 * scale
+        assert np.abs(x - direct).max() <= 1e-10 * scale
 
 
 CONST_A = np.array([[2.0, 1.0], [1.0, 3.0]])

@@ -7,9 +7,13 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carlift import carleman
 from carlift.carleman import CarlemanBasis, Qcm, UnipcQcmSet, lift, run_lifted
@@ -24,9 +28,11 @@ from carlift.system import (
     condition_number,
     export_matrix,
 )
-from oracles import import_matrix
+from carlift.solve import forward_substitute
+from oracles import import_matrix, walk_matvec
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
+PRODUCT = settings(max_examples=25, deadline=None)
 QUAD = scalar_model({(0, 0): 0.1, (1, 0): -0.5, (2, 0): 0.1})
 
 
@@ -267,3 +273,92 @@ def test_assembly_dimension_mismatch():
     basis, _, _, qcms = lifted_setup(M=3)
     with pytest.raises(ValueError):
         assemble_global_dpm(qcms, np.ones(basis.dim_total + 1))
+
+
+def random_kron_model(rng, d: int):
+    """A kron model with a constant, a near-diagonal linear and a small
+    quadratic part, as the benchmark draws them."""
+    return kron_model(d, {0: 0.1 * rng.normal(size=(d, 1)),
+                          1: np.diag(np.linspace(0.3, 0.7, d)) + 0.01 * rng.normal(size=(d, d)),
+                          2: 0.02 / d * rng.normal(size=(d, d * d))})
+
+
+def assert_product_keeps_the_walk_bits(system, rng):
+    """mat @ x, and the residual forward_substitute reports, are the bits
+    of the row-by-row walk."""
+    mat = system.mat
+    for x in (rng.normal(size=system.dim), np.exp(rng.uniform(-30.0, 30.0, system.dim))):
+        assert np.array_equal(mat @ x, walk_matvec(mat, x))
+    fwd = forward_substitute(system)
+    walk = walk_matvec(mat, fwd.solution) - system.rhs
+    assert fwd.residual == float(np.linalg.norm(walk) / max(np.linalg.norm(system.rhs), 1.0))
+
+
+@PRODUCT
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 2), N=st.integers(1, 3),
+       M=st.integers(1, 8), k=st.integers(1, 3), chunk_bytes=st.sampled_from([1, 4096, None]))
+def test_batched_product_keeps_the_walk_bits_on_dpm_chains(seed, d, N, M, k, chunk_bytes):
+    # a small LIFT_CHUNK_BYTES lifts every step in a chunk of its own; the
+    # steps still share one array, so the chain is one run
+    rng = np.random.default_rng(seed)
+    grid = make_lambda_grid(S, 0.6, 0.1, M)
+    cap = carleman.LIFT_CHUNK_BYTES if chunk_bytes is None else chunk_bytes
+    with mock.patch.object(carleman, "LIFT_CHUNK_BYTES", cap):
+        states, qcms = run_lifted(S, random_kron_model(rng, d), 0.8 + 0.1 * rng.uniform(size=d),
+                                  grid, CarlemanBasis(N=N, d=d), scheme="dpm", order=k)
+    system = assemble_global_dpm(qcms, states[0].y)
+    assert len(system.mat._runs) == 1
+    assert_product_keeps_the_walk_bits(system, rng)
+
+
+@PRODUCT
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), p=st.integers(1, 3),
+       extra=st.integers(0, 5), which=st.sampled_from(["predictor", "corrector"]))
+def test_batched_product_keeps_the_walk_bits_on_unipc_systems(seed, d, p, extra, which):
+    rng = np.random.default_rng(seed)
+    N = 2 if d == 3 else 3
+    grid = make_lambda_grid(S, 0.6, 0.1, p + extra)
+    states, qcms = run_lifted(S, random_kron_model(rng, d), 0.8 + 0.1 * rng.uniform(size=d),
+                              grid, CarlemanBasis(N=N, d=d), scheme="unipc", order=p,
+                              corrector=which == "corrector")
+    warm = [q for q in qcms if not isinstance(q, UnipcQcmSet)]
+    steps = [q for q in qcms if isinstance(q, UnipcQcmSet)]
+    system = assemble_global_unipc(warm, steps, states[0].y, which=which)
+    assert_product_keeps_the_walk_bits(system, rng)
+
+
+@PRODUCT
+@given(data=st.data(), D=st.integers(1, 4), n_blocks=st.integers(2, 9))
+def test_batched_product_keeps_the_walk_bits_on_hand_built_operators(data, D, n_blocks):
+    """Couplings at lags 1-3 with mixed plus_eye, whose blocks are slices
+    of one stack (in order, so rows at one slot and lag form runs, or
+    reversed), of a wider array, transposed, or arrays of their own.
+    Rows follow one layout of couplings, but for up to two that draw their
+    own."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    r = data.draw(st.integers(1, D))  # leading rows held by a block
+    stack = rng.normal(size=(3 * n_blocks, r, D))
+    wide = rng.normal(size=(n_blocks, r, D + 2))
+    square = rng.normal(size=(n_blocks, D, D))
+    pick = {
+        "stack": lambda i, k: stack[k * n_blocks + i],
+        "reversed": lambda i, k: stack[::-1][k * n_blocks + i],
+        "wide": lambda i, k: wide[i, :, :D],
+        "transposed": lambda i, k: square[i].T,
+        "own": lambda i, k: rng.normal(size=(r, D)),
+    }
+    def couplings(max_lag, min_size=0):  # (lag, kind, plus_eye), lags distinct
+        return st.lists(st.tuples(st.integers(1, max_lag), st.sampled_from(list(pick)),
+                                  st.booleans()), min_size=min_size, max_size=3,
+                        unique_by=lambda t: t[0])
+
+    layout = data.draw(couplings(3, min_size=1))
+    own = data.draw(st.sets(st.integers(1, n_blocks - 1), max_size=2))  # rows off the layout
+    rows = [[]]
+    for i in range(1, n_blocks):
+        row = data.draw(couplings(min(3, i))) if i in own else [t for t in layout if t[0] <= i]
+        rows.append([(i - lag, carleman.StepMatrix(pick[kind](i, k)), plus_eye)
+                     for k, (lag, kind, plus_eye) in enumerate(sorted(row, reverse=True))])
+    mat = TrajectoryOperator(D, rows)
+    rhs = rng.normal(size=mat.shape[0])
+    assert_product_keeps_the_walk_bits(BlockLinearSystem(mat=mat, rhs=rhs, scheme="dpm"), rng)
