@@ -34,9 +34,9 @@ coefficient blocks stacked along a leading step axis, built from the
 weight tables and eps and its derivatives tabulated over the grid.
 They are lifted in chunks sliced along that axis into one dense
 (M, dim_total, dim_total) array, each step's slice kept as its
-:class:`StepMatrix`.  :func:`run_lifted` lifts
-all of a trajectory's steps on the calling thread, then walks the
-states.
+:class:`StepMatrix`.  :func:`lift_steps` lifts all of a run's steps on
+the calling thread; :func:`run_lifted` reads the states off the forward
+solve of their trajectory system, the package's one lifted walk.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import system
 from .errors import CapacityError
 from .model import PolyNoiseModel, _derivative_tower, _monomials, _monomials_at
 from .reference import dpm_weights, uni_weights
@@ -62,7 +63,7 @@ __all__ = [
     "step_polynomials_dpm",
     "assemble_dpm_qcms",
     "assemble_unipc_qcms",
-    "step_lifted",
+    "lift_steps",
     "run_lifted",
 ]
 
@@ -317,7 +318,10 @@ class UnipcQcmSet:
     from exactly lifted history, but its higher blocks are not, and
     corr_target reads them on a nonlinear model: the corrector's block
     row 1 is exact only when it is applied to the exact lift of the
-    predictor output, not to Y_i^pred itself.
+    predictor output, not to Y_i^pred itself.  The corrector system of
+    :func:`carlift.system.assemble_global_unipc` folds the two maps into
+    corr_mats[m] + corr_target pred_mats[m] and so closes over corrected
+    states; its forward solve is the lifted walk.
     """
 
     i: int
@@ -364,7 +368,9 @@ def assemble_unipc_qcms(
     table over the grid.  The anchor row of a step carries c[0] E at the
     anchor and every node's constant term; its 2K maps are lifted
     together by :func:`_poly_to_update`.  Each other node's term is a
-    block-row-1 matrix, all of them from the one eps table.
+    block-row-1 matrix, all of them from the one eps table and written
+    slot by slot, so that a slot's matrices over the steps are
+    consecutive slices of one array, as the anchor matrices are.
     """
     _check_model_basis(m, basis)
     (eps,) = _derivative_tower(s, m, 1, grid.lam)
@@ -379,76 +385,41 @@ def assemble_unipc_qcms(
     terms = [(c[:, 0], {q: B[nodes[:, 0]] for q, B in E.items()})]
     terms += [(c[:, mm], {0: E[0][nodes[:, mm]]}) for mm in range(1, p + 1) if 0 in E]
     steps = _poly_to_update(_step_maps(np.concatenate([pred_ratio, corr_ratio]), terms, m.d), basis)
-    used = (slot > 0) & (slot < p + (np.arange(2 * K) >= K)[:, None])  # block-row-1 slots
-    blocks = iter(_block1(E, nodes[used], c[used], basis))
-    mats = [[U] + [next(blocks) for _ in range(used[n].sum())] for n, (U, _) in enumerate(steps)]
+    # slot by slot, every step's interior nodes 1..p-1, then the correctors' targets
+    slots = [_block1(E, nodes[:, mm], c[:, mm], basis) for mm in range(1, p)]
+    targets = _block1(E, nodes[K:, p], c[K:, p], basis)
+    mats = [[U] + [blocks[n] for blocks in slots] for n, (U, _) in enumerate(steps)]
     return [UnipcQcmSet(i=i, p=p, anchor=i - p, pred_mats=mats[n], pred_b=steps[n][1],
-                        corr_mats=mats[K + n][:-1], corr_target=mats[K + n][-1],
-                        corr_b=steps[K + n][1])
+                        corr_mats=mats[K + n], corr_target=targets[n], corr_b=steps[K + n][1])
             for n, i in enumerate(range(p, grid.M + 1))]
 
 
-def step_lifted(q, states, corrector: bool = False) -> np.ndarray:
-    """Advance lifted state vector(s) through one quantized step.
-
-    For a :class:`Qcm`, ``states`` is the single lifted vector at the
-    previous node.  For a :class:`UnipcQcmSet`, ``states`` is the list
-    of p lifted vectors at nodes anchor..anchor+p-1; with
-    ``corrector=True`` the predictor output is formed internally and
-    the corrected state returned.  That corrected state is not block-1
-    exact on a nonlinear model even from exactly lifted history: the
-    corrector then reads the predictor output's truncated higher blocks
-    (see :class:`UnipcQcmSet`).
-    """
-    if isinstance(q, Qcm):
-        return states + q.A @ states + q.b
-    if isinstance(q, UnipcQcmSet):
-        if len(states) != q.p:
-            raise ValueError(f"need {q.p} history states, got {len(states)}")
-        y_pred = q.pred_b.copy()
-        for mat, y in zip(q.pred_mats, states):
-            y_pred += mat @ y
-        if not corrector:
-            return y_pred
-        y_corr = q.corr_b + q.corr_target @ y_pred
-        for mat, y in zip(q.corr_mats, states):
-            y_corr += mat @ y
-        return y_corr
-    raise TypeError(f"unsupported step object {type(q)!r}")
+def lift_steps(s: NoiseSchedule, m: PolyNoiseModel, grid: TimeGrid, basis: CarlemanBasis,
+               scheme: str, order: int, variant: str = "bh2") -> list:
+    """The lifted steps of a run over ``grid``: ``scheme`` "dpm" is the
+    order-k chain of :func:`assemble_dpm_qcms`; "unipc" warms up with
+    order-p steps of the derivative scheme to node p - 1, as the
+    sequential sampler does, then takes the unified steps of
+    :func:`assemble_unipc_qcms`."""
+    if scheme == "dpm":
+        return assemble_dpm_qcms(s, m, grid.lam, order, basis)
+    if scheme == "unipc":
+        return (assemble_dpm_qcms(s, m, grid.lam[:order], order, basis)
+                + assemble_unipc_qcms(s, m, grid, order, basis, variant=variant))
+    raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def run_lifted(
-    s: NoiseSchedule,
-    m: PolyNoiseModel,
-    x_T,
-    grid: TimeGrid,
-    basis: CarlemanBasis,
-    scheme: str = "dpm",
-    order: int = 1,
-    variant: str = "bh2",
-    corrector: bool = False,
-):
+def run_lifted(s: NoiseSchedule, m: PolyNoiseModel, x_T, grid: TimeGrid, basis: CarlemanBasis,
+               scheme: str = "dpm", order: int = 1, corrector: bool = False):
     """Drive a whole lifted trajectory; returns (states, step objects).
 
-    ``scheme`` is "dpm" or "unipc"; ``order`` is k or p.  The unipc
-    path warms up with order-p lifted steps of the derivative scheme,
-    matching the sequential sampler, and feeds corrected states back
-    into the history when ``corrector`` is set.
-
-    Every step depends only on the grid and the model: the steps are
-    lifted first, together, and the states are walked after them.
+    ``scheme`` is "dpm" or "unipc"; ``order`` is k or p.  The steps of
+    :func:`lift_steps` are assembled into the run's trajectory system,
+    over corrected unified states when ``corrector`` is set
+    (:func:`carlift.system.assemble_trajectory`), and the states are the
+    blocks of its forward solve from the exact lift of x_T.
     """
-    _check_model_basis(m, basis)
-    Y0 = lift(x_T, basis)
-    if scheme == "dpm":
-        qcms = assemble_dpm_qcms(s, m, grid.lam, order, basis)
-    elif scheme == "unipc":
-        qcms = assemble_dpm_qcms(s, m, grid.lam[:order], order, basis)
-        qcms += assemble_unipc_qcms(s, m, grid, order, basis, variant=variant)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    states = [Y0.y]
-    for i, q in enumerate(qcms, start=1):
-        history = states[i - q.p : i] if isinstance(q, UnipcQcmSet) else states[-1]
-        states.append(step_lifted(q, history, corrector=corrector))
-    return [LiftedState(basis=basis, y=y) for y in states], qcms
+    qcms = lift_steps(s, m, grid, basis, scheme, order)
+    traj = system.assemble_trajectory(qcms, lift(x_T, basis).y, scheme, corrector)
+    Y = traj.mat.solve(traj.rhs).reshape(traj.n_blocks, traj.block_dim)
+    return [LiftedState(basis=basis, y=y) for y in Y], qcms

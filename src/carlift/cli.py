@@ -45,7 +45,7 @@ from scipy.linalg import expm
 import jsonschema
 
 from . import __version__
-from .carleman import CarlemanBasis, UnipcQcmSet, run_lifted
+from .carleman import CarlemanBasis, LiftedState, lift, lift_steps
 from .diagnostics import dissipativity_P, spectrum_trace
 from .errors import CapacityError, ConvergenceError, StructureError
 from .model import PolyNoiseModel, kron_model, separable_model
@@ -55,7 +55,7 @@ from .readout import recover_sparse
 from .reference import SolverRun, rk4_oracle, run_scheme
 from .schedule import make_lambda_grid, make_vp_schedule
 from .solve import LchsConfig, forward_substitute, gmres_solve, lchs_solve
-from .system import assemble_global_dpm, assemble_global_unipc, condition_number, export_matrix
+from .system import assemble_trajectory, condition_number, export_matrix
 
 # the config paths each command needs beyond the defaults; a sweep also
 # needs what its point command needs
@@ -426,40 +426,30 @@ def _carleman_oracle(cfg: dict) -> np.ndarray:
 
 
 def cmd_carleman(cfg: dict, oracles: dict | None = None) -> tuple[int, dict]:
-    """Lift, assemble and solve the trajectory, and measure its endpoint
-    against :func:`_carleman_oracle`.  A sweep hands every point the same
-    ``oracles`` dict, keyed on :func:`_oracle_key`, so points that share a
-    window run its reference once."""
+    """Lift and assemble the trajectory system, solve it, and measure its
+    endpoint against :func:`_carleman_oracle`.  The system is solved
+    forward once: ``equivalence`` is the solution's largest gap from that
+    forward solution, and ``defect`` is the consistency defect of its last
+    block.  A sweep hands every point the same ``oracles`` dict, keyed on
+    :func:`_oracle_key`, so points that share a window run its reference
+    once."""
     m = build_model(cfg)
     s, grid, x_T = build_window(cfg, m)
     car = cfg["carleman"]
     basis = CarlemanBasis(N=car["N"], d=m.d)
-    states, qcms = run_lifted(
-        s, m, x_T, grid, basis,
-        scheme=car["scheme"], order=car["order"],
-        variant=car["variant"], corrector=car["which"] == "corrector",
-    )
-    if car["scheme"] == "dpm":
-        system = assemble_global_dpm(qcms, states[0].y)
-    else:
-        warm = [q for q in qcms if not isinstance(q, UnipcQcmSet)]
-        steps = [q for q in qcms if isinstance(q, UnipcQcmSet)]
-        system = assemble_global_unipc(warm, steps, states[0].y, which=car["which"])
-    if car["solver"] == "forward":
-        sol = forward_substitute(system)
-    else:
-        sol = gmres_solve(system, tol=car["gmres_tol"])
-    blocks = sol.solution.reshape(system.n_blocks, system.block_dim)
-    b1 = basis.block_slice(1)
-    traj = blocks[:, b1]
+    qcms = lift_steps(s, m, grid, basis, car["scheme"], car["order"], car["variant"])
+    system = assemble_trajectory(qcms, lift(x_T, basis).y, car["scheme"], car["which"] == "corrector")
+    forward = forward_substitute(system)
+    sol = forward if car["solver"] == "forward" else gmres_solve(system, tol=car["gmres_tol"])
+    traj = sol.solution.reshape(system.n_blocks, system.block_dim)[:, basis.block_slice(1)]
 
-    equivalence = float(np.max(np.abs(sol.solution - np.concatenate([st.y for st in states]))))
+    equivalence = float(np.max(np.abs(sol.solution - forward.solution)))
     oracles = {} if oracles is None else oracles
     key = _oracle_key(cfg)
     if key not in oracles:
         oracles[key] = _carleman_oracle(cfg)
     error = float(np.linalg.norm(traj[-1] - oracles[key]))
-    defect = states[-1].consistency_defect()
+    defect = LiftedState(basis, forward.solution[-basis.dim_total :]).consistency_defect()
 
     outputs = {}
     kappa = math.nan

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carleman import CarlemanBasis, run_lifted
+from .carleman import CarlemanBasis, LiftedState, lift, lift_steps
 from .model import PolyNoiseModel, drift_eigenvalues
 from .reference import SolverRun, rk4_oracle, run_scheme
 from .schedule import NoiseSchedule, TimeGrid, make_lambda_grid
-from .system import assemble_global_dpm, condition_number
+from .system import assemble_trajectory, condition_number
 
 __all__ = [
     "SpectrumTrace",
@@ -98,6 +98,8 @@ def truncation_sweep(
     oracle endpoint; the defect is || y_2 - lift(y_1)_2 || at the endpoint
     (``LiftedState.consistency_defect``, symmetric-monomial basis; zero on
     exactly lifted states, NaN at N = 1 where there is no second block).
+    Each N's trajectory system is assembled once and solved forward once;
+    the endpoint is its last block, and kappa is that system's.
     """
     oracle = rk4_oracle(
         s, m, x_T, substeps=oracle_substeps, times=(float(grid.t[0]), float(grid.t[-1])),
@@ -105,13 +107,12 @@ def truncation_sweep(
     rows = []
     for N in N_list:
         basis = CarlemanBasis(N=N, d=m.d)
-        states, qcms = run_lifted(s, m, x_T, grid, basis, scheme="dpm", order=k)
-        err = float(np.linalg.norm(states[-1].block(1) - oracle))
-        defect = states[-1].consistency_defect() if N >= 2 else float("nan")
-        kappa = float("nan")
-        if with_kappa:
-            system = assemble_global_dpm(qcms, states[0].y)
-            kappa = condition_number(system).kappa
+        system = assemble_trajectory(lift_steps(s, m, grid, basis, "dpm", k), lift(x_T, basis).y,
+                                     "dpm", False)
+        end = LiftedState(basis, system.mat.solve(system.rhs)[-basis.dim_total :])
+        err = float(np.linalg.norm(end.block(1) - oracle))
+        defect = end.consistency_defect() if N >= 2 else float("nan")
+        kappa = condition_number(system).kappa if with_kappa else float("nan")
         rows.append(TruncationRow(N=N, error=err, defect=defect, kappa=kappa))
     return rows
 

@@ -3,7 +3,8 @@
 The global trajectory systems are block unit lower triangular and kept
 as their per-step blocks (:class:`carlift.system.TrajectoryOperator`),
 dense row arrays, so a forward walk of one BLAS matrix-vector product
-per block solves them directly.  GMRES, the iterative reference point
+per block solves them directly; that walk is the lifted trajectory
+itself.  GMRES, the iterative reference point
 for conditioning experiments, applies the same operator, one batched
 product per run of blocks, in a restarted cycle of its own: classical
 Gram-Schmidt on the whole Krylov basis in two BLAS calls per step,
@@ -65,10 +66,10 @@ def forward_substitute(system) -> SolveResult:
     ``system.mat`` is a :class:`carlift.system.TrajectoryOperator`: its
     diagonal blocks are the identity and its couplings lie strictly
     below them by construction, so the sweep is a walk over the per-step
-    blocks.  On a derivative-scheme system it evaluates y + A y + b like
-    the lifted walk and reproduces that walk exactly.  The reported
-    residual ||M x - b|| / max(||b||, 1) is recomputed by a block walk
-    after the sweep.
+    blocks, :meth:`carlift.system.TrajectoryOperator.solve`, the walk whose
+    blocks :func:`carlift.carleman.run_lifted` returns as the lifted states.
+    The reported residual ||M x - b|| / max(||b||, 1) is recomputed by a
+    block walk after the sweep.
     """
     mat, rhs = system.mat, system.rhs
     x = mat.solve(rhs)

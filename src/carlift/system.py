@@ -16,9 +16,11 @@ rows.  The lift writes a trajectory's steps into one array, so the
 blocks of consecutive rows are consecutive slices of it: a product
 takes each such run of blocks as one batched BLAS call, and the
 forward solve walks the block rows in order, one matrix-vector call
-per block.  Both run on the calling thread.  A dense-SVD condition
-number runs its LAPACK call on one OpenBLAS thread, so its bytes do
-not depend on the CPU count.
+per block; a unified system is one run per coupling slot too.  Both
+run on the calling thread.  That forward solve is the package's one
+lifted walk: :func:`carlift.carleman.run_lifted` returns its blocks as
+a run's states.  A dense-SVD condition number runs its LAPACK call on
+one OpenBLAS thread, so its bytes do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from . import carleman
-from .carleman import Qcm, UnipcQcmSet
 from .errors import CapacityError, StructureError
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "ConditionReport",
     "assemble_global_dpm",
     "assemble_global_unipc",
+    "assemble_trajectory",
     "condition_number",
     "export_matrix",
 ]
@@ -159,11 +161,10 @@ class TrajectoryOperator(LinearOperator):
         """Forward block substitution for M Y = rhs.
 
         Y_i = rhs_i + sum_k C_k Y_{c_k}, block row by block row, with the
-        terms added in coupling order; a plus_eye term is y + B @ y.  For a
-        derivative-scheme row that is the y + A @ y + b that
-        :func:`carlift.carleman.step_lifted` evaluates, and a predictor
-        row sums like it too, so those solutions equal the sequential
-        lifted walk exactly.
+        terms added in coupling order; a plus_eye term is y + B @ y, so a
+        derivative-scheme row is the quantized update y + A @ y + b.
+        This is the lifted walk: :func:`carlift.carleman.run_lifted`
+        returns the solution's blocks as a run's states.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (self.shape[0],):
@@ -253,12 +254,12 @@ class BlockLinearSystem:
         return self.mat.block_dim
 
 
-def _delta_rows(qcms: list[Qcm]) -> list:
+def _delta_rows(qcms: list[carleman.Qcm]) -> list:
     """Block row 0, then the rows Y_i - (I + A_i) Y_{i-1} of derivative-scheme steps."""
     return [[]] + [[(i - 1, q.A, True)] for i, q in enumerate(qcms, start=1)]
 
 
-def assemble_global_dpm(qcms: list[Qcm], y0: np.ndarray) -> BlockLinearSystem:
+def assemble_global_dpm(qcms: list[carleman.Qcm], y0: np.ndarray) -> BlockLinearSystem:
     """Block bidiagonal system for a derivative-scheme trajectory.
 
     Row block 0 pins Y_0 = y0; row block i couples node i to node i-1
@@ -271,16 +272,26 @@ def assemble_global_dpm(qcms: list[Qcm], y0: np.ndarray) -> BlockLinearSystem:
     )
 
 
-def _fold(corr, target, pred) -> carleman.StepMatrix:
-    """corr + target @ pred, formed on the d rows of the block-row-1 target."""
-    rows = corr.rows.copy()
-    rows[: len(target.rows)] += target.rows[:, : len(pred.rows)] @ pred.rows
-    return carleman.StepMatrix(rows)
+def _fold(steps: list[carleman.UnipcQcmSet]) -> list[list[carleman.StepMatrix]]:
+    """Each step's corrector blocks corr + target @ pred, one per slot.  A
+    slot's blocks over all the steps are one stacked matmul on the d rows
+    of the block-row-1 targets, written into one array, so they are one
+    run of the operator."""
+    if not steps:
+        return []
+    target = np.stack([q.corr_target.rows for q in steps])
+    slots = []
+    for mm in range(steps[0].p):
+        folded = np.stack([q.corr_mats[mm].rows for q in steps])
+        pred = np.stack([q.pred_mats[mm].rows for q in steps])
+        folded[:, : target.shape[1]] += target[:, :, : pred.shape[1]] @ pred
+        slots.append(folded)
+    return [[carleman.StepMatrix(folded[n]) for folded in slots] for n in range(len(steps))]
 
 
 def assemble_global_unipc(
-    warmup: list[Qcm],
-    steps: list[UnipcQcmSet],
+    warmup: list[carleman.Qcm],
+    steps: list[carleman.UnipcQcmSet],
     y0: np.ndarray,
     which: str = "corrector",
 ) -> BlockLinearSystem:
@@ -299,21 +310,28 @@ def assemble_global_unipc(
     y0 = np.asarray(y0, dtype=float)
     rows = _delta_rows(warmup)
     rhs = [y0] + [q.b for q in warmup]
-    for qset in steps:
+    corrector = which == "corrector"
+    for qset, blocks in zip(steps, _fold(steps) if corrector else [q.pred_mats for q in steps]):
         if qset.i != len(rows):
             raise ValueError(f"step to node {qset.i} would fill block row {len(rows)}")
-        if which == "predictor":
-            blocks = qset.pred_mats
-            rhs.append(qset.pred_b)
-        else:
-            blocks = [_fold(corr, qset.corr_target, pred)
-                      for corr, pred in zip(qset.corr_mats, qset.pred_mats)]
-            rhs.append(qset.corr_b + qset.corr_target @ qset.pred_b)
         rows.append([(qset.anchor + mm, blk, False) for mm, blk in enumerate(blocks)])
+        rhs.append(qset.corr_b + qset.corr_target @ qset.pred_b if corrector else qset.pred_b)
     return BlockLinearSystem(
         mat=TrajectoryOperator(len(y0), rows), rhs=np.concatenate(rhs),
         scheme=f"unipc_{which}",
     )
+
+
+def assemble_trajectory(qcms: list, y0, scheme: str, corrector: bool) -> BlockLinearSystem:
+    """The system of a run's lifted steps, as
+    :func:`carlift.carleman.lift_steps` gives them: a "dpm" chain, or a
+    "unipc" warm-up followed by unified steps, over corrected states when
+    ``corrector`` is set and predicted ones otherwise."""
+    if scheme == "dpm":
+        return assemble_global_dpm(qcms, y0)
+    steps = [q for q in qcms if isinstance(q, carleman.UnipcQcmSet)]
+    return assemble_global_unipc(qcms[: len(qcms) - len(steps)], steps, y0,
+                                 "corrector" if corrector else "predictor")
 
 
 @dataclass

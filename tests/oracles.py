@@ -21,7 +21,7 @@ from scipy.optimize import brentq
 from scipy.special import expit
 
 from carlift import carleman
-from carlift.carleman import LiftedState, StepMatrix
+from carlift.carleman import LiftedState, Qcm, StepMatrix, UnipcQcmSet
 from carlift.model import (
     SIGMA_TAYLOR_DEGREE,
     PolyNoiseModel,
@@ -621,3 +621,44 @@ def walk_matvec(mat, x) -> np.ndarray:
             if plus_eye:
                 y[i] -= x[c]
     return y.ravel()
+
+
+def step_lifted(q, states, corrector: bool = False) -> np.ndarray:
+    """Advance lifted state vector(s) through one quantized step.
+
+    For a :class:`carlift.carleman.Qcm`, ``states`` is the single lifted
+    vector at the previous node.  For a
+    :class:`carlift.carleman.UnipcQcmSet`, ``states`` is the list of p
+    lifted vectors at nodes anchor..anchor+p-1; with ``corrector=True``
+    the predictor output is formed and the corrector applied to it, the
+    two maps left unfolded.  That corrected state is not block-1 exact on
+    a nonlinear model even from exactly lifted history: the corrector
+    then reads the predictor output's truncated higher blocks.
+    """
+    if isinstance(q, Qcm):
+        return states + q.A @ states + q.b
+    if isinstance(q, UnipcQcmSet):
+        if len(states) != q.p:
+            raise ValueError(f"need {q.p} history states, got {len(states)}")
+        y_pred = q.pred_b.copy()
+        for mat, y in zip(q.pred_mats, states):
+            y_pred += mat @ y
+        if not corrector:
+            return y_pred
+        y_corr = q.corr_b + q.corr_target @ y_pred
+        for mat, y in zip(q.corr_mats, states):
+            y_corr += mat @ y
+        return y_corr
+    raise TypeError(f"unsupported step object {type(q)!r}")
+
+
+def lifted_walk(qcms, y0, corrector: bool = False) -> np.ndarray:
+    """A run's lifted states stepped one by one from y0 by
+    :func:`step_lifted`, each unified step reading its p predecessors,
+    stacked into one (n_blocks * dim,) vector: the sequential walk that
+    the trajectory system's forward solve is checked against."""
+    states = [np.asarray(y0, dtype=float)]
+    for i, q in enumerate(qcms, start=1):
+        history = states[i - q.p : i] if isinstance(q, UnipcQcmSet) else states[-1]
+        states.append(step_lifted(q, history, corrector=corrector))
+    return np.concatenate(states)

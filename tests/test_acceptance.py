@@ -30,7 +30,7 @@ from carlift.system import (
     assemble_global_unipc,
     condition_number,
 )
-from oracles import zero_model
+from oracles import lifted_walk, zero_model
 
 
 def test_criterion_01_linear_exactness():
@@ -132,16 +132,16 @@ def test_criterion_05_global_system_equivalence():
     basis = CarlemanBasis(N=4, d=1)
     y0 = lift([bench.x_T], basis).y
 
-    states, qcms = run_lifted(s, m, [bench.x_T], grid, basis, scheme="dpm", order=1)
-    chained = np.concatenate([st.y for st in states])
+    _, qcms = run_lifted(s, m, [bench.x_T], grid, basis, scheme="dpm", order=1)
+    chained = lifted_walk(qcms, y0)
     gap_dpm = float(np.max(np.abs(
         forward_substitute(assemble_global_dpm(qcms, y0)).solution - chained
     )))
 
-    states, qcms = run_lifted(
+    _, qcms = run_lifted(
         s, m, [bench.x_T], grid, basis, scheme="unipc", order=2, corrector=True
     )
-    chained = np.concatenate([st.y for st in states])
+    chained = lifted_walk(qcms, y0, corrector=True)
     system = assemble_global_unipc(qcms[:1], qcms[1:], y0, which="corrector")
     gap_uni = float(np.max(np.abs(forward_substitute(system).solution - chained)))
 

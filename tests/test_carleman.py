@@ -17,7 +17,6 @@ from carlift.carleman import (
     assemble_unipc_qcms,
     lift,
     run_lifted,
-    step_lifted,
     step_polynomials_dpm,
 )
 from carlift.errors import CapacityError
@@ -25,6 +24,8 @@ from carlift.model import kron_model, scalar_model, separable_model
 from carlift.presets import benchmark
 from carlift.reference import rk4_oracle, run_dpm, run_unipc
 from carlift.schedule import TimeGrid, make_lambda_grid, make_vp_schedule
+from carlift.solve import forward_substitute
+from carlift.system import assemble_global_dpm, assemble_global_unipc
 from oracles import (
     KronBasis,
     compose_poly_power,
@@ -32,6 +33,7 @@ from oracles import (
     kron_poly_to_update,
     monomials,
     stacked,
+    step_lifted,
     symmetric_embedding,
 )
 
@@ -284,6 +286,28 @@ def test_lifted_unipc_matches_sequential_on_linear_model():
         assert all(isinstance(q, UnipcQcmSet) for q in qcms[1:])
         for st, pt in zip(states, ref.states):
             assert np.allclose(st.block(1), pt.x, atol=1e-12)
+
+
+@pytest.mark.parametrize("scheme, order, corrector", [("dpm", k, False) for k in (1, 2, 3)] + [
+    ("unipc", p, corrector) for p in (1, 2, 3) for corrector in (False, True)])
+def test_run_lifted_states_are_the_forward_solve_of_the_assembled_system(scheme, order, corrector):
+    # one lifted walk: the states are the blocks of the trajectory system's
+    # forward solve bit for bit, the corrector's included, whose folded rows
+    # a separate step-by-step walk would round differently
+    rng = np.random.default_rng(order)
+    m = kron_model(2, {0: 0.05 * rng.normal(size=(2, 2, 1)), 1: np.diag([0.3, 0.6]),
+                       2: 0.1 * rng.normal(size=(2, 2, 4))})
+    basis = CarlemanBasis(N=3, d=2)
+    x_T = [0.8, -0.5]
+    states, qcms = run_lifted(S, m, x_T, make_lambda_grid(S, 0.5, 0.1, 12), basis, scheme=scheme,
+                              order=order, corrector=corrector)
+    y0 = lift(x_T, basis).y
+    if scheme == "dpm":
+        system = assemble_global_dpm(qcms, y0)
+    else:
+        which = "corrector" if corrector else "predictor"
+        system = assemble_global_unipc(qcms[: order - 1], qcms[order - 1 :], y0, which=which)
+    assert np.array_equal(np.concatenate([st.y for st in states]), forward_substitute(system).solution)
 
 
 def test_lifted_unipc_step_matches_sampler_on_quadratic_model():

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from carlift import carleman, cli
+from carlift.system import TrajectoryOperator
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -544,6 +545,24 @@ def test_carleman_sweep_point_matches_single_run(tmp_path, workers):
         assert ",".join(wrow[2:]) == ",".join(srows[0])
 
 
+@pytest.mark.parametrize("solver", ["forward", "gmres"])
+@pytest.mark.parametrize("scheme", ["dpm", "unipc"])
+def test_carleman_point_solves_its_system_forward_once(tmp_path, monkeypatch, scheme, solver):
+    # one lifted walk per point: the forward solve of its trajectory system
+    calls = []
+
+    def counted(self, rhs):
+        calls.append(self.n_blocks)
+        return solve(self, rhs)
+
+    solve = TrajectoryOperator.solve
+    monkeypatch.setattr(TrajectoryOperator, "solve", counted)
+    cfg = {**KRON_UNIPC_CFG, "carleman": {"scheme": scheme, "order": 2, "solver": solver},
+           "sweep": {"command": "carleman", "parameter": "carleman.N", "values": [1, 2, 3]}}
+    assert run(tmp_path, "sweep", cfg)[0] == 0
+    assert calls == [KRON_UNIPC_CFG["window"]["M"] + 1] * 3
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_carleman_sweep_runs_one_oracle_per_distinct_window(tmp_path, monkeypatch, workers):
     # the points run in this process, so the patched oracle sees every call
@@ -618,7 +637,7 @@ def test_sweep_checks_point_inputs_before_any_point_runs(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(cli, "run_scheme", refuse)
     monkeypatch.setattr(cli, "lchs_solve", refuse)
-    monkeypatch.setattr(cli, "run_lifted", refuse)
+    monkeypatch.setattr(cli, "lift_steps", refuse)
     code, _ = run(tmp_path, "sweep", cfg)
     assert code == 2
     assert capsys.readouterr().err.startswith(message)

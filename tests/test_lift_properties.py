@@ -50,6 +50,7 @@ from oracles import (
     fold,
     fold_blocks,
     kron_tower,
+    lifted_walk,
     one_step_poly_to_update,
     one_step_polynomial_dpm,
     separable_tower,
@@ -166,13 +167,16 @@ def lifted(seed, d, N, M, scheme, order, corrector):
 
 
 def assembled(seed, d, N, M, scheme, order, which="corrector"):
-    """Lifted states and global system of a random kron trajectory."""
-    states, qcms = lifted(seed, d, N, M, scheme, order, scheme == "unipc" and which == "corrector")
+    """The sequential lifted walk (:func:`oracles.lifted_walk`) and the
+    global system of a random kron trajectory."""
+    corrector = scheme == "unipc" and which == "corrector"
+    states, qcms = lifted(seed, d, N, M, scheme, order, corrector)
+    walk = lifted_walk(qcms, states[0].y, corrector)
     if scheme == "dpm":
-        return states, assemble_global_dpm(qcms, states[0].y)
+        return walk, assemble_global_dpm(qcms, states[0].y)
     warm = [q for q in qcms if not isinstance(q, UnipcQcmSet)]
     steps = [q for q in qcms if isinstance(q, UnipcQcmSet)]
-    return states, assemble_global_unipc(warm, steps, states[0].y, which=which)
+    return walk, assemble_global_unipc(warm, steps, states[0].y, which=which)
 
 
 def assert_same_csr(a, b):
@@ -503,10 +507,9 @@ def test_direct_unipc_assembly_matches_bmat(seed, d, N, M, p, which):
 )
 def test_forward_substitute_matches_sequential_walk(seed, d, N, M, scheme):
     if scheme.startswith("dpm"):
-        states, system = assembled(seed, d, N, M, "dpm", int(scheme[-1]))
+        seq, system = assembled(seed, d, N, M, "dpm", int(scheme[-1]))
     else:
-        states, system = assembled(seed, d, N, M, "unipc", 2, scheme.split("_")[1])
-    seq = np.concatenate([s.y for s in states])
+        seq, system = assembled(seed, d, N, M, "unipc", 2, scheme.split("_")[1])
     result = forward_substitute(system)
     scale = max(1.0, float(np.abs(seq).max()))
     assert np.max(np.abs(result.solution - seq)) <= 1e-12 * scale
@@ -586,10 +589,10 @@ def test_csr_build_holds_the_priced_arrays_and_one_block_row(scheme):
 )
 def test_forward_substitute_is_the_lifted_walk(seed, d, N, M, scheme):
     # derivative-scheme and predictor rows are solved with the very sums
-    # step_lifted evaluates, so the solution is the walk bit for bit
-    states, system = assembled(seed, d, N, M, *scheme, which="predictor")
+    # oracles.step_lifted evaluates, so the solution is the walk bit for bit
+    walk, system = assembled(seed, d, N, M, *scheme, which="predictor")
     result = forward_substitute(system)
-    assert np.array_equal(result.solution, np.concatenate([s.y for s in states]))
+    assert np.array_equal(result.solution, walk)
 
 
 def blockwise_csr(mat):

@@ -324,6 +324,8 @@ def test_batched_product_keeps_the_walk_bits_on_unipc_systems(seed, d, p, extra,
     warm = [q for q in qcms if not isinstance(q, UnipcQcmSet)]
     steps = [q for q in qcms if isinstance(q, UnipcQcmSet)]
     system = assemble_global_unipc(warm, steps, states[0].y, which=which)
+    # the warm-up chain, then one run per coupling slot of the unified rows
+    assert len(system.mat._runs) == (p > 1) + p
     assert_product_keeps_the_walk_bits(system, rng)
 
 
