@@ -34,9 +34,10 @@ coefficient blocks stacked along a leading step axis, built from the
 weight tables and eps and its derivatives tabulated over the grid.
 They are lifted in chunks sliced along that axis into one dense
 (M, dim_total, dim_total) array, each step's slice kept as its
-:class:`StepMatrix`.  :func:`lift_steps` lifts all of a run's steps on
-the calling thread; :func:`run_lifted` reads the states off the forward
-solve of their trajectory system, the package's one lifted walk.
+:class:`StepMatrix`.  :func:`lift_run`, the one dispatch on a scheme's
+layout, prices, lifts and assembles a run on the calling thread;
+:func:`run_lifted` reads the states off the forward solve of its
+trajectory system, the package's one lifted walk.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ __all__ = [
     "step_polynomials_dpm",
     "assemble_dpm_qcms",
     "assemble_unipc_qcms",
-    "lift_steps",
+    "lift_run",
     "run_lifted",
 ]
 
@@ -290,11 +291,7 @@ def assemble_dpm_qcms(s: NoiseSchedule, m: PolyNoiseModel, lams: np.ndarray, k: 
 
 
 def _check_model_basis(m: PolyNoiseModel, basis: CarlemanBasis) -> None:
-    """Refuse a mismatched model, or a step lift whose dense buffer would
-    exceed MAX_STEP_BYTES."""
-    step_bytes = 8 * basis.dim_total**2  # the dense (dim_total x dim_total) buffer
-    if step_bytes > MAX_STEP_BYTES:
-        raise CapacityError(f"step lift needs {step_bytes} bytes, above {MAX_STEP_BYTES}")
+    """Refuse a model the basis cannot lift."""
     if m.d != basis.d:
         raise ValueError(f"model dimension {m.d} != basis dimension {basis.d}")
     if m.mode == "separable" and m.d > 1:
@@ -394,32 +391,40 @@ def assemble_unipc_qcms(
             for n, i in enumerate(range(p, grid.M + 1))]
 
 
-def lift_steps(s: NoiseSchedule, m: PolyNoiseModel, grid: TimeGrid, basis: CarlemanBasis,
-               scheme: str, order: int, variant: str = "bh2") -> list:
-    """The lifted steps of a run over ``grid``: ``scheme`` "dpm" is the
-    order-k chain of :func:`assemble_dpm_qcms`; "unipc" warms up with
-    order-p steps of the derivative scheme to node p - 1, as the
-    sequential sampler does, then takes the unified steps of
-    :func:`assemble_unipc_qcms`."""
-    if scheme == "dpm":
-        return assemble_dpm_qcms(s, m, grid.lam, order, basis)
-    if scheme == "unipc":
-        return (assemble_dpm_qcms(s, m, grid.lam[:order], order, basis)
-                + assemble_unipc_qcms(s, m, grid, order, basis, variant=variant))
-    raise ValueError(f"unknown scheme {scheme!r}")
+def lift_run(s: NoiseSchedule, m: PolyNoiseModel, x_T, grid: TimeGrid, basis: CarlemanBasis,
+             scheme: str, order: int, variant: str = "bh2", corrector: bool = False):
+    """A run's trajectory system from the exact lift of x_T, and its lifted
+    steps: "dpm" is the order-k chain of :func:`assemble_dpm_qcms`; "unipc"
+    warms up with order-p steps of it to node p - 1, as the sampler does,
+    then takes the K = M - p + 1 unified steps of
+    :func:`assemble_unipc_qcms`, over corrected states if ``corrector``.
+    Before anything is built, the lift of x_T included, the dense arrays
+    the run holds are priced against MAX_STEP_BYTES: a (dim, dim) matrix
+    and offset per lifted step or map (M; p - 1 and 2K) and 2p - 1 d-row
+    matrices per unified step, the unified ones again if the corrector's
+    fold copies them."""
+    D, K = basis.dim_total, max(grid.M - order + 1, 0) * (1 + corrector)  # twice K if folded
+    if scheme not in ("dpm", "unipc"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    dpm = scheme == "dpm"
+    mats, rows = (grid.M, 0) if dpm else (order - 1 + 2 * K, (2 * order - 1) * K * basis.d)
+    if (nbytes := 8 * D * (mats * (D + 1) + rows)) > MAX_STEP_BYTES:
+        raise CapacityError(f"lifting the run needs {nbytes} bytes, above {MAX_STEP_BYTES}")
+    chain = assemble_dpm_qcms(s, m, grid.lam if dpm else grid.lam[:order], order, basis)
+    if dpm:
+        return system.assemble_global_dpm(chain, lift(x_T, basis).y), chain
+    unified = assemble_unipc_qcms(s, m, grid, order, basis, variant=variant)
+    which = "corrector" if corrector else "predictor"
+    return system.assemble_global_unipc(chain, unified, lift(x_T, basis).y, which), chain + unified
 
 
 def run_lifted(s: NoiseSchedule, m: PolyNoiseModel, x_T, grid: TimeGrid, basis: CarlemanBasis,
                scheme: str = "dpm", order: int = 1, corrector: bool = False):
     """Drive a whole lifted trajectory; returns (states, step objects).
 
-    ``scheme`` is "dpm" or "unipc"; ``order`` is k or p.  The steps of
-    :func:`lift_steps` are assembled into the run's trajectory system,
-    over corrected unified states when ``corrector`` is set
-    (:func:`carlift.system.assemble_trajectory`), and the states are the
-    blocks of its forward solve from the exact lift of x_T.
+    ``scheme`` is "dpm" or "unipc"; ``order`` is k or p.  The states are
+    the blocks of the forward solve of the :func:`lift_run` system.
     """
-    qcms = lift_steps(s, m, grid, basis, scheme, order)
-    traj = system.assemble_trajectory(qcms, lift(x_T, basis).y, scheme, corrector)
+    traj, steps = lift_run(s, m, x_T, grid, basis, scheme, order, corrector=corrector)
     Y = traj.mat.solve(traj.rhs).reshape(traj.n_blocks, traj.block_dim)
-    return [LiftedState(basis=basis, y=y) for y in Y], qcms
+    return [LiftedState(basis=basis, y=y) for y in Y], steps

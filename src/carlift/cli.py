@@ -45,7 +45,7 @@ from scipy.linalg import expm
 import jsonschema
 
 from . import __version__
-from .carleman import CarlemanBasis, LiftedState, lift, lift_steps
+from .carleman import CarlemanBasis, LiftedState, lift_run
 from .diagnostics import dissipativity_P, spectrum_trace
 from .errors import CapacityError, ConvergenceError, StructureError
 from .model import PolyNoiseModel, kron_model, separable_model
@@ -55,7 +55,7 @@ from .readout import recover_sparse
 from .reference import SolverRun, rk4_oracle, run_scheme
 from .schedule import make_lambda_grid, make_vp_schedule
 from .solve import LchsConfig, forward_substitute, gmres_solve, lchs_solve
-from .system import assemble_trajectory, condition_number, export_matrix
+from .system import condition_number, export_matrix
 
 # the config paths each command needs beyond the defaults; a sweep also
 # needs what its point command needs
@@ -437,8 +437,8 @@ def cmd_carleman(cfg: dict, oracles: dict | None = None) -> tuple[int, dict]:
     s, grid, x_T = build_window(cfg, m)
     car = cfg["carleman"]
     basis = CarlemanBasis(N=car["N"], d=m.d)
-    qcms = lift_steps(s, m, grid, basis, car["scheme"], car["order"], car["variant"])
-    system = assemble_trajectory(qcms, lift(x_T, basis).y, car["scheme"], car["which"] == "corrector")
+    system, _ = lift_run(s, m, x_T, grid, basis, car["scheme"], car["order"], car["variant"],
+                         car["which"] == "corrector")
     forward = forward_substitute(system)
     sol = forward if car["solver"] == "forward" else gmres_solve(system, tol=car["gmres_tol"])
     traj = sol.solution.reshape(system.n_blocks, system.block_dim)[:, basis.block_slice(1)]

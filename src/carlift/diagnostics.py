@@ -11,7 +11,9 @@ the largest magnitude over the whole run, a_i(t) = lambda_i(t) / max
     P(t_j) = (1/d) sum_i prod_{j' <= j} (1 - a_i(t_{j'}))
 
 decays monotonically exactly when the spectrum stays positive
-(a dissipative run) and grows when eigenvalues go negative.
+(a dissipative run) and grows when eigenvalues go negative.  The trace
+reads a run's states at its grid's times; the truncation sweep lifts
+each N's system by :func:`carlift.carleman.lift_run`.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carleman import CarlemanBasis, LiftedState, lift, lift_steps
+from .carleman import CarlemanBasis, LiftedState, lift_run
 from .model import PolyNoiseModel, drift_eigenvalues
 from .reference import SolverRun, rk4_oracle, run_scheme
 from .schedule import NoiseSchedule, TimeGrid, make_lambda_grid
-from .system import assemble_trajectory, condition_number
+from .system import condition_number
 
 __all__ = [
     "SpectrumTrace",
@@ -56,9 +58,9 @@ class PTrace:
 
 
 def spectrum_trace(s: NoiseSchedule, m: PolyNoiseModel, run: SolverRun) -> SpectrumTrace:
-    """Eigenvalue trace of J + J^T along the states of a run."""
-    times = np.array([pt.t for pt in run.states])
-    eigs = np.stack([drift_eigenvalues(s, m, pt.x, pt.t) for pt in run.states])
+    """Eigenvalue trace of J + J^T along the states of a run, at its grid's times."""
+    times = np.array(run.grid.t)
+    eigs = np.stack([drift_eigenvalues(s, m, x, t) for x, t in zip(run.states, times.tolist())])
     return SpectrumTrace(times=times, eigs=eigs, normalization=float(np.abs(eigs).max()))
 
 
@@ -107,8 +109,7 @@ def truncation_sweep(
     rows = []
     for N in N_list:
         basis = CarlemanBasis(N=N, d=m.d)
-        system = assemble_trajectory(lift_steps(s, m, grid, basis, "dpm", k), lift(x_T, basis).y,
-                                     "dpm", False)
+        system, _ = lift_run(s, m, x_T, grid, basis, "dpm", k)
         end = LiftedState(basis, system.mat.solve(system.rhs)[-basis.dim_total :])
         err = float(np.linalg.norm(end.block(1) - oracle))
         defect = end.consistency_defect() if N >= 2 else float("nan")

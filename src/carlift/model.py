@@ -52,7 +52,6 @@ __all__ = [
     "scalar_model",
     "separable_model",
     "kron_model",
-    "eval_eps",
     "jacobian_eps",
     "drift_jacobian",
     "total_derivative_poly",
@@ -388,14 +387,6 @@ def _kron_sum(mono: _Monomials, F: np.ndarray, x):
             x_all += xj
         return [0.0 + e for e in F.dot(x_all).tolist()]
     return 0.0 + F.dot(np.concatenate(_monomials_at(mono, x)))
-
-
-def eval_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
-    """Evaluate eps(x, lam); returns an array of shape (d,)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (m.d,):
-        raise ValueError(f"state must have shape ({m.d},)")
-    return _eval_tabulated(m, _eps_tables(m, np.asarray(lam, dtype=float).reshape(1)), 0, x)
 
 
 def jacobian_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:

@@ -9,15 +9,18 @@ by replacing eps along the step either with its Taylor expansion in lam
 (single-step, derivative-based) or with a polynomial interpolant through
 stored eps evaluations (predictor / corrector).  Either way a step is
 x_t = ratio x_s + sum_n c[n] eps_n.  The coefficients of a run's steps
-are tabulated over its grid, one row per step, only by :func:`dpm_weights`
-and :func:`uni_weights`, both from one checked step table; the samplers
-read rows of those tables and the Carleman lift in :mod:`carlift.carleman`
-reads them whole.  All weights reduce to the moments I_n = int e^{-lam}
-(lam - lam_s)^n / n! dlam over a step of width h, which equal e^{-lam_t}
-tail_n(h) with tail_n from :func:`carlift.schedule.exp_taylor_tail`.
-They enter scaled by alpha_t, and alpha_t e^{-lam_t} = sigma_t, so a
-weight is formed as sigma_t tail_n(h) and the ratio from log alpha:
-neither passes through an alpha_t that underflows at very negative lam.
+are tabulated over its grid, one row per step, only by
+:func:`dpm_weights` and :func:`uni_weights`, both from one checked step
+table; the samplers read rows of those tables and the Carleman lift in
+:mod:`carlift.carleman` reads them whole, as it does the one eps table
+over the grid that the unified sampler reads past its warm-up.  A run's
+states are one (nodes, d) array, row i at grid node i.  All weights
+reduce to the moments I_n = int e^{-lam} (lam - lam_s)^n / n! dlam over
+a step of width h, which equal e^{-lam_t} tail_n(h) with tail_n from
+:func:`carlift.schedule.exp_taylor_tail`.  They enter scaled by alpha_t,
+and alpha_t e^{-lam_t} = sigma_t, so a weight is formed as sigma_t
+tail_n(h) and the ratio from log alpha: neither passes through an
+alpha_t that underflows at very negative lam.
 """
 
 from __future__ import annotations
@@ -28,11 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (PolyNoiseModel, _derivative_tower, _eps_tables, _eval_tabulated, _horner, _kron_sum,
-                    _monomials, eval_eps)
+                    _monomials)
 from .schedule import NoiseSchedule, TimeGrid, exp_taylor_tail
 
 __all__ = [
-    "TrajectoryPoint",
     "SolverRun",
     "rk4_oracle",
     "dpm_weights",
@@ -43,33 +45,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    t: float
-    lam: float
-    x: np.ndarray
-
-
 @dataclass
 class SolverRun:
     """A sampled trajectory plus bookkeeping.
 
+    ``states`` is one (nodes, d) array, row i the state at grid node i;
+    the node times and log-SNRs are the grid's.  :meth:`state_matrix`
+    returns that array itself, not a copy, and no caller writes to it.
     nfe counts evaluations of the noise model and its lambda-derivatives;
     each derivative evaluation costs one unit, matching how a wrapped
     network would be charged.
     """
 
     grid: TimeGrid
-    states: list[TrajectoryPoint]
+    states: np.ndarray
     nfe: int
     scheme: str
 
     def state_matrix(self) -> np.ndarray:
-        return np.stack([p.x for p in self.states])
+        return self.states
 
     @property
     def endpoint(self) -> np.ndarray:
-        return self.states[-1].x
+        return self.states[-1]
 
 
 # Bytes (as float64 arrays) of the schedule and coefficient tables that
@@ -132,19 +130,20 @@ def rk4_oracle(
         raise ValueError("need substeps >= 1")
     times = np.asarray(times, dtype=float)
 
-    x = np.atleast_1d(np.asarray(x_T, dtype=float)).copy()
-    pts = [TrajectoryPoint(float(times[0]), float(s.lam(times[0])), x.copy())]
+    x = np.atleast_1d(np.asarray(x_T, dtype=float))
+    states = np.empty((len(times), len(x)))
+    states[0] = x
     nfe = 0
     chunk = _oracle_chunk(m)
     kron = m.mode == "kron"
     scalar = not kron and m.d == 1
     # a lam-independent model's blocks are its tables at any one point
     shared = _oracle_rows(m, m.blocks) if all(cj.shape[0] == 1 for cj in m.blocks) else None
-    for ta, tb in zip(times[:-1], times[1:]):
+    y = float(x[0]) if scalar else x.tolist() if kron else x
+    for n, (ta, tb) in enumerate(zip(times[:-1], times[1:]), start=1):
         ht = float((tb - ta) / substeps)
         half, sixth = 0.5 * ht, ht / 6.0
         t = ta
-        y = float(x[0]) if scalar else x.tolist() if kron else x
         for done in range(0, substeps, chunk):
             cnt = min(chunk, substeps - done)
             tt = np.empty(2 * cnt + 1)
@@ -170,10 +169,9 @@ def rk4_oracle(
                     y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t = tt[-1]
             nfe += 4 * cnt
-        x = np.atleast_1d(np.asarray(y, dtype=float))
-        pts.append(TrajectoryPoint(float(tb), float(s.lam(tb)), x.copy()))
+        states[n] = y
     grid = TimeGrid(t=times, lam=np.asarray(s.lam(times), dtype=float))
-    return SolverRun(grid=grid, states=pts, nfe=nfe, scheme="rk4")
+    return SolverRun(grid=grid, states=states, nfe=nfe, scheme="rk4")
 
 
 def _rk4_lists(y: list, f: list, c: list, rows: list, cnt: int, ht: float) -> list:
@@ -309,11 +307,9 @@ def run_dpm(
     k: int,
 ) -> SolverRun:
     """Run the order-k derivative-based sampler over the grid."""
-    x = np.atleast_1d(np.asarray(x_T, dtype=float)).copy()
-    pts = [TrajectoryPoint(float(grid.t[0]), float(grid.lam[0]), x.copy())]
-    for i, (x, _) in enumerate(_taylor_walk(s, m, x, grid.lam, k), start=1):
-        pts.append(TrajectoryPoint(float(grid.t[i]), float(grid.lam[i]), x))
-    return SolverRun(grid=grid, states=pts, nfe=k * grid.M, scheme=f"dpm{k}")
+    x = np.atleast_1d(np.asarray(x_T, dtype=float))
+    states = np.array([x, *(xi for xi, _ in _taylor_walk(s, m, x, grid.lam, k))])
+    return SolverRun(grid=grid, states=states, nfe=k * grid.M, scheme=f"dpm{k}")
 
 
 def run_unipc(
@@ -329,31 +325,31 @@ def run_unipc(
 
     The step to node i anchors at node i-p and reuses the p-1 grid nodes
     in between, after a warm-up of p-1 steps at matching single-step
-    order.
+    order, each state's eps then read once from one table over the grid.
     """
-    x = np.atleast_1d(np.asarray(x_T, dtype=float)).copy()
-    pts = [TrajectoryPoint(float(grid.t[0]), float(grid.lam[0]), x.copy())]
+    x = np.atleast_1d(np.asarray(x_T, dtype=float))
+    states = np.empty((grid.M + 1, len(x)))
+    states[0] = x
     nfe = 0
-    scheme = ("unic" if corrector else "unip") + str(p)
-
     pred = uni_weights(s, grid.lam, p, variant)
     corr = uni_weights(s, grid.lam, p, variant, corrector=True) if corrector else None
-    eps: list[np.ndarray] = []  # eps at pts[0], pts[1], ...: each state is evaluated once
+    eps: list[np.ndarray] = []  # eps at states[0], states[1], ...: each state is evaluated once
     for i, (x, eps_s) in enumerate(_taylor_walk(s, m, x, grid.lam[:p], p), start=1):
         eps.append(eps_s)  # the warm-up step's n = 0 term
         nfe += p
-        pts.append(TrajectoryPoint(float(grid.t[i]), float(grid.lam[i]), x))
+        states[i] = x
+    (table,) = _derivative_tower(s, m, 1, grid.lam)
     for i in range(p, grid.M + 1):
-        eps += [eval_eps(m, pt.x, pt.lam) for pt in pts[len(eps) : i]]
-        x0, hist, j = pts[i - p].x, eps[i - p : i], i - p
-        xi = _apply_weights(pred[0][j], pred[1][j], x0, hist)
+        j = i - p
+        eps.append(_eval_tabulated(m, table, i - 1, states[i - 1]))
+        xi = _apply_weights(pred[0][j], pred[1][j], states[j], eps[j:i])
         nfe += 1  # eps at the newest state; the older history is cached in eps
         if corrector:
-            x_pred_eps = eval_eps(m, xi, float(grid.lam[i]))
-            xi = _apply_weights(corr[0][j], corr[1][j], x0, hist + [x_pred_eps])
+            hist = eps[j:i] + [_eval_tabulated(m, table, i, xi)]
+            xi = _apply_weights(corr[0][j], corr[1][j], states[j], hist)
             nfe += 1
-        pts.append(TrajectoryPoint(float(grid.t[i]), float(grid.lam[i]), xi))
-    return SolverRun(grid=grid, states=pts, nfe=nfe, scheme=scheme)
+        states[i] = xi
+    return SolverRun(grid=grid, states=states, nfe=nfe, scheme=("unic" if corrector else "unip") + str(p))
 
 
 def run_scheme(

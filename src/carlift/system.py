@@ -5,24 +5,23 @@ for i = 1..M together with the initial condition gives one system
 M Y = beta whose solution is the entire lifted trajectory.  M is block
 lower triangular with identity diagonal blocks (elementwise unit lower
 triangular, since every coupling block sits strictly below its row's
-diagonal block).  :class:`TrajectoryOperator` keeps M as the per-step
-blocks the lift made: products with M and the forward solve read
-those blocks, and the global CSR matrix is built only on request,
-for matrix export and the condition estimate, one block row at a
-time from the blocks' nonzeros, which it writes straight into the CSR
-arrays.  Each block is a
-:class:`carlift.carleman.StepMatrix`, the dense array of its leading
-rows.  The lift writes a trajectory's steps into one array, so the
-blocks of consecutive rows are consecutive slices of it: a product
-takes each such run of blocks as one batched BLAS call, and the
-forward solve walks the block rows in order, one matrix-vector call
-per block; a unified system is one run per coupling slot too.  Both
-run on the calling thread.  That forward solve is the package's one
-lifted walk: :func:`carlift.carleman.run_lifted` returns its blocks as
-a run's states.  A dense-SVD condition number runs its LAPACK call on
-one OpenBLAS thread, so its bytes do not depend on the CPU count.
+diagonal block).  :func:`carlift.carleman.lift_run`, the one dispatch
+on a scheme's layout of steps, assembles a run's system here.
+:class:`TrajectoryOperator` keeps M as the per-step blocks the lift
+made, each a :class:`carlift.carleman.StepMatrix`, the dense array of
+its leading rows: products with M and the forward solve read those
+blocks, and the global CSR matrix is built only on request, for matrix
+export and the condition estimate, one block row at a time straight
+into the CSR arrays.  The lift writes a trajectory's steps into one
+array, so the blocks of consecutive rows are consecutive slices of it:
+a product takes each such run of blocks as one batched BLAS call, and
+the forward solve walks the block rows in order, one matrix-vector
+call per block; a unified system is one run per coupling slot too.
+Both run on the calling thread.  That forward solve is the package's
+one lifted walk: :func:`carlift.carleman.run_lifted` returns its blocks
+as a run's states.  A dense-SVD condition number runs its LAPACK call
+on one OpenBLAS thread, so its bytes do not depend on the CPU count.
 """
-
 from __future__ import annotations
 
 import contextlib
@@ -45,7 +44,6 @@ __all__ = [
     "ConditionReport",
     "assemble_global_dpm",
     "assemble_global_unipc",
-    "assemble_trajectory",
     "condition_number",
     "export_matrix",
 ]
@@ -320,18 +318,6 @@ def assemble_global_unipc(
         mat=TrajectoryOperator(len(y0), rows), rhs=np.concatenate(rhs),
         scheme=f"unipc_{which}",
     )
-
-
-def assemble_trajectory(qcms: list, y0, scheme: str, corrector: bool) -> BlockLinearSystem:
-    """The system of a run's lifted steps, as
-    :func:`carlift.carleman.lift_steps` gives them: a "dpm" chain, or a
-    "unipc" warm-up followed by unified steps, over corrected states when
-    ``corrector`` is set and predicted ones otherwise."""
-    if scheme == "dpm":
-        return assemble_global_dpm(qcms, y0)
-    steps = [q for q in qcms if isinstance(q, carleman.UnipcQcmSet)]
-    return assemble_global_unipc(qcms[: len(qcms) - len(steps)], steps, y0,
-                                 "corrector" if corrector else "predictor")
 
 
 @dataclass

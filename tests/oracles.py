@@ -11,6 +11,7 @@ import contextlib
 import functools
 import itertools
 import math
+import resource
 
 import numpy as np
 import pytest
@@ -26,10 +27,11 @@ from carlift.model import (
     SIGMA_TAYLOR_DEGREE,
     PolyNoiseModel,
     _derivative_tower,
+    _eps_tables,
+    _eval_tabulated,
     _monomials,
     _padded_sum,
     _sigma_lambda_polys,
-    eval_eps,
     kron_model,
     separable_model,
 )
@@ -44,6 +46,31 @@ def zero_model(d: int = 1, mode: str = "separable") -> PolyNoiseModel:
     if mode == "kron":
         return kron_model(d, {0: np.zeros((1, d, 1))})
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def eval_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
+    """eps(x, lam) at one point, from a table over that one log-SNR: the
+    per-state evaluation the samplers replaced by rows of a table over
+    the grid."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (m.d,):
+        raise ValueError(f"state must have shape ({m.d},)")
+    return _eval_tabulated(m, _eps_tables(m, np.asarray(lam, dtype=float).reshape(1)), 0, x)
+
+
+@contextlib.contextmanager
+def address_space_cap(extra_bytes):
+    """Cap this process's address space at its current size plus
+    extra_bytes, so that an unguarded huge allocation raises MemoryError
+    instead of exhausting the machine."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        current = int(fh.read().split()[0]) * resource.getpagesize()
+    resource.setrlimit(resource.RLIMIT_AS, (current + extra_bytes, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def dlam_dt(s: NoiseSchedule, t):

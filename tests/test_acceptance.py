@@ -19,7 +19,7 @@ from carlift.diagnostics import (
     spectrum_trace,
     truncation_sweep,
 )
-from carlift.model import drift_jacobian, eval_eps, kron_model, scalar_model, separable_model
+from carlift.model import drift_jacobian, kron_model, scalar_model, separable_model
 from carlift.presets import benchmark
 from carlift.readout import recover_sparse, tomography_cost_model
 from carlift.reference import rk4_oracle, run_dpm, run_unipc
@@ -30,7 +30,7 @@ from carlift.system import (
     assemble_global_unipc,
     condition_number,
 )
-from oracles import lifted_walk, zero_model
+from oracles import eval_eps, lifted_walk, zero_model
 
 
 def test_criterion_01_linear_exactness():
@@ -42,8 +42,8 @@ def test_criterion_01_linear_exactness():
     for N in (1, 2, 4):
         basis = CarlemanBasis(N=N, d=1)
         states, _ = run_lifted(s, m, [bench.x_T], grid, basis, scheme="dpm", order=1)
-        for st, pt in zip(states, ref.states):
-            worst = max(worst, float(np.max(np.abs(st.block(1) - pt.x))))
+        for st, x in zip(states, ref.states):
+            worst = max(worst, float(np.max(np.abs(st.block(1) - x))))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-12
     assert elapsed < 1.0
@@ -95,7 +95,7 @@ def test_criterion_04_unified_scheme_consistency():
     a = run_dpm(s, m, [bench.x_T], grid, k=1)
     b = run_unipc(s, m, [bench.x_T], grid, p=1)
     gap = max(
-        float(np.max(np.abs(pa.x - pb.x))) for pa, pb in zip(a.states, b.states)
+        float(np.max(np.abs(xa - xb))) for xa, xb in zip(a.states, b.states)
     )
     assert gap <= 1e-14
 

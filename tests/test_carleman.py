@@ -1,13 +1,14 @@
-import contextlib
+import ast
+import json
 import math
 import os
-import resource
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from carlift import carleman
+from carlift import carleman, cli, diagnostics
 from carlift.carleman import (
     CarlemanBasis,
     Qcm,
@@ -16,9 +17,11 @@ from carlift.carleman import (
     assemble_dpm_qcms,
     assemble_unipc_qcms,
     lift,
+    lift_run,
     run_lifted,
     step_polynomials_dpm,
 )
+from carlift.diagnostics import truncation_sweep
 from carlift.errors import CapacityError
 from carlift.model import kron_model, scalar_model, separable_model
 from carlift.presets import benchmark
@@ -28,6 +31,7 @@ from carlift.solve import forward_substitute
 from carlift.system import assemble_global_dpm, assemble_global_unipc
 from oracles import (
     KronBasis,
+    address_space_cap,
     compose_poly_power,
     fold,
     kron_poly_to_update,
@@ -74,21 +78,6 @@ def test_basis_validation():
         CarlemanBasis(N=60, d=4, mode="kron")
 
 
-@contextlib.contextmanager
-def address_space_cap(extra_bytes):
-    """Cap this process's address space at its current size plus
-    extra_bytes, so that an unguarded huge allocation raises MemoryError
-    instead of exhausting the machine."""
-    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-    with open("/proc/self/statm") as fh:
-        current = int(fh.read().split()[0]) * resource.getpagesize()
-    resource.setrlimit(resource.RLIMIT_AS, (current + extra_bytes, hard))
-    try:
-        yield
-    finally:
-        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
-
-
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc to cap memory")
 def test_step_lift_refuses_oversized_dense_rows_before_allocating():
     # d=4, N=24 passes the dimension check (20 474) but one step's dense
@@ -104,6 +93,74 @@ def test_step_lift_refuses_oversized_dense_rows_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_lift_run_prices_the_whole_run_before_building_it(monkeypatch):
+    # weak_quadratic at N=3 is dim 3: a lifted map is a 3 x 3 matrix and an
+    # offset, 96 bytes.  A chain of M=8 steps is 768 bytes; the unipc p=2
+    # run is 1 warm-up step, 14 unified maps and 21 block-row-1 rows of 3
+    # entries, 1 944 bytes, and its corrector's fold twice the unified
+    # part, 3 792 bytes, more than the cap although one step is far below it
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run was built before it was priced")
+
+    bench = benchmark("weak_quadratic")
+    s, m, grid, basis = bench.schedule(), bench.model(), bench.grid(8), CarlemanBasis(N=3, d=1)
+    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", 768)
+    run_lifted(s, m, [bench.x_T], grid, basis, scheme="dpm")
+    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", 2048)
+    run_lifted(s, m, [bench.x_T], grid, basis, scheme="unipc", order=2)
+    monkeypatch.setattr(carleman, "_derivative_tower", refuse)
+    monkeypatch.setattr(carleman, "lift", refuse)
+    with pytest.raises(CapacityError, match="needs 3792 bytes"):
+        run_lifted(s, m, [bench.x_T], grid, basis, scheme="unipc", order=2, corrector=True)
+    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", 767)
+    with pytest.raises(CapacityError, match="needs 768 bytes"):
+        run_lifted(s, m, [bench.x_T], grid, basis, scheme="dpm")
+
+
+def test_lift_run_refuses_an_unknown_scheme_before_building(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run was built")
+
+    monkeypatch.setattr(carleman, "_derivative_tower", refuse)
+    with pytest.raises(ValueError, match="unknown scheme 'unip'"):
+        lift_run(S, QUAD, [1.0], make_lambda_grid(S, 1.0, 0.1, 4), CarlemanBasis(N=2, d=1), "unip", 2)
+
+
+def test_each_lifted_system_is_one_lift_run_call(tmp_path, monkeypatch):
+    # run_lifted, the carleman command and the truncation sweep dispatch
+    # through lift_run once per system they solve
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[4].N)
+        return lift_run(*args, **kwargs)
+
+    for mod in (carleman, cli, diagnostics):
+        monkeypatch.setattr(mod, "lift_run", counted, raising=True)
+    bench = benchmark("weak_quadratic")
+    s, m, grid = bench.schedule(), bench.model(), bench.grid(8)
+    run_lifted(s, m, [bench.x_T], grid, CarlemanBasis(N=2, d=1), scheme="unipc", order=2)
+    assert calls == [2]
+    calls.clear()
+    truncation_sweep(s, m, [bench.x_T], grid, k=1, N_list=(1, 2, 3), oracle_substeps=10,
+                     with_kappa=False)
+    assert calls == [1, 2, 3]
+    calls.clear()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"window": {"benchmark": "weak_quadratic", "M": 8},
+                               "carleman": {"N": 3, "scheme": "unipc", "order": 2}}))
+    assert cli.main(["carleman", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [3]
+
+
+def test_no_package_code_dispatches_on_the_unified_step_type():
+    # lift_run alone knows a scheme's layout of lifted steps
+    for path in sorted(Path(carleman.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                assert "UnipcQcmSet" not in ast.unparse(node), f"{path.name}:{node.lineno}"
 
 
 @pytest.mark.parametrize("chunk_bytes", [carleman.LIFT_CHUNK_BYTES, 1 << 14])
@@ -254,8 +311,8 @@ def test_lifted_linear_trajectory_matches_sequential():
         basis = CarlemanBasis(N=N, d=1)
         states, qcms = run_lifted(S, LINEAR, [1.0], grid, basis, scheme="dpm", order=1)
         assert len(states) == 9 and len(qcms) == 8
-        for st, pt in zip(states, ref.states):
-            assert np.allclose(st.block(1), pt.x, atol=1e-13)
+        for st, x in zip(states, ref.states):
+            assert np.allclose(st.block(1), x, atol=1e-13)
 
 
 def test_lifted_truncation_error_decreases():
@@ -284,8 +341,8 @@ def test_lifted_unipc_matches_sequential_on_linear_model():
         )
         assert isinstance(qcms[0], Qcm)
         assert all(isinstance(q, UnipcQcmSet) for q in qcms[1:])
-        for st, pt in zip(states, ref.states):
-            assert np.allclose(st.block(1), pt.x, atol=1e-12)
+        for st, x in zip(states, ref.states):
+            assert np.allclose(st.block(1), x, atol=1e-12)
 
 
 @pytest.mark.parametrize("scheme, order, corrector", [("dpm", k, False) for k in (1, 2, 3)] + [
@@ -323,13 +380,13 @@ def test_lifted_unipc_step_matches_sampler_on_quadratic_model():
             ref = run_unipc(S, QUAD, [1.3], grid, p=p, corrector=corrector)
             for qset in assemble_unipc_qcms(S, QUAD, grid, p, basis):
                 i = qset.i
-                ys = [lift(pt.x, basis).y for pt in ref.states[i - p : i]]
+                ys = [lift(x, basis).y for x in ref.states[i - p : i]]
                 y = step_lifted(qset, ys)
                 if corrector:
                     y = qset.corr_b + qset.corr_target @ lift(y[one], basis).y
                     for mat, yh in zip(qset.corr_mats, ys):
                         y += mat @ yh
-                np.testing.assert_allclose(y[one], ref.states[i].x, rtol=0.0, atol=1e-14)
+                np.testing.assert_allclose(y[one], ref.states[i], rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
@@ -343,7 +400,7 @@ def test_lifted_unipc_converges_to_its_sampler():
         ref = run_unipc(s, m, [bench.x_T], grid, p=2, corrector=corrector)
         states, _ = run_lifted(s, m, [bench.x_T], grid, basis, scheme="unipc", order=2,
                                corrector=corrector)
-        gap = max(float(np.max(np.abs(st.block(1) - pt.x))) for st, pt in zip(states, ref.states))
+        gap = max(float(np.max(np.abs(st.block(1) - x))) for st, x in zip(states, ref.states))
         assert gap <= 1e-9, f"corrector={corrector}: gap {gap:.3e}"
 
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -16,6 +17,7 @@ import pytest
 
 from carlift import carleman, cli
 from carlift.system import TrajectoryOperator
+from oracles import address_space_cap
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -260,10 +262,33 @@ def test_oversized_lift_exits_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc to cap memory")
+def test_run_too_large_to_lift_exits_3_before_allocating(tmp_path, capsys):
+    # d=4, N=20: dim 10 625, so one step's dense matrix (0.90 GB) is under
+    # the cap, but the M=32 steps of the run are 28.9 GB together
+    cfg = {
+        "model": {"mode": "kron", "d": 4, "blocks": {"1": (0.5 * np.eye(4)).tolist(),
+                                                     "2": np.full((4, 16), 0.01).tolist()}},
+        "window": {"x_T": [0.1, 0.2, 0.3, 0.4], "t_start": 0.5, "t_end": 0.1, "M": 32},
+        "carleman": {"N": 20},
+    }
+    tracemalloc.start()
+    try:
+        with address_space_cap(2**30):
+            code, _ = run(tmp_path, "carleman", cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "lifting the run needs" in capsys.readouterr().err
+    assert peak < 8 * 2**20
+
+
 def test_oversized_global_system_exits_3(tmp_path, monkeypatch, capsys):
-    # the lowered cap admits the step lift (8 * dim_total^2 = 72 bytes)
-    # but not the global system at 12 bytes per entry
-    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", 256)
+    # the lowered cap admits the run's lift (8 steps, each a dim 3 matrix
+    # and offset at 8 * 3 * 4 = 96 bytes, 768 in all) but not the global
+    # system at 12 bytes per entry (1 028 bytes)
+    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", 1024)
     cfg = {"window": {"benchmark": "weak_quadratic", "M": 8}, "carleman": {"N": 3}}
     code, _ = run(tmp_path, "carleman", cfg)
     assert code == 3
@@ -637,7 +662,7 @@ def test_sweep_checks_point_inputs_before_any_point_runs(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(cli, "run_scheme", refuse)
     monkeypatch.setattr(cli, "lchs_solve", refuse)
-    monkeypatch.setattr(cli, "lift_steps", refuse)
+    monkeypatch.setattr(cli, "lift_run", refuse, raising=True)
     code, _ = run(tmp_path, "sweep", cfg)
     assert code == 2
     assert capsys.readouterr().err.startswith(message)

@@ -30,8 +30,8 @@ def test_spectrum_trace_matches_dense_eigensolver():
     run = run_dpm(S, m, rng.normal(size=5), grid, k=1)
     trace = spectrum_trace(S, m, run)
     assert trace.eigs.shape == (7, 5)
-    for i, pt in enumerate(run.states):
-        J = drift_jacobian(S, m, pt.x, pt.t)
+    for i, (x, t) in enumerate(zip(run.states, run.grid.t)):
+        J = drift_jacobian(S, m, x, t)
         assert np.allclose(trace.eigs[i], np.linalg.eigvalsh(J + J.T), atol=1e-9)
         assert np.all(np.diff(trace.eigs[i]) >= 0)
     assert trace.normalization == pytest.approx(np.abs(trace.eigs).max())

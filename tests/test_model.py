@@ -12,7 +12,6 @@ from carlift.model import (
     _derivative_tower,
     drift_eigenvalues,
     drift_jacobian,
-    eval_eps,
     jacobian_eps,
     kron_model,
     scalar_model,
@@ -20,7 +19,7 @@ from carlift.model import (
     total_derivative_poly,
 )
 from carlift.schedule import make_vp_schedule
-from oracles import dx_dlambda, monomials, zero_model
+from oracles import dx_dlambda, eval_eps, monomials, zero_model
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 

@@ -12,15 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from carlift import reference
-from carlift.model import (_eps_tables, _eval_tabulated, _kron_sum, eval_eps, kron_model,
-                           scalar_model, separable_model)
+from carlift import model, reference
+from carlift.model import _eps_tables, _eval_tabulated, _kron_sum, kron_model, scalar_model, separable_model
 from carlift.presets import benchmark, model_preset
 from carlift.errors import ConvergenceError
 from carlift.reference import dpm_weights, rk4_oracle, run_dpm, run_unipc, uni_weights
 from carlift.schedule import TimeGrid, exp_taylor_tail, make_lambda_grid, make_vp_schedule
-from oracles import (dlam_dt, dpm_weights_per_width, dx_dlambda, phi_moment, taylor_integral, uni_coeffs,
-                     uni_weights_per_system)
+from oracles import (dlam_dt, dpm_weights_per_width, dx_dlambda, eval_eps, phi_moment, taylor_integral,
+                     uni_coeffs, uni_weights_per_system)
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 WEAK = scalar_model({(0, 0): 0.2, (1, 0): -0.6, (2, 0): 0.25})
@@ -52,7 +51,7 @@ def test_rk4_records_requested_nodes():
     run = rk4_oracle(S, WEAK, [1.0], substeps=8, times=grid.t)
     assert len(run.states) == 6
     assert run.nfe == 4 * 8 * 5
-    assert np.allclose([pt.t for pt in run.states], grid.t)
+    assert np.allclose(run.grid.t, grid.t)
     with pytest.raises(ValueError):
         rk4_oracle(S, WEAK, [1.0], substeps=0, times=grid.t)
 
@@ -63,9 +62,9 @@ def test_dpm1_exact_for_constant_eps():
     grid = make_lambda_grid(S, 1.0, 0.05, 5)
     run = run_dpm(S, m, [1.2], grid, k=1)
     ratio0 = 1.2 / float(S.alpha(1.0))
-    for pt in run.states:
-        expected = ratio0 - c * (math.exp(-grid.lam[0]) - math.exp(-pt.lam))
-        assert pt.x[0] / float(S.alpha(pt.t)) == pytest.approx(expected, rel=1e-13)
+    for x, t, lam in zip(run.states, grid.t, grid.lam):
+        expected = ratio0 - c * (math.exp(-grid.lam[0]) - math.exp(-lam))
+        assert x[0] / float(S.alpha(t)) == pytest.approx(expected, rel=1e-13)
 
 
 def test_dpm_order_increases_accuracy():
@@ -247,8 +246,8 @@ def test_unified_order_one_equals_derivative_scheme():
     grid = make_lambda_grid(S, 1.0, 0.05, 12)
     a = run_dpm(S, WEAK, [1.5], grid, k=1)
     b = run_unipc(S, WEAK, [1.5], grid, p=1)
-    for pa, pb in zip(a.states, b.states):
-        assert np.allclose(pa.x, pb.x, atol=1e-14)
+    for xa, xb in zip(a.states, b.states):
+        assert np.allclose(xa, xb, atol=1e-14)
     # both read the same order-1 coefficients, so they agree bit for bit
     np.testing.assert_array_equal(a.state_matrix(), b.state_matrix())
 
@@ -281,7 +280,7 @@ def test_scheme_labels_and_helpers():
     run = run_dpm(S, WEAK, [1.0], grid, k=2)
     assert run.scheme == "dpm2"
     assert run.state_matrix().shape == (5, 1)
-    assert np.array_equal(run.endpoint, run.states[-1].x)
+    assert np.array_equal(run.endpoint, run.states[-1])
     assert run_unipc(S, WEAK, [1.0], grid, p=2).scheme == "unip2"
     assert run_unipc(S, WEAK, [1.0], grid, p=2, corrector=True).scheme == "unic2"
     with pytest.raises(ValueError):
@@ -293,10 +292,6 @@ def test_scheme_labels_and_helpers():
 def test_multistep_unipc_evaluates_each_state_once(monkeypatch):
     calls = []
 
-    def counted(m, x, lam):
-        calls.append((id(m), np.asarray(x).tobytes(), float(lam)))
-        return eval_eps(m, x, lam)
-
     def counted_tabulated(m, tables, i, x):
         calls.append((id(tables), i, np.asarray(x).tobytes()))
         return _eval_tabulated(m, tables, i, x)
@@ -307,7 +302,6 @@ def test_multistep_unipc_evaluates_each_state_once(monkeypatch):
     for p, corrector in ((2, True), (3, False), (3, True)):
         expected[p, corrector] = run_unipc(S, bench.model(), [bench.x_T], grid, p=p,
                                            corrector=corrector)
-    monkeypatch.setattr(reference, "eval_eps", counted)
     monkeypatch.setattr(reference, "_eval_tabulated", counted_tabulated)
     for (p, corrector), before in expected.items():
         calls.clear()
@@ -322,6 +316,26 @@ def test_multistep_unipc_evaluates_each_state_once(monkeypatch):
         assert len(set(calls)) == len(calls)
         assert run.nfe == before.nfe
         assert np.array_equal(run.state_matrix(), before.state_matrix())
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("corrector", [False, True])
+def test_unipc_collapses_eps_over_lam_once_past_its_warm_up(monkeypatch, p, corrector):
+    # the warm-up's tower over its p - 1 step starts, then one table over
+    # the grid, the one the lift reads, whatever M is
+    calls = []
+
+    def counted(m, lams):
+        calls.append(len(lams))
+        return eps_tables(m, lams)
+
+    eps_tables = model._eps_tables
+    monkeypatch.setattr(model, "_eps_tables", counted)
+    bench = benchmark("weak_quadratic")
+    for M in (4, 16, 64):
+        calls.clear()
+        run_unipc(S, bench.model(), [bench.x_T], bench.grid(M), p=p, corrector=corrector)
+        assert calls == [p - 1] * (p > 1) + [M + 1]
 
 
 def test_unipc_run_solves_each_distinct_step_once(monkeypatch):
@@ -543,3 +557,35 @@ def test_kron_rk4_oracle_memory_does_not_grow_with_substeps():
     chunk = reference._oracle_chunk(m)
     peaks = oracle_peaks(m, [0.7, -0.6], (2 * chunk, 8 * chunk))
     assert peaks[1] <= peaks[0] + 64 * 1024
+
+
+def unipc_per_state(s, m, x_T, grid, p, corrector):
+    """The unified sampler past its warm-up with eps evaluated afresh at
+    every state, at its own log-SNR, by the one-point reference."""
+    x = np.atleast_1d(np.asarray(x_T, dtype=float))
+    states, eps = [x], []
+    for x, eps_s in reference._taylor_walk(s, m, x, grid.lam[:p], p):
+        states.append(x)
+        eps.append(eps_s)
+    pred = uni_weights(s, grid.lam, p)
+    corr = uni_weights(s, grid.lam, p, corrector=True)
+    for i in range(p, grid.M + 1):
+        j = i - p
+        eps.append(eval_eps(m, states[i - 1], float(grid.lam[i - 1])))
+        xi = reference._apply_weights(pred[0][j], pred[1][j], states[j], eps[j:i])
+        if corrector:
+            hist = eps[j:i] + [eval_eps(m, xi, float(grid.lam[i]))]
+            xi = reference._apply_weights(corr[0][j], corr[1][j], states[j], hist)
+        states.append(xi)
+    return np.stack(states)
+
+
+@PROPERTY
+@given(case=oracle_models(), p=st.integers(1, 3), corrector=st.booleans(), M=st.integers(3, 12),
+       t_start=st.floats(0.2, 0.6), span=st.floats(0.05, 0.15))
+def test_unipc_states_equal_a_per_state_eps_loop(case, p, corrector, M, t_start, span):
+    m, _ = case
+    grid = make_lambda_grid(S, t_start, t_start - span, M)
+    x_T = np.linspace(0.3, 0.6, m.d)
+    run = run_unipc(S, m, x_T, grid, p=p, corrector=corrector)
+    assert np.array_equal(run.state_matrix(), unipc_per_state(S, m, x_T, grid, p, corrector))
