@@ -18,7 +18,7 @@ and the singular values of U_s lie within U's, at dimension
 C(d+N, N) - 1 instead of d + d^2 + ... + d^N.  Block 1 is x itself.
 Each sampler step then takes the quantized update form
 
-    Y_i = (I + A_i) Y_{i-1} + b_i,
+    Y_i = A_i Y_{i-1} + b_i,
 
 and a whole trajectory becomes one block lower-triangular linear
 system.  Terms of degree above N are dropped (hard truncation); block 1
@@ -33,11 +33,11 @@ A run's step maps are one dict {q: (M, d, n_q)}: each degree's
 coefficient blocks stacked along a leading step axis, built from the
 weight tables and eps and its derivatives tabulated over the grid.
 They are lifted in chunks sliced along that axis into one dense
-(M, dim_total, dim_total) array, each step's slice kept as its
-:class:`StepMatrix`.  :func:`lift_run`, the one dispatch on a scheme's
-layout, prices, lifts and assembles a run on the calling thread;
-:func:`run_lifted` reads the states off the forward solve of its
-trajectory system, the package's one lifted walk.
+(M, dim_total, dim_total) array, each step a :class:`StepMatrix` that
+records that array and its index there.  :func:`lift_run`, the one
+dispatch on a scheme's layout, prices, lifts and assembles a run on the
+calling thread; :func:`run_lifted` reads the states off the forward
+solve of its trajectory system, the package's one lifted walk.
 """
 
 from __future__ import annotations
@@ -141,16 +141,20 @@ def lift(x, basis: CarlemanBasis) -> LiftedState:
 
 
 class StepMatrix:
-    """A square step matrix held as the dense array of its leading rows.
+    """A square step matrix, entry ``index`` of the (k, r, n) ``stack`` a
+    lift wrote it into, or of a stack of its own when given a 2-d array.
 
-    ``rows`` holds rows 0..r-1 of the (n, n) matrix, the only ones that
-    can be nonzero; the rest are zero.  The nonzeros are counted the
-    first time ``nnz`` is read, and that count is kept.
+    ``rows`` is ``stack[index]``, rows 0..r-1 of the (n, n) matrix, the
+    only ones that can be nonzero; the rest are zero.  The nonzeros are
+    counted the first time ``nnz`` is read, and that count is kept.
     """
 
-    def __init__(self, rows: np.ndarray):
-        self.rows = rows
-        self.shape = (rows.shape[1], rows.shape[1])
+    def __init__(self, stack: np.ndarray, index: int | None = None):
+        if index is None:
+            stack, index = stack[None], 0
+        self.stack, self.index = stack, index
+        self.rows = stack[index]
+        self.shape = (stack.shape[2], stack.shape[2])
 
     @functools.cached_property
     def nnz(self) -> int:
@@ -168,8 +172,8 @@ class StepMatrix:
         return out
 
 
-def _poly_to_update(polys: dict[int, np.ndarray], basis: CarlemanBasis,
-                    delta: bool = False) -> list[tuple[StepMatrix, np.ndarray]]:
+def _poly_to_update(polys: dict[int, np.ndarray],
+                    basis: CarlemanBasis) -> list[tuple[StepMatrix, np.ndarray]]:
     """Lift a run's step polynomials into update matrices U and offsets b.
 
     ``polys`` maps each degree q to the steps' (d, n_q) blocks on the
@@ -181,8 +185,7 @@ def _poly_to_update(polys: dict[int, np.ndarray], basis: CarlemanBasis,
     P are taken for all rows at once, in the dict's degree order, and one
     bincount adds them onto their monomial columns.  Rows and columns are
     scaled by sqrt(m_beta) and 1/sqrt(m_gamma) last.  Degree-0 parts land
-    in b.  With ``delta`` the identity is subtracted, giving the
-    delta-form matrix U - I.
+    in b.
 
     The steps are lifted in chunks sliced along the step axis, their rows
     stacked, as many per chunk as keep the products, their bin indices
@@ -192,8 +195,8 @@ def _poly_to_update(polys: dict[int, np.ndarray], basis: CarlemanBasis,
     it.  All the steps' matrices are written into one (steps, dim_total,
     dim_total) array, so a run of them is one stack of blocks to
     :class:`carlift.system.TrajectoryOperator`.  Returns one
-    (StepMatrix, b) per step, views of that array and of the (steps,
-    dim_total) offsets.
+    (StepMatrix, b) per step: the step's index in that array and a view
+    of the (steps, dim_total) offsets.
     """
     N, dim = basis.N, basis.dim_total
     mono = _monomials(basis.d, N)
@@ -224,9 +227,7 @@ def _poly_to_update(polys: dict[int, np.ndarray], basis: CarlemanBasis,
             b[:, rows] = R[:, 0].reshape(S, -1) * scale
             np.multiply(R[:, 1:].reshape(S, -1, dim), col_scale, out=buf[:, rows])
             buf[:, rows] *= scale[:, None]
-    if delta:
-        U_all.reshape(n_steps, dim * dim)[:, :: dim + 1] -= 1.0
-    return [(StepMatrix(U), b_i) for U, b_i in zip(U_all, b_all)]
+    return [(StepMatrix(U_all, i), b_i) for i, b_i in enumerate(b_all)]
 
 
 @functools.lru_cache(maxsize=64)
@@ -242,7 +243,7 @@ def _stacked_rows(d: int, N: int, S: int) -> tuple:
 
 @dataclass
 class Qcm:
-    """One lifted step in delta form: Y_i = (I + A) Y_{i-1} + b."""
+    """One lifted step, A its update matrix: Y_i = A Y_{i-1} + b."""
 
     A: StepMatrix
     b: np.ndarray
@@ -287,7 +288,7 @@ def assemble_dpm_qcms(s: NoiseSchedule, m: PolyNoiseModel, lams: np.ndarray, k: 
     """
     _check_model_basis(m, basis)
     polys = step_polynomials_dpm(s, m, lams, k)
-    return [Qcm(*step) for step in _poly_to_update(polys, basis, delta=True)]
+    return [Qcm(*step) for step in _poly_to_update(polys, basis)]
 
 
 def _check_model_basis(m: PolyNoiseModel, basis: CarlemanBasis) -> None:
@@ -318,7 +319,8 @@ class UnipcQcmSet:
     predictor output, not to Y_i^pred itself.  The corrector system of
     :func:`carlift.system.assemble_global_unipc` folds the two maps into
     corr_mats[m] + corr_target pred_mats[m] and so closes over corrected
-    states; its forward solve is the lifted walk.
+    states; its forward solve is the lifted walk.  A step lifted for the
+    predictor alone leaves the three corrector fields None.
     """
 
     i: int
@@ -326,16 +328,17 @@ class UnipcQcmSet:
     anchor: int
     pred_mats: list
     pred_b: np.ndarray
-    corr_mats: list
-    corr_target: StepMatrix
-    corr_b: np.ndarray
+    corr_mats: list | None = None
+    corr_target: StepMatrix | None = None
+    corr_b: np.ndarray | None = None
 
 
 def _block1(E: dict[int, np.ndarray], nodes: np.ndarray, cs: np.ndarray,
             basis: CarlemanBasis) -> list[StepMatrix]:
     """Block-row-1 matrices cs[i] * E_q at grid node nodes[i] against column
     blocks q >= 1, each held as its d rows, from E_q, the (G, d, n_q) eps
-    blocks over the grid; a degree that is zero at a node stays +0 there."""
+    blocks over the grid; a degree that is zero at a node stays +0 there.
+    The matrices are the entries of one (len(cs), d, dim_total) stack."""
     mono = _monomials(basis.d, basis.N)
     buf = np.zeros((len(cs), basis.d, basis.dim_total))
     for q, B in E.items():
@@ -343,7 +346,7 @@ def _block1(E: dict[int, np.ndarray], nodes: np.ndarray, cs: np.ndarray,
             cols = basis.block_slice(q)
             at = B.reshape(len(B), -1).any(axis=1)[nodes]
             buf[at, :, cols] = cs[at, None, None] * B[nodes[at]] / mono.sqrt_mult[cols]
-    return [StepMatrix(rows) for rows in buf]
+    return [StepMatrix(buf, n) for n in range(len(cs))]
 
 
 def assemble_unipc_qcms(
@@ -353,8 +356,9 @@ def assemble_unipc_qcms(
     p: int,
     basis: CarlemanBasis,
     variant: str = "bh2",
+    corrector: bool = True,
 ) -> list[UnipcQcmSet]:
-    """Lift the order-p predictor and corrector steps to nodes p..M of ``grid``.
+    """Lift the order-p predictor (and ``corrector``) steps to nodes p..M of ``grid``.
 
     The step to node i anchors at grid node i-p and its interior nodes
     are the grid nodes in between, so every matrix acts on an
@@ -363,32 +367,32 @@ def assemble_unipc_qcms(
     The weights of all K = M - p + 1 predictor and K corrector steps come
     as two tables from :func:`carlift.reference.uni_weights`, eps as one
     table over the grid.  The anchor row of a step carries c[0] E at the
-    anchor and every node's constant term; its 2K maps are lifted
+    anchor and every node's constant term; its K or 2K maps are lifted
     together by :func:`_poly_to_update`.  Each other node's term is a
     block-row-1 matrix, all of them from the one eps table and written
     slot by slot, so that a slot's matrices over the steps are
-    consecutive slices of one array, as the anchor matrices are.
+    consecutive entries of one stack, as the anchor matrices are.
+    Without ``corrector`` no corrector map or target is lifted.
     """
     _check_model_basis(m, basis)
     (eps,) = _derivative_tower(s, m, 1, grid.lam)
     E = _degree_blocks(eps)
-    pred_ratio, pred_c = uni_weights(s, grid.lam, p, variant)
-    corr_ratio, corr_c = uni_weights(s, grid.lam, p, variant, corrector=True)
-    K = len(pred_ratio)
-    # steps 0..K-1 predict, K..2K-1 correct; the predictor puts no weight on the target
-    c = np.concatenate([np.pad(pred_c, ((0, 0), (0, 1))), corr_c])
-    slot = np.arange(p + 1)
-    nodes = np.tile(np.arange(K), 2)[:, None] + slot  # the grid node of each weight
+    ratio, c = uni_weights(s, grid.lam, p, variant)
+    K = len(ratio)
+    if corrector:  # steps K..2K-1 correct; the predictor puts no weight on the target
+        corr_ratio, corr_c = uni_weights(s, grid.lam, p, variant, corrector=True)
+        ratio, c = np.concatenate([ratio, corr_ratio]), np.concatenate([np.pad(c, ((0, 0), (0, 1))), corr_c])
+    nodes = np.tile(np.arange(K), 1 + corrector)[:, None] + np.arange(c.shape[1])  # each weight's node
     terms = [(c[:, 0], {q: B[nodes[:, 0]] for q, B in E.items()})]
-    terms += [(c[:, mm], {0: E[0][nodes[:, mm]]}) for mm in range(1, p + 1) if 0 in E]
-    steps = _poly_to_update(_step_maps(np.concatenate([pred_ratio, corr_ratio]), terms, m.d), basis)
-    # slot by slot, every step's interior nodes 1..p-1, then the correctors' targets
+    terms += [(c[:, mm], {0: E[0][nodes[:, mm]]}) for mm in range(1, c.shape[1]) if 0 in E]
+    steps = _poly_to_update(_step_maps(ratio, terms, m.d), basis)
+    # slot by slot, every step's interior nodes 1..p-1
     slots = [_block1(E, nodes[:, mm], c[:, mm], basis) for mm in range(1, p)]
-    targets = _block1(E, nodes[K:, p], c[K:, p], basis)
     mats = [[U] + [blocks[n] for blocks in slots] for n, (U, _) in enumerate(steps)]
-    return [UnipcQcmSet(i=i, p=p, anchor=i - p, pred_mats=mats[n], pred_b=steps[n][1],
-                        corr_mats=mats[K + n], corr_target=targets[n], corr_b=steps[K + n][1])
-            for n, i in enumerate(range(p, grid.M + 1))]
+    corr = [()] * K  # each step's corrector maps, target and offset, if lifted
+    if corrector:
+        corr = zip(mats[K:], _block1(E, nodes[K:, p], c[K:, p], basis), [b for _, b in steps[K:]])
+    return [UnipcQcmSet(n + p, p, n, mats[n], steps[n][1], *more) for n, more in enumerate(corr)]
 
 
 def lift_run(s: NoiseSchedule, m: PolyNoiseModel, x_T, grid: TimeGrid, basis: CarlemanBasis,
@@ -400,20 +404,23 @@ def lift_run(s: NoiseSchedule, m: PolyNoiseModel, x_T, grid: TimeGrid, basis: Ca
     :func:`assemble_unipc_qcms`, over corrected states if ``corrector``.
     Before anything is built, the lift of x_T included, the dense arrays
     the run holds are priced against MAX_STEP_BYTES: a (dim, dim) matrix
-    and offset per lifted step or map (M; p - 1 and 2K) and 2p - 1 d-row
-    matrices per unified step, the unified ones again if the corrector's
-    fold copies them."""
-    D, K = basis.dim_total, max(grid.M - order + 1, 0) * (1 + corrector)  # twice K if folded
+    and offset per lifted step or map, and the d-row matrices of the
+    unified steps.  A dpm chain holds M maps.  A UniPC run holds p - 1
+    warm-up maps, K predictor maps and (p - 1) K interior-node matrices;
+    a corrector run also holds the K corrector maps and their (p - 1) K
+    interior-node matrices, their K folded copies and the K targets."""
+    D, K = basis.dim_total, max(grid.M - order + 1, 0)
     if scheme not in ("dpm", "unipc"):
         raise ValueError(f"unknown scheme {scheme!r}")
     dpm = scheme == "dpm"
-    mats, rows = (grid.M, 0) if dpm else (order - 1 + 2 * K, (2 * order - 1) * K * basis.d)
-    if (nbytes := 8 * D * (mats * (D + 1) + rows)) > MAX_STEP_BYTES:
+    per_step = 1 + 2 * corrector  # the predictor's maps, the corrector's and their folds
+    mats, rows = (grid.M, 0) if dpm else (order - 1 + K * per_step, K * ((order - 1) * per_step + corrector))
+    if (nbytes := 8 * D * (mats * (D + 1) + rows * basis.d)) > MAX_STEP_BYTES:
         raise CapacityError(f"lifting the run needs {nbytes} bytes, above {MAX_STEP_BYTES}")
     chain = assemble_dpm_qcms(s, m, grid.lam if dpm else grid.lam[:order], order, basis)
     if dpm:
         return system.assemble_global_dpm(chain, lift(x_T, basis).y), chain
-    unified = assemble_unipc_qcms(s, m, grid, order, basis, variant=variant)
+    unified = assemble_unipc_qcms(s, m, grid, order, basis, variant=variant, corrector=corrector)
     which = "corrector" if corrector else "predictor"
     return system.assemble_global_unipc(chain, unified, lift(x_T, basis).y, which), chain + unified
 

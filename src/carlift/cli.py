@@ -3,11 +3,12 @@
 Commands: simulate, carleman, lchs, diagnose, readout, sweep.  One strict
 schema declares the config: every option's type and default, and the
 rules that tie model keys together (a preset stands alone; otherwise a
-mode is required, separable needs d, kron needs d and blocks; a
-one-coordinate model is separable with d = 1).  Every run validates its
-config against it (unknown keys rejected), checks that the config holds
-what the command needs beyond the defaults, and writes the fully
-resolved config to the output directory before the command starts.
+mode is required, separable needs d and refuses blocks, kron needs d and
+blocks and refuses terms; a one-coordinate model is separable with
+d = 1).  Every run validates its config against it (unknown keys
+rejected), checks that the config holds what the command needs beyond
+the defaults, and writes the fully resolved config to the output
+directory before the command starts.
 A command is a function of that config that writes nothing: it returns
 its exit status and its outputs, which map each file name to a table
 (columns, rows, metadata) or, for the one non-CSV file, to a deferred
@@ -122,14 +123,14 @@ _SCHEMA = _section({
         "blocks": {"type": "object", "additionalProperties": {"type": "array"}},
     }) | {
         # a preset stands alone; otherwise the mode is required and names
-        # the keys it needs
+        # the keys it needs and the other mode's key it refuses
         "if": {"required": ["preset"]},
         "then": {"properties": {"preset": True}, "additionalProperties": False},
         "else": {"required": ["mode"]},
         "allOf": [
             {"if": {"properties": {"mode": {"const": mode}}, "required": ["mode"]},
-             "then": {"required": keys}}
-            for mode, keys in (("separable", ["d"]), ("kron", ["d", "blocks"]))
+             "then": {"required": keys, "properties": {other: {"not": {}}}}}
+            for mode, keys, other in (("separable", ["d"], "blocks"), ("kron", ["d", "blocks"], "terms"))
         ],
     },
     "window": _section({
@@ -235,13 +236,12 @@ def load_config(path: str) -> dict:
 
 def validate_config(raw: dict) -> None:
     validator = jsonschema.Draft202012Validator(_SCHEMA)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: str(list(e.absolute_path)))
-    if errors:
-        err = errors[0]
-        path = "$" + "".join(
-            f"[{p}]" if isinstance(p, int) else f".{p}" for p in err.absolute_path
-        )
-        raise ConfigError(f"{path}: {err.message}")
+    errors = [("$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in err.absolute_path),
+               err) for err in validator.iter_errors(raw)]
+    if errors:  # the first by printed path: an object's own error before its keys'
+        path, err = min(errors, key=lambda pe: pe[0])
+        # the one "not" in the schema is a key the model's mode refuses
+        raise ConfigError(f"{path}: " + ("not a key of this mode" if err.validator == "not" else err.message))
 
 
 def resolve_config(raw: dict, seed=None, out=None) -> dict:

@@ -1,26 +1,30 @@
 """Global block linear systems over whole lifted trajectories.
 
-Stacking the per-step quantized updates Y_i = (I + A_i) Y_{i-1} + b_i
-for i = 1..M together with the initial condition gives one system
+Stacking the per-step quantized updates Y_i = A_i Y_{i-1} + b_i for
+i = 1..M together with the initial condition gives one system
 M Y = beta whose solution is the entire lifted trajectory.  M is block
 lower triangular with identity diagonal blocks (elementwise unit lower
 triangular, since every coupling block sits strictly below its row's
-diagonal block).  :func:`carlift.carleman.lift_run`, the one dispatch
+diagonal block), and every coupling is a block as the lift made it,
+negated: a step's update matrix, or a unified step's matrix on one of
+its anchor nodes.  :func:`carlift.carleman.lift_run`, the one dispatch
 on a scheme's layout of steps, assembles a run's system here.
-:class:`TrajectoryOperator` keeps M as the per-step blocks the lift
-made, each a :class:`carlift.carleman.StepMatrix`, the dense array of
-its leading rows: products with M and the forward solve read those
-blocks, and the global CSR matrix is built only on request, for matrix
-export and the condition estimate, one block row at a time straight
-into the CSR arrays.  The lift writes a trajectory's steps into one
-array, so the blocks of consecutive rows are consecutive slices of it:
-a product takes each such run of blocks as one batched BLAS call, and
-the forward solve walks the block rows in order, one matrix-vector
-call per block; a unified system is one run per coupling slot too.
-Both run on the calling thread.  That forward solve is the package's
-one lifted walk: :func:`carlift.carleman.run_lifted` returns its blocks
-as a run's states.  A dense-SVD condition number runs its LAPACK call
-on one OpenBLAS thread, so its bytes do not depend on the CPU count.
+:class:`TrajectoryOperator` keeps M as those blocks, each a
+:class:`carlift.carleman.StepMatrix`, the dense array of its leading
+rows: products with M and the forward solve read those blocks, and the
+global CSR matrix is built only on request, for matrix export and the
+condition estimate, one block row at a time straight into the CSR
+arrays.  Each block records the stack the lift wrote it into and its
+index there, so the blocks of consecutive rows are read as one view of
+that stack: a product takes each such run of blocks as one batched BLAS
+call, and the forward solve walks the block rows in order, one
+matrix-vector call per block; a unified system is one run per coupling
+slot too, and the corrector's fold reads its targets and predictor
+blocks in place.  Both run on the calling thread.  That forward solve
+is the package's one lifted walk: :func:`carlift.carleman.run_lifted`
+returns its blocks as a run's states.  A dense-SVD condition number
+runs its LAPACK call on one OpenBLAS thread, so its bytes do not depend
+on the CPU count.
 """
 from __future__ import annotations
 
@@ -55,40 +59,19 @@ DENSE_SVD_MAX_DIM = 2000
 LANCZOS_MAX_ITER = 10000
 
 
-def _eye_change(blk: carleman.StepMatrix) -> np.ndarray:
-    """Change in each row's entry count when I is added to ``blk``: I adds
-    an entry where the diagonal is 0 and cancels one where it is -1."""
-    diag = np.zeros(blk.shape[0])
-    diag[: len(blk.rows)] = np.diagonal(blk.rows)
-    return (diag == 0.0).astype(np.int64) - (diag == -1.0)
-
-
-def _stack_slice(rows: np.ndarray) -> tuple:
-    """(base, k) when ``rows`` is base[k] of the 3-d array that owns its
-    memory, else (None, None)."""
-    base = rows.base
-    if (isinstance(base, np.ndarray) and base.ndim == 3 and base.shape[1:] == rows.shape
-            and base.strides[1:] == rows.strides and base.strides[0] > 0):
-        k, off = divmod(rows.ctypes.data - base.ctypes.data, base.strides[0])
-        if off == 0 and 0 <= k < len(base):
-            return base, k
-    return None, None
-
-
 class TrajectoryOperator(LinearOperator):
     """Block lower triangular trajectory matrix, held as its blocks.
 
     Block row i is
 
-        Y_i - sum_k C_k Y_{c_k},   C_k = I + B_k if plus_eye else B_k,
+        Y_i - sum_k B_k Y_{c_k}
 
-    over ``rows[i]``, a list of (c_k, B_k, plus_eye) couplings with
-    ascending columns c_k < i; row 0 has none and pins Y_0.  The D x D
-    blocks B_k are the StepMatrix objects the lift made, held as they
-    are: a derivative-scheme step holds its A with ``plus_eye``, a
-    unified step its predictor (or folded corrector) matrices.  So M is
-    unit lower triangular: every coupling lies left of its row's
-    identity block.
+    over ``rows[i]``, a list of (c_k, B_k) couplings with ascending
+    columns c_k < i; row 0 has none and pins Y_0.  The D x D blocks B_k
+    are the StepMatrix objects the lift made, held as they are: a
+    derivative-scheme step's update matrix A, a unified step's predictor
+    (or folded corrector) matrices.  So M is unit lower triangular:
+    every coupling lies left of its row's identity block.
 
     A product with M takes the couplings as runs (:attr:`_runs`), each
     one batched matmul over a view of consecutive blocks, so no block is
@@ -98,14 +81,13 @@ class TrajectoryOperator(LinearOperator):
     def __init__(self, block_dim: int, rows: list[list[tuple]]):
         D = block_dim
         for i, row in enumerate(rows):
-            cols = [c for c, _, _ in row]
+            cols = [c for c, _ in row]
             if any(not 0 <= c < i for c in cols):
                 raise StructureError(f"block row {i} couples to block columns {cols}; "
                                      "couplings must lie strictly below the diagonal")
             if cols != sorted(set(cols)):
                 raise ValueError(f"block row {i} lists columns {cols}, not strictly ascending")
-            if any(not isinstance(blk, carleman.StepMatrix) or blk.shape != (D, D)
-                   for _, blk, _ in row):
+            if any(not isinstance(blk, carleman.StepMatrix) or blk.shape != (D, D) for _, blk in row):
                 raise ValueError(f"block row {i} holds a block that is not a {D} x {D} StepMatrix")
         self.block_dim = D
         self.n_blocks = len(rows)
@@ -118,29 +100,26 @@ class TrajectoryOperator(LinearOperator):
 
     @functools.cached_property
     def _runs(self) -> list[tuple]:
-        """The couplings as runs (rows, cols, blocks, plus_eye), grouped the
-        first time a product needs them: block rows ``rows`` couple to
-        block columns ``cols`` through ``blocks``, a (rows, r, D) view.  A
-        run holds the k-th couplings of consecutive rows whose blocks are
-        consecutive slices of one array, at one lag and one plus_eye; a
-        block that continues no run is a run of one.  The runs come slot
-        by slot, k = 0, 1, ..., so each row meets its couplings in order."""
-        runs = []
+        """The couplings as runs (rows, cols, blocks), grouped the first
+        time a product needs them: block rows ``rows`` couple to block
+        columns ``cols`` through ``blocks``, a (rows, r, D) view of one
+        stack.  A run holds the k-th couplings of consecutive rows whose
+        blocks are consecutive entries of one stack, at one lag; a block
+        that continues no run is a run of one.  The runs come slot by
+        slot, k = 0, 1, ..., so each row meets its couplings in order."""
+        runs = []  # [first row, first column, first block, length]
         for k in range(max(map(len, self.rows), default=0)):
-            run = None  # slot k's open run: first row, column, plus_eye, base, index, length, block
+            last = None  # slot k's last coupling: row, column, stack and index
             for i, row in enumerate(self.rows):
-                if k >= len(row):
-                    continue
-                c, blk, plus_eye = row[k]
-                base, at = _stack_slice(blk.rows)
-                if (run is not None and base is not None and run[3] is base and run[2] == plus_eye
-                        and (i, c, at) == (run[0] + run[5], run[1] + run[5], run[4] + run[5])):
-                    run[5] += 1
-                else:
-                    run = [i, c, plus_eye, base, at, 1, blk.rows]
-                    runs.append(run)
-        return [(slice(i, i + n), slice(c, c + n), base[at : at + n] if n > 1 else rows[None], eye)
-                for i, c, eye, base, at, n, rows in runs]
+                if k < len(row):
+                    c, blk = row[k]
+                    if last == (i - 1, c - 1, id(blk.stack), blk.index - 1):
+                        runs[-1][3] += 1
+                    else:
+                        runs.append([i, c, blk, 1])
+                    last = (i, c, id(blk.stack), blk.index)
+        return [(slice(i, i + n), slice(c, c + n), blk.stack[blk.index : blk.index + n])
+                for i, c, blk, n in runs]
 
     def _matvec(self, x):
         """M x, one batched product per run of blocks.  Each entry gets its
@@ -149,20 +128,18 @@ class TrajectoryOperator(LinearOperator):
         matrix-vector call, so the result keeps that walk's bits."""
         x = self._blocks(x)
         y = x.astype(np.result_type(x, np.float64))
-        for rows, cols, blocks, plus_eye in self._runs:
+        for rows, cols, blocks in self._runs:
             y[rows, : blocks.shape[1]] -= (blocks @ x[cols, :, None])[..., 0]
-            if plus_eye:
-                y[rows] -= x[cols]
         return y.ravel()
 
     def solve(self, rhs) -> np.ndarray:
         """Forward block substitution for M Y = rhs.
 
-        Y_i = rhs_i + sum_k C_k Y_{c_k}, block row by block row, with the
-        terms added in coupling order; a plus_eye term is y + B @ y, so a
-        derivative-scheme row is the quantized update y + A @ y + b.
-        This is the lifted walk: :func:`carlift.carleman.run_lifted`
-        returns the solution's blocks as a run's states.
+        Y_i = rhs_i + sum_k B_k Y_{c_k}, block row by block row, with the
+        terms added in coupling order, so a derivative-scheme row is the
+        quantized update A @ y + b.  This is the lifted walk:
+        :func:`carlift.carleman.run_lifted` returns the solution's blocks
+        as a run's states.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (self.shape[0],):
@@ -171,31 +148,28 @@ class TrajectoryOperator(LinearOperator):
         Y = np.empty_like(b)
         for i, row in enumerate(self.rows):
             acc = b[i]
-            for c, blk, plus_eye in row:
-                y = Y[c]
-                acc = acc + (y + blk @ y if plus_eye else blk @ y)
+            for c, blk in row:
+                acc = acc + blk @ Y[c]
             Y[i] = acc
         return Y.ravel()
 
     @functools.cached_property
     def nnz(self) -> int:
-        """Nonzeros of M, from the counts the blocks hold and their diagonals,
-        counted the first time it is read and kept."""
-        return self.shape[0] + sum(blk.nnz + (int(_eye_change(blk).sum()) if plus_eye else 0)
-                                   for row in self.rows for _, blk, plus_eye in row)
+        """Nonzeros of M, from the counts the blocks hold, counted the first
+        time it is read and kept."""
+        return self.shape[0] + sum(blk.nnz for row in self.rows for _, blk in row)
 
     def tocsr(self) -> sp.csr_matrix:
         """The global CSR matrix, built afresh on every call.
 
-        One block row at a time, its negated blocks (-(I + B) for a
-        plus_eye coupling) are laid side by side in column order, with
-        the identity as one last column; that array's nonzeros, read row
-        by row, are its rows' CSR entries in column order with no stored
-        zeros, and are written straight into the preallocated global
-        arrays, each row's last entry taking its diagonal column.  So
-        those arrays and one block row's temporaries are all it holds.
-        Raises CapacityError, before allocating them, if they would
-        exceed carleman.MAX_STEP_BYTES.
+        One block row at a time, its negated blocks are laid side by side
+        in column order, with the identity as one last column; that
+        array's nonzeros, read row by row, are its rows' CSR entries in
+        column order with no stored zeros, and are written straight into
+        the preallocated global arrays, each row's last entry taking its
+        diagonal column.  So those arrays and one block row's temporaries
+        are all it holds.  Raises CapacityError, before allocating them,
+        if they would exceed carleman.MAX_STEP_BYTES.
         """
         D, n, nnz = self.block_dim, self.shape[0], self.nnz
         nbytes = 12 * nnz + 8 * (n + 1)  # float64 data, int32 indices, indptr at 8 bytes
@@ -208,13 +182,11 @@ class TrajectoryOperator(LinearOperator):
         diag, end = np.arange(D), 0
         for i, row in enumerate(self.rows):
             wide = np.zeros((D, len(row) * D + 1))
-            for k, (_, blk, plus_eye) in enumerate(row):
+            for k, (_, blk) in enumerate(row):
                 np.negative(blk.rows, out=wide[: len(blk.rows), k * D : (k + 1) * D])
-                if plus_eye:
-                    wide[diag, k * D + diag] -= 1.0
             wide[:, -1] = 1.0
             # the global column of each column of wide; the identity's is per row
-            cols = np.append(np.add.outer([c * D for c, _, _ in row], diag), 0).astype(idx)
+            cols = np.append(np.add.outer([c * D for c, _ in row], diag), 0).astype(idx)
             mask = wide != 0.0
             counts = np.count_nonzero(mask, axis=1)
             start, end = end, end + int(counts.sum())
@@ -252,39 +224,53 @@ class BlockLinearSystem:
         return self.mat.block_dim
 
 
-def _delta_rows(qcms: list[carleman.Qcm]) -> list:
-    """Block row 0, then the rows Y_i - (I + A_i) Y_{i-1} of derivative-scheme steps."""
-    return [[]] + [[(i - 1, q.A, True)] for i, q in enumerate(qcms, start=1)]
+def _system(y0, chain: list[carleman.Qcm], unified: list[tuple], scheme: str) -> BlockLinearSystem:
+    """Block row 0, Y_0 = y0, then a chain's rows Y_i = A_i Y_{i-1} + b_i
+    and the ``unified`` rows (anchor, blocks, b) after them,
+    Y_i = sum_k blocks[k] Y_{anchor+k} + b: each a row of couplings."""
+    y0 = np.asarray(y0, dtype=float)
+    steps = [(i, [q.A], q.b) for i, q in enumerate(chain)] + unified
+    rows = [[]] + [[(a + k, blk) for k, blk in enumerate(blocks)] for a, blocks, _ in steps]
+    return BlockLinearSystem(mat=TrajectoryOperator(len(y0), rows),
+                             rhs=np.concatenate([y0] + [b for _, _, b in steps]), scheme=scheme)
 
 
 def assemble_global_dpm(qcms: list[carleman.Qcm], y0: np.ndarray) -> BlockLinearSystem:
     """Block bidiagonal system for a derivative-scheme trajectory.
 
     Row block 0 pins Y_0 = y0; row block i couples node i to node i-1
-    through -(I + A_i).
+    through -A_i.
     """
-    y0 = np.asarray(y0, dtype=float)
-    return BlockLinearSystem(
-        mat=TrajectoryOperator(len(y0), _delta_rows(qcms)),
-        rhs=np.concatenate([y0] + [q.b for q in qcms]), scheme="dpm",
-    )
+    return _system(y0, qcms, [], "dpm")
+
+
+def _stacked(blocks: list[carleman.StepMatrix]) -> np.ndarray:
+    """The blocks' rows as one (n, r, D) array: a view of their stack when
+    they are its consecutive entries, as a lift writes them, else a copy."""
+    first = blocks[0]
+    if all(blk.stack is first.stack and blk.index == first.index + n for n, blk in enumerate(blocks)):
+        return first.stack[first.index : first.index + len(blocks)]
+    return np.stack([blk.rows for blk in blocks])
 
 
 def _fold(steps: list[carleman.UnipcQcmSet]) -> list[list[carleman.StepMatrix]]:
     """Each step's corrector blocks corr + target @ pred, one per slot.  A
     slot's blocks over all the steps are one stacked matmul on the d rows
-    of the block-row-1 targets, written into one array, so they are one
+    of the block-row-1 targets, read in place with the predictor blocks,
+    and written into one copy of the corrector blocks, so they are one
     run of the operator."""
     if not steps:
         return []
-    target = np.stack([q.corr_target.rows for q in steps])
+    if any(q.corr_target is None for q in steps):
+        raise ValueError("steps lifted for the predictor alone have no corrector to fold")
+    target = _stacked([q.corr_target for q in steps])
     slots = []
     for mm in range(steps[0].p):
-        folded = np.stack([q.corr_mats[mm].rows for q in steps])
-        pred = np.stack([q.pred_mats[mm].rows for q in steps])
+        folded = _stacked([q.corr_mats[mm] for q in steps]).copy()
+        pred = _stacked([q.pred_mats[mm] for q in steps])
         folded[:, : target.shape[1]] += target[:, :, : pred.shape[1]] @ pred
         slots.append(folded)
-    return [[carleman.StepMatrix(folded[n]) for folded in slots] for n in range(len(steps))]
+    return [[carleman.StepMatrix(folded, n) for folded in slots] for n in range(len(steps))]
 
 
 def assemble_global_unipc(
@@ -298,26 +284,21 @@ def assemble_global_unipc(
     ``which`` selects the scheme whose trajectory the solution follows:
     "predictor" uses the predictor update rows; "corrector" folds the
     predictor map into each corrector row (the corrected chain is the
-    canonical one, so the system closes over corrected states only).
-    Bandwidth is at most p + 1 block diagonals.  With p = 1 and
-    "predictor" the matrix coincides with :func:`assemble_global_dpm`
-    of the order-1 scheme.
+    canonical one, so the system closes over corrected states only), and
+    needs steps lifted with their corrector.  Bandwidth is at most p + 1
+    block diagonals.  With p = 1 and "predictor" the matrix coincides
+    with :func:`assemble_global_dpm` of the order-1 scheme.
     """
     if which not in ("predictor", "corrector"):
         raise ValueError("which must be 'predictor' or 'corrector'")
-    y0 = np.asarray(y0, dtype=float)
-    rows = _delta_rows(warmup)
-    rhs = [y0] + [q.b for q in warmup]
-    corrector = which == "corrector"
-    for qset, blocks in zip(steps, _fold(steps) if corrector else [q.pred_mats for q in steps]):
-        if qset.i != len(rows):
-            raise ValueError(f"step to node {qset.i} would fill block row {len(rows)}")
-        rows.append([(qset.anchor + mm, blk, False) for mm, blk in enumerate(blocks)])
-        rhs.append(qset.corr_b + qset.corr_target @ qset.pred_b if corrector else qset.pred_b)
-    return BlockLinearSystem(
-        mat=TrajectoryOperator(len(y0), rows), rhs=np.concatenate(rhs),
-        scheme=f"unipc_{which}",
-    )
+    corrector, rows = which == "corrector", []
+    mats = _fold(steps) if corrector else [q.pred_mats for q in steps]
+    for i, (qset, blocks) in enumerate(zip(steps, mats), start=len(warmup) + 1):
+        if qset.i != i:
+            raise ValueError(f"step to node {qset.i} would fill block row {i}")
+        rows.append((qset.anchor, blocks, qset.corr_b + qset.corr_target @ qset.pred_b
+                     if corrector else qset.pred_b))
+    return _system(y0, warmup, rows, f"unipc_{which}")
 
 
 @dataclass

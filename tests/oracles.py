@@ -243,7 +243,7 @@ def kron_lift(x, basis: KronBasis) -> LiftedState:
     return LiftedState(basis=basis, y=np.concatenate(parts))
 
 
-def kron_poly_to_update(P: dict[int, np.ndarray], basis: KronBasis, delta: bool = False):
+def kron_poly_to_update(P: dict[int, np.ndarray], basis: KronBasis):
     """The step lift in the Kronecker basis: block row j of U holds the
     degree-truncated coefficients of P(x)^{(j)}, written into one dense
     buffer from block row j-1, each product R_{q1} (x) B_{q2} by
@@ -271,8 +271,6 @@ def kron_poly_to_update(P: dict[int, np.ndarray], basis: KronBasis, delta: bool 
                 else:
                     out += left * right
         R = row
-    if delta:
-        buf.reshape(-1)[:: dim + 1] -= 1.0
     return StepMatrix(buf), b
 
 
@@ -303,7 +301,7 @@ def one_step_polynomial_dpm(s: NoiseSchedule, m: PolyNoiseModel, lams, k: int,
     return P
 
 
-def one_step_poly_to_update(P: dict[int, np.ndarray], basis, delta: bool = False):
+def one_step_poly_to_update(P: dict[int, np.ndarray], basis):
     """The symmetric-basis lift of one step polynomial {q: (d, n_q)}, alone, as
     :func:`carlift.carleman._poly_to_update` made it before it lifted
     steps together: P's nonzero degrees in its own key order, block row j from
@@ -332,8 +330,6 @@ def one_step_poly_to_update(P: dict[int, np.ndarray], basis, delta: bool = False
         b[rows] = R[:, 0] * scale
         np.multiply(R[:, 1:], 1.0 / mono.sqrt_mult, out=buf[rows])
         buf[rows] *= scale[:, None]
-    if delta:
-        buf.reshape(-1)[:: dim + 1] -= 1.0
     return StepMatrix(buf), b
 
 
@@ -359,8 +355,8 @@ def kron_lifting():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(carleman, "lift", kron_lift)
-        mp.setattr(carleman, "_poly_to_update", lambda polys, basis, delta=False: [
-            kron_poly_to_update(kron_poly(P, basis.d), basis, delta=delta) for P in step_dicts(polys)])
+        mp.setattr(carleman, "_poly_to_update", lambda polys, basis: [
+            kron_poly_to_update(kron_poly(P, basis.d), basis) for P in step_dicts(polys)])
         mp.setattr(carleman, "_block1", lambda E, nodes, cs, basis: [
             kron_node_block1(kron_poly({q: B[n] for q, B in E.items()}, basis.d), c, basis)
             for n, c in zip(nodes, cs)])
@@ -643,10 +639,8 @@ def walk_matvec(mat, x) -> np.ndarray:
     x = np.asarray(x).reshape(mat.n_blocks, mat.block_dim)
     y = x.astype(np.result_type(x, np.float64))
     for i, row in enumerate(mat.rows):
-        for c, blk, plus_eye in row:
+        for c, blk in row:
             y[i, : len(blk.rows)] -= blk.rows @ x[c]
-            if plus_eye:
-                y[i] -= x[c]
     return y.ravel()
 
 
@@ -663,7 +657,7 @@ def step_lifted(q, states, corrector: bool = False) -> np.ndarray:
     then reads the predictor output's truncated higher blocks.
     """
     if isinstance(q, Qcm):
-        return states + q.A @ states + q.b
+        return q.A @ states + q.b
     if isinstance(q, UnipcQcmSet):
         if len(states) != q.p:
             raise ValueError(f"need {q.p} history states, got {len(states)}")

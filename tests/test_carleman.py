@@ -98,9 +98,10 @@ def test_step_lift_refuses_oversized_dense_rows_before_allocating():
 def test_lift_run_prices_the_whole_run_before_building_it(monkeypatch):
     # weak_quadratic at N=3 is dim 3: a lifted map is a 3 x 3 matrix and an
     # offset, 96 bytes.  A chain of M=8 steps is 768 bytes; the unipc p=2
-    # run is 1 warm-up step, 14 unified maps and 21 block-row-1 rows of 3
-    # entries, 1 944 bytes, and its corrector's fold twice the unified
-    # part, 3 792 bytes, more than the cap although one step is far below it
+    # predictor run is 1 warm-up step, 7 predictor maps and 7 block-row-1
+    # rows of 3 entries, 936 bytes, and its corrector run adds 7 corrector
+    # maps, their 7 folded copies and 21 rows, 2 784 bytes, more than the
+    # cap although one step is far below it
     def refuse(*args, **kwargs):
         raise AssertionError("the run was built before it was priced")
 
@@ -112,11 +113,61 @@ def test_lift_run_prices_the_whole_run_before_building_it(monkeypatch):
     run_lifted(s, m, [bench.x_T], grid, basis, scheme="unipc", order=2)
     monkeypatch.setattr(carleman, "_derivative_tower", refuse)
     monkeypatch.setattr(carleman, "lift", refuse)
-    with pytest.raises(CapacityError, match="needs 3792 bytes"):
+    with pytest.raises(CapacityError, match="needs 2784 bytes"):
         run_lifted(s, m, [bench.x_T], grid, basis, scheme="unipc", order=2, corrector=True)
     monkeypatch.setattr(carleman, "MAX_STEP_BYTES", 767)
     with pytest.raises(CapacityError, match="needs 768 bytes"):
         run_lifted(s, m, [bench.x_T], grid, basis, scheme="dpm")
+
+
+@pytest.mark.parametrize("corrector, price", [(False, 936), (True, 2784)])
+def test_lift_run_price_is_exact_at_its_boundary(monkeypatch, corrector, price):
+    # the weak_quadratic unipc p=2 runs priced in the test above: a cap of
+    # their price lifts them, one byte less refuses them
+    bench = benchmark("weak_quadratic")
+    s, m, grid, basis = bench.schedule(), bench.model(), bench.grid(8), CarlemanBasis(N=3, d=1)
+    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", price)
+    lift_run(s, m, [bench.x_T], grid, basis, "unipc", 2, corrector=corrector)
+    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", price - 1)
+    with pytest.raises(CapacityError, match=f"needs {price} bytes"):
+        lift_run(s, m, [bench.x_T], grid, basis, "unipc", 2, corrector=corrector)
+
+
+def traced_unipc_lift(corrector: bool):
+    """(steps, bytes held, peak bytes) of a d=3, N=8, M=16, p=3 UniPC
+    lift_run under tracemalloc, after one untraced run builds the index
+    tables."""
+    rng = np.random.default_rng(3)
+    m = kron_model(3, {0: 0.1 * rng.normal(size=(3, 1)),
+                       1: np.diag([0.3, 0.5, 0.7]) + 0.01 * rng.normal(size=(3, 3)),
+                       2: 0.02 / 3 * rng.normal(size=(3, 9))})
+    args = (S, m, np.full(3, 0.8), make_lambda_grid(S, 0.5, 0.1, 16), CarlemanBasis(N=8, d=3),
+            "unipc", 3)
+    lift_run(*args, corrector=corrector)
+    tracemalloc.start()
+    try:
+        _, steps = lift_run(*args, corrector=corrector)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return steps, held, peak
+
+
+def test_predictor_run_lifts_only_the_predictor():
+    # lifting the corrector maps and targets too, the run held 6.8 MB
+    steps, held, _ = traced_unipc_lift(corrector=False)
+    assert held <= 0.6 * 6.8e6
+    unified = [q for q in steps if isinstance(q, UnipcQcmSet)]
+    assert all(q.corr_mats is q.corr_target is q.corr_b is None for q in unified)
+    with pytest.raises(ValueError, match="no corrector"):
+        assemble_global_unipc(steps[:2], unified, np.zeros(164), which="corrector")
+
+
+def test_corrector_run_peaks_at_what_it_holds():
+    # the fold reads the targets and predictor blocks in place; stacking
+    # the predictor blocks first peaked at 1.31 times the bytes held
+    _, held, peak = traced_unipc_lift(corrector=True)
+    assert peak <= 1.05 * held
 
 
 def test_lift_run_refuses_an_unknown_scheme_before_building(monkeypatch):
@@ -175,7 +226,7 @@ def test_lift_work_stays_within_its_chunk_budget(chunk_bytes, monkeypatch):
     _poly_to_update(polys, basis)  # index tables built outside the trace
     tracemalloc.start()
     try:
-        steps = _poly_to_update(polys, basis, delta=True)
+        steps = _poly_to_update(polys, basis)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -211,7 +262,7 @@ def test_consistency_defect_detects_drift():
 
 
 def assert_update_rows_are_powers(P, basis):
-    """Block row j of the non-delta Kronecker lift of P holds the truncated
+    """Block row j of the Kronecker lift of P holds the truncated
     coefficients of P(x)^{(j)}: degree 0 in b, degree q in column block q;
     the symmetric lift is that map on the weighted monomials, U Q = Q U_s."""
     U, b = kron_poly_to_update(P, basis)
@@ -418,7 +469,7 @@ def test_lifted_unipc_solves_each_distinct_step_once(monkeypatch):
     nodes = [grid.lam[i - 2 : i + 1] for i in range(2, grid.M + 1)]
     steps = {(tuple((lam[1:] - lam[0]) / (lam[-1] - lam[0])), lam[-1] - lam[0]) for lam in nodes}
     assert len(steps) < len(nodes)
-    _, qcms = run_lifted(S, QUAD, [1.3], grid, basis, scheme="unipc", order=2)
+    _, qcms = run_lifted(S, QUAD, [1.3], grid, basis, scheme="unipc", order=2, corrector=True)
     assert systems == [len(steps), len(steps)]  # one stacked solve per table
     # a run in which every step solves its own weights lifts the same matrices
     uni_weights = carleman.uni_weights
@@ -430,7 +481,8 @@ def test_lifted_unipc_solves_each_distinct_step_once(monkeypatch):
 
     monkeypatch.setattr(carleman, "uni_weights", per_step)
     systems.clear()
-    _, unshared = run_lifted(S, QUAD, [1.3], grid, basis, scheme="unipc", order=2)
+    _, unshared = run_lifted(S, QUAD, [1.3], grid, basis, scheme="unipc", order=2,
+                             corrector=True)
     assert systems == [1] * (2 * len(nodes))
     for q, alone in zip(qcms[1:], unshared[1:], strict=True):
         for got, expected in zip(q.pred_mats + q.corr_mats + [q.corr_target],

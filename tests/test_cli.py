@@ -89,6 +89,21 @@ def test_simulate_inline_separable_model(tmp_path):
     assert float(dict(zip(cols, rows[0]))["endpoint_error"]) < 1e-2
 
 
+@pytest.mark.parametrize("model, key", [
+    ({"mode": "kron", "d": 1, "blocks": {"1": [[-0.5]]}, "terms": [[1, 0, -0.5]]}, "terms"),
+    ({"mode": "separable", "d": 1, "terms": [[1, 0, -0.5]], "blocks": {"1": [[-0.5]]}}, "blocks"),
+])
+def test_model_refuses_the_other_modes_key(tmp_path, capsys, model, key):
+    # each model is valid without the key its mode does not read
+    cfg = {"model": model, "window": {"x_T": 0.8, "t_start": 0.5, "t_end": 0.1, "M": 4}}
+    code, out = run(tmp_path, "simulate", cfg)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: $.model.{key}")
+    assert not (out / "summary.csv").exists()
+    del model[key]
+    assert run(tmp_path, "simulate", cfg, out="without")[0] == 0
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     sep2 = {"mode": "separable", "d": 2, "terms": [[1, 0, 0.5]]}
     lchs = {"A": [[1.0, 0.0], [0.0]], "b": [1.0, 0.5], "u0": [1.0, -0.5]}

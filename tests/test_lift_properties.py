@@ -118,8 +118,7 @@ def as_csr(blk):
 
 def bmat_dpm(qcms, D):
     eye = sp.identity(D, format="csr")
-    rows = [[(0, eye)]] + [[(i - 1, -(eye + as_csr(q.A))), (i, eye)]
-                           for i, q in enumerate(qcms, start=1)]
+    rows = [[(0, eye)]] + [[(i - 1, -as_csr(q.A)), (i, eye)] for i, q in enumerate(qcms, start=1)]
     return bmat_system(rows, len(qcms) + 1)
 
 
@@ -133,8 +132,7 @@ def dense_fold(corr, target, pred):
 
 def bmat_unipc(warmup, steps, D, which):
     eye = sp.identity(D, format="csr")
-    rows = [[(0, eye)]] + [[(i - 1, -(eye + as_csr(q.A))), (i, eye)]
-                           for i, q in enumerate(warmup, start=1)]
+    rows = [[(0, eye)]] + [[(i - 1, -as_csr(q.A)), (i, eye)] for i, q in enumerate(warmup, start=1)]
     for qs in steps:
         if which == "predictor":
             blocks = [-as_csr(mat) for mat in qs.pred_mats]
@@ -408,11 +406,10 @@ def same_bits(a, b) -> bool:
     N=st.integers(1, 5),
     M=st.integers(1, 6),
     k=st.integers(1, 3),
-    delta=st.booleans(),
     chunk_bytes=st.integers(1, 2**16),
     zeros=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4)), max_size=4),
 )
-def test_batched_lift_equals_per_step_lifts(seed, d, N, M, k, delta, chunk_bytes, zeros):
+def test_batched_lift_equals_per_step_lifts(seed, d, N, M, k, chunk_bytes, zeros):
     # the oracle lifts each step alone, as the lift did before it stacked the
     # steps; the steps of a lam-dependent kron model with a constant term list
     # their degrees 1, 0, 2, ...; each (step, key) in ``zeros`` zeroes one of
@@ -424,10 +421,10 @@ def test_batched_lift_equals_per_step_lifts(seed, d, N, M, k, delta, chunk_bytes
         polys[list(polys)[key % len(polys)]][at % M] = 0.0
     basis = CarlemanBasis(N=N, d=d)
     with mock.patch.object(carleman, "LIFT_CHUNK_BYTES", chunk_bytes):
-        batched = _poly_to_update(polys, basis, delta=delta)
+        batched = _poly_to_update(polys, basis)
     assert len(batched) == M
     for P, (U, b) in zip(step_dicts(polys), batched):
-        U_1, b_1 = one_step_poly_to_update(P, basis, delta=delta)
+        U_1, b_1 = one_step_poly_to_update(P, basis)
         assert same_bits(U.rows, U_1.rows) and same_bits(b, b_1)
         assert U.nnz == U_1.nnz
 
@@ -453,9 +450,9 @@ def test_a_step_without_a_degree_lifts_like_its_own_polynomial(k):
     basis = CarlemanBasis(N=4, d=2)
     polys = step_polynomials_dpm(S, m, grid.lam, k)
     reordered = []
-    for i, (U, b) in enumerate(_poly_to_update(polys, basis, delta=True)):
+    for i, (U, b) in enumerate(_poly_to_update(polys, basis)):
         P = one_step_polynomial_dpm(S, m, grid.lam, k, i)
-        U_1, b_1 = one_step_poly_to_update(P, basis, delta=True)
+        U_1, b_1 = one_step_poly_to_update(P, basis)
         if list(P) == [q for q in polys if q in P]:
             assert same_bits(U.rows, U_1.rows) and same_bits(b, b_1), i
             continue
@@ -601,7 +598,7 @@ def blockwise_csr(mat):
     eye = sp.identity(mat.block_dim, format="csr")
     rows = []
     for i, row in enumerate(mat.rows):
-        blocks = [(c, -(eye + as_csr(blk)) if plus_eye else -as_csr(blk)) for c, blk, plus_eye in row]
+        blocks = [(c, -as_csr(blk)) for c, blk in row]
         rows.append(blocks + [(i, eye)])
     return bmat_system(rows, mat.n_blocks)
 
@@ -633,7 +630,7 @@ def test_dense_blocks_match_the_sparse_construction(seed, d, N, M, scheme):
         return
     for qs in steps:
         target = as_csr(qs.corr_target)
-        for (_, folded, _), corr, pred in zip(mat.rows[qs.i], qs.corr_mats, qs.pred_mats):
+        for (_, folded), corr, pred in zip(mat.rows[qs.i], qs.corr_mats, qs.pred_mats):
             want = (as_csr(corr) + target @ as_csr(pred)).toarray()
             scale = (abs(as_csr(corr)) + abs(target) @ abs(as_csr(pred))).toarray()
             assert np.all(np.abs(folded.toarray() - want) <= 1e-13 * scale)
@@ -648,7 +645,7 @@ def as_trajectory_rows(mat):
     for r, row in enumerate(dense):
         coupling = -row
         coupling[r] += 1.0
-        rows.append([(c, StepMatrix(np.array([[v]])), False) for c, v in enumerate(coupling) if v != 0.0])
+        rows.append([(c, StepMatrix(np.array([[v]]))) for c, v in enumerate(coupling) if v != 0.0])
     return rows
 
 

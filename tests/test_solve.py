@@ -51,16 +51,16 @@ def test_forward_substitution_structure_checks():
     # of M is Y_i - sum_k C_k Y_{c_k}, so an entry above the diagonal is a
     # coupling above its row and a diagonal away from 1 couples a row to itself
     blk = StepMatrix(np.array([[0.5]]))
-    TrajectoryOperator(1, [[], [(0, blk, False)]])
+    TrajectoryOperator(1, [[], [(0, blk)]])
     with pytest.raises(StructureError):
-        TrajectoryOperator(1, [[(1, blk, False)], []])
+        TrajectoryOperator(1, [[(1, blk)], []])
     with pytest.raises(StructureError):
-        TrajectoryOperator(1, [[], [(1, blk, True)]])
+        TrajectoryOperator(1, [[], [(1, blk)]])
     with pytest.raises(ValueError):
-        TrajectoryOperator(2, [[], [(0, blk, False)]])
+        TrajectoryOperator(2, [[], [(0, blk)]])
     # blocks are the StepMatrix objects a lift makes, not other matrices
     with pytest.raises(ValueError):
-        TrajectoryOperator(1, [[], [(0, sp.csr_matrix([[0.5]]), False)]])
+        TrajectoryOperator(1, [[], [(0, sp.csr_matrix([[0.5]]))]])
     system = assemble_global_dpm([], np.ones(3))
     with pytest.raises(ValueError):
         system.mat.solve(np.ones(2))

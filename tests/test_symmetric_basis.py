@@ -78,16 +78,15 @@ def both_bases(seed, d, N, M, scheme):
     N=st.integers(1, 4),
     degrees=st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True),
     zero=st.integers(0, 3),
-    delta=st.booleans(),
 )
-def test_step_lift_intertwines_with_the_kron_lift(seed, d, N, degrees, zero, delta):
+def test_step_lift_intertwines_with_the_kron_lift(seed, d, N, degrees, zero):
     # degrees in a random order, one block possibly all zero
     rng = np.random.default_rng(seed)
     P = {q: (0.0 if q == zero else 1.0) * rng.standard_normal((d, d**q)) for q in degrees}
     Q = symmetric_embedding(d, N)
     folded = {q: fold(B, d, q) for q, B in P.items()}
-    [(U_s, b_s)] = _poly_to_update(stacked(folded), CarlemanBasis(N=N, d=d), delta=delta)
-    U, b = kron_poly_to_update(P, KronBasis(N=N, d=d), delta=delta)
+    [(U_s, b_s)] = _poly_to_update(stacked(folded), CarlemanBasis(N=N, d=d))
+    U, b = kron_poly_to_update(P, KronBasis(N=N, d=d))
     U = U.toarray()
     assert U_s.rows.shape == (Q.shape[1], Q.shape[1])
     assert np.linalg.norm(U @ Q - Q @ U_s.toarray()) <= 1e-14 * np.linalg.norm(U)

@@ -50,7 +50,7 @@ def pair_system(ts) -> BlockLinearSystem:
     c = t - 1/t, whose singular values are t and 1/t."""
     rows = []
     for t in ts:
-        rows += [[], [(len(rows), carleman.StepMatrix(np.array([[t - 1.0 / t]])), False)]]
+        rows += [[], [(len(rows), carleman.StepMatrix(np.array([[t - 1.0 / t]])))]]
     return BlockLinearSystem(mat=TrajectoryOperator(1, rows), rhs=np.zeros(len(rows)), scheme="dpm")
 
 
@@ -96,17 +96,18 @@ def test_global_matrix_is_block_lower_triangular():
 
 
 def test_operator_csr_follows_step_diagonals_that_cancel_or_are_missing():
-    # I + A drops the entry where A holds -1 and gains one where A holds
-    # a zero, and A itself is left as given
-    A = np.array([[-1.0, 0.5, 0.0], [0.0, 0.0, 2.0], [0.3, 0.0, 0.25]])
+    # the coupling is -A as given: A's zeros store nothing in the CSR and
+    # count nothing in nnz, a diagonal zero (a step that drops its
+    # coordinate) and a signed zero included, and its ones stay
+    A = np.array([[0.0, 0.5, 0.0], [0.0, 1.0, 2.0], [0.3, 0.0, -0.0]])
     system = assemble_global_dpm([Qcm(A=carleman.StepMatrix(A.copy()), b=np.zeros(3))] * 2,
                                  np.ones(3))
     eye = sp.identity(3, format="csr")
-    step = -(eye + sp.csr_matrix(A))
+    step = -sp.csr_matrix(A)
     want = sp.bmat([[eye, None, None], [step, eye, None], [None, step, eye]], format="csr")
     want.eliminate_zeros()
     got = system.mat.tocsr()
-    assert system.mat.nnz == got.nnz == want.nnz == 19
+    assert system.mat.nnz == got.nnz == want.nnz == 17
     for attr in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
     x = np.random.default_rng(0).standard_normal(9)
@@ -121,12 +122,12 @@ def test_lift_made_blocks_are_held_without_a_rescan():
     _, _, _, qcms = lifted_setup(M=4, scheme="unipc", order=2)
     system = assemble_global_unipc(qcms[:1], qcms[1:], lift([0.8], basis).y, which="predictor")
     assert all(held.rows is mat.rows for row, q in zip(system.mat.rows[2:], qcms[1:])
-               for (_, held, _), mat in zip(row, q.pred_mats))
+               for (_, held), mat in zip(row, q.pred_mats))
 
 
 def test_sparsity_stats_small_matrix():
     # M = [[1, 0], [-2, 1]]
-    system = assemble_global_dpm([Qcm(A=carleman.StepMatrix(np.array([[1.0]])), b=np.zeros(1))],
+    system = assemble_global_dpm([Qcm(A=carleman.StepMatrix(np.array([[2.0]])), b=np.zeros(1))],
                                  np.ones(1))
     report = condition_number(system)
     assert report.nnz == 3
@@ -332,35 +333,48 @@ def test_batched_product_keeps_the_walk_bits_on_unipc_systems(seed, d, p, extra,
 @PRODUCT
 @given(data=st.data(), D=st.integers(1, 4), n_blocks=st.integers(2, 9))
 def test_batched_product_keeps_the_walk_bits_on_hand_built_operators(data, D, n_blocks):
-    """Couplings at lags 1-3 with mixed plus_eye, whose blocks are slices
-    of one stack (in order, so rows at one slot and lag form runs, or
-    reversed), of a wider array, transposed, or arrays of their own.
-    Rows follow one layout of couplings, but for up to two that draw their
-    own."""
+    """Couplings at lags 1-3 whose blocks are entries of one stack, of
+    that stack reversed, of the leading columns of a wider stack or of a
+    transposed stack (in index order, so rows at one slot and lag form
+    runs), or arrays of their own.  Rows follow one layout of couplings,
+    but for up to two that draw their own."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     r = data.draw(st.integers(1, D))  # leading rows held by a block
     stack = rng.normal(size=(3 * n_blocks, r, D))
-    wide = rng.normal(size=(n_blocks, r, D + 2))
-    square = rng.normal(size=(n_blocks, D, D))
-    pick = {
-        "stack": lambda i, k: stack[k * n_blocks + i],
-        "reversed": lambda i, k: stack[::-1][k * n_blocks + i],
-        "wide": lambda i, k: wide[i, :, :D],
-        "transposed": lambda i, k: square[i].T,
-        "own": lambda i, k: rng.normal(size=(r, D)),
+    stacks = {
+        "stack": stack,
+        "reversed": stack[::-1],
+        "wide": rng.normal(size=(3 * n_blocks, r, D + 2))[:, :, :D],
+        "transposed": rng.normal(size=(3 * n_blocks, D, D)).transpose(0, 2, 1),
     }
-    def couplings(max_lag, min_size=0):  # (lag, kind, plus_eye), lags distinct
-        return st.lists(st.tuples(st.integers(1, max_lag), st.sampled_from(list(pick)),
-                                  st.booleans()), min_size=min_size, max_size=3,
-                        unique_by=lambda t: t[0])
+
+    def block(kind, i, k):
+        if kind == "own":
+            return carleman.StepMatrix(rng.normal(size=(r, D)))
+        return carleman.StepMatrix(stacks[kind], k * n_blocks + i)
+
+    def couplings(max_lag, min_size=0):  # (lag, kind), lags distinct
+        return st.lists(st.tuples(st.integers(1, max_lag), st.sampled_from([*stacks, "own"])),
+                        min_size=min_size, max_size=3, unique_by=lambda t: t[0])
 
     layout = data.draw(couplings(3, min_size=1))
     own = data.draw(st.sets(st.integers(1, n_blocks - 1), max_size=2))  # rows off the layout
     rows = [[]]
     for i in range(1, n_blocks):
         row = data.draw(couplings(min(3, i))) if i in own else [t for t in layout if t[0] <= i]
-        rows.append([(i - lag, carleman.StepMatrix(pick[kind](i, k)), plus_eye)
-                     for k, (lag, kind, plus_eye) in enumerate(sorted(row, reverse=True))])
+        rows.append([(i - lag, block(kind, i, k))
+                     for k, (lag, kind) in enumerate(sorted(row, reverse=True))])
     mat = TrajectoryOperator(D, rows)
+    # a run starts at each coupling that does not continue the one at its
+    # slot in the row above: the next row, column and index of one stack
+    starts = 0
+    for k in range(3):
+        above = None
+        for i, row in enumerate(rows):
+            if k < len(row):
+                c, blk = row[k]
+                starts += above != (i - 1, c - 1, id(blk.stack), blk.index - 1)
+                above = (i, c, id(blk.stack), blk.index)
+    assert len(mat._runs) == starts
     rhs = rng.normal(size=mat.shape[0])
     assert_product_keeps_the_walk_bits(BlockLinearSystem(mat=mat, rhs=rhs, scheme="dpm"), rng)
