@@ -34,10 +34,12 @@ coefficient blocks stacked along a leading step axis, built from the
 weight tables and eps and its derivatives tabulated over the grid.
 They are lifted in chunks sliced along that axis into one dense
 (M, dim_total, dim_total) array, each step a :class:`StepMatrix` that
-records that array and its index there.  :func:`lift_run`, the one
-dispatch on a scheme's layout, prices, lifts and assembles a run on the
-calling thread; :func:`run_lifted` reads the states off the forward
-solve of its trajectory system, the package's one lifted walk.
+records that array and its index there.  A UniPC corrector step is
+lifted with its predictor folded in, so every lifted step maps states
+already computed.  :func:`lift_run`, the one dispatch on a scheme's
+layout, prices, lifts and assembles a run on the calling thread;
+:func:`run_lifted` reads the states off the forward solve of its
+trajectory system, the package's one lifted walk.
 """
 
 from __future__ import annotations
@@ -301,30 +303,33 @@ def _check_model_basis(m: PolyNoiseModel, basis: CarlemanBasis) -> None:
 
 @dataclass
 class UnipcQcmSet:
-    """Lifted update matrices for one predictor(/corrector) step.
+    """Lifted update matrices for one unified step, to node i.
 
-    Update form (anchor node a = i - p):
+    Update form (anchor node a = i - p, p = len(pred_mats)):
 
         Y_i^pred = sum_{m=0}^{p-1} pred_mats[m] Y_{a+m} + pred_b
-        Y_i^corr = sum_{m=0}^{p-1} corr_mats[m] Y_{a+m}
-                   + corr_target Y_i^pred + corr_b
+        Y_i^corr = sum_{m=0}^{p-1} corr_mats[m] Y_{a+m} + corr_b
+
+    The corrector step reads the predictor output through the
+    block-row-1 matrix corr_target; :func:`assemble_unipc_qcms` folds
+    the predictor into it as it lifts it, so corr_mats[m] is the
+    corrector's own matrix plus corr_target pred_mats[m], and corr_b its
+    offset plus corr_target pred_b: the corrector's map on the history
+    alone.  Its system closes over corrected states, and its forward
+    solve is the lifted walk.
 
     Block row 1 of every matrix is exact; higher block rows are carried
     by the anchor matrices (index 0) as truncated powers of the anchor
     step polynomial, with the interior-node state dependence
     of those rows dropped.  Block row 1 of Y_i^pred is therefore exact
-    from exactly lifted history, but its higher blocks are not, and
-    corr_target reads them on a nonlinear model: the corrector's block
-    row 1 is exact only when it is applied to the exact lift of the
-    predictor output, not to Y_i^pred itself.  The corrector system of
-    :func:`carlift.system.assemble_global_unipc` folds the two maps into
-    corr_mats[m] + corr_target pred_mats[m] and so closes over corrected
-    states; its forward solve is the lifted walk.  A step lifted for the
-    predictor alone leaves the three corrector fields None.
+    from exactly lifted history, but its higher blocks are not, and the
+    folded corrector reads them on a nonlinear model: the corrected
+    block row 1 is exact only once corr_target is applied to the exact
+    lift of the predictor output in place of Y_i^pred.  A step lifted
+    for the predictor alone leaves the three corrector fields None.
     """
 
     i: int
-    p: int
     anchor: int
     pred_mats: list
     pred_b: np.ndarray
@@ -372,6 +377,10 @@ def assemble_unipc_qcms(
     block-row-1 matrix, all of them from the one eps table and written
     slot by slot, so that a slot's matrices over the steps are
     consecutive entries of one stack, as the anchor matrices are.
+    The predictor is then folded into each corrector step, in place in
+    those stacks: a corrector matrix's d block-row-1 rows gain the
+    target times the predictor's matrix at its slot, and its offset the
+    target times the predictor's offset, one 2-d product per block.
     Without ``corrector`` no corrector map or target is lifted.
     """
     _check_model_basis(m, basis)
@@ -391,8 +400,14 @@ def assemble_unipc_qcms(
     mats = [[U] + [blocks[n] for blocks in slots] for n, (U, _) in enumerate(steps)]
     corr = [()] * K  # each step's corrector maps, target and offset, if lifted
     if corrector:
-        corr = zip(mats[K:], _block1(E, nodes[K:, p], c[K:, p], basis), [b for _, b in steps[K:]])
-    return [UnipcQcmSet(n + p, p, n, mats[n], steps[n][1], *more) for n, more in enumerate(corr)]
+        targets = _block1(E, nodes[K:, p], c[K:, p], basis)
+        for n, target in enumerate(targets):
+            for pred, folded in zip(mats[n], mats[K + n]):
+                folded.rows[: len(target.rows)] += target.rows[:, : len(pred.rows)] @ pred.rows
+            corr_b = steps[K + n][1]
+            corr_b += target @ steps[n][1]
+        corr = zip(mats[K:], targets, [b for _, b in steps[K:]])
+    return [UnipcQcmSet(n + p, n, mats[n], steps[n][1], *more) for n, more in enumerate(corr)]
 
 
 def lift_run(s: NoiseSchedule, m: PolyNoiseModel, x_T, grid: TimeGrid, basis: CarlemanBasis,
@@ -408,12 +423,13 @@ def lift_run(s: NoiseSchedule, m: PolyNoiseModel, x_T, grid: TimeGrid, basis: Ca
     unified steps.  A dpm chain holds M maps.  A UniPC run holds p - 1
     warm-up maps, K predictor maps and (p - 1) K interior-node matrices;
     a corrector run also holds the K corrector maps and their (p - 1) K
-    interior-node matrices, their K folded copies and the K targets."""
+    interior-node matrices, the predictor folded into them in place,
+    and the K targets."""
     D, K = basis.dim_total, max(grid.M - order + 1, 0)
     if scheme not in ("dpm", "unipc"):
         raise ValueError(f"unknown scheme {scheme!r}")
     dpm = scheme == "dpm"
-    per_step = 1 + 2 * corrector  # the predictor's maps, the corrector's and their folds
+    per_step = 1 + corrector  # the predictor's maps and the corrector's
     mats, rows = (grid.M, 0) if dpm else (order - 1 + K * per_step, K * ((order - 1) * per_step + corrector))
     if (nbytes := 8 * D * (mats * (D + 1) + rows * basis.d)) > MAX_STEP_BYTES:
         raise CapacityError(f"lifting the run needs {nbytes} bytes, above {MAX_STEP_BYTES}")

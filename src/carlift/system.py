@@ -19,12 +19,12 @@ index there, so the blocks of consecutive rows are read as one view of
 that stack: a product takes each such run of blocks as one batched BLAS
 call, and the forward solve walks the block rows in order, one
 matrix-vector call per block; a unified system is one run per coupling
-slot too, and the corrector's fold reads its targets and predictor
-blocks in place.  Both run on the calling thread.  That forward solve
-is the package's one lifted walk: :func:`carlift.carleman.run_lifted`
-returns its blocks as a run's states.  A dense-SVD condition number
-runs its LAPACK call on one OpenBLAS thread, so its bytes do not depend
-on the CPU count.
+slot too, the corrector's included, whose blocks the lift made already
+folded.  Both run on the calling thread.  That forward solve is the
+package's one lifted walk: :func:`carlift.carleman.run_lifted` returns
+its blocks as a run's states.  A dense-SVD condition number runs its
+LAPACK call on one OpenBLAS thread, so its bytes do not depend on the
+CPU count.
 """
 from __future__ import annotations
 
@@ -70,8 +70,9 @@ class TrajectoryOperator(LinearOperator):
     columns c_k < i; row 0 has none and pins Y_0.  The D x D blocks B_k
     are the StepMatrix objects the lift made, held as they are: a
     derivative-scheme step's update matrix A, a unified step's predictor
-    (or folded corrector) matrices.  So M is unit lower triangular:
-    every coupling lies left of its row's identity block.
+    or corrector matrices, the latter folded by the lift.  So M is unit
+    lower triangular: every coupling lies left of its row's identity
+    block.
 
     A product with M takes the couplings as runs (:attr:`_runs`), each
     one batched matmul over a view of consecutive blocks, so no block is
@@ -244,35 +245,6 @@ def assemble_global_dpm(qcms: list[carleman.Qcm], y0: np.ndarray) -> BlockLinear
     return _system(y0, qcms, [], "dpm")
 
 
-def _stacked(blocks: list[carleman.StepMatrix]) -> np.ndarray:
-    """The blocks' rows as one (n, r, D) array: a view of their stack when
-    they are its consecutive entries, as a lift writes them, else a copy."""
-    first = blocks[0]
-    if all(blk.stack is first.stack and blk.index == first.index + n for n, blk in enumerate(blocks)):
-        return first.stack[first.index : first.index + len(blocks)]
-    return np.stack([blk.rows for blk in blocks])
-
-
-def _fold(steps: list[carleman.UnipcQcmSet]) -> list[list[carleman.StepMatrix]]:
-    """Each step's corrector blocks corr + target @ pred, one per slot.  A
-    slot's blocks over all the steps are one stacked matmul on the d rows
-    of the block-row-1 targets, read in place with the predictor blocks,
-    and written into one copy of the corrector blocks, so they are one
-    run of the operator."""
-    if not steps:
-        return []
-    if any(q.corr_target is None for q in steps):
-        raise ValueError("steps lifted for the predictor alone have no corrector to fold")
-    target = _stacked([q.corr_target for q in steps])
-    slots = []
-    for mm in range(steps[0].p):
-        folded = _stacked([q.corr_mats[mm] for q in steps]).copy()
-        pred = _stacked([q.pred_mats[mm] for q in steps])
-        folded[:, : target.shape[1]] += target[:, :, : pred.shape[1]] @ pred
-        slots.append(folded)
-    return [[carleman.StepMatrix(folded, n) for folded in slots] for n in range(len(steps))]
-
-
 def assemble_global_unipc(
     warmup: list[carleman.Qcm],
     steps: list[carleman.UnipcQcmSet],
@@ -282,22 +254,26 @@ def assemble_global_unipc(
     """Block banded system for a unified predictor/corrector trajectory.
 
     ``which`` selects the scheme whose trajectory the solution follows:
-    "predictor" uses the predictor update rows; "corrector" folds the
-    predictor map into each corrector row (the corrected chain is the
-    canonical one, so the system closes over corrected states only), and
-    needs steps lifted with their corrector.  Bandwidth is at most p + 1
-    block diagonals.  With p = 1 and "predictor" the matrix coincides
-    with :func:`assemble_global_dpm` of the order-1 scheme.
+    "predictor" uses the predictor update rows, "corrector" the
+    corrector rows, into which the lift folded the predictor map (the
+    corrected chain is the canonical one, so the system closes over
+    corrected states only); the latter needs steps lifted with their
+    corrector.  Either way the rows couple the lifted blocks as they
+    are, so assembling the same steps again copies none.  Bandwidth is
+    at most p + 1 block diagonals.  With p = 1 and "predictor" the
+    matrix coincides with :func:`assemble_global_dpm` of the order-1
+    scheme.
     """
     if which not in ("predictor", "corrector"):
         raise ValueError("which must be 'predictor' or 'corrector'")
     corrector, rows = which == "corrector", []
-    mats = _fold(steps) if corrector else [q.pred_mats for q in steps]
-    for i, (qset, blocks) in enumerate(zip(steps, mats), start=len(warmup) + 1):
-        if qset.i != i:
-            raise ValueError(f"step to node {qset.i} would fill block row {i}")
-        rows.append((qset.anchor, blocks, qset.corr_b + qset.corr_target @ qset.pred_b
-                     if corrector else qset.pred_b))
+    for i, q in enumerate(steps, start=len(warmup) + 1):
+        if q.i != i:
+            raise ValueError(f"step to node {q.i} would fill block row {i}")
+        mats, b = (q.corr_mats, q.corr_b) if corrector else (q.pred_mats, q.pred_b)
+        if mats is None:
+            raise ValueError("steps lifted for the predictor alone have no corrector")
+        rows.append((q.anchor, mats, b))
     return _system(y0, warmup, rows, f"unipc_{which}")
 
 

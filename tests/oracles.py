@@ -650,26 +650,23 @@ def step_lifted(q, states, corrector: bool = False) -> np.ndarray:
     For a :class:`carlift.carleman.Qcm`, ``states`` is the single lifted
     vector at the previous node.  For a
     :class:`carlift.carleman.UnipcQcmSet`, ``states`` is the list of p
-    lifted vectors at nodes anchor..anchor+p-1; with ``corrector=True``
-    the predictor output is formed and the corrector applied to it, the
-    two maps left unfolded.  That corrected state is not block-1 exact on
-    a nonlinear model even from exactly lifted history: the corrector
-    then reads the predictor output's truncated higher blocks.
+    lifted vectors at nodes anchor..anchor+p-1, and the step is the
+    predictor's maps on them or, with ``corrector=True``, the corrector's,
+    into which the lift folded the predictor.  That corrected state is
+    not block-1 exact on a nonlinear model even from exactly lifted
+    history: the fold reads the predictor output's truncated higher
+    blocks.
     """
     if isinstance(q, Qcm):
         return q.A @ states + q.b
     if isinstance(q, UnipcQcmSet):
-        if len(states) != q.p:
-            raise ValueError(f"need {q.p} history states, got {len(states)}")
-        y_pred = q.pred_b.copy()
-        for mat, y in zip(q.pred_mats, states):
-            y_pred += mat @ y
-        if not corrector:
-            return y_pred
-        y_corr = q.corr_b + q.corr_target @ y_pred
-        for mat, y in zip(q.corr_mats, states):
-            y_corr += mat @ y
-        return y_corr
+        if len(states) != len(q.pred_mats):
+            raise ValueError(f"need {len(q.pred_mats)} history states, got {len(states)}")
+        mats, b = (q.corr_mats, q.corr_b) if corrector else (q.pred_mats, q.pred_b)
+        y_next = b.copy()
+        for mat, y in zip(mats, states):
+            y_next += mat @ y
+        return y_next
     raise TypeError(f"unsupported step object {type(q)!r}")
 
 
@@ -680,6 +677,6 @@ def lifted_walk(qcms, y0, corrector: bool = False) -> np.ndarray:
     the trajectory system's forward solve is checked against."""
     states = [np.asarray(y0, dtype=float)]
     for i, q in enumerate(qcms, start=1):
-        history = states[i - q.p : i] if isinstance(q, UnipcQcmSet) else states[-1]
+        history = states[i - len(q.pred_mats) : i] if isinstance(q, UnipcQcmSet) else states[-1]
         states.append(step_lifted(q, history, corrector=corrector))
     return np.concatenate(states)

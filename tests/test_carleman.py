@@ -100,8 +100,8 @@ def test_lift_run_prices_the_whole_run_before_building_it(monkeypatch):
     # offset, 96 bytes.  A chain of M=8 steps is 768 bytes; the unipc p=2
     # predictor run is 1 warm-up step, 7 predictor maps and 7 block-row-1
     # rows of 3 entries, 936 bytes, and its corrector run adds 7 corrector
-    # maps, their 7 folded copies and 21 rows, 2 784 bytes, more than the
-    # cap although one step is far below it
+    # maps, folded in place, and 14 rows, 1 944 bytes, more than the cap
+    # although one step is far below it
     def refuse(*args, **kwargs):
         raise AssertionError("the run was built before it was priced")
 
@@ -109,18 +109,18 @@ def test_lift_run_prices_the_whole_run_before_building_it(monkeypatch):
     s, m, grid, basis = bench.schedule(), bench.model(), bench.grid(8), CarlemanBasis(N=3, d=1)
     monkeypatch.setattr(carleman, "MAX_STEP_BYTES", 768)
     run_lifted(s, m, [bench.x_T], grid, basis, scheme="dpm")
-    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", 2048)
+    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", 1024)
     run_lifted(s, m, [bench.x_T], grid, basis, scheme="unipc", order=2)
     monkeypatch.setattr(carleman, "_derivative_tower", refuse)
     monkeypatch.setattr(carleman, "lift", refuse)
-    with pytest.raises(CapacityError, match="needs 2784 bytes"):
+    with pytest.raises(CapacityError, match="needs 1944 bytes"):
         run_lifted(s, m, [bench.x_T], grid, basis, scheme="unipc", order=2, corrector=True)
     monkeypatch.setattr(carleman, "MAX_STEP_BYTES", 767)
     with pytest.raises(CapacityError, match="needs 768 bytes"):
         run_lifted(s, m, [bench.x_T], grid, basis, scheme="dpm")
 
 
-@pytest.mark.parametrize("corrector, price", [(False, 936), (True, 2784)])
+@pytest.mark.parametrize("corrector, price", [(False, 936), (True, 1944)])
 def test_lift_run_price_is_exact_at_its_boundary(monkeypatch, corrector, price):
     # the weak_quadratic unipc p=2 runs priced in the test above: a cap of
     # their price lifts them, one byte less refuses them
@@ -163,11 +163,35 @@ def test_predictor_run_lifts_only_the_predictor():
         assemble_global_unipc(steps[:2], unified, np.zeros(164), which="corrector")
 
 
-def test_corrector_run_peaks_at_what_it_holds():
-    # the fold reads the targets and predictor blocks in place; stacking
-    # the predictor blocks first peaked at 1.31 times the bytes held
+def test_corrector_run_holds_no_folded_copies():
+    # the lift folds the predictor into the corrector maps in place; a
+    # fold into copies of them at assembly held 9.96 MB and peaked at
+    # 9.99 MB, and the lift's own work arrays now set the peak
     _, held, peak = traced_unipc_lift(corrector=True)
-    assert peak <= 1.05 * held
+    assert held <= 7.0e6 and peak <= 8.0e6
+
+
+def test_a_second_corrector_assembly_couples_the_lifted_blocks():
+    # the benchmark assembles run_lifted's steps again: that system holds
+    # the very blocks of the first, unchanged, and makes no (D, D) array
+    steps, _, _ = traced_unipc_lift(corrector=True)
+    warm = [q for q in steps if not isinstance(q, UnipcQcmSet)]
+    unified = [q for q in steps if isinstance(q, UnipcQcmSet)]
+    y0 = lift(np.full(3, 0.8), CarlemanBasis(N=8, d=3)).y
+    first = assemble_global_unipc(warm, unified, y0, which="corrector")
+    before = [[blk.rows.copy() for _, blk in row] for row in first.mat.rows]
+    D = first.block_dim
+    tracemalloc.start()
+    try:
+        again = assemble_global_unipc(warm, unified, y0, which="corrector")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * D * D
+    assert np.array_equal(again.rhs, first.rhs)
+    for row, row_again, rows_before in zip(first.mat.rows, again.mat.rows, before, strict=True):
+        assert [(c, id(blk)) for c, blk in row_again] == [(c, id(blk)) for c, blk in row]
+        assert all(np.array_equal(blk.rows, r) for (_, blk), r in zip(row, rows_before, strict=True))
 
 
 def test_lift_run_refuses_an_unknown_scheme_before_building(monkeypatch):
@@ -421,8 +445,9 @@ def test_run_lifted_states_are_the_forward_solve_of_the_assembled_system(scheme,
 def test_lifted_unipc_step_matches_sampler_on_quadratic_model():
     # from exactly lifted sampler states, one lifted step of a quadratic
     # model at N = 2 reproduces the sampler's next state in block 1; the
-    # corrector is applied to the exact lift of the predictor output,
-    # since the predictor's block 2 is a truncated square
+    # folded corrector reads the predictor output through its target,
+    # which is moved onto the exact lift of that output, since the
+    # predictor's block 2 is a truncated square
     grid = make_lambda_grid(S, 0.5, 0.1, 8)
     basis = CarlemanBasis(N=2, d=1)
     one = basis.block_slice(1)
@@ -434,9 +459,8 @@ def test_lifted_unipc_step_matches_sampler_on_quadratic_model():
                 ys = [lift(x, basis).y for x in ref.states[i - p : i]]
                 y = step_lifted(qset, ys)
                 if corrector:
-                    y = qset.corr_b + qset.corr_target @ lift(y[one], basis).y
-                    for mat, yh in zip(qset.corr_mats, ys):
-                        y += mat @ yh
+                    y = (step_lifted(qset, ys, corrector=True)
+                         + qset.corr_target @ (lift(y[one], basis).y - y))
                 np.testing.assert_allclose(y[one], ref.states[i], rtol=0.0, atol=1e-14)
 
 
@@ -495,7 +519,7 @@ def test_unipc_qcm_set_shape_and_history_check():
     basis = CarlemanBasis(N=2, d=1)
     grid = make_lambda_grid(S, 1.0, 0.1, 5)
     qset = assemble_unipc_qcms(S, QUAD, grid, 2, basis)[0]
-    assert qset.p == 2 and qset.anchor == 0
+    assert len(qset.pred_mats) == 2 and qset.anchor == 0
     y = lift([1.0], basis).y
     with pytest.raises(ValueError):
         step_lifted(qset, [y])

@@ -122,24 +122,12 @@ def bmat_dpm(qcms, D):
     return bmat_system(rows, len(qcms) + 1)
 
 
-def dense_fold(corr, target, pred):
-    """corr + target @ pred with the dense product the assembly forms on
-    the target's rows."""
-    out = corr.toarray()
-    out[: len(target.rows)] += target.rows[:, : len(pred.rows)] @ pred.rows
-    return sp.csr_matrix(out)
-
-
 def bmat_unipc(warmup, steps, D, which):
     eye = sp.identity(D, format="csr")
     rows = [[(0, eye)]] + [[(i - 1, -as_csr(q.A)), (i, eye)] for i, q in enumerate(warmup, start=1)]
     for qs in steps:
-        if which == "predictor":
-            blocks = [-as_csr(mat) for mat in qs.pred_mats]
-        else:
-            blocks = [-dense_fold(qs.corr_mats[mm], qs.corr_target, qs.pred_mats[mm])
-                      for mm in range(qs.p)]
-        rows.append([(qs.anchor + mm, blk) for mm, blk in enumerate(blocks)] + [(qs.i, eye)])
+        mats = qs.pred_mats if which == "predictor" else qs.corr_mats
+        rows.append([(qs.anchor + mm, -as_csr(mat)) for mm, mat in enumerate(mats)] + [(qs.i, eye)])
     return bmat_system(rows, len(rows))
 
 
@@ -175,6 +163,37 @@ def assembled(seed, d, N, M, scheme, order, which="corrector"):
     warm = [q for q in qcms if not isinstance(q, UnipcQcmSet)]
     steps = [q for q in qcms if isinstance(q, UnipcQcmSet)]
     return walk, assemble_global_unipc(warm, steps, states[0].y, which=which)
+
+
+def corrector_before_the_fold(seed, d, N, M, p):
+    """Each unified step's corrector matrices and offset of :func:`lifted`,
+    as lifted before the predictor is folded in: the anchor map and
+    offset by oracles.one_step_poly_to_update on the corrector's step
+    polynomial, the interior-node blocks as carleman._block1 made them,
+    copied before the fold writes into them."""
+    made = {"slots": []}
+    lift_steps, block1 = carleman._poly_to_update, carleman._block1
+
+    def record_polys(polys, basis):
+        made["polys"] = polys  # the unified steps' maps are lifted last
+        return lift_steps(polys, basis)
+
+    def record_block1(E, nodes, cs, basis):
+        blocks = block1(E, nodes, cs, basis)
+        made["slots"].append([blk.rows.copy() for blk in blocks])
+        return blocks
+
+    with mock.patch.object(carleman, "_poly_to_update", record_polys), \
+            mock.patch.object(carleman, "_block1", record_block1):
+        lifted(seed, d, N, M, "unipc", p, True)
+    basis = CarlemanBasis(N=N, d=d)
+    polys = step_dicts(made["polys"])
+    K = len(polys) // 2  # K predictor maps, then K corrector maps
+    out = []
+    for n in range(K):
+        U, b = one_step_poly_to_update(polys[K + n], basis)
+        out.append(([U] + [StepMatrix(slot[K + n]) for slot in made["slots"][: p - 1]], b))
+    return out
 
 
 def assert_same_csr(a, b):
@@ -628,12 +647,15 @@ def test_dense_blocks_match_the_sparse_construction(seed, d, N, M, scheme):
     assert np.max(np.abs(mat @ x - csr @ x)) <= 1e-13 * np.max(abs(csr) @ abs(x))
     if which != "corrector":
         return
-    for qs in steps:
+    for qs, (corr_mats, corr_b) in zip(steps, corrector_before_the_fold(seed, d, N, M, order),
+                                       strict=True):
         target = as_csr(qs.corr_target)
-        for (_, folded), corr, pred in zip(mat.rows[qs.i], qs.corr_mats, qs.pred_mats):
+        for (_, folded), corr, pred in zip(mat.rows[qs.i], corr_mats, qs.pred_mats, strict=True):
             want = (as_csr(corr) + target @ as_csr(pred)).toarray()
             scale = (abs(as_csr(corr)) + abs(target) @ abs(as_csr(pred))).toarray()
             assert np.all(np.abs(folded.toarray() - want) <= 1e-13 * scale)
+        want = corr_b + target @ qs.pred_b
+        assert np.all(np.abs(qs.corr_b - want) <= 1e-13 * (np.abs(corr_b) + abs(target) @ np.abs(qs.pred_b)))
 
 
 def as_trajectory_rows(mat):

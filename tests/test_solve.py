@@ -159,6 +159,22 @@ def test_gmres_stops_after_a_cycle_that_does_not_lower_the_residual():
     assert exc.value.residual == min(history) < 10 * np.finfo(float).eps
 
 
+def test_gmres_stops_after_a_cycle_that_leaves_the_residual_unchanged(monkeypatch):
+    # a cycle that corrects nothing leaves the residual where the first
+    # left it, so the stall rule ends the solve after two full cycles,
+    # whatever rounding the real cycle would have produced
+    def no_correction(matvec, r, steps, stop):
+        return np.zeros_like(r), steps
+
+    monkeypatch.setattr(solve, "_gmres_cycle", no_correction)
+    system, _ = quadratic_system()
+    restart = system.n_blocks + 1
+    with pytest.raises(ConvergenceError) as exc:
+        gmres_solve(system)
+    assert exc.value.iterations == 2 * restart
+    assert exc.value.residual == np.linalg.norm(system.rhs) / max(np.linalg.norm(system.rhs), 1.0)
+
+
 def scipy_gmres_cycles(system, tol: float):
     """The restarted solve on SciPy's GMRES, one cycle per call, with the
     rules of gmres_solve: (solution, relative residual, iterations)."""
