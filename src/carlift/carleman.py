@@ -168,11 +168,6 @@ class StepMatrix:
         out[: len(self.rows)] = self.rows @ x
         return out
 
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        out[: len(self.rows)] = self.rows
-        return out
-
 
 def _poly_to_update(polys: dict[int, np.ndarray],
                     basis: CarlemanBasis) -> list[tuple[StepMatrix, np.ndarray]]:
@@ -330,7 +325,6 @@ class UnipcQcmSet:
     """
 
     i: int
-    anchor: int
     pred_mats: list
     pred_b: np.ndarray
     corr_mats: list | None = None
@@ -407,7 +401,7 @@ def assemble_unipc_qcms(
             corr_b = steps[K + n][1]
             corr_b += target @ steps[n][1]
         corr = zip(mats[K:], targets, [b for _, b in steps[K:]])
-    return [UnipcQcmSet(n + p, n, mats[n], steps[n][1], *more) for n, more in enumerate(corr)]
+    return [UnipcQcmSet(n + p, mats[n], steps[n][1], *more) for n, more in enumerate(corr)]
 
 
 def lift_run(s: NoiseSchedule, m: PolyNoiseModel, x_T, grid: TimeGrid, basis: CarlemanBasis,

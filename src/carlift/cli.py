@@ -54,7 +54,7 @@ from .presets import (BENCHMARKS, DEFAULT_BETA_MAX, DEFAULT_BETA_MIN, DEFAULT_T,
                       benchmark, model_preset)
 from .readout import recover_sparse
 from .reference import SolverRun, rk4_oracle, run_scheme
-from .schedule import make_lambda_grid, make_vp_schedule
+from .schedule import NoiseSchedule, TimeGrid, make_lambda_grid, make_vp_schedule
 from .solve import LchsConfig, forward_substitute, gmres_solve, lchs_solve
 from .system import condition_number, export_matrix
 
@@ -410,17 +410,16 @@ def cmd_simulate(cfg: dict) -> tuple[int, dict]:
 
 
 def _oracle_key(cfg: dict) -> str:
-    """What :func:`_carleman_oracle` reads of a config: the grid pins both
-    window ends to t_start and t_end exactly, so M does not enter."""
+    """What :func:`_carleman_oracle` depends on in a config: the grid pins
+    both window ends to t_start and t_end exactly, so M does not enter."""
     win = cfg["window"]
     return json.dumps([cfg["schedule"], cfg["model"], win["x_T"], win["t_start"], win["t_end"]],
                       sort_keys=True)
 
 
-def _carleman_oracle(cfg: dict) -> np.ndarray:
-    """Endpoint of the RK4 reference a carleman run measures its error against."""
-    m = build_model(cfg)
-    s, grid, x_T = build_window(cfg, m)
+def _carleman_oracle(s: NoiseSchedule, m: PolyNoiseModel, x_T, grid: TimeGrid) -> np.ndarray:
+    """Endpoint of the RK4 reference a carleman run measures its error
+    against, over the window of its grid."""
     return finite_run("the RK4 oracle", lambda: rk4_oracle(
         s, m, x_T, substeps=4000, times=(float(grid.t[0]), float(grid.t[-1])))).endpoint
 
@@ -447,7 +446,7 @@ def cmd_carleman(cfg: dict, oracles: dict | None = None) -> tuple[int, dict]:
     oracles = {} if oracles is None else oracles
     key = _oracle_key(cfg)
     if key not in oracles:
-        oracles[key] = _carleman_oracle(cfg)
+        oracles[key] = _carleman_oracle(s, m, x_T, grid)
     error = float(np.linalg.norm(traj[-1] - oracles[key]))
     defect = LiftedState(basis, forward.solution[-basis.dim_total :]).consistency_defect()
 

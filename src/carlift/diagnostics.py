@@ -12,8 +12,9 @@ the largest magnitude over the whole run, a_i(t) = lambda_i(t) / max
 
 decays monotonically exactly when the spectrum stays positive
 (a dissipative run) and grows when eigenvalues go negative.  The trace
-reads a run's states at its grid's times; the truncation sweep lifts
-each N's system by :func:`carlift.carleman.lift_run`.
+reads a run's states at its grid's times, all nodes in one pass
+(:func:`carlift.model._drift_spectra`); the truncation sweep lifts each
+N's system by :func:`carlift.carleman.lift_run`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .carleman import CarlemanBasis, LiftedState, lift_run
-from .model import PolyNoiseModel, drift_eigenvalues
+from .model import PolyNoiseModel, _drift_spectra
 from .reference import SolverRun, rk4_oracle, run_scheme
 from .schedule import NoiseSchedule, TimeGrid, make_lambda_grid
 from .system import condition_number
@@ -58,9 +59,10 @@ class PTrace:
 
 
 def spectrum_trace(s: NoiseSchedule, m: PolyNoiseModel, run: SolverRun) -> SpectrumTrace:
-    """Eigenvalue trace of J + J^T along the states of a run, at its grid's times."""
+    """Eigenvalue trace of J + J^T along the states of a run, at its grid's
+    times, taken for the whole run at once."""
     times = np.array(run.grid.t)
-    eigs = np.stack([drift_eigenvalues(s, m, x, t) for x, t in zip(run.states, times.tolist())])
+    eigs = _drift_spectra(s, m, run.states, times)
     return SpectrumTrace(times=times, eigs=eigs, normalization=float(np.abs(eigs).max()))
 
 

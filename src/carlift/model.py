@@ -22,6 +22,9 @@ differ in that variable count and in how eps is evaluated: kron by a
 contraction with the monomials at x, separable by Horner in x after
 Horner in lam over ``coeffs`` (as its Jacobian is).
 
+A run's drift spectra are taken for all its nodes at once, from one
+eps table over them.
+
 The total lambda-derivative used by higher-order exponential
 integrators applies
 
@@ -52,8 +55,6 @@ __all__ = [
     "scalar_model",
     "separable_model",
     "kron_model",
-    "jacobian_eps",
-    "drift_jacobian",
     "total_derivative_poly",
 ]
 
@@ -362,11 +363,12 @@ def _horner(rows, x):
 
 
 def _monomials_at(mono: _Monomials, x: np.ndarray) -> list:
-    """The monomials of each degree 0..N of ``mono`` at the state x, each
-    x_first times its parent of the degree below (see :func:`_monomials`)."""
+    """The monomials of each degree 0..N of ``mono`` at the state x, or at
+    each state along the leading axes of x, each x_first times its parent
+    of the degree below (see :func:`_monomials`)."""
     out = [np.ones(1)]
     for parent, first in zip(mono.parent[1:], mono.first[1:]):
-        out.append(out[-1][parent] * x[first])
+        out.append(out[-1][..., parent] * x[..., first])
     return out
 
 
@@ -389,52 +391,32 @@ def _kron_sum(mono: _Monomials, F: np.ndarray, x):
     return 0.0 + F.dot(np.concatenate(_monomials_at(mono, x)))
 
 
-def jacobian_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
-    """Jacobian d eps / d x at (x, lam), shape (d, d)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (m.d,):
-        raise ValueError(f"state must have shape ({m.d},)")
-    if m.mode == "kron":
-        mono, out = _monomials(m.d, m.x_degree), np.zeros((m.d, m.d))
-        below = _monomials_at(mono, x)
-        for j, table in enumerate(_eps_tables(m, np.array([float(lam)]))[1:], start=1):
-            # the derivative table takes F_j onto the degree-(j-1) monomials at x
-            index, factor = mono.deriv[j]
-            out += (table[0][:, index] * factor) @ below[j - 1]
-        return out
-    return np.diag(_separable_deps(m, x, lam))
-
-
-def _separable_deps(m: PolyNoiseModel, x: np.ndarray, lam: float) -> np.ndarray:
-    """Diagonal d eps_i / d x_i of a separable model, by Horner in x."""
-    tables = _eps_tables(m, np.array([float(lam)]))
-    return np.full(m.d, _horner([j * t[0, :, 0] for j, t in enumerate(tables)][1:], x))
-
-
-def drift_jacobian(s: NoiseSchedule, m: PolyNoiseModel, x, t: float) -> np.ndarray:
-    """Jacobian of the t-domain drift, f(t) I + g^2/(2 sigma) d eps/dx."""
-    if t < s.t_floor:
-        raise ValueError(f"t={t} below t_floor={s.t_floor}; sigma_t is numerically singular")
-    lam = float(s.lam(t))
-    sig = float(s.sigma(t))
-    return float(s.f(t)) * np.eye(m.d) + float(s.g2(t)) / (2.0 * sig) * jacobian_eps(m, x, lam)
-
-
-def drift_eigenvalues(s: NoiseSchedule, m: PolyNoiseModel, x, t: float) -> np.ndarray:
-    """Ascending eigenvalues of the symmetrised drift Jacobian J + J^T.
-
-    For separable models the Jacobian is diagonal and the eigenvalues
-    are read off directly, which keeps large-d separable sweeps cheap and
-    exact.
-    """
-    if t < s.t_floor:
-        raise ValueError(f"t={t} below t_floor={s.t_floor}; sigma_t is numerically singular")
-    if m.mode == "separable":
-        deps = _separable_deps(m, np.atleast_1d(np.asarray(x, dtype=float)), float(s.lam(t)))
-        diag = float(s.f(t)) + float(s.g2(t)) / (2.0 * float(s.sigma(t))) * deps
-        return np.sort(2.0 * diag)
-    J = drift_jacobian(s, m, x, t)
-    return np.linalg.eigvalsh(J + J.T)
+def _drift_spectra(s: NoiseSchedule, m: PolyNoiseModel, states: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of J + J^T, J = f(t) I + g^2/(2 sigma_t) d eps/dx
+    the drift Jacobian, at each row of ``states`` and its time: one
+    (nodes, d) array from one eps table over the nodes, each row the bits
+    of a one-node call.  A separable model's J is diagonal, one Horner
+    pass in x over all nodes, and is sorted; a kron model's is one batched
+    product of the ``mono.deriv`` gathers with the nodes' monomials, and
+    one ``eigvalsh`` takes the spectra of the stack."""
+    if np.any(low := times < s.t_floor):
+        raise ValueError(f"t={float(times[low.argmax()])} below t_floor={s.t_floor}; "
+                         "sigma_t is numerically singular")
+    tables = _eps_tables(m, s.lam(times))
+    f, scale = s.f(times)[:, None], (s.g2(times) / (2.0 * s.sigma(times)))[:, None]
+    if m.mode == "separable":  # a model without x-dependence has the scalar diagonal 0.0
+        deps = _horner([j * t[..., 0] for j, t in enumerate(tables)][1:], states)
+        return np.sort(2.0 * (f + scale * np.broadcast_to(deps, states.shape)), axis=1)
+    mono, jac = _monomials(m.d, m.x_degree), np.zeros(states.shape + (m.d,))
+    below = _monomials_at(mono, states)
+    for j, table in enumerate(tables[1:], start=1):
+        # the derivative table takes F_j onto the degree-(j-1) monomials at each state
+        index, factor = mono.deriv[j]
+        gathered = table[:, :, index]
+        gathered *= factor
+        jac += np.matmul(gathered, below[j - 1][..., None, :, None])[..., 0]
+    J = f[..., None] * np.eye(m.d) + scale[..., None] * jac
+    return np.linalg.eigvalsh(J + J.swapaxes(1, 2))
 
 
 # --- total lambda-derivative ------------------------------------------------

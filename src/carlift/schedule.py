@@ -90,11 +90,8 @@ class NoiseSchedule:
         """Squared diffusion coefficient, g^2(t) = beta(t)."""
         return self.beta(t)
 
-    # Lambda-domain views.  alpha^2 = 1/(1+e^{-2 lam}) and
-    # sigma^2 = 1/(1+e^{2 lam}); expit keeps both stable for large |lam|.
-
-    def alpha_from_lam(self, lam):
-        return np.sqrt(expit(2.0 * np.asarray(lam, dtype=float)))
+    # Lambda-domain views.  sigma^2 = 1/(1+e^{2 lam}); expit keeps it
+    # stable for large |lam|.
 
     def sigma_from_lam(self, lam):
         return np.sqrt(expit(-2.0 * np.asarray(lam, dtype=float)))

@@ -273,7 +273,7 @@ def assemble_global_unipc(
         mats, b = (q.corr_mats, q.corr_b) if corrector else (q.pred_mats, q.pred_b)
         if mats is None:
             raise ValueError("steps lifted for the predictor alone have no corrector")
-        rows.append((q.anchor, mats, b))
+        rows.append((q.i - len(mats), mats, b))
     return _system(y0, warmup, rows, f"unipc_{which}")
 
 

@@ -29,7 +29,9 @@ from carlift.model import (
     _derivative_tower,
     _eps_tables,
     _eval_tabulated,
+    _horner,
     _monomials,
+    _monomials_at,
     _padded_sum,
     _sigma_lambda_polys,
     kron_model,
@@ -56,6 +58,67 @@ def eval_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
     if x.shape != (m.d,):
         raise ValueError(f"state must have shape ({m.d},)")
     return _eval_tabulated(m, _eps_tables(m, np.asarray(lam, dtype=float).reshape(1)), 0, x)
+
+
+def jacobian_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
+    """Jacobian d eps / d x at (x, lam), shape (d, d)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (m.d,):
+        raise ValueError(f"state must have shape ({m.d},)")
+    if m.mode == "kron":
+        mono, out = _monomials(m.d, m.x_degree), np.zeros((m.d, m.d))
+        below = _monomials_at(mono, x)
+        for j, table in enumerate(_eps_tables(m, np.array([float(lam)]))[1:], start=1):
+            # the derivative table takes F_j onto the degree-(j-1) monomials at x
+            index, factor = mono.deriv[j]
+            out += (table[0][:, index] * factor) @ below[j - 1]
+        return out
+    return np.diag(_separable_deps(m, x, lam))
+
+
+def _separable_deps(m: PolyNoiseModel, x: np.ndarray, lam: float) -> np.ndarray:
+    """Diagonal d eps_i / d x_i of a separable model, by Horner in x."""
+    tables = _eps_tables(m, np.array([float(lam)]))
+    return np.full(m.d, _horner([j * t[0, :, 0] for j, t in enumerate(tables)][1:], x))
+
+
+def drift_jacobian(s: NoiseSchedule, m: PolyNoiseModel, x, t: float) -> np.ndarray:
+    """Jacobian of the t-domain drift, f(t) I + g^2/(2 sigma) d eps/dx."""
+    if t < s.t_floor:
+        raise ValueError(f"t={t} below t_floor={s.t_floor}; sigma_t is numerically singular")
+    lam = float(s.lam(t))
+    sig = float(s.sigma(t))
+    return float(s.f(t)) * np.eye(m.d) + float(s.g2(t)) / (2.0 * sig) * jacobian_eps(m, x, lam)
+
+
+def drift_eigenvalues(s: NoiseSchedule, m: PolyNoiseModel, x, t: float) -> np.ndarray:
+    """Ascending eigenvalues of the symmetrised drift Jacobian J + J^T.
+
+    For separable models the Jacobian is diagonal and the eigenvalues
+    are read off directly, which keeps large-d separable sweeps cheap and
+    exact.
+    """
+    if t < s.t_floor:
+        raise ValueError(f"t={t} below t_floor={s.t_floor}; sigma_t is numerically singular")
+    if m.mode == "separable":
+        deps = _separable_deps(m, np.atleast_1d(np.asarray(x, dtype=float)), float(s.lam(t)))
+        diag = float(s.f(t)) + float(s.g2(t)) / (2.0 * float(s.sigma(t))) * deps
+        return np.sort(2.0 * diag)
+    J = drift_jacobian(s, m, x, t)
+    return np.linalg.eigvalsh(J + J.T)
+
+
+def alpha_from_lam(lam):
+    """alpha_t at log-SNR lam, sqrt(expit(2 lam)); alpha^2 = 1/(1+e^{-2 lam})
+    for every VP schedule."""
+    return np.sqrt(expit(2.0 * np.asarray(lam, dtype=float)))
+
+
+def to_dense(step: StepMatrix) -> np.ndarray:
+    """A step matrix as a dense (n, n) array, zero below its stored rows."""
+    out = np.zeros(step.shape)
+    out[: len(step.rows)] = step.rows
+    return out
 
 
 @contextlib.contextmanager

@@ -19,7 +19,7 @@ from carlift.diagnostics import (
     spectrum_trace,
     truncation_sweep,
 )
-from carlift.model import drift_jacobian, kron_model, scalar_model, separable_model
+from carlift.model import kron_model, scalar_model, separable_model
 from carlift.presets import benchmark
 from carlift.readout import recover_sparse, tomography_cost_model
 from carlift.reference import rk4_oracle, run_dpm, run_unipc
@@ -30,7 +30,7 @@ from carlift.system import (
     assemble_global_unipc,
     condition_number,
 )
-from oracles import eval_eps, lifted_walk, zero_model
+from oracles import drift_jacobian, eval_eps, lifted_walk, zero_model
 
 
 def test_criterion_01_linear_exactness():

@@ -39,6 +39,7 @@ from oracles import (
     stacked,
     step_lifted,
     symmetric_embedding,
+    to_dense,
 )
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
@@ -290,7 +291,7 @@ def assert_update_rows_are_powers(P, basis):
     coefficients of P(x)^{(j)}: degree 0 in b, degree q in column block q;
     the symmetric lift is that map on the weighted monomials, U Q = Q U_s."""
     U, b = kron_poly_to_update(P, basis)
-    U = U.toarray()
+    U = to_dense(U)
     for j in range(1, basis.N + 1):
         want = compose_poly_power(P, j, basis)
         rows = basis.block_slice(j)
@@ -301,7 +302,7 @@ def assert_update_rows_are_powers(P, basis):
     [(U_s, b_s)] = _poly_to_update(stacked(folded), CarlemanBasis(N=basis.N, d=basis.d))
     Q = symmetric_embedding(basis.d, basis.N)
     scale = max(1.0, np.abs(U).max(), np.abs(b).max())
-    assert np.abs(U @ Q - Q @ U_s.toarray()).max() <= 1e-14 * scale
+    assert np.abs(U @ Q - Q @ to_dense(U_s)).max() <= 1e-14 * scale
     assert np.abs(b - Q @ b_s).max() <= 1e-14 * scale
 
 
@@ -519,7 +520,7 @@ def test_unipc_qcm_set_shape_and_history_check():
     basis = CarlemanBasis(N=2, d=1)
     grid = make_lambda_grid(S, 1.0, 0.1, 5)
     qset = assemble_unipc_qcms(S, QUAD, grid, 2, basis)[0]
-    assert len(qset.pred_mats) == 2 and qset.anchor == 0
+    assert len(qset.pred_mats) == 2 and qset.i - len(qset.pred_mats) == 0
     y = lift([1.0], basis).y
     with pytest.raises(ValueError):
         step_lifted(qset, [y])

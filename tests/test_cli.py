@@ -146,6 +146,50 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "config error: cannot read config {path!r}"),
+    ("[1, 2]", "config error: config root must be a JSON object"),
+    ("{not json", "config error: config {path!r} is not valid JSON"),
+], ids=["missing", "list_root", "invalid_json"])
+def test_unloadable_config_exits_2_before_writing(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(message.format(path=str(path)))
+    assert not out.exists()
+
+
+SLOPE_SIM = {"window": {"benchmark": "weak_quadratic", "M": 4},
+             "sweep": {"command": "simulate", "parameter": "window.M", "values": [4, 8], "slope": True}}
+
+
+@pytest.mark.parametrize("command, cfg, code, message", [
+    ("simulate", {"model": {"mode": "kron", "d": 2, "blocks": {"1": [[0.5, 0.1, 0.2]]}},
+                  "window": {"x_T": [0.5, -0.5], "t_start": 0.6, "t_end": 0.1, "M": 4}},
+     2, "config error: $.model: kron degree-1 block must have shape"),
+    ("lchs", {"lchs": {"A": [[1.0, 0.0], [0.0, 2.0]], "b": [1.0], "u0": [1.0, -0.5]}},
+     2, "config error: $.lchs.b and $.lchs.u0 must match"),
+    ("readout", {"readout": {"r": 4, "dim": 4}}, 2, "config error: $.readout.r: must be smaller than dim"),
+    ("sweep", {"readout": {"dim": 64, "trials": 2},
+               "sweep": {"command": "readout", "parameter": "readout.r", "values": [1, 2], "slope": True}},
+     3, "numerical failure: slope requested but no error column"),
+    ("sweep", {**SLOPE_SIM, "simulate": {"oracle": False}},
+     3, "numerical failure: slope requested but fewer than two usable error points"),
+    ("sweep", {"model": {"mode": "separable", "d": 1, "terms": [[1, 0, 0.5]]},
+               "window": {"x_T": 0.8, "t_start": 0.6, "t_end": 0.1, "M": 4},
+               "sweep": {"command": "simulate", "parameter": "model.d", "values": [1, 2]}},
+     3, "numerical failure: sweep points produced mismatching summary columns"),
+], ids=["kron_block_shape", "lchs_vectors", "readout_r", "slope_without_error", "slope_without_oracle",
+        "sweep_columns"])
+def test_command_failure_leaves_only_the_resolved_config(tmp_path, capsys, command, cfg, code, message):
+    got, out = run(tmp_path, command, cfg)
+    assert got == code
+    assert capsys.readouterr().err.startswith(message)
+    assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+
+
 def test_numerical_failure_exits_3(tmp_path):
     cfg = {
         "model": {"preset": "linear"},
@@ -501,6 +545,16 @@ def test_readout_command_defaults(tmp_path):
     assert int(row["shots"]) == math.ceil(20 * 2 * math.log(2))
     assert int(row["successes"]) == 5
     assert float(row["l2_err"]) < 0.25
+
+
+def test_readout_command_uniform_fixture(tmp_path):
+    cfg = {"readout": {"r": 2, "dim": 64, "trials": 3, "fixture": "uniform"}}
+    code, out = run(tmp_path, "readout", cfg)
+    assert code == 0
+    cols, rows = data_rows(out / "summary.csv")
+    row = dict(zip(cols, rows[0]))
+    assert len(rows) == 1 and (row["r"], row["dim"], row["trials"]) == ("2", "64", "3")
+    assert int(row["successes"]) == 3
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from carlift.diagnostics import (
     SpectrumTrace,
@@ -10,15 +12,11 @@ from carlift.diagnostics import (
     spectrum_trace,
     truncation_sweep,
 )
-from carlift.model import (
-    drift_jacobian,
-    scalar_model,
-    separable_model,
-)
+from carlift.model import kron_model, scalar_model, separable_model
 from carlift.presets import benchmark
-from carlift.reference import run_dpm
-from carlift.schedule import make_lambda_grid, make_vp_schedule
-from oracles import zero_model
+from carlift.reference import SolverRun, run_dpm, run_unipc
+from carlift.schedule import TimeGrid, make_lambda_grid, make_vp_schedule
+from oracles import drift_eigenvalues, drift_jacobian, zero_model
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 
@@ -43,6 +41,58 @@ def test_spectrum_zero_model_is_twice_f():
     trace = spectrum_trace(S, zero_model(d=2, mode="separable"), run)
     for i, t in enumerate(grid.t):
         assert np.all(trace.eigs[i] == 2.0 * float(S.f(t)))
+
+
+def random_model(rng, mode, d, x_degree):
+    """A model of x-degree at most 2 with a contractive linear part and a
+    linear lam dependence, small enough that a run over (0.8, 0.1) stays
+    finite; x-degree 0 leaves eps independent of x."""
+    if mode == "separable":
+        c = 0.05 * rng.standard_normal((d, x_degree + 1, 2))
+        if x_degree >= 1:
+            c[:, 1, 0] += rng.uniform(0.3, 0.7, d)
+        return separable_model(c)
+    blocks = {q: (0.1 / d if q == 2 else 0.05) * rng.standard_normal((2, d, d**q))
+              for q in range(x_degree + 1)}
+    if x_degree >= 1:
+        blocks[1][0] += np.diag(rng.uniform(0.3, 0.7, d))
+    return kron_model(d, blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["separable", "kron"]), d=st.integers(1, 4),
+       x_degree=st.integers(0, 2), scheme=st.sampled_from(["dpm", "unip", "unic"]), order=st.integers(1, 3),
+       M=st.integers(3, 24))
+def test_spectrum_trace_has_the_bits_of_per_node_eigenvalues(seed, mode, d, x_degree, scheme, order, M):
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, mode, d, x_degree)
+    grid = make_lambda_grid(S, 0.8, 0.1, M)
+    x_T = rng.uniform(-1.0, 1.0, d)
+    if scheme == "dpm":
+        run = run_dpm(S, m, x_T, grid, k=order)
+    else:
+        run = run_unipc(S, m, x_T, grid, p=order, corrector=scheme == "unic")
+    assume(np.all(np.isfinite(run.states)))
+    want = np.stack([drift_eigenvalues(S, m, x, t) for x, t in zip(run.states, run.grid.t.tolist())])
+    trace = spectrum_trace(S, m, run)
+    assert trace.eigs.shape == (M + 1, d)
+    assert np.array_equal(trace.eigs, want)
+
+
+@pytest.mark.parametrize("mode", ["separable", "kron"])
+def test_spectrum_trace_refuses_times_below_the_floor(mode):
+    lam = S.lam(np.array([0.5, 0.5 * S.t_floor]))
+    run = SolverRun(grid=TimeGrid(t=[0.5, 0.5 * S.t_floor], lam=lam), states=np.ones((2, 2)), nfe=0,
+                    scheme="dpm1")
+    with pytest.raises(ValueError, match="below t_floor"):
+        spectrum_trace(S, zero_model(d=2, mode=mode), run)
+
+
+def test_spectrum_zero_kron_model_is_twice_f():
+    grid = make_lambda_grid(S, 0.9, 0.1, 5)
+    m = zero_model(d=3, mode="kron")
+    trace = spectrum_trace(S, m, run_dpm(S, m, np.ones(3), grid, k=1))
+    assert np.array_equal(trace.eigs, np.repeat(2.0 * S.f(grid.t)[:, None], 3, axis=1))
 
 
 def test_survival_product_halving_fixture():

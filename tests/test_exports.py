@@ -1,9 +1,11 @@
 """Every name a carlift module exports through __all__ must exist, every
 exported function must be called by the package or the benchmark, and
 every defaulted parameter of one must be set by some such call.  Every
-private module-level function or class must be read by the package
-itself.  Every carlift name the benchmark imports must exist, and every
-call it makes to one must bind to the current signature."""
+public method of a carlift class must be read by the package or the
+benchmark.  Every private module-level function or class must be read
+by the package itself.  Every carlift name the benchmark imports must
+exist, and every call it makes to one must bind to the current
+signature."""
 
 import ast
 import importlib
@@ -70,6 +72,18 @@ def test_every_exported_function_is_called_outside_the_tests():
     assert not uncalled, f"exported functions only the tests call: {uncalled}"
     stale = sorted(name for name in UNCALLED_EXPORTS if name not in functions or name in used)
     assert not stale, f"allowed as uncalled but called or no longer exported: {stale}"
+
+
+def test_every_public_method_is_read_outside_the_tests():
+    # read by name: a method that shares its name with one read elsewhere passes
+    used = referenced_names()
+    methods = [f"{path.stem}.{cls.name}.{node.name}" for path in PACKAGE_SOURCES
+               for cls in ast.parse(path.read_text(), filename=str(path)).body
+               if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert methods
+    unread = [name for name in methods if name.rsplit(".", 1)[1] not in used]
+    assert not unread, f"public methods only the tests read: {unread}"
 
 
 def test_every_private_helper_is_read_by_the_package():

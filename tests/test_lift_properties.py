@@ -20,6 +20,7 @@ from carlift.carleman import (
     StepMatrix,
     UnipcQcmSet,
     _poly_to_update,
+    lift_run,
     run_lifted,
     step_polynomials_dpm,
 )
@@ -55,6 +56,7 @@ from oracles import (
     one_step_polynomial_dpm,
     separable_tower,
     step_dicts,
+    to_dense,
     total_derivative_per_n,
     velocity_kron,
 )
@@ -113,7 +115,7 @@ def bmat_system(block_rows, n_blocks):
 
 def as_csr(blk):
     """A StepMatrix as a CSR matrix."""
-    return sp.csr_matrix(blk.toarray())
+    return sp.csr_matrix(to_dense(blk))
 
 
 def bmat_dpm(qcms, D):
@@ -127,7 +129,8 @@ def bmat_unipc(warmup, steps, D, which):
     rows = [[(0, eye)]] + [[(i - 1, -as_csr(q.A)), (i, eye)] for i, q in enumerate(warmup, start=1)]
     for qs in steps:
         mats = qs.pred_mats if which == "predictor" else qs.corr_mats
-        rows.append([(qs.anchor + mm, -as_csr(mat)) for mm, mat in enumerate(mats)] + [(qs.i, eye)])
+        anchor = qs.i - len(qs.pred_mats)
+        rows.append([(anchor + mm, -as_csr(mat)) for mm, mat in enumerate(mats)] + [(qs.i, eye)])
     return bmat_system(rows, len(rows))
 
 
@@ -320,6 +323,26 @@ def test_derivative_tower_matches_one_point_derivatives(seed, kron, d, J, k, C, 
             got = [cj[c : c + 1] for cj in level]
             assert len(got) >= len(want) and not any(g.any() for g in got[len(want) :])
             assert all(g.shape == w.shape and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_an_all_zero_degree_changes_no_derivative_and_no_lift(k):
+    # the tower skips the all-zero block and drops the degree it would
+    # fill, so only level 0 carries its table, and the lift adds nothing
+    rng = np.random.default_rng(34)
+    terms = {0: 0.05 * rng.standard_normal((2, 2, 1)),
+             1: np.diag([0.4, 0.6]) + 0.02 * rng.standard_normal((2, 2, 2))}
+    plain, padded = kron_model(2, terms), kron_model(2, {**terms, 2: np.zeros((2, 4))})
+    grid = make_lambda_grid(S, 0.5, 0.1, 16)
+    tower, tower_padded = (_derivative_tower(S, m, k, grid.lam[:-1]) for m in (plain, padded))
+    *level0, zero = tower_padded[0]
+    assert len(level0) == len(tower[0]) and not zero.any()
+    for got, want in zip([level0, *tower_padded[1:]], tower, strict=True):
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    basis = CarlemanBasis(N=3, d=2)
+    systems = [lift_run(S, m, [0.6, -0.3], grid, basis, "dpm", k)[0] for m in (plain, padded)]
+    assert np.array_equal(*(system.mat.solve(system.rhs) for system in systems))
 
 
 def test_derivative_tower_keeps_to_its_memory_budget():
@@ -653,7 +676,7 @@ def test_dense_blocks_match_the_sparse_construction(seed, d, N, M, scheme):
         for (_, folded), corr, pred in zip(mat.rows[qs.i], corr_mats, qs.pred_mats, strict=True):
             want = (as_csr(corr) + target @ as_csr(pred)).toarray()
             scale = (abs(as_csr(corr)) + abs(target) @ abs(as_csr(pred))).toarray()
-            assert np.all(np.abs(folded.toarray() - want) <= 1e-13 * scale)
+            assert np.all(np.abs(to_dense(folded) - want) <= 1e-13 * scale)
         want = corr_b + target @ qs.pred_b
         assert np.all(np.abs(qs.corr_b - want) <= 1e-13 * (np.abs(corr_b) + abs(target) @ np.abs(qs.pred_b)))
 

@@ -10,16 +10,21 @@ from carlift.model import (
     MAX_MONOMIALS,
     PolyNoiseModel,
     _derivative_tower,
-    drift_eigenvalues,
-    drift_jacobian,
-    jacobian_eps,
     kron_model,
     scalar_model,
     separable_model,
     total_derivative_poly,
 )
 from carlift.schedule import make_vp_schedule
-from oracles import dx_dlambda, eval_eps, monomials, zero_model
+from oracles import (
+    drift_eigenvalues,
+    drift_jacobian,
+    dx_dlambda,
+    eval_eps,
+    jacobian_eps,
+    monomials,
+    zero_model,
+)
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 

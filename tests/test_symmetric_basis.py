@@ -30,6 +30,7 @@ from oracles import (
     kron_poly_to_update,
     stacked,
     symmetric_embedding,
+    to_dense,
 )
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
@@ -87,17 +88,17 @@ def test_step_lift_intertwines_with_the_kron_lift(seed, d, N, degrees, zero):
     folded = {q: fold(B, d, q) for q, B in P.items()}
     [(U_s, b_s)] = _poly_to_update(stacked(folded), CarlemanBasis(N=N, d=d))
     U, b = kron_poly_to_update(P, KronBasis(N=N, d=d))
-    U = U.toarray()
+    U = to_dense(U)
     assert U_s.rows.shape == (Q.shape[1], Q.shape[1])
-    assert np.linalg.norm(U @ Q - Q @ U_s.toarray()) <= 1e-14 * np.linalg.norm(U)
+    assert np.linalg.norm(U @ Q - Q @ to_dense(U_s)) <= 1e-14 * np.linalg.norm(U)
     assert np.linalg.norm(b - Q @ b_s) <= 1e-14 * max(np.linalg.norm(b), 1e-300)
 
     E = {q: rng.standard_normal((d, d**q)) for q in degrees}
     folded = {q: fold(B, d, q) for q, B in E.items()}
     [node] = _block1(stacked(folded), np.array([0]), np.array([0.3]), CarlemanBasis(N=N, d=d))
-    want = kron_node_block1(E, 0.3, KronBasis(N=N, d=d)).toarray()
+    want = to_dense(kron_node_block1(E, 0.3, KronBasis(N=N, d=d)))
     assert node.rows.shape == (d, Q.shape[1])
-    assert np.linalg.norm(want @ Q - Q @ node.toarray()) <= 1e-14 * max(np.linalg.norm(want), 1e-300)
+    assert np.linalg.norm(want @ Q - Q @ to_dense(node)) <= 1e-14 * max(np.linalg.norm(want), 1e-300)
 
 
 @PROPERTY
