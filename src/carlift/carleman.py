@@ -34,7 +34,12 @@ coefficient blocks stacked along a leading step axis, built from the
 weight tables and eps and its derivatives tabulated over the grid.
 They are lifted in chunks sliced along that axis into one dense
 (M, dim_total, dim_total) array, each step a :class:`StepMatrix` that
-records that array and its index there.  A UniPC corrector step is
+records that array and its index there.  Block row j of a step is made
+from block row j-1 times the step map, and only on the degrees a
+product of j-1 step maps can reach, (j-1) q_min .. (j-1) q_max: the
+columns left out are exact zeros, and the terms are summed from +0 in
+the order a pass over every column adds them, so U and b keep every
+bit (see :func:`_poly_to_update`).  A UniPC corrector step is
 lifted with its predictor folded in, so every lifted step maps states
 already computed.  :func:`lift_run`, the one dispatch on a scheme's
 layout, prices, lifts and assembles a run on the calling thread;
@@ -49,6 +54,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import system
 from .errors import CapacityError
@@ -180,16 +186,25 @@ def _poly_to_update(polys: dict[int, np.ndarray],
     made from block row j-1 in one pass: row beta is its parent row,
     beta - e_{beta_1}, times P_{beta_1}; the products of each degree q of
     P are taken for all rows at once, in the dict's degree order, and one
-    bincount adds them onto their monomial columns.  Rows and columns are
-    scaled by sqrt(m_beta) and 1/sqrt(m_gamma) last.  Degree-0 parts land
-    in b.
+    product with a 0/1 CSR matrix adds them onto their monomial columns.
+    Rows and columns are scaled by sqrt(m_beta) and 1/sqrt(m_gamma) last.
+    Degree-0 parts land in b.
+
+    Block row j-1 is a product of j-1 step maps, so only its columns of
+    degree (j-1) q_min .. (j-1) q_max can be nonzero, q_min and q_max the
+    least and greatest degree the run's maps keep; only those, up to
+    degree N - q, are multiplied by degree q (:func:`_windows`).  The CSR
+    product adds each monomial's terms in the order they are made,
+    starting from +0, as a pass over every column would: a sum from +0
+    is never -0, so the +0 columns left out, whose products with finite
+    coefficients are +-0, change no bit of U or b.
 
     The steps are lifted in chunks sliced along the step axis, their rows
-    stacked, as many per chunk as keep the products, their bin indices
-    and the block rows within LIFT_CHUNK_BYTES.  bincount adds each bin's
-    terms in input order from +0, so a step's U and b are the same bits
-    in any chunk, and a degree that is zero at one step adds nothing to
-    it.  All the steps' matrices are written into one (steps, dim_total,
+    stacked, as many per chunk as keep the products and block rows of
+    the largest block row within LIFT_CHUNK_BYTES.  Each monomial's sum
+    reads one step's terms, so a step's U and b are the same bits in any
+    chunk, and a degree that is zero at one step adds nothing to it.
+    All the steps' matrices are written into one (steps, dim_total,
     dim_total) array, so a run of them is one stack of blocks to
     :class:`carlift.system.TrajectoryOperator`.  Returns one
     (StepMatrix, b) per step: the step's index in that array and a view
@@ -201,41 +216,50 @@ def _poly_to_update(polys: dict[int, np.ndarray],
     col_scale = 1.0 / mono.sqrt_mult
     n_steps = len(next(iter(polys.values())))
     polys = {q: B for q, B in polys.items() if q <= N and B.any()}
-    targets = np.concatenate([mono.products[q] for q in polys] + [np.zeros(0, np.intp)])
-    work = 8 * len(mono.first[N]) * (3 * len(targets) + 2 * width)  # per step, at block row N
+    windows = _windows(basis.d, N, tuple(polys))
+    work = max(8 * len(mono.first[j]) * (add.shape[1] + 2 * width)  # per step
+               for j, (_, add) in enumerate(windows, start=1))
     per_chunk = max(1, LIFT_CHUNK_BYTES // work)
     U_all, b_all = np.empty((n_steps, dim, dim)), np.empty((n_steps, dim))
     for lo in range(0, n_steps, per_chunk):
-        S = min(per_chunk, n_steps - lo)  # stacked: (S*d, n_q) coefficients, (S*n_j, width) rows
-        C = {q: B[lo : lo + S].reshape(S * basis.d, -1) for q, B in polys.items()}
+        S = min(per_chunk, n_steps - lo)
+        C = {q: B[lo : lo + S].transpose(2, 0, 1) for q, B in polys.items()}  # (n_q, S, d)
         buf, b = U_all[lo : lo + S], b_all[lo : lo + S]
-        R = np.zeros((S, width))  # block row j-1, unscaled, with its constant column
-        R[:, 0] = 1.0
-        for j, (parent, f) in enumerate(_stacked_rows(basis.d, N, S), start=1):
-            Rp = R[parent]
-            vals = [(Rp[:, : mono.start[N - q + 1], None] * Cq[f][:, None, :]).reshape(len(f), -1)
-                    for q, Cq in C.items()]
-            vals = np.concatenate(vals, axis=1) if vals else np.zeros((len(f), 0))
-            flat = np.arange(len(f))[:, None] * width + targets
-            R = np.bincount(flat.ravel(), weights=vals.ravel(), minlength=len(f) * width)
-            R = R.reshape(len(f), width)
+        R = np.zeros((width, S, 1))  # block row j-1 of each step, unscaled, constant first
+        R[0] = 1.0
+        for j, (spans, add) in enumerate(windows, start=1):
+            parent, f = mono.parent[j], mono.first[j]
+            vals = np.empty((add.shape[1], S, len(f)))
+            for q, cols, part in spans:  # each degree's products, written in place
+                np.multiply(R[cols][:, None, :, parent], C[q][..., f],
+                            out=vals[part].reshape(-1, len(C[q]), S, len(f)))
+            R = (add @ vals.reshape(len(vals), S * len(f))).reshape(width, S, len(f))
+            del vals  # before the next block row makes its own
             rows = basis.block_slice(j)
             scale = mono.sqrt_mult[rows]
-            b[:, rows] = R[:, 0].reshape(S, -1) * scale
-            np.multiply(R[:, 1:].reshape(S, -1, dim), col_scale, out=buf[:, rows])
+            b[:, rows] = R[0] * scale
+            np.multiply(R[1:].transpose(1, 2, 0), col_scale, out=buf[:, rows])
             buf[:, rows] *= scale[:, None]
     return [(StepMatrix(U_all, i), b_i) for i, b_i in enumerate(b_all)]
 
 
 @functools.lru_cache(maxsize=64)
-def _stacked_rows(d: int, N: int, S: int) -> tuple:
-    """Rows of block row j = 1..N for S steps stacked row-wise: each row's
-    parent in the stack of block rows j-1, and its first variable's row
-    in the stack of the steps' (d, n_q) coefficient blocks."""
-    mono = _monomials(d, N)
-    steps = np.arange(S)[:, None]
-    return tuple(((steps * len(mono.first[j - 1]) + mono.parent[j]).ravel(),
-                  (steps * d + mono.first[j]).ravel()) for j in range(1, N + 1))
+def _windows(d: int, N: int, degrees: tuple) -> tuple:
+    """Per block row j = 1..N of step maps with these degrees, in this
+    order: the spans (q, cols, part), cols the ext columns of block row
+    j-1 that degree q multiplies, of degree (j-1) min .. min((j-1) max,
+    N - q), and part the rows of their products (a, b) in one stack; and
+    the 0/1 CSR matrix that adds the stack onto monomials a b in order."""
+    mono, out = _monomials(d, N), []
+    for j in range(1, N + 1):
+        lo, top = mono.start[min((j - 1) * min(degrees, default=0), N + 1)], (j - 1) * max(degrees, default=0)
+        cols = {q: slice(lo, max(lo, mono.start[min(top + 1, N - q + 1)])) for q in degrees}
+        products = [mono.products[q].reshape(-1, len(mono.first[q]))[c].ravel() for q, c in cols.items()]
+        targets, ends = np.concatenate([np.zeros(0, np.intp), *products]), np.cumsum([0, *map(len, products)])
+        add = sp.csr_array((np.ones(len(targets)), (targets, np.arange(len(targets)))),
+                           shape=(mono.start[-1], len(targets)))
+        out.append((tuple((q, c, slice(*ends[i : i + 2])) for i, (q, c) in enumerate(cols.items())), add))
+    return tuple(out)
 
 
 @dataclass

@@ -396,9 +396,11 @@ def _drift_spectra(s: NoiseSchedule, m: PolyNoiseModel, states: np.ndarray, time
     the drift Jacobian, at each row of ``states`` and its time: one
     (nodes, d) array from one eps table over the nodes, each row the bits
     of a one-node call.  A separable model's J is diagonal, one Horner
-    pass in x over all nodes, and is sorted; a kron model's is one batched
-    product of the ``mono.deriv`` gathers with the nodes' monomials, and
-    one ``eigvalsh`` takes the spectra of the stack."""
+    pass in x over all nodes, and is sorted; a kron model's is a batched
+    product of the ``mono.deriv`` gathers with the nodes' monomials of
+    degree below J, the ones it reads, taken over chunks of nodes that
+    keep the gathers within TOWER_CHUNK_BYTES, and one ``eigvalsh`` takes
+    the spectra of the stack."""
     if np.any(low := times < s.t_floor):
         raise ValueError(f"t={float(times[low.argmax()])} below t_floor={s.t_floor}; "
                          "sigma_t is numerically singular")
@@ -407,14 +409,18 @@ def _drift_spectra(s: NoiseSchedule, m: PolyNoiseModel, states: np.ndarray, time
     if m.mode == "separable":  # a model without x-dependence has the scalar diagonal 0.0
         deps = _horner([j * t[..., 0] for j, t in enumerate(tables)][1:], states)
         return np.sort(2.0 * (f + scale * np.broadcast_to(deps, states.shape)), axis=1)
-    mono, jac = _monomials(m.d, m.x_degree), np.zeros(states.shape + (m.d,))
-    below = _monomials_at(mono, states)
-    for j, table in enumerate(tables[1:], start=1):
-        # the derivative table takes F_j onto the degree-(j-1) monomials at each state
-        index, factor = mono.deriv[j]
-        gathered = table[:, :, index]
-        gathered *= factor
-        jac += np.matmul(gathered, below[j - 1][..., None, :, None])[..., 0]
+    mono, lower = _monomials(m.d, m.x_degree), _monomials(m.d, max(m.x_degree - 1, 0))
+    jac = np.zeros(states.shape + (m.d,))
+    per_chunk = max(1, TOWER_CHUNK_BYTES // (8 * m.d * (m.d + 1) * lower.start[-1]))  # nodes
+    for lo in range(0, len(states), per_chunk):
+        at = slice(lo, lo + per_chunk)
+        below = _monomials_at(lower, states[at])
+        for j, table in enumerate(tables[1:], start=1):
+            # the derivative table takes F_j onto the degree-(j-1) monomials at each state
+            index, factor = mono.deriv[j]
+            gathered = table[at][:, :, index]
+            gathered *= factor
+            jac[at] += np.matmul(gathered, below[j - 1][..., None, :, None])[..., 0]
     J = f[..., None] * np.eye(m.d) + scale[..., None] * jac
     return np.linalg.eigvalsh(J + J.swapaxes(1, 2))
 

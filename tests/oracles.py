@@ -67,7 +67,7 @@ def jacobian_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
         raise ValueError(f"state must have shape ({m.d},)")
     if m.mode == "kron":
         mono, out = _monomials(m.d, m.x_degree), np.zeros((m.d, m.d))
-        below = _monomials_at(mono, x)
+        below = _monomials_at(_monomials(m.d, max(m.x_degree - 1, 0)), x)  # the degrees J - 1 reads
         for j, table in enumerate(_eps_tables(m, np.array([float(lam)]))[1:], start=1):
             # the derivative table takes F_j onto the degree-(j-1) monomials at x
             index, factor = mono.deriv[j]
@@ -368,8 +368,8 @@ def one_step_poly_to_update(P: dict[int, np.ndarray], basis):
     """The symmetric-basis lift of one step polynomial {q: (d, n_q)}, alone, as
     :func:`carlift.carleman._poly_to_update` made it before it lifted
     steps together: P's nonzero degrees in its own key order, block row j from
-    block row j-1 by one product pass and one bincount.  Returns
-    (StepMatrix, b)."""
+    every column of block row j-1 by one product pass and one bincount.
+    Returns (StepMatrix, b)."""
     N, dim = basis.N, basis.dim_total
     mono = _monomials(basis.d, N)
     C = {q: B for q, B in P.items() if q <= N and np.any(B)}

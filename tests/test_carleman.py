@@ -259,6 +259,28 @@ def test_lift_work_stays_within_its_chunk_budget(chunk_bytes, monkeypatch):
     assert peak - kept <= 2 * chunk_bytes
 
 
+def test_lift_work_is_a_small_share_of_the_steps_it_returns():
+    # d=8, N=4, M=16, dpm k=1: a step alone is over LIFT_CHUNK_BYTES, so
+    # each chunk is one step; multiplying only the degrees block row j-1
+    # reaches keeps the work near 4 MB beyond the 30 MB of U and b, where
+    # multiplying every column of it took 19 MB
+    rng = np.random.default_rng(8)
+    m = kron_model(8, {1: np.diag(np.linspace(0.3, 0.7, 8)) + 0.01 * rng.standard_normal((8, 8)),
+                       2: 0.0025 * rng.standard_normal((2, 8, 64))})
+    polys = step_polynomials_dpm(S, m, make_lambda_grid(S, 0.5, 0.1, 16).lam, 1)
+    basis = CarlemanBasis(N=4, d=8)
+    _poly_to_update(polys, basis)  # index tables built outside the trace
+    tracemalloc.start()
+    try:
+        steps = _poly_to_update(polys, basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = steps[0][0].stack.nbytes + 16 * steps[0][1].nbytes
+    assert held == 16 * 8 * basis.dim_total * (basis.dim_total + 1)
+    assert peak - held <= held // 4, (peak - held, held)
+
+
 def test_lift_matches_kron_powers():
     rng = np.random.default_rng(21)
     basis = CarlemanBasis(N=3, d=2, mode="kron")

@@ -5,6 +5,7 @@ derivative and the Kronecker tower (each folded onto monomials), the
 one-step lift, sp.bmat global assembly, the global CSR matrix the
 trajectory operator builds, and the sequential lifted walk."""
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -20,6 +21,7 @@ from carlift.carleman import (
     StepMatrix,
     UnipcQcmSet,
     _poly_to_update,
+    assemble_unipc_qcms,
     lift_run,
     run_lifted,
     step_polynomials_dpm,
@@ -377,6 +379,29 @@ def test_derivative_tower_keeps_to_its_memory_budget():
                     assert got.shape == table.shape and np.array_equal(got, table)
 
 
+def test_drift_spectra_keep_to_the_tower_memory_budget():
+    # a lam-dependent d=8, degree-4 kron model over 129 nodes: besides the
+    # eps table over the nodes, the derivative gathers take no more than
+    # TOWER_CHUNK_BYTES; a smaller budget only splits the nodes into more
+    # chunks, so every node keeps its bits
+    rng = np.random.default_rng(8)
+    m = kron_model(8, {j: rng.normal(scale=0.1, size=(2, 8, 8**j)) for j in range(5)})
+    times = make_lambda_grid(S, 0.8, 0.1, 128).t
+    states = rng.uniform(-1.0, 1.0, (129, 8))
+    table = sum(t.nbytes for t in _eps_tables(m, S.lam(times)))
+    model._drift_spectra(S, m, states[:2], times[:2])  # the monomial tables are cached once
+    tracemalloc.start()
+    try:
+        eigs = model._drift_spectra(S, m, states, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - table <= model.TOWER_CHUNK_BYTES, (peak, table)
+    for budget in (1, 1 << 16, 1 << 20):
+        with mock.patch.object(model, "TOWER_CHUNK_BYTES", budget):
+            assert np.array_equal(model._drift_spectra(S, m, states, times), eigs)
+
+
 def test_samplers_and_lift_expand_sigma_once_per_chunk(monkeypatch):
     calls = []
     expand = model._sigma_lambda_polys
@@ -469,6 +494,65 @@ def test_batched_lift_equals_per_step_lifts(seed, d, N, M, k, chunk_bytes, zeros
         U_1, b_1 = one_step_poly_to_update(P, basis)
         assert same_bits(U.rows, U_1.rows) and same_bits(b, b_1)
         assert U.nnz == U_1.nnz
+
+
+def step_maps(m, grid, scheme, order, basis):
+    """The stacked step maps a run hands to the lift: the dpm chain, or the
+    UniPC anchor maps (K predictor, then K corrector), recorded as
+    assemble_unipc_qcms passes them on."""
+    if scheme == "dpm":
+        return step_polynomials_dpm(S, m, grid.lam, order)
+    made, lift_steps = [], carleman._poly_to_update
+
+    def record(polys, b):
+        made.append(polys)
+        return lift_steps(polys, b)
+
+    with mock.patch.object(carleman, "_poly_to_update", record):
+        assemble_unipc_qcms(S, m, grid, order, basis, corrector=True)
+    return made[0]
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    N=st.integers(1, 6),
+    M=st.integers(1, 5),
+    source=st.sampled_from(["dpm", "unipc", "maps"]),
+    order=st.integers(1, 3),
+    degrees=st.sets(st.integers(0, 3), min_size=1),
+    lam_degree=st.integers(0, 2),
+    zeros=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 5)), max_size=3),
+    chunk_bytes=st.sampled_from([1, 1 << 12, carleman.LIFT_CHUNK_BYTES]),
+)
+def test_lift_over_the_reachable_degrees_keeps_the_bits_of_every_column(
+        seed, d, N, M, source, order, degrees, lam_degree, zeros, chunk_bytes):
+    # block row j-1 is multiplied only on its degrees (j-1) q_min ..
+    # (j-1) q_max; the oracle multiplies every column.  The steps come from
+    # lam-dependent kron models on ``degrees`` (a model without a constant
+    # term has q_min = 1, so the window's low end rises with j) through
+    # dpm or the UniPC anchor maps, or are random maps on ``degrees``
+    # alone (q_min up to 3, as for maps of degrees {2, 3}); N falls below
+    # and above their top degree, and ``zeros`` zeroes a degree at a step
+    rng = np.random.default_rng(seed)
+    basis = CarlemanBasis(N=N, d=d)
+    if source == "maps":
+        order_of = rng.permutation(sorted(degrees)).tolist()  # any degree order
+        polys = {q: rng.standard_normal((M, d, math.comb(d + q - 1, q))) for q in order_of}
+    else:
+        m = kron_model(d, {q: (0.3 if q == 1 else 0.05) * rng.standard_normal((lam_degree + 1, d, d**q))
+                           for q in degrees})
+        polys = step_maps(m, make_lambda_grid(S, 0.5, 0.1, M + order), source, order, basis)
+    n_steps = len(next(iter(polys.values())))
+    for at, key in zeros:
+        polys[list(polys)[key % len(polys)]][at % n_steps] = 0.0
+    with mock.patch.object(carleman, "LIFT_CHUNK_BYTES", chunk_bytes):
+        lifted = _poly_to_update(polys, basis)
+    assert len(lifted) == n_steps
+    for P, (U, b) in zip(step_dicts(polys), lifted):
+        U_1, b_1 = one_step_poly_to_update(P, basis)
+        assert same_bits(U.rows, U_1.rows) and same_bits(b, b_1)
 
 
 def vanishing_kron(grid):
