@@ -25,8 +25,9 @@ the sweep, and its index and swept value are appended to the error
 message.  Fixed seed and fixed config give byte-identical files.
 
 Exit codes: 0 ok, 2 config error (a carleman model the lift cannot take
-included), 3 numerical failure (a sampler or RK4 oracle that overflows
-or leaves a non-finite state included), 4 non-convergence.
+included), 3 numerical failure (a sampler, RK4 oracle or lifted
+trajectory that overflows or leaves a non-finite state, and a failed
+condition estimate, included), 4 non-convergence.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .presets import (BENCHMARKS, DEFAULT_BETA_MAX, DEFAULT_BETA_MIN, DEFAULT_T,
 from .readout import recover_sparse
 from .reference import SolverRun, rk4_oracle, run_scheme
 from .schedule import NoiseSchedule, TimeGrid, make_lambda_grid, make_vp_schedule
-from .solve import LchsConfig, forward_substitute, gmres_solve, lchs_solve
+from .solve import LchsConfig, forward_substitute, lchs_solve
 from .system import condition_number, export_matrix
 
 # the config paths each command needs beyond the defaults; a sweep also
@@ -159,9 +160,7 @@ _SCHEMA = _section({
         "order": {"type": "integer", "minimum": 1, "maximum": 3, "default": 1},
         "variant": {"enum": ["bh1", "bh2"], "default": "bh2"},
         "which": {"enum": ["predictor", "corrector"], "default": "corrector"},
-        "solver": {"enum": ["forward", "gmres"], "default": "forward"},
-        "gmres_tol": {"type": "number", "exclusiveMinimum": 0, "default": 1e-10},
-        "condition": {"enum": ["auto", "dense_svd", "lanczos", "none"], "default": "auto"},
+        "condition": {"enum": ["auto", "dense_svd", "none"], "default": "auto"},
         "condition_rtol": {"type": "number", "exclusiveMinimum": 0, "default": 1e-4},
         "export_matrix": {"type": "boolean", "default": False},
     }),
@@ -322,18 +321,19 @@ def build_window(cfg: dict, m: PolyNoiseModel):
     return s, grid, np.broadcast_to(x_T, (m.d,)).copy()
 
 
-def finite_run(name: str, solve) -> SolverRun:
-    """``solve()``, the sampler or RK4-oracle run ``name`` names, with an
-    overflow, an invalid value or a non-finite state as a numerical
-    failure of that run.  The oracle steps one-coordinate and kron models
-    on Python floats, whose overflow raises nothing, so the recorded
-    states are checked too."""
+def finite_run(name: str, solve, states=SolverRun.state_matrix):
+    """``solve()``, the sampler, RK4-oracle or forward-solve run ``name``
+    names, with an overflow, an invalid value or a non-finite state as a
+    numerical failure of that run; ``states(run)`` gives those states.
+    The oracle steps one-coordinate and kron models on Python floats,
+    whose overflow raises nothing, so the recorded states are checked
+    too."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             run = solve()
     except FloatingPointError as exc:
         raise FloatingPointError(f"{exc}, in {name}") from exc
-    if not np.isfinite(run.state_matrix()).all():
+    if not np.isfinite(states(run)).all():
         raise FloatingPointError(f"{name} reached a non-finite state")
     return run
 
@@ -425,30 +425,28 @@ def _carleman_oracle(s: NoiseSchedule, m: PolyNoiseModel, x_T, grid: TimeGrid) -
 
 
 def cmd_carleman(cfg: dict, oracles: dict | None = None) -> tuple[int, dict]:
-    """Lift and assemble the trajectory system, solve it, and measure its
-    endpoint against :func:`_carleman_oracle`.  The system is solved
-    forward once: ``equivalence`` is the solution's largest gap from that
-    forward solution, and ``defect`` is the consistency defect of its last
-    block.  A sweep hands every point the same ``oracles`` dict, keyed on
-    :func:`_oracle_key`, so points that share a window run its reference
-    once."""
+    """Lift and assemble the trajectory system, solve it forward once, and
+    measure its endpoint against :func:`_carleman_oracle`.  A solve that
+    leaves the finite range fails (:func:`finite_run`) before the
+    reference runs; ``defect`` is the consistency defect of the solution's
+    last block.  A sweep hands every point the same ``oracles`` dict,
+    keyed on :func:`_oracle_key`, so points that share a window run its
+    reference once."""
     m = build_model(cfg)
     s, grid, x_T = build_window(cfg, m)
     car = cfg["carleman"]
     basis = CarlemanBasis(N=car["N"], d=m.d)
     system, _ = lift_run(s, m, x_T, grid, basis, car["scheme"], car["order"], car["variant"],
                          car["which"] == "corrector")
-    forward = forward_substitute(system)
-    sol = forward if car["solver"] == "forward" else gmres_solve(system, tol=car["gmres_tol"])
+    sol = finite_run("the forward solve", lambda: forward_substitute(system), lambda res: res.solution)
     traj = sol.solution.reshape(system.n_blocks, system.block_dim)[:, basis.block_slice(1)]
 
-    equivalence = float(np.max(np.abs(sol.solution - forward.solution)))
     oracles = {} if oracles is None else oracles
     key = _oracle_key(cfg)
     if key not in oracles:
         oracles[key] = _carleman_oracle(s, m, x_T, grid)
     error = float(np.linalg.norm(traj[-1] - oracles[key]))
-    defect = LiftedState(basis, forward.solution[-basis.dim_total :]).consistency_defect()
+    defect = LiftedState(basis, sol.solution[-basis.dim_total :]).consistency_defect()
 
     outputs = {}
     kappa = math.nan
@@ -472,18 +470,18 @@ def cmd_carleman(cfg: dict, oracles: dict | None = None) -> tuple[int, dict]:
 
     columns = ["step", "t", "lam"] + [f"x_{i}" for i in range(m.d)]
     rows = [[i, grid.t[i], grid.lam[i]] + list(traj[i]) for i in range(len(grid.t))]
-    meta = [("scheme", system.scheme), ("solver", sol.method), ("dim", system.dim)]
+    meta = [("scheme", system.scheme), ("dim", system.dim)]
     outputs["trajectory.csv"] = (columns, rows, meta)
 
     sum_cols = (
         ["scheme", "N", "M", "dim"]
         + [f"x_end_{i}" for i in range(m.d)]
-        + ["error", "defect", "kappa", "solve_residual", "solve_iterations", "equivalence"]
+        + ["error", "defect", "kappa", "solve_residual"]
     )
     sum_row = (
         [system.scheme, car["N"], len(grid.h), system.dim]
         + list(traj[-1])
-        + [error, defect, kappa, sol.residual, sol.iterations, equivalence]
+        + [error, defect, kappa, sol.residual]
     )
     outputs["summary.csv"] = (sum_cols, [sum_row], ())
     return (0 if converged else 4), outputs

@@ -4,13 +4,13 @@ The global trajectory systems are block unit lower triangular and kept
 as their per-step blocks (:class:`carlift.system.TrajectoryOperator`),
 dense row arrays, so a forward walk of one BLAS matrix-vector product
 per block solves them directly; that walk is the lifted trajectory
-itself.  GMRES, the iterative reference point
-for conditioning experiments, applies the same operator, one batched
-product per run of blocks, in a restarted cycle of its own: classical
-Gram-Schmidt on the whole Krylov basis in two BLAS calls per step,
-Givens rotations on Python floats and one triangular solve per cycle.
-It restarts at n_blocks + 1 vectors, which one Krylov cycle needs to
-reach the exact solution.  ``lchs_solve`` emulates the
+itself.  GMRES applies the same operator, one batched product per run
+of blocks, in a restarted cycle of its own: classical Gram-Schmidt on
+the whole Krylov basis in two BLAS calls per step, Givens rotations on
+Python floats and one triangular solve per cycle.  It restarts at
+n_blocks + 1 vectors, which one Krylov cycle needs to reach the exact
+solution.  No caller in the package solves with it; the benchmark
+times it on its Kronecker lifts.  ``lchs_solve`` emulates the
 linear-combination-of-Hamiltonian-simulation route classically: the non-unitary flow of
 du/dt = -A(t) u + b(t) is reproduced as a Cauchy-kernel-weighted
 quadrature over unitary evolutions generated by the Hermitian
@@ -51,13 +51,15 @@ LCHS_CHUNK_BYTES = 1 << 20
 # positive semidefinite with room for rounding in its eigenvalues.
 SHIFT_EPS = 1e-12
 
+# Relative residual gmres_solve must reach.
+GMRES_TOL = 1e-10
+
 
 @dataclass
 class SolveResult:
     solution: np.ndarray
     residual: float
     iterations: int
-    method: str
 
 
 def forward_substitute(system) -> SolveResult:
@@ -74,7 +76,7 @@ def forward_substitute(system) -> SolveResult:
     mat, rhs = system.mat, system.rhs
     x = mat.solve(rhs)
     res = float(np.linalg.norm(mat @ x - rhs) / max(np.linalg.norm(rhs), 1.0))
-    return SolveResult(solution=x, residual=res, iterations=0, method="forward_substitution")
+    return SolveResult(solution=x, residual=res, iterations=0)
 
 
 def _gmres_cycle(matvec, r: np.ndarray, steps: int, stop: float) -> tuple[np.ndarray, int]:
@@ -138,21 +140,21 @@ def _gmres_cycle(matvec, r: np.ndarray, steps: int, stop: float) -> tuple[np.nda
     return y @ V[: j + 1], j + 1
 
 
-def gmres_solve(system, tol: float = 1e-10, max_iter: int = 20000) -> SolveResult:
+def gmres_solve(system, max_iter: int = 20000) -> SolveResult:
     """Restarted GMRES with explicit residual verification.
 
     A trajectory system is I minus a block strictly lower triangular
     part, nilpotent of index at most n_blocks, so restarting at
     min(n_blocks + 1, dim) lets one Krylov cycle reach the exact
     solution.  Each cycle (:func:`_gmres_cycle`) stops once its estimated
-    residual is at most tol ||b||; the residual b - M x is then
+    residual is at most GMRES_TOL ||b||; the residual b - M x is then
     recomputed, and the solve succeeds when its norm is at most
-    tol ||b|| and at most tol max(||b||, 1).  A cycle that does not lower
-    that relative residual ends the solve, since further cycles only stir
-    rounding, and so does running out of ``max_iter`` Arnoldi steps, the
-    last cycle cut to what is left.  Raises ConvergenceError carrying the
-    best residual and the steps used, at most max_iter, and ValueError
-    for a max_iter below 1.
+    GMRES_TOL ||b|| and at most GMRES_TOL max(||b||, 1).  A cycle that
+    does not lower that relative residual ends the solve, since further
+    cycles only stir rounding, and so does running out of ``max_iter``
+    Arnoldi steps, the last cycle cut to what is left.  Raises
+    ConvergenceError carrying the best residual and the steps used, at
+    most max_iter, and ValueError for a max_iter below 1.
     """
     if max_iter < 1:
         raise ValueError(f"need max_iter >= 1, got {max_iter}")
@@ -162,22 +164,22 @@ def gmres_solve(system, tol: float = 1e-10, max_iter: int = 20000) -> SolveResul
     scale = max(bnorm, 1.0)
     x = np.zeros(mat.shape[0])
     if bnorm == 0.0:
-        return SolveResult(solution=x, residual=0.0, iterations=0, method="gmres")
+        return SolveResult(solution=x, residual=0.0, iterations=0)
     r, best, used = rhs, np.inf, 0
     while True:
-        dx, steps = _gmres_cycle(mat.matvec, r, min(restart, max_iter - used), tol * bnorm)
+        dx, steps = _gmres_cycle(mat.matvec, r, min(restart, max_iter - used), GMRES_TOL * bnorm)
         used += steps
         x += dx
         r = rhs - mat.matvec(x)
         rnorm = float(np.linalg.norm(r))
         res = rnorm / scale
-        if rnorm <= tol * bnorm and res <= tol:
-            return SolveResult(solution=x, residual=res, iterations=used, method="gmres")
+        if rnorm <= GMRES_TOL * bnorm and res <= GMRES_TOL:
+            return SolveResult(solution=x, residual=res, iterations=used)
         stalled = not res < best
         best = min(best, res)
         if stalled or used >= max_iter:
             raise ConvergenceError(
-                f"gmres stalled at relative residual {best:.3e} (target {tol:.1e})",
+                f"gmres stalled at relative residual {best:.3e} (target {GMRES_TOL:.1e})",
                 residual=best, iterations=used,
             )
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from . import carleman
 from .errors import CapacityError, StructureError
@@ -306,6 +306,7 @@ def _lanczos_top(apply, n: int, rtol: float, rng):
     ||u|| <= rtol * theta bounds |theta - lambda|.  ARPACK stops at half
     that residual, which leaves room for rounding.  Out of budget, u is
     the applied vector of largest Rayleigh quotient (a lower bound).
+    Any other ARPACK failure is raised as a FloatingPointError.
     Returns (theta, applications, residual, converged).
     """
     seen = {"calls": 0, "theta": -np.inf, "v": None}
@@ -325,6 +326,8 @@ def _lanczos_top(apply, n: int, rtol: float, rng):
                   maxiter=max(1, LANCZOS_MAX_ITER // ncv))[1][:, 0]
     except ArpackNoConvergence:
         u = seen["v"]
+    except ArpackError as exc:  # an overflowing operator, for one
+        raise FloatingPointError(f"the condition estimate failed: {exc}") from exc
     w = matvec(u)
     uu = float(u @ u)
     theta = float(u @ w) / uu

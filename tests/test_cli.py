@@ -15,7 +15,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from carlift import carleman, cli
+from carlift import carleman, cli, solve
 from carlift.system import TrajectoryOperator
 from oracles import address_space_cap
 
@@ -273,16 +273,17 @@ XT_SWEEP_CFG = {
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_reports_a_lift_failure_before_a_later_points_oracle(tmp_path, capsys, workers):
-    # point 0's GMRES stalls, which ends the sweep before point 1's oracle
-    # would overflow
-    cfg = {**XT_SWEEP_CFG, "carleman": {"solver": "gmres", "gmres_tol": 1e-30},
+    # over the whole default window in one step, point 0's lift outruns
+    # exp_taylor_tail's term budget, which ends the sweep before its own
+    # oracle, or point 1's, would overflow
+    cfg = {**XT_SWEEP_CFG, "schedule": {"beta_max": 1600}, "window": {"M": 1},
            "sweep": {"command": "carleman", "parameter": "window.x_T", "values": [0.1, 1.0],
                      "workers": workers}}
     code, out = run(tmp_path, "sweep", cfg)
     assert code == 4
     assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
     err = capsys.readouterr().err
-    assert err.startswith("did not converge: gmres stalled")
+    assert err.startswith("did not converge: exponential tail")
     assert err.rstrip().endswith("(sweep point 0: window.x_T = 0.1)")
 
 
@@ -357,7 +358,7 @@ def test_oversized_global_system_exits_3(tmp_path, monkeypatch, capsys):
 def test_condition_estimate_short_of_rtol_exits_4(tmp_path):
     cfg = {
         "window": {"benchmark": "weak_quadratic", "M": 8},
-        "carleman": {"N": 3, "condition": "lanczos", "condition_rtol": 1e-300},
+        "carleman": {"N": 3, "condition": "auto", "condition_rtol": 1e-300},
     }
     code, out = run(tmp_path, "carleman", cfg)
     assert code == 4
@@ -365,26 +366,65 @@ def test_condition_estimate_short_of_rtol_exits_4(tmp_path):
     assert dict(zip(cols, rows[0]))["converged"] == "false"
 
 
-def test_gmres_stall_exits_4(tmp_path):
-    # a growing trajectory leaves a nonzero floating-point residual that
-    # an impossible tolerance can never reach
+def test_gmres_stall_exits_4(tmp_path, monkeypatch, capsys):
+    # a growing trajectory leaves a nonzero floating-point residual that an
+    # impossible tolerance can never reach: a stall in the carleman
+    # command's system solve is a convergence failure, not a numerical one
+    monkeypatch.setattr(solve, "GMRES_TOL", 1e-30)
+    monkeypatch.setattr(cli, "forward_substitute", solve.gmres_solve)
     cfg = {
         "model": {"mode": "separable", "d": 1, "terms": [[0, 0, 0.1], [1, 0, -0.5], [2, 0, 0.1]]},
         "window": {"x_T": 0.8, "t_start": 0.6, "t_end": 0.05, "M": 6},
-        "carleman": {"N": 3, "solver": "gmres", "gmres_tol": 1e-30},
+        "carleman": {"N": 3},
     }
-    code, _ = run(tmp_path, "carleman", cfg)
+    code, out = run(tmp_path, "carleman", cfg)
     assert code == 4
+    assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+    assert capsys.readouterr().err.startswith("did not converge: gmres stalled")
 
 
 def test_unsummable_step_weights_exit_4(tmp_path, capsys):
-    # one step of log-SNR width about 399 outruns exp_taylor_tail's term budget
+    # one step of log-SNR width about 399 outruns exp_taylor_tail's term
+    # budget, in the sampler and in the lift alike
     cfg = {"model": {"preset": "linear"}, "schedule": {"beta_max": 1600}, "window": {"M": 1},
            "simulate": {"oracle": False}}
-    code, out = run(tmp_path, "simulate", cfg)
-    assert code == 4
+    for command in ("simulate", "carleman"):
+        code, out = run(tmp_path, command, cfg, out=command)
+        assert code == 4
+        assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+        assert capsys.readouterr().err.startswith("did not converge: exponential tail")
+
+
+@pytest.mark.parametrize("x_T, condition, message", [
+    (1.0, "none", "overflow encountered in matmul, in the forward solve"),
+    (1.0, "dense_svd", "overflow encountered in matmul, in the forward solve"),
+    (1e-100, "auto", "the condition estimate failed: ARPACK error"),
+], ids=["trajectory", "trajectory_before_svd", "condition_estimate"])
+def test_lift_overflow_exits_3(tmp_path, capsys, x_T, condition, message):
+    # two steps of log-SNR width about 200: from x_T = 1 block 2 of the
+    # lifted trajectory overflows; from x_T = 1e-100 the trajectory stays
+    # finite, but M^T M in the condition estimate does not
+    cfg = {"model": {"preset": "linear"}, "schedule": {"beta_max": 1600},
+           "window": {"M": 2, "x_T": x_T}, "carleman": {"N": 2, "condition": condition}}
+    code, out = run(tmp_path, "carleman", cfg)
+    assert code == 3
     assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
-    assert capsys.readouterr().err.startswith("did not converge: exponential tail")
+    assert capsys.readouterr().err.startswith(f"numerical failure: {message}")
+
+
+@pytest.mark.parametrize("carleman, message", [
+    ({"solver": "forward"}, "$.carleman: Additional properties are not allowed ('solver' was unexpected)"),
+    ({"solver": "gmres"}, "$.carleman: Additional properties are not allowed ('solver' was unexpected)"),
+    ({"gmres_tol": 1e-10},
+     "$.carleman: Additional properties are not allowed ('gmres_tol' was unexpected)"),
+    ({"condition": "lanczos"}, "$.carleman.condition: 'lanczos' is not one of"),
+], ids=["solver_forward", "solver_gmres", "gmres_tol", "condition_lanczos"])
+def test_removed_carleman_options_exit_2_before_writing(tmp_path, capsys, carleman, message):
+    cfg = {"window": {"benchmark": "weak_quadratic", "M": 4}, "carleman": carleman}
+    code, out = run(tmp_path, "carleman", cfg)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not out.exists()
 
 
 def test_steps_from_an_underflowed_alpha_exit_0(tmp_path):
@@ -405,50 +445,6 @@ def test_importing_the_cli_leaves_scipy_optimize_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     assert done.stdout.strip() == "False"
-
-
-def test_carleman_solvers_agree(tmp_path):
-    base = {"window": {"benchmark": "weak_quadratic", "M": 8}, "carleman": {"N": 3}}
-    code_f, out_f = run(tmp_path, "carleman", base, out="fw")
-    gm = {**base, "carleman": {**base["carleman"], "solver": "gmres"}}
-    code_g, out_g = run(tmp_path, "carleman", gm, out="gm")
-    assert code_f == 0 and code_g == 0
-    cols, rows_f = data_rows(out_f / "summary.csv")
-    _, rows_g = data_rows(out_g / "summary.csv")
-    xf = float(dict(zip(cols, rows_f[0]))["x_end_0"])
-    xg = float(dict(zip(cols, rows_g[0]))["x_end_0"])
-    assert xf == pytest.approx(xg, abs=1e-8)
-    eq = float(dict(zip(cols, rows_f[0]))["equivalence"])
-    assert eq < 1e-10
-    assert (out_f / "condition.csv").exists()
-
-
-@pytest.mark.parametrize("which", ["predictor", "corrector"])
-def test_carleman_unipc_solvers_agree(tmp_path, which):
-    base = {
-        "model": {"mode": "kron", "d": 2, "blocks": {
-            "1": [[0.3, 0.05], [0.02, 0.6]],
-            "2": [[0.01, 0.0, 0.0, 0.02], [0.0, 0.01, 0.01, 0.0]],
-        }},
-        "window": {"x_T": [0.5, -0.4], "t_start": 0.5, "t_end": 0.1, "M": 8},
-        "carleman": {"N": 2, "scheme": "unipc", "order": 2, "which": which},
-    }
-    code_f, out_f = run(tmp_path, "carleman", base, out="fw")
-    gm = {**base, "carleman": {**base["carleman"], "solver": "gmres"}}
-    code_g, out_g = run(tmp_path, "carleman", gm, out="gm")
-    assert code_f == 0 and code_g == 0
-    cols, rows_f = data_rows(out_f / "trajectory.csv")
-    _, rows_g = data_rows(out_g / "trajectory.csv")
-    x_cols = [cols.index("x_0"), cols.index("x_1")]
-    xf = np.array([[float(r[i]) for i in x_cols] for r in rows_f])
-    xg = np.array([[float(r[i]) for i in x_cols] for r in rows_g])
-    assert len(xf) == 9
-    np.testing.assert_allclose(xg, xf, rtol=0.0, atol=1e-12)
-    for out in (out_f, out_g):
-        cols, rows = data_rows(out / "summary.csv")
-        row = dict(zip(cols, rows[0]))
-        assert row["scheme"] == f"unipc_{which}"
-        assert float(row["equivalence"]) <= 1e-12
 
 
 def test_carleman_matrix_export_round_trips(tmp_path):
@@ -639,9 +635,8 @@ def test_carleman_sweep_point_matches_single_run(tmp_path, workers):
         assert ",".join(wrow[2:]) == ",".join(srows[0])
 
 
-@pytest.mark.parametrize("solver", ["forward", "gmres"])
 @pytest.mark.parametrize("scheme", ["dpm", "unipc"])
-def test_carleman_point_solves_its_system_forward_once(tmp_path, monkeypatch, scheme, solver):
+def test_carleman_point_solves_its_system_forward_once(tmp_path, monkeypatch, scheme):
     # one lifted walk per point: the forward solve of its trajectory system
     calls = []
 
@@ -651,7 +646,7 @@ def test_carleman_point_solves_its_system_forward_once(tmp_path, monkeypatch, sc
 
     solve = TrajectoryOperator.solve
     monkeypatch.setattr(TrajectoryOperator, "solve", counted)
-    cfg = {**KRON_UNIPC_CFG, "carleman": {"scheme": scheme, "order": 2, "solver": solver},
+    cfg = {**KRON_UNIPC_CFG, "carleman": {"scheme": scheme, "order": 2},
            "sweep": {"command": "carleman", "parameter": "carleman.N", "values": [1, 2, 3]}}
     assert run(tmp_path, "sweep", cfg)[0] == 0
     assert calls == [KRON_UNIPC_CFG["window"]["M"] + 1] * 3
@@ -682,18 +677,20 @@ def test_carleman_sweep_runs_one_oracle_per_distinct_window(tmp_path, monkeypatc
 
 
 def test_failing_sweep_point_leaves_only_the_resolved_config(tmp_path, capsys):
+    # point 1 takes the default window in one step of log-SNR width about
+    # 399, which outruns exp_taylor_tail's term budget
     cfg = {
         "model": {"mode": "separable", "d": 1, "terms": [[0, 0, 0.1], [1, 0, -0.5], [2, 0, 0.1]]},
-        "window": {"x_T": 0.8, "t_start": 0.6, "t_end": 0.05, "M": 6},
-        "carleman": {"N": 3, "solver": "gmres"},
-        "sweep": {"command": "carleman", "parameter": "carleman.gmres_tol", "values": [1e-8, 1e-30]},
+        "window": {"x_T": 0.8, "M": 1},
+        "carleman": {"N": 3},
+        "sweep": {"command": "carleman", "parameter": "schedule.beta_max", "values": [20, 1600]},
     }
     code, out = run(tmp_path, "sweep", cfg)
     assert code == 4
     assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
     err = capsys.readouterr().err
-    assert err.startswith("did not converge: gmres stalled")
-    assert err.rstrip().endswith("(sweep point 1: carleman.gmres_tol = 1e-30)")
+    assert err.startswith("did not converge: exponential tail")
+    assert err.rstrip().endswith("(sweep point 1: schedule.beta_max = 1600)")
 
 
 @pytest.mark.parametrize("parameter, values, message", [
@@ -823,6 +820,6 @@ def declared_defaults(schema, path="$"):
 
 def test_every_default_validates_against_its_property():
     found = list(declared_defaults(cli._SCHEMA))
-    assert len(found) == 40
+    assert len(found) == 38
     for path, prop in found:
         assert jsonschema.Draft202012Validator(prop).is_valid(prop["default"]), path

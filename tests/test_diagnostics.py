@@ -13,7 +13,7 @@ from carlift.diagnostics import (
     truncation_sweep,
 )
 from carlift.model import kron_model, scalar_model, separable_model
-from carlift.presets import benchmark
+from carlift.presets import benchmark, model_preset
 from carlift.reference import SolverRun, run_dpm, run_unipc
 from carlift.schedule import TimeGrid, make_lambda_grid, make_vp_schedule
 from oracles import drift_eigenvalues, drift_jacobian, zero_model
@@ -171,6 +171,16 @@ def test_truncation_sweep_reports_conditioning():
         k=1, N_list=(1, 2), with_kappa=True,
     )
     assert all(r.kappa >= 1.0 for r in rows)
+
+
+def test_truncation_sweep_raises_a_failed_condition_estimate():
+    # two steps of log-SNR width about 200 lift to entries so large that
+    # M^T M overflows in the condition estimate, while the trajectory from
+    # x_T = 1e-100 stays finite
+    s = make_vp_schedule(0.1, 1600.0, 1.0)
+    with pytest.raises(FloatingPointError, match="the condition estimate failed"):
+        truncation_sweep(s, model_preset("linear"), [1e-100], make_lambda_grid(s, 1.0, 0.05, 2),
+                         k=1, N_list=(2,), oracle_substeps=100)
 
 
 def test_order_sweep_slope_and_mask():

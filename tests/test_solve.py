@@ -40,7 +40,6 @@ def test_forward_substitution_solves_exactly():
     system, states = quadratic_system()
     result = forward_substitute(system)
     assert result.residual < 1e-11
-    assert result.method == "forward_substitution"
     assert np.allclose(result.solution, np.concatenate([st.y for st in states]), atol=1e-12)
     dense = np.linalg.solve(system.mat.tocsr().toarray(), system.rhs)
     assert np.allclose(result.solution, dense, atol=1e-11)
@@ -101,10 +100,11 @@ def test_trajectory_solves_allocate_far_less_than_the_step_matrices():
     assert peaks["gmres"] - krylov_bytes < step_bytes // 10
 
 
-def test_gmres_agrees_with_forward_substitution():
+def test_gmres_agrees_with_forward_substitution(monkeypatch):
+    monkeypatch.setattr(solve, "GMRES_TOL", 1e-12)
     system, _ = quadratic_system()
     direct = forward_substitute(system)
-    iterative = gmres_solve(system, tol=1e-12)
+    iterative = gmres_solve(system)
     assert iterative.residual <= 1e-12
     assert iterative.iterations > 0
     assert np.allclose(iterative.solution, direct.solution, atol=1e-8)
@@ -123,15 +123,16 @@ def test_gmres_default_restart_spans_the_trajectory():
     assert np.allclose(result.solution, np.concatenate([st.y for st in states]), atol=1e-9)
 
 
-def test_gmres_unreachable_tolerance_raises():
+def test_gmres_unreachable_tolerance_raises(monkeypatch):
+    monkeypatch.setattr(solve, "GMRES_TOL", 1e-30)
     system, _ = quadratic_system()
     with pytest.raises(ConvergenceError) as exc:
-        gmres_solve(system, tol=1e-30)
+        gmres_solve(system)
     assert exc.value.residual is not None
     assert exc.value.iterations is not None
 
 
-def test_gmres_stops_after_a_cycle_that_does_not_lower_the_residual():
+def test_gmres_stops_after_a_cycle_that_does_not_lower_the_residual(monkeypatch):
     # the first cycle leaves a residual near 1e-14, the second 7.1e-16 and
     # the third, which breaks down after 10 steps, does not go lower; the
     # solve ends there, far short of the 20 000-iteration budget.  The
@@ -152,8 +153,9 @@ def test_gmres_stops_after_a_cycle_that_does_not_lower_the_residual():
         steps.append(taken)
         if len(history) > 1 and history[-1] >= min(history[:-1]):
             break
+    monkeypatch.setattr(solve, "GMRES_TOL", 1e-30)
     with pytest.raises(ConvergenceError) as exc:
-        gmres_solve(system, tol=1e-30)
+        gmres_solve(system)
     assert exc.value.iterations <= 3 * restart
     assert exc.value.iterations == sum(steps)
     assert exc.value.residual == min(history) < 10 * np.finfo(float).eps
@@ -217,7 +219,7 @@ def test_gmres_max_iter_caps_the_arnoldi_steps():
 
 @pytest.mark.parametrize("case", ["sweep_M64", "lift_A", "lift_B", "quadratic"])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_gmres_takes_scipys_iterations_at_the_same_restart(case, seed):
+def test_gmres_takes_scipys_iterations_at_the_same_restart(monkeypatch, case, seed):
     # the benchmark's GMRES shapes (d, N, M, k) and the scalar quadratic
     system = {
         "sweep_M64": lambda: kron_chain(64, seed=seed),
@@ -228,7 +230,8 @@ def test_gmres_takes_scipys_iterations_at_the_same_restart(case, seed):
     direct = forward_substitute(system).solution
     scale = max(1.0, float(np.abs(direct).max()))
     for tol in (1e-10, 1e-12):
-        ours = gmres_solve(system, tol=tol)
+        monkeypatch.setattr(solve, "GMRES_TOL", tol)
+        ours = gmres_solve(system)
         x, res, iterations = scipy_gmres_cycles(system, tol)
         assert ours.iterations == iterations
         assert ours.residual <= tol and res <= tol
