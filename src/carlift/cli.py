@@ -325,9 +325,9 @@ def finite_run(name: str, solve, states=SolverRun.state_matrix):
     """``solve()``, the sampler, RK4-oracle or forward-solve run ``name``
     names, with an overflow, an invalid value or a non-finite state as a
     numerical failure of that run; ``states(run)`` gives those states.
-    The oracle steps one-coordinate and kron models on Python floats,
-    whose overflow raises nothing, so the recorded states are checked
-    too."""
+    The samplers and the oracle step one-coordinate and kron models on
+    Python floats, whose overflow raises nothing, so the recorded states
+    are checked too."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             run = solve()

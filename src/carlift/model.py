@@ -335,8 +335,8 @@ def _eps_tables(m: PolyNoiseModel, lams: np.ndarray) -> list:
     collapsed at each point.  A separable model is collapsed from
     ``m.coeffs`` by Horner in lam, as it is evaluated; a kron model's
     blocks by :func:`_center_tables`, a block without lam dependence
-    broadcast, not copied.  :func:`_eval_tabulated` evaluates them at a
-    state.
+    broadcast, not copied.  :func:`carlift.reference._eps_rows` reads them
+    as the reference steppers evaluate them.
     """
     if m.mode == "separable":
         c = npoly.polyval(lams, m.coeffs.transpose(2, 1, 0)[..., None], tensor=False)  # (J+1, d, C)
@@ -344,20 +344,12 @@ def _eps_tables(m: PolyNoiseModel, lams: np.ndarray) -> list:
     return _center_tables(m.blocks, lams)
 
 
-def _eval_tabulated(m: PolyNoiseModel, tables, i: int, x):
-    """eps(x, lams[i]) from ``tables = _eps_tables(m, lams)``: by
-    :func:`_kron_sum` of the blocks' rows i side by side for kron models,
-    by :func:`_horner` over them for separable ones."""
-    if m.mode == "kron":
-        return _kron_sum(_monomials(m.d, len(tables) - 1), np.concatenate([t[i] for t in tables], axis=1), x)
-    return _horner([t[i, :, 0] for t in tables], x)
-
-
 def _horner(rows, x):
-    """sum_j rows[j] x^j by Horner in x, from 0.0: rows of d coefficients
-    on an array x of shape (d,), or floats on a Python float x."""
+    """sum_j rows[J - j] x^j by Horner in x, from 0.0: the coefficients
+    highest degree first, floats on a Python float x or arrays on an
+    array."""
     out = 0.0
-    for cj in reversed(rows):
+    for cj in rows:
         out = out * x + cj
     return out
 
@@ -372,23 +364,17 @@ def _monomials_at(mono: _Monomials, x: np.ndarray) -> list:
     return out
 
 
-def _kron_sum(mono: _Monomials, F: np.ndarray, x):
-    """F x_all, summed from +0 (so a -0.0 result is +0.0): F holds the
-    (d, n_j) coefficient matrices of degree j = 0, 1, ... side by side, and
-    x_all the monomials of those degrees at x (:func:`_monomials_at`).
-
-    ``x`` is an array of shape (d,) or a list of d floats; on a list the
-    monomials and the sum from zero are float operations and only the
-    ``ndarray.dot`` contraction, the same as on an array, runs in NumPy,
-    so both give the same bits.
-    """
-    if isinstance(x, list):
-        x_all, xj = ([1.0, *x] if len(mono.pairs) > 1 else [1.0]), x  # degrees 0 and 1
-        for pairs in mono.pairs[2:]:
-            xj = [xj[p] * x[f] for p, f in pairs]
-            x_all += xj
-        return [0.0 + e for e in F.dot(x_all).tolist()]
-    return 0.0 + F.dot(np.concatenate(_monomials_at(mono, x)))
+def _kron_sum(mono: _Monomials, F: np.ndarray, x: list) -> list:
+    """F x_all at a state x of d Python floats, summed from +0 (so a -0.0
+    result is +0.0): F holds the (d, n_j) coefficient matrices of degree
+    j = 0, 1, ... side by side, and x_all the monomials of those degrees
+    at x, float products as in :func:`_monomials_at`; only the contraction
+    is an ``ndarray.dot``, so the bits are those of the same array steps."""
+    x_all, xj = ([1.0, *x] if len(mono.pairs) > 1 else [1.0]), x  # degrees 0 and 1
+    for pairs in mono.pairs[2:]:
+        xj = [xj[p] * x[f] for p, f in pairs]
+        x_all += xj
+    return [0.0 + e for e in F.dot(x_all).tolist()]
 
 
 def _drift_spectra(s: NoiseSchedule, m: PolyNoiseModel, states: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -407,7 +393,7 @@ def _drift_spectra(s: NoiseSchedule, m: PolyNoiseModel, states: np.ndarray, time
     tables = _eps_tables(m, s.lam(times))
     f, scale = s.f(times)[:, None], (s.g2(times) / (2.0 * s.sigma(times)))[:, None]
     if m.mode == "separable":  # a model without x-dependence has the scalar diagonal 0.0
-        deps = _horner([j * t[..., 0] for j, t in enumerate(tables)][1:], states)
+        deps = _horner([j * t[..., 0] for j, t in enumerate(tables)][:0:-1], states)
         return np.sort(2.0 * (f + scale * np.broadcast_to(deps, states.shape)), axis=1)
     mono, lower = _monomials(m.d, m.x_degree), _monomials(m.d, max(m.x_degree - 1, 0))
     jac = np.zeros(states.shape + (m.d,))

@@ -14,7 +14,9 @@ are tabulated over its grid, one row per step, only by
 table; the samplers read rows of those tables and the Carleman lift in
 :mod:`carlift.carleman` reads them whole, as it does the one eps table
 over the grid that the unified sampler reads past its warm-up.  A run's
-states are one (nodes, d) array, row i at grid node i.  All weights
+states are one (nodes, d) array, row i at grid node i, written there
+only for storage: every stepper steps as :func:`_start` gives the state,
+with the bits of the same steps on arrays.  All weights
 reduce to the moments I_n = int e^{-lam} (lam - lam_s)^n / n! dlam over
 a step of width h, which equal e^{-lam_t} tail_n(h) with tail_n from
 :func:`carlift.schedule.exp_taylor_tail`.  They enter scaled by alpha_t,
@@ -30,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (PolyNoiseModel, _derivative_tower, _eps_tables, _eval_tabulated, _horner, _kron_sum,
-                    _monomials)
+from .model import PolyNoiseModel, _derivative_tower, _eps_tables, _horner, _kron_sum, _monomials
 from .schedule import NoiseSchedule, TimeGrid, exp_taylor_tail
 
 __all__ = [
@@ -84,18 +85,39 @@ def _oracle_chunk(m: PolyNoiseModel) -> int:
     return max(1, ORACLE_TABLE_BYTES // (2 * 8 * (2 + per_time)))
 
 
-def _oracle_rows(m: PolyNoiseModel, tables) -> list:
-    """eps's coefficients at each point of ``tables`` (the layout of
-    :func:`carlift.model._eps_tables`) as the RK4 loop reads them: for a
-    kron model the arguments of :func:`carlift.model._kron_sum` on lists,
-    the monomial tables and the blocks' rows side by side; J+1 floats,
-    the x^j coefficients, for a one-coordinate model; the (J+1, d) rows
-    of a separable one."""
+def _eps_rows(m: PolyNoiseModel, tables) -> list:
+    """eps's coefficients at each point of ``tables`` (a level of
+    :func:`carlift.model._derivative_tower`) as :func:`_eps_at` reads them:
+    the arguments of :func:`carlift.model._kron_sum` for a kron model, on
+    the monomials of the tables' own top degree; the arguments of
+    :func:`carlift.model._horner`, J+1 floats for one coordinate or (J+1, d)
+    rows for d > 1, for a separable one."""
     rows = np.concatenate(tables, axis=2)
     if m.mode == "kron":
-        mono = _monomials(m.d, m.x_degree)
+        mono = _monomials(m.d, len(tables) - 1)
         return [(mono, F) for F in rows]
+    rows = rows[..., ::-1]
     return rows[:, 0].tolist() if m.d == 1 else list(rows.transpose(0, 2, 1))
+
+
+def _eps_at(m: PolyNoiseModel, row, x):
+    """eps at the state x, as :func:`_start` gives it, from one of
+    :func:`_eps_rows`."""
+    return _kron_sum(*row, x) if m.mode == "kron" else _horner(row, x)
+
+
+def _start(m: PolyNoiseModel, x_T, nodes: int):
+    """The (nodes, d) states of a run from x_T, row 0 set, and x_T as the
+    reference steppers step it: a Python float for one coordinate, a list
+    of d floats for a kron model, else an array.  The RK4 and sampler
+    arithmetic on floats, and :func:`carlift.model._kron_sum` on lists,
+    give the bits of the same steps on arrays."""
+    x = np.atleast_1d(np.asarray(x_T, dtype=float))
+    if x.shape != (m.d,):
+        raise ValueError(f"state must have shape ({m.d},)")
+    states = np.empty((nodes, m.d))
+    states[0] = x
+    return states, x.tolist() if m.mode == "kron" else float(x[0]) if m.d == 1 else x
 
 
 def rk4_oracle(
@@ -115,58 +137,35 @@ def rk4_oracle(
     Everything in it that depends on t alone is tabulated once per chunk
     of substeps, at the substep starts t (accumulated by t += ht) and
     midpoints t + ht/2; a substep's end is the next one's start.  The
-    loop then evaluates only the x-dependent part of eps.  When eps does
-    not depend on lam, every substep reads one shared set of its
-    coefficients, made once.
-
-    A one-coordinate model steps on a Python float and a kron model on a
-    list of d floats: the monomials and the RK4 arithmetic are float
-    operations, and only the contraction with eps's coefficients is an
-    ``ndarray.dot`` (see :func:`carlift.model._kron_sum`),
-    so the states equal those of the same steps on arrays bit for bit.
-    Separable models with d > 1 step on arrays.
+    loop then evaluates only the x-dependent part of eps, from
+    :func:`_eps_rows`.  When eps does not depend on lam, every substep
+    reads one shared set of its rows, made once.  The state steps as
+    :func:`_start` gives it.
     """
     if substeps < 1:
         raise ValueError("need substeps >= 1")
     times = np.asarray(times, dtype=float)
-
-    x = np.atleast_1d(np.asarray(x_T, dtype=float))
-    states = np.empty((len(times), len(x)))
-    states[0] = x
+    states, y = _start(m, x_T, len(times))
     nfe = 0
     chunk = _oracle_chunk(m)
-    kron = m.mode == "kron"
-    scalar = not kron and m.d == 1
     # a lam-independent model's blocks are its tables at any one point
-    shared = _oracle_rows(m, m.blocks) if all(cj.shape[0] == 1 for cj in m.blocks) else None
-    y = float(x[0]) if scalar else x.tolist() if kron else x
+    shared = _eps_rows(m, m.blocks) if all(cj.shape[0] == 1 for cj in m.blocks) else None
+    rk4 = _rk4_lists if m.mode == "kron" else _rk4_horner
     for n, (ta, tb) in enumerate(zip(times[:-1], times[1:]), start=1):
         ht = float((tb - ta) / substeps)
-        half, sixth = 0.5 * ht, ht / 6.0
         t = ta
         for done in range(0, substeps, chunk):
             cnt = min(chunk, substeps - done)
             tt = np.empty(2 * cnt + 1)
             tt[0::2] = np.add.accumulate(np.concatenate(([t], np.full(cnt, ht))))
-            tt[1::2] = tt[0:-1:2] + half
+            tt[1::2] = tt[0:-1:2] + 0.5 * ht
             f = s.f(tt).tolist()
             c = (s.g2(tt) / (2.0 * s.sigma(tt))).tolist()
             if shared is not None:
                 rows = shared * (2 * cnt + 1)
             else:
-                rows = _oracle_rows(m, _eps_tables(m, s.lam(tt)))
-            if kron:
-                y = _rk4_lists(y, f, c, rows, cnt, ht)
-            else:
-                for i in range(0, 2 * cnt, 2):
-                    k1 = f[i] * y + c[i] * _horner(rows[i], y)
-                    z = y + half * k1
-                    k2 = f[i + 1] * z + c[i + 1] * _horner(rows[i + 1], z)
-                    z = y + half * k2
-                    k3 = f[i + 1] * z + c[i + 1] * _horner(rows[i + 1], z)
-                    z = y + ht * k3
-                    k4 = f[i + 2] * z + c[i + 2] * _horner(rows[i + 2], z)
-                    y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                rows = _eps_rows(m, _eps_tables(m, s.lam(tt)))
+            y = rk4(y, f, c, rows, cnt, ht)
             t = tt[-1]
             nfe += 4 * cnt
         states[n] = y
@@ -174,10 +173,36 @@ def rk4_oracle(
     return SolverRun(grid=grid, states=states, nfe=nfe, scheme="rk4")
 
 
+def _rk4_horner(y, f: list, c: list, rows: list, cnt: int, ht: float):
+    """``cnt`` substeps of :func:`rk4_oracle`'s loop from a separable
+    model's state y, a Python float or an array, over one chunk's tables;
+    eps is :func:`_eps_at`'s Horner written out at each stage."""
+    half, sixth = 0.5 * ht, ht / 6.0
+    for i in range(0, 2 * cnt, 2):
+        e = 0.0
+        for cj in rows[i]:
+            e = e * y + cj
+        k1 = f[i] * y + c[i] * e
+        z, e = y + half * k1, 0.0
+        for cj in rows[i + 1]:
+            e = e * z + cj
+        k2 = f[i + 1] * z + c[i + 1] * e
+        z, e = y + half * k2, 0.0
+        for cj in rows[i + 1]:
+            e = e * z + cj
+        k3 = f[i + 1] * z + c[i + 1] * e
+        z, e = y + ht * k3, 0.0
+        for cj in rows[i + 2]:
+            e = e * z + cj
+        k4 = f[i + 2] * z + c[i + 2] * e
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
 def _rk4_lists(y: list, f: list, c: list, rows: list, cnt: int, ht: float) -> list:
     """``cnt`` substeps of :func:`rk4_oracle`'s loop from a kron state y, a
     list of d floats, over one chunk's tables, each arithmetic operation
-    applied elementwise as on arrays; ``rows`` are :func:`_oracle_rows`."""
+    applied elementwise as on arrays; ``rows`` are :func:`_eps_rows`."""
     half, sixth = 0.5 * ht, ht / 6.0
 
     def k(i: int, z: list) -> list:
@@ -235,25 +260,27 @@ def dpm_weights(s: NoiseSchedule, lams: np.ndarray, k: int) -> tuple[np.ndarray,
     return ratio, -sigma[:, None] * tails
 
 
-def _apply_weights(ratio: float, c: np.ndarray, x0: np.ndarray, eps: list[np.ndarray]) -> np.ndarray:
-    """ratio x0 + sum_m c[m] eps[m], summed in node order."""
+def _apply_weights(ratio: float, c: list, x0, eps: list):
+    """ratio x0 + sum_m c[m] eps[m], summed in node order, on a Python
+    float or an array x0, or coordinate by coordinate on a list."""
+    if isinstance(x0, list):
+        return [_apply_weights(ratio, c, a, e) for a, *e in zip(x0, *eps)]
     out = ratio * x0
     for cm, e in zip(c, eps):
         out = out + cm * e
     return out
 
 
-def _taylor_walk(s: NoiseSchedule, m: PolyNoiseModel, x: np.ndarray, lams: np.ndarray, k: int):
-    """Order-k single steps (see :func:`dpm_weights`) from the state x over the
-    log-SNRs ``lams``, from one derivative tower for all step starts; each
+def _taylor_walk(s: NoiseSchedule, m: PolyNoiseModel, x, lams: np.ndarray, k: int):
+    """Order-k single steps (see :func:`dpm_weights`) from the state x, as
+    :func:`_start` gives it, over the log-SNRs ``lams``, each level of one
+    derivative tower for all step starts read as :func:`_eps_rows`; each
     yields its new state and the eps(x_s, lam_s) it evaluated as the n = 0 term."""
-    if x.shape != (m.d,):
-        raise ValueError(f"state must have shape ({m.d},)")
     ratio, c = dpm_weights(s, lams, k)
-    tower = _derivative_tower(s, m, k, lams[:-1])
-    for i in range(len(ratio)):
-        ders = [_eval_tabulated(m, table, i, x) for table in tower]
-        x = _apply_weights(ratio[i], c[i], x, ders)
+    tower = [_eps_rows(m, level) for level in _derivative_tower(s, m, k, lams[:-1])]
+    for i, (ri, ci) in enumerate(zip(ratio.tolist(), c.tolist())):
+        ders = [_eps_at(m, rows[i], x) for rows in tower]
+        x = _apply_weights(ri, ci, x, ders)
         yield x, ders[0]
 
 
@@ -307,8 +334,9 @@ def run_dpm(
     k: int,
 ) -> SolverRun:
     """Run the order-k derivative-based sampler over the grid."""
-    x = np.atleast_1d(np.asarray(x_T, dtype=float))
-    states = np.array([x, *(xi for xi, _ in _taylor_walk(s, m, x, grid.lam, k))])
+    states, x = _start(m, x_T, grid.M + 1)
+    for i, (x, _) in enumerate(_taylor_walk(s, m, x, grid.lam, k), start=1):
+        states[i] = x
     return SolverRun(grid=grid, states=states, nfe=k * grid.M, scheme=f"dpm{k}")
 
 
@@ -325,30 +353,30 @@ def run_unipc(
 
     The step to node i anchors at node i-p and reuses the p-1 grid nodes
     in between, after a warm-up of p-1 steps at matching single-step
-    order, each state's eps then read once from one table over the grid.
+    order, each state's eps then read once from the :func:`_eps_rows` of
+    one table over the grid.  States step as :func:`_start` gives them.
     """
-    x = np.atleast_1d(np.asarray(x_T, dtype=float))
-    states = np.empty((grid.M + 1, len(x)))
-    states[0] = x
-    nfe = 0
-    pred = uni_weights(s, grid.lam, p, variant)
-    corr = uni_weights(s, grid.lam, p, variant, corrector=True) if corrector else None
-    eps: list[np.ndarray] = []  # eps at states[0], states[1], ...: each state is evaluated once
+    states, x = _start(m, x_T, grid.M + 1)
+    pred = [w.tolist() for w in uni_weights(s, grid.lam, p, variant)]
+    corr = [w.tolist() for w in uni_weights(s, grid.lam, p, variant, corrector=True)] if corrector else None
+    xs, eps, nfe = [x], [], 0  # the states and eps at them: each state is evaluated once
     for i, (x, eps_s) in enumerate(_taylor_walk(s, m, x, grid.lam[:p], p), start=1):
+        xs.append(x)
         eps.append(eps_s)  # the warm-up step's n = 0 term
         nfe += p
         states[i] = x
     (table,) = _derivative_tower(s, m, 1, grid.lam)
+    rows = _eps_rows(m, table)
     for i in range(p, grid.M + 1):
         j = i - p
-        eps.append(_eval_tabulated(m, table, i - 1, states[i - 1]))
-        xi = _apply_weights(pred[0][j], pred[1][j], states[j], eps[j:i])
+        eps.append(_eps_at(m, rows[i - 1], xs[i - 1]))
+        x = _apply_weights(pred[0][j], pred[1][j], xs[j], eps[j:i])
         nfe += 1  # eps at the newest state; the older history is cached in eps
         if corrector:
-            hist = eps[j:i] + [_eval_tabulated(m, table, i, xi)]
-            xi = _apply_weights(corr[0][j], corr[1][j], states[j], hist)
+            x = _apply_weights(corr[0][j], corr[1][j], xs[j], eps[j:i] + [_eps_at(m, rows[i], x)])
             nfe += 1
-        states[i] = xi
+        xs.append(x)
+        states[i] = x
     return SolverRun(grid=grid, states=states, nfe=nfe, scheme=("unic" if corrector else "unip") + str(p))
 
 

@@ -382,7 +382,8 @@ def condition_number(system: BlockLinearSystem, method: str = "auto",
     are deterministic; LANCZOS_MAX_ITER caps the applications per run,
     and running out is reported through ``converged`` rather than
     raised.  "auto" is "lanczos" except for a 1 x 1 system, which
-    ARPACK cannot take.
+    ARPACK cannot take.  A dense sigma_min that underflows to 0 puts
+    kappa beyond the float range and raises an OverflowError.
     """
     mat = system.mat.tocsr()
     n = mat.shape[0]
@@ -395,8 +396,8 @@ def condition_number(system: BlockLinearSystem, method: str = "auto",
             raise ValueError(f"dense SVD limited to dim <= {DENSE_SVD_MAX_DIM}, got {n}")
         with _one_blas_thread():  # the same bytes on any CPU count
             svals = np.linalg.svd(mat.toarray(), compute_uv=False)
-        if svals[-1] == 0.0:
-            raise StructureError("matrix is numerically singular")
+        if svals[-1] == 0.0:  # M is unit lower triangular, so never singular
+            raise OverflowError("the condition number is beyond the float range: sigma_min underflowed to 0")
         smax, smin, its, res, ok, rtol = svals[0], svals[-1], 0, 0.0, True, 0.0
     elif method == "lanczos":
         if n < 2:

@@ -28,7 +28,6 @@ from carlift.model import (
     PolyNoiseModel,
     _derivative_tower,
     _eps_tables,
-    _eval_tabulated,
     _horner,
     _monomials,
     _monomials_at,
@@ -37,7 +36,7 @@ from carlift.model import (
     kron_model,
     separable_model,
 )
-from carlift.reference import dpm_weights
+from carlift.reference import SolverRun, dpm_weights, uni_weights
 from carlift.schedule import NoiseSchedule, exp_taylor_tail
 
 
@@ -57,7 +56,75 @@ def eval_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (m.d,):
         raise ValueError(f"state must have shape ({m.d},)")
-    return _eval_tabulated(m, _eps_tables(m, np.asarray(lam, dtype=float).reshape(1)), 0, x)
+    return eval_tabulated(m, _eps_tables(m, np.asarray(lam, dtype=float).reshape(1)), 0, x)
+
+
+def eval_tabulated(m: PolyNoiseModel, tables, i: int, x: np.ndarray) -> np.ndarray:
+    """eps(x, lams[i]) on an array x from ``tables = _eps_tables(m, lams)``,
+    or a derivative-tower level: for kron models the blocks' rows i side
+    by side times the monomials at x, summed from +0 as
+    :func:`carlift.model._kron_sum` sums on floats; by :func:`_horner` over
+    them for separable ones."""
+    if m.mode == "kron":
+        x_all = np.concatenate(_monomials_at(_monomials(m.d, len(tables) - 1), x))
+        return 0.0 + np.concatenate([t[i] for t in tables], axis=1).dot(x_all)
+    return _horner([t[i, :, 0] for t in tables][::-1], x)
+
+
+def apply_weights(ratio, c, x0: np.ndarray, eps: list) -> np.ndarray:
+    """ratio x0 + sum_m c[m] eps[m] on arrays, summed in node order."""
+    out = ratio * x0
+    for cm, e in zip(c, eps):
+        out = out + cm * e
+    return out
+
+
+def taylor_walk_arrays(s: NoiseSchedule, m: PolyNoiseModel, x: np.ndarray, lams, k: int):
+    """The order-k single steps of :func:`carlift.reference.run_dpm` on
+    arrays, each derivative read from its tower table by
+    :func:`eval_tabulated`; yields each new state and its step's eps."""
+    ratio, c = dpm_weights(s, lams, k)
+    tower = _derivative_tower(s, m, k, lams[:-1])
+    for i in range(len(ratio)):
+        ders = [eval_tabulated(m, table, i, x) for table in tower]
+        x = apply_weights(ratio[i], c[i], x, ders)
+        yield x, ders[0]
+
+
+def run_dpm_arrays(s: NoiseSchedule, m: PolyNoiseModel, x_T, grid, k: int) -> SolverRun:
+    """:func:`carlift.reference.run_dpm` with every state an array."""
+    x = np.atleast_1d(np.asarray(x_T, dtype=float))
+    states = np.array([x, *(xi for xi, _ in taylor_walk_arrays(s, m, x, grid.lam, k))])
+    return SolverRun(grid=grid, states=states, nfe=k * grid.M, scheme=f"dpm{k}")
+
+
+def run_unipc_arrays(s: NoiseSchedule, m: PolyNoiseModel, x_T, grid, p: int, variant: str = "bh2",
+                     corrector: bool = False) -> SolverRun:
+    """:func:`carlift.reference.run_unipc` with every state an array, each
+    state's eps read once from one table over the grid."""
+    x = np.atleast_1d(np.asarray(x_T, dtype=float))
+    states = np.empty((grid.M + 1, len(x)))
+    states[0] = x
+    nfe = 0
+    pred = uni_weights(s, grid.lam, p, variant)
+    corr = uni_weights(s, grid.lam, p, variant, corrector=True) if corrector else None
+    eps = []
+    for i, (x, eps_s) in enumerate(taylor_walk_arrays(s, m, x, grid.lam[:p], p), start=1):
+        eps.append(eps_s)
+        nfe += p
+        states[i] = x
+    (table,) = _derivative_tower(s, m, 1, grid.lam)
+    for i in range(p, grid.M + 1):
+        j = i - p
+        eps.append(eval_tabulated(m, table, i - 1, states[i - 1]))
+        xi = apply_weights(pred[0][j], pred[1][j], states[j], eps[j:i])
+        nfe += 1
+        if corrector:
+            hist = eps[j:i] + [eval_tabulated(m, table, i, xi)]
+            xi = apply_weights(corr[0][j], corr[1][j], states[j], hist)
+            nfe += 1
+        states[i] = xi
+    return SolverRun(grid=grid, states=states, nfe=nfe, scheme=("unic" if corrector else "unip") + str(p))
 
 
 def jacobian_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
@@ -79,7 +146,7 @@ def jacobian_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
 def _separable_deps(m: PolyNoiseModel, x: np.ndarray, lam: float) -> np.ndarray:
     """Diagonal d eps_i / d x_i of a separable model, by Horner in x."""
     tables = _eps_tables(m, np.array([float(lam)]))
-    return np.full(m.d, _horner([j * t[0, :, 0] for j, t in enumerate(tables)][1:], x))
+    return np.full(m.d, _horner([j * t[0, :, 0] for j, t in enumerate(tables)][:0:-1], x))
 
 
 def drift_jacobian(s: NoiseSchedule, m: PolyNoiseModel, x, t: float) -> np.ndarray:

@@ -224,6 +224,20 @@ def test_non_finite_sampler_state_exits_3(tmp_path, capsys, command, cfg, messag
     assert capsys.readouterr().err.startswith(f"numerical failure: {message}")
 
 
+@pytest.mark.parametrize("command", ["simulate", "diagnose"])
+def test_diverging_one_coordinate_sampler_exits_3(tmp_path, capsys, command):
+    # coordinate 0 of DIVERGING_CFG alone: a one-coordinate sampler steps on
+    # Python floats, whose overflow raises nothing, so the states check
+    # reports it where DIVERGING_CFG's arrays raise an overflow
+    cfg = {**DIVERGING_CFG,
+           "model": {"mode": "separable", "d": 1, "terms": [[0, 0, 0.2], [1, 0, -0.6], [2, 1, 0.05]]},
+           "window": {**DIVERGING_CFG["window"], "x_T": 1.0}}
+    code, out = run(tmp_path, command, cfg)
+    assert code == 3
+    assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+    assert capsys.readouterr().err.startswith("numerical failure: the dpm3 sampler reached a non-finite state")
+
+
 def test_diverging_oracle_exits_3(tmp_path, capsys):
     # the lifted endpoint stays finite (about 184) while the one-coordinate
     # RK4 oracle, stepping on Python floats, overflows without raising
@@ -399,11 +413,13 @@ def test_unsummable_step_weights_exit_4(tmp_path, capsys):
     (1.0, "none", "overflow encountered in matmul, in the forward solve"),
     (1.0, "dense_svd", "overflow encountered in matmul, in the forward solve"),
     (1e-100, "auto", "the condition estimate failed: ARPACK error"),
-], ids=["trajectory", "trajectory_before_svd", "condition_estimate"])
+    (1e-100, "dense_svd", "the condition number is beyond the float range: sigma_min underflowed to 0"),
+], ids=["trajectory", "trajectory_before_svd", "condition_estimate", "condition_underflow"])
 def test_lift_overflow_exits_3(tmp_path, capsys, x_T, condition, message):
     # two steps of log-SNR width about 200: from x_T = 1 block 2 of the
     # lifted trajectory overflows; from x_T = 1e-100 the trajectory stays
-    # finite, but M^T M in the condition estimate does not
+    # finite, but M^T M in the condition estimate does not, and the
+    # smallest singular value of M underflows to 0
     cfg = {"model": {"preset": "linear"}, "schedule": {"beta_max": 1600},
            "window": {"M": 2, "x_T": x_T}, "carleman": {"N": 2, "condition": condition}}
     code, out = run(tmp_path, "carleman", cfg)

@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from carlift import model, reference
-from carlift.model import _eps_tables, _eval_tabulated, _kron_sum, kron_model, scalar_model, separable_model
+from carlift.model import _eps_tables, _kron_sum, kron_model, scalar_model, separable_model
 from carlift.presets import benchmark, model_preset
 from carlift.errors import ConvergenceError
 from carlift.reference import dpm_weights, rk4_oracle, run_dpm, run_unipc, uni_weights
 from carlift.schedule import TimeGrid, exp_taylor_tail, make_lambda_grid, make_vp_schedule
-from oracles import (alpha_from_lam, dlam_dt, dpm_weights_per_width, dx_dlambda, eval_eps, phi_moment,
-                     taylor_integral, uni_coeffs, uni_weights_per_system)
+from oracles import (alpha_from_lam, apply_weights, dlam_dt, dpm_weights_per_width, dx_dlambda, eval_eps,
+                     eval_tabulated, phi_moment, run_dpm_arrays, run_unipc_arrays, taylor_integral,
+                     taylor_walk_arrays, uni_coeffs, uni_weights_per_system)
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 WEAK = scalar_model({(0, 0): 0.2, (1, 0): -0.6, (2, 0): 0.25})
@@ -290,11 +291,13 @@ def test_scheme_labels_and_helpers():
 
 
 def test_multistep_unipc_evaluates_each_state_once(monkeypatch):
-    calls = []
+    calls, rows = [], []
+    eps_at = reference._eps_at
 
-    def counted_tabulated(m, tables, i, x):
-        calls.append((id(tables), i, np.asarray(x).tobytes()))
-        return _eval_tabulated(m, tables, i, x)
+    def counted_eps_at(m, row, x):
+        rows.append(row)  # held, so that no two rows share an id
+        calls.append((id(row), np.asarray(x).tobytes()))
+        return eps_at(m, row, x)
 
     bench = benchmark("weak_quadratic")
     grid = bench.grid(16)
@@ -302,12 +305,12 @@ def test_multistep_unipc_evaluates_each_state_once(monkeypatch):
     for p, corrector in ((2, True), (3, False), (3, True)):
         expected[p, corrector] = run_unipc(S, bench.model(), [bench.x_T], grid, p=p,
                                            corrector=corrector)
-    monkeypatch.setattr(reference, "_eval_tabulated", counted_tabulated)
+    monkeypatch.setattr(reference, "_eps_at", counted_eps_at)
     for (p, corrector), before in expected.items():
         calls.clear()
         run = run_unipc(S, bench.model(), [bench.x_T], grid, p=p, corrector=corrector)
-        # warm-up: p-1 Taylor steps of p evaluations each, one per tabulated
-        # derivative, whose n = 0 terms are the history at the first p-1
+        # warm-up: p-1 Taylor steps of p evaluations each, one per row of a
+        # tabulated derivative, whose n = 0 terms are the history at the first p-1
         # states; then eps once at
         # every later state that enters as history, plus at each predictor
         # output when the corrector reads it
@@ -497,9 +500,9 @@ def test_kron_sum_on_floats_equals_the_array_evaluation():
                 m = kron_model(d, {j: rng.normal(size=(L, d, d**j)) for j in range(J + 1)})
                 tables = _eps_tables(m, lams)
                 for x in rng.normal(size=(12, d)) * np.exp(rng.uniform(-2.0, 1.0, size=(12, 1))):
-                    for i, row in enumerate(reference._oracle_rows(m, tables)):
+                    for i, row in enumerate(reference._eps_rows(m, tables)):
                         got = np.array(_kron_sum(*row, x.tolist()))
-                        expected = _eval_tabulated(m, tables, i, x)
+                        expected = eval_tabulated(m, tables, i, x)
                         assert np.array_equal(got, expected)
                         assert np.array_equal(np.signbit(got), np.signbit(expected))
 
@@ -512,7 +515,7 @@ def test_kron_eval_sums_a_negative_zero_constant_from_zero(higher):
     got, expected = eval_eps(m, x, 0.3), eval_eps_direct(m, x, 0.3)
     assert np.array_equal(got, expected)
     assert np.array_equal(np.signbit(got), np.signbit(expected))
-    on_floats = np.array(_kron_sum(*reference._oracle_rows(m, _eps_tables(m, np.array([0.3])))[0],
+    on_floats = np.array(_kron_sum(*reference._eps_rows(m, _eps_tables(m, np.array([0.3])))[0],
                                   x.tolist()))
     assert np.array_equal(np.signbit(on_floats), np.signbit(expected))
 
@@ -564,7 +567,7 @@ def unipc_per_state(s, m, x_T, grid, p, corrector):
     every state, at its own log-SNR, by the one-point reference."""
     x = np.atleast_1d(np.asarray(x_T, dtype=float))
     states, eps = [x], []
-    for x, eps_s in reference._taylor_walk(s, m, x, grid.lam[:p], p):
+    for x, eps_s in taylor_walk_arrays(s, m, x, grid.lam[:p], p):
         states.append(x)
         eps.append(eps_s)
     pred = uni_weights(s, grid.lam, p)
@@ -572,10 +575,10 @@ def unipc_per_state(s, m, x_T, grid, p, corrector):
     for i in range(p, grid.M + 1):
         j = i - p
         eps.append(eval_eps(m, states[i - 1], float(grid.lam[i - 1])))
-        xi = reference._apply_weights(pred[0][j], pred[1][j], states[j], eps[j:i])
+        xi = apply_weights(pred[0][j], pred[1][j], states[j], eps[j:i])
         if corrector:
             hist = eps[j:i] + [eval_eps(m, xi, float(grid.lam[i]))]
-            xi = reference._apply_weights(corr[0][j], corr[1][j], states[j], hist)
+            xi = apply_weights(corr[0][j], corr[1][j], states[j], hist)
         states.append(xi)
     return np.stack(states)
 
@@ -589,3 +592,39 @@ def test_unipc_states_equal_a_per_state_eps_loop(case, p, corrector, M, t_start,
     x_T = np.linspace(0.3, 0.6, m.d)
     run = run_unipc(S, m, x_T, grid, p=p, corrector=corrector)
     assert np.array_equal(run.state_matrix(), unipc_per_state(S, m, x_T, grid, p, corrector))
+
+
+@st.composite
+def sampler_models(draw):
+    """A model preset, a lam-dependent separable model with d = 1 or 3, or a
+    kron model with d = 1..3 and a constant block, lam-dependent or not."""
+    kind = draw(st.sampled_from(["preset", "separable", "kron"]))
+    if kind == "preset":
+        return model_preset(draw(st.sampled_from(["linear", "weak_quadratic", "cubic", "dissipative_linear"])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([1, 3]) if kind == "separable" else st.integers(1, 3))
+    J = draw(st.integers(0, 2 if d == 3 else 3))
+    if kind == "separable":
+        return separable_model(0.2 * rng.normal(size=(d, J + 1, draw(st.integers(2, 3)))))
+    L = [draw(st.integers(1, 3)) for _ in range(J + 1)]
+    return kron_model(d, {j: 0.2 / d**j / L[j] * rng.normal(size=(L[j], d, d**j)) for j in range(J + 1)})
+
+
+@PROPERTY
+@given(m=sampler_models(), scheme=st.sampled_from(["dpm", "unip", "unic"]), order=st.integers(1, 3),
+       variant=st.sampled_from(["bh1", "bh2"]), M=st.integers(3, 12), t_start=st.floats(0.2, 0.6),
+       t_end=st.floats(0.05, 0.15))
+def test_samplers_equal_their_walk_on_arrays(m, scheme, order, variant, M, t_start, t_end):
+    # a one-coordinate model steps on a float and a kron model on a list:
+    # the same operations as on arrays, so the same bits
+    grid = make_lambda_grid(S, t_start, t_end, M)
+    x_T = np.linspace(0.3, 0.6, m.d)
+    if scheme == "dpm":
+        run, expected = run_dpm(S, m, x_T, grid, order), run_dpm_arrays(S, m, x_T, grid, order)
+    else:
+        corrector = scheme == "unic"
+        run = run_unipc(S, m, x_T, grid, order, variant, corrector)
+        expected = run_unipc_arrays(S, m, x_T, grid, order, variant, corrector)
+    assert run.nfe == expected.nfe
+    assert run.scheme == expected.scheme
+    assert np.array_equal(run.state_matrix(), expected.state_matrix())

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from carlift import carleman
 from carlift.carleman import CarlemanBasis, Qcm, UnipcQcmSet, lift, run_lifted
-from carlift.errors import CapacityError, StructureError
+from carlift.errors import CapacityError
 from carlift.model import kron_model, scalar_model
 from carlift.schedule import make_lambda_grid, make_vp_schedule
 from carlift.system import (
@@ -236,9 +236,9 @@ def test_condition_number_error_paths(monkeypatch):
     with pytest.raises(ValueError):
         condition_number(assemble_global_dpm([], np.ones(1)), method="lanczos")
     # a unit triangular M is never singular in exact arithmetic, but its
-    # smallest singular value can round to 0
+    # smallest singular value can underflow to 0, which puts kappa out of range
     monkeypatch.setattr(np.linalg, "svd", lambda a, compute_uv: np.array([1.0, 0.0]))
-    with pytest.raises(StructureError):
+    with pytest.raises(OverflowError, match="beyond the float range: sigma_min underflowed to 0"):
         condition_number(assemble_global_dpm([], np.ones(2)), method="dense_svd")
 
 
