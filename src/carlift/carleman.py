@@ -24,10 +24,10 @@ and a whole trajectory becomes one block lower-triangular linear
 system.  Terms of degree above N are dropped (hard truncation); block 1
 of a single step is exact whenever the step polynomial fits within N.
 
-The step maps are not derived here: their coefficients come from the
-tables of :func:`carlift.reference.dpm_weights` and
-:func:`carlift.reference.uni_weights`, whose rows the classical samplers
-read too, so the lifted step and the sampler step are one map.
+The step maps are not derived here: a derivative step's is one of
+:func:`carlift.reference.step_polynomials_dpm`, which the sampler
+evaluates, and a unified step's weights are the sampler's rows of
+:func:`carlift.reference.uni_weights`, so the two steps are one map.
 
 A run's step maps are one dict {q: (M, d, n_q)}: each degree's
 coefficient blocks stacked along a leading step axis, built from the
@@ -59,7 +59,7 @@ import scipy.sparse as sp
 from . import system
 from .errors import CapacityError
 from .model import PolyNoiseModel, _derivative_tower, _monomials, _monomials_at
-from .reference import dpm_weights, uni_weights
+from .reference import _degree_blocks, _step_maps, step_polynomials_dpm, uni_weights
 from .schedule import NoiseSchedule, TimeGrid
 
 __all__ = [
@@ -69,7 +69,6 @@ __all__ = [
     "Qcm",
     "UnipcQcmSet",
     "lift",
-    "step_polynomials_dpm",
     "assemble_dpm_qcms",
     "assemble_unipc_qcms",
     "lift_run",
@@ -270,35 +269,6 @@ class Qcm:
     b: np.ndarray
 
 
-def _degree_blocks(table: list) -> dict[int, np.ndarray]:
-    """The (S, d, n_q) coefficient blocks of an eps table over S points, by
-    degree q, leaving out the degrees that are zero at every point."""
-    return {q: B for q, B in enumerate(table) if B.any()}
-
-
-def _step_maps(ratio: np.ndarray, terms, d: int) -> dict[int, np.ndarray]:
-    """The step maps x -> ratio x + sum_n c_n E_n(x), stacked over the steps:
-    ``terms`` lists (c_n, E_n), each c_n one weight per step and E_n the
-    {q: (S, d, n_q)} blocks it scales.  Degree 1 comes first, then each
-    degree as the terms first show it."""
-    P: dict[int, np.ndarray] = {1: ratio[:, None, None] * np.eye(d)}
-    for cn, E in terms:
-        for q, B in E.items():
-            P[q] = P.get(q, 0.0) + cn[:, None, None] * B
-    return P
-
-
-def step_polynomials_dpm(s: NoiseSchedule, m: PolyNoiseModel, lams: np.ndarray,
-                         k: int) -> dict[int, np.ndarray]:
-    """Coefficient blocks {q: (M, d, n_q)} of the order-k step maps from
-    lams[i] to lams[i+1], stacked over the M steps, each the
-    :func:`carlift.reference.dpm_weights` step written out on the
-    monomials of x, from one derivative tower for all step starts."""
-    ratio, c = dpm_weights(s, lams, k)
-    tower = _derivative_tower(s, m, k, lams[:-1])
-    return _step_maps(ratio, [(cn, _degree_blocks(table)) for cn, table in zip(c.T, tower)], m.d)
-
-
 def assemble_dpm_qcms(s: NoiseSchedule, m: PolyNoiseModel, lams: np.ndarray, k: int,
                       basis: CarlemanBasis) -> list[Qcm]:
     """Lift the order-k steps over the log-SNRs ``lams`` into quantized update form.
@@ -412,7 +382,7 @@ def assemble_unipc_qcms(
     nodes = np.tile(np.arange(K), 1 + corrector)[:, None] + np.arange(c.shape[1])  # each weight's node
     terms = [(c[:, 0], {q: B[nodes[:, 0]] for q, B in E.items()})]
     terms += [(c[:, mm], {0: E[0][nodes[:, mm]]}) for mm in range(1, c.shape[1]) if 0 in E]
-    steps = _poly_to_update(_step_maps(ratio, terms, m.d), basis)
+    steps = _poly_to_update(_step_maps(ratio, terms, m), basis)
     # slot by slot, every step's interior nodes 1..p-1
     slots = [_block1(E, nodes[:, mm], c[:, mm], basis) for mm in range(1, p)]
     mats = [[U] + [blocks[n] for blocks in slots] for n, (U, _) in enumerate(steps)]

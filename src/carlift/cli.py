@@ -121,7 +121,8 @@ _SCHEMA = _section({
                 {"anyOf": [{"type": "number"}, {"type": "array", "items": {"type": "number"}}]},
             ],
         }},
-        "blocks": {"type": "object", "additionalProperties": {"type": "array"}},
+        "blocks": {"type": "object", "propertyNames": {"pattern": "^(0|[1-9][0-9]*)$"},
+                   "additionalProperties": {"type": "array"}},
     }) | {
         # a preset stands alone; otherwise the mode is required and names
         # the keys it needs and the other mode's key it refuses
@@ -302,8 +303,10 @@ def build_model(cfg: dict) -> PolyNoiseModel:
             deg_x = max((j for j, _, _ in terms), default=0)
             deg_l = max((l for _, l, _ in terms), default=0)
             coeffs = np.zeros((d, deg_x + 1, deg_l + 1))
-            for j, l, c in terms:
-                coeffs[:, j, l] = np.broadcast_to(np.asarray(c, dtype=float), (d,))
+            for i, (j, l, c) in enumerate(terms):
+                if np.size(c) not in (1, d):
+                    raise ConfigError(f"$.model.terms[{i}]: needs 1 or d = {d} coefficients, not {np.size(c)}")
+                coeffs[:, j, l] = c
             return separable_model(coeffs)
         blocks = {int(j): np.asarray(block, dtype=float) for j, block in mc["blocks"].items()}
         return kron_model(mc["d"], blocks)
@@ -455,16 +458,8 @@ def cmd_carleman(cfg: dict, oracles: dict | None = None) -> tuple[int, dict]:
         report = condition_number(system, method=car["condition"], rtol=car["condition_rtol"])
         kappa = report.kappa
         converged = report.converged
-        cond_cols = [
-            "kappa", "method", "dim", "iterations", "rtol", "residual",
-            "converged", "sigma_max", "sigma_min", "s_row", "s_col", "nnz",
-        ]
-        cond_row = [
-            report.kappa, report.method, report.dim, report.iterations,
-            report.rtol, report.residual, report.converged,
-            report.sigma_max, report.sigma_min, report.s_row, report.s_col, report.nnz,
-        ]
-        outputs["condition.csv"] = (cond_cols, [cond_row], ())
+        cond = vars(report)  # a column per field, in field order
+        outputs["condition.csv"] = (list(cond), [list(cond.values())], ())
     if car["export_matrix"]:
         outputs["matrix.txt"] = functools.partial(export_matrix, system)
 

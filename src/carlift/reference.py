@@ -8,17 +8,18 @@ solution
 by replacing eps along the step either with its Taylor expansion in lam
 (single-step, derivative-based) or with a polynomial interpolant through
 stored eps evaluations (predictor / corrector).  Either way a step is
-x_t = ratio x_s + sum_n c[n] eps_n.  The coefficients of a run's steps
-are tabulated over its grid, one row per step, only by
-:func:`dpm_weights` and :func:`uni_weights`, both from one checked step
-table; the samplers read rows of those tables and the Carleman lift in
-:mod:`carlift.carleman` reads them whole, as it does the one eps table
-over the grid that the unified sampler reads past its warm-up.  A run's
-states are one (nodes, d) array, row i at grid node i, written there
-only for storage: every stepper steps as :func:`_start` gives the state,
-with the bits of the same steps on arrays.  All weights
-reduce to the moments I_n = int e^{-lam} (lam - lam_s)^n / n! dlam over
-a step of width h, which equal e^{-lam_t} tail_n(h) with tail_n from
+x_t = ratio x_s + sum_n c[n] eps_n, its coefficients tabulated over the
+grid, one row per step, only by :func:`dpm_weights` and
+:func:`uni_weights`, from one checked step table.  A derivative step is
+a polynomial map of x_s, written out for a run by
+:func:`step_polynomials_dpm`: the sampler evaluates it and the lift in
+:mod:`carlift.carleman` lifts it, as it lifts unified steps from the
+sampler's rows and eps table over the grid.  A run's states are one
+(nodes, d) array, row i at grid node i, written there only for storage:
+every stepper steps as :func:`_start` gives the state, with the bits of
+the same steps on arrays.  All weights reduce to the moments
+I_n = int e^{-lam} (lam - lam_s)^n / n! dlam over a step of width h,
+which equal e^{-lam_t} tail_n(h) with tail_n from
 :func:`carlift.schedule.exp_taylor_tail`.  They enter scaled by alpha_t,
 and alpha_t e^{-lam_t} = sigma_t, so a weight is formed as sigma_t
 tail_n(h) and the ratio from log alpha: neither passes through an
@@ -39,6 +40,7 @@ __all__ = [
     "SolverRun",
     "rk4_oracle",
     "dpm_weights",
+    "step_polynomials_dpm",
     "uni_weights",
     "run_dpm",
     "run_unipc",
@@ -86,8 +88,8 @@ def _oracle_chunk(m: PolyNoiseModel) -> int:
 
 
 def _eps_rows(m: PolyNoiseModel, tables) -> list:
-    """eps's coefficients at each point of ``tables`` (a level of
-    :func:`carlift.model._derivative_tower`) as :func:`_eps_at` reads them:
+    """eps's coefficients at each point of ``tables`` (an eps table over
+    points, or a run's step maps by degree) as :func:`_eps_at` reads them:
     the arguments of :func:`carlift.model._kron_sum` for a kron model, on
     the monomials of the tables' own top degree; the arguments of
     :func:`carlift.model._horner`, J+1 floats for one coordinate or (J+1, d)
@@ -101,8 +103,8 @@ def _eps_rows(m: PolyNoiseModel, tables) -> list:
 
 
 def _eps_at(m: PolyNoiseModel, row, x):
-    """eps at the state x, as :func:`_start` gives it, from one of
-    :func:`_eps_rows`."""
+    """eps, or a step map, at the state x, as :func:`_start` gives it,
+    from one of :func:`_eps_rows`."""
     return _kron_sum(*row, x) if m.mode == "kron" else _horner(row, x)
 
 
@@ -260,6 +262,35 @@ def dpm_weights(s: NoiseSchedule, lams: np.ndarray, k: int) -> tuple[np.ndarray,
     return ratio, -sigma[:, None] * tails
 
 
+def _degree_blocks(table: list) -> dict[int, np.ndarray]:
+    """The (S, d, n_q) coefficient blocks of an eps table over S points, by
+    degree q, leaving out the degrees that are zero at every point."""
+    return {q: B for q, B in enumerate(table) if B.any()}
+
+
+def _step_maps(ratio: np.ndarray, terms, m: PolyNoiseModel) -> dict[int, np.ndarray]:
+    """The step maps x -> ratio x + sum_n c_n E_n(x), stacked over the steps
+    in the layout of ``m``'s blocks: ``terms`` lists (c_n, E_n), each c_n
+    one weight per step and E_n the {q: (S, d, n_q)} blocks it scales.
+    Degree 1 comes first, then each degree as the terms first show it."""
+    P = {1: ratio[:, None, None] * (np.eye(m.d) if m.mode == "kron" else np.ones((m.d, 1)))}
+    for cn, E in terms:
+        for q, B in E.items():
+            P[q] = P.get(q, 0.0) + cn[:, None, None] * B
+    return P
+
+
+def step_polynomials_dpm(s: NoiseSchedule, m: PolyNoiseModel, lams: np.ndarray,
+                         k: int) -> dict[int, np.ndarray]:
+    """Coefficient blocks {q: (M, d, n_q)} of the order-k step maps from
+    lams[i] to lams[i+1], stacked over the M steps, each the
+    :func:`dpm_weights` step written out on the monomials of x, from one
+    derivative tower for all step starts, in the layout of ``m``'s blocks."""
+    ratio, c = dpm_weights(s, lams, k)
+    tower = _derivative_tower(s, m, k, lams[:-1])
+    return _step_maps(ratio, [(cn, _degree_blocks(table)) for cn, table in zip(c.T, tower)], m)
+
+
 def _apply_weights(ratio: float, c: list, x0, eps: list):
     """ratio x0 + sum_m c[m] eps[m], summed in node order, on a Python
     float or an array x0, or coordinate by coordinate on a list."""
@@ -272,16 +303,14 @@ def _apply_weights(ratio: float, c: list, x0, eps: list):
 
 
 def _taylor_walk(s: NoiseSchedule, m: PolyNoiseModel, x, lams: np.ndarray, k: int):
-    """Order-k single steps (see :func:`dpm_weights`) from the state x, as
-    :func:`_start` gives it, over the log-SNRs ``lams``, each level of one
-    derivative tower for all step starts read as :func:`_eps_rows`; each
-    yields its new state and the eps(x_s, lam_s) it evaluated as the n = 0 term."""
-    ratio, c = dpm_weights(s, lams, k)
-    tower = [_eps_rows(m, level) for level in _derivative_tower(s, m, k, lams[:-1])]
-    for i, (ri, ci) in enumerate(zip(ratio.tolist(), c.tolist())):
-        ders = [_eps_at(m, rows[i], x) for rows in tower]
-        x = _apply_weights(ri, ci, x, ders)
-        yield x, ders[0]
+    """Order-k single steps from the state x, as :func:`_start` gives it,
+    over the log-SNRs ``lams``, yielding each new state: the step's map of
+    :func:`step_polynomials_dpm`, the map the lift lifts, at the state."""
+    P = step_polynomials_dpm(s, m, lams, k)
+    blocks = [P.get(q, np.zeros((len(P[1]), m.d, math.comb(m.n_vars + q - 1, q)))) for q in range(max(P) + 1)]
+    for row in _eps_rows(m, blocks):
+        x = _eps_at(m, row, x)
+        yield x
 
 
 def uni_weights(s: NoiseSchedule, lams: np.ndarray, p: int, variant: str = "bh2",
@@ -335,8 +364,7 @@ def run_dpm(
 ) -> SolverRun:
     """Run the order-k derivative-based sampler over the grid."""
     states, x = _start(m, x_T, grid.M + 1)
-    for i, (x, _) in enumerate(_taylor_walk(s, m, x, grid.lam, k), start=1):
-        states[i] = x
+    states[1:] = np.reshape(list(_taylor_walk(s, m, x, grid.lam, k)), (-1, m.d))
     return SolverRun(grid=grid, states=states, nfe=k * grid.M, scheme=f"dpm{k}")
 
 
@@ -352,21 +380,19 @@ def run_unipc(
     """Run the unified predictor(/corrector) sampler over the grid.
 
     The step to node i anchors at node i-p and reuses the p-1 grid nodes
-    in between, after a warm-up of p-1 steps at matching single-step
-    order, each state's eps then read once from the :func:`_eps_rows` of
-    one table over the grid.  States step as :func:`_start` gives them.
+    in between, after a warm-up of p-1 order-p :func:`_taylor_walk` steps;
+    each state's eps, the warm-up's too, is read once from one table over
+    the grid, as :func:`_eps_rows`.  States step as :func:`_start` gives them.
     """
     states, x = _start(m, x_T, grid.M + 1)
     pred = [w.tolist() for w in uni_weights(s, grid.lam, p, variant)]
     corr = [w.tolist() for w in uni_weights(s, grid.lam, p, variant, corrector=True)] if corrector else None
-    xs, eps, nfe = [x], [], 0  # the states and eps at them: each state is evaluated once
-    for i, (x, eps_s) in enumerate(_taylor_walk(s, m, x, grid.lam[:p], p), start=1):
-        xs.append(x)
-        eps.append(eps_s)  # the warm-up step's n = 0 term
-        nfe += p
-        states[i] = x
+    xs = [x, *_taylor_walk(s, m, x, grid.lam[:p], p)]  # the states; eps at each is evaluated once
+    states[1:p] = np.reshape(xs[1:], (-1, m.d))
+    nfe = p * (p - 1)  # a warm-up step evaluates eps and its first p - 1 derivatives
     (table,) = _derivative_tower(s, m, 1, grid.lam)
     rows = _eps_rows(m, table)
+    eps = [_eps_at(m, rows[i], xs[i]) for i in range(p - 1)]  # the warm-up's history
     for i in range(p, grid.M + 1):
         j = i - p
         eps.append(_eps_at(m, rows[i - 1], xs[i - 1]))

@@ -160,6 +160,11 @@ class TrajectoryOperator(LinearOperator):
         time it is read and kept."""
         return self.shape[0] + sum(blk.nnz for row in self.rows for _, blk in row)
 
+    @property
+    def csr_bytes(self) -> int:
+        """Bytes of :meth:`tocsr`'s arrays: float64 data, int32 indices, indptr at 8 bytes."""
+        return 12 * self.nnz + 8 * (self.shape[0] + 1)
+
     def tocsr(self) -> sp.csr_matrix:
         """The global CSR matrix, built afresh on every call.
 
@@ -173,8 +178,7 @@ class TrajectoryOperator(LinearOperator):
         if they would exceed carleman.MAX_STEP_BYTES.
         """
         D, n, nnz = self.block_dim, self.shape[0], self.nnz
-        nbytes = 12 * nnz + 8 * (n + 1)  # float64 data, int32 indices, indptr at 8 bytes
-        if nbytes > carleman.MAX_STEP_BYTES:
+        if (nbytes := self.csr_bytes) > carleman.MAX_STEP_BYTES:
             raise CapacityError(f"global system needs {nbytes} bytes, above {carleman.MAX_STEP_BYTES}")
         idx = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
         indptr = np.zeros(n + 1, dtype=idx)
@@ -383,14 +387,19 @@ def condition_number(system: BlockLinearSystem, method: str = "auto",
     and running out is reported through ``converged`` rather than
     raised.  "auto" is "lanczos" except for a 1 x 1 system, which
     ARPACK cannot take.  A dense sigma_min that underflows to 0 puts
-    kappa beyond the float range and raises an OverflowError.
+    kappa beyond the float range and raises an OverflowError.  What the
+    method holds is priced before the CSR is built, as CapacityError.
     """
-    mat = system.mat.tocsr()
-    n = mat.shape[0]
-    s_row = int(np.diff(mat.indptr).max(initial=0))
-    s_col = int(np.bincount(mat.indices, minlength=n).max(initial=0))
+    n, csr = system.mat.shape[0], system.mat.csr_bytes
     if method == "auto":
         method = "lanczos" if n >= 2 else "dense_svd"
+    # the CSR, its CSC copy and the LU factor (as large, M having no fill), or the CSR and dense M
+    if (nbytes := {"lanczos": 3 * csr, "dense_svd": csr + 8 * n * n}.get(method, csr)) > carleman.MAX_STEP_BYTES:
+        raise CapacityError(f"global system needs {csr} bytes and the condition estimate {nbytes}, "
+                            f"above {carleman.MAX_STEP_BYTES}")
+    mat = system.mat.tocsr()
+    s_row = int(np.diff(mat.indptr).max(initial=0))
+    s_col = int(np.bincount(mat.indices, minlength=n).max(initial=0))
     if method == "dense_svd":
         if n > DENSE_SVD_MAX_DIM:
             raise ValueError(f"dense SVD limited to dim <= {DENSE_SVD_MAX_DIM}, got {n}")

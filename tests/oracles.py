@@ -36,7 +36,7 @@ from carlift.model import (
     kron_model,
     separable_model,
 )
-from carlift.reference import SolverRun, dpm_weights, uni_weights
+from carlift.reference import SolverRun, dpm_weights, step_polynomials_dpm, uni_weights
 from carlift.schedule import NoiseSchedule, exp_taylor_tail
 
 
@@ -81,20 +81,20 @@ def apply_weights(ratio, c, x0: np.ndarray, eps: list) -> np.ndarray:
 
 def taylor_walk_arrays(s: NoiseSchedule, m: PolyNoiseModel, x: np.ndarray, lams, k: int):
     """The order-k single steps of :func:`carlift.reference.run_dpm` on
-    arrays, each derivative read from its tower table by
-    :func:`eval_tabulated`; yields each new state and its step's eps."""
-    ratio, c = dpm_weights(s, lams, k)
-    tower = _derivative_tower(s, m, k, lams[:-1])
-    for i in range(len(ratio)):
-        ders = [eval_tabulated(m, table, i, x) for table in tower]
-        x = apply_weights(ratio[i], c[i], x, ders)
-        yield x, ders[0]
+    arrays, each step's map of :func:`carlift.reference.step_polynomials_dpm`
+    evaluated by :func:`eval_tabulated`, a degree the maps lack a zero
+    block; yields each new state."""
+    P = step_polynomials_dpm(s, m, lams, k)
+    tables = [P.get(q, np.zeros((len(P[1]), m.d, math.comb(m.n_vars + q - 1, q)))) for q in range(max(P) + 1)]
+    for i in range(len(P[1])):
+        x = eval_tabulated(m, tables, i, x)
+        yield x
 
 
 def run_dpm_arrays(s: NoiseSchedule, m: PolyNoiseModel, x_T, grid, k: int) -> SolverRun:
     """:func:`carlift.reference.run_dpm` with every state an array."""
     x = np.atleast_1d(np.asarray(x_T, dtype=float))
-    states = np.array([x, *(xi for xi, _ in taylor_walk_arrays(s, m, x, grid.lam, k))])
+    states = np.array([x, *taylor_walk_arrays(s, m, x, grid.lam, k)])
     return SolverRun(grid=grid, states=states, nfe=k * grid.M, scheme=f"dpm{k}")
 
 
@@ -105,15 +105,13 @@ def run_unipc_arrays(s: NoiseSchedule, m: PolyNoiseModel, x_T, grid, p: int, var
     x = np.atleast_1d(np.asarray(x_T, dtype=float))
     states = np.empty((grid.M + 1, len(x)))
     states[0] = x
-    nfe = 0
+    for i, x in enumerate(taylor_walk_arrays(s, m, x, grid.lam[:p], p), start=1):
+        states[i] = x
+    nfe = p * (p - 1)
     pred = uni_weights(s, grid.lam, p, variant)
     corr = uni_weights(s, grid.lam, p, variant, corrector=True) if corrector else None
-    eps = []
-    for i, (x, eps_s) in enumerate(taylor_walk_arrays(s, m, x, grid.lam[:p], p), start=1):
-        eps.append(eps_s)
-        nfe += p
-        states[i] = x
     (table,) = _derivative_tower(s, m, 1, grid.lam)
+    eps = [eval_tabulated(m, table, i, states[i]) for i in range(p - 1)]
     for i in range(p, grid.M + 1):
         j = i - p
         eps.append(eval_tabulated(m, table, i - 1, states[i - 1]))

@@ -19,13 +19,12 @@ from carlift.carleman import (
     lift,
     lift_run,
     run_lifted,
-    step_polynomials_dpm,
 )
 from carlift.diagnostics import truncation_sweep
 from carlift.errors import CapacityError
 from carlift.model import kron_model, scalar_model, separable_model
 from carlift.presets import benchmark
-from carlift.reference import rk4_oracle, run_dpm, run_unipc
+from carlift.reference import rk4_oracle, run_dpm, run_unipc, step_polynomials_dpm
 from carlift.schedule import TimeGrid, make_lambda_grid, make_vp_schedule
 from carlift.solve import forward_substitute
 from carlift.system import assemble_global_dpm, assemble_global_unipc

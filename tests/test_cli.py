@@ -104,6 +104,21 @@ def test_model_refuses_the_other_modes_key(tmp_path, capsys, model, key):
     assert run(tmp_path, "simulate", cfg, out="without")[0] == 0
 
 
+@pytest.mark.parametrize("model, key", [
+    # a negative degree was dropped, and "01" ran as degree 1 in place of "1"
+    ({"mode": "kron", "d": 1, "blocks": {"1": [[0.1]], "-1": [[100.0]]}}, "$.model.blocks"),
+    ({"mode": "kron", "d": 1, "blocks": {"1": [[0.1]], "01": [[5.0]]}}, "$.model.blocks"),
+    # neither one coefficient for every coordinate nor one each
+    ({"mode": "separable", "d": 2, "terms": [[1, 0, -0.5], [0, 0, [0.1, 0.2, 0.3]]]}, "$.model.terms[1]"),
+], ids=["negative_degree", "leading_zero", "terms_length"])
+def test_model_degrees_and_coefficient_counts_are_checked(tmp_path, capsys, model, key):
+    cfg = {"model": model, "window": {"x_T": 0.8, "t_start": 0.5, "t_end": 0.1, "M": 4}}
+    code, out = run(tmp_path, "simulate", cfg)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+    assert not (out / "summary.csv").exists()
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     sep2 = {"mode": "separable", "d": 2, "terms": [[1, 0, 0.5]]}
     lchs = {"A": [[1.0, 0.0], [0.0]], "b": [1.0, 0.5], "u0": [1.0, -0.5]}
@@ -367,6 +382,22 @@ def test_oversized_global_system_exits_3(tmp_path, monkeypatch, capsys):
     code, _ = run(tmp_path, "carleman", cfg)
     assert code == 3
     assert "global system needs" in capsys.readouterr().err
+
+
+def test_condition_estimate_past_the_cap_exits_3(tmp_path, monkeypatch, capsys):
+    # the lowered cap admits the lift (768 bytes) and the global CSR (1 028
+    # bytes) but not the Lanczos estimate's three copies of it (3 084 bytes)
+    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", 2000)
+    cfg = {"window": {"benchmark": "weak_quadratic", "M": 8},
+           "carleman": {"N": 3, "export_matrix": True}}
+    code, out = run(tmp_path, "carleman", cfg)
+    assert code == 3
+    assert "the condition estimate 3084" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+    cfg["carleman"]["condition"] = "none"
+    code, out = run(tmp_path, "carleman", cfg, out="none")
+    assert code == 0
+    assert (out / "matrix.txt").exists()
 
 
 def test_condition_estimate_short_of_rtol_exits_4(tmp_path):

@@ -221,3 +221,29 @@ def test_benchmark_calls_bind_to_the_current_signatures():
                                  f"{signature}: {exc}") from None
         bound.add(name)
     assert {"CarlemanBasis", "truncation_sweep", "rk4_oracle", "main", "TOTAL_DERIVATIVE"} <= bound
+
+
+def carlift_imports(path) -> set[str]:
+    """The carlift modules a source file imports, relatively or by name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "carlift":
+                continue
+            inner = parts[1:] if node.level == 0 else [p for p in parts if p]
+            found |= {inner[0]} if inner else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names if alias.name.startswith("carlift.")}
+    return found
+
+
+def test_the_sampler_modules_import_nothing_that_lifts():
+    # the lift imports its step maps from reference, so an import back from
+    # schedule, model or reference into the lifted layers would be a cycle
+    lifted = {"carleman", "system", "solve", "diagnostics", "cli"}
+    for name in ("schedule", "model", "reference"):
+        found = carlift_imports(ROOT / "src" / "carlift" / f"{name}.py")
+        assert not found & lifted, f"{name}.py imports {sorted(found & lifted)}"
+    assert {"model", "schedule"} <= carlift_imports(ROOT / "src" / "carlift" / "reference.py")
+    assert {"reference", "system"} <= carlift_imports(ROOT / "src" / "carlift" / "carleman.py")

@@ -24,7 +24,6 @@ from carlift.carleman import (
     assemble_unipc_qcms,
     lift_run,
     run_lifted,
-    step_polynomials_dpm,
 )
 from carlift.errors import StructureError
 from carlift.model import (
@@ -38,7 +37,7 @@ from carlift.model import (
     total_derivative_poly,
 )
 from carlift.presets import model_preset
-from carlift.reference import run_dpm, run_unipc
+from carlift.reference import run_dpm, run_unipc, step_polynomials_dpm
 from carlift.schedule import make_lambda_grid, make_vp_schedule
 from carlift.solve import forward_substitute
 from carlift.system import (

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from carlift.carleman import _degree_blocks
 from carlift.errors import CapacityError
 from carlift.model import (
     MAX_MONOMIALS,
@@ -15,6 +14,7 @@ from carlift.model import (
     separable_model,
     total_derivative_poly,
 )
+from carlift.reference import _degree_blocks
 from carlift.schedule import make_vp_schedule
 from oracles import (
     drift_eigenvalues,

@@ -270,6 +270,32 @@ def test_global_assembly_refuses_oversized_system_before_allocating(monkeypatch)
     assert peak < step_bytes // 10
 
 
+@pytest.mark.parametrize("method", ["lanczos", "dense_svd"])
+def test_condition_estimate_prices_its_working_set_before_building_it(monkeypatch, method):
+    # two steps sharing one dense 200 x 200 step matrix, about 1 MB of CSR;
+    # the cap lies between the CSR and what the method holds: the CSR, its
+    # CSC copy and the LU factor, or the CSR and the dense (600, 600) M
+    D = 200
+    step = Qcm(A=carleman.StepMatrix(np.full((D, D), 1e-3)), b=np.zeros(D))
+    system = assemble_global_dpm([step] * 2, np.ones(D))
+    csr, n = system.mat.csr_bytes, system.dim
+    mat = system.mat.tocsr()
+    assert mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes <= csr
+    del mat
+    held = 3 * csr if method == "lanczos" else csr + 8 * n * n
+    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", (csr + held) // 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="the condition estimate"):
+            condition_number(system, method=method)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < csr // 10
+    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", held)
+    assert condition_number(system, method=method).method == method
+
+
 def test_assembly_dimension_mismatch():
     basis, _, _, qcms = lifted_setup(M=3)
     with pytest.raises(ValueError):
