@@ -302,10 +302,12 @@ def build_model(cfg: dict) -> PolyNoiseModel:
             d = mc["d"]
             deg_x = max((j for j, _, _ in terms), default=0)
             deg_l = max((l for _, l, _ in terms), default=0)
-            coeffs = np.zeros((d, deg_x + 1, deg_l + 1))
+            coeffs, first = np.zeros((d, deg_x + 1, deg_l + 1)), {}
             for i, (j, l, c) in enumerate(terms):
                 if np.size(c) not in (1, d):
                     raise ConfigError(f"$.model.terms[{i}]: needs 1 or d = {d} coefficients, not {np.size(c)}")
+                if (k := first.setdefault((j, l), i)) != i:
+                    raise ConfigError(f"$.model.terms[{i}]: repeats (j, l) = ({j}, {l}) of $.model.terms[{k}]")
                 coeffs[:, j, l] = c
             return separable_model(coeffs)
         blocks = {int(j): np.asarray(block, dtype=float) for j, block in mc["blocks"].items()}

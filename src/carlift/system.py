@@ -22,9 +22,10 @@ matrix-vector call per block; a unified system is one run per coupling
 slot too, the corrector's included, whose blocks the lift made already
 folded.  Both run on the calling thread.  That forward solve is the
 package's one lifted walk: :func:`carlift.carleman.run_lifted` returns
-its blocks as a run's states.  A dense-SVD condition number runs its
-LAPACK call on one OpenBLAS thread, so its bytes do not depend on the
-CPU count.
+its blocks as a run's states.  The condition estimate runs the
+package's own restarted Lanczos on the CSR and its LU factor.  A
+dense-SVD condition number runs its LAPACK call on one OpenBLAS thread,
+so its bytes do not depend on the CPU count.
 """
 from __future__ import annotations
 
@@ -32,12 +33,13 @@ import contextlib
 import ctypes
 import functools
 import glob
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import LinearOperator, splu
 
 from . import carleman
 from .errors import CapacityError, StructureError
@@ -57,6 +59,11 @@ DENSE_SVD_MAX_DIM = 2000
 # Operator applications each Lanczos run of condition_number may take
 # before it reports non-convergence.
 LANCZOS_MAX_ITER = 10000
+# Vectors the Lanczos basis holds before it restarts from its top Ritz vector.
+LANCZOS_BASIS = 20
+# Lanczos steps between checks of the Ritz residual: a check's eigh of the
+# tridiagonal costs about one application at the sizes the benchmark runs.
+LANCZOS_CHECK = 4
 
 
 class TrajectoryOperator(LinearOperator):
@@ -169,13 +176,15 @@ class TrajectoryOperator(LinearOperator):
         """The global CSR matrix, built afresh on every call.
 
         One block row at a time, its negated blocks are laid side by side
-        in column order, with the identity as one last column; that
-        array's nonzeros, read row by row, are its rows' CSR entries in
-        column order with no stored zeros, and are written straight into
-        the preallocated global arrays, each row's last entry taking its
-        diagonal column.  So those arrays and one block row's temporaries
-        are all it holds.  Raises CapacityError, before allocating them,
-        if they would exceed carleman.MAX_STEP_BYTES.
+        in column order, with the identity as one last column, beside the
+        global column of each entry; that array's nonzeros, read row by
+        row, are its rows' CSR entries in column order with no stored
+        zeros, and are written straight into the preallocated global
+        arrays.  Every block row reuses one value, mask and column buffer
+        shaped as the widest, so those arrays, the buffers and one block
+        row's gathered entries are all it holds.  Raises CapacityError,
+        before allocating them, if they would exceed
+        carleman.MAX_STEP_BYTES.
         """
         D, n, nnz = self.block_dim, self.shape[0], self.nnz
         if (nbytes := self.csr_bytes) > carleman.MAX_STEP_BYTES:
@@ -184,21 +193,26 @@ class TrajectoryOperator(LinearOperator):
         indptr = np.zeros(n + 1, dtype=idx)
         indices = np.empty(nnz, dtype=idx)
         data = np.empty(nnz)
+        size = D * (max(map(len, self.rows), default=0) * D + 1)
+        vals, cols, keep = np.empty(size), np.empty(size, dtype=idx), np.empty(size, dtype=bool)
         diag, end = np.arange(D), 0
         for i, row in enumerate(self.rows):
-            wide = np.zeros((D, len(row) * D + 1))
-            for k, (_, blk) in enumerate(row):
-                np.negative(blk.rows, out=wide[: len(blk.rows), k * D : (k + 1) * D])
+            w = len(row) * D + 1
+            wide, col = vals[: D * w].reshape(D, w), cols[: D * w].reshape(D, w)
+            mask = keep[: D * w].reshape(D, w)
+            for k, (c, blk) in enumerate(row):
+                r, span = len(blk.rows), slice(k * D, (k + 1) * D)
+                np.negative(blk.rows, out=wide[:r, span])
+                if r < D:
+                    wide[r:, span] = 0.0
+                np.add(diag, c * D, out=col[:, span])
             wide[:, -1] = 1.0
-            # the global column of each column of wide; the identity's is per row
-            cols = np.append(np.add.outer([c * D for c, _ in row], diag), 0).astype(idx)
-            mask = wide != 0.0
-            counts = np.count_nonzero(mask, axis=1)
-            start, end = end, end + int(counts.sum())
+            np.add(diag, i * D, out=col[:, -1])
+            np.not_equal(wide, 0.0, out=mask)
+            start, end = end, end + np.count_nonzero(mask)
             data[start:end] = wide[mask]
-            indices[start:end] = np.broadcast_to(cols, wide.shape)[mask]
-            indices[start + np.cumsum(counts) - 1] = i * D + diag  # each row's identity entry
-            indptr[i * D + 1 : (i + 1) * D + 1] = counts
+            indices[start:end] = col[mask]
+            indptr[i * D + 1 : (i + 1) * D + 1] = mask.sum(axis=1)
         np.cumsum(indptr, out=indptr)
         return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
@@ -302,41 +316,64 @@ class ConditionReport:
 
 def _lanczos_top(apply, n: int, rtol: float, rng):
     """Top eigenvalue of a symmetric positive definite operator B by
-    ARPACK's Lanczos, within about LANCZOS_MAX_ITER applications, then
-    certified.
+    explicitly restarted Lanczos, within LANCZOS_MAX_ITER applications,
+    then certified.
 
-    theta = u^T B u / u^T u uses an explicit ||u||^2, so eigenvectors of
-    B (the identity's, for one) come out bit-exact; ||B u - theta u|| /
-    ||u|| <= rtol * theta bounds |theta - lambda|.  ARPACK stops at half
-    that residual, which leaves room for rounding.  Out of budget, u is
-    the applied vector of largest Rayleigh quotient (a lower bound).
-    Any other ARPACK failure is raised as a FloatingPointError.
-    Returns (theta, applications, residual, converged).
+    Each new basis vector is orthogonalised against the basis by
+    classical Gram-Schmidt, applied twice; a full basis of LANCZOS_BASIS
+    vectors restarts from its top Ritz vector.  Every LANCZOS_CHECK
+    steps, and on a full basis, the top Ritz pair (theta, s) of the
+    tridiagonal projection gives the residual beta |s_k|: the run stops
+    once that is at most rtol/2 * theta, which leaves room for rounding,
+    or beta = 0 (an invariant subspace).  Out of budget, u is the top
+    Ritz vector, whose Rayleigh quotient is a lower bound.  One more
+    application certifies u: theta = u^T B u / u^T u uses an explicit
+    ||u||^2, so eigenvectors of B (the identity's, for one) come out
+    bit-exact, and ||B u - theta u|| / ||u|| <= rtol * theta bounds
+    |theta - lambda|.  An application whose squared norm is not finite
+    raises a FloatingPointError.  Returns (theta, applications,
+    residual, converged).
     """
-    seen = {"calls": 0, "theta": -np.inf, "v": None}
+    m, calls, done = min(n, LANCZOS_BASIS), 0, False
+    V, T = np.empty((m, n)), np.zeros((m, m))
 
-    def matvec(v):
+    def applied(v):
+        nonlocal calls
         w = apply(v)
-        seen["calls"] += 1
-        theta = float(v @ w) / float(v @ v)
-        if theta > seen["theta"]:
-            seen["theta"], seen["v"] = theta, v.copy()  # v is ARPACK's work buffer
+        calls += 1
+        if not math.isfinite(w @ w):  # an overflowing operator, for one
+            raise FloatingPointError(f"the condition estimate failed: the squared norm of "
+                                     f"application {calls} is not finite")
         return w
 
-    ncv = min(n, 20)
-    try:
-        u = eigsh(LinearOperator((n, n), matvec=matvec, dtype=float), k=1, which="LA",
-                  v0=rng.standard_normal(n), ncv=ncv, tol=rtol / 2,
-                  maxiter=max(1, LANCZOS_MAX_ITER // ncv))[1][:, 0]
-    except ArpackNoConvergence:
-        u = seen["v"]
-    except ArpackError as exc:  # an overflowing operator, for one
-        raise FloatingPointError(f"the condition estimate failed: {exc}") from exc
-    w = matvec(u)
+    u = rng.standard_normal(n)
+    # every later product is bounded by a checked squared norm, so only
+    # that check can overflow, and it raises
+    with np.errstate(over="ignore"):
+        while not done and calls < LANCZOS_MAX_ITER:
+            V[0] = u / np.linalg.norm(u)
+            for j in range(m):
+                w, basis = applied(V[j]), V[: j + 1]
+                h = basis @ w
+                w -= h @ basis
+                h2 = basis @ w
+                w -= h2 @ basis
+                T[j, j] = h[j] + h2[j]
+                beta = float(np.linalg.norm(w))
+                last = j + 1 == m or calls >= LANCZOS_MAX_ITER
+                if last or beta == 0.0 or (j + 1) % LANCZOS_CHECK == 0:
+                    ritz, vecs = np.linalg.eigh(T[: j + 1, : j + 1])
+                    done = beta * abs(vecs[-1, -1]) <= rtol / 2 * ritz[-1]
+                    if done or last:
+                        u = vecs[:, -1] @ basis
+                        break
+                T[j, j + 1] = T[j + 1, j] = beta
+                V[j + 1] = w / beta
+        w = applied(u)
     uu = float(u @ u)
     theta = float(u @ w) / uu
     res = float(np.linalg.norm(w - theta * u) / np.sqrt(uu))
-    return theta, seen["calls"], res, res <= rtol * theta
+    return theta, calls, res, res <= rtol * theta
 
 
 @functools.lru_cache(maxsize=1)
@@ -380,21 +417,26 @@ def condition_number(system: BlockLinearSystem, method: str = "auto",
     they do not depend on the CPU count, and is restricted to
     dimensions <= 2000.  "lanczos" works at any size: sigma_max^2 is the
     top eigenvalue of M^T M and 1/sigma_min^2 that of M^{-1} M^{-T},
-    applied through one sparse LU factor of M (no fill and no pivoting,
-    as M is unit lower triangular).  Each run starts from a generator
-    seeded with 0, so kappa and ``iterations`` (operator applications)
-    are deterministic; LANCZOS_MAX_ITER caps the applications per run,
-    and running out is reported through ``converged`` rather than
-    raised.  "auto" is "lanczos" except for a 1 x 1 system, which
-    ARPACK cannot take.  A dense sigma_min that underflows to 0 puts
-    kappa beyond the float range and raises an OverflowError.  What the
-    method holds is priced before the CSR is built, as CapacityError.
+    each found by the package's restarted Lanczos, the latter applied
+    through one sparse LU factor of M (no fill and no pivoting, as M is
+    unit lower triangular).  Each run starts from a generator seeded
+    with 0, so kappa and ``iterations`` (operator applications) are
+    deterministic; LANCZOS_MAX_ITER caps the applications per run, and
+    running out is reported through ``converged`` rather than raised.
+    An application whose squared norm is not finite raises a
+    FloatingPointError.  "auto" is "lanczos" except for a 1 x 1 system,
+    M = [1], whose one singular value the dense SVD gives exactly.  A
+    dense sigma_min that underflows to 0 puts kappa beyond the float
+    range and raises an OverflowError.  What the method holds is priced
+    before the CSR is built, as CapacityError.
     """
     n, csr = system.mat.shape[0], system.mat.csr_bytes
     if method == "auto":
         method = "lanczos" if n >= 2 else "dense_svd"
-    # the CSR, its CSC copy and the LU factor (as large, M having no fill), or the CSR and dense M
-    if (nbytes := {"lanczos": 3 * csr, "dense_svd": csr + 8 * n * n}.get(method, csr)) > carleman.MAX_STEP_BYTES:
+    # the CSR, its CSC copy, the LU factor (as large, M having no fill) and
+    # the Lanczos basis with its one new vector; or the CSR and dense M
+    held = {"lanczos": 3 * csr + (min(n, LANCZOS_BASIS) + 1) * 8 * n, "dense_svd": csr + 8 * n * n}
+    if (nbytes := held.get(method, csr)) > carleman.MAX_STEP_BYTES:
         raise CapacityError(f"global system needs {csr} bytes and the condition estimate {nbytes}, "
                             f"above {carleman.MAX_STEP_BYTES}")
     mat = system.mat.tocsr()

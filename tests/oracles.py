@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.polynomial import polynomial as npoly
 from scipy.optimize import brentq
 from scipy.special import expit
@@ -38,6 +39,7 @@ from carlift.model import (
 )
 from carlift.reference import SolverRun, dpm_weights, step_polynomials_dpm, uni_weights
 from carlift.schedule import NoiseSchedule, exp_taylor_tail
+from carlift.system import LANCZOS_MAX_ITER
 
 
 def zero_model(d: int = 1, mode: str = "separable") -> PolyNoiseModel:
@@ -770,6 +772,65 @@ def walk_matvec(mat, x) -> np.ndarray:
         for c, blk in row:
             y[i, : len(blk.rows)] -= blk.rows @ x[c]
     return y.ravel()
+
+
+def block_row_csr(mat) -> sp.csr_matrix:
+    """The global CSR matrix of a :class:`carlift.system.TrajectoryOperator`,
+    each block row in arrays of its own: its negated blocks side by side
+    in column order and the identity as one last column, whose nonzeros,
+    read row by row, are the row's CSR entries, each row's last one moved
+    to its diagonal column."""
+    D, n, nnz = mat.block_dim, mat.shape[0], mat.nnz
+    idx = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=idx)
+    indices = np.empty(nnz, dtype=idx)
+    data = np.empty(nnz)
+    diag, end = np.arange(D), 0
+    for i, row in enumerate(mat.rows):
+        wide = np.zeros((D, len(row) * D + 1))
+        for k, (_, blk) in enumerate(row):
+            np.negative(blk.rows, out=wide[: len(blk.rows), k * D : (k + 1) * D])
+        wide[:, -1] = 1.0
+        cols = np.append(np.add.outer([c * D for c, _ in row], diag), 0).astype(idx)
+        mask = wide != 0.0
+        counts = np.count_nonzero(mask, axis=1)
+        start, end = end, end + int(counts.sum())
+        data[start:end] = wide[mask]
+        indices[start:end] = np.broadcast_to(cols, wide.shape)[mask]
+        indices[start + np.cumsum(counts) - 1] = i * D + diag
+        indptr[i * D + 1 : (i + 1) * D + 1] = counts
+    np.cumsum(indptr, out=indptr)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def eigsh_top(apply, n: int, rtol: float, rng):
+    """:func:`carlift.system._lanczos_top` by SciPy's ``eigsh`` (ARPACK,
+    a basis of min(n, 20) vectors, stopped at rtol/2), then certified by
+    one more application.  Out of budget, u is the applied vector of
+    largest Rayleigh quotient.  Returns (theta, applications, residual,
+    converged)."""
+    seen = {"calls": 0, "theta": -np.inf, "v": None}
+
+    def matvec(v):
+        w = apply(v)
+        seen["calls"] += 1
+        theta = float(v @ w) / float(v @ v)
+        if theta > seen["theta"]:
+            seen["theta"], seen["v"] = theta, v.copy()  # v is ARPACK's work buffer
+        return w
+
+    ncv = min(n, 20)
+    try:
+        u = spla.eigsh(spla.LinearOperator((n, n), matvec=matvec, dtype=float), k=1, which="LA",
+                       v0=rng.standard_normal(n), ncv=ncv, tol=rtol / 2,
+                       maxiter=max(1, LANCZOS_MAX_ITER // ncv))[1][:, 0]
+    except spla.ArpackNoConvergence:
+        u = seen["v"]
+    w = matvec(u)
+    uu = float(u @ u)
+    theta = float(u @ w) / uu
+    res = float(np.linalg.norm(w - theta * u) / np.sqrt(uu))
+    return theta, seen["calls"], res, res <= rtol * theta
 
 
 def step_lifted(q, states, corrector: bool = False) -> np.ndarray:

@@ -119,6 +119,17 @@ def test_model_degrees_and_coefficient_counts_are_checked(tmp_path, capsys, mode
     assert not (out / "summary.csv").exists()
 
 
+def test_a_repeated_separable_term_exits_2(tmp_path, capsys):
+    # a second entry for one (j, l) would replace the first without a word
+    cfg = {"model": {"mode": "separable", "d": 1, "terms": [[1, 0, -0.5], [1, 0, -0.3]]},
+           "window": {"x_T": 0.8, "t_start": 0.5, "t_end": 0.1, "M": 4}}
+    code, out = run(tmp_path, "simulate", cfg)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: $.model.terms[1]: repeats (j, l) = (1, 0) of $.model.terms[0]\n")
+    assert not (out / "summary.csv").exists()
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     sep2 = {"mode": "separable", "d": 2, "terms": [[1, 0, 0.5]]}
     lchs = {"A": [[1.0, 0.0], [0.0]], "b": [1.0, 0.5], "u0": [1.0, -0.5]}
@@ -386,13 +397,14 @@ def test_oversized_global_system_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_condition_estimate_past_the_cap_exits_3(tmp_path, monkeypatch, capsys):
     # the lowered cap admits the lift (768 bytes) and the global CSR (1 028
-    # bytes) but not the Lanczos estimate's three copies of it (3 084 bytes)
+    # bytes) but not the Lanczos estimate's three copies of it and its basis
+    # of 21 vectors of 27 entries (3 084 + 4 536 = 7 620 bytes)
     monkeypatch.setattr(carleman, "MAX_STEP_BYTES", 2000)
     cfg = {"window": {"benchmark": "weak_quadratic", "M": 8},
            "carleman": {"N": 3, "export_matrix": True}}
     code, out = run(tmp_path, "carleman", cfg)
     assert code == 3
-    assert "the condition estimate 3084" in capsys.readouterr().err
+    assert "the condition estimate 7620" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
     cfg["carleman"]["condition"] = "none"
     code, out = run(tmp_path, "carleman", cfg, out="none")
@@ -443,7 +455,7 @@ def test_unsummable_step_weights_exit_4(tmp_path, capsys):
 @pytest.mark.parametrize("x_T, condition, message", [
     (1.0, "none", "overflow encountered in matmul, in the forward solve"),
     (1.0, "dense_svd", "overflow encountered in matmul, in the forward solve"),
-    (1e-100, "auto", "the condition estimate failed: ARPACK error"),
+    (1e-100, "auto", "the condition estimate failed: the squared norm of application 1 is not finite"),
     (1e-100, "dense_svd", "the condition number is beyond the float range: sigma_min underflowed to 0"),
 ], ids=["trajectory", "trajectory_before_svd", "condition_estimate", "condition_underflow"])
 def test_lift_overflow_exits_3(tmp_path, capsys, x_T, condition, message):

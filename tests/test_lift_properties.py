@@ -48,7 +48,9 @@ from carlift.system import (
 )
 
 from oracles import (
+    block_row_csr,
     collapse,
+    eigsh_top,
     fold,
     fold_blocks,
     kron_tower,
@@ -638,20 +640,35 @@ def test_forward_substitute_matches_sequential_walk(seed, d, N, M, scheme):
     assert result.residual <= 1e-12
 
 
+LIFT_SCHEMES = [("dpm", k, None) for k in (1, 2, 3)] + [
+    ("unipc", p, which) for p in (1, 2, 3) for which in ("predictor", "corrector")
+]
+
+
 @PROPERTY
 @given(
     seed=st.integers(0, 2**32 - 1),
     d=st.integers(1, 3),
     N=st.integers(1, 3),
     M=st.integers(3, 8),
-    scheme=st.sampled_from([("dpm", 1), ("dpm", 2), ("unipc", 2), ("unipc", 3)]),
+    scheme=st.sampled_from(LIFT_SCHEMES),
 )
 def test_lanczos_condition_matches_dense_svd(seed, d, N, M, scheme):
-    _, system = assembled(seed, d, N, M, *scheme)
+    # sigma_max^2 and 1/sigma_min^2 are the top eigenvalues of M^T M and
+    # M^{-1} M^{-T}; with SciPy's eigsh in place of the package's Lanczos,
+    # condition_number applies the same operators to the same start vectors
+    name, order, which = scheme
+    _, system = assembled(seed, d, N, M, name, order, which or "corrector")
+    rtol = 1e-8
     dense = condition_number(system, method="dense_svd")
-    lanczos = condition_number(system, method="lanczos", rtol=1e-8)
-    assert lanczos.converged
-    assert abs(lanczos.kappa - dense.kappa) <= 1e-6 * dense.kappa
+    lanczos = condition_number(system, method="lanczos", rtol=rtol)
+    with mock.patch("carlift.system._lanczos_top", eigsh_top):
+        ref = condition_number(system, method="lanczos", rtol=rtol)
+    assert lanczos.converged and ref.converged
+    assert lanczos.sigma_max**2 == pytest.approx(ref.sigma_max**2, rel=rtol)
+    assert lanczos.sigma_min**-2 == pytest.approx(ref.sigma_min**-2, rel=rtol)
+    assert abs(lanczos.kappa - dense.kappa) <= rtol * dense.kappa
+    assert condition_number(system, method="lanczos", rtol=rtol) == lanczos
 
 
 OPERATOR_SCHEMES = [("dpm", 1, None), ("dpm", 2, None)] + [
@@ -682,10 +699,10 @@ def test_operator_block_walks_match_its_csr(seed, d, N, M, scheme):
 @pytest.mark.parametrize("scheme", [("dpm", 1, None), ("unipc", 3, "corrector")])
 def test_csr_build_holds_the_priced_arrays_and_one_block_row(scheme):
     # tocsr prices 12 bytes per nonzero and 8 per row pointer before it
-    # allocates them; beyond those it holds one block row's temporaries at
-    # a time: the (D, width) array of its values (8 bytes an entry), their
-    # nonzero mask (1) and the gathered values (8) and columns (4), plus a
-    # few KiB of Python and SciPy objects
+    # allocates them; beyond those it holds the (D, width) buffers of the
+    # widest block row's values (8 bytes an entry), columns (4) and nonzero
+    # mask (1), one block row's gathered values (8) or columns (4) at a
+    # time, and a few KiB of Python and SciPy objects
     name, order, which = scheme
     _, system = assembled(5, 3, 3, 32, name, order, which or "corrector")
     mat = system.mat
@@ -699,6 +716,26 @@ def test_csr_build_holds_the_priced_arrays_and_one_block_row(scheme):
     finally:
         tracemalloc.stop()
     assert peak <= priced + 21 * mat.block_dim * width + 8192
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    N=st.integers(1, 3),
+    M=st.integers(1, 8),
+    scheme=st.sampled_from(LIFT_SCHEMES),
+)
+def test_csr_build_writes_the_arrays_of_per_block_row_arrays(seed, d, N, M, scheme):
+    # the reused buffers write the bits a fresh array per block row does,
+    # the sign of every stored value included
+    name, order, which = scheme
+    _, system = assembled(seed, d, N, M, name, order, which or "corrector")
+    got, want = system.mat.tocsr(), block_row_csr(system.mat)
+    for attr in ("data", "indices", "indptr"):
+        assert getattr(got, attr).dtype == getattr(want, attr).dtype
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))
+    assert np.array_equal(np.signbit(got.data), np.signbit(want.data))
 
 
 @PROPERTY
@@ -734,8 +771,7 @@ def blockwise_csr(mat):
     d=st.integers(1, 4),
     N=st.integers(1, 4),
     M=st.integers(1, 4),
-    scheme=st.sampled_from([("dpm", k, None) for k in (1, 2, 3)] + [
-        ("unipc", p, which) for p in (1, 2, 3) for which in ("predictor", "corrector")]),
+    scheme=st.sampled_from(LIFT_SCHEMES),
 )
 def test_dense_blocks_match_the_sparse_construction(seed, d, N, M, scheme):
     name, order, which = scheme

@@ -243,7 +243,8 @@ def test_condition_number_error_paths(monkeypatch):
 
 
 def test_condition_auto_switches_on_size():
-    # ARPACK needs k = 1 < n, so only a 1 x 1 system falls back to dense
+    # only a 1 x 1 system, M = [1], falls back to dense, whose one singular
+    # value the SVD gives exactly
     for n in (10, 2500):
         report = condition_number(assemble_global_dpm([], np.ones(n)))
         assert report.method == "lanczos" and report.kappa == 1.0
@@ -274,7 +275,8 @@ def test_global_assembly_refuses_oversized_system_before_allocating(monkeypatch)
 def test_condition_estimate_prices_its_working_set_before_building_it(monkeypatch, method):
     # two steps sharing one dense 200 x 200 step matrix, about 1 MB of CSR;
     # the cap lies between the CSR and what the method holds: the CSR, its
-    # CSC copy and the LU factor, or the CSR and the dense (600, 600) M
+    # CSC copy, the LU factor and the Lanczos basis of 20 vectors and the
+    # new one, or the CSR and the dense (600, 600) M
     D = 200
     step = Qcm(A=carleman.StepMatrix(np.full((D, D), 1e-3)), b=np.zeros(D))
     system = assemble_global_dpm([step] * 2, np.ones(D))
@@ -282,7 +284,7 @@ def test_condition_estimate_prices_its_working_set_before_building_it(monkeypatc
     mat = system.mat.tocsr()
     assert mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes <= csr
     del mat
-    held = 3 * csr if method == "lanczos" else csr + 8 * n * n
+    held = 3 * csr + 21 * 8 * n if method == "lanczos" else csr + 8 * n * n
     monkeypatch.setattr(carleman, "MAX_STEP_BYTES", (csr + held) // 2)
     tracemalloc.start()
     try:
@@ -294,6 +296,21 @@ def test_condition_estimate_prices_its_working_set_before_building_it(monkeypatc
     assert peak < csr // 10
     monkeypatch.setattr(carleman, "MAX_STEP_BYTES", held)
     assert condition_number(system, method=method).method == method
+
+
+def test_lanczos_prices_its_basis_at_the_exact_boundary(monkeypatch):
+    # 250 pairs, n = 500 with at most 750 nonzeros: the Lanczos basis of
+    # 20 vectors and the new one, 84 000 bytes, outweighs the CSR, its CSC
+    # copy and the LU factor, three times about 13 KB
+    system = pair_system(np.linspace(1.0, 10.0, 250))
+    n, csr = system.dim, system.mat.csr_bytes
+    held = 3 * csr + 21 * 8 * n
+    assert 21 * 8 * n > 3 * csr
+    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", held - 1)
+    with pytest.raises(CapacityError, match=f"the condition estimate {held}, above {held - 1}"):
+        condition_number(system, method="lanczos")
+    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", held)
+    assert condition_number(system, method="lanczos").converged
 
 
 def test_assembly_dimension_mismatch():
