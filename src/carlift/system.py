@@ -23,7 +23,8 @@ slot too, the corrector's included, whose blocks the lift made already
 folded.  Both run on the calling thread.  That forward solve is the
 package's one lifted walk: :func:`carlift.carleman.run_lifted` returns
 its blocks as a run's states.  The condition estimate runs the
-package's own restarted Lanczos on the CSR and its LU factor.  A
+package's own restarted Lanczos on the CSR and one LU factor of the
+CSR's own transpose, so it holds no second copy of M.  A
 dense-SVD condition number runs its LAPACK call on one OpenBLAS thread,
 so its bytes do not depend on the CPU count.
 """
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, splu
+from scipy.sparse.linalg import splu
 
 from . import carleman
 from .errors import CapacityError, StructureError
@@ -66,7 +67,7 @@ LANCZOS_BASIS = 20
 LANCZOS_CHECK = 4
 
 
-class TrajectoryOperator(LinearOperator):
+class TrajectoryOperator:
     """Block lower triangular trajectory matrix, held as its blocks.
 
     Block row i is
@@ -81,9 +82,9 @@ class TrajectoryOperator(LinearOperator):
     lower triangular: every coupling lies left of its row's identity
     block.
 
-    A product with M takes the couplings as runs (:attr:`_runs`), each
-    one batched matmul over a view of consecutive blocks, so no block is
-    copied.
+    A product with M, ``mat @ x`` or :meth:`matvec`, takes the couplings
+    as runs (:attr:`_runs`), each one batched matmul over a view of
+    consecutive blocks, so no block is copied.
     """
 
     def __init__(self, block_dim: int, rows: list[list[tuple]]):
@@ -100,8 +101,7 @@ class TrajectoryOperator(LinearOperator):
         self.block_dim = D
         self.n_blocks = len(rows)
         self.rows = rows
-        n = self.n_blocks * D
-        super().__init__(dtype=np.float64, shape=(n, n))
+        self.shape = (self.n_blocks * D,) * 2
 
     def _blocks(self, x) -> np.ndarray:
         return np.asarray(x).reshape(self.n_blocks, self.block_dim)
@@ -129,7 +129,7 @@ class TrajectoryOperator(LinearOperator):
         return [(slice(i, i + n), slice(c, c + n), blk.stack[blk.index : blk.index + n])
                 for i, c, blk, n in runs]
 
-    def _matvec(self, x):
+    def matvec(self, x) -> np.ndarray:
         """M x, one batched product per run of blocks.  Each entry gets its
         terms in the order of a row-by-row walk, the terms of a row in
         coupling order, and each block's product is the same BLAS
@@ -139,6 +139,8 @@ class TrajectoryOperator(LinearOperator):
         for rows, cols, blocks in self._runs:
             y[rows, : blocks.shape[1]] -= (blocks @ x[cols, :, None])[..., 0]
         return y.ravel()
+
+    __matmul__ = matvec
 
     def solve(self, rhs) -> np.ndarray:
         """Forward block substitution for M Y = rhs.
@@ -297,7 +299,8 @@ def assemble_global_unipc(
 
 @dataclass
 class ConditionReport:
-    """2-norm condition estimate with how it was obtained, and the most
+    """2-norm condition estimate with how it was obtained, its relative
+    ``residual`` (``converged`` is ``residual <= rtol``), and the most
     nonzeros in a row (``s_row``) and in a column (``s_col``) of the matrix."""
 
     kappa: float
@@ -329,10 +332,10 @@ def _lanczos_top(apply, n: int, rtol: float, rng):
     Ritz vector, whose Rayleigh quotient is a lower bound.  One more
     application certifies u: theta = u^T B u / u^T u uses an explicit
     ||u||^2, so eigenvectors of B (the identity's, for one) come out
-    bit-exact, and ||B u - theta u|| / ||u|| <= rtol * theta bounds
-    |theta - lambda|.  An application whose squared norm is not finite
-    raises a FloatingPointError.  Returns (theta, applications,
-    residual, converged).
+    bit-exact, and a relative residual ||B u - theta u|| / (theta ||u||)
+    <= rtol bounds |theta - lambda| by rtol theta.  An application whose
+    squared norm is not finite raises a FloatingPointError.  Returns
+    (theta, applications, relative residual).
     """
     m, calls, done = min(n, LANCZOS_BASIS), 0, False
     V, T = np.empty((m, n)), np.zeros((m, m))
@@ -372,8 +375,7 @@ def _lanczos_top(apply, n: int, rtol: float, rng):
         w = applied(u)
     uu = float(u @ u)
     theta = float(u @ w) / uu
-    res = float(np.linalg.norm(w - theta * u) / np.sqrt(uu))
-    return theta, calls, res, res <= rtol * theta
+    return theta, calls, float(np.linalg.norm(w - theta * u) / np.sqrt(uu)) / theta
 
 
 @functools.lru_cache(maxsize=1)
@@ -413,59 +415,54 @@ def condition_number(system: BlockLinearSystem, method: str = "auto",
                      rtol: float = 1e-3) -> ConditionReport:
     """2-norm condition number of an assembled system's matrix M.
 
-    "dense_svd" computes all singular values on one OpenBLAS thread, so
-    they do not depend on the CPU count, and is restricted to
-    dimensions <= 2000.  "lanczos" works at any size: sigma_max^2 is the
-    top eigenvalue of M^T M and 1/sigma_min^2 that of M^{-1} M^{-T},
-    each found by the package's restarted Lanczos, the latter applied
-    through one sparse LU factor of M (no fill and no pivoting, as M is
-    unit lower triangular).  Each run starts from a generator seeded
-    with 0, so kappa and ``iterations`` (operator applications) are
-    deterministic; LANCZOS_MAX_ITER caps the applications per run, and
-    running out is reported through ``converged`` rather than raised.
-    An application whose squared norm is not finite raises a
-    FloatingPointError.  "auto" is "lanczos" except for a 1 x 1 system,
-    M = [1], whose one singular value the dense SVD gives exactly.  A
-    dense sigma_min that underflows to 0 puts kappa beyond the float
-    range and raises an OverflowError.  What the method holds is priced
-    before the CSR is built, as CapacityError.
+    "auto", reported as "lanczos", works at any size: sigma_max^2 is the
+    top eigenvalue of M^T M and 1/sigma_min^2 that of M^{-1} M^{-T}, each
+    found by the package's restarted Lanczos from a generator seeded with
+    0, so kappa and ``iterations`` (operator applications) are
+    deterministic.  The latter is applied through one LU factor of the
+    CSR's own transpose (no fill and no pivoting, as M^T is unit upper
+    triangular).  ``residual`` is the larger relative residual
+    ||B u - theta u|| / (theta ||u||) of the two runs and ``converged``
+    is ``residual <= rtol``, so running out of LANCZOS_MAX_ITER
+    applications is reported, not raised; an application whose squared
+    norm is not finite raises a FloatingPointError.  "dense_svd", up to
+    dim 2000, computes all singular values on one OpenBLAS thread, so
+    they do not depend on the CPU count, with rtol and residual 0; a
+    sigma_min that underflows to 0 raises an OverflowError.  The method,
+    the dense dimension and, as CapacityError, what the method holds are
+    checked before the CSR is built.
     """
     n, csr = system.mat.shape[0], system.mat.csr_bytes
-    if method == "auto":
-        method = "lanczos" if n >= 2 else "dense_svd"
-    # the CSR, its CSC copy, the LU factor (as large, M having no fill) and
-    # the Lanczos basis with its one new vector; or the CSR and dense M
-    held = {"lanczos": 3 * csr + (min(n, LANCZOS_BASIS) + 1) * 8 * n, "dense_svd": csr + 8 * n * n}
-    if (nbytes := held.get(method, csr)) > carleman.MAX_STEP_BYTES:
+    if method not in ("auto", "dense_svd"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "dense_svd" and n > DENSE_SVD_MAX_DIM:
+        raise ValueError(f"dense SVD limited to dim <= {DENSE_SVD_MAX_DIM}, got {n}")
+    # the CSR, the LU factor of its transpose (as large, M^T having no fill)
+    # and the Lanczos basis with its one new vector; or the CSR and dense M
+    nbytes = 2 * csr + (min(n, LANCZOS_BASIS) + 1) * 8 * n if method == "auto" else csr + 8 * n * n
+    if nbytes > carleman.MAX_STEP_BYTES:
         raise CapacityError(f"global system needs {csr} bytes and the condition estimate {nbytes}, "
                             f"above {carleman.MAX_STEP_BYTES}")
     mat = system.mat.tocsr()
     s_row = int(np.diff(mat.indptr).max(initial=0))
     s_col = int(np.bincount(mat.indices, minlength=n).max(initial=0))
     if method == "dense_svd":
-        if n > DENSE_SVD_MAX_DIM:
-            raise ValueError(f"dense SVD limited to dim <= {DENSE_SVD_MAX_DIM}, got {n}")
         with _one_blas_thread():  # the same bytes on any CPU count
             svals = np.linalg.svd(mat.toarray(), compute_uv=False)
         if svals[-1] == 0.0:  # M is unit lower triangular, so never singular
             raise OverflowError("the condition number is beyond the float range: sigma_min underflowed to 0")
-        smax, smin, its, res, ok, rtol = svals[0], svals[-1], 0, 0.0, True, 0.0
-    elif method == "lanczos":
-        if n < 2:
-            raise ValueError("lanczos needs dim >= 2")
-        lu = splu(mat.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
-        rng = np.random.default_rng(0)
-        mat_t = mat.T  # one CSC transpose for every application
-        top, it1, res1, ok1 = _lanczos_top(lambda v: mat_t @ (mat @ v), n, rtol, rng)
-        inv, it2, res2, ok2 = _lanczos_top(lambda v: lu.solve(lu.solve(v, trans="T")), n, rtol, rng)
-        smax, smin, its = np.sqrt(top), 1.0 / np.sqrt(inv), it1 + it2
-        res, ok = max(res1, res2), ok1 and ok2
+        smax, smin, its, res, rtol = svals[0], svals[-1], 0, 0.0, 0.0
     else:
-        raise ValueError(f"unknown method {method!r}")
+        method, mat_t = "lanczos", mat.T  # a CSC view of the CSR's own arrays
+        lu = splu(mat_t, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        rng = np.random.default_rng(0)
+        top, it1, res1 = _lanczos_top(lambda v: mat_t @ (mat @ v), n, rtol, rng)
+        inv, it2, res2 = _lanczos_top(lambda v: lu.solve(lu.solve(v), trans="T"), n, rtol, rng)
+        smax, smin, its, res = np.sqrt(top), 1.0 / np.sqrt(inv), it1 + it2, max(res1, res2)
     return ConditionReport(
         kappa=float(smax / smin), method=method, dim=n, iterations=its, rtol=rtol,
-        residual=float(res), converged=bool(ok), sigma_max=float(smax), sigma_min=float(smin),
-        s_row=s_row, s_col=s_col, nnz=int(mat.nnz),
+        residual=float(res), converged=bool(res <= rtol), sigma_max=float(smax),
+        sigma_min=float(smin), s_row=s_row, s_col=s_col, nnz=int(mat.nnz),
     )
 
 

@@ -807,8 +807,8 @@ def eigsh_top(apply, n: int, rtol: float, rng):
     """:func:`carlift.system._lanczos_top` by SciPy's ``eigsh`` (ARPACK,
     a basis of min(n, 20) vectors, stopped at rtol/2), then certified by
     one more application.  Out of budget, u is the applied vector of
-    largest Rayleigh quotient.  Returns (theta, applications, residual,
-    converged)."""
+    largest Rayleigh quotient.  Returns (theta, applications, relative
+    residual)."""
     seen = {"calls": 0, "theta": -np.inf, "v": None}
 
     def matvec(v):
@@ -829,8 +829,7 @@ def eigsh_top(apply, n: int, rtol: float, rng):
     w = matvec(u)
     uu = float(u @ u)
     theta = float(u @ w) / uu
-    res = float(np.linalg.norm(w - theta * u) / np.sqrt(uu))
-    return theta, seen["calls"], res, res <= rtol * theta
+    return theta, seen["calls"], float(np.linalg.norm(w - theta * u) / np.sqrt(uu)) / theta
 
 
 def step_lifted(q, states, corrector: bool = False) -> np.ndarray:

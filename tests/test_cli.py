@@ -397,14 +397,15 @@ def test_oversized_global_system_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_condition_estimate_past_the_cap_exits_3(tmp_path, monkeypatch, capsys):
     # the lowered cap admits the lift (768 bytes) and the global CSR (1 028
-    # bytes) but not the Lanczos estimate's three copies of it and its basis
-    # of 21 vectors of 27 entries (3 084 + 4 536 = 7 620 bytes)
+    # bytes) but not the Lanczos estimate's CSR, the LU factor of its
+    # transpose and its basis of 21 vectors of 27 entries
+    # (2 056 + 4 536 = 6 592 bytes)
     monkeypatch.setattr(carleman, "MAX_STEP_BYTES", 2000)
     cfg = {"window": {"benchmark": "weak_quadratic", "M": 8},
            "carleman": {"N": 3, "export_matrix": True}}
     code, out = run(tmp_path, "carleman", cfg)
     assert code == 3
-    assert "the condition estimate 7620" in capsys.readouterr().err
+    assert "the condition estimate 6592" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
     cfg["carleman"]["condition"] = "none"
     code, out = run(tmp_path, "carleman", cfg, out="none")

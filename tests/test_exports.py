@@ -5,7 +5,8 @@ public method of a carlift class must be read by the package or the
 benchmark.  Every private module-level function or class must be read
 by the package itself.  Every carlift name the benchmark imports must
 exist, and every call it makes to one must bind to the current
-signature."""
+signature.  A carlift module imports from SciPy only what SCIPY_IMPORTS
+allows it, and no carlift class derives from a SciPy class."""
 
 import ast
 import importlib
@@ -33,6 +34,19 @@ UNCALLED_EXPORTS = {
 UNSET_DEFAULTS = {
     "qlss_cost_model.c_poly": "polylog exponent of the query estimate, open until the cost "
                               "report fixes it",
+}
+
+
+# what each carlift module imports from SciPy, a module or a name, each
+# with the reason it stays
+SCIPY_IMPORTS = {
+    "carleman": {"scipy.sparse": "the 0/1 CSR matrix that adds a lifted step's products onto "
+                                 "their monomials"},
+    "system": {"scipy.sparse": "the global CSR that matrix export and the condition estimate read",
+               "splu": "the LU factor of M^T that applies M^{-1} M^{-T} in the condition estimate"},
+    "model": {"expit": "sigma_lam^2 = expit(-2 lam) without overflow in the Taylor centres"},
+    "schedule": {"expit": "sigma_lam^2 = expit(-2 lam) without overflow on the lambda grid"},
+    "cli": {"expm": "the exact solution an LCHS run is measured against"},
 }
 
 
@@ -247,3 +261,37 @@ def test_the_sampler_modules_import_nothing_that_lifts():
         assert not found & lifted, f"{name}.py imports {sorted(found & lifted)}"
     assert {"model", "schedule"} <= carlift_imports(ROOT / "src" / "carlift" / "reference.py")
     assert {"reference", "system"} <= carlift_imports(ROOT / "src" / "carlift" / "carleman.py")
+
+
+def scipy_imports(path) -> dict[str, str]:
+    """What a source file imports from SciPy, a module or a name, against
+    the local name each binds."""
+    found = {}
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name: alias.asname or alias.name.split(".")[0]
+                      for alias in node.names if alias.name.split(".")[0] == "scipy"}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "scipy":
+            found |= {alias.name: alias.asname or alias.name for alias in node.names}
+    return found
+
+
+def test_the_package_imports_from_scipy_only_what_is_allowed():
+    # the allowlist shrinks as SciPy leaves the run path; a class built on a
+    # SciPy base would carry its whole interface into the package
+    for path in PACKAGE_SOURCES:
+        imported = scipy_imports(path)
+        allowed = SCIPY_IMPORTS.get(path.stem, {})
+        extra = sorted(set(imported) - set(allowed))
+        assert not extra, f"{path.stem} imports {extra} from SciPy, not in SCIPY_IMPORTS"
+        stale = sorted(set(allowed) - set(imported))
+        assert not stale, f"SCIPY_IMPORTS lists {stale} for {path.stem}, which no longer imports them"
+        classes = [node for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                   if isinstance(node, ast.ClassDef)]
+        for cls in classes:
+            for base in cls.bases:
+                while isinstance(base, ast.Attribute):  # sp.linalg.LinearOperator, for one
+                    base = base.value
+                assert getattr(base, "id", None) not in imported.values(), \
+                    f"{path.stem}.{cls.name} derives from a SciPy class"
+    assert set(SCIPY_IMPORTS) <= {path.stem for path in PACKAGE_SOURCES}

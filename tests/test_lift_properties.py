@@ -661,14 +661,14 @@ def test_lanczos_condition_matches_dense_svd(seed, d, N, M, scheme):
     _, system = assembled(seed, d, N, M, name, order, which or "corrector")
     rtol = 1e-8
     dense = condition_number(system, method="dense_svd")
-    lanczos = condition_number(system, method="lanczos", rtol=rtol)
+    lanczos = condition_number(system, method="auto", rtol=rtol)
     with mock.patch("carlift.system._lanczos_top", eigsh_top):
-        ref = condition_number(system, method="lanczos", rtol=rtol)
+        ref = condition_number(system, method="auto", rtol=rtol)
     assert lanczos.converged and ref.converged
     assert lanczos.sigma_max**2 == pytest.approx(ref.sigma_max**2, rel=rtol)
     assert lanczos.sigma_min**-2 == pytest.approx(ref.sigma_min**-2, rel=rtol)
     assert abs(lanczos.kappa - dense.kappa) <= rtol * dense.kappa
-    assert condition_number(system, method="lanczos", rtol=rtol) == lanczos
+    assert condition_number(system, method="auto", rtol=rtol) == lanczos
 
 
 OPERATOR_SCHEMES = [("dpm", 1, None), ("dpm", 2, None)] + [

@@ -16,9 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carlift import carleman
-from carlift.carleman import CarlemanBasis, Qcm, UnipcQcmSet, lift, run_lifted
+from carlift import system as system_module
+from carlift.carleman import CarlemanBasis, Qcm, UnipcQcmSet, lift, lift_run, run_lifted
 from carlift.errors import CapacityError
 from carlift.model import kron_model, scalar_model
+from carlift.presets import BENCHMARKS
 from carlift.schedule import make_lambda_grid, make_vp_schedule
 from carlift.system import (
     BlockLinearSystem,
@@ -150,7 +152,7 @@ def test_export_import_round_trip(tmp_path):
 
 def test_condition_number_identity_is_exactly_one():
     eye = assemble_global_dpm([], np.ones(40))
-    for method in ("dense_svd", "lanczos"):
+    for method in ("dense_svd", "auto"):
         report = condition_number(eye, method=method)
         assert report.kappa == 1.0
         assert report.converged
@@ -163,7 +165,7 @@ def test_condition_number_lanczos_matches_dense():
         basis = CarlemanBasis(N=N, d=1)
         system = assemble_global_dpm(qcms, lift([0.8], basis).y)
         dense = condition_number(system, method="dense_svd")
-        lanczos = condition_number(system, method="lanczos", rtol=1e-6)
+        lanczos = condition_number(system, method="auto", rtol=1e-6)
         assert lanczos.converged
         assert lanczos.kappa == pytest.approx(dense.kappa, rel=1e-2)
         assert lanczos.iterations > 0
@@ -173,24 +175,63 @@ def test_condition_number_lanczos_matches_dense():
 def test_condition_number_lanczos_rerun_is_identical():
     _, _, _, qcms = lifted_setup(N=4, M=6)
     system = assemble_global_dpm(qcms, lift([0.8], CarlemanBasis(N=4, d=1)).y)
-    first = condition_number(system, method="lanczos", rtol=1e-6)
+    first = condition_number(system, method="auto", rtol=1e-6)
     assert first.iterations > 0
-    assert condition_number(system, method="lanczos", rtol=1e-6) == first
+    assert condition_number(system, method="auto", rtol=1e-6) == first
 
 
 def test_condition_number_lanczos_out_of_budget_reports_not_converged(monkeypatch):
     # a spread-out spectrum that one restart cycle cannot resolve to 1e-8:
     # singular values t and 1/t for 250 values of t in [1, 10], so kappa = 100
     system = pair_system(np.linspace(1.0, 10.0, 250))
-    full = condition_number(system, method="lanczos", rtol=1e-8)
+    full = condition_number(system, method="auto", rtol=1e-8)
     monkeypatch.setattr("carlift.system.LANCZOS_MAX_ITER", 25)
-    short = condition_number(system, method="lanczos", rtol=1e-8)
+    short = condition_number(system, method="auto", rtol=1e-8)
     assert full.converged and full.kappa == pytest.approx(100.0, rel=1e-8)
     assert not short.converged
     assert short.iterations < full.iterations
     # the fallback Rayleigh quotients bound sigma_max from below and
     # sigma_min from above, so kappa can only come out low
     assert 1.0 <= short.kappa <= 100.0 * (1 + 1e-12)
+
+
+# the kron_sweep_kappa benchmark's (scheme, order, d, N), each at M = 32
+KAPPA_SWEEP_SHAPES = [("dpm", 1, 2, 3), ("dpm", 1, 2, 4), ("dpm", 1, 2, 5), ("dpm", 2, 2, 4),
+                      ("dpm", 2, 3, 3), ("unipc", 2, 2, 3), ("unipc", 2, 2, 4),
+                      ("unipc", 3, 2, 4), ("dpm", 1, 3, 4)]
+
+
+def test_lanczos_converges_exactly_when_its_relative_residual_is_within_rtol(monkeypatch):
+    # every scheme on every preset at N = 3, M = 16, then the kron sweep's
+    # shapes, at the CLI's default rtol and at one no run can reach; the
+    # report's residual is the larger of its two runs'
+    runs, lanczos_top = [], system_module._lanczos_top
+
+    def recorded(*args):
+        runs.append(lanczos_top(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(system_module, "_lanczos_top", recorded)
+    systems = []
+    for bench in BENCHMARKS.values():
+        for scheme, order, corrector in [("dpm", k, False) for k in (1, 2, 3)] + [
+                ("unipc", p, c) for p in (1, 2, 3) for c in (False, True)]:
+            systems.append(lift_run(bench.schedule(), bench.model(), [bench.x_T], bench.grid(16),
+                                    CarlemanBasis(N=3, d=1), scheme, order, corrector=corrector)[0])
+    rng = np.random.default_rng(5)
+    for scheme, order, d, N in KAPPA_SWEEP_SHAPES:
+        x_T = 0.8 + 0.1 * rng.uniform(size=d)
+        systems.append(lift_run(S, random_kron_model(rng, d), x_T, make_lambda_grid(S, 0.5, 0.1, 32),
+                                CarlemanBasis(N=N, d=d, mode="kron"), scheme, order,
+                                corrector=scheme == "unipc")[0])
+    for system in systems:
+        runs.clear()
+        report = condition_number(system, rtol=1e-4)
+        assert report.method == "lanczos" and report.converged
+        assert report.converged == (report.residual <= report.rtol)
+        assert len(runs) == 2 and report.residual == max(res for _, _, res in runs)
+    short = condition_number(systems[-1], rtol=1e-300)
+    assert not short.converged and short.residual > short.rtol
 
 
 def sweep_shaped_kappa() -> float:
@@ -223,7 +264,7 @@ def test_condition_number_known_diagonal():
     # singular values sqrt(8) and 1/sqrt(8)
     system = pair_system([math.sqrt(8.0)])
     assert condition_number(system, method="dense_svd").kappa == pytest.approx(8.0)
-    assert condition_number(system, method="lanczos", rtol=1e-8).kappa == pytest.approx(
+    assert condition_number(system, method="auto", rtol=1e-8).kappa == pytest.approx(
         8.0, rel=1e-4
     )
 
@@ -231,10 +272,9 @@ def test_condition_number_known_diagonal():
 def test_condition_number_error_paths(monkeypatch):
     with pytest.raises(ValueError):
         condition_number(assemble_global_dpm([], np.ones(2001)), method="dense_svd")
-    with pytest.raises(ValueError):
-        condition_number(assemble_global_dpm([], np.ones(4)), method="power")
-    with pytest.raises(ValueError):
-        condition_number(assemble_global_dpm([], np.ones(1)), method="lanczos")
+    for method in ("power", "lanczos"):  # "auto" is the one Lanczos estimate
+        with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+            condition_number(assemble_global_dpm([], np.ones(4)), method=method)
     # a unit triangular M is never singular in exact arithmetic, but its
     # smallest singular value can underflow to 0, which puts kappa out of range
     monkeypatch.setattr(np.linalg, "svd", lambda a, compute_uv: np.array([1.0, 0.0]))
@@ -242,13 +282,44 @@ def test_condition_number_error_paths(monkeypatch):
         condition_number(assemble_global_dpm([], np.ones(2)), method="dense_svd")
 
 
-def test_condition_auto_switches_on_size():
-    # only a 1 x 1 system, M = [1], falls back to dense, whose one singular
-    # value the SVD gives exactly
-    for n in (10, 2500):
+def test_condition_auto_is_lanczos_at_every_size():
+    # a 1 x 1 system, M = [1], included: its one-vector basis is exact
+    for n in (1, 2, 3, 10, 2500):
         report = condition_number(assemble_global_dpm([], np.ones(n)))
-        assert report.method == "lanczos" and report.kappa == 1.0
-    assert condition_number(assemble_global_dpm([], np.ones(1))).method == "dense_svd"
+        assert report.method == "lanczos" and report.kappa == 1.0 and report.converged
+
+
+def test_condition_checks_its_method_and_dimension_before_building_the_csr(monkeypatch):
+    def refuse(self):
+        raise AssertionError("tocsr called")
+
+    monkeypatch.setattr(TrajectoryOperator, "tocsr", refuse)
+    with pytest.raises(ValueError, match="unknown method 'power'"):
+        condition_number(assemble_global_dpm([], np.ones(4)), method="power")
+    with pytest.raises(ValueError, match="dense SVD limited to dim <= 2000, got 2001"):
+        condition_number(assemble_global_dpm([], np.ones(2001)), method="dense_svd")
+
+
+def test_lanczos_factors_the_transpose_of_the_csr_it_built(monkeypatch):
+    # SuperLU factors M^T as a CSC view of the CSR's own arrays, no copy
+    built, factored = [], []
+    tocsr = TrajectoryOperator.tocsr
+
+    def record_tocsr(self):
+        built.append(tocsr(self))
+        return built[-1]
+
+    def record_splu(mat, **kwargs):
+        factored.append(mat)
+        return sp.linalg.splu(mat, **kwargs)
+
+    monkeypatch.setattr(TrajectoryOperator, "tocsr", record_tocsr)
+    monkeypatch.setattr(system_module, "splu", record_splu)
+    report = condition_number(pair_system([2.0, 3.0]))
+    assert report.converged and len(built) == len(factored) == 1
+    (csr,), (mat,) = built, factored
+    assert mat.format == "csc" and mat.shape == csr.shape
+    assert np.shares_memory(mat.data, csr.data) and np.shares_memory(mat.indices, csr.indices)
 
 
 def test_global_assembly_refuses_oversized_system_before_allocating(monkeypatch):
@@ -271,12 +342,14 @@ def test_global_assembly_refuses_oversized_system_before_allocating(monkeypatch)
     assert peak < step_bytes // 10
 
 
-@pytest.mark.parametrize("method", ["lanczos", "dense_svd"])
-def test_condition_estimate_prices_its_working_set_before_building_it(monkeypatch, method):
+@pytest.mark.parametrize(("method", "reported"), [("auto", "lanczos"), ("dense_svd", "dense_svd")],
+                         ids=["lanczos", "dense_svd"])
+def test_condition_estimate_prices_its_working_set_before_building_it(monkeypatch, method,
+                                                                      reported):
     # two steps sharing one dense 200 x 200 step matrix, about 1 MB of CSR;
-    # the cap lies between the CSR and what the method holds: the CSR, its
-    # CSC copy, the LU factor and the Lanczos basis of 20 vectors and the
-    # new one, or the CSR and the dense (600, 600) M
+    # the cap lies between the CSR and what the method holds: the CSR, the
+    # LU factor of its transpose and the Lanczos basis of 20 vectors and
+    # the new one, or the CSR and the dense (600, 600) M
     D = 200
     step = Qcm(A=carleman.StepMatrix(np.full((D, D), 1e-3)), b=np.zeros(D))
     system = assemble_global_dpm([step] * 2, np.ones(D))
@@ -284,7 +357,7 @@ def test_condition_estimate_prices_its_working_set_before_building_it(monkeypatc
     mat = system.mat.tocsr()
     assert mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes <= csr
     del mat
-    held = 3 * csr + 21 * 8 * n if method == "lanczos" else csr + 8 * n * n
+    held = 2 * csr + 21 * 8 * n if method == "auto" else csr + 8 * n * n
     monkeypatch.setattr(carleman, "MAX_STEP_BYTES", (csr + held) // 2)
     tracemalloc.start()
     try:
@@ -295,22 +368,22 @@ def test_condition_estimate_prices_its_working_set_before_building_it(monkeypatc
         tracemalloc.stop()
     assert peak < csr // 10
     monkeypatch.setattr(carleman, "MAX_STEP_BYTES", held)
-    assert condition_number(system, method=method).method == method
+    assert condition_number(system, method=method).method == reported
 
 
 def test_lanczos_prices_its_basis_at_the_exact_boundary(monkeypatch):
     # 250 pairs, n = 500 with at most 750 nonzeros: the Lanczos basis of
-    # 20 vectors and the new one, 84 000 bytes, outweighs the CSR, its CSC
-    # copy and the LU factor, three times about 13 KB
+    # 20 vectors and the new one, 84 000 bytes, outweighs the CSR and the
+    # LU factor of its transpose, twice about 13 KB
     system = pair_system(np.linspace(1.0, 10.0, 250))
     n, csr = system.dim, system.mat.csr_bytes
-    held = 3 * csr + 21 * 8 * n
-    assert 21 * 8 * n > 3 * csr
+    held = 2 * csr + 21 * 8 * n
+    assert 21 * 8 * n > 2 * csr
     monkeypatch.setattr(carleman, "MAX_STEP_BYTES", held - 1)
     with pytest.raises(CapacityError, match=f"the condition estimate {held}, above {held - 1}"):
-        condition_number(system, method="lanczos")
+        condition_number(system, method="auto")
     monkeypatch.setattr(carleman, "MAX_STEP_BYTES", held)
-    assert condition_number(system, method="lanczos").converged
+    assert condition_number(system, method="auto").converged
 
 
 def test_assembly_dimension_mismatch():
