@@ -364,17 +364,24 @@ def _monomials_at(mono: _Monomials, x: np.ndarray) -> list:
     return out
 
 
-def _kron_sum(mono: _Monomials, F: np.ndarray, x: list) -> list:
-    """F x_all at a state x of d Python floats, summed from +0 (so a -0.0
-    result is +0.0): F holds the (d, n_j) coefficient matrices of degree
-    j = 0, 1, ... side by side, and x_all the monomials of those degrees
-    at x, float products as in :func:`_monomials_at`; only the contraction
-    is an ``ndarray.dot``, so the bits are those of the same array steps."""
+def _kron_dot(mono: _Monomials, F: np.ndarray, x: list) -> list:
+    """F x_all at a state x of d Python floats, as a list, in one pass: F
+    holds the (d, n_j) coefficient matrices of degree j = 0, 1, ... side
+    by side, and x_all the monomials of those degrees at x, float products
+    as in :func:`_monomials_at`; only the contraction is an
+    ``ndarray.dot``, so the bits are those of the same array product.  It
+    is the one kron monomial builder; its callers sum it from +0."""
     x_all, xj = ([1.0, *x] if len(mono.pairs) > 1 else [1.0]), x  # degrees 0 and 1
     for pairs in mono.pairs[2:]:
         xj = [xj[p] * x[f] for p, f in pairs]
         x_all += xj
-    return [0.0 + e for e in F.dot(x_all).tolist()]
+    return F.dot(x_all).tolist()
+
+
+def _kron_sum(mono: _Monomials, F: np.ndarray, x: list) -> list:
+    """:func:`_kron_dot` summed from +0 (so a -0.0 entry is +0.0): eps at
+    x with the bits of the same array steps."""
+    return [0.0 + e for e in _kron_dot(mono, F, x)]
 
 
 def _drift_spectra(s: NoiseSchedule, m: PolyNoiseModel, states: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -17,7 +17,9 @@ a polynomial map of x_s, written out for a run by
 sampler's rows and eps table over the grid.  A run's states are one
 (nodes, d) array, row i at grid node i, written there only for storage:
 every stepper steps as :func:`_start` gives the state, with the bits of
-the same steps on arrays.  All weights reduce to the moments
+the same steps on arrays; a kron RK4 stage is one monomial pass and
+one ``ndarray.dot``, with eps summed from +0 inside the stage.  All
+weights reduce to the moments
 I_n = int e^{-lam} (lam - lam_s)^n / n! dlam over a step of width h,
 which equal e^{-lam_t} tail_n(h) with tail_n from
 :func:`carlift.schedule.exp_taylor_tail`.  They enter scaled by alpha_t,
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PolyNoiseModel, _derivative_tower, _eps_tables, _horner, _kron_sum, _monomials
+from .model import PolyNoiseModel, _derivative_tower, _eps_tables, _horner, _kron_dot, _kron_sum, _monomials
 from .schedule import NoiseSchedule, TimeGrid, exp_taylor_tail
 
 __all__ = [
@@ -204,20 +206,24 @@ def _rk4_horner(y, f: list, c: list, rows: list, cnt: int, ht: float):
 def _rk4_lists(y: list, f: list, c: list, rows: list, cnt: int, ht: float) -> list:
     """``cnt`` substeps of :func:`rk4_oracle`'s loop from a kron state y, a
     list of d floats, over one chunk's tables, each arithmetic operation
-    applied elementwise as on arrays; ``rows`` are :func:`_eps_rows`."""
-    half, sixth = 0.5 * ht, ht / 6.0
-
-    def k(i: int, z: list) -> list:
-        fi, ci = f[i], c[i]
-        return [fi * a + ci * e for a, e in zip(z, _kron_sum(*rows[i], z))]
-
+    applied elementwise as on arrays; ``rows`` are :func:`_eps_rows`.  A
+    substep reads its three tabulated times' coefficient matrices and
+    schedule floats once; a stage at z is one
+    :func:`carlift.model._kron_dot` pass, e, and k = f z + c (0.0 + e),
+    eps summed from +0 inside the stage as :func:`_eps_at` sums it; k4 is
+    formed inside the substep's sum."""
+    half, sixth, mono = 0.5 * ht, ht / 6.0, rows[0][0]
     for i in range(0, 2 * cnt, 2):
-        k1 = k(i, y)
-        k2 = k(i + 1, [a + half * b for a, b in zip(y, k1)])
-        k3 = k(i + 1, [a + half * b for a, b in zip(y, k2)])
-        k4 = k(i + 2, [a + ht * b for a, b in zip(y, k3)])
-        y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        F0, F1, F2 = rows[i][1], rows[i + 1][1], rows[i + 2][1]
+        f0, f1, f2, c0, c1, c2 = f[i], f[i + 1], f[i + 2], c[i], c[i + 1], c[i + 2]
+        k1 = [f0 * a + c0 * (0.0 + e) for a, e in zip(y, _kron_dot(mono, F0, y))]
+        z = [a + half * b for a, b in zip(y, k1)]
+        k2 = [f1 * a + c1 * (0.0 + e) for a, e in zip(z, _kron_dot(mono, F1, z))]
+        z = [a + half * b for a, b in zip(y, k2)]
+        k3 = [f1 * a + c1 * (0.0 + e) for a, e in zip(z, _kron_dot(mono, F1, z))]
+        z = [a + ht * b for a, b in zip(y, k3)]
+        y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + (f2 * z4 + c2 * (0.0 + e)))
+             for a, b1, b2, b3, z4, e in zip(y, k1, k2, k3, z, _kron_dot(mono, F2, z))]
     return y
 
 

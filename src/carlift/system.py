@@ -178,14 +178,16 @@ class TrajectoryOperator:
         """The global CSR matrix, built afresh on every call.
 
         One block row at a time, its negated blocks are laid side by side
-        in column order, with the identity as one last column, beside the
-        global column of each entry; that array's nonzeros, read row by
-        row, are its rows' CSR entries in column order with no stored
-        zeros, and are written straight into the preallocated global
-        arrays.  Every block row reuses one value, mask and column buffer
-        shaped as the widest, so those arrays, the buffers and one block
-        row's gathered entries are all it holds.  Raises CapacityError,
-        before allocating them, if they would exceed
+        in column order, with the identity as one last column; that
+        array's nonzeros, read row by row, are its rows' CSR entries in
+        column order with no stored zeros, and are written straight into
+        the preallocated global arrays.  Each coupling's global columns are
+        written once, as one D-vector that every row of its block row
+        reads, and at the end every row's last entry, its identity, takes
+        its diagonal column.  Every block row reuses one value, mask and
+        column buffer shaped as the widest, so those arrays, the buffers
+        and one block row's gathered entries are all it holds.  Raises
+        CapacityError, before allocating them, if they would exceed
         carleman.MAX_STEP_BYTES.
         """
         D, n, nnz = self.block_dim, self.shape[0], self.nnz
@@ -195,27 +197,27 @@ class TrajectoryOperator:
         indptr = np.zeros(n + 1, dtype=idx)
         indices = np.empty(nnz, dtype=idx)
         data = np.empty(nnz)
-        size = D * (max(map(len, self.rows), default=0) * D + 1)
-        vals, cols, keep = np.empty(size), np.empty(size, dtype=idx), np.empty(size, dtype=bool)
+        size = max(map(len, self.rows), default=0) * D + 1
+        vals, cols, keep = np.empty(D * size), np.empty(size, dtype=idx), np.empty(D * size, dtype=bool)
+        every_row = np.broadcast_to(cols, (D, size))  # the columns each row of a block row reads
         diag, end = np.arange(D), 0
         for i, row in enumerate(self.rows):
             w = len(row) * D + 1
-            wide, col = vals[: D * w].reshape(D, w), cols[: D * w].reshape(D, w)
-            mask = keep[: D * w].reshape(D, w)
+            wide, mask = vals[: D * w].reshape(D, w), keep[: D * w].reshape(D, w)
             for k, (c, blk) in enumerate(row):
                 r, span = len(blk.rows), slice(k * D, (k + 1) * D)
                 np.negative(blk.rows, out=wide[:r, span])
                 if r < D:
                     wide[r:, span] = 0.0
-                np.add(diag, c * D, out=col[:, span])
+                np.add(diag, c * D, out=cols[span])
             wide[:, -1] = 1.0
-            np.add(diag, i * D, out=col[:, -1])
             np.not_equal(wide, 0.0, out=mask)
             start, end = end, end + np.count_nonzero(mask)
             data[start:end] = wide[mask]
-            indices[start:end] = col[mask]
+            indices[start:end] = every_row[:, :w][mask]
             indptr[i * D + 1 : (i + 1) * D + 1] = mask.sum(axis=1)
         np.cumsum(indptr, out=indptr)
+        indices[indptr[1:] - 1] = np.arange(n, dtype=idx)  # each row's identity entry
         return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 

@@ -127,6 +127,40 @@ def run_unipc_arrays(s: NoiseSchedule, m: PolyNoiseModel, x_T, grid, p: int, var
     return SolverRun(grid=grid, states=states, nfe=nfe, scheme=("unic" if corrector else "unip") + str(p))
 
 
+def kron_sum_floats(mono, F: np.ndarray, x: list) -> list:
+    """eps at a state x of d Python floats from one of
+    :func:`carlift.reference._eps_rows`, as the kron stage evaluated it
+    before it was fused: every degree's monomials built from the degree
+    below by float products, one ``ndarray.dot``, then each entry summed
+    from +0 in a pass of its own."""
+    x_all, xj = ([1.0, *x] if len(mono.pairs) > 1 else [1.0]), x
+    for pairs in mono.pairs[2:]:
+        xj = [xj[p] * x[f] for p, f in pairs]
+        x_all += xj
+    return [0.0 + e for e in F.dot(x_all).tolist()]
+
+
+def rk4_lists_per_stage(y: list, f: list, c: list, rows: list, cnt: int, ht: float) -> list:
+    """``cnt`` substeps of :func:`carlift.reference._rk4_lists` as it stood
+    before the stage was fused: each stage reads its row and schedule
+    floats afresh, eps is :func:`kron_sum_floats` at the stage's state, and
+    k4 is a list of its own."""
+    half, sixth = 0.5 * ht, ht / 6.0
+
+    def k(i: int, z: list) -> list:
+        fi, ci = f[i], c[i]
+        return [fi * a + ci * e for a, e in zip(z, kron_sum_floats(*rows[i], z))]
+
+    for i in range(0, 2 * cnt, 2):
+        k1 = k(i, y)
+        k2 = k(i + 1, [a + half * b for a, b in zip(y, k1)])
+        k3 = k(i + 1, [a + half * b for a, b in zip(y, k2)])
+        k4 = k(i + 2, [a + ht * b for a, b in zip(y, k3)])
+        y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    return y
+
+
 def jacobian_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
     """Jacobian d eps / d x at (x, lam), shape (d, d)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -19,8 +19,8 @@ from carlift.errors import ConvergenceError
 from carlift.reference import dpm_weights, rk4_oracle, run_dpm, run_unipc, uni_weights
 from carlift.schedule import TimeGrid, exp_taylor_tail, make_lambda_grid, make_vp_schedule
 from oracles import (alpha_from_lam, apply_weights, dlam_dt, dpm_weights_per_width, dx_dlambda, eval_eps,
-                     eval_tabulated, phi_moment, run_dpm_arrays, run_unipc_arrays, taylor_integral,
-                     taylor_walk_arrays, uni_coeffs, uni_weights_per_system)
+                     eval_tabulated, phi_moment, rk4_lists_per_stage, run_dpm_arrays, run_unipc_arrays,
+                     taylor_integral, taylor_walk_arrays, uni_coeffs, uni_weights_per_system)
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 WEAK = scalar_model({(0, 0): 0.2, (1, 0): -0.6, (2, 0): 0.25})
@@ -408,12 +408,12 @@ def rk4_per_substep(s, m, x_T, substeps, times):
 
 
 @st.composite
-def oracle_models(draw):
+def oracle_models(draw, kinds=("scalar", "separable", "kron", "kron_lam")):
     """(model, lam-dependent kron blocks?) over scalar, separable d <= 3 and
-    kron d <= 4 (degree <= 2 at d >= 3); a kron_lam model draws lam
-    dependence per block."""
+    kron d <= 4 (degree <= 2 at d >= 3), or over ``kinds`` of them; a
+    kron_lam model draws lam dependence per block."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["scalar", "separable", "kron", "kron_lam"]))
+    kind = draw(st.sampled_from(kinds))
     J = draw(st.integers(0, 3))
     if kind == "scalar":
         return scalar_model(0.2 * rng.normal(size=(J + 1, draw(st.integers(1, 3))))), False
@@ -460,6 +460,52 @@ def test_rk4_oracle_equals_per_substep_loop(case, table_bytes, data, t_start, sp
         assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected).max())
     else:
         assert np.array_equal(got, expected)
+
+
+@st.composite
+def kron_chunks(draw):
+    """The arguments of one ``reference._rk4_lists`` call: a kron or kron_lam
+    model's rows at drawn log-SNRs, some coefficients made zeros of either
+    sign, and a state and schedule floats of any sign, zeros among them.
+    The oracle's own tables (f < 0 < c) cannot carry a -0.0 eps into a
+    state, so the signs are drawn too."""
+    m, _ = draw(oracle_models(kinds=("kron", "kron_lam")))
+    cnt = draw(st.integers(1, 4))
+    times = 2 * cnt + 1
+    lams = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=times, max_size=times)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero = draw(st.sampled_from([0.0, 0.5, 1.0]))  # the share of coefficients made zero
+    rows = [(mono, np.where(rng.random(F.shape) < zero, rng.choice([0.0, -0.0], F.shape), F))
+            for mono, F in reference._eps_rows(m, _eps_tables(m, lams))]
+    value = st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0])
+    y, f, c = (draw(st.lists(value, min_size=n, max_size=n)) for n in (m.d, times, times))
+    ht = draw(st.floats(0.1, 1.0)) * draw(st.sampled_from([-1.0, 1.0]))  # wide, so a stage's last bit shows
+    return y, f, c, rows, cnt, ht
+
+
+# a -0.0 eps that the 0.0 + of each of the four stages, and only it, keeps
+# out of the state; and a d = 2 cubic, whose every degree's monomials enter
+NEG_ZERO_CHUNK = ([-0.0], [1.5, -1.5, -1.5], [-1.5, -1.5, -1.5],
+                  [(model._monomials(1, 0), np.array([[-0.0]]))] * 3, 1, -0.1)
+CUBIC = kron_model(2, {j: np.random.default_rng(5).normal(size=(2, 2**j)) for j in range(4)})
+CUBIC_CHUNK = ([0.4, -0.3], [-0.5] * 3, [0.7] * 3, reference._eps_rows(CUBIC, CUBIC.blocks) * 3, 1, -0.5)
+
+
+@PROPERTY
+@given(chunk=kron_chunks())
+@example(chunk=NEG_ZERO_CHUNK)
+@example(chunk=CUBIC_CHUNK)
+def test_kron_rk4_stages_keep_the_per_stage_loops_bits(chunk):
+    y, f, c, rows, cnt, ht = chunk
+    with np.errstate(all="ignore"):
+        got = np.array(reference._rk4_lists(list(y), f, c, rows, cnt, ht))
+        expected = np.array(rk4_lists_per_stage(list(y), f, c, rows, cnt, ht))
+    assert np.array_equal(got, expected, equal_nan=True)
+    # a NaN's sign and payload follow the operand order CPython's float
+    # arithmetic picks, which its specialising interpreter changes once
+    # the code is warm, so only the numbers' signs are compared
+    num = ~np.isnan(expected)
+    assert np.array_equal(np.signbit(got[num]), np.signbit(expected[num]))
 
 
 def test_separable_oracle_equals_its_coordinates_oracles():
@@ -518,6 +564,19 @@ def test_kron_eval_sums_a_negative_zero_constant_from_zero(higher):
     on_floats = np.array(_kron_sum(*reference._eps_rows(m, _eps_tables(m, np.array([0.3])))[0],
                                   x.tolist()))
     assert np.array_equal(np.signbit(on_floats), np.signbit(expected))
+    # the samplers and the oracle, whose stages sum eps from +0 inside their
+    # own arithmetic, against the same steps on arrays
+    grid = make_lambda_grid(S, 0.5, 0.1, 8)
+    runs = [(rk4_oracle(S, m, x, substeps=50, times=grid.t),
+             rk4_per_substep(S, m, x, 50, grid.t)[0])]
+    for k in (1, 2, 3):
+        runs.append((run_dpm(S, m, x, grid, k), run_dpm_arrays(S, m, x, grid, k).states))
+        for corrector in (False, True):
+            runs.append((run_unipc(S, m, x, grid, k, corrector=corrector),
+                         run_unipc_arrays(S, m, x, grid, k, corrector=corrector).states))
+    for run, states in runs:
+        assert np.array_equal(run.states, states)
+        assert np.array_equal(np.signbit(run.states), np.signbit(states))
 
 
 def test_rk4_oracle_chunks_at_the_real_table_size():
