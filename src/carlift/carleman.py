@@ -33,9 +33,9 @@ A run's step maps are one dict {q: (M, d, n_q)}: each degree's
 coefficient blocks stacked along a leading step axis, built from the
 weight tables and eps and its derivatives tabulated over the grid.
 They are lifted in chunks sliced along that axis into one dense
-(M, dim_total, dim_total) array, each step a :class:`StepMatrix` that
-records that array and its index there.  Block row j of a step is made
-from block row j-1 times the step map, and only on the degrees a
+(M, dim_total, dim_total) array, each step a :class:`carlift.system.StepMatrix`
+that records that array and its index there.  Block row j of a step is
+made from block row j-1 times the step map, and only on the degrees a
 product of j-1 step maps can reach, (j-1) q_min .. (j-1) q_max: the
 columns left out are exact zeros, and the terms are summed from +0 in
 the order a pass over every column adds them, so U and b keep every
@@ -61,11 +61,11 @@ from .errors import CapacityError
 from .model import PolyNoiseModel, _derivative_tower, _monomials, _monomials_at
 from .reference import _degree_blocks, _step_maps, step_polynomials_dpm, uni_weights
 from .schedule import NoiseSchedule, TimeGrid
+from .system import StepMatrix
 
 __all__ = [
     "CarlemanBasis",
     "LiftedState",
-    "StepMatrix",
     "Qcm",
     "UnipcQcmSet",
     "lift",
@@ -76,7 +76,6 @@ __all__ = [
 ]
 
 MAX_DIM_TOTAL = 400_000
-MAX_STEP_BYTES = 2**31
 LIFT_CHUNK_BYTES = 1 << 18  # step-lift work arrays per chunk of steps lifted together
 
 
@@ -145,33 +144,6 @@ def lift(x, basis: CarlemanBasis) -> LiftedState:
         raise ValueError(f"state must have shape ({basis.d},)")
     mono = _monomials(basis.d, basis.N)
     return LiftedState(basis=basis, y=np.concatenate(_monomials_at(mono, x)[1:]) * mono.sqrt_mult)
-
-
-class StepMatrix:
-    """A square step matrix, entry ``index`` of the (k, r, n) ``stack`` a
-    lift wrote it into, or of a stack of its own when given a 2-d array.
-
-    ``rows`` is ``stack[index]``, rows 0..r-1 of the (n, n) matrix, the
-    only ones that can be nonzero; the rest are zero.  The nonzeros are
-    counted the first time ``nnz`` is read, and that count is kept.
-    """
-
-    def __init__(self, stack: np.ndarray, index: int | None = None):
-        if index is None:
-            stack, index = stack[None], 0
-        self.stack, self.index = stack, index
-        self.rows = stack[index]
-        self.shape = (stack.shape[2], stack.shape[2])
-
-    @functools.cached_property
-    def nnz(self) -> int:
-        return int(np.count_nonzero(self.rows))
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """The product with a vector."""
-        out = np.zeros(self.shape[0], dtype=np.result_type(self.rows, x))
-        out[: len(self.rows)] = self.rows @ x
-        return out
 
 
 def _poly_to_update(polys: dict[int, np.ndarray],
@@ -367,8 +339,9 @@ def assemble_unipc_qcms(
     consecutive entries of one stack, as the anchor matrices are.
     The predictor is then folded into each corrector step, in place in
     those stacks: a corrector matrix's d block-row-1 rows gain the
-    target times the predictor's matrix at its slot, and its offset the
-    target times the predictor's offset, one 2-d product per block.
+    target times the predictor's matrix at its slot, and its offset's d
+    leading entries the target times the predictor's offset, one 2-d
+    product per block.
     Without ``corrector`` no corrector map or target is lifted.
     """
     _check_model_basis(m, basis)
@@ -392,8 +365,7 @@ def assemble_unipc_qcms(
         for n, target in enumerate(targets):
             for pred, folded in zip(mats[n], mats[K + n]):
                 folded.rows[: len(target.rows)] += target.rows[:, : len(pred.rows)] @ pred.rows
-            corr_b = steps[K + n][1]
-            corr_b += target @ steps[n][1]
+            steps[K + n][1][: len(target.rows)] += target.rows @ steps[n][1]
         corr = zip(mats[K:], targets, [b for _, b in steps[K:]])
     return [UnipcQcmSet(n + p, mats[n], steps[n][1], *more) for n, more in enumerate(corr)]
 
@@ -402,25 +374,25 @@ def lift_run(s: NoiseSchedule, m: PolyNoiseModel, x_T, grid: TimeGrid, basis: Ca
              scheme: str, order: int, variant: str = "bh2", corrector: bool = False):
     """A run's trajectory system from the exact lift of x_T, and its lifted
     steps: "dpm" is the order-k chain of :func:`assemble_dpm_qcms`; "unipc"
-    warms up with order-p steps of it to node p - 1, as the sampler does,
-    then takes the K = M - p + 1 unified steps of
+    warms up with order-p steps of it to node min(p - 1, M), as the
+    sampler does, then takes the K = M - p + 1 unified steps of
     :func:`assemble_unipc_qcms`, over corrected states if ``corrector``.
     Before anything is built, the lift of x_T included, the dense arrays
-    the run holds are priced against MAX_STEP_BYTES: a (dim, dim) matrix
-    and offset per lifted step or map, and the d-row matrices of the
-    unified steps.  A dpm chain holds M maps.  A UniPC run holds p - 1
-    warm-up maps, K predictor maps and (p - 1) K interior-node matrices;
-    a corrector run also holds the K corrector maps and their (p - 1) K
-    interior-node matrices, the predictor folded into them in place,
-    and the K targets."""
-    D, K = basis.dim_total, max(grid.M - order + 1, 0)
+    the run holds are priced against system.MAX_STEP_BYTES: a (dim, dim)
+    matrix and offset per lifted step or map, and the d-row matrices of
+    the unified steps.  A dpm chain holds M maps.  A UniPC run holds
+    min(p - 1, M) warm-up maps, K predictor maps and (p - 1) K
+    interior-node matrices; a corrector run also holds the K corrector
+    maps and their (p - 1) K interior-node matrices, the predictor folded
+    into them in place, and the K targets."""
+    D, K, warm = basis.dim_total, max(grid.M - order + 1, 0), min(order - 1, grid.M)
     if scheme not in ("dpm", "unipc"):
         raise ValueError(f"unknown scheme {scheme!r}")
     dpm = scheme == "dpm"
     per_step = 1 + corrector  # the predictor's maps and the corrector's
-    mats, rows = (grid.M, 0) if dpm else (order - 1 + K * per_step, K * ((order - 1) * per_step + corrector))
-    if (nbytes := 8 * D * (mats * (D + 1) + rows * basis.d)) > MAX_STEP_BYTES:
-        raise CapacityError(f"lifting the run needs {nbytes} bytes, above {MAX_STEP_BYTES}")
+    mats, rows = (grid.M, 0) if dpm else (warm + K * per_step, K * ((order - 1) * per_step + corrector))
+    if (nbytes := 8 * D * (mats * (D + 1) + rows * basis.d)) > system.MAX_STEP_BYTES:
+        raise CapacityError(f"lifting the run needs {nbytes} bytes, above {system.MAX_STEP_BYTES}")
     chain = assemble_dpm_qcms(s, m, grid.lam if dpm else grid.lam[:order], order, basis)
     if dpm:
         return system.assemble_global_dpm(chain, lift(x_T, basis).y), chain

@@ -63,6 +63,7 @@ MAX_LAM_DEGREE = 64
 MAX_MONOMIALS = 4096  # columns of a folded kron block, C(d+q-1, q) at its top degree q
 SIGMA_TAYLOR_DEGREE = 4
 TOWER_CHUNK_BYTES = 1 << 22  # derivative-tower work arrays per chunk of expansion points
+MAX_TOWER_BYTES = 2**31  # what one expansion point's largest derivative pass may hold
 
 
 @dataclass(frozen=True)
@@ -504,6 +505,7 @@ def _tower_levels(s: NoiseSchedule, m: PolyNoiseModel, k: int, lams: np.ndarray)
     it, once the capacity check has passed the degrees it can reach."""
     if k < 2:
         return
+    _tower_chunk(m, k)  # refuses a point's pass over MAX_TOWER_BYTES before any is built
     C, n, groups = len(lams), m.n_vars, m.d // m.n_vars
     s1, s2 = (np.repeat(p[:, None], groups, axis=1) for p in _sigma_lambda_polys(s, lams))
     coeffs = [np.repeat(cj.reshape(len(cj), groups, n, -1).swapaxes(0, 1)[None], C, axis=0)
@@ -543,12 +545,14 @@ def _tower_chunk(m: PolyNoiseModel, k: int) -> int:
     input and velocity blocks and their int64 bincount index), the level
     it builds twice and the level it reads three times.  A chunk never
     splits one point's pass, so a point over the budget is a chunk of its
-    own."""
+    own; a pass (k >= 2) over MAX_TOWER_BYTES raises CapacityError."""
     L, Lv, J, n = m.lam_degree + 1, m.lam_degree + 1 + SIGMA_TAYLOR_DEGREE, m.x_degree, m.n_vars
     a, Lc = (k - 1) * max(J - 1, 0), L + max(k - 2, 0) * (Lv - 1)
     built, read = math.comb(n + J + a, J + a) * (Lc + Lv - 1), math.comb(n + a + 1, a + 1) * Lc
     work = math.comb(n + a - 1, a) * math.comb(n + J - 1, J) * Lc * Lv
-    return max(1, TOWER_CHUNK_BYTES // (8 * m.d * (2 * work + 2 * built + 3 * read)))
+    if (nbytes := 8 * m.d * (2 * work + 2 * built + 3 * read)) > MAX_TOWER_BYTES and k >= 2:
+        raise CapacityError(f"one point's derivative pass needs {nbytes} bytes, above {MAX_TOWER_BYTES}")
+    return max(1, TOWER_CHUNK_BYTES // nbytes)
 
 
 def _derivative_tower(s: NoiseSchedule, m: PolyNoiseModel, k: int, lams) -> list:

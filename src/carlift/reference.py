@@ -386,16 +386,16 @@ def run_unipc(
     """Run the unified predictor(/corrector) sampler over the grid.
 
     The step to node i anchors at node i-p and reuses the p-1 grid nodes
-    in between, after a warm-up of p-1 order-p :func:`_taylor_walk` steps;
-    each state's eps, the warm-up's too, is read once from one table over
-    the grid, as :func:`_eps_rows`.  States step as :func:`_start` gives them.
+    in between, after a warm-up of min(p-1, M) order-p :func:`_taylor_walk`
+    steps; each state's eps, the warm-up's too, is read once from one table
+    over the grid, as :func:`_eps_rows`.  States step as :func:`_start` gives them.
     """
     states, x = _start(m, x_T, grid.M + 1)
     pred = [w.tolist() for w in uni_weights(s, grid.lam, p, variant)]
     corr = [w.tolist() for w in uni_weights(s, grid.lam, p, variant, corrector=True)] if corrector else None
     xs = [x, *_taylor_walk(s, m, x, grid.lam[:p], p)]  # the states; eps at each is evaluated once
     states[1:p] = np.reshape(xs[1:], (-1, m.d))
-    nfe = p * (p - 1)  # a warm-up step evaluates eps and its first p - 1 derivatives
+    nfe = p * (len(xs) - 1)  # a warm-up step evaluates eps and its first p - 1 derivatives
     (table,) = _derivative_tower(s, m, 1, grid.lam)
     rows = _eps_rows(m, table)
     eps = [_eps_at(m, rows[i], xs[i]) for i in range(p - 1)]  # the warm-up's history

@@ -7,26 +7,25 @@ lower triangular with identity diagonal blocks (elementwise unit lower
 triangular, since every coupling block sits strictly below its row's
 diagonal block), and every coupling is a block as the lift made it,
 negated: a step's update matrix, or a unified step's matrix on one of
-its anchor nodes.  :func:`carlift.carleman.lift_run`, the one dispatch
-on a scheme's layout of steps, assembles a run's system here.
-:class:`TrajectoryOperator` keeps M as those blocks, each a
-:class:`carlift.carleman.StepMatrix`, the dense array of its leading
-rows: products with M and the forward solve read those blocks, and the
-global CSR matrix is built only on request, for matrix export and the
-condition estimate, one block row at a time straight into the CSR
-arrays.  Each block records the stack the lift wrote it into and its
-index there, so the blocks of consecutive rows are read as one view of
-that stack: a product takes each such run of blocks as one batched BLAS
-call, and the forward solve walks the block rows in order, one
-matrix-vector call per block; a unified system is one run per coupling
-slot too, the corrector's included, whose blocks the lift made already
-folded.  Both run on the calling thread.  That forward solve is the
-package's one lifted walk: :func:`carlift.carleman.run_lifted` returns
-its blocks as a run's states.  The condition estimate runs the
-package's own restarted Lanczos on the CSR and one LU factor of the
-CSR's own transpose, so it holds no second copy of M.  A
-dense-SVD condition number runs its LAPACK call on one OpenBLAS thread,
-so its bytes do not depend on the CPU count.
+its anchor nodes, each a :class:`StepMatrix`, the dense array of its
+leading rows.  :func:`carlift.carleman.lift_run` lifts the blocks and
+assembles a run's system here, within MAX_STEP_BYTES; this module
+imports nothing from the lift.  :class:`TrajectoryOperator` keeps M as
+those blocks: products with M and the forward solve read each block's
+rows, and the global CSR matrix is built only on request, for matrix
+export and the condition estimate, one block row at a time straight
+into the CSR arrays.  The blocks of consecutive rows that are
+consecutive entries of one stack are read as one view of it: a product
+takes each such run as one batched BLAS call, and the forward solve
+adds one matrix-vector product per block into its row in place, the
+corrector's blocks folded already by the lift.  Both run on the calling
+thread.  That forward solve is the package's one lifted walk:
+:func:`carlift.carleman.run_lifted` returns its blocks as a run's
+states.  The condition estimate runs the package's own restarted
+Lanczos on the CSR and one LU factor of the CSR's own transpose, so it
+holds no second copy of M.  A dense-SVD condition number runs its
+LAPACK call on one OpenBLAS thread, so its bytes do not depend on the
+CPU count.
 """
 from __future__ import annotations
 
@@ -42,10 +41,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from . import carleman
 from .errors import CapacityError, StructureError
 
 __all__ = [
+    "StepMatrix",
     "TrajectoryOperator",
     "BlockLinearSystem",
     "ConditionReport",
@@ -55,6 +54,7 @@ __all__ = [
     "export_matrix",
 ]
 
+MAX_STEP_BYTES = 2**31  # what a run's lift, its global CSR or its condition estimate holds
 DENSE_SVD_MAX_DIM = 2000
 
 # Operator applications each Lanczos run of condition_number may take
@@ -65,6 +65,27 @@ LANCZOS_BASIS = 20
 # Lanczos steps between checks of the Ritz residual: a check's eigh of the
 # tridiagonal costs about one application at the sizes the benchmark runs.
 LANCZOS_CHECK = 4
+
+
+class StepMatrix:
+    """A square step matrix, entry ``index`` of the (k, r, n) ``stack`` a
+    lift wrote it into, or of a stack of its own when given a 2-d array.
+
+    ``rows`` is ``stack[index]``, rows 0..r-1 of the (n, n) matrix, the
+    only ones that can be nonzero; the rest are zero.  The nonzeros are
+    counted the first time ``nnz`` is read, and that count is kept.
+    """
+
+    def __init__(self, stack: np.ndarray, index: int | None = None):
+        if index is None:
+            stack, index = stack[None], 0
+        self.stack, self.index = stack, index
+        self.rows = stack[index]
+        self.shape = (stack.shape[2], stack.shape[2])
+
+    @functools.cached_property
+    def nnz(self) -> int:
+        return int(np.count_nonzero(self.rows))
 
 
 class TrajectoryOperator:
@@ -96,7 +117,7 @@ class TrajectoryOperator:
                                      "couplings must lie strictly below the diagonal")
             if cols != sorted(set(cols)):
                 raise ValueError(f"block row {i} lists columns {cols}, not strictly ascending")
-            if any(not isinstance(blk, carleman.StepMatrix) or blk.shape != (D, D) for _, blk in row):
+            if any(not isinstance(blk, StepMatrix) or blk.shape != (D, D) for _, blk in row):
                 raise ValueError(f"block row {i} holds a block that is not a {D} x {D} StepMatrix")
         self.block_dim = D
         self.n_blocks = len(rows)
@@ -145,22 +166,20 @@ class TrajectoryOperator:
     def solve(self, rhs) -> np.ndarray:
         """Forward block substitution for M Y = rhs.
 
-        Y_i = rhs_i + sum_k B_k Y_{c_k}, block row by block row, with the
-        terms added in coupling order, so a derivative-scheme row is the
-        quantized update A @ y + b.  This is the lifted walk:
+        Y_i = rhs_i + sum_k B_k Y_{c_k}, block row by block row, each
+        block's ``rows @ Y_c`` added in coupling order into the leading
+        entries of a copy of rhs, so a derivative-scheme row is the
+        quantized update b + A @ y.  This is the lifted walk:
         :func:`carlift.carleman.run_lifted` returns the solution's blocks
         as a run's states.
         """
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape != (self.shape[0],):
-            raise ValueError(f"right-hand side has shape {rhs.shape}, need ({self.shape[0]},)")
-        b = self._blocks(rhs)
-        Y = np.empty_like(b)
+        Y = np.array(rhs, dtype=float)
+        if Y.shape != (self.shape[0],):
+            raise ValueError(f"right-hand side has shape {Y.shape}, need ({self.shape[0]},)")
+        Y = self._blocks(Y)
         for i, row in enumerate(self.rows):
-            acc = b[i]
             for c, blk in row:
-                acc = acc + blk @ Y[c]
-            Y[i] = acc
+                Y[i, : len(blk.rows)] += blk.rows @ Y[c]
         return Y.ravel()
 
     @functools.cached_property
@@ -188,11 +207,11 @@ class TrajectoryOperator:
         column buffer shaped as the widest, so those arrays, the buffers
         and one block row's gathered entries are all it holds.  Raises
         CapacityError, before allocating them, if they would exceed
-        carleman.MAX_STEP_BYTES.
+        MAX_STEP_BYTES.
         """
         D, n, nnz = self.block_dim, self.shape[0], self.nnz
-        if (nbytes := self.csr_bytes) > carleman.MAX_STEP_BYTES:
-            raise CapacityError(f"global system needs {nbytes} bytes, above {carleman.MAX_STEP_BYTES}")
+        if (nbytes := self.csr_bytes) > MAX_STEP_BYTES:
+            raise CapacityError(f"global system needs {nbytes} bytes, above {MAX_STEP_BYTES}")
         idx = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
         indptr = np.zeros(n + 1, dtype=idx)
         indices = np.empty(nnz, dtype=idx)
@@ -247,10 +266,11 @@ class BlockLinearSystem:
         return self.mat.block_dim
 
 
-def _system(y0, chain: list[carleman.Qcm], unified: list[tuple], scheme: str) -> BlockLinearSystem:
-    """Block row 0, Y_0 = y0, then a chain's rows Y_i = A_i Y_{i-1} + b_i
-    and the ``unified`` rows (anchor, blocks, b) after them,
-    Y_i = sum_k blocks[k] Y_{anchor+k} + b: each a row of couplings."""
+def _system(y0, chain: list, unified: list[tuple], scheme: str) -> BlockLinearSystem:
+    """Block row 0, Y_0 = y0, then the rows Y_i = A_i Y_{i-1} + b_i of a
+    chain of :class:`carlift.carleman.Qcm` steps and the ``unified`` rows
+    (anchor, blocks, b) after them, Y_i = sum_k blocks[k] Y_{anchor+k} + b:
+    each a row of couplings."""
     y0 = np.asarray(y0, dtype=float)
     steps = [(i, [q.A], q.b) for i, q in enumerate(chain)] + unified
     rows = [[]] + [[(a + k, blk) for k, blk in enumerate(blocks)] for a, blocks, _ in steps]
@@ -258,22 +278,24 @@ def _system(y0, chain: list[carleman.Qcm], unified: list[tuple], scheme: str) ->
                              rhs=np.concatenate([y0] + [b for _, _, b in steps]), scheme=scheme)
 
 
-def assemble_global_dpm(qcms: list[carleman.Qcm], y0: np.ndarray) -> BlockLinearSystem:
+def assemble_global_dpm(qcms: list, y0: np.ndarray) -> BlockLinearSystem:
     """Block bidiagonal system for a derivative-scheme trajectory.
 
     Row block 0 pins Y_0 = y0; row block i couples node i to node i-1
-    through -A_i.
+    through -A_i, ``qcms[i-1]`` a :class:`carlift.carleman.Qcm`.
     """
     return _system(y0, qcms, [], "dpm")
 
 
 def assemble_global_unipc(
-    warmup: list[carleman.Qcm],
-    steps: list[carleman.UnipcQcmSet],
+    warmup: list,
+    steps: list,
     y0: np.ndarray,
     which: str = "corrector",
 ) -> BlockLinearSystem:
-    """Block banded system for a unified predictor/corrector trajectory.
+    """Block banded system for a unified predictor/corrector trajectory:
+    the ``warmup`` chain of :class:`carlift.carleman.Qcm` steps, then the
+    :class:`carlift.carleman.UnipcQcmSet` ``steps``.
 
     ``which`` selects the scheme whose trajectory the solution follows:
     "predictor" uses the predictor update rows, "corrector" the
@@ -442,9 +464,9 @@ def condition_number(system: BlockLinearSystem, method: str = "auto",
     # the CSR, the LU factor of its transpose (as large, M^T having no fill)
     # and the Lanczos basis with its one new vector; or the CSR and dense M
     nbytes = 2 * csr + (min(n, LANCZOS_BASIS) + 1) * 8 * n if method == "auto" else csr + 8 * n * n
-    if nbytes > carleman.MAX_STEP_BYTES:
+    if nbytes > MAX_STEP_BYTES:
         raise CapacityError(f"global system needs {csr} bytes and the condition estimate {nbytes}, "
-                            f"above {carleman.MAX_STEP_BYTES}")
+                            f"above {MAX_STEP_BYTES}")
     mat = system.mat.tocsr()
     s_row = int(np.diff(mat.indptr).max(initial=0))
     s_col = int(np.bincount(mat.indices, minlength=n).max(initial=0))

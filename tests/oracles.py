@@ -23,7 +23,7 @@ from scipy.optimize import brentq
 from scipy.special import expit
 
 from carlift import carleman
-from carlift.carleman import LiftedState, Qcm, StepMatrix, UnipcQcmSet
+from carlift.carleman import LiftedState, Qcm, UnipcQcmSet
 from carlift.model import (
     SIGMA_TAYLOR_DEGREE,
     PolyNoiseModel,
@@ -39,7 +39,7 @@ from carlift.model import (
 )
 from carlift.reference import SolverRun, dpm_weights, step_polynomials_dpm, uni_weights
 from carlift.schedule import NoiseSchedule, exp_taylor_tail
-from carlift.system import LANCZOS_MAX_ITER
+from carlift.system import LANCZOS_MAX_ITER, StepMatrix
 
 
 def zero_model(d: int = 1, mode: str = "separable") -> PolyNoiseModel:
@@ -107,9 +107,10 @@ def run_unipc_arrays(s: NoiseSchedule, m: PolyNoiseModel, x_T, grid, p: int, var
     x = np.atleast_1d(np.asarray(x_T, dtype=float))
     states = np.empty((grid.M + 1, len(x)))
     states[0] = x
-    for i, x in enumerate(taylor_walk_arrays(s, m, x, grid.lam[:p], p), start=1):
-        states[i] = x
-    nfe = p * (p - 1)
+    warm = 0
+    for warm, x in enumerate(taylor_walk_arrays(s, m, x, grid.lam[:p], p), start=1):
+        states[warm] = x
+    nfe = p * warm
     pred = uni_weights(s, grid.lam, p, variant)
     corr = uni_weights(s, grid.lam, p, variant, corrector=True) if corrector else None
     (table,) = _derivative_tower(s, m, 1, grid.lam)
@@ -877,19 +878,22 @@ def step_lifted(q, states, corrector: bool = False) -> np.ndarray:
     into which the lift folded the predictor.  That corrected state is
     not block-1 exact on a nonlinear model even from exactly lifted
     history: the fold reads the predictor output's truncated higher
-    blocks.
+    blocks.  Each map's rows times its state are added in place into the
+    leading entries of a copy of the offset, as the forward solve adds
+    them.
     """
     if isinstance(q, Qcm):
-        return q.A @ states + q.b
-    if isinstance(q, UnipcQcmSet):
+        mats, b, states = [q.A], q.b, [states]
+    elif isinstance(q, UnipcQcmSet):
         if len(states) != len(q.pred_mats):
             raise ValueError(f"need {len(q.pred_mats)} history states, got {len(states)}")
         mats, b = (q.corr_mats, q.corr_b) if corrector else (q.pred_mats, q.pred_b)
-        y_next = b.copy()
-        for mat, y in zip(mats, states):
-            y_next += mat @ y
-        return y_next
-    raise TypeError(f"unsupported step object {type(q)!r}")
+    else:
+        raise TypeError(f"unsupported step object {type(q)!r}")
+    y_next = b.copy()
+    for mat, y in zip(mats, states):
+        y_next[: len(mat.rows)] += mat.rows @ y
+    return y_next
 
 
 def lifted_walk(qcms, y0, corrector: bool = False) -> np.ndarray:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from carlift import carleman, cli, diagnostics
+from carlift import system as system_module
 from carlift.carleman import (
     CarlemanBasis,
     Qcm,
@@ -107,30 +108,34 @@ def test_lift_run_prices_the_whole_run_before_building_it(monkeypatch):
 
     bench = benchmark("weak_quadratic")
     s, m, grid, basis = bench.schedule(), bench.model(), bench.grid(8), CarlemanBasis(N=3, d=1)
-    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", 768)
+    monkeypatch.setattr(system_module, "MAX_STEP_BYTES", 768)
     run_lifted(s, m, [bench.x_T], grid, basis, scheme="dpm")
-    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", 1024)
+    monkeypatch.setattr(system_module, "MAX_STEP_BYTES", 1024)
     run_lifted(s, m, [bench.x_T], grid, basis, scheme="unipc", order=2)
     monkeypatch.setattr(carleman, "_derivative_tower", refuse)
     monkeypatch.setattr(carleman, "lift", refuse)
     with pytest.raises(CapacityError, match="needs 1944 bytes"):
         run_lifted(s, m, [bench.x_T], grid, basis, scheme="unipc", order=2, corrector=True)
-    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", 767)
+    monkeypatch.setattr(system_module, "MAX_STEP_BYTES", 767)
     with pytest.raises(CapacityError, match="needs 768 bytes"):
         run_lifted(s, m, [bench.x_T], grid, basis, scheme="dpm")
 
 
-@pytest.mark.parametrize("corrector, price", [(False, 936), (True, 1944)])
-def test_lift_run_price_is_exact_at_its_boundary(monkeypatch, corrector, price):
-    # the weak_quadratic unipc p=2 runs priced in the test above: a cap of
-    # their price lifts them, one byte less refuses them
+@pytest.mark.parametrize("M, p, corrector, price", [
+    pytest.param(8, 2, False, 936, id="False-936"), pytest.param(8, 2, True, 1944, id="True-1944"),
+    pytest.param(1, 3, False, 96, id="M1-p3-False-96"), pytest.param(1, 3, True, 96, id="M1-p3-True-96")])
+def test_lift_run_price_is_exact_at_its_boundary(monkeypatch, M, p, corrector, price):
+    # the weak_quadratic unipc p=2 runs priced in the test above, and p=3
+    # on one step, which is one 96-byte warm-up map: a cap of their price
+    # lifts them, one byte less refuses them
     bench = benchmark("weak_quadratic")
-    s, m, grid, basis = bench.schedule(), bench.model(), bench.grid(8), CarlemanBasis(N=3, d=1)
-    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", price)
-    lift_run(s, m, [bench.x_T], grid, basis, "unipc", 2, corrector=corrector)
-    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", price - 1)
+    s, m, grid, basis = bench.schedule(), bench.model(), bench.grid(M), CarlemanBasis(N=3, d=1)
+    monkeypatch.setattr(system_module, "MAX_STEP_BYTES", price)
+    _, steps = lift_run(s, m, [bench.x_T], grid, basis, "unipc", p, corrector=corrector)
+    assert len(steps) == M
+    monkeypatch.setattr(system_module, "MAX_STEP_BYTES", price - 1)
     with pytest.raises(CapacityError, match=f"needs {price} bytes"):
-        lift_run(s, m, [bench.x_T], grid, basis, "unipc", 2, corrector=corrector)
+        lift_run(s, m, [bench.x_T], grid, basis, "unipc", p, corrector=corrector)
 
 
 def traced_unipc_lift(corrector: bool):
@@ -482,7 +487,7 @@ def test_lifted_unipc_step_matches_sampler_on_quadratic_model():
                 y = step_lifted(qset, ys)
                 if corrector:
                     y = (step_lifted(qset, ys, corrector=True)
-                         + qset.corr_target @ (lift(y[one], basis).y - y))
+                         + to_dense(qset.corr_target) @ (lift(y[one], basis).y - y))
                 np.testing.assert_allclose(y[one], ref.states[i], rtol=0.0, atol=1e-14)
 
 

@@ -15,7 +15,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from carlift import carleman, cli, solve
+from carlift import cli, model, solve, system
 from carlift.system import TrajectoryOperator
 from oracles import address_space_cap
 
@@ -384,11 +384,23 @@ def test_run_too_large_to_lift_exits_3_before_allocating(tmp_path, capsys):
     assert peak < 8 * 2**20
 
 
+def test_derivative_pass_past_the_cap_exits_3(tmp_path, monkeypatch, capsys):
+    # the d=2 degree-2 kron model's order-3 pass is priced at 13 920 bytes
+    # a point: a cap one byte lower refuses the dpm3 run before it writes
+    # anything but its resolved config
+    monkeypatch.setattr(model, "MAX_TOWER_BYTES", 13920 - 1)
+    cfg = {"model": KRON_UNIPC_CFG["model"], "window": KRON_UNIPC_CFG["window"], "simulate": {"order": 3}}
+    code, out = run(tmp_path, "simulate", cfg)
+    assert code == 3
+    assert "derivative pass needs 13920 bytes" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+
+
 def test_oversized_global_system_exits_3(tmp_path, monkeypatch, capsys):
     # the lowered cap admits the run's lift (8 steps, each a dim 3 matrix
     # and offset at 8 * 3 * 4 = 96 bytes, 768 in all) but not the global
     # system at 12 bytes per entry (1 028 bytes)
-    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", 1024)
+    monkeypatch.setattr(system, "MAX_STEP_BYTES", 1024)
     cfg = {"window": {"benchmark": "weak_quadratic", "M": 8}, "carleman": {"N": 3}}
     code, _ = run(tmp_path, "carleman", cfg)
     assert code == 3
@@ -400,7 +412,7 @@ def test_condition_estimate_past_the_cap_exits_3(tmp_path, monkeypatch, capsys):
     # bytes) but not the Lanczos estimate's CSR, the LU factor of its
     # transpose and its basis of 21 vectors of 27 entries
     # (2 056 + 4 536 = 6 592 bytes)
-    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", 2000)
+    monkeypatch.setattr(system, "MAX_STEP_BYTES", 2000)
     cfg = {"window": {"benchmark": "weak_quadratic", "M": 8},
            "carleman": {"N": 3, "export_matrix": True}}
     code, out = run(tmp_path, "carleman", cfg)

@@ -5,8 +5,10 @@ public method of a carlift class must be read by the package or the
 benchmark.  Every private module-level function or class must be read
 by the package itself.  Every carlift name the benchmark imports must
 exist, and every call it makes to one must bind to the current
-signature.  A carlift module imports from SciPy only what SCIPY_IMPORTS
-allows it, and no carlift class derives from a SciPy class."""
+signature.  No two carlift modules import each other, directly or
+through others.  A carlift module imports from SciPy only what
+SCIPY_IMPORTS allows it, and no carlift class derives from a SciPy
+class."""
 
 import ast
 import importlib
@@ -261,6 +263,38 @@ def test_the_sampler_modules_import_nothing_that_lifts():
         assert not found & lifted, f"{name}.py imports {sorted(found & lifted)}"
     assert {"model", "schedule"} <= carlift_imports(ROOT / "src" / "carlift" / "reference.py")
     assert {"reference", "system"} <= carlift_imports(ROOT / "src" / "carlift" / "carleman.py")
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One cycle of a module import graph, as the modules along it and the
+    first again, or None: a depth-first walk in name order that meets a
+    module still on its path."""
+    done, path = set(), []
+
+    def visit(name):
+        path.append(name)
+        for nxt in sorted(graph.get(name, ())):
+            if nxt in path:
+                return path[path.index(nxt):] + [nxt]
+            if nxt not in done and (found := visit(nxt)):
+                return found
+        done.add(path.pop())
+        return None
+
+    for name in sorted(graph):
+        if name not in done and (found := visit(name)):
+            return found
+    return None
+
+
+def test_the_package_modules_import_each_other_without_a_cycle():
+    # a cycle makes one module's names depend on the other's import order;
+    # the package's __init__ imports every module and none imports it
+    graph = {path.stem: carlift_imports(path) for path in PACKAGE_SOURCES if path.stem != "__init__"}
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": {"a", "d"}}) == ["a", "b", "c", "a"]
+    assert import_cycle({"a": {"b", "c"}, "b": {"c"}}) is None
+    cycle = import_cycle(graph)
+    assert cycle is None, f"carlift modules import each other in a cycle: {' -> '.join(cycle)}"
 
 
 def scipy_imports(path) -> dict[str, str]:

@@ -18,14 +18,13 @@ from hypothesis import strategies as st
 from carlift import carleman, model
 from carlift.carleman import (
     CarlemanBasis,
-    StepMatrix,
     UnipcQcmSet,
     _poly_to_update,
     assemble_unipc_qcms,
     lift_run,
     run_lifted,
 )
-from carlift.errors import StructureError
+from carlift.errors import CapacityError, StructureError
 from carlift.model import (
     _center_tables,
     _deriv_once_kron,
@@ -41,6 +40,7 @@ from carlift.reference import run_dpm, run_unipc, step_polynomials_dpm
 from carlift.schedule import make_lambda_grid, make_vp_schedule
 from carlift.solve import forward_substitute
 from carlift.system import (
+    StepMatrix,
     TrajectoryOperator,
     assemble_global_dpm,
     assemble_global_unipc,
@@ -378,6 +378,36 @@ def test_derivative_tower_keeps_to_its_memory_budget():
             for level, want in zip(chunked, tower, strict=True):
                 for got, table in zip(level, want, strict=True):
                     assert got.shape == table.shape and np.array_equal(got, table)
+
+
+def test_derivative_pass_past_the_cap_is_refused_before_it_is_built(monkeypatch):
+    # a d=2 degree-2 kron model's order-3 pass is priced at 13 920 bytes a
+    # point by _tower_chunk: a cap one byte lower refuses it in the
+    # sampler's tower and in total_derivative_poly before sigma is expanded
+    # or a pass runs, and eps alone (k = 1) takes no pass; a cap of the
+    # price builds the same tables as the default cap
+    m = kron_model(2, {1: [[-0.5, 0.1], [0.05, -0.4]],
+                       2: [[0.02, -0.01, 0.0, 0.03], [0.0, 0.01, 0.02, -0.02]]})
+    grid = make_lambda_grid(S, 0.5, 0.1, 4)
+    tower = _derivative_tower(S, m, 3, grid.lam)
+
+    def refuse(*args):
+        raise AssertionError("the derivative pass was built before it was priced")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(model, "MAX_TOWER_BYTES", 13920 - 1)
+        mp.setattr(model, "_sigma_lambda_polys", refuse)
+        mp.setattr(model, "_deriv_once_kron", refuse)
+        for build in (lambda: _derivative_tower(S, m, 3, grid.lam),
+                      lambda: total_derivative_poly(S, m, 2, 0.3),
+                      lambda: run_dpm(S, m, [0.6, -0.3], grid, k=3)):
+            with pytest.raises(CapacityError, match="pass needs 13920 bytes, above 13919"):
+                build()
+        _derivative_tower(S, m, 1, grid.lam)
+    monkeypatch.setattr(model, "MAX_TOWER_BYTES", 13920)
+    for level, want in zip(_derivative_tower(S, m, 3, grid.lam), tower, strict=True):
+        assert all(np.array_equal(got, table) for got, table in zip(level, want, strict=True))
+    total_derivative_poly(S, m, 2, 0.3)
 
 
 def test_drift_spectra_keep_to_the_tower_memory_budget():

@@ -275,6 +275,15 @@ def test_nfe_accounting():
     # p=2 multistep: one warm-up step at 2 evaluations, then one per step
     assert run_unipc(S, WEAK, [1.0], grid, p=2).nfe == 2 + 7
     assert run_unipc(S, WEAK, [1.0], grid, p=2, corrector=True).nfe == 2 + 2 * 7
+    # p=3 warms up with min(2, M) order-3 steps at 3 evaluations each, the
+    # order-3 chain's own steps, so a grid of M <= 2 steps is all warm-up
+    for M, nfe in ((1, (3, 3)), (2, (6, 6)), (3, (6 + 1, 6 + 2))):
+        short = make_lambda_grid(S, 1.0, 0.05, M)
+        chain = run_dpm(S, WEAK, [1.0], short, k=3).states[:3]
+        for corrector in (False, True):
+            run = run_unipc(S, WEAK, [1.0], short, p=3, corrector=corrector)
+            assert run.nfe == nfe[corrector]
+            assert np.array_equal(run.states[:3], chain)
 
 
 def test_scheme_labels_and_helpers():
@@ -556,6 +565,19 @@ def test_kron_sum_on_floats_equals_the_array_evaluation():
 @pytest.mark.parametrize("higher", [{}, {1: np.zeros((2, 2)), 2: np.zeros((2, 4))}],
                          ids=["constant", "zero_higher_blocks"])
 def test_kron_eval_sums_a_negative_zero_constant_from_zero(higher):
+    # kron_model folds its blocks from +0, so a -0.0 coefficient reaches the
+    # evaluators only in rows built by hand, as NEG_ZERO_CHUNK's: on one
+    # coordinate the contraction hands back the -0.0 itself, and the
+    # evaluators must sum it from +0, as the array evaluation does
+    one, tables = kron_model(1, {0: [[-0.0]]}), (np.array([[[-0.0]]]),)
+    row = reference._eps_rows(one, tables)[0]
+    assert np.signbit(model._kron_dot(*row, [-0.7])[0])
+    expected = eval_tabulated(one, tables, 0, np.array([-0.7]))
+    assert not np.signbit(expected[0])
+    for got in (_kron_sum(*row, [-0.7]), reference._eps_at(one, row, [-0.7])):
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+    # the model's own blocks, whose constant the fold has made +0.0
     m = kron_model(2, {0: np.array([[-0.0], [0.5]]), **higher})
     x = np.array([-0.7, -0.4])
     got, expected = eval_eps(m, x, 0.3), eval_eps_direct(m, x, 0.3)
@@ -564,8 +586,8 @@ def test_kron_eval_sums_a_negative_zero_constant_from_zero(higher):
     on_floats = np.array(_kron_sum(*reference._eps_rows(m, _eps_tables(m, np.array([0.3])))[0],
                                   x.tolist()))
     assert np.array_equal(np.signbit(on_floats), np.signbit(expected))
-    # the samplers and the oracle, whose stages sum eps from +0 inside their
-    # own arithmetic, against the same steps on arrays
+    # the samplers and the oracle on that model, whose stages sum eps from
+    # +0 inside their own arithmetic, against the same steps on arrays
     grid = make_lambda_grid(S, 0.5, 0.1, 8)
     runs = [(rk4_oracle(S, m, x, substeps=50, times=grid.t),
              rk4_per_substep(S, m, x, 50, grid.t)[0])]
@@ -669,7 +691,7 @@ def sampler_models(draw):
 
 @PROPERTY
 @given(m=sampler_models(), scheme=st.sampled_from(["dpm", "unip", "unic"]), order=st.integers(1, 3),
-       variant=st.sampled_from(["bh1", "bh2"]), M=st.integers(3, 12), t_start=st.floats(0.2, 0.6),
+       variant=st.sampled_from(["bh1", "bh2"]), M=st.integers(1, 12), t_start=st.floats(0.2, 0.6),
        t_end=st.floats(0.05, 0.15))
 def test_samplers_equal_their_walk_on_arrays(m, scheme, order, variant, M, t_start, t_end):
     # a one-coordinate model steps on a float and a kron model on a list:

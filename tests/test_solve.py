@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.sparse.linalg import gmres as scipy_gmres
 
-from carlift.carleman import CarlemanBasis, StepMatrix, lift, run_lifted
+from carlift.carleman import CarlemanBasis, lift, run_lifted
 from carlift.errors import ConvergenceError, StructureError
 from carlift import solve
 from carlift.model import kron_model, scalar_model
@@ -23,7 +23,7 @@ from carlift.solve import (
     lchs_solve,
     qlss_cost_model,
 )
-from carlift.system import BlockLinearSystem, TrajectoryOperator, assemble_global_dpm
+from carlift.system import BlockLinearSystem, StepMatrix, TrajectoryOperator, assemble_global_dpm
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 

@@ -24,6 +24,7 @@ from carlift.presets import BENCHMARKS
 from carlift.schedule import make_lambda_grid, make_vp_schedule
 from carlift.system import (
     BlockLinearSystem,
+    StepMatrix,
     TrajectoryOperator,
     assemble_global_dpm,
     assemble_global_unipc,
@@ -52,7 +53,7 @@ def pair_system(ts) -> BlockLinearSystem:
     c = t - 1/t, whose singular values are t and 1/t."""
     rows = []
     for t in ts:
-        rows += [[], [(len(rows), carleman.StepMatrix(np.array([[t - 1.0 / t]])))]]
+        rows += [[], [(len(rows), StepMatrix(np.array([[t - 1.0 / t]])))]]
     return BlockLinearSystem(mat=TrajectoryOperator(1, rows), rhs=np.zeros(len(rows)), scheme="dpm")
 
 
@@ -102,7 +103,7 @@ def test_operator_csr_follows_step_diagonals_that_cancel_or_are_missing():
     # count nothing in nnz, a diagonal zero (a step that drops its
     # coordinate) and a signed zero included, and its ones stay
     A = np.array([[0.0, 0.5, 0.0], [0.0, 1.0, 2.0], [0.3, 0.0, -0.0]])
-    system = assemble_global_dpm([Qcm(A=carleman.StepMatrix(A.copy()), b=np.zeros(3))] * 2,
+    system = assemble_global_dpm([Qcm(A=StepMatrix(A.copy()), b=np.zeros(3))] * 2,
                                  np.ones(3))
     eye = sp.identity(3, format="csr")
     step = -sp.csr_matrix(A)
@@ -129,7 +130,7 @@ def test_lift_made_blocks_are_held_without_a_rescan():
 
 def test_sparsity_stats_small_matrix():
     # M = [[1, 0], [-2, 1]]
-    system = assemble_global_dpm([Qcm(A=carleman.StepMatrix(np.array([[2.0]])), b=np.zeros(1))],
+    system = assemble_global_dpm([Qcm(A=StepMatrix(np.array([[2.0]])), b=np.zeros(1))],
                                  np.ones(1))
     report = condition_number(system)
     assert report.nnz == 3
@@ -326,9 +327,9 @@ def test_global_assembly_refuses_oversized_system_before_allocating(monkeypatch)
     # 40 derivative-scheme steps sharing one dense 400 x 400 step matrix:
     # 6.4M entries, about 77 MB of CSR data and indices, against a cap
     # lowered to 1 MiB; the one step's rows hold 1.28 MB
-    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", 2**20)
+    monkeypatch.setattr(system_module, "MAX_STEP_BYTES", 2**20)
     D = 400
-    step = Qcm(A=carleman.StepMatrix(np.ones((D, D))), b=np.zeros(D))
+    step = Qcm(A=StepMatrix(np.ones((D, D))), b=np.zeros(D))
     system = assemble_global_dpm([step] * 40, np.ones(D))
     assert system.mat.nnz == 40 * D * D + 41 * D
     step_bytes = step.A.rows.nbytes
@@ -351,14 +352,14 @@ def test_condition_estimate_prices_its_working_set_before_building_it(monkeypatc
     # LU factor of its transpose and the Lanczos basis of 20 vectors and
     # the new one, or the CSR and the dense (600, 600) M
     D = 200
-    step = Qcm(A=carleman.StepMatrix(np.full((D, D), 1e-3)), b=np.zeros(D))
+    step = Qcm(A=StepMatrix(np.full((D, D), 1e-3)), b=np.zeros(D))
     system = assemble_global_dpm([step] * 2, np.ones(D))
     csr, n = system.mat.csr_bytes, system.dim
     mat = system.mat.tocsr()
     assert mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes <= csr
     del mat
     held = 2 * csr + 21 * 8 * n if method == "auto" else csr + 8 * n * n
-    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", (csr + held) // 2)
+    monkeypatch.setattr(system_module, "MAX_STEP_BYTES", (csr + held) // 2)
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="the condition estimate"):
@@ -367,7 +368,7 @@ def test_condition_estimate_prices_its_working_set_before_building_it(monkeypatc
     finally:
         tracemalloc.stop()
     assert peak < csr // 10
-    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", held)
+    monkeypatch.setattr(system_module, "MAX_STEP_BYTES", held)
     assert condition_number(system, method=method).method == reported
 
 
@@ -379,10 +380,10 @@ def test_lanczos_prices_its_basis_at_the_exact_boundary(monkeypatch):
     n, csr = system.dim, system.mat.csr_bytes
     held = 2 * csr + 21 * 8 * n
     assert 21 * 8 * n > 2 * csr
-    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", held - 1)
+    monkeypatch.setattr(system_module, "MAX_STEP_BYTES", held - 1)
     with pytest.raises(CapacityError, match=f"the condition estimate {held}, above {held - 1}"):
         condition_number(system, method="auto")
-    monkeypatch.setattr(carleman, "MAX_STEP_BYTES", held)
+    monkeypatch.setattr(system_module, "MAX_STEP_BYTES", held)
     assert condition_number(system, method="auto").converged
 
 
@@ -466,8 +467,8 @@ def test_batched_product_keeps_the_walk_bits_on_hand_built_operators(data, D, n_
 
     def block(kind, i, k):
         if kind == "own":
-            return carleman.StepMatrix(rng.normal(size=(r, D)))
-        return carleman.StepMatrix(stacks[kind], k * n_blocks + i)
+            return StepMatrix(rng.normal(size=(r, D)))
+        return StepMatrix(stacks[kind], k * n_blocks + i)
 
     def couplings(max_lag, min_size=0):  # (lag, kind), lags distinct
         return st.lists(st.tuples(st.integers(1, max_lag), st.sampled_from([*stacks, "own"])),
