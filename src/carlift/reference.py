@@ -18,7 +18,8 @@ sampler's rows and eps table over the grid.  A run's states are one
 (nodes, d) array, row i at grid node i, written there only for storage:
 every stepper steps as :func:`_start` gives the state, with the bits of
 the same steps on arrays; a kron RK4 stage is one monomial pass and
-one ``ndarray.dot``, with eps summed from +0 inside the stage.  All
+one ``ndarray.dot``, with eps summed from +0 inside the stage, and a
+separable one writes the lowest four Horner terms out.  All
 weights reduce to the moments
 I_n = int e^{-lam} (lam - lam_s)^n / n! dlam over a step of width h,
 which equal e^{-lam_t} tail_n(h) with tail_n from
@@ -142,8 +143,9 @@ def rk4_oracle(
     of substeps, at the substep starts t (accumulated by t += ht) and
     midpoints t + ht/2; a substep's end is the next one's start.  The
     loop then evaluates only the x-dependent part of eps, from
-    :func:`_eps_rows`.  When eps does not depend on lam, every substep
-    reads one shared set of its rows, made once.  The state steps as
+    :func:`_eps_rows` for a kron model and :func:`_stage_rows` for a
+    separable one.  When eps does not depend on lam, every substep reads
+    one shared set of its rows, made once.  The state steps as
     :func:`_start` gives it.
     """
     if substeps < 1:
@@ -153,8 +155,9 @@ def rk4_oracle(
     nfe = 0
     chunk = _oracle_chunk(m)
     # a lam-independent model's blocks are its tables at any one point
-    shared = _eps_rows(m, m.blocks) if all(cj.shape[0] == 1 for cj in m.blocks) else None
-    rk4 = _rk4_lists if m.mode == "kron" else _rk4_horner
+    kron = m.mode == "kron"
+    rk4, rows_of = (_rk4_lists, _eps_rows) if kron else (_rk4_horner, _stage_rows)
+    shared = rows_of(m, m.blocks) if all(cj.shape[0] == 1 for cj in m.blocks) else None
     for n, (ta, tb) in enumerate(zip(times[:-1], times[1:]), start=1):
         ht = float((tb - ta) / substeps)
         t = ta
@@ -165,10 +168,10 @@ def rk4_oracle(
             tt[1::2] = tt[0:-1:2] + 0.5 * ht
             f = s.f(tt).tolist()
             c = (s.g2(tt) / (2.0 * s.sigma(tt))).tolist()
-            if shared is not None:
-                rows = shared * (2 * cnt + 1)
+            if shared is None:
+                rows = rows_of(m, _eps_tables(m, s.lam(tt)))
             else:
-                rows = _eps_rows(m, _eps_tables(m, s.lam(tt)))
+                rows = shared * (2 * cnt + 1) if kron else shared
             y = rk4(y, f, c, rows, cnt, ht)
             t = tt[-1]
             nfe += 4 * cnt
@@ -177,28 +180,49 @@ def rk4_oracle(
     return SolverRun(grid=grid, states=states, nfe=nfe, scheme="rk4")
 
 
+def _stage_rows(m: PolyNoiseModel, tables) -> list:
+    """A separable model's :func:`_eps_rows` as :func:`_rk4_horner` reads
+    them, each row made once: (its coefficients above the lowest four, c3,
+    c2, c1, c0), highest degree first, a row of fewer than four led by +0.0
+    terms.  Such a term adds nothing: 0.0 z + 0.0 is +0.0 at a finite z,
+    so the next step (+0.0) z + c_J has the bits of Horner's first, 0.0 z +
+    c_J, and a non-finite z gives NaN either way."""
+    out = []
+    for row in _eps_rows(m, tables):
+        row = [0.0] * (4 - len(row)) + list(row)
+        out.append((tuple(row[:-4]), *row[-4:]))
+    return out
+
+
 def _rk4_horner(y, f: list, c: list, rows: list, cnt: int, ht: float):
     """``cnt`` substeps of :func:`rk4_oracle`'s loop from a separable
     model's state y, a Python float or an array, over one chunk's tables;
-    eps is :func:`_eps_at`'s Horner written out at each stage."""
-    half, sixth = 0.5 * ht, ht / 6.0
-    for i in range(0, 2 * cnt, 2):
-        e = 0.0
-        for cj in rows[i]:
-            e = e * y + cj
-        k1 = f[i] * y + c[i] * e
-        z, e = y + half * k1, 0.0
-        for cj in rows[i + 1]:
-            e = e * z + cj
-        k2 = f[i + 1] * z + c[i + 1] * e
-        z, e = y + half * k2, 0.0
-        for cj in rows[i + 1]:
-            e = e * z + cj
-        k3 = f[i + 1] * z + c[i + 1] * e
-        z, e = y + ht * k3, 0.0
-        for cj in rows[i + 2]:
-            e = e * z + cj
-        k4 = f[i + 2] * z + c[i + 2] * e
+    ``rows`` are :func:`_stage_rows`, one per tabulated time, or a single
+    row that every stage reads, its coefficients bound once per chunk.
+    eps at a stage is :func:`_eps_at`'s Horner: any coefficients above the
+    lowest four folded by :func:`carlift.model._horner`, the lowest four
+    written out."""
+    half, sixth, varying = 0.5 * ht, ht / 6.0, len(rows) > 1
+    hi, a3, a2, a1, a0 = rows[0]
+    for i, f0, f1, f2, c0, c1, c2 in zip(range(0, 2 * cnt, 2), f[::2], f[1::2], f[2::2],
+                                         c[::2], c[1::2], c[2::2]):
+        if varying:
+            hi, a3, a2, a1, a0 = rows[i]
+        e = _horner(hi, y) if hi else 0.0
+        k1 = f0 * y + c0 * ((((e * y + a3) * y + a2) * y + a1) * y + a0)
+        if varying:
+            hi, a3, a2, a1, a0 = rows[i + 1]
+        z = y + half * k1
+        e = _horner(hi, z) if hi else 0.0
+        k2 = f1 * z + c1 * ((((e * z + a3) * z + a2) * z + a1) * z + a0)
+        z = y + half * k2
+        e = _horner(hi, z) if hi else 0.0
+        k3 = f1 * z + c1 * ((((e * z + a3) * z + a2) * z + a1) * z + a0)
+        if varying:
+            hi, a3, a2, a1, a0 = rows[i + 2]
+        z = y + ht * k3
+        e = _horner(hi, z) if hi else 0.0
+        k4 = f2 * z + c2 * ((((e * z + a3) * z + a2) * z + a1) * z + a0)
         y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y
 

@@ -16,8 +16,9 @@ du/dt = -A(t) u + b(t) is reproduced as a Cauchy-kernel-weighted
 quadrature over unitary evolutions generated by the Hermitian
 k L(t) + H(t), with a spectral shift keeping L positive semidefinite.  Each evolution comes from a batched Hermitian
 eigendecomposition per chunk of kernel nodes and distinct generator,
-and a forward walk applies it to one vector per node, so no matrix
-product of propagators is formed.  ``qlss_cost_model`` turns system
+and a forward walk applies it to one vector per node, in the
+generator's eigen-coordinates when A is constant, so no matrix product
+of propagators is formed.  ``qlss_cost_model`` turns system
 parameters into the query-count estimate of the quantum linear-system
 route.
 """
@@ -41,10 +42,11 @@ __all__ = [
     "qlss_cost_model",
 ]
 
-# Byte cap on one stacked (nodes, n, n) complex array in lchs_solve: the
-# generators of a chunk of kernel nodes and their eigenvectors.  The nodes
-# are processed in chunks that fit, so the working set (a few such arrays
-# and one n-vector per node) does not grow with the node count.
+# Byte cap on one chunk of kernel nodes in lchs_solve: its stacked
+# (nodes, n, n) complex generators or eigenvectors, and for a constant
+# generator its (nodes, substeps + 1, n) source table.  The nodes are
+# processed in chunks that fit, so the working set (a few such arrays and
+# one n-vector per node) does not grow with the node count.
 LCHS_CHUNK_BYTES = 1 << 20
 
 # Margin added to the stability shift of lchs_solve, so the shifted L is
@@ -235,15 +237,20 @@ def lchs_solve(A_fun, b_fun, u0, T: float, cfg: LchsConfig | None = None) -> Lch
 
     Each generator k L_j + H_j is Hermitian, so one batched
     eigendecomposition V diag(w) V^H over a chunk of kernel nodes gives
-    the substep propagator W_j = V diag(e^{-i dt w}) V^H, unitary to
-    rounding and applied to vectors without being formed.  A forward
-    walk carries one vector per node, z_0 = u0 + w_0 b_0 and
+    the substep propagator W_j = V diag(phi) V^H, phi = e^{-i dt w},
+    unitary to rounding and applied to vectors without being formed.  A
+    forward walk carries one vector per node, z_0 = u0 + w_0 b_0 and
     z_{j+1} = W_j z_j + w_{j+1} b_{j+1} (w the Duhamel weights, b the
-    shifted source), and ends at the bracket above.  Constant A has one
-    distinct generator, split and shifted once and decomposed once per
-    chunk; a time-dependent A has one per substep.  ``n_exponentials``
-    counts the propagators built: one per node per distinct generator.
-    A homogeneous flow takes a zero source.
+    shifted source), and ends at the bracket above.  A time-dependent A
+    has one generator per substep, decomposed per substep and chunk, and
+    the walk applies V^H, phi and V at each substep.  A constant A, found
+    by one comparison of the sampled A(t), has one distinct generator,
+    split and shifted once and decomposed once per chunk, and the walk
+    stays in its eigen-coordinates: y_0 = V^H z_0, y_{j+1} = phi y_j +
+    V^H w_{j+1} b_{j+1} elementwise, the sources' table formed once per
+    chunk, and z = V y at the end.  ``n_exponentials`` counts the
+    propagators built: one per node per distinct generator.  A
+    homogeneous flow takes a zero source.
     """
     if cfg is None:
         cfg = LchsConfig()
@@ -253,12 +260,12 @@ def lchs_solve(A_fun, b_fun, u0, T: float, cfg: LchsConfig | None = None) -> Lch
     n = len(u0)
     dt = T / cfg.substeps
     mids = (np.arange(cfg.substeps) + 0.5) * dt
-    A_mid = [np.asarray(A_fun(t), dtype=complex) for t in mids]
-    time_dep = any(not np.array_equal(A_mid[0], Aj) for Aj in A_mid[1:])
+    A_mid = np.stack([np.asarray(A_fun(t), dtype=complex) for t in mids])
+    time_dep = bool((A_mid[1:] != A_mid[:1]).any())
 
     # one split and shift per distinct generator: Ls[j], Hs[j] for substep j,
     # or Ls[0], Hs[0] for all of them when A is constant
-    A_gen = np.stack(A_mid if time_dep else A_mid[:1])
+    A_gen = A_mid if time_dep else A_mid[:1]
     A_adj = A_gen.conj().swapaxes(-1, -2)
     Ls = (A_gen + A_adj) / 2.0
     Hs = (A_gen - A_adj) / 2.0j
@@ -274,30 +281,43 @@ def lchs_solve(A_fun, b_fun, u0, T: float, cfg: LchsConfig | None = None) -> Lch
     gk = 1.0 / (np.pi * (1.0 + ks**2))
 
     bounds = np.arange(cfg.substeps + 1) * dt
-    b_shift = [np.exp(-mu * t) * np.asarray(b_fun(t), dtype=complex) for t in bounds]
+    b_at = np.stack([np.asarray(b_fun(t), dtype=complex) for t in bounds])
+    b_shift = np.exp(-mu * bounds)[:, None] * b_at
     ws = np.full(cfg.substeps + 1, dt)
     ws[0] *= 0.5
     ws[-1] *= 0.5
-    z0 = u0.astype(complex) + ws[0] * b_shift[0]
+    wb = ws[:, None] * b_shift  # the weighted sources w_j b_j
+    z0 = u0.astype(complex) + wb[0]
 
-    chunk = max(1, LCHS_CHUNK_BYTES // (16 * n * n))
+    # a node holds its eigenvectors and, for a constant A, its source table
+    chunk = max(1, LCHS_CHUNK_BYTES // (16 * n * (n if time_dep else n + cfg.substeps + 1)))
     acc = np.zeros(n, dtype=complex)
     n_exp = 0
     for lo in range(0, cfg.nodes, chunk):
         kc = ks[lo : lo + chunk, None, None]
-        z = np.repeat(z0[None, :, None], len(kc), axis=0)  # (nodes, n, 1)
-        for j in range(cfg.substeps):
-            if time_dep or j == 0:
+        if time_dep:
+            z = np.repeat(z0[None, :, None], len(kc), axis=0)  # (nodes, n, 1)
+            for j in range(cfg.substeps):
                 w, V = np.linalg.eigh(kc * Ls[j] + Hs[j])
                 phase = np.exp(-1j * dt * w)[..., None]
                 Vh = V.conj().swapaxes(-1, -2)
-                n_exp += len(kc)
-            z = V @ (phase * (Vh @ z))
-            z += ws[j + 1] * b_shift[j + 1][:, None]
-        acc += (wk[lo : lo + chunk] * gk[lo : lo + chunk]) @ z[..., 0]
+                z = V @ (phase * (Vh @ z))
+                z += wb[j + 1][:, None]
+            z = z[..., 0]
+        else:
+            w, V = np.linalg.eigh(kc * Ls[0] + Hs[0])
+            phase = np.exp(-1j * dt * w)
+            src = wb @ V.conj()  # (nodes, substeps + 1, n): V^H w_j b_j
+            y = z0 @ V.conj()  # (nodes, n): V^H z0
+            for j in range(1, cfg.substeps + 1):
+                y *= phase
+                y += src[:, j]
+            z = (V @ y[..., None])[..., 0]
+        n_exp += len(kc) * len(Ls)
+        acc += (wk[lo : lo + chunk] * gk[lo : lo + chunk]) @ z
 
     u = np.exp(mu * T) * acc
-    if not np.iscomplexobj(u0) and all(np.all(a.imag == 0.0) for a in [*A_mid, *b_shift]):
+    if not np.iscomplexobj(u0) and np.all(A_mid.imag == 0.0) and np.all(b_shift.imag == 0.0):
         u = u.real
     return LchsResult(u=u, shift=mu, n_exponentials=n_exp, kernel_mass=float(np.sum(wk * gk)))
 

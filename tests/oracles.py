@@ -22,7 +22,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.optimize import brentq
 from scipy.special import expit
 
-from carlift import carleman
+from carlift import carleman, solve
 from carlift.carleman import LiftedState, Qcm, UnipcQcmSet
 from carlift.model import (
     SIGMA_TAYLOR_DEGREE,
@@ -39,6 +39,7 @@ from carlift.model import (
 )
 from carlift.reference import SolverRun, dpm_weights, step_polynomials_dpm, uni_weights
 from carlift.schedule import NoiseSchedule, exp_taylor_tail
+from carlift.solve import SHIFT_EPS, LchsConfig, LchsResult
 from carlift.system import LANCZOS_MAX_ITER, StepMatrix
 
 
@@ -160,6 +161,84 @@ def rk4_lists_per_stage(y: list, f: list, c: list, rows: list, cnt: int, ht: flo
         y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
              for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
     return y
+
+
+def rk4_horner_per_coefficient(y, f: list, c: list, rows: list, cnt: int, ht: float):
+    """``cnt`` substeps of :func:`carlift.reference._rk4_horner` as it stood
+    before its lowest four Horner terms were written out: ``rows`` are
+    :func:`carlift.reference._eps_rows`, and each stage folds every
+    coefficient of its row in one loop from 0.0."""
+    half, sixth = 0.5 * ht, ht / 6.0
+    for i in range(0, 2 * cnt, 2):
+        e = 0.0
+        for cj in rows[i]:
+            e = e * y + cj
+        k1 = f[i] * y + c[i] * e
+        z, e = y + half * k1, 0.0
+        for cj in rows[i + 1]:
+            e = e * z + cj
+        k2 = f[i + 1] * z + c[i + 1] * e
+        z, e = y + half * k2, 0.0
+        for cj in rows[i + 1]:
+            e = e * z + cj
+        k3 = f[i + 1] * z + c[i + 1] * e
+        z, e = y + ht * k3, 0.0
+        for cj in rows[i + 2]:
+            e = e * z + cj
+        k4 = f[i + 2] * z + c[i + 2] * e
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+def lchs_per_substep(A_fun, b_fun, u0, T: float, cfg: LchsConfig) -> LchsResult:
+    """:func:`carlift.solve.lchs_solve` as it stood before a constant
+    generator's walk stayed in its eigen-coordinates: A(t) and b(t) held
+    as lists of arrays, time dependence found by comparing each substep's
+    A with the first, and every substep, constant A or not, applying V^H,
+    the phases and V to each node's vector, over chunks of
+    ``solve.LCHS_CHUNK_BYTES // (16 n^2)`` nodes."""
+    u0 = np.asarray(u0)
+    n = len(u0)
+    dt = T / cfg.substeps
+    mids = (np.arange(cfg.substeps) + 0.5) * dt
+    A_mid = [np.asarray(A_fun(t), dtype=complex) for t in mids]
+    time_dep = any(not np.array_equal(A_mid[0], Aj) for Aj in A_mid[1:])
+    A_gen = np.stack(A_mid if time_dep else A_mid[:1])
+    A_adj = A_gen.conj().swapaxes(-1, -2)
+    Ls = (A_gen + A_adj) / 2.0
+    Hs = (A_gen - A_adj) / 2.0j
+    mu = max(0.0, -float(np.linalg.eigvalsh(Ls)[:, 0].min())) + SHIFT_EPS
+    Ls = Ls + mu * np.eye(n)
+    ks = np.linspace(-cfg.K, cfg.K, cfg.nodes)
+    wk = np.full(cfg.nodes, ks[1] - ks[0])
+    wk[0] *= 0.5
+    wk[-1] *= 0.5
+    gk = 1.0 / (np.pi * (1.0 + ks**2))
+    bounds = np.arange(cfg.substeps + 1) * dt
+    b_shift = [np.exp(-mu * t) * np.asarray(b_fun(t), dtype=complex) for t in bounds]
+    ws = np.full(cfg.substeps + 1, dt)
+    ws[0] *= 0.5
+    ws[-1] *= 0.5
+    z0 = u0.astype(complex) + ws[0] * b_shift[0]
+    chunk = max(1, solve.LCHS_CHUNK_BYTES // (16 * n * n))
+    acc = np.zeros(n, dtype=complex)
+    n_exp = 0
+    for lo in range(0, cfg.nodes, chunk):
+        kc = ks[lo : lo + chunk, None, None]
+        z = np.repeat(z0[None, :, None], len(kc), axis=0)  # (nodes, n, 1)
+        for j in range(cfg.substeps):
+            if time_dep or j == 0:
+                w, V = np.linalg.eigh(kc * Ls[j] + Hs[j])
+                phase = np.exp(-1j * dt * w)[..., None]
+                Vh = V.conj().swapaxes(-1, -2)
+                n_exp += len(kc)
+            z = V @ (phase * (Vh @ z))
+            z += ws[j + 1] * b_shift[j + 1][:, None]
+        acc += (wk[lo : lo + chunk] * gk[lo : lo + chunk]) @ z[..., 0]
+    u = np.exp(mu * T) * acc
+    if not np.iscomplexobj(u0) and all(np.all(a.imag == 0.0) for a in [*A_mid, *b_shift]):
+        u = u.real
+    return LchsResult(u=u, shift=mu, n_exponentials=n_exp, kernel_mass=float(np.sum(wk * gk)))
 
 
 def jacobian_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:

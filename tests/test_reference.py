@@ -19,7 +19,8 @@ from carlift.errors import ConvergenceError
 from carlift.reference import dpm_weights, rk4_oracle, run_dpm, run_unipc, uni_weights
 from carlift.schedule import TimeGrid, exp_taylor_tail, make_lambda_grid, make_vp_schedule
 from oracles import (alpha_from_lam, apply_weights, dlam_dt, dpm_weights_per_width, dx_dlambda, eval_eps,
-                     eval_tabulated, phi_moment, rk4_lists_per_stage, run_dpm_arrays, run_unipc_arrays,
+                     eval_tabulated, phi_moment, rk4_horner_per_coefficient, rk4_lists_per_stage,
+                     run_dpm_arrays, run_unipc_arrays,
                      taylor_integral, taylor_walk_arrays, uni_coeffs, uni_weights_per_system)
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
@@ -418,12 +419,13 @@ def rk4_per_substep(s, m, x_T, substeps, times):
 
 @st.composite
 def oracle_models(draw, kinds=("scalar", "separable", "kron", "kron_lam")):
-    """(model, lam-dependent kron blocks?) over scalar, separable d <= 3 and
-    kron d <= 4 (degree <= 2 at d >= 3), or over ``kinds`` of them; a
-    kron_lam model draws lam dependence per block."""
+    """(model, lam-dependent kron blocks?) over scalar and separable d <= 3
+    of degree <= 6, and kron d <= 4 of degree <= 3 (<= 2 at d >= 3), or
+    over ``kinds`` of them; a kron_lam model draws lam dependence per
+    block."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(kinds))
-    J = draw(st.integers(0, 3))
+    J = draw(st.integers(0, 6 if kind in ("scalar", "separable") else 3))
     if kind == "scalar":
         return scalar_model(0.2 * rng.normal(size=(J + 1, draw(st.integers(1, 3))))), False
     if kind == "separable":
@@ -514,6 +516,64 @@ def test_kron_rk4_stages_keep_the_per_stage_loops_bits(chunk):
     # arithmetic picks, which its specialising interpreter changes once
     # the code is warm, so only the numbers' signs are compared
     num = ~np.isnan(expected)
+    assert np.array_equal(np.signbit(got[num]), np.signbit(expected[num]))
+
+
+@st.composite
+def separable_chunks(draw):
+    """The arguments of one ``reference._rk4_horner`` call, drawn as
+    :func:`kron_chunks` draws the kron stage's, with the model and tables
+    in place of the rows: a separable model with d = 1 (a float state) or
+    d = 2..3 (an array state), of x-degree 0..6, so that rows fall on both
+    sides of the four written-out terms, and lam-dependent or not; its
+    tables at drawn log-SNRs with some coefficients made zeros of either
+    sign, each time its own row or all reading the first time's one row,
+    as a lam-independent model's do; and a state and schedule floats of
+    any sign, zeros among them, the state possibly infinite."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, J, L = draw(st.integers(1, 3)), draw(st.integers(0, 6)), draw(st.integers(1, 3))
+    m = separable_model(rng.normal(size=(d, J + 1, L)))
+    cnt = draw(st.integers(1, 4))
+    times = 2 * cnt + 1
+    lams = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=times, max_size=times)))
+    zero = draw(st.sampled_from([0.0, 0.5, 1.0]))  # the share of coefficients made zero
+    tables = [np.where(rng.random(t.shape) < zero, rng.choice([0.0, -0.0], t.shape), t)
+              for t in _eps_tables(m, lams)]
+    value = st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0])
+    y = draw(st.lists(value | st.sampled_from([np.inf, -np.inf]), min_size=d, max_size=d))
+    f, c = (draw(st.lists(value, min_size=times, max_size=times)) for _ in range(2))
+    ht = draw(st.floats(0.1, 1.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    return y[0] if d == 1 else np.array(y), f, c, m, tables, draw(st.booleans()), cnt, ht
+
+
+def one_coordinate_chunk(coeffs, y, shared):
+    """A separable_chunks draw for the model with one coordinate and these
+    coefficients (lowest degree first) at state y, over one substep."""
+    m = scalar_model(np.array(coeffs, dtype=float)[:, None])
+    return y, [1.0] * 3, [1.0] * 3, m, _eps_tables(m, np.zeros(3)), shared, 1, 0.5
+
+
+@PROPERTY
+@given(chunk=separable_chunks())
+# an infinite state, whose stages are NaN only through the leading 0.0 z
+@example(chunk=one_coordinate_chunk([1.0, 1.0, 1.0, 1.0], np.inf, False))
+@example(chunk=one_coordinate_chunk([1.0, 1.0, 1.0, 1.0], np.inf, True))
+# degree 4: one coefficient above the written-out four
+@example(chunk=one_coordinate_chunk([0.3, -0.2, 0.1, 0.05, -0.01], 1.5, False))
+@example(chunk=one_coordinate_chunk([0.3, -0.2, 0.1, 0.05, -0.01], 1.5, True))
+# degree 1: two leading +0.0 terms, and -0.0 coefficients on an array state
+@example(chunk=(np.array([-0.0, 0.0]), [-1.5] * 3, [1.5] * 3, separable_model(np.zeros((2, 2, 1))),
+                [np.full((3, 2, 1), -0.0)] * 2, False, 1, 0.1))
+def test_separable_rk4_stages_keep_the_per_coefficient_loops_bits(chunk):
+    y, f, c, m, tables, shared, cnt, ht = chunk
+    rows, expected_rows = reference._stage_rows(m, tables), reference._eps_rows(m, tables)
+    if shared:
+        rows, expected_rows = rows[:1], expected_rows[:1] * len(expected_rows)
+    with np.errstate(all="ignore"):
+        got = np.atleast_1d(reference._rk4_horner(y, f, c, rows, cnt, ht))
+        expected = np.atleast_1d(rk4_horner_per_coefficient(y, f, c, expected_rows, cnt, ht))
+    assert np.array_equal(got, expected, equal_nan=True)
+    num = ~np.isnan(expected)  # as in the kron stage test, only the numbers' signs
     assert np.array_equal(np.signbit(got[num]), np.signbit(expected[num]))
 
 

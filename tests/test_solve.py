@@ -24,6 +24,7 @@ from carlift.solve import (
     qlss_cost_model,
 )
 from carlift.system import BlockLinearSystem, StepMatrix, TrajectoryOperator, assemble_global_dpm
+from oracles import lchs_per_substep
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
 
@@ -394,8 +395,10 @@ def test_lchs_matches_per_node_suffix_products_on_random_systems(
     seed, n, complex_inputs, time_dep, with_b, nodes, substeps, K, T, chunk_nodes
 ):
     """Non-normal A, real or complex, constant or linear in t, with or
-    without a source; chunk_nodes None keeps all nodes in one chunk, an
-    integer caps a chunk at that many nodes (several chunks below nodes)."""
+    without a source; chunk_nodes None keeps all nodes of a time-dependent
+    A in one chunk, an integer caps such a chunk at that many nodes
+    (several chunks below nodes).  A constant A's nodes also hold a source
+    table, so its chunks are smaller still."""
     rng = np.random.default_rng(seed)
 
     def draw(*shape):
@@ -424,6 +427,73 @@ def test_lchs_matches_per_node_suffix_products_on_random_systems(
     assert np.linalg.norm(res.u - expected) <= 1e-13 * scale
     assert res.n_exponentials == n_exp == nodes * (substeps if time_dep and substeps > 1 else 1)
     assert np.iscomplexobj(res.u) == complex_inputs
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    complex_inputs=st.booleans(),
+    time_dep=st.booleans(),
+    with_b=st.booleans(),
+    nodes=st.integers(3, 40),
+    substeps=st.integers(1, 12),
+    K=st.floats(0.5, 64.0),
+    T=st.floats(0.1, 2.0),
+    chunk_bytes=st.one_of(st.none(), st.integers(1, 8192)),
+)
+def test_lchs_walk_equals_the_per_substep_propagator_walk(
+    seed, n, complex_inputs, time_dep, with_b, nodes, substeps, K, T, chunk_bytes
+):
+    """A non-normal A whose L needs the stability shift at t = 0, constant
+    or linear in t, with a zero or a nonzero source, over one chunk or
+    several: a constant generator's walk in its eigen-coordinates agrees
+    with the per-substep propagator walk to 1e-13, and a time-dependent
+    one is that walk, bit for bit."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if complex_inputs else x
+
+    A0, A1 = draw(n, n), draw(n, n)
+    # lambda_min of L(0) = (A0 + A0^H)/2 moved to -delta < 0
+    A0 -= (np.linalg.eigvalsh((A0 + A0.conj().T) / 2.0)[0] + rng.uniform(0.1, 1.0)) * np.eye(n)
+    b0, b1, u0 = draw(n), draw(n), draw(n)
+
+    def A_fun(t):
+        return A0 + t * A1 if time_dep else A0
+
+    def b_fun(t):
+        return b0 + np.sin(t) * b1 if with_b else np.zeros(n)
+
+    cfg = LchsConfig(K=K, nodes=nodes, substeps=substeps)
+    cap = solve.LCHS_CHUNK_BYTES if chunk_bytes is None else chunk_bytes
+    with mock.patch.object(solve, "LCHS_CHUNK_BYTES", cap):
+        res = lchs_solve(A_fun, b_fun, u0, T, cfg)
+        ref = lchs_per_substep(A_fun, b_fun, u0, T, cfg)
+    assert (res.n_exponentials, res.shift, res.kernel_mass) == (
+        ref.n_exponentials, ref.shift, ref.kernel_mass)
+    assert res.shift > SHIFT_EPS or time_dep
+    assert np.iscomplexobj(res.u) == np.iscomplexobj(ref.u) == complex_inputs
+    if time_dep and substeps > 1:
+        assert np.array_equal(res.u, ref.u)
+    else:
+        assert np.linalg.norm(res.u - ref.u) <= 1e-13 * np.linalg.norm(ref.u)
+
+
+@pytest.mark.parametrize("A_at, time_dep", [
+    # +0.0 and -0.0 compare equal, as np.array_equal has them
+    (lambda t: np.array([[2.0, 0.0 if t < 0.5 else -0.0], [0.0, 3.0]]), False),
+    # one substep's generator differs: the last, or the first
+    (lambda t: np.array([[2.0, 1.0], [1.0, 3.0 + (t > 0.9)]]), True),
+    (lambda t: np.array([[2.0, 1.0 + (t < 0.1)], [1.0, 3.0]]), True),
+], ids=["signed_zeros", "last_substep", "first_substep"])
+def test_lchs_finds_time_dependence_as_array_equal_does(A_at, time_dep):
+    cfg = LchsConfig(nodes=5, substeps=8)
+    res = lchs_solve(A_at, zero_source, U0, 1.0, cfg)
+    ref = lchs_per_substep(A_at, zero_source, U0, 1.0, cfg)
+    assert res.n_exponentials == ref.n_exponentials == 5 * (8 if time_dep else 1)
 
 
 def test_lchs_validation():
