@@ -330,9 +330,9 @@ def assemble_unipc_qcms(
     already-computed lifted state.  At p = 1 the predictor degenerates
     to the order-1 lifted step of :func:`assemble_dpm_qcms` exactly.
     The weights of all K = M - p + 1 predictor and K corrector steps come
-    as two tables from :func:`carlift.reference.uni_weights`, eps as one
-    table over the grid.  The anchor row of a step carries c[0] E at the
-    anchor and every node's constant term; its K or 2K maps are lifted
+    as two tables from one :func:`carlift.reference.uni_weights` call, eps
+    as one table over the grid.  The anchor row of a step carries c[0] E
+    at the anchor and every node's constant term; its K or 2K maps are lifted
     together by :func:`_poly_to_update`.  Each other node's term is a
     block-row-1 matrix, all of them from the one eps table and written
     slot by slot, so that a slot's matrices over the steps are
@@ -347,11 +347,10 @@ def assemble_unipc_qcms(
     _check_model_basis(m, basis)
     (eps,) = _derivative_tower(s, m, 1, grid.lam)
     E = _degree_blocks(eps)
-    ratio, c = uni_weights(s, grid.lam, p, variant)
+    ratio, c, *corr_c = uni_weights(s, grid.lam, p, variant, corrector)
     K = len(ratio)
     if corrector:  # steps K..2K-1 correct; the predictor puts no weight on the target
-        corr_ratio, corr_c = uni_weights(s, grid.lam, p, variant, corrector=True)
-        ratio, c = np.concatenate([ratio, corr_ratio]), np.concatenate([np.pad(c, ((0, 0), (0, 1))), corr_c])
+        ratio, c = np.tile(ratio, 2), np.concatenate([np.pad(c, ((0, 0), (0, 1))), *corr_c])
     nodes = np.tile(np.arange(K), 1 + corrector)[:, None] + np.arange(c.shape[1])  # each weight's node
     terms = [(c[:, 0], {q: B[nodes[:, 0]] for q, B in E.items()})]
     terms += [(c[:, mm], {0: E[0][nodes[:, mm]]}) for mm in range(1, c.shape[1]) if 0 in E]

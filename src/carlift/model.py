@@ -40,8 +40,10 @@ keeps each as one table over the run's steps.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -300,6 +302,7 @@ def _sigma_recurrences() -> tuple[np.ndarray, np.ndarray]:
 
 
 _SIGMA_POLYS, _FACTORIALS = _sigma_recurrences()
+_SIGMA_HORNER = [_SIGMA_POLYS[..., -i, None] for i in range(2, _SIGMA_POLYS.shape[-1] + 1)]
 
 
 def _sigma_lambda_polys(s: NoiseSchedule, lams: np.ndarray):
@@ -307,23 +310,25 @@ def _sigma_lambda_polys(s: NoiseSchedule, lams: np.ndarray):
 
     The Taylor coefficients at each lam_c in ``lams`` (1-d) are
     sigma0 S_n(q0) / n! and R_n(q0) / n! (see :func:`_sigma_recurrences`),
-    re-expressed in the absolute lam basis.  Returns (s1, s2), the
+    re-expressed in the absolute lam basis: the powers (lam - lam_c)^n
+    by the recurrence that multiplies by lam - lam_c, each coefficient
+    the sum of its terms n ascending, from +0.0.  Returns (s1, s2), the
     coefficients of sigma_lam and sigma_lam^2, one row per lam_c.
     """
     q0 = expit(-2.0 * lams)
     taylor = _SIGMA_POLYS[..., -1, None] + q0 * 0  # Horner in q0, as npoly.polyval
-    for i in range(2, _SIGMA_POLYS.shape[-1] + 1):
-        taylor = _SIGMA_POLYS[..., -i, None] + taylor * q0
+    for coef in _SIGMA_HORNER:
+        taylor *= q0
+        taylor += coef
     taylor[0] *= np.sqrt(q0)
-    taylor = (taylor / _FACTORIALS[:, None]).transpose(0, 2, 1)
-    out = np.zeros_like(taylor)
-    pw = np.zeros_like(taylor)  # (lam - lam_c)^n
-    pw[..., 0] = 1.0
-    for n in range(SIGMA_TAYLOR_DEGREE + 1):
-        out += taylor[..., n, None] * pw
-        shifted = pw * -lams[:, None]
-        shifted[..., 1:] += pw[..., :-1]
-        pw = shifted
+    taylor /= _FACTORIALS[:, None]
+    pw = np.zeros((SIGMA_TAYLOR_DEGREE + 1, len(lams), SIGMA_TAYLOR_DEGREE + 1))  # (lam - lam_c)^n
+    pw[0, :, 0] = 1.0
+    for n in range(1, SIGMA_TAYLOR_DEGREE + 1):
+        np.multiply(pw[n - 1], -lams[:, None], out=pw[n])
+        pw[n, :, 1:] += pw[n - 1, :, :-1]
+    # the sum over n in order; + 0.0 gives a zero sum the sign of one from +0.0
+    out = np.add.reduce(taylor[..., None] * pw, axis=1) + 0.0
     return out[0], out[1]
 
 
@@ -422,75 +427,186 @@ def _drift_spectra(s: NoiseSchedule, m: PolyNoiseModel, states: np.ndarray, time
 # --- total lambda-derivative ------------------------------------------------
 
 
-def _padded_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a + b, each zero-padded at the end of every axis to the larger shape."""
-    out = np.zeros(np.maximum(a.shape, b.shape))
-    out[tuple(map(slice, a.shape))] += a
-    out[tuple(map(slice, b.shape))] += b
+class _Velocity(NamedTuple):
+    """dx/dlam as the derivative passes read it, built once per tower.
+
+    ``blocks`` (..., Y, n, B) holds the velocity's monomial blocks side by
+    side, degrees ascending: degree q's (..., Lv, n, n_q) block in columns
+    lo:hi of each (q, Lv, lo, hi) in ``spans``, zero past its lam length
+    Lv.  A degree that is zero everywhere has no span; ``top`` is the
+    highest degree built.  ``const`` is degree 0's block on its own and
+    contiguous when there are n > 1 variables: einsum sums a degree-1
+    block's products with it over i in another order when it is read as a
+    column of ``blocks``, so that one product is taken against it alone.
+    """
+
+    blocks: np.ndarray
+    spans: tuple
+    top: int
+    const: object
+
+
+def _velocity_kron(blocks0: list[np.ndarray], s1, s2, n: int) -> _Velocity:
+    """dx/dlam = sigma^2 x - sigma eps from the undifferentiated model's
+    blocks (..., L, n, n_q) in n variables: sigma eps over its nonzero
+    degrees side by side, one pass per power of lam in the model, then
+    sigma^2 x added into degree 1.  Leading axes (one per expansion point
+    and one per group) broadcast.  Each entry subtracts its terms in the
+    order of each degree's own convolution, s1's powers ascending; a
+    shorter lam axis's zero padding only subtracts +0.0 and -0.0 from a
+    sum that started at +0.0."""
+    given = [q for q, cq in enumerate(blocks0) if cq.any()]
+    degrees = sorted({1, *given})
+    Ls = s1.shape[-1]
+    lens = [blocks0[q].shape[-3] + Ls - 1 if q in given else Ls for q in degrees]
+    L = max(lens) - Ls + 1
+    stack = np.concatenate([_pad_lam(blocks0[q], L) if q in given else np.zeros(blocks0[0].shape[:-3] + (L, n, n))
+                            for q in degrees], axis=-1)
+    bounds = [0, *itertools.accumulate(n if q == 1 else blocks0[q].shape[-1] for q in degrees)]
+    lead = tuple(map(max, stack.shape[:-3], s1.shape[:-1]))  # both of the points and groups, or neither
+    v = np.zeros(lead + (max(lens), n, bounds[-1]))
+    if given:
+        s1 = s1[..., None, None]
+        for l1 in reversed(range(L)):  # entry l meets s1's powers l - l1 ascending
+            v[..., l1 : l1 + Ls, :, :] -= s1 * stack[..., l1 : l1 + 1, :, :]
+    one = bounds[degrees.index(1)]
+    s2x = s2[..., None, None] * np.eye(n)
+    if 1 in given:
+        v[..., :Ls, :, one : one + n] += s2x
+    else:
+        v[..., :Ls, :, one : one + n] = s2x
+    nonzero = v.any(axis=tuple(range(v.ndim - 1))).tolist()
+    spans = tuple((q, Lv, lo, hi) for q, Lv, lo, hi in zip(degrees, lens, bounds, bounds[1:])
+                  if any(nonzero[lo:hi]))
+    const = None
+    if n > 1 and spans[0][0] == 0:
+        _, Lv, lo, hi = spans[0]
+        const = np.ascontiguousarray(v[..., :Lv, :, lo:hi])
+    return _Velocity(blocks=v, spans=spans, top=degrees[-1], const=const)
+
+
+def _pad_lam(block: np.ndarray, L: int) -> np.ndarray:
+    """``block`` (..., L0, n, m) zero-padded to lam length L."""
+    if block.shape[-3] == L:
+        return block
+    out = np.zeros(block.shape[:-3] + (L,) + block.shape[-2:])
+    out[..., : block.shape[-3], :, :] = block
     return out
 
 
-def _velocity_kron(blocks0: list[np.ndarray], s1, s2, d: int) -> dict[int, np.ndarray]:
-    """dx/dlam = sigma^2 x - sigma eps as lam-polynomial monomial blocks
-    keyed by x-degree, built once from the undifferentiated model.  Here
-    and below, leading axes (one per expansion point) are carried through."""
-    v: dict[int, np.ndarray] = {1: s2[..., None, None] * np.eye(d)}
-    for q, cq in enumerate(blocks0):
-        if np.any(cq):  # sigma eps: each block's lam axis convolved with s1's
-            contrib = np.zeros(cq.shape[:-3] + (cq.shape[-3] + s1.shape[-1] - 1,) + cq.shape[-2:])
-            for l2 in range(s1.shape[-1]):
-                contrib[..., l2 : l2 + cq.shape[-3], :, :] -= s1[..., l2, None, None, None] * cq
-            v[q] = _padded_sum(v[q], contrib) if q in v else contrib
-    return v
+def _pass_bins(n: int, N: int, j: int, Lc: int, group: tuple, lens: tuple):
+    """One point's bins for the products of a degree-j block (lam length
+    Lc) with the velocity spans ``group``, laid out (x, y, r, a, b) as
+    :func:`_deriv_once_kron` takes them, on the run of degrees the group
+    reaches, each (lam length in ``lens``, n, n_t) as in the pass's output:
+    product (x, y, r, a, b) of span q lands at lam power x + y, row r and
+    the degree-(j-1+q) monomial of a b, and one past its span's lam length
+    in the last bin.  Returns the flat index, the bins and the (start,
+    stop) bins of each stretch of degrees that a product reaches; shared,
+    so read-only."""
+    mono, Y, first = _monomials(n, N), max(Lv for _, Lv, _, _ in group), j - 1 + group[0][0]
+    size = [mono.start[t + 1] - mono.start[t] for t in range(first, first + len(lens))]
+    at = [0, *itertools.accumulate(l * n * nt for l, nt in zip(lens, size))]
+    below = slice(mono.start[j - 1], mono.start[j])
+    xy = (np.arange(Lc)[:, None] + np.arange(Y))[:, :, None] * n + np.arange(n)
+    base = group[0][2]
+    idx = np.empty((Lc, Y, n, mono.start[j] - mono.start[j - 1], group[-1][3] - base), np.intp)
+    for q, Lv, lo, hi in group:
+        t = j - 1 + q
+        target = mono.products[q].reshape(-1, hi - lo)[below] - mono.start[t]  # (n_{j-1}, n_q)
+        np.add(at[t - first] + xy[..., None, None] * size[t - first], target, out=idx[..., lo - base : hi - base])
+        idx[:, Lv:, ..., lo - base : hi - base] = at[-1]
+    idx = idx.ravel()
+    idx.flags.writeable = False
+    reached = [t - first for t in sorted({j - 1 + q for q, _, _, _ in group})]
+    runs, lo = [], reached[0]
+    for a, b in zip(reached, reached[1:] + [None]):
+        if b != a + 1:
+            runs.append((at[lo], at[a + 1]))
+            lo = b
+    return idx, at[-1] + 1, tuple(runs)
 
 
-def _deriv_once_kron(blocks: list[np.ndarray], v: dict[int, np.ndarray], mono: _Monomials) -> list[np.ndarray]:
-    """D eps = d_lam eps + sum_i (d_i eps) v_i on monomial blocks (..., L, d, n_j).
+# the bins of the passes a tower repeats, each index at most TOWER_CHUNK_BYTES // 64
+# bytes, so the cache holds at most half of TOWER_CHUNK_BYTES
+_cached_bins = functools.lru_cache(maxsize=32)(_pass_bins)
 
-    ``mono`` lists the degrees of the result.  d_i of a degree-j block is a
-    gather through ``mono.deriv[j]``, contracted with coordinate i of each
-    velocity block; one bincount then lands each product of monomials on
-    its monomial through the product table and convolves the lam axes."""
+
+def _pass_groups(v: _Velocity, j: int, per_col: int) -> list:
+    """The velocity operands of a degree-j pass, each with its spans: the
+    spans side by side in one operand, or, where that would hold more than
+    a quarter of TOWER_CHUNK_BYTES of products and bin index per point
+    (``per_col`` bytes a column), in runs of whole spans that keep within
+    it; degree 0 on its own for j = 1 when ``v.const`` is set."""
+    spans, groups, run = list(v.spans), [], []
+    if j == 1 and v.const is not None:
+        groups.append((v.const, (spans.pop(0),)))
+    for span in [*spans, None]:
+        if run and (span is None or (span[3] - run[0][2]) * per_col > TOWER_CHUNK_BYTES // 4):
+            Y = max(Lv for _, Lv, _, _ in run)
+            groups.append((v.blocks[..., :Y, :, run[0][2] : run[-1][3]], tuple(run)))
+            run = []
+        run.append(span)
+    return groups
+
+
+def _deriv_once_kron(blocks: list[np.ndarray], v: _Velocity, mono: _Monomials) -> list[np.ndarray]:
+    """D eps = d_lam eps + sum_i (d_i eps) v_i on monomial blocks (..., L, n, n_j).
+
+    ``mono`` lists the degrees of the result, each a (..., L, n, n_t) view
+    of one zeroed array, L the longest lam length landing there.  d_i of a
+    degree-j block is a gather through ``mono.deriv[j]``; one einsum
+    contracts it with coordinate i of the velocity blocks side by side, and
+    one bincount lands each product of monomials on its monomial through
+    the product table and convolves the lam axes, every (j, q) pair in
+    bins of its own laid out as the result's degrees are (see
+    :func:`_pass_groups` for the passes that take the velocity in
+    groups).  The d/dlam term is written first, and each j's bins are
+    added in one stretch, j ascending: every entry gets its terms in the
+    order of one einsum and bincount per pair added pair by pair into a
+    sum from +0.0, or is the d/dlam term itself where nothing else lands."""
     J = len(blocks) - 1
-    lead, d = blocks[0].shape[:-3], blocks[0].shape[-2]
-    out_deg = max(J, J - 1 + max(v)) if J >= 1 else J
-    out: dict[int, np.ndarray] = {}
-
-    def acc(j: int, block: np.ndarray) -> None:
-        out[j] = _padded_sum(out[j], block) if j in out else block
-
-    # d/dlam term
-    for j, cj in enumerate(blocks):
-        if cj.shape[-3] > 1:
-            acc(j, cj[..., 1:, :, :] * np.arange(1, cj.shape[-3])[:, None, None])
-
-    P = math.prod(lead)
-    for j in range(1, J + 1):
-        if not np.any(blocks[j]):
-            continue
+    lead, n = v.blocks.shape[:-3], blocks[0].shape[-2]
+    P, rows = math.prod(lead), math.prod(lead[1:]) * n
+    top = max(J, J - 1 + v.top) if J >= 1 else J
+    live = [j for j in range(1, J + 1) if blocks[j].any()]
+    # each degree's lam length, and how many terms land there
+    lens = [cj.shape[-3] - 1 for cj in blocks] + [0] * (top - J)
+    landings = [int(L > 0) for L in lens]
+    for j in live:
+        for q, Lv, _, _ in v.spans:
+            lens[j - 1 + q] = max(lens[j - 1 + q], blocks[j].shape[-3] + Lv - 1)
+            landings[j - 1 + q] += 1
+    lens = [max(L, 1) for L in lens]
+    size = [mono.start[t + 1] - mono.start[t] for t in range(top + 1)]
+    at = [0, *itertools.accumulate(L * n * nt for L, nt in zip(lens, size))]
+    flat_out = np.zeros(lead + (at[-1],))
+    out = [flat_out[..., at[t] : at[t + 1]].reshape(lead + (lens[t], n, size[t])) for t in range(top + 1)]
+    for t, cj in enumerate(blocks):
+        if cj.shape[-3] > 1:  # written as it is where nothing else lands, else added to +0.0
+            dt = cj[..., 1:, :, :] * np.arange(1, cj.shape[-3])[:, None, None]
+            out[t][..., : cj.shape[-3] - 1, :, :] = dt if landings[t] == 1 else 0.0 + dt
+    for j in live:
         index, factor = mono.deriv[j]
-        dj = blocks[j][..., index] * factor  # (..., Lc, d, i, n_{j-1})
-        below = slice(mono.start[j - 1], mono.start[j])
-        for q, vq in v.items():
-            if not np.any(vq):
-                continue
-            deg_new, Lc, Lv = j - 1 + q, dj.shape[-4], vq.shape[-3]
-            n_new, Lout = mono.start[deg_new + 1] - mono.start[deg_new], Lc + Lv - 1
-            target = mono.products[q].reshape(-1, vq.shape[-1])[below] - mono.start[deg_new]
+        dj = blocks[j][..., index] * factor  # (..., Lc, n, i, n_{j-1})
+        Lc = dj.shape[-4]
+        for V, group in _pass_groups(v, j, 16 * rows * Lc * v.blocks.shape[-3] * dj.shape[-1]):
+            first = j - 1 + group[0][0]
+            small = 8 * Lc * math.prod(V.shape[-3:]) * dj.shape[-1] <= TOWER_CHUNK_BYTES // 64
+            idx, S, runs = (_cached_bins if small else _pass_bins)(
+                n, len(mono.start) - 2, j, Lc, group, tuple(lens[first : j + group[-1][0]]))
             # the products before their index, so that the ravel's copy never meets it
-            terms = np.einsum("...xria,...yib->...xyrab", dj, vq).ravel()
-            # each product's bin: its point and lam power x + y, then its row and monomial
-            lam_bins = np.arange(P)[:, None] * Lout + (np.arange(Lc)[:, None] + np.arange(Lv)).ravel()
-            lam_bins *= d * n_new
-            flat = np.add.outer(lam_bins.ravel(), (np.arange(d)[:, None, None] * n_new + target).ravel()).ravel()
-            acc(deg_new, np.bincount(flat, terms, P * Lout * d * n_new).reshape(lead + (Lout, d, n_new)))
+            terms = np.einsum("...xria,...yib->...xyrab", dj, V).ravel()
+            flat = np.add.outer(np.arange(0, P * S, S), idx).ravel() if P > 1 else idx
+            binned = np.bincount(flat, terms, P * S).reshape(lead + (S,))
             del terms, flat  # before the next pass builds its own
-
-    filled = [out.get(j, np.zeros(lead + (1, d, mono.start[j + 1] - mono.start[j]))) for j in range(out_deg + 1)]
+            for lo, hi in runs:
+                flat_out[..., at[first] + lo : at[first] + hi] += binned[..., lo:hi]
+            del binned
     # drop trailing all-zero degrees
-    while len(filled) > 1 and not np.any(filled[-1]):
-        filled.pop()
-    return filled
+    while len(out) > 1 and not out[-1].any():
+        out.pop()
+    return out
 
 
 def _tower_levels(s: NoiseSchedule, m: PolyNoiseModel, k: int, lams: np.ndarray):
@@ -501,17 +617,19 @@ def _tower_levels(s: NoiseSchedule, m: PolyNoiseModel, k: int, lams: np.ndarray)
     same m.n_vars variables: a kron model is one group of d coordinates,
     a separable model d groups of one, carried as a second batch axis
     after the points.  sigma_lam, sigma_lam^2 and the velocity are built
-    once for all points, and each derivative is taken from the one before
-    it, once the capacity check has passed the degrees it can reach."""
+    once for all points, the first pass reads the model's blocks broadcast
+    over them, and each derivative is taken from the one before it, once
+    the capacity check has passed the degrees it can reach.  Its callers
+    price the passes with :func:`_tower_chunk` first, which refuses a pass
+    over MAX_TOWER_BYTES before anything is built."""
     if k < 2:
         return
-    _tower_chunk(m, k)  # refuses a point's pass over MAX_TOWER_BYTES before any is built
     C, n, groups = len(lams), m.n_vars, m.d // m.n_vars
-    s1, s2 = (np.repeat(p[:, None], groups, axis=1) for p in _sigma_lambda_polys(s, lams))
-    coeffs = [np.repeat(cj.reshape(len(cj), groups, n, -1).swapaxes(0, 1)[None], C, axis=0)
-              for cj in m.blocks]  # (C, groups, L+1, n, n_j)
+    s1, s2 = (p[:, None] for p in _sigma_lambda_polys(s, lams))  # (C, 1, ...), every group's
+    # (1, groups, L+1, n, n_j): the first pass broadcasts them over the points
+    coeffs = [cj.reshape(len(cj), groups, n, -1).swapaxes(0, 1)[None] for cj in m.blocks]
     v = _velocity_kron(coeffs, s1, s2, n)
-    Jv, Lv = max(v), max(vq.shape[-3] for vq in v.values())
+    Jv, Lv = v.top, v.blocks.shape[-3]
     for _ in range(k - 1):
         J1, L = len(coeffs), max(cj.shape[-3] for cj in coeffs)
         J = J1 + Jv - 2 if J1 > 1 else 0
@@ -529,7 +647,8 @@ def _center_tables(level, lams: np.ndarray) -> list:
     point's lam powers, formed once for the level, with its block, which
     gives every point a single collapse's bits."""
     powers = lams[:, None, None] ** np.arange(max(cj.shape[-3] for cj in level))
-    return [np.broadcast_to(cj[..., 0, :, :], (len(lams),) + cj.shape[-2:]) if cj.shape[-3] == 1
+    return [(cj[:, 0] if cj.ndim == 4 else np.broadcast_to(cj[0], (len(lams),) + cj.shape[-2:]))
+            if cj.shape[-3] == 1
             else np.matmul(np.ascontiguousarray(powers[..., : cj.shape[-3]]),
                            cj.reshape(cj.shape[:-2] + (-1,))
                            ).reshape((len(lams),) + cj.shape[-2:])
@@ -540,19 +659,29 @@ def _tower_chunk(m: PolyNoiseModel, k: int) -> int:
     """Expansion points per chunk: what the last, largest derivative pass
     holds per point, within TOWER_CHUNK_BYTES.  It reads D^{k-2} eps (top
     x-degree a+1, lam length Lc) and builds D^{k-1} eps (top x-degree J+a)
-    with the velocity (lam length Lv), per coordinate on the monomials in
-    m.n_vars variables.  It holds two work arrays (the products of the top
-    input and velocity blocks and their int64 bincount index), the level
-    it builds twice and the level it reads three times.  A chunk never
-    splits one point's pass, so a point over the budget is a chunk of its
-    own; a pass (k >= 2) over MAX_TOWER_BYTES raises CapacityError."""
+    with the velocity (degrees 0..J, lam length Lv), per coordinate on the
+    monomials in m.n_vars variables.  It holds two work arrays, the
+    products of the top input block with the velocity blocks side by side
+    and their int64 bin index, as wide as :func:`_pass_groups` takes them;
+    the level it builds twice (the result and one degree's bins); the
+    level it reads twice (the input and its yielded copy); the gathered
+    top block; and the velocity.  The chunk also holds one point's bin
+    index, from which the work index is built, whether or not
+    :func:`_cached_bins` keeps it.  A chunk never splits one point's
+    pass, so a point over the budget is a chunk of its own; a pass (k >= 2)
+    over MAX_TOWER_BYTES raises CapacityError."""
     L, Lv, J, n = m.lam_degree + 1, m.lam_degree + 1 + SIGMA_TAYLOR_DEGREE, m.x_degree, m.n_vars
     a, Lc = (k - 1) * max(J - 1, 0), L + max(k - 2, 0) * (Lv - 1)
     built, read = math.comb(n + J + a, J + a) * (Lc + Lv - 1), math.comb(n + a + 1, a + 1) * Lc
-    work = math.comb(n + a - 1, a) * math.comb(n + J - 1, J) * Lc * Lv
-    if (nbytes := 8 * m.d * (2 * work + 2 * built + 3 * read)) > MAX_TOWER_BYTES and k >= 2:
-        raise CapacityError(f"one point's derivative pass needs {nbytes} bytes, above {MAX_TOWER_BYTES}")
-    return max(1, TOWER_CHUNK_BYTES // nbytes)
+    per_col, cols = math.comb(n + a - 1, a) * Lc * Lv, math.comb(n + J, J)  # a column's products, per row
+    if 16 * m.d * per_col * cols > TOWER_CHUNK_BYTES // 4:
+        cols = max(TOWER_CHUNK_BYTES // 4 // (16 * m.d * per_col), math.comb(n + J - 1, J))
+    gathered, velocity = n * math.comb(n + a - 1, a) * Lc, math.comb(n + J, J) * Lv
+    nbytes = 8 * m.d * (2 * per_col * cols + 2 * built + 2 * read + gathered + velocity)
+    index = 8 * n * per_col * cols  # one point's bin index, for one group of coordinates
+    if nbytes + index > MAX_TOWER_BYTES and k >= 2:
+        raise CapacityError(f"one point's derivative pass needs {nbytes + index} bytes, above {MAX_TOWER_BYTES}")
+    return max(1, (TOWER_CHUNK_BYTES - index) // nbytes)
 
 
 def _derivative_tower(s: NoiseSchedule, m: PolyNoiseModel, k: int, lams) -> list:
@@ -596,6 +725,7 @@ def total_derivative_poly(s: NoiseSchedule, m: PolyNoiseModel, n: int,
         raise ValueError("need n >= 0")
     if n == 0:
         return m
+    _tower_chunk(m, n + 1)  # refuses a pass over MAX_TOWER_BYTES before any is built
     *_, level = _tower_levels(s, m, n + 1, np.array([float(lam_center)]))
     if m.mode == "kron":
         return PolyNoiseModel(mode=m.mode, d=m.d, coeffs=_unfold([cj[0] for cj in level], m.d))

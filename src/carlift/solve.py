@@ -250,7 +250,9 @@ def lchs_solve(A_fun, b_fun, u0, T: float, cfg: LchsConfig | None = None) -> Lch
     V^H w_{j+1} b_{j+1} elementwise, the sources' table formed once per
     chunk, and z = V y at the end.  ``n_exponentials`` counts the
     propagators built: one per node per distinct generator.  A
-    homogeneous flow takes a zero source.
+    homogeneous flow takes a zero source.  A(t) and b(t) are sampled
+    first, and a non-finite sample raises ValueError, naming the first
+    one, before any eigendecomposition.
     """
     if cfg is None:
         cfg = LchsConfig()
@@ -261,6 +263,13 @@ def lchs_solve(A_fun, b_fun, u0, T: float, cfg: LchsConfig | None = None) -> Lch
     dt = T / cfg.substeps
     mids = (np.arange(cfg.substeps) + 0.5) * dt
     A_mid = np.stack([np.asarray(A_fun(t), dtype=complex) for t in mids])
+    bounds = np.arange(cfg.substeps + 1) * dt
+    b_at = np.stack([np.asarray(b_fun(t), dtype=complex) for t in bounds])
+    for name, samples, times in (("A", A_mid, mids), ("b", b_at, bounds)):
+        finite = np.isfinite(samples).reshape(len(times), -1).all(axis=1)
+        if not finite.all():
+            i = int(finite.argmin())
+            raise ValueError(f"{name}(t) is not finite at t={float(times[i])!r}, its sample {i}")
     time_dep = bool((A_mid[1:] != A_mid[:1]).any())
 
     # one split and shift per distinct generator: Ls[j], Hs[j] for substep j,
@@ -280,8 +289,6 @@ def lchs_solve(A_fun, b_fun, u0, T: float, cfg: LchsConfig | None = None) -> Lch
     wk[-1] *= 0.5
     gk = 1.0 / (np.pi * (1.0 + ks**2))
 
-    bounds = np.arange(cfg.substeps + 1) * dt
-    b_at = np.stack([np.asarray(b_fun(t), dtype=complex) for t in bounds])
     b_shift = np.exp(-mu * bounds)[:, None] * b_at
     ws = np.full(cfg.substeps + 1, dt)
     ws[0] *= 0.5

@@ -25,14 +25,16 @@ from scipy.special import expit
 from carlift import carleman, solve
 from carlift.carleman import LiftedState, Qcm, UnipcQcmSet
 from carlift.model import (
+    _FACTORIALS,
+    _SIGMA_POLYS,
     SIGMA_TAYLOR_DEGREE,
     PolyNoiseModel,
+    _check_capacity,
     _derivative_tower,
     _eps_tables,
     _horner,
     _monomials,
     _monomials_at,
-    _padded_sum,
     _sigma_lambda_polys,
     kron_model,
     separable_model,
@@ -112,18 +114,17 @@ def run_unipc_arrays(s: NoiseSchedule, m: PolyNoiseModel, x_T, grid, p: int, var
     for warm, x in enumerate(taylor_walk_arrays(s, m, x, grid.lam[:p], p), start=1):
         states[warm] = x
     nfe = p * warm
-    pred = uni_weights(s, grid.lam, p, variant)
-    corr = uni_weights(s, grid.lam, p, variant, corrector=True) if corrector else None
+    ratio, pred, *corr = uni_weights(s, grid.lam, p, variant, corrector)
     (table,) = _derivative_tower(s, m, 1, grid.lam)
     eps = [eval_tabulated(m, table, i, states[i]) for i in range(p - 1)]
     for i in range(p, grid.M + 1):
         j = i - p
         eps.append(eval_tabulated(m, table, i - 1, states[i - 1]))
-        xi = apply_weights(pred[0][j], pred[1][j], states[j], eps[j:i])
+        xi = apply_weights(ratio[j], pred[j], states[j], eps[j:i])
         nfe += 1
         if corrector:
             hist = eps[j:i] + [eval_tabulated(m, table, i, xi)]
-            xi = apply_weights(corr[0][j], corr[1][j], states[j], hist)
+            xi = apply_weights(ratio[j], corr[0][j], states[j], hist)
             nfe += 1
         states[i] = xi
     return SolverRun(grid=grid, states=states, nfe=nfe, scheme=("unic" if corrector else "unip") + str(p))
@@ -400,25 +401,30 @@ def dpm_weights_per_width(s: NoiseSchedule, lams, k: int) -> tuple[np.ndarray, n
 
 
 def uni_weights_per_system(s: NoiseSchedule, lams, p: int, variant: str = "bh2",
-                           corrector: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                           corrector: bool = False) -> tuple[np.ndarray, ...]:
     """:func:`carlift.reference.uni_weights` with each step's weights from
-    its own :func:`uni_coeffs` system, solved once per distinct step."""
+    its own :func:`uni_coeffs` system, solved once per distinct step and
+    table: the ratios, the predictor's weights and, with ``corrector``,
+    the corrector's."""
     lams = np.asarray(lams, dtype=float)
     nodes = lams[np.arange(max(len(lams) - p, 0))[:, None] + np.arange(p + 1)]
     r = (nodes[:, 1:] - nodes[:, :1]) / (nodes[:, -1:] - nodes[:, :1])
     sigma = s.sigma_from_lam(nodes[:, -1])
-    solved: dict = {}
-    c = np.empty((len(nodes), p + 1 if corrector else p))
-    for j, (lam_0, lam_p) in enumerate(nodes[:, [0, -1]].tolist()):
-        key = (tuple(r[j]), lam_p - lam_0)
-        if key not in solved:
-            solved[key] = (*uni_coeffs(p, r[j], key[1], variant=variant, corrector=corrector),
-                           exp_taylor_tail(0, key[1]))
-        a, Bh, tail = solved[key]
-        w = float(sigma[j]) * Bh * (a / r[j, : len(a)])
-        c[j, 0] = -float(sigma[j]) * tail + float(w.sum())
-        c[j, 1:] = -w
-    return np.exp(np.diff(s.log_alpha_from_lam(nodes[:, [0, -1]]))[:, 0]), c
+    tables = []
+    for corr in (False, True)[: 1 + corrector]:
+        solved: dict = {}
+        c = np.empty((len(nodes), p + 1 if corr else p))
+        for j, (lam_0, lam_p) in enumerate(nodes[:, [0, -1]].tolist()):
+            key = (tuple(r[j]), lam_p - lam_0)
+            if key not in solved:
+                solved[key] = (*uni_coeffs(p, r[j], key[1], variant=variant, corrector=corr),
+                               exp_taylor_tail(0, key[1]))
+            a, Bh, tail = solved[key]
+            w = float(sigma[j]) * Bh * (a / r[j, : len(a)])
+            c[j, 0] = -float(sigma[j]) * tail + float(w.sum())
+            c[j, 1:] = -w
+        tables.append(c)
+    return np.exp(np.diff(s.log_alpha_from_lam(nodes[:, [0, -1]]))[:, 0]), *tables
 
 
 def t_from_lam_brentq(s: NoiseSchedule, lam_target: float, t_lo: float, t_hi: float) -> float:
@@ -664,6 +670,113 @@ def monomials(x, q: int) -> np.ndarray:
     """The degree-q monomials at x, in the package's order."""
     monos, _ = sorted_monomials(len(x), q)
     return np.array([math.prod(x[i] for i in beta) for beta in monos], dtype=float)
+
+
+def _padded_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b, each zero-padded at the end of every axis to the larger shape."""
+    out = np.zeros(np.maximum(a.shape, b.shape))
+    out[tuple(map(slice, a.shape))] += a
+    out[tuple(map(slice, b.shape))] += b
+    return out
+
+
+# --- the derivative pass one (degree, velocity degree) pair at a time --------
+
+
+def velocity_per_degree(blocks0: list[np.ndarray], s1, s2, d: int) -> dict[int, np.ndarray]:
+    """dx/dlam = sigma^2 x - sigma eps as lam-polynomial monomial blocks
+    keyed by x-degree, each degree's lam axis convolved with s1's on its
+    own; leading axes, one per expansion point, are carried."""
+    v: dict[int, np.ndarray] = {1: s2[..., None, None] * np.eye(d)}
+    for q, cq in enumerate(blocks0):
+        if np.any(cq):  # sigma eps: each block's lam axis convolved with s1's
+            contrib = np.zeros(cq.shape[:-3] + (cq.shape[-3] + s1.shape[-1] - 1,) + cq.shape[-2:])
+            for l2 in range(s1.shape[-1]):
+                contrib[..., l2 : l2 + cq.shape[-3], :, :] -= s1[..., l2, None, None, None] * cq
+            v[q] = _padded_sum(v[q], contrib) if q in v else contrib
+    return v
+
+
+def deriv_once_per_pair(blocks: list[np.ndarray], v: dict[int, np.ndarray], mono) -> list[np.ndarray]:
+    """:func:`carlift.model._deriv_once_kron` one (j, q) pair at a time:
+    per pair an einsum of the gathered degree-j block with velocity block
+    q, an int64 bin index and a bincount, each pair's sum added into its
+    degree with :func:`_padded_sum`, the d/dlam term first."""
+    J = len(blocks) - 1
+    lead, d = blocks[0].shape[:-3], blocks[0].shape[-2]
+    out_deg = max(J, J - 1 + max(v)) if J >= 1 else J
+    out: dict[int, np.ndarray] = {}
+
+    def acc(j: int, block: np.ndarray) -> None:
+        out[j] = _padded_sum(out[j], block) if j in out else block
+
+    for j, cj in enumerate(blocks):
+        if cj.shape[-3] > 1:
+            acc(j, cj[..., 1:, :, :] * np.arange(1, cj.shape[-3])[:, None, None])
+    P = math.prod(lead)
+    for j in range(1, J + 1):
+        if not np.any(blocks[j]):
+            continue
+        index, factor = mono.deriv[j]
+        dj = blocks[j][..., index] * factor  # (..., Lc, d, i, n_{j-1})
+        below = slice(mono.start[j - 1], mono.start[j])
+        for q, vq in v.items():
+            if not np.any(vq):
+                continue
+            deg_new, Lc, Lv = j - 1 + q, dj.shape[-4], vq.shape[-3]
+            n_new, Lout = mono.start[deg_new + 1] - mono.start[deg_new], Lc + Lv - 1
+            target = mono.products[q].reshape(-1, vq.shape[-1])[below] - mono.start[deg_new]
+            terms = np.einsum("...xria,...yib->...xyrab", dj, vq).ravel()
+            lam_bins = np.arange(P)[:, None] * Lout + (np.arange(Lc)[:, None] + np.arange(Lv)).ravel()
+            lam_bins *= d * n_new
+            flat = np.add.outer(lam_bins.ravel(), (np.arange(d)[:, None, None] * n_new + target).ravel()).ravel()
+            acc(deg_new, np.bincount(flat, terms, P * Lout * d * n_new).reshape(lead + (Lout, d, n_new)))
+    filled = [out.get(j, np.zeros(lead + (1, d, mono.start[j + 1] - mono.start[j]))) for j in range(out_deg + 1)]
+    while len(filled) > 1 and not np.any(filled[-1]):
+        filled.pop()
+    return filled
+
+
+def sigma_lambda_polys_per_power(s: NoiseSchedule, lams: np.ndarray):
+    """:func:`carlift.model._sigma_lambda_polys` with (lam - lam_c)^n
+    carried for sigma and sigma^2 apart and each power added into the
+    result as it is formed, from +0.0."""
+    q0 = expit(-2.0 * lams)
+    taylor = _SIGMA_POLYS[..., -1, None] + q0 * 0
+    for i in range(2, _SIGMA_POLYS.shape[-1] + 1):
+        taylor = _SIGMA_POLYS[..., -i, None] + taylor * q0
+    taylor[0] *= np.sqrt(q0)
+    taylor = (taylor / _FACTORIALS[:, None]).transpose(0, 2, 1)
+    out = np.zeros_like(taylor)
+    pw = np.zeros_like(taylor)
+    pw[..., 0] = 1.0
+    for n in range(SIGMA_TAYLOR_DEGREE + 1):
+        out += taylor[..., n, None] * pw
+        shifted = pw * -lams[:, None]
+        shifted[..., 1:] += pw[..., :-1]
+        pw = shifted
+    return out[0], out[1]
+
+
+def tower_levels_per_pair(s: NoiseSchedule, m: PolyNoiseModel, k: int, lams: np.ndarray):
+    """:func:`carlift.model._tower_levels` on
+    :func:`sigma_lambda_polys_per_power`, :func:`velocity_per_degree` and
+    :func:`deriv_once_per_pair`, the model's blocks repeated over the
+    points and groups before the velocity is built."""
+    if k < 2:
+        return
+    C, n, groups = len(lams), m.n_vars, m.d // m.n_vars
+    s1, s2 = (np.repeat(p[:, None], groups, axis=1) for p in sigma_lambda_polys_per_power(s, lams))
+    coeffs = [np.repeat(cj.reshape(len(cj), groups, n, -1).swapaxes(0, 1)[None], C, axis=0)
+              for cj in m.blocks]
+    v = velocity_per_degree(coeffs, s1, s2, n)
+    Jv, Lv = max(v), max(vq.shape[-3] for vq in v.values())
+    for _ in range(k - 1):
+        J1, L = len(coeffs), max(cj.shape[-3] for cj in coeffs)
+        J = J1 + Jv - 2 if J1 > 1 else 0
+        _check_capacity(n, J, L + Lv - 2)
+        coeffs = deriv_once_per_pair(coeffs, v, _monomials(n, J))
+        yield [np.ascontiguousarray(cj.swapaxes(1, 2)).reshape(C, cj.shape[2], m.d, -1) for cj in coeffs]
 
 
 def velocity_kron(blocks0: list[np.ndarray], s1, s2, d: int) -> dict[int, np.ndarray]:

@@ -385,14 +385,14 @@ def test_run_too_large_to_lift_exits_3_before_allocating(tmp_path, capsys):
 
 
 def test_derivative_pass_past_the_cap_exits_3(tmp_path, monkeypatch, capsys):
-    # the d=2 degree-2 kron model's order-3 pass is priced at 13 920 bytes
+    # the d=2 degree-2 kron model's order-3 pass is priced at 28 480 bytes
     # a point: a cap one byte lower refuses the dpm3 run before it writes
     # anything but its resolved config
-    monkeypatch.setattr(model, "MAX_TOWER_BYTES", 13920 - 1)
+    monkeypatch.setattr(model, "MAX_TOWER_BYTES", 28480 - 1)
     cfg = {"model": KRON_UNIPC_CFG["model"], "window": KRON_UNIPC_CFG["window"], "simulate": {"order": 3}}
     code, out = run(tmp_path, "simulate", cfg)
     assert code == 3
-    assert "derivative pass needs 13920 bytes" in capsys.readouterr().err
+    assert "derivative pass needs 28480 bytes" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
 
 

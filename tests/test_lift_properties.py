@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carlift import carleman, model
@@ -31,7 +31,9 @@ from carlift.model import (
     _derivative_tower,
     _eps_tables,
     _monomials,
+    _velocity_kron,
     kron_model,
+    scalar_model,
     separable_model,
     total_derivative_poly,
 )
@@ -51,7 +53,6 @@ from oracles import (
     block_row_csr,
     collapse,
     eigsh_top,
-    fold,
     fold_blocks,
     kron_tower,
     lifted_walk,
@@ -61,6 +62,7 @@ from oracles import (
     step_dicts,
     to_dense,
     total_derivative_per_n,
+    tower_levels_per_pair,
     velocity_kron,
 )
 
@@ -348,6 +350,96 @@ def test_an_all_zero_degree_changes_no_derivative_and_no_lift(k):
     assert np.array_equal(*(system.mat.solve(system.rhs) for system in systems))
 
 
+@st.composite
+def signed_zero_models(draw):
+    """A kron (d <= 4) or separable (d <= 8) model of x-degree <= 3 and
+    lam-degree <= 2, a kron block's lam degree drawn per x-degree, with
+    +0.0 and -0.0 coefficients and whole degrees of either zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kron, J = draw(st.booleans()), draw(st.integers(0, 3))
+    d = draw(st.integers(1, 4)) if kron else draw(st.integers(1, 8))
+    zero_degrees = draw(st.sets(st.integers(0, J), max_size=J))
+    zero_frac = draw(st.sampled_from([0.0, 0.3, 1.0]))
+
+    def coefficients(shape):
+        c = rng.standard_normal(shape)
+        zero = rng.uniform(size=shape) < zero_frac
+        c[zero] = np.where(rng.uniform(size=shape) < 0.5, 0.0, -0.0)[zero]
+        return c
+
+    if kron:
+        J = min(J, 2) if d == 4 else J
+        blocks = {j: coefficients((int(rng.integers(1, 4)), d, d**j)) / d**j for j in range(J + 1)}
+        for j in zero_degrees & set(blocks):
+            blocks[j] = np.copysign(np.zeros_like(blocks[j]), rng.uniform(-1.0, 1.0, blocks[j].shape))
+        return kron_model(d, blocks)
+    c = coefficients((d, J + 1, int(rng.integers(1, 4))))
+    for j in zero_degrees:
+        c[:, j] = np.copysign(0.0, rng.uniform(-1.0, 1.0, c[:, j].shape))
+    return separable_model(c)
+
+
+@settings(max_examples=80, deadline=None)
+@example(m=model_preset("cubic"), k=3, C=3, chunk_bytes=model.TOWER_CHUNK_BYTES, seed=0)
+@given(
+    m=signed_zero_models(),
+    k=st.integers(1, 3),
+    C=st.integers(1, 6),
+    chunk_bytes=st.sampled_from([1, 4096, model.TOWER_CHUNK_BYTES]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_derivative_passes_keep_the_bits_of_the_per_pair_pass(m, k, C, chunk_bytes, seed):
+    # one einsum and one bincount per input degree, folded degree by degree,
+    # against one einsum and one bincount per (degree, velocity degree)
+    # pair added with a padded sum: every level's blocks (their lam lengths
+    # too) and every collapsed table, sign bits included, also where the
+    # budget splits the points into chunks and the velocity into groups
+    lams = np.random.default_rng(seed).uniform(-4.0, 5.0, C)
+    with mock.patch.object(model, "TOWER_CHUNK_BYTES", chunk_bytes):
+        levels = list(model._tower_levels(S, m, k, lams))
+        tower = _derivative_tower(S, m, k, lams)
+        with mock.patch.object(model, "_tower_levels", tower_levels_per_pair):
+            want_tower = _derivative_tower(S, m, k, lams)
+    for got, want in [*zip(levels, tower_levels_per_pair(S, m, k, lams), strict=True),
+                      *zip(tower, want_tower, strict=True)]:
+        assert len(got) == len(want)
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+
+
+def test_a_derivative_pass_calls_einsum_and_bincount_once_per_input_degree(monkeypatch):
+    # the pass's shape, not its time: on cubic's blocks, velocities of one,
+    # two and three degrees cost the same einsum and bincount calls, one of
+    # each per nonzero input degree; a kron model's pass likewise
+    calls = {"einsum": 0, "bincount": 0}
+
+    def counted(name):
+        wrapped = getattr(np, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return wrapped(*args, **kwargs)
+
+        return call
+
+    cubic = model_preset("cubic")
+    A1, A2 = [[-0.5, 0.1], [0.05, -0.4]], [[0.02, -0.01, 0.0, 0.03], [0.0, 0.01, 0.02, -0.02]]
+    cases = [(cubic, [scalar_model({(1, 0): 0.2}), model_preset("weak_quadratic"), cubic]),
+             (kron_model(2, {1: A1, 2: A2}), [kron_model(2, {1: A1}), kron_model(2, {1: A1, 2: A2})])]
+    s1, s2 = model._sigma_lambda_polys(S, np.array([0.4]))
+    for m, velocities in cases:
+        blocks = [cj[None, None] for cj in m.blocks]
+        live = sum(cj.any() for cj in m.blocks[1:])
+        for source in velocities:
+            v = _velocity_kron([cj[None, None] for cj in source.blocks], s1[:, None], s2[:, None], m.d)
+            assert len(v.spans) == source.x_degree
+            with monkeypatch.context() as mp:
+                for name in calls:
+                    mp.setattr(np, name, counted(name))
+                    calls[name] = 0
+                _deriv_once_kron(blocks, v, _monomials(m.d, m.x_degree + v.top - 1))
+            assert calls == {"einsum": live, "bincount": live}, (m.mode, source.x_degree)
+
+
 def test_derivative_tower_keeps_to_its_memory_budget():
     # over 128 step starts, a chunk of two or more points holds, besides
     # the tables it returns, no more than TOWER_CHUNK_BYTES; a smaller
@@ -381,7 +473,7 @@ def test_derivative_tower_keeps_to_its_memory_budget():
 
 
 def test_derivative_pass_past_the_cap_is_refused_before_it_is_built(monkeypatch):
-    # a d=2 degree-2 kron model's order-3 pass is priced at 13 920 bytes a
+    # a d=2 degree-2 kron model's order-3 pass is priced at 28 480 bytes a
     # point by _tower_chunk: a cap one byte lower refuses it in the
     # sampler's tower and in total_derivative_poly before sigma is expanded
     # or a pass runs, and eps alone (k = 1) takes no pass; a cap of the
@@ -395,16 +487,16 @@ def test_derivative_pass_past_the_cap_is_refused_before_it_is_built(monkeypatch)
         raise AssertionError("the derivative pass was built before it was priced")
 
     with monkeypatch.context() as mp:
-        mp.setattr(model, "MAX_TOWER_BYTES", 13920 - 1)
+        mp.setattr(model, "MAX_TOWER_BYTES", 28480 - 1)
         mp.setattr(model, "_sigma_lambda_polys", refuse)
         mp.setattr(model, "_deriv_once_kron", refuse)
         for build in (lambda: _derivative_tower(S, m, 3, grid.lam),
                       lambda: total_derivative_poly(S, m, 2, 0.3),
                       lambda: run_dpm(S, m, [0.6, -0.3], grid, k=3)):
-            with pytest.raises(CapacityError, match="pass needs 13920 bytes, above 13919"):
+            with pytest.raises(CapacityError, match="pass needs 28480 bytes, above 28479"):
                 build()
         _derivative_tower(S, m, 1, grid.lam)
-    monkeypatch.setattr(model, "MAX_TOWER_BYTES", 13920)
+    monkeypatch.setattr(model, "MAX_TOWER_BYTES", 28480)
     for level, want in zip(_derivative_tower(S, m, 3, grid.lam), tower, strict=True):
         assert all(np.array_equal(got, table) for got, table in zip(level, want, strict=True))
     total_derivative_poly(S, m, 2, 0.3)
@@ -482,10 +574,11 @@ def test_slot_insertion_derivative_matches_sparse_kron(seed, d, J, L, Lv):
     # sparse-Kronecker derivative
     rng = np.random.default_rng(seed)
     blocks = [rng.standard_normal((L, d, d**j)) for j in range(J + 1)]
-    v = velocity_kron(blocks, rng.standard_normal(Lv), rng.standard_normal(Lv), d)
+    s1, s2 = rng.standard_normal(Lv), rng.standard_normal(Lv)
+    v = velocity_kron(blocks, s1, s2, d)
     top = J - 1 + max(v) if J else 0
-    got = _deriv_once_kron(fold_blocks(blocks, d), {q: fold(vq, d, q) for q, vq in v.items()},
-                           _monomials(d, top))
+    folded = fold_blocks(blocks, d)
+    got = _deriv_once_kron(folded, _velocity_kron(folded, s1, s2, d), _monomials(d, top))
     want = fold_blocks(deriv_once_kron_oracle(blocks, v, d), d)
     assert len(got) == len(want)
     for g, w in zip(got, want):

@@ -97,7 +97,7 @@ def test_uni_weights_satisfy_order_conditions():
             for variant in ("bh1", "bh2"):
                 interior = np.sort(rng.uniform(0.1, 0.9, size=p - 1))
                 lam_nodes = -1.0 + rng.uniform(0.05, 1.5) * np.concatenate([[0.0], interior, [1.0]])
-                (_,), (c,) = uni_weights(S, lam_nodes, p, variant=variant, corrector=corrector)
+                (_,), *_, (c,) = uni_weights(S, lam_nodes, p, variant=variant, corrector=corrector)
                 n_w = p if corrector else p - 1
                 assert c.shape == (n_w + 1,)
                 h = float(lam_nodes[-1] - lam_nodes[0])
@@ -198,7 +198,7 @@ def test_step_weights_match_finite_difference_forms():
                 D = eps[1 : len(a) + 1] - eps[0]
                 old = (ratio_ref * x0 - sig_p * math.expm1(h) * eps[0]
                        - sig_p * Bh * ((a / r[: len(a)])[:, None] * D).sum(axis=0))
-                (ratio,), (c,) = uni_weights(S, lam_nodes, p, variant=variant, corrector=corrector)
+                (ratio,), *_, (c,) = uni_weights(S, lam_nodes, p, variant=variant, corrector=corrector)
                 assert c.shape == (len(eps),)
                 np.testing.assert_allclose(ratio * x0 + c @ eps, old, rtol=1e-13, atol=0.0)
 
@@ -228,7 +228,7 @@ def test_step_weights_where_alpha_underflows_match_a_decimal_reference():
                                        rtol=1e-13, atol=0.0)
         for p in (1, 2, 3):
             for corrector in (False, True):
-                ratio, c = uni_weights(s, grid.lam, p, corrector=corrector)
+                ratio, *_, c = uni_weights(s, grid.lam, p, corrector=corrector)
                 for j in range(grid.M + 1 - p):
                     assert ratio[j] == pytest.approx(float(alpha[j + p] / alpha[j]), rel=1e-13)
                     w = sum(Decimal(float(-v)) for v in c[j, 1:])  # the c[j, m >= 1] are -w_m
@@ -558,6 +558,8 @@ def one_coordinate_chunk(coeffs, y, shared):
 # an infinite state, whose stages are NaN only through the leading 0.0 z
 @example(chunk=one_coordinate_chunk([1.0, 1.0, 1.0, 1.0], np.inf, False))
 @example(chunk=one_coordinate_chunk([1.0, 1.0, 1.0, 1.0], np.inf, True))
+# degree 3, one row for every stage: the loop that binds its zero fold once
+@example(chunk=one_coordinate_chunk([0.3, -0.2, 0.1, 0.05], 1.5, True))
 # degree 4: one coefficient above the written-out four
 @example(chunk=one_coordinate_chunk([0.3, -0.2, 0.1, 0.05, -0.01], 1.5, False))
 @example(chunk=one_coordinate_chunk([0.3, -0.2, 0.1, 0.05, -0.01], 1.5, True))
@@ -709,15 +711,14 @@ def unipc_per_state(s, m, x_T, grid, p, corrector):
     x = np.atleast_1d(np.asarray(x_T, dtype=float))
     states = [x, *taylor_walk_arrays(s, m, x, grid.lam[:p], p)]
     eps = [eval_eps(m, states[i], float(grid.lam[i])) for i in range(p - 1)]
-    pred = uni_weights(s, grid.lam, p)
-    corr = uni_weights(s, grid.lam, p, corrector=True)
+    ratio, pred, corr = uni_weights(s, grid.lam, p, corrector=True)
     for i in range(p, grid.M + 1):
         j = i - p
         eps.append(eval_eps(m, states[i - 1], float(grid.lam[i - 1])))
-        xi = apply_weights(pred[0][j], pred[1][j], states[j], eps[j:i])
+        xi = apply_weights(ratio[j], pred[j], states[j], eps[j:i])
         if corrector:
             hist = eps[j:i] + [eval_eps(m, xi, float(grid.lam[i]))]
-            xi = apply_weights(corr[0][j], corr[1][j], states[j], hist)
+            xi = apply_weights(ratio[j], corr[j], states[j], hist)
         states.append(xi)
     return np.stack(states)
 

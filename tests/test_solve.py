@@ -517,6 +517,29 @@ def test_lchs_validation():
         LchsConfig(substeps=4.5)
 
 
+def test_lchs_refuses_a_non_finite_sample_before_any_eigendecomposition(monkeypatch):
+    # a NaN or inf in A(t) or b(t) used to come back as a NaN u with the
+    # 1e-12 shift: max(0.0, -nan) is 0.0 and nan < -1e-10 is False
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigendecomposition ran on a non-finite sample")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    cfg = LchsConfig(nodes=5, substeps=4)  # A at t = 0.125, 0.375, ...; b at t = 0, 0.25, ...
+    with_nan = np.array([[2.0, np.nan], [1.0, 3.0]])
+    cases = [
+        (lambda t: with_nan, zero_source, r"A\(t\) is not finite at t=0.125, its sample 0"),
+        (lambda t: with_nan if t > 0.5 else CONST_A, zero_source,
+         r"A\(t\) is not finite at t=0.625, its sample 2"),
+        (lambda t: CONST_A, lambda t: np.array([0.0, np.inf if t > 0.3 else 1.0]),
+         r"b\(t\) is not finite at t=0.5, its sample 2"),
+        (lambda t: CONST_A, lambda t: np.array([np.nan, 0.0]), r"b\(t\) is not finite at t=0.0, its sample 0"),
+    ]
+    for A_fun, b_fun, message in cases:
+        with pytest.raises(ValueError, match=message):
+            lchs_solve(A_fun, b_fun, U0, 1.0, cfg)
+
+
 def test_qlss_cost_model_value_and_ratios():
     base = qlss_cost_model(kappa=10.0, eps=1e-3, J=2, p=2, N=64)
     assert base == pytest.approx(2 * 2 * 10.0 * np.log2(64 / 1e-3) ** 2)
