@@ -347,10 +347,10 @@ def assemble_unipc_qcms(
     _check_model_basis(m, basis)
     (eps,) = _derivative_tower(s, m, 1, grid.lam)
     E = _degree_blocks(eps)
-    ratio, c, *corr_c = uni_weights(s, grid.lam, p, variant, corrector)
+    ratio, c, corr_c = uni_weights(s, grid.lam, p, variant, corrector)
     K = len(ratio)
     if corrector:  # steps K..2K-1 correct; the predictor puts no weight on the target
-        ratio, c = np.tile(ratio, 2), np.concatenate([np.pad(c, ((0, 0), (0, 1))), *corr_c])
+        ratio, c = np.tile(ratio, 2), np.concatenate([np.pad(c, ((0, 0), (0, 1))), corr_c])
     nodes = np.tile(np.arange(K), 1 + corrector)[:, None] + np.arange(c.shape[1])  # each weight's node
     terms = [(c[:, 0], {q: B[nodes[:, 0]] for q, B in E.items()})]
     terms += [(c[:, mm], {0: E[0][nodes[:, mm]]}) for mm in range(1, c.shape[1]) if 0 in E]

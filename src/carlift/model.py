@@ -494,42 +494,45 @@ def _pad_lam(block: np.ndarray, L: int) -> np.ndarray:
     return out
 
 
-def _pass_bins(n: int, N: int, j: int, Lc: int, group: tuple, lens: tuple):
+def _pass_bins(n: int, N: int, j: int, Lc: int, group: tuple, lens: list):
     """One point's bins for the products of a degree-j block (lam length
     Lc) with the velocity spans ``group``, laid out (x, y, r, a, b) as
     :func:`_deriv_once_kron` takes them, on the run of degrees the group
     reaches, each (lam length in ``lens``, n, n_t) as in the pass's output:
     product (x, y, r, a, b) of span q lands at lam power x + y, row r and
-    the degree-(j-1+q) monomial of a b, and one past its span's lam length
-    in the last bin.  Returns the flat index, the bins and the (start,
-    stop) bins of each stretch of degrees that a product reaches; shared,
-    so read-only."""
-    mono, Y, first = _monomials(n, N), max(Lv for _, Lv, _, _ in group), j - 1 + group[0][0]
-    size = [mono.start[t + 1] - mono.start[t] for t in range(first, first + len(lens))]
-    at = [0, *itertools.accumulate(l * n * nt for l, nt in zip(lens, size))]
-    below = slice(mono.start[j - 1], mono.start[j])
-    xy = (np.arange(Lc)[:, None] + np.arange(Y))[:, :, None] * n + np.arange(n)
-    base = group[0][2]
-    idx = np.empty((Lc, Y, n, mono.start[j] - mono.start[j - 1], group[-1][3] - base), np.intp)
-    for q, Lv, lo, hi in group:
+    the degree-(j-1+q) monomial of a b, on the monomials of degree 0..N in
+    n variables.  A product one past its span's lam length, or in a column
+    between spans (a degree the velocity lacks), lands in the last bin.
+    Returns the flat index, the bins and the (start, stop) bins of each
+    stretch of degrees that a product reaches."""
+    mono, first, base = _monomials(n, N), j - 1 + group[0][0], group[0][2]
+    start, Y = mono.start, max(Lv for _, Lv, _, _ in group)
+    at = [0]  # where each degree's bins start
+    for t, L in enumerate(lens, start=first):
+        at.append(at[-1] + L * n * (start[t + 1] - start[t]))
+    # each column's stride over (x + y) n + r, and the shift from the index of
+    # the monomial a b to its bin at x = y = r = 0
+    stride, shift, cols, runs, end = [], [], [], [], base
+    for q, _, lo, hi in group:
         t = j - 1 + q
-        target = mono.products[q].reshape(-1, hi - lo)[below] - mono.start[t]  # (n_{j-1}, n_q)
-        np.add(at[t - first] + xy[..., None, None] * size[t - first], target, out=idx[..., lo - base : hi - base])
-        idx[:, Lv:, ..., lo - base : hi - base] = at[-1]
-    idx = idx.ravel()
-    idx.flags.writeable = False
-    reached = [t - first for t in sorted({j - 1 + q for q, _, _, _ in group})]
-    runs, lo = [], reached[0]
-    for a, b in zip(reached, reached[1:] + [None]):
-        if b != a + 1:
-            runs.append((at[lo], at[a + 1]))
-            lo = b
-    return idx, at[-1] + 1, tuple(runs)
-
-
-# the bins of the passes a tower repeats, each index at most TOWER_CHUNK_BYTES // 64
-# bytes, so the cache holds at most half of TOWER_CHUNK_BYTES
-_cached_bins = functools.lru_cache(maxsize=32)(_pass_bins)
+        if lo > end:  # the columns of a degree between spans, all in the last bin
+            stride += [0] * (lo - end)
+            shift += [at[-1]] * (lo - end)
+            cols.append(np.zeros((start[j] - start[j - 1], lo - end), np.intp))
+        stride += [start[t + 1] - start[t]] * (hi - lo)
+        shift += [at[t - first] - start[t]] * (hi - lo)
+        cols.append(mono.products[q].reshape(-1, hi - lo)[start[j - 1] : start[j]])
+        end = hi
+        if runs and runs[-1][1] == at[t - first]:  # this degree follows the last one reached
+            runs[-1] = (runs[-1][0], at[t - first + 1])
+        else:
+            runs.append((at[t - first], at[t - first + 1]))
+    xy = np.add.outer(np.arange(0, Lc * n, n), np.arange(Y * n))  # (x + y) n + r
+    idx = np.multiply.outer(xy, stride).reshape(Lc, Y, n, 1, -1) + (np.concatenate(cols, axis=1) + shift)
+    for q, Lv, lo, hi in group:
+        if Lv < Y:
+            idx[:, Lv:, ..., lo - base : hi - base] = at[-1]
+    return idx.ravel(), at[-1] + 1, tuple(runs)
 
 
 def _pass_groups(v: _Velocity, j: int, per_col: int) -> list:
@@ -592,9 +595,7 @@ def _deriv_once_kron(blocks: list[np.ndarray], v: _Velocity, mono: _Monomials) -
         Lc = dj.shape[-4]
         for V, group in _pass_groups(v, j, 16 * rows * Lc * v.blocks.shape[-3] * dj.shape[-1]):
             first = j - 1 + group[0][0]
-            small = 8 * Lc * math.prod(V.shape[-3:]) * dj.shape[-1] <= TOWER_CHUNK_BYTES // 64
-            idx, S, runs = (_cached_bins if small else _pass_bins)(
-                n, len(mono.start) - 2, j, Lc, group, tuple(lens[first : j + group[-1][0]]))
+            idx, S, runs = _pass_bins(n, len(mono.start) - 2, j, Lc, group, lens[first : j + group[-1][0]])
             # the products before their index, so that the ravel's copy never meets it
             terms = np.einsum("...xria,...yib->...xyrab", dj, V).ravel()
             flat = np.add.outer(np.arange(0, P * S, S), idx).ravel() if P > 1 else idx
@@ -666,10 +667,9 @@ def _tower_chunk(m: PolyNoiseModel, k: int) -> int:
     the level it builds twice (the result and one degree's bins); the
     level it reads twice (the input and its yielded copy); the gathered
     top block; and the velocity.  The chunk also holds one point's bin
-    index, from which the work index is built, whether or not
-    :func:`_cached_bins` keeps it.  A chunk never splits one point's
-    pass, so a point over the budget is a chunk of its own; a pass (k >= 2)
-    over MAX_TOWER_BYTES raises CapacityError."""
+    index, from which the work index is built.  A chunk never splits one
+    point's pass, so a point over the budget is a chunk of its own; a pass
+    (k >= 2) over MAX_TOWER_BYTES raises CapacityError."""
     L, Lv, J, n = m.lam_degree + 1, m.lam_degree + 1 + SIGMA_TAYLOR_DEGREE, m.x_degree, m.n_vars
     a, Lc = (k - 1) * max(J - 1, 0), L + max(k - 2, 0) * (Lv - 1)
     built, read = math.comb(n + J + a, J + a) * (Lc + Lv - 1), math.comb(n + a + 1, a + 1) * Lc

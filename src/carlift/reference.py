@@ -80,8 +80,9 @@ class SolverRun:
 # rk4_oracle holds at once; the substeps of an interval are tabulated in
 # chunks that fit, so memory does not grow with the substep count.  A
 # lam-independent model tabulates f and g^2/(2 sigma) alone, 32 bytes a
-# substep, so a 4 000-substep interval, the sweeps' default, is one chunk.
-ORACLE_TABLE_BYTES = 1 << 17
+# substep; the budget is the least that holds a 4 000-substep interval,
+# the sweeps' default, in one chunk.
+ORACLE_TABLE_BYTES = 32 * 4000
 
 
 def _oracle_chunk(m: PolyNoiseModel) -> int:
@@ -203,21 +204,9 @@ def _rk4_horner(y, f: list, c: list, rows: list, cnt: int, ht: float):
     row that every stage reads, its coefficients bound once per chunk.
     eps at a stage is :func:`_eps_at`'s Horner: any coefficients above the
     lowest four folded by :func:`carlift.model._horner`, the lowest four
-    written out.  A single row with no coefficients above the lowest four,
-    every preset's, steps in a loop that binds its zero fold once."""
+    written out."""
     half, sixth, varying = 0.5 * ht, ht / 6.0, len(rows) > 1
     hi, a3, a2, a1, a0 = rows[0]
-    if not (varying or hi):  # one row of at most four coefficients: the loop below, e = 0.0 bound
-        for f0, f1, f2, c0, c1, c2 in zip(f[::2], f[1::2], f[2::2], c[::2], c[1::2], c[2::2]):
-            k1 = f0 * y + c0 * ((((0.0 * y + a3) * y + a2) * y + a1) * y + a0)
-            z = y + half * k1
-            k2 = f1 * z + c1 * ((((0.0 * z + a3) * z + a2) * z + a1) * z + a0)
-            z = y + half * k2
-            k3 = f1 * z + c1 * ((((0.0 * z + a3) * z + a2) * z + a1) * z + a0)
-            z = y + ht * k3
-            k4 = f2 * z + c2 * ((((0.0 * z + a3) * z + a2) * z + a1) * z + a0)
-            y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return y
     for i, f0, f1, f2, c0, c1, c2 in zip(range(0, 2 * cnt, 2), f[::2], f[1::2], f[2::2],
                                          c[::2], c[1::2], c[2::2]):
         if varying:
@@ -358,7 +347,7 @@ def _taylor_walk(s: NoiseSchedule, m: PolyNoiseModel, x, lams: np.ndarray, k: in
 
 
 def uni_weights(s: NoiseSchedule, lams: np.ndarray, p: int, variant: str = "bh2",
-                corrector: bool = False) -> tuple[np.ndarray, ...]:
+                corrector: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Coefficients of the order-p unified steps over the log-SNRs ``lams``.
 
     Step j runs from anchor lam_0 = lams[j] to target lam_p = lams[j+p]
@@ -376,9 +365,9 @@ def uni_weights(s: NoiseSchedule, lams: np.ndarray, p: int, variant: str = "bh2"
     -sigma_p tail_0(h) + sum_m w_m, the first term being -alpha_p I_0,
     and c[j, m] = -w_m for m >= 1.  Both tables share the ratios and read
     one step table; the distinct (r, h) systems are found once per call
-    and solved in one stacked solve per table.  Returns the ratios and the
-    (len(lams) - p, p) predictor weights, and with ``corrector`` the
-    (len(lams) - p, p + 1) corrector weights after them.
+    and solved in one stacked solve per table.  Returns the ratios, the
+    (len(lams) - p, p) predictor weights and the (len(lams) - p, p + 1)
+    corrector weights, None without ``corrector``.
     """
     ratio, sigma, r, h, tails = _step_table(s, lams, p, p, p + corrector, variant)
     rows = list(map(tuple, np.column_stack([r, h]).tolist()))
@@ -388,7 +377,7 @@ def uni_weights(s: NoiseSchedule, lams: np.ndarray, p: int, variant: str = "bh2"
     first[inv] = np.arange(len(rows))  # a step of each system
     hk = h[first].tolist()
     Bh = np.array(hk if variant == "bh1" else [float(np.expm1(w)) for w in hk])
-    out = [ratio]
+    tables = []
     for n_w in range(p - 1, p + corrector):
         rk = r[first, :n_w]
         # the moments on Python floats, the Vandermonde rows as running products
@@ -399,8 +388,9 @@ def uni_weights(s: NoiseSchedule, lams: np.ndarray, p: int, variant: str = "bh2"
             V[:, n] = V[:, n - 1] * rk
         a = np.linalg.solve(V, np.reshape(g, (len(rk), n_w, 1)))[..., 0]
         w = (sigma * Bh[inv])[:, None] * (a / rk)[inv]
-        out.append(np.column_stack([-sigma * tails[:, 0] + w.sum(axis=1), -w]))
-    return tuple(out)
+        tables.append(np.column_stack([-sigma * tails[:, 0] + w.sum(axis=1), -w]))
+    pred, corr = tables if corrector else (tables[0], None)
+    return ratio, pred, corr
 
 
 def run_dpm(
@@ -433,7 +423,8 @@ def run_unipc(
     over the grid, as :func:`_eps_rows`.  States step as :func:`_start` gives them.
     """
     states, x = _start(m, x_T, grid.M + 1)
-    ratio, pred, *corr = (w.tolist() for w in uni_weights(s, grid.lam, p, variant, corrector))
+    ratio, pred, corr = uni_weights(s, grid.lam, p, variant, corrector)
+    ratio, pred, corr = ratio.tolist(), pred.tolist(), corr.tolist() if corrector else None
     xs = [x, *_taylor_walk(s, m, x, grid.lam[:p], p)]  # the states; eps at each is evaluated once
     states[1:p] = np.reshape(xs[1:], (-1, m.d))
     nfe = p * (len(xs) - 1)  # a warm-up step evaluates eps and its first p - 1 derivatives
@@ -446,7 +437,7 @@ def run_unipc(
         x = _apply_weights(ratio[j], pred[j], xs[j], eps[j:i])
         nfe += 1  # eps at the newest state; the older history is cached in eps
         if corrector:
-            x = _apply_weights(ratio[j], corr[0][j], xs[j], eps[j:i] + [_eps_at(m, rows[i], x)])
+            x = _apply_weights(ratio[j], corr[j], xs[j], eps[j:i] + [_eps_at(m, rows[i], x)])
             nfe += 1
         xs.append(x)
         states[i] = x

@@ -114,7 +114,7 @@ def run_unipc_arrays(s: NoiseSchedule, m: PolyNoiseModel, x_T, grid, p: int, var
     for warm, x in enumerate(taylor_walk_arrays(s, m, x, grid.lam[:p], p), start=1):
         states[warm] = x
     nfe = p * warm
-    ratio, pred, *corr = uni_weights(s, grid.lam, p, variant, corrector)
+    ratio, pred, corr = uni_weights(s, grid.lam, p, variant, corrector)
     (table,) = _derivative_tower(s, m, 1, grid.lam)
     eps = [eval_tabulated(m, table, i, states[i]) for i in range(p - 1)]
     for i in range(p, grid.M + 1):
@@ -124,7 +124,7 @@ def run_unipc_arrays(s: NoiseSchedule, m: PolyNoiseModel, x_T, grid, p: int, var
         nfe += 1
         if corrector:
             hist = eps[j:i] + [eval_tabulated(m, table, i, xi)]
-            xi = apply_weights(ratio[j], corr[0][j], states[j], hist)
+            xi = apply_weights(ratio[j], corr[j], states[j], hist)
             nfe += 1
         states[i] = xi
     return SolverRun(grid=grid, states=states, nfe=nfe, scheme=("unic" if corrector else "unip") + str(p))
@@ -401,11 +401,11 @@ def dpm_weights_per_width(s: NoiseSchedule, lams, k: int) -> tuple[np.ndarray, n
 
 
 def uni_weights_per_system(s: NoiseSchedule, lams, p: int, variant: str = "bh2",
-                           corrector: bool = False) -> tuple[np.ndarray, ...]:
+                           corrector: bool = False) -> tuple:
     """:func:`carlift.reference.uni_weights` with each step's weights from
     its own :func:`uni_coeffs` system, solved once per distinct step and
-    table: the ratios, the predictor's weights and, with ``corrector``,
-    the corrector's."""
+    table: the ratios, the predictor's weights and the corrector's, None
+    without ``corrector``."""
     lams = np.asarray(lams, dtype=float)
     nodes = lams[np.arange(max(len(lams) - p, 0))[:, None] + np.arange(p + 1)]
     r = (nodes[:, 1:] - nodes[:, :1]) / (nodes[:, -1:] - nodes[:, :1])
@@ -424,7 +424,8 @@ def uni_weights_per_system(s: NoiseSchedule, lams, p: int, variant: str = "bh2",
             c[j, 0] = -float(sigma[j]) * tail + float(w.sum())
             c[j, 1:] = -w
         tables.append(c)
-    return np.exp(np.diff(s.log_alpha_from_lam(nodes[:, [0, -1]]))[:, 0]), *tables
+    ratio = np.exp(np.diff(s.log_alpha_from_lam(nodes[:, [0, -1]]))[:, 0])
+    return ratio, tables[0], tables[1] if corrector else None
 
 
 def t_from_lam_brentq(s: NoiseSchedule, lam_target: float, t_lo: float, t_hi: float) -> float:

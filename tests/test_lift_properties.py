@@ -406,6 +406,22 @@ def test_derivative_passes_keep_the_bits_of_the_per_pair_pass(m, k, C, chunk_byt
         assert all(same_bits(g, w) for g, w in zip(got, want))
 
 
+@pytest.mark.parametrize("m", [separable_model([[[0.0], [-0.5], [5e-324], [0.1]], [[0.0], [-0.3], [0.0], [0.2]]]),
+                               kron_model(1, {1: [[-0.5]], 2: [[5e-324]], 3: [[0.1]]})])
+def test_a_velocity_degree_that_underflows_between_two_others_keeps_the_bits(m):
+    # sigma eps's degree 2 rounds to zero where sigma is small, so the
+    # velocity has no span there, and its columns lie between degrees 1
+    # and 3 in one pass: their products land in no degree
+    lams = np.array([6.0, 7.0])
+    s1, s2 = model._sigma_lambda_polys(S, lams)
+    v = _velocity_kron([cj.reshape(len(cj), -1, 1, cj.shape[-1]).swapaxes(0, 1)[None] for cj in m.blocks],
+                       s1[:, None], s2[:, None], 1)
+    assert [q for q, *_ in v.spans] == [1, 3]
+    for got, want in zip(model._tower_levels(S, m, 3, lams), tower_levels_per_pair(S, m, 3, lams), strict=True):
+        assert len(got) == len(want)
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+
+
 def test_a_derivative_pass_calls_einsum_and_bincount_once_per_input_degree(monkeypatch):
     # the pass's shape, not its time: on cubic's blocks, velocities of one,
     # two and three degrees cost the same einsum and bincount calls, one of

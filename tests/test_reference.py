@@ -97,7 +97,8 @@ def test_uni_weights_satisfy_order_conditions():
             for variant in ("bh1", "bh2"):
                 interior = np.sort(rng.uniform(0.1, 0.9, size=p - 1))
                 lam_nodes = -1.0 + rng.uniform(0.05, 1.5) * np.concatenate([[0.0], interior, [1.0]])
-                (_,), *_, (c,) = uni_weights(S, lam_nodes, p, variant=variant, corrector=corrector)
+                _, pred, corr = uni_weights(S, lam_nodes, p, variant=variant, corrector=corrector)
+                (c,) = corr if corrector else pred
                 n_w = p if corrector else p - 1
                 assert c.shape == (n_w + 1,)
                 h = float(lam_nodes[-1] - lam_nodes[0])
@@ -113,8 +114,8 @@ def test_uni_weights_satisfy_order_conditions():
 
 def test_uni_weights_predictor_order_one_is_weightless():
     grid = make_lambda_grid(S, 1.0, 0.1, 8)
-    ratio, c = uni_weights(S, grid.lam, 1)
-    assert c.shape == (8, 1)
+    ratio, c, corr = uni_weights(S, grid.lam, 1)
+    assert c.shape == (8, 1) and corr is None
     sigma = S.sigma_from_lam(grid.lam[1:])
     assert np.array_equal(c[:, 0], [-sig * exp_taylor_tail(0, h) for sig, h in zip(sigma, grid.h)])
     ratio1, c1 = dpm_weights(S, grid.lam, 1)
@@ -166,6 +167,9 @@ def test_step_weights_keep_the_bits_of_per_system_solves():
                     raised += 1
                     continue
                 for got, want in zip(table(s, lams, *args), expected, strict=True):
+                    if want is None:  # no corrector table
+                        assert got is None, (beta_max, args)
+                        continue
                     assert got.shape == want.shape and np.array_equal(got, want), (beta_max, args)
                 checked += 1
     assert checked == 765 and raised == 15
@@ -198,7 +202,8 @@ def test_step_weights_match_finite_difference_forms():
                 D = eps[1 : len(a) + 1] - eps[0]
                 old = (ratio_ref * x0 - sig_p * math.expm1(h) * eps[0]
                        - sig_p * Bh * ((a / r[: len(a)])[:, None] * D).sum(axis=0))
-                (ratio,), *_, (c,) = uni_weights(S, lam_nodes, p, variant=variant, corrector=corrector)
+                (ratio,), pred, corr = uni_weights(S, lam_nodes, p, variant=variant, corrector=corrector)
+                (c,) = corr if corrector else pred
                 assert c.shape == (len(eps),)
                 np.testing.assert_allclose(ratio * x0 + c @ eps, old, rtol=1e-13, atol=0.0)
 
@@ -228,7 +233,8 @@ def test_step_weights_where_alpha_underflows_match_a_decimal_reference():
                                        rtol=1e-13, atol=0.0)
         for p in (1, 2, 3):
             for corrector in (False, True):
-                ratio, *_, c = uni_weights(s, grid.lam, p, corrector=corrector)
+                ratio, pred, corr = uni_weights(s, grid.lam, p, corrector=corrector)
+                c = corr if corrector else pred
                 for j in range(grid.M + 1 - p):
                     assert ratio[j] == pytest.approx(float(alpha[j + p] / alpha[j]), rel=1e-13)
                     w = sum(Decimal(float(-v)) for v in c[j, 1:])  # the c[j, m >= 1] are -w_m
@@ -558,8 +564,6 @@ def one_coordinate_chunk(coeffs, y, shared):
 # an infinite state, whose stages are NaN only through the leading 0.0 z
 @example(chunk=one_coordinate_chunk([1.0, 1.0, 1.0, 1.0], np.inf, False))
 @example(chunk=one_coordinate_chunk([1.0, 1.0, 1.0, 1.0], np.inf, True))
-# degree 3, one row for every stage: the loop that binds its zero fold once
-@example(chunk=one_coordinate_chunk([0.3, -0.2, 0.1, 0.05], 1.5, True))
 # degree 4: one coefficient above the written-out four
 @example(chunk=one_coordinate_chunk([0.3, -0.2, 0.1, 0.05, -0.01], 1.5, False))
 @example(chunk=one_coordinate_chunk([0.3, -0.2, 0.1, 0.05, -0.01], 1.5, True))
@@ -689,7 +693,11 @@ def oracle_peaks(m, x_T, substep_counts):
     return peaks
 
 
-def test_rk4_oracle_memory_does_not_grow_with_substeps():
+def test_rk4_oracle_memory_does_not_grow_with_substeps(monkeypatch):
+    # a 16 KiB budget gives cubic 512-substep chunks, so eight chunks run
+    # quickly under tracemalloc; the real budget's chunks are checked by
+    # test_rk4_oracle_chunks_at_the_real_table_size
+    monkeypatch.setattr(reference, "ORACLE_TABLE_BYTES", 1 << 14)
     bench = benchmark("cubic")
     m = bench.model()
     chunk = reference._oracle_chunk(m)
@@ -697,7 +705,8 @@ def test_rk4_oracle_memory_does_not_grow_with_substeps():
     assert peaks[1] <= peaks[0] + 64 * 1024
 
 
-def test_kron_rk4_oracle_memory_does_not_grow_with_substeps():
+def test_kron_rk4_oracle_memory_does_not_grow_with_substeps(monkeypatch):
+    monkeypatch.setattr(reference, "ORACLE_TABLE_BYTES", 1 << 14)  # as above
     m = kron_model(2, {1: [[[-0.5, 0.1], [0.0, -0.4]], [[0.02, 0.0], [0.01, 0.03]]],
                        2: [[0.05, 0.0, 0.0, 0.02], [0.0, 0.01, 0.03, 0.0]]})
     chunk = reference._oracle_chunk(m)
