@@ -34,12 +34,17 @@ coefficient blocks stacked along a leading step axis, built from the
 weight tables and eps and its derivatives tabulated over the grid.
 They are lifted in chunks sliced along that axis into one dense
 (M, dim_total, dim_total) array, each step a :class:`carlift.system.StepMatrix`
-that records that array and its index there.  Block row j of a step is
-made from block row j-1 times the step map, and only on the degrees a
-product of j-1 step maps can reach, (j-1) q_min .. (j-1) q_max: the
-columns left out are exact zeros, and the terms are summed from +0 in
-the order a pass over every column adds them, so U and b keep every
-bit (see :func:`_poly_to_update`).  A UniPC corrector step is
+that records that array and its index there.  A step is priced by what
+one block row's pass over it touches (its coefficients, block row j-1
+and the parent rows taken from it, the products, block row j and its
+rows of U and b), and a chunk holds as many steps as fit that price in
+LIFT_CHUNK_BYTES: 1 MiB, the fastest of the budgets timed on the
+benchmark's lift shapes.  Block row j of a step is made from block row
+j-1 times the step map, and only on the degrees a product of j-1 step
+maps can reach, (j-1) q_min .. (j-1) q_max: the columns left out are
+exact zeros, and the terms are summed from +0 in the order a pass over
+every column adds them, so U and b keep every bit in any chunk (see
+:func:`_poly_to_update`).  A UniPC corrector step is
 lifted with its predictor folded in, so every lifted step maps states
 already computed.  :func:`lift_run`, the one dispatch on a scheme's
 layout, prices, lifts and assembles a run on the calling thread;
@@ -76,7 +81,7 @@ __all__ = [
 ]
 
 MAX_DIM_TOTAL = 400_000
-LIFT_CHUNK_BYTES = 1 << 18  # step-lift work arrays per chunk of steps lifted together
+LIFT_CHUNK_BYTES = 1 << 20  # what a chunk of steps lifted together touches; measured in _poly_to_update
 
 
 @dataclass(frozen=True)
@@ -170,11 +175,31 @@ def _poly_to_update(polys: dict[int, np.ndarray],
     is never -0, so the +0 columns left out, whose products with finite
     coefficients are +-0, change no bit of U or b.
 
-    The steps are lifted in chunks sliced along the step axis, their rows
-    stacked, as many per chunk as keep the products and block rows of
-    the largest block row within LIFT_CHUNK_BYTES.  Each monomial's sum
-    reads one step's terms, so a step's U and b are the same bits in any
-    chunk, and a degree that is zero at one step adds nothing to it.
+    The steps are lifted in chunks sliced along the step axis, which is
+    the innermost axis of every work array, so one NumPy call runs over a
+    block row's monomials of all the chunk's steps.  A step is priced by
+    what one block row's pass touches, at the largest block row: block
+    row j-1, the parent rows gathered from it, the products, block row
+    j, and the rows of U and b it writes, plus the coefficients of
+    P_{beta_1} for every lifted beta, gathered once per chunk.  A chunk
+    holds as many steps as that price fits in LIFT_CHUNK_BYTES, and the
+    chunks are as even as the steps allow.  Timed against 256 KiB priced
+    by the products and block rows alone (median of 30 interleaved calls,
+    2-core Xeon with 2 MiB of L2 per core, one BLAS thread), budgets of
+    512 KiB, 1, 2 and 4 MiB took 0.66, 0.60, 0.84 and 1.13 of its time
+    on kron_lift's B shape (d=4, N=5, M=16, 0.23 MiB a step, four chunks
+    of four at 1 MiB) and 0.80, 0.64, 0.65 and 1.01 on its A shape (d=4,
+    N=4, M=32, k=2); the kron_sweep_kappa shapes, one or a few chunks at
+    any of them, took 0.65-0.82.  Each monomial's sum reads one step's
+    terms, so a step's U and b are the same bits in any chunk, and a
+    degree that is zero at one step adds nothing to it.
+
+    Before U is allocated, the steps' U and b, and what a lone step's
+    work takes beyond LIFT_CHUNK_BYTES, are priced against
+    system.MAX_STEP_BYTES, and a run above it raises CapacityError.  Work
+    within the budget is the lift's own allowance, so a run that
+    :func:`lift_run` prices at exactly the cap still lifts.
+
     All the steps' matrices are written into one (steps, dim_total,
     dim_total) array, so a run of them is one stack of blocks to
     :class:`carlift.system.TrajectoryOperator`.  Returns one
@@ -182,55 +207,73 @@ def _poly_to_update(polys: dict[int, np.ndarray],
     of the (steps, dim_total) offsets.
     """
     N, dim = basis.N, basis.dim_total
-    mono = _monomials(basis.d, N)
-    width = dim + 1  # the constant, then the lifted coordinates
-    col_scale = 1.0 / mono.sqrt_mult
     n_steps = len(next(iter(polys.values())))
     polys = {q: B for q, B in polys.items() if q <= N and B.any()}
-    windows = _windows(basis.d, N, tuple(polys))
-    work = max(8 * len(mono.first[j]) * (add.shape[1] + 2 * width)  # per step
-               for j, (_, add) in enumerate(windows, start=1))
-    per_chunk = max(1, LIFT_CHUNK_BYTES // work)
+    windows, first, step_bytes = _windows(basis.d, N, tuple(polys))
+    n_chunks = -(-n_steps // max(1, LIFT_CHUNK_BYTES // step_bytes))
+    over = min(n_steps, 1) * max(0, step_bytes - LIFT_CHUNK_BYTES)  # a lone step's work beyond the budget
+    if (nbytes := 8 * n_steps * (dim + 1) * dim + over) > system.MAX_STEP_BYTES:
+        raise CapacityError(f"lifting the steps needs {nbytes} bytes, above {system.MAX_STEP_BYTES}")
+    col_scale = 1.0 / _monomials(basis.d, N).sqrt_mult
     U_all, b_all = np.empty((n_steps, dim, dim)), np.empty((n_steps, dim))
-    for lo in range(0, n_steps, per_chunk):
-        S = min(per_chunk, n_steps - lo)
-        C = {q: B[lo : lo + S].transpose(2, 0, 1) for q, B in polys.items()}  # (n_q, S, d)
-        buf, b = U_all[lo : lo + S], b_all[lo : lo + S]
-        R = np.zeros((width, S, 1))  # block row j-1 of each step, unscaled, constant first
+    for c in range(n_chunks):  # chunks as even as the steps allow
+        lo, hi = n_steps * c // n_chunks, n_steps * (c + 1) // n_chunks
+        S = hi - lo
+        # the coefficients of P_{first(beta)} on each degree, for every lifted beta: (n_q, dim, S)
+        C = {q: np.take(B[lo:hi].transpose(2, 1, 0), first, axis=1) for q, B in polys.items()}
+        buf, b = U_all[lo:hi], b_all[lo:hi]
+        R = np.zeros((dim + 1, 1, S))  # block row j-1, unscaled: (ext column, row, step), constant first
         R[0] = 1.0
-        for j, (spans, add) in enumerate(windows, start=1):
-            parent, f = mono.parent[j], mono.first[j]
-            vals = np.empty((add.shape[1], S, len(f)))
+        for rows, scale, gather, parent, spans, add in windows:
+            Rp = np.take(R[gather], parent, axis=1)  # each row's parent row, on the columns multiplied
+            vals = np.empty((add.shape[1], len(parent), S))
             for q, cols, part in spans:  # each degree's products, written in place
-                np.multiply(R[cols][:, None, :, parent], C[q][..., f],
-                            out=vals[part].reshape(-1, len(C[q]), S, len(f)))
-            R = (add @ vals.reshape(len(vals), S * len(f))).reshape(width, S, len(f))
+                np.multiply(Rp[cols, None], C[q][:, rows],
+                            out=vals[part].reshape(-1, len(C[q]), len(parent), S))
+            del Rp
+            R = (add @ vals.reshape(len(vals), len(parent) * S)).reshape(dim + 1, len(parent), S)
             del vals  # before the next block row makes its own
-            rows = basis.block_slice(j)
-            scale = mono.sqrt_mult[rows]
-            b[:, rows] = R[0] * scale
-            np.multiply(R[1:].transpose(1, 2, 0), col_scale, out=buf[:, rows])
+            np.multiply(R[0].T, scale, out=b[:, rows])
+            np.multiply(R[1:].T, col_scale, out=buf[:, rows])
             buf[:, rows] *= scale[:, None]
     return [(StepMatrix(U_all, i), b_i) for i, b_i in enumerate(b_all)]
 
 
 @functools.lru_cache(maxsize=64)
 def _windows(d: int, N: int, degrees: tuple) -> tuple:
-    """Per block row j = 1..N of step maps with these degrees, in this
-    order: the spans (q, cols, part), cols the ext columns of block row
-    j-1 that degree q multiplies, of degree (j-1) min .. min((j-1) max,
-    N - q), and part the rows of their products (a, b) in one stack; and
-    the 0/1 CSR matrix that adds the stack onto monomials a b in order."""
-    mono, out = _monomials(d, N), []
+    """The lift plan of step maps with these degrees, in this order, on
+    the (d, N) basis: per block row j = 1..N the window (rows, scale,
+    gather, parent, spans, add); the lowest variable of every lifted
+    monomial; and the bytes one step's pass over its largest block row
+    touches (see :func:`_poly_to_update`).  rows are block j's lifted
+    coordinates and scale their sqrt(m_beta); gather the ext columns of
+    block row j-1 that some degree multiplies, and parent each row's
+    parent row; in spans (q, cols, part), cols are the columns within
+    gather that degree q multiplies, of degree (j-1) min .. min((j-1)
+    max, N - q), and part the rows of their products (a, b) in one
+    stack; add is the 0/1 CSR matrix that adds the stack onto the
+    monomials a b in order."""
+    mono, out, work = _monomials(d, N), [], 0
+    width = mono.start[-1]
     for j in range(1, N + 1):
         lo, top = mono.start[min((j - 1) * min(degrees, default=0), N + 1)], (j - 1) * max(degrees, default=0)
         cols = {q: slice(lo, max(lo, mono.start[min(top + 1, N - q + 1)])) for q in degrees}
         products = [mono.products[q].reshape(-1, len(mono.first[q]))[c].ravel() for q, c in cols.items()]
         targets, ends = np.concatenate([np.zeros(0, np.intp), *products]), np.cumsum([0, *map(len, products)])
         add = sp.csr_array((np.ones(len(targets)), (targets, np.arange(len(targets)))),
-                           shape=(mono.start[-1], len(targets)))
-        out.append((tuple((q, c, slice(*ends[i : i + 2])) for i, (q, c) in enumerate(cols.items())), add))
-    return tuple(out)
+                           shape=(width, len(targets)))
+        hi = max([c.stop for c in cols.values()], default=lo)
+        spans = tuple((q, slice(c.start - lo, c.stop - lo), slice(*ends[i : i + 2]))
+                      for i, (q, c) in enumerate(cols.items()))
+        rows = slice(mono.start[j] - 1, mono.start[j + 1] - 1)
+        out.append((rows, mono.sqrt_mult[rows], slice(lo, hi), mono.parent[j], spans, add))
+        # block row j-1, the parent rows, the products, block row j and the rows of U and b
+        n = len(mono.parent[j])
+        work = max(work, width * len(mono.first[j - 1]) + n * ((hi - lo) + len(targets) + 2 * width))
+    first = np.concatenate(mono.first[1:])
+    first.flags.writeable = False
+    coef = sum(len(mono.first[q]) for q in degrees) * len(first)  # the gathered coefficients
+    return tuple(out), first, 8 * (coef + work)
 
 
 @dataclass

@@ -54,6 +54,14 @@ def zero_model(d: int = 1, mode: str = "separable") -> PolyNoiseModel:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def workload_kron(d: int, seed: int = 3) -> PolyNoiseModel:
+    """A kron model of the benchmark workloads' form: a diagonal linear part
+    with small seeded perturbations and a small quadratic part."""
+    rng = np.random.default_rng(seed)
+    return kron_model(d, {1: np.diag(np.linspace(0.3, 0.7, d)) + 0.01 * rng.standard_normal((d, d)),
+                          2: 0.02 / d * rng.standard_normal((d, d * d))})
+
+
 def eval_eps(m: PolyNoiseModel, x, lam: float) -> np.ndarray:
     """eps(x, lam) at one point, from a table over that one log-SNR: the
     per-state evaluation the samplers replaced by rows of a table over

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from carlift import carleman, cli, diagnostics
 from carlift import system as system_module
@@ -40,6 +41,7 @@ from oracles import (
     step_lifted,
     symmetric_embedding,
     to_dense,
+    workload_kron,
 )
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
@@ -243,14 +245,25 @@ def test_no_package_code_dispatches_on_the_unified_step_type():
                 assert "UnipcQcmSet" not in ast.unparse(node), f"{path.name}:{node.lineno}"
 
 
-@pytest.mark.parametrize("chunk_bytes", [carleman.LIFT_CHUNK_BYTES, 1 << 14])
-def test_lift_work_stays_within_its_chunk_budget(chunk_bytes, monkeypatch):
-    # a kron_sweep_kappa shape, d=2, N=5, M=32; lifting the whole trajectory
-    # in one chunk takes about 0.4 MB beyond the steps it keeps
-    rng = np.random.default_rng(3)
-    m = kron_model(2, {1: np.diag([0.3, 0.7]), 2: 0.05 * rng.standard_normal((2, 2, 4))})
-    polys = step_polynomials_dpm(S, m, make_lambda_grid(S, 0.5, 0.1, 32).lam, 1)
-    basis = CarlemanBasis(N=5, d=2)
+@pytest.mark.parametrize("d, N, M, chunk_bytes", [
+    pytest.param(2, 5, 32, carleman.LIFT_CHUNK_BYTES, id=str(carleman.LIFT_CHUNK_BYTES)),
+    pytest.param(2, 5, 32, 1 << 18, id="262144"),
+    pytest.param(2, 5, 32, 1 << 14, id="16384"),
+    pytest.param(4, 5, 16, carleman.LIFT_CHUNK_BYTES, id=f"d4-N5-M16-{carleman.LIFT_CHUNK_BYTES}"),
+    pytest.param(4, 5, 16, 1 << 18, id="d4-N5-M16-262144")])
+def test_lift_work_stays_within_its_chunk_budget(d, N, M, chunk_bytes, monkeypatch):
+    # d=2, N=5, M=32 is a kron_sweep_kappa shape: lifting the whole
+    # trajectory in one chunk takes about 0.4 MB beyond the steps it keeps.
+    # d=4, N=5, M=16 is kron_lift's B shape: one step's working set is
+    # about 0.23 MiB, so 256 KiB lifts each step alone and the default
+    # budget four steps together
+    if d == 2:
+        rng = np.random.default_rng(3)
+        m = kron_model(2, {1: np.diag([0.3, 0.7]), 2: 0.05 * rng.standard_normal((2, 2, 4))})
+    else:
+        m = workload_kron(d)
+    polys = step_polynomials_dpm(S, m, make_lambda_grid(S, 0.5, 0.1, M).lam, 1)
+    basis = CarlemanBasis(N=N, d=d)
     monkeypatch.setattr(carleman, "LIFT_CHUNK_BYTES", chunk_bytes)
     _poly_to_update(polys, basis)  # index tables built outside the trace
     tracemalloc.start()
@@ -259,8 +272,61 @@ def test_lift_work_stays_within_its_chunk_budget(chunk_bytes, monkeypatch):
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(steps) == 32 and kept >= 32 * 8 * basis.dim_total**2
+    assert len(steps) == M and kept >= M * 8 * basis.dim_total**2
     assert peak - kept <= 2 * chunk_bytes
+
+
+def test_lift_chunks_hold_as_many_steps_as_the_budget_prices(monkeypatch):
+    # a chunk makes each of its N block rows by one 0/1 CSR product, whose
+    # block-row-1 operand has d columns per step.  At the default budget
+    # kron_lift's B shape (d=4, N=5, M=16, about 0.23 MiB per step) lifts
+    # at least four steps per chunk, and a d=4, N=8 step (about 3 MiB)
+    # lifts alone
+    operands = []
+    matmul = sp.csr_array.__matmul__
+
+    def recorded(add, vals):
+        operands.append(vals.shape[1])
+        return matmul(add, vals)
+
+    def chunk_sizes(N, M):
+        polys = step_polynomials_dpm(S, workload_kron(4), make_lambda_grid(S, 0.5, 0.1, M).lam, 1)
+        operands.clear()
+        assert len(_poly_to_update(polys, CarlemanBasis(N=N, d=4))) == M
+        assert len(operands) % N == 0
+        return [cols // 4 for cols in operands[::N]]
+
+    monkeypatch.setattr(sp.csr_array, "__matmul__", recorded)
+    sizes = chunk_sizes(5, 16)
+    assert sum(sizes) == 16 and min(sizes) >= 4, sizes
+    sizes = chunk_sizes(5, 18)  # as even as the steps allow, not a short last chunk
+    assert sum(sizes) == 18 and max(sizes) - min(sizes) <= 1, sizes
+    assert chunk_sizes(8, 3) == [1, 1, 1]
+
+
+def test_lift_refuses_a_lone_step_whose_work_overflows_the_cap(monkeypatch):
+    # d=16, N=3, M=16, dpm k=1: the 16 steps' U and b are the 120 MB that
+    # lift_run prices, and one step's work is about 28.6 MiB, far over
+    # LIFT_CHUNK_BYTES.  A cap between lift_run's price and the steps plus
+    # that work's excess over the budget passes lift_run and is refused
+    # by the lift before it allocates U
+    d, N, M = 16, 3, 16
+    basis = CarlemanBasis(N=N, d=d)
+    D = basis.dim_total
+    steps = 8 * M * D * (D + 1)
+    over = carleman._windows(d, N, (1, 2))[2] - carleman.LIFT_CHUNK_BYTES
+    assert over > 2**24
+    monkeypatch.setattr(system_module, "MAX_STEP_BYTES", steps + over // 2)
+    grid = make_lambda_grid(S, 0.5, 0.1, M)
+    m = workload_kron(d)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"lifting the steps needs {steps + over} bytes"):
+            lift_run(S, m, np.full(d, 0.8), grid, basis, "dpm", 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_lift_work_is_a_small_share_of_the_steps_it_returns():

@@ -64,6 +64,7 @@ from oracles import (
     total_derivative_per_n,
     tower_levels_per_pair,
     velocity_kron,
+    workload_kron,
 )
 
 S = make_vp_schedule(0.1, 20.0, 1.0)
@@ -693,6 +694,27 @@ def test_lift_over_the_reachable_degrees_keeps_the_bits_of_every_column(
     for P, (U, b) in zip(step_dicts(polys), lifted):
         U_1, b_1 = one_step_poly_to_update(P, basis)
         assert same_bits(U.rows, U_1.rows) and same_bits(b, b_1)
+
+
+@pytest.mark.parametrize("d, N, M, scheme, order", [
+    pytest.param(4, 4, 32, "dpm", 2, id="kron_lift-A"),
+    pytest.param(4, 5, 16, "dpm", 1, id="kron_lift-B"),
+    pytest.param(2, 4, 32, "unipc", 3, id="kron_sweep_kappa-unipc3-corrector")])
+def test_workload_shapes_keep_their_bits_under_every_chunk_budget(d, N, M, scheme, order):
+    # the benchmark's lift shapes, on a model of its workloads' form: one
+    # step per chunk, 256 KiB and the default budget each lift every step's
+    # U and b to the bits of the one-step oracle, sign bits included.  The
+    # UniPC maps are the 30 predictor and 30 corrector anchor maps
+    # assemble_unipc_qcms hands the lift
+    basis = CarlemanBasis(N=N, d=d)
+    polys = step_maps(workload_kron(d, M), make_lambda_grid(S, 0.5, 0.1, M), scheme, order, basis)
+    want = [one_step_poly_to_update(P, basis) for P in step_dicts(polys)]
+    assert len(want) == (M if scheme == "dpm" else 2 * (M - order + 1))
+    for chunk_bytes in (1, 1 << 18, carleman.LIFT_CHUNK_BYTES):
+        with mock.patch.object(carleman, "LIFT_CHUNK_BYTES", chunk_bytes):
+            lifted = _poly_to_update(polys, basis)
+        for (U, b), (U_1, b_1) in zip(lifted, want, strict=True):
+            assert same_bits(U.rows, U_1.rows) and same_bits(b, b_1), chunk_bytes
 
 
 def vanishing_kron(grid):
