@@ -48,13 +48,13 @@ import jsonschema
 
 from . import __version__
 from .carleman import CarlemanBasis, LiftedState, lift_run
-from .diagnostics import dissipativity_P, spectrum_trace
+from .diagnostics import dissipativity_P, fit_slope, spectrum_trace
 from .errors import CapacityError, ConvergenceError, StructureError
 from .model import PolyNoiseModel, kron_model, separable_model
 from .presets import (BENCHMARKS, DEFAULT_BETA_MAX, DEFAULT_BETA_MIN, DEFAULT_T, MODEL_PRESETS,
                       benchmark, model_preset)
 from .readout import recover_sparse
-from .reference import SolverRun, rk4_oracle, run_scheme
+from .reference import ORACLE_SUBSTEPS, SolverRun, rk4_oracle, run_scheme
 from .schedule import NoiseSchedule, TimeGrid, make_lambda_grid, make_vp_schedule
 from .solve import LchsConfig, forward_substitute, lchs_solve
 from .system import condition_number, export_matrix
@@ -153,7 +153,7 @@ _SCHEMA = _section({
         "order": {"type": "integer", "minimum": 1, "maximum": 3, "default": 1},
         "variant": {"enum": ["bh1", "bh2"], "default": "bh2"},
         "oracle": {"type": "boolean", "default": True},
-        "oracle_substeps": {"type": "integer", "minimum": 1, "default": 4000},
+        "oracle_substeps": {"type": "integer", "minimum": 1, "default": ORACLE_SUBSTEPS},
     }),
     "carleman": _section({
         "N": {"type": "integer", "minimum": 1, "default": 2},
@@ -391,20 +391,10 @@ def cmd_simulate(cfg: dict) -> tuple[int, dict]:
         errors = np.linalg.norm(diff, axis=1)
         endpoint_error = float(errors[-1])
     alpha = s.alpha(grid.t)
-    columns = (
-        ["step", "t", "lam"]
-        + [f"x_{i}" for i in range(m.d)]
-        + [f"x_over_alpha_{i}" for i in range(m.d)]
-        + ["error"]
-    )
-    rows = []
-    for i, t in enumerate(grid.t):
-        rows.append(
-            [i, t, grid.lam[i]]
-            + list(states[i])
-            + list(states[i] / alpha[i])
-            + [errors[i]]
-        )
+    columns = (["step", "t", "lam"] + [f"x_{i}" for i in range(m.d)]
+               + [f"x_over_alpha_{i}" for i in range(m.d)] + ["error"])
+    rows = [[i, t, grid.lam[i], *states[i], *(states[i] / alpha[i]), errors[i]]
+            for i, t in enumerate(grid.t)]
     meta = [("scheme", run.scheme), ("nfe", run.nfe)]
     sum_cols = ["scheme", "M", "nfe"] + [f"x_end_{i}" for i in range(m.d)] + ["endpoint_error"]
     sum_row = [run.scheme, len(grid.h), run.nfe] + list(states[-1]) + [endpoint_error]
@@ -426,7 +416,7 @@ def _carleman_oracle(s: NoiseSchedule, m: PolyNoiseModel, x_T, grid: TimeGrid) -
     """Endpoint of the RK4 reference a carleman run measures its error
     against, over the window of its grid."""
     return finite_run("the RK4 oracle", lambda: rk4_oracle(
-        s, m, x_T, substeps=4000, times=(float(grid.t[0]), float(grid.t[-1])))).endpoint
+        s, m, x_T, substeps=ORACLE_SUBSTEPS, times=(float(grid.t[0]), float(grid.t[-1])))).endpoint
 
 
 def cmd_carleman(cfg: dict, oracles: dict | None = None) -> tuple[int, dict]:
@@ -470,16 +460,10 @@ def cmd_carleman(cfg: dict, oracles: dict | None = None) -> tuple[int, dict]:
     meta = [("scheme", system.scheme), ("dim", system.dim)]
     outputs["trajectory.csv"] = (columns, rows, meta)
 
-    sum_cols = (
-        ["scheme", "N", "M", "dim"]
-        + [f"x_end_{i}" for i in range(m.d)]
-        + ["error", "defect", "kappa", "solve_residual"]
-    )
-    sum_row = (
-        [system.scheme, car["N"], len(grid.h), system.dim]
-        + list(traj[-1])
-        + [error, defect, kappa, sol.residual]
-    )
+    sum_cols = (["scheme", "N", "M", "dim"] + [f"x_end_{i}" for i in range(m.d)]
+                + ["error", "defect", "kappa", "solve_residual"])
+    sum_row = [system.scheme, car["N"], len(grid.h), system.dim, *traj[-1], error, defect, kappa,
+               sol.residual]
     outputs["summary.csv"] = (sum_cols, [sum_row], ())
     return (0 if converged else 4), outputs
 
@@ -504,16 +488,10 @@ def cmd_lchs(cfg: dict) -> tuple[int, dict]:
     aug[:n, n] = b
     u_exact = (expm(sec["T"] * aug) @ np.append(u0, 1.0))[:n]
     error = float(np.linalg.norm(res.u - u_exact))
-    columns = (
-        ["K", "nodes", "substeps", "T"]
-        + [f"u_{i}" for i in range(A.shape[0])]
-        + ["error", "shift", "n_exponentials", "kernel_mass"]
-    )
-    row = (
-        [sec["K"], sec["nodes"], sec["substeps"], sec["T"]]
-        + list(np.real(res.u))
-        + [error, res.shift, res.n_exponentials, res.kernel_mass]
-    )
+    columns = (["K", "nodes", "substeps", "T"] + [f"u_{i}" for i in range(n)]
+               + ["error", "shift", "n_exponentials", "kernel_mass"])
+    row = [sec["K"], sec["nodes"], sec["substeps"], sec["T"], *np.real(res.u), error, res.shift,
+           res.n_exponentials, res.kernel_mass]
     return 0, {"summary.csv": (columns, [row], ())}
 
 
@@ -652,15 +630,13 @@ def cmd_sweep(cfg: dict) -> tuple[int, dict]:
         if err_col is None:
             raise StructureError("slope requested but no error column in summary")
         err_idx = 2 + header.index(err_col)
-        errs, hs = [], []
-        for value, row in zip(values, rows):
-            err = float(row[err_idx])
-            if err > 0 and math.isfinite(err):
-                errs.append(math.log(err))
-                hs.append(math.log(1.0 / float(value)))
-        if len(errs) < 2:
-            raise StructureError("slope requested but fewer than two usable error points")
-        slope = float(np.polyfit(hs, errs, 1)[0])
+        # each point's floor scales with its endpoint; a summary without one has norm 0
+        ends = [2 + i for i, c in enumerate(header) if c.startswith("x_end_")]
+        try:
+            slope, _ = fit_slope([1.0 / float(v) for v in values], [float(row[err_idx]) for row in rows],
+                                 [float(np.linalg.norm([row[i] for i in ends])) for row in rows])
+        except ValueError:
+            raise StructureError("slope requested but fewer than two usable error points") from None
         rows.append([parameter, "slope", slope] + [None] * (len(header) - 1))
 
     meta = [("command", sweep["command"])]

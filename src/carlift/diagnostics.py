@@ -19,13 +19,14 @@ N's system by :func:`carlift.carleman.lift_run`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .carleman import CarlemanBasis, LiftedState, lift_run
 from .model import PolyNoiseModel, _drift_spectra
-from .reference import SolverRun, rk4_oracle, run_scheme
+from .reference import ORACLE_SUBSTEPS, SolverRun, rk4_oracle, run_scheme
 from .schedule import NoiseSchedule, TimeGrid, make_lambda_grid
 from .system import condition_number
 
@@ -34,6 +35,7 @@ __all__ = [
     "PTrace",
     "TruncationRow",
     "OrderSweep",
+    "fit_slope",
     "spectrum_trace",
     "dissipativity_P",
     "truncation_sweep",
@@ -93,7 +95,7 @@ def truncation_sweep(
     grid: TimeGrid,
     k: int,
     N_list,
-    oracle_substeps: int = 4000,
+    oracle_substeps: int = ORACLE_SUBSTEPS,
     with_kappa: bool = True,
 ) -> list[TruncationRow]:
     """Endpoint error, lifting defect, and conditioning versus truncation N.
@@ -137,15 +139,14 @@ def order_sweep(
     scheme: str,
     order: int,
     M_list=(8, 16, 32, 64, 128),
-    oracle_substeps: int = 4000,
+    oracle_substeps: int = ORACLE_SUBSTEPS,
 ) -> OrderSweep:
     """Empirical convergence order of a sampler on a fixed window.
 
     Runs the scheme over uniform log-SNR grids of M steps, measures the
-    endpoint error against a shared RK4 oracle, and fits a straight
-    line to log error versus log step width.  Points within a factor
-    100 of machine epsilon times the solution scale are excluded from
-    the fit (error floor) and reported through ``used``.
+    endpoint error against a shared RK4 oracle, and fits log error
+    against log mean step width by :func:`fit_slope`, at the oracle
+    endpoint's scale; ``used`` marks the points fitted.
     """
     oracle = rk4_oracle(s, m, x_T, substeps=oracle_substeps, times=(t_start, t_end)).endpoint
     errors = np.empty(len(M_list))
@@ -155,9 +156,20 @@ def order_sweep(
         hs[idx] = grid.h.mean()
         run = run_scheme(s, m, x_T, grid, scheme, order)
         errors[idx] = float(np.linalg.norm(run.endpoint - oracle))
-    floor = 100.0 * np.finfo(float).eps * max(1.0, float(np.linalg.norm(oracle)))
-    used = errors > floor
+    slope, used = fit_slope(hs, errors, float(np.linalg.norm(oracle)))
+    return OrderSweep(h=hs, errors=errors, slope=slope, used=used)
+
+
+def fit_slope(x, errors, scale) -> tuple[float, np.ndarray]:
+    """Least-squares slope of log error against log x (libm logs) over the
+    points whose error is finite and above the rounding floor 100 eps
+    max(1, scale), ``scale`` the solution's norm, one or one per point.
+    Returns the slope and the mask of points fitted; ValueError if fewer
+    than two are."""
+    errors = np.asarray(errors, dtype=float)
+    used = np.isfinite(errors) & (errors > 100.0 * np.finfo(float).eps * np.maximum(1.0, scale))
     if used.sum() < 2:
         raise ValueError("too few points above the error floor to fit a slope")
-    slope = float(np.polyfit(np.log(hs[used]), np.log(errors[used]), 1)[0])
-    return OrderSweep(h=hs, errors=errors, slope=slope, used=used)
+    log_x = [math.log(v) for v in np.asarray(x, dtype=float)[used].tolist()]
+    log_err = [math.log(v) for v in errors[used].tolist()]
+    return float(np.polyfit(log_x, log_err, 1)[0]), used

@@ -47,7 +47,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.special import expit
 
 from .errors import CapacityError
 from .schedule import NoiseSchedule
@@ -315,7 +314,7 @@ def _sigma_lambda_polys(s: NoiseSchedule, lams: np.ndarray):
     the sum of its terms n ascending, from +0.0.  Returns (s1, s2), the
     coefficients of sigma_lam and sigma_lam^2, one row per lam_c.
     """
-    q0 = expit(-2.0 * lams)
+    q0 = s.sigma2_from_lam(lams)
     taylor = _SIGMA_POLYS[..., -1, None] + q0 * 0  # Horner in q0, as npoly.polyval
     for coef in _SIGMA_HORNER:
         taylor *= q0

@@ -76,13 +76,15 @@ class SolverRun:
         return self.states[-1]
 
 
+ORACLE_SUBSTEPS = 4000  # of the RK4 reference a window's endpoint is measured against
+
 # Bytes (as float64 arrays) of the schedule and coefficient tables that
 # rk4_oracle holds at once; the substeps of an interval are tabulated in
 # chunks that fit, so memory does not grow with the substep count.  A
 # lam-independent model tabulates f and g^2/(2 sigma) alone, 32 bytes a
-# substep; the budget is the least that holds a 4 000-substep interval,
-# the sweeps' default, in one chunk.
-ORACLE_TABLE_BYTES = 32 * 4000
+# substep; the budget is the least that holds an ORACLE_SUBSTEPS interval
+# in one chunk.
+ORACLE_TABLE_BYTES = 32 * ORACLE_SUBSTEPS
 
 
 def _oracle_chunk(m: PolyNoiseModel) -> int:

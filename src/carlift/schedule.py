@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConvergenceError
 
@@ -37,6 +36,13 @@ T_FLOOR_FRACTION = 1e-3
 # sum ends the series, which must happen within this many terms.
 TAIL_REL_TOL = 1e-17
 TAIL_MAX_TERMS = 500
+
+
+def _sigma2(two_lam: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(two_lam))
+    except OverflowError:
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -90,11 +96,15 @@ class NoiseSchedule:
         """Squared diffusion coefficient, g^2(t) = beta(t)."""
         return self.beta(t)
 
-    # Lambda-domain views.  sigma^2 = 1/(1+e^{2 lam}); expit keeps it
-    # stable for large |lam|.
+    # Lambda-domain views.
+
+    def sigma2_from_lam(self, lam):
+        """sigma^2 = 1/(1 + e^{2 lam}) per element by libm exp; 0.0 where it overflows."""
+        lam = np.asarray(lam, dtype=float)
+        return np.array([_sigma2(x) for x in (2.0 * lam).ravel().tolist()]).reshape(lam.shape)[()]
 
     def sigma_from_lam(self, lam):
-        return np.sqrt(expit(-2.0 * np.asarray(lam, dtype=float)))
+        return np.sqrt(self.sigma2_from_lam(lam))
 
     def log_alpha_from_lam(self, lam):
         """log alpha = -log(1 + e^{-2 lam}) / 2, finite where alpha underflows."""

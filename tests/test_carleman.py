@@ -81,6 +81,12 @@ def test_basis_validation():
         CarlemanBasis(N=60, d=4, mode="kron")
 
 
+@pytest.mark.parametrize("j", [0, 4])
+def test_block_slice_refuses_a_block_outside_the_basis(j):
+    with pytest.raises(ValueError, match=rf"^block {j} outside 1\.\.3$"):
+        CarlemanBasis(N=3, d=2).block_slice(j)
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc to cap memory")
 def test_step_lift_refuses_oversized_dense_rows_before_allocating():
     # d=4, N=24 passes the dimension check (20 474) but one step's dense

@@ -511,12 +511,12 @@ def test_steps_from_an_underflowed_alpha_exit_0(tmp_path):
     assert states.shape == (3, 2) and np.isfinite(states).all()  # no oracle, so no error column
 
 
-def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+def test_importing_the_cli_leaves_scipy_optimize_and_special_unloaded():
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    probe = "import sys, carlift.cli; print('scipy.optimize' in sys.modules)"
+    probe = "import sys, carlift.cli; print([m in sys.modules for m in ('scipy.optimize', 'scipy.special')])"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[False, False]"
 
 
 def test_carleman_matrix_export_round_trips(tmp_path):
@@ -643,7 +643,7 @@ SWEEP_CFG = {
 }
 
 
-def test_sweep_merge_order_slope_and_concurrency(tmp_path):
+def test_sweep_merge_order_slope_and_unread_workers(tmp_path):
     code1, out1 = run(tmp_path, "sweep", SWEEP_CFG, out="w1")
     # sweep.workers is accepted and changes nothing
     cfg2 = {**SWEEP_CFG, "sweep": {**SWEEP_CFG["sweep"], "workers": 3}}
@@ -661,6 +661,27 @@ def test_sweep_merge_order_slope_and_concurrency(tmp_path):
     assert rows[3][1] == "slope"
     slope = float(rows[3][2])
     assert 0.7 < slope < 1.3
+
+
+def test_sweep_slope_floors_each_point_at_its_endpoint_norm(tmp_path, monkeypatch):
+    calls = []
+
+    def recorded(x, errors, scale):
+        calls.append((x, errors, scale))
+        return fit_slope(x, errors, scale)
+
+    fit_slope = cli.fit_slope
+    monkeypatch.setattr(cli, "fit_slope", recorded)
+    cfg = {"model": {"mode": "kron", "d": 2, "blocks": {"1": [[-0.5, 0.1], [0.05, -0.4]]}},
+           "window": {"x_T": [30.0, -40.0], "t_start": 0.5, "t_end": 0.1, "M": 4},
+           "sweep": {"command": "simulate", "parameter": "window.M", "values": [4, 8], "slope": True}}
+    assert run(tmp_path, "sweep", cfg)[0] == 0
+    cols, rows = data_rows(tmp_path / "out" / "sweep.csv")
+    ends = np.array([[float(r[cols.index(f"x_end_{i}")]) for i in range(2)] for r in rows[:2]])
+    (x, errors, scale), = calls
+    assert x == [0.25, 0.125]
+    assert errors == [float(r[cols.index("endpoint_error")]) for r in rows[:2]]
+    assert scale == np.linalg.norm(ends, axis=1).tolist() and min(scale) > 1.0
 
 
 def test_workers_flag_is_refused(tmp_path, capsys):

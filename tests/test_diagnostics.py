@@ -1,5 +1,7 @@
 """Spectral traces, the survival product P, and convergence sweeps."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from carlift.diagnostics import (
     SpectrumTrace,
     dissipativity_P,
+    fit_slope,
     order_sweep,
     spectrum_trace,
     truncation_sweep,
@@ -218,3 +221,17 @@ def test_order_sweep_rejects_unknown_scheme_and_single_point():
             bench.schedule(), scalar_model({(1, 0): -0.5}), [1.0],
             1.0, 0.5, "dpm", 1, M_list=(8,),
         )
+
+
+def test_fit_slope_fits_the_finite_errors_above_the_floor():
+    floor = 100.0 * np.finfo(float).eps
+    x = [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125]
+    # at the floor, not finite, and under the floor of a point's larger scale
+    errors = [0.3, 0.075, floor, math.inf, math.nan, 1e-12]
+    slope, used = fit_slope(x, errors, [1.0, 1.0, 0.5, 1.0, 1.0, 1e5])
+    assert used.tolist() == [True, True, False, False, False, False]
+    assert slope == float(np.polyfit([0.0, math.log(0.5)], [math.log(0.3), math.log(0.075)], 1)[0])
+    # one scale for every point: the last error is above 100 eps max(1, 0.5)
+    assert fit_slope(x, errors, 0.5)[1].tolist() == [True, True, False, False, False, True]
+    with pytest.raises(ValueError, match="too few points above the error floor"):
+        fit_slope(x, errors, 1e13)  # a floor of 0.22 leaves one point

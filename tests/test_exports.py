@@ -46,8 +46,6 @@ SCIPY_IMPORTS = {
                                  "their monomials"},
     "system": {"scipy.sparse": "the global CSR that matrix export and the condition estimate read",
                "splu": "the LU factor of M^T that applies M^{-1} M^{-T} in the condition estimate"},
-    "model": {"expit": "sigma_lam^2 = expit(-2 lam) without overflow in the Taylor centres"},
-    "schedule": {"expit": "sigma_lam^2 = expit(-2 lam) without overflow on the lambda grid"},
     "cli": {"expm": "the exact solution an LCHS run is measured against"},
 }
 

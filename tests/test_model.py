@@ -29,6 +29,16 @@ from oracles import (
 S = make_vp_schedule(0.1, 20.0, 1.0)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: PolyNoiseModel(mode="separable", d=0, coeffs=np.zeros((0, 2, 1))), "need d >= 1"),
+    (lambda: PolyNoiseModel(mode="kron", d=0, coeffs=[np.zeros((1, 0, 1))]), "need d >= 1"),
+    (lambda: total_derivative_poly(S, scalar_model({(1, 0): -0.5}), -1, 0.0), "need n >= 0"),
+], ids=["separable_d0", "kron_d0", "negative_derivative"])
+def test_model_refuses_invalid_input(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def random_scalar(rng, jmax=3, lmax=2):
     return scalar_model(rng.normal(scale=0.5, size=(jmax + 1, lmax + 1)))
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import expit
 
 from carlift.schedule import (
     TimeGrid,
@@ -21,6 +22,38 @@ from carlift.schedule import (
 from oracles import alpha_from_lam, dlam_dt, phi_moment, t_from_lam_brentq, taylor_integral
 
 VP = make_vp_schedule(0.1, 20.0, 1.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: make_vp_schedule(20.0, 0.1, 1.0), "need 0 < beta_min < beta_max"),
+    (lambda: make_vp_schedule(0.0, 20.0, 1.0), "need 0 < beta_min < beta_max"),
+    (lambda: make_vp_schedule(0.1, 20.0, 0.0), "need T > 0"),
+    (lambda: TimeGrid(t=np.array([1.0, 0.5]), lam=np.array([0.0])), "t and lam must be matching 1-d arrays"),
+    (lambda: TimeGrid(t=np.ones((2, 2)), lam=np.ones((2, 2))), "t and lam must be matching 1-d arrays"),
+    (lambda: exp_taylor_tail(-1, 0.5), "need n >= 0"),
+], ids=["beta_order", "beta_min_zero", "T_zero", "grid_lengths", "grid_2d", "tail_negative_n"])
+def test_schedule_refuses_invalid_input(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+def test_sigma2_from_lam_is_expit_bit_for_bit():
+    # 2 lam crosses exp's overflow (about 709.78) inside the dense band,
+    # where expit(-2 lam) runs through subnormals to 0
+    rng = np.random.default_rng(47)
+    lam = np.concatenate([np.linspace(-800.0, 800.0, 60001), np.linspace(354.0, 356.0, 40001),
+                          rng.uniform(-40.0, 40.0, 20000), [0.0, -0.0, np.inf, -np.inf]])
+    got = VP.sigma2_from_lam(lam)
+    assert got.dtype == np.float64 and got.shape == lam.shape
+    assert np.array_equal(got.view(np.int64), expit(-2.0 * lam).view(np.int64))
+    assert (got[lam > 354.9] == 0.0).all() and (got[lam < 354.89] > 0.0).all()
+    # the shapes and types of sigma_from_lam: a NumPy scalar from a scalar
+    for arg in (0.7, np.float64(0.7), np.array(0.7), [0.7, -3.0], lam[:6].reshape(2, 3)):
+        want = expit(-2.0 * np.asarray(arg, dtype=float))
+        for got, ref in ((VP.sigma2_from_lam(arg), want), (VP.sigma_from_lam(arg), np.sqrt(want))):
+            assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
+            assert np.array_equal(got, ref)
+    assert np.isnan(VP.sigma2_from_lam(np.nan))
 
 
 def test_variance_preserving_identity():

@@ -111,6 +111,15 @@ def test_gmres_agrees_with_forward_substitution(monkeypatch):
     assert np.allclose(iterative.solution, direct.solution, atol=1e-8)
 
 
+@pytest.mark.parametrize("max_iter", [1, 50])
+def test_gmres_returns_zero_for_a_zero_right_hand_side(max_iter):
+    system, _ = quadratic_system()
+    zero = BlockLinearSystem(mat=system.mat, rhs=np.zeros(system.dim), scheme="dpm")
+    result = gmres_solve(zero, max_iter=max_iter)
+    assert (result.residual, result.iterations) == (0.0, 0)
+    assert np.array_equal(result.solution, np.zeros(system.dim))
+
+
 def test_gmres_default_restart_spans_the_trajectory():
     # M - I is nilpotent of index <= n_blocks, so one Krylov cycle of
     # n_blocks + 1 vectors solves the M=64 system

@@ -393,6 +393,25 @@ def test_assembly_dimension_mismatch():
         assemble_global_dpm(qcms, np.ones(basis.dim_total + 1))
 
 
+def _unipc_without_warmup():
+    basis, _, _, qcms = lifted_setup(scheme="unipc", order=2)
+    assemble_global_unipc([], qcms[1:], lift([0.8], basis).y, which="predictor")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TrajectoryOperator(1, [[], [], [(0, StepMatrix(np.ones((1, 1))))] * 2]),
+     "block row 2 lists columns [0, 0], not strictly ascending"),
+    (lambda: TrajectoryOperator(1, [[], [], [(1, StepMatrix(np.ones((1, 1)))),
+                                             (0, StepMatrix(np.ones((1, 1))))]]),
+     "block row 2 lists columns [1, 0], not strictly ascending"),
+    (_unipc_without_warmup, "step to node 2 would fill block row 1"),
+], ids=["repeated_column", "descending_columns", "misplaced_unified_step"])
+def test_system_refuses_misplaced_couplings(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def random_kron_model(rng, d: int):
     """A kron model with a constant, a near-diagonal linear and a small
     quadratic part, as the benchmark draws them."""
